@@ -1,0 +1,107 @@
+"""Golden digest: the pipeline's output bytes against a known-good run.
+
+Criterion 9 compares two fresh runs with each other, so a change that alters
+both the same way passes it. This test pins the bytes instead: one sha256
+over the canonical JSON of every execution profile and verdict of a fixed
+flight matrix, and one over every artifact of a small ``statefuzz run``
+except ``campaign.json`` (the one file that records wall-clock data).
+
+A change that moves either digest changes what the pipeline produces. If
+that is intended, say why in CHANGES.md and replace the digest.
+"""
+
+import hashlib
+
+from statefuzz import cli
+from statefuzz.executor import Executor
+from statefuzz.fuzzspec import parse_mission
+from statefuzz.oracle import classify, default_tree
+from statefuzz.storage import canonical_dumps
+from statefuzz.sutmodel import NO_ACTION, TARGETABLE_STATES, RcAction, SutConfig
+
+from conftest import MISSION_A_RAW, MISSION_C_RAW
+from helpers import make_case
+
+MATRIX_DIGEST = "eb0dbec7bf477ff29dbabd1f6336077c141e49b936b77b65214e090228f638c1"
+RUN_DIGEST = "86c7304a78b88a24bc08206dbd0249096954b4022f3950c1c3ac2e8fffe4c424"
+
+ACTIONS = tuple(a.value for a in RcAction) + (NO_ACTION,)
+DELAYS = (60.0, 350.0, 900.0)
+
+#: environment vectors of the broad sweep: wind ramps, per-tick GPS jitter,
+#: every geofence action, compass and both non-default throttle levels
+ENVS = (
+    {},
+    {"wind": "high", "gps_noise": "low"},
+    {"geofence": "WARN", "wind": "medium"},
+    {"geofence": "RETURN", "gps_noise": "medium"},
+    {"geofence": "LAND", "compass_interference": "high"},
+    {"gps_noise": "high", "throttle": "low"},
+    {"throttle": "high", "wind": "low", "compass_interference": "medium"},
+)
+
+#: seeded faults, the actions that reach them, and an environment they need
+FAULT_CASES = (
+    (("F1",), ("AUTO.LAND",), {}),
+    (("F2",), ("POSCTL",), {}),
+    (("F3",), ("OFFBOARD", "AUTO.RTL"), {"geofence": "RETURN"}),
+    (("F4",), ("POSCTL",), {"geofence": "RETURN", "wind": "low"}),
+    (("F5",), ("AUTO.RTL",), {"wind": "medium"}),
+    (("F6",), (NO_ACTION, "AUTO.LAND"), {"gps_noise": "high"}),
+    (("F7",), ("POSCTL",), {"geofence": "WARN"}),
+    (("F8",), ("STABILIZED", "ALTCTL"), {"compass_interference": "high"}),
+    (("F2", "F5", "F7"), ("POSCTL", "AUTO.RTL"), {"geofence": "WARN", "gps_noise": "low"}),
+)
+
+
+def flight_matrix():
+    """(mission raw, seeded faults, test case) for every flight of the matrix."""
+    cases = []
+    for name, mission in (("A", MISSION_A_RAW), ("C", MISSION_C_RAW)):
+        index = 0
+        for s, state in enumerate(TARGETABLE_STATES):
+            for a, action in enumerate(ACTIONS):
+                cases.append((mission, (), make_case(
+                    state, action, DELAYS[(s + a) % 3], seed=index,
+                    test_id=f"{name}-{index:03d}", **ENVS[(s + a) % len(ENVS)],
+                )))
+                index += 1
+        for faults, actions, env in FAULT_CASES:
+            for s, state in enumerate(TARGETABLE_STATES):
+                for action in actions:
+                    cases.append((mission, faults, make_case(
+                        state, action, DELAYS[s % 3], seed=index,
+                        test_id=f"{name}-{index:03d}", **env,
+                    )))
+                    index += 1
+    return cases
+
+
+def test_flight_matrix_digest():
+    trees = (default_tree("v0"), default_tree("v1"))
+    h = hashlib.sha256()
+    for mission_raw, faults, case in flight_matrix():
+        config = SutConfig(latency_window_ms=(200.0, 600.0), seeded_faults=faults)
+        profile = Executor(parse_mission(dict(mission_raw)), config).execute(case)
+        h.update(canonical_dumps(profile.to_dict()).encode())
+        for tree in trees:
+            h.update(canonical_dumps(classify(case, profile, tree).to_dict()).encode())
+    assert h.hexdigest() == MATRIX_DIGEST
+
+
+def test_small_run_digest(tmp_path):
+    root = tmp_path / "campaign"
+    args = [
+        "run", "--spec", "fspec1", "--mission", "mission_a", "--fault", "F2",
+        "--latency-window", "200", "600", "--repetitions", "1",
+        "--runs-per-cell", "2", "--seed", "3", "--out", str(root),
+    ]
+    assert cli.main(args) == 0
+    assert list((root / "truthtables").glob("*.json"))
+    assert (root / "faulttrees" / "combined.json").exists()
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        rel = path.relative_to(root).as_posix()
+        if rel != "campaign.json":
+            h.update(rel.encode() + b"\0" + path.read_bytes() + b"\0")
+    assert h.hexdigest() == RUN_DIGEST
