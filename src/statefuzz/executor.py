@@ -30,7 +30,9 @@ from .testgen import TestCase, derive_seed
 #: observation window after an injection before the flight is resumed
 SETTLE_MS = 1000.0
 
-#: outer driving chunk; transitions still resolve on the fine internal grid
+#: outer driving chunk. Each chunk end is a simulator hop, usually at a time
+#: off the 10 ms grid, and position and clock sums accumulate over those hops:
+#: another chunk length gives other floats and other output bytes.
 DRIVE_CHUNK_MS = 500.0
 
 
@@ -172,10 +174,6 @@ class Executor:
     def __init__(self, mission: MissionPlan, config: SutConfig) -> None:
         self.mission = mission
         self.config = config
-
-    def reset(self) -> None:
-        """No-op teardown hook: every execute() builds a fresh vehicle, so
-        there is no cross-test state to clear. Kept for driver symmetry."""
 
     def execute(self, test: TestCase) -> ExecutionProfile:
         rng = Random(derive_seed(test.seed, "flight"))

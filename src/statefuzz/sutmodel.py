@@ -374,6 +374,22 @@ def _dist3(a: tuple[float, float, float], b: tuple[float, float, float]) -> floa
     return math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2)
 
 
+def _reaches(level: str, threshold: str) -> bool:
+    """True when a sensor disturbance level is at or above a sensitivity level."""
+    return level != "none" and _INTENSITY_RANK[level] >= _INTENSITY_RANK[threshold]
+
+
+def _last_tick_before(bound: float) -> float:
+    """The largest grid tick (multiple of TICK_MS) strictly below bound."""
+    tick = (math.ceil(bound / TICK_MS) - 1) * TICK_MS
+    # the division rounds, so the tick may be one step off either way
+    if tick >= bound:
+        tick -= TICK_MS
+    elif tick + TICK_MS < bound:
+        tick += TICK_MS
+    return tick
+
+
 def _point_in_polygon(x: float, y: float, poly: tuple[tuple[float, float], ...]) -> bool:
     """Ray-cast point-in-polygon; boundary points count as inside."""
     inside = False
@@ -438,9 +454,11 @@ class SutSnapshot:
 class Vehicle:
     """Mutable flight simulation behind the public step()/executor.
 
-    One instance is one flight. The executor drives it with advance_to(),
-    apply_rc() and apply_env(); the public step() wraps a single event in
-    a fresh instance so its snapshot-in/snapshot-out contract stays pure.
+    One instance is one flight. The executor drives it with advance_until(),
+    advance_to() and apply_rc(). apply_env() changes the environment
+    mid-flight; only direct callers and the public step() use it. step()
+    wraps a single event in a fresh instance so its snapshot-in/snapshot-out
+    contract stays pure.
     """
 
     def __init__(
@@ -480,7 +498,6 @@ class Vehicle:
         lo, hi = config.latency_window_ms
         self.switch_latency = lo + (hi - lo) * rng.random()
 
-        self.hold_point: Optional[tuple[float, float, float]] = None
         self.hold_until: Optional[float] = None
         self.manual_airborne = False
         self.manual_landing = False
@@ -565,12 +582,6 @@ class Vehicle:
         if self.wind_dev < cap:
             self.wind_dev = min(cap, self.wind_dev + WIND_DRIFT_RATE_MPS[self.wind] * dt_s)
         dev = self.wind_dev
-        if self.hold_point is not None and self.app is AppState.HUMAN_CONTROL:
-            # climb and descent are commanded by the sticks; only horizontal
-            # displacement from the takeover point is drift
-            dx = self.pos[0] - self.hold_point[0]
-            dy = self.pos[1] - self.hold_point[1]
-            dev = max(dev, math.hypot(dx, dy))
         jit = GPS_JITTER_M[self.gps_noise]
         if jit:
             dev += jit * self.rng.random()
@@ -623,19 +634,19 @@ class Vehicle:
             if self.mode is not AutopilotMode.RTL:
                 self._set_mode(AutopilotMode.RTL)
 
+    def _gps_degraded_due(self) -> bool:
+        return not self.gps_degraded_noted and _reaches(self.gps_noise, self.cfg.gps_degrade_level)
+
+    def _compass_degraded_due(self) -> bool:
+        return not self.compass_degraded_noted and _reaches(
+            self.compass, self.cfg.compass_degrade_level
+        )
+
     def _check_degraded(self) -> None:
-        if (
-            not self.gps_degraded_noted
-            and self.gps_noise != "none"
-            and _INTENSITY_RANK[self.gps_noise] >= _INTENSITY_RANK[self.cfg.gps_degrade_level]
-        ):
+        if self._gps_degraded_due():
             self.gps_degraded_noted = True
             self._failsafe("DEGRADED_GPS", self.gps_noise)
-        if (
-            not self.compass_degraded_noted
-            and self.compass != "none"
-            and _INTENSITY_RANK[self.compass] >= _INTENSITY_RANK[self.cfg.compass_degrade_level]
-        ):
+        if self._compass_degraded_due():
             self.compass_degraded_noted = True
             self._failsafe("DEGRADED_COMPASS", self.compass)
 
@@ -754,7 +765,6 @@ class Vehicle:
                 self._finish("disarmed")
 
     def _begin_hover(self) -> None:
-        self.hold_point = self.pos
         self.phase_deadline = self.t + HOVER_PAUSE_MS
         self._set_app(AppState.HOVERING)
 
@@ -820,11 +830,21 @@ class Vehicle:
     def advance_until(self, t_target: float, stop_state: Optional[AppState]) -> None:
         """Integrate forward, stopping early when stop_state is entered.
 
-        The stop check runs after each internal hop, so the clock halts at
+        The clock takes the hops of a plain 10 ms grid loop and no others:
+        every grid tick, every timer instant and t_target. Every hop moves
+        the vehicle and samples deviation, with one GPS-jitter draw per hop
+        while there is jitter. The handlers (timers, geofence, signal loss,
+        sensor degradation, the phase step and the simulation ceiling) run
+        only on a hop where one of them can fire; _coast takes every other
+        hop. The stop check follows each handler hop, so the clock halts at
         the exact transition instant and the caller can schedule injection
         delays from it.
         """
         while not self.finished and self.t + 1e-9 < t_target:
+            if self.app is not stop_state:
+                self._coast(t_target)
+                if self.t + 1e-9 >= t_target:
+                    return
             next_grid = (math.floor(self.t / TICK_MS) + 1) * TICK_MS
             hop = min(t_target, next_grid, self._next_timer())
             dt = hop - self.t
@@ -842,6 +862,148 @@ class Vehicle:
                 self._finish("simulation ceiling")
             if stop_state is not None and self.app is stop_state:
                 return
+
+    def _phase_due(self) -> float:
+        """First instant at which the current phase's time condition holds."""
+        app = self.app
+        if app is AppState.PRE_ARM:
+            return PREARM_MS
+        if app is AppState.HOVERING:
+            deadlines = (self.phase_deadline,)
+        elif app is AppState.HUMAN_CONTROL:
+            deadlines = (self.hold_until,)
+        elif app is AppState.DISARMING:
+            deadlines = (self.disarm_deadline, self.phase_deadline)
+        else:
+            return math.inf
+        return min((d for d in deadlines if d is not None), default=math.inf)
+
+    def _signal_loss_due_ms(self) -> float:
+        """Time without signal at which the next signal-loss failsafe fires."""
+        due = math.inf
+        if self.signal_lost_since is not None:
+            if not self.app_ls_fired:
+                due = self.cfg.app_signal_loss_s * 1000.0
+            if not self.ap_ls_fired:
+                due = min(due, self.cfg.autopilot_signal_loss_s * 1000.0)
+        return due
+
+    def _coast(self, t_target: float) -> None:
+        """Take the hops ahead on which no handler can fire.
+
+        Stops before a hop that reaches a timer, a phase deadline or the
+        ceiling, reaches a signal-loss threshold, meets the phase's position
+        condition or leaves the fence while airborne; takes no hop while a
+        degradation note is pending. Each hop moves the clock, the position
+        and the deviation with the expressions of _integrate and
+        _sample_deviation. In a phase that holds position, once the wind
+        drift is at its cap and there is no GPS jitter, a hop changes only
+        the clock, so the clock jumps to the last grid tick before the next
+        time condition.
+        """
+        if self._gps_degraded_due() or self._compass_degraded_due():
+            return
+        app = self.app
+        t = self.t
+        x, y, z = self.pos
+        # a hop fires a time condition when it reaches this instant; hops
+        # stop at timers, so below it a hop is min(t_target, next grid tick)
+        due = min(self._next_timer(), SIM_CEILING_MS, self._phase_due())
+        since, lost_ms = self.signal_lost_since, self._signal_loss_due_ms()
+
+        # this phase's motion, as in _integrate
+        kind = "hold"
+        lands = False               # the phase ends on touching the ground
+        if app is AppState.TAKEOFF:
+            kind = "climb"
+            offboard = self.mode is AutopilotMode.OFFBOARD
+        elif app is AppState.FLYING_TO_WAYPOINT:
+            kind = "cruise"
+            tx, ty, tz = self.resume_target or self.waypoints[self.legs_done]
+        elif app is AppState.RETURNING:
+            # z never moves toward this target, so reaching it is x == y == 0
+            kind = "cruise"
+            tx, ty, tz = 0.0, 0.0, z
+        elif app is AppState.LANDING:
+            kind, lands, sink = "descend", True, DESCENT_RATE_MPS
+            if self.land_target is not None:
+                x, y = self.land_target
+        elif app is AppState.HUMAN_CONTROL:
+            lands = self.manual_airborne
+            if z > 0.0 and (self.manual_landing or self.throttle == "low"):
+                kind = "descend"
+                sink = DESCENT_RATE_MPS if self.manual_landing else MANUAL_SINK_MPS
+            elif z > 0.0 and self.throttle == "high":
+                kind = "ascend"
+
+        fence = None
+        if (self.fence is not None and not self.fence_breached
+                and self.geofence != "none" and self.armed):
+            fence = self.fence
+            if kind != "cruise" and _point_in_polygon(x, y, fence):
+                fence = None        # x and y hold, so the fence cannot be left
+
+        cap = WIND_DRIFT_CAP_M[self.wind]
+        rate = WIND_DRIFT_RATE_MPS[self.wind]
+        jit = GPS_JITTER_M[self.gps_noise]
+        rand = self.rng.random
+        floor = math.floor
+        wind_dev, dev_max = self.wind_dev, self.path_deviation_max
+
+        if (kind == "hold" and wind_dev >= cap and not jit and lost_ms == math.inf
+                and not (lands and z <= 0.0) and (fence is None or z <= 0.05)):
+            # every hop before the time conditions would only move the clock
+            tick = _last_tick_before(min(due, t_target))
+            if tick >= (floor(t / TICK_MS) + 1) * TICK_MS:
+                t = tick
+
+        # min() and max() are spelled out below: same values, a third of the cost
+        while t + 1e-9 < t_target:
+            hop = (floor(t / TICK_MS) + 1) * TICK_MS
+            if not hop < t_target:
+                hop = t_target
+            if hop >= due or (since is not None and hop - since >= lost_ms):
+                break
+            dt_s = (hop - t) / 1000.0
+            nx, ny, nz = x, y, z
+            if kind == "climb":
+                nz = z + CLIMB_RATE_MPS * dt_s
+                if not nz < TAKEOFF_ALT_M:
+                    nz = TAKEOFF_ALT_M
+                    if offboard:
+                        break
+            elif kind == "cruise":
+                d = math.sqrt((x - tx) ** 2 + (y - ty) ** 2 + (z - tz) ** 2)
+                stride = self.cruise * dt_s
+                if d <= stride or d == 0.0:
+                    break           # the target is reached on this hop
+                f = stride / d
+                nx, ny, nz = x + (tx - x) * f, y + (ty - y) * f, z + (tz - z) * f
+                if nx == tx and ny == ty and nz == tz:
+                    break
+            elif kind == "descend":
+                nz = z - sink * dt_s
+                if not nz > 0.0:
+                    nz = 0.0
+            elif kind == "ascend":
+                nz = z + MANUAL_CLIMB_MPS * dt_s
+            if lands and nz <= 0.0:
+                break
+            if fence is not None and nz > 0.05 and not _point_in_polygon(nx, ny, fence):
+                break
+            t, x, y, z = hop, nx, ny, nz
+            if wind_dev < cap:
+                wind_dev = min(cap, wind_dev + rate * dt_s)
+            dev = wind_dev
+            if jit:
+                dev += jit * rand()
+            if dev > dev_max:
+                dev_max = dev
+
+        if t != self.t:
+            self.t = t
+            self.pos = (x, y, z)
+            self.wind_dev, self.path_deviation_max = wind_dev, dev_max
 
     def apply_env(self, env_field: str, value: str) -> None:
         if env_field == "signal":
@@ -912,7 +1074,6 @@ class Vehicle:
         realized = REALIZED_MODE[action]
         if realized in _TAKEOVER_MODES:
             self.mode_switch_at = None
-            self.hold_point = self.pos
             self.hold_until = self.t + HOLD_WINDOW_MS
             self.manual_airborne = self.pos[2] > 0.0
             self.manual_landing = self.app is AppState.LANDING
@@ -1020,12 +1181,10 @@ class Vehicle:
         v.trace = [(snap.t_ms, snap.app_state, snap.mode)]
         v._mode_history = [(snap.t_ms, snap.mode)]
         if snap.app_state is AppState.HOVERING:
-            v.hold_point = snap.position
             v.phase_deadline = snap.t_ms + HOVER_PAUSE_MS
         elif snap.app_state is AppState.DISARMING:
             v.phase_deadline = snap.t_ms + DISARM_MS
         elif snap.app_state is AppState.HUMAN_CONTROL:
-            v.hold_point = snap.position
             v.hold_until = snap.t_ms + HOLD_WINDOW_MS
             v.manual_airborne = snap.position[2] > 0.0
         return v

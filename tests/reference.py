@@ -12,6 +12,38 @@ import math
 import numpy as np
 
 from statefuzz.cutset import MODE_ABSENT, MODE_COLUMN, MODE_VARIES, TableRow, TruthTable
+from statefuzz.sutmodel import SIM_CEILING_MS, TICK_MS
+
+
+# ---------------------------------------------------------------------------
+# flight simulation, one hop per 10 ms grid tick
+# ---------------------------------------------------------------------------
+
+
+def grid_advance_until(vehicle, t_target, stop_state):
+    """Vehicle.advance_until as a plain grid loop: every handler on every hop.
+
+    Hops land on each 10 ms grid tick, each timer instant and t_target; the
+    stop check runs after each hop.
+    """
+    while not vehicle.finished and vehicle.t + 1e-9 < t_target:
+        next_grid = (math.floor(vehicle.t / TICK_MS) + 1) * TICK_MS
+        hop = min(t_target, next_grid, vehicle._next_timer())
+        dt = hop - vehicle.t
+        vehicle._integrate(dt)
+        vehicle.t = hop
+        vehicle._fire_timers()
+        vehicle._sample_deviation(dt / 1000.0)
+        vehicle._check_geofence()
+        vehicle._check_signal()
+        vehicle._check_degraded()
+        vehicle._phase_step()
+        if vehicle.t >= SIM_CEILING_MS and not vehicle.finished:
+            vehicle.exceptions.append("sim-timeout")
+            vehicle._note("exception", "sim-timeout")
+            vehicle._finish("simulation ceiling")
+        if stop_state is not None and vehicle.app is stop_state:
+            return
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ from dataclasses import replace
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from statefuzz.errors import ConfigError, IllegalEvent, UnknownFault
 from statefuzz.sutmodel import (
+    INTENSITY_LEVELS,
     NO_ACTION,
+    TARGETABLE_STATES,
     AppState,
     AutopilotMode,
     Decision,
@@ -26,6 +28,7 @@ from statefuzz.sutmodel import (
 )
 
 from conftest import MISSION_A_RAW, MISSION_C_RAW
+from reference import grid_advance_until
 
 
 def make_vehicle(config=None, env=None, mission=MISSION_A_RAW, seed=1):
@@ -633,3 +636,83 @@ def test_step_rejects_unknown_events():
     v = make_vehicle()
     with pytest.raises(IllegalEvent):
         step(v.snapshot(), "reboot", SutConfig(), Random(0))
+
+
+# ---------------------------------------------------------------------------
+# the event-skipping loop against the plain grid loop
+# ---------------------------------------------------------------------------
+
+
+def observables(v):
+    return (
+        v.t, v.pos, v.wind_dev, v.path_deviation_max, v.records, v.trace,
+        v.failsafe_events, v.exceptions, v.rng.getstate(),
+    )
+
+
+env_changes = st.one_of(
+    st.sampled_from([("signal", "lost"), ("signal", "restored")]),
+    st.tuples(st.sampled_from(["wind", "gps_noise", "compass_interference"]),
+              st.sampled_from(INTENSITY_LEVELS)),
+)
+
+flight_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("until"), st.sampled_from(TARGETABLE_STATES)),
+        st.tuples(st.just("wait"), st.sampled_from([0.0, 7.5, 60.0, 333.3, 1000.0, 4321.5])),
+        st.tuples(st.just("rc"), st.sampled_from(list(RcAction))),
+        st.tuples(st.just("env"), env_changes),
+    ),
+    max_size=8,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    mission=st.sampled_from([MISSION_A_RAW, MISSION_C_RAW]),
+    env=st.fixed_dictionaries({
+        "throttle": st.sampled_from(["low", "mid", "high"]),
+        "geofence": st.sampled_from(["none", "WARN", "RETURN", "LAND"]),
+        "wind": st.sampled_from(INTENSITY_LEVELS),
+        "gps_noise": st.sampled_from(INTENSITY_LEVELS),
+        "compass_interference": st.sampled_from(INTENSITY_LEVELS),
+    }),
+    faults=st.sets(st.sampled_from([f"F{i}" for i in range(1, 9)])),
+    window=st.sampled_from([(0.0, 300.0), (200.0, 600.0), (1500.0, 4500.0)]),
+    signal_loss=st.sampled_from([(20.0, 60.0), (0.5, 1.2)]),
+    chunk=st.sampled_from([10.0, 333.3, 500.0, 1234.5]),
+    steps=flight_steps,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_advance_until_matches_the_grid_loop(
+    mission, env, faults, window, signal_loss, chunk, steps, seed
+):
+    """Same hops, floats, records and RNG draws as a loop that runs every
+    handler on every 10 ms tick, through injections and environment changes."""
+    config = SutConfig(
+        latency_window_ms=window,
+        app_signal_loss_s=signal_loss[0],
+        autopilot_signal_loss_s=signal_loss[1],
+        seeded_faults=tuple(sorted(faults)),
+    )
+    fast = make_vehicle(config=config, env=env, mission=mission, seed=seed)
+    grid = make_vehicle(config=config, env=env, mission=mission, seed=seed)
+
+    def advance(t_target, stop_state=None):
+        fast.advance_until(t_target, stop_state)
+        grid_advance_until(grid, t_target, stop_state)
+        assert observables(fast) == observables(grid)
+
+    for kind, arg in steps:
+        if kind == "until":
+            while not fast.finished and fast.app is not arg:
+                advance(fast.t + chunk, arg)
+        elif kind == "wait":
+            advance(fast.t + arg)
+        elif kind == "rc" and fast.app not in (AppState.PRE_ARM, AppState.DONE):
+            assert fast.apply_rc(arg) == grid.apply_rc(arg)
+        elif kind == "env":
+            fast.apply_env(*arg)
+            grid.apply_env(*arg)
+    while not fast.finished:
+        advance(fast.t + chunk)
