@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from statefuzz.errors import ConfigError, IllegalEvent, UnknownFault
 from statefuzz.sutmodel import (
+    GEOFENCE_SETTINGS,
     INTENSITY_LEVELS,
     NO_ACTION,
     TARGETABLE_STATES,
+    THROTTLE_LEVELS,
     AppState,
     AutopilotMode,
     Decision,
@@ -671,8 +673,8 @@ flight_steps = st.lists(
 @given(
     mission=st.sampled_from([MISSION_A_RAW, MISSION_C_RAW]),
     env=st.fixed_dictionaries({
-        "throttle": st.sampled_from(["low", "mid", "high"]),
-        "geofence": st.sampled_from(["none", "WARN", "RETURN", "LAND"]),
+        "throttle": st.sampled_from(THROTTLE_LEVELS),
+        "geofence": st.sampled_from(GEOFENCE_SETTINGS),
         "wind": st.sampled_from(INTENSITY_LEVELS),
         "gps_noise": st.sampled_from(INTENSITY_LEVELS),
         "compass_interference": st.sampled_from(INTENSITY_LEVELS),
@@ -680,12 +682,13 @@ flight_steps = st.lists(
     faults=st.sets(st.sampled_from([f"F{i}" for i in range(1, 9)])),
     window=st.sampled_from([(0.0, 300.0), (200.0, 600.0), (1500.0, 4500.0)]),
     signal_loss=st.sampled_from([(20.0, 60.0), (0.5, 1.2)]),
+    degrade_level=st.sampled_from(["low", "high"]),
     chunk=st.sampled_from([10.0, 333.3, 500.0, 1234.5]),
     steps=flight_steps,
     seed=st.integers(0, 2**32 - 1),
 )
 def test_advance_until_matches_the_grid_loop(
-    mission, env, faults, window, signal_loss, chunk, steps, seed
+    mission, env, faults, window, signal_loss, degrade_level, chunk, steps, seed
 ):
     """Same hops, floats, records and RNG draws as a loop that runs every
     handler on every 10 ms tick, through injections and environment changes."""
@@ -693,6 +696,8 @@ def test_advance_until_matches_the_grid_loop(
         latency_window_ms=window,
         app_signal_loss_s=signal_loss[0],
         autopilot_signal_loss_s=signal_loss[1],
+        gps_degrade_level=degrade_level,
+        compass_degrade_level=degrade_level,
         seeded_faults=tuple(sorted(faults)),
     )
     fast = make_vehicle(config=config, env=env, mission=mission, seed=seed)
