@@ -6,24 +6,30 @@ over the canonical JSON of every execution profile and verdict of a fixed
 flight matrix, and one over every artifact of a small ``statefuzz run``
 except ``campaign.json`` (the one file that records wall-clock data).
 
-A change that moves either digest changes what the pipeline produces. If
+A third digest pins the clustering stage alone: ``analyze_failures`` on a
+fixed synthetic failure set, so a change to K-means, the elbow or the
+representatives shows up without flying anything.
+
+A change that moves any digest changes what the pipeline produces. If
 that is intended, say why in CHANGES.md and replace the digest.
 """
 
 import hashlib
 
 from statefuzz import cli
+from statefuzz.analysis import FAILURE_REASONS, analyze_failures
 from statefuzz.executor import Executor
-from statefuzz.fuzzspec import parse_mission
-from statefuzz.oracle import classify, default_tree
+from statefuzz.fuzzspec import parse_fuzz_spec, parse_mission
+from statefuzz.oracle import Verdict, classify, default_tree
 from statefuzz.storage import canonical_dumps
 from statefuzz.sutmodel import NO_ACTION, TARGETABLE_STATES, RcAction, SutConfig
 
-from conftest import MISSION_A_RAW, MISSION_C_RAW
+from conftest import MISSION_A_RAW, MISSION_C_RAW, small_spec_raw
 from helpers import make_case
 
 MATRIX_DIGEST = "eb0dbec7bf477ff29dbabd1f6336077c141e49b936b77b65214e090228f638c1"
 RUN_DIGEST = "86c7304a78b88a24bc08206dbd0249096954b4022f3950c1c3ac2e8fffe4c424"
+CLUSTERING_DIGEST = "0bae8a368900f64a4303b5f53f9f56bac2e8aaf39e040acba542fd5049d0b5cf"
 
 ACTIONS = tuple(a.value for a in RcAction) + (NO_ACTION,)
 DELAYS = (60.0, 350.0, 900.0)
@@ -105,3 +111,63 @@ def test_small_run_digest(tmp_path):
         if rel != "campaign.json":
             h.update(rel.encode() + b"\0" + path.read_bytes() + b"\0")
     assert h.hexdigest() == RUN_DIGEST
+
+
+def _draws(seed):
+    """A fixed stream of 31-bit integers (64-bit LCG), the same on every platform."""
+    x = seed
+    while True:
+        x = (x * 6364136223846793005 + 1442695040888963407) % 2**64
+        yield x >> 33
+
+
+def clustering_failures():
+    """(spec, failures) for the clustering digest: 300 failures, 90 of them repeats.
+
+    Five families share a state, action and reason; one draw in four leaves
+    its family on each axis. Throttle, geofence and wind vary, so every kind
+    of encoded column is present, and the repeats add duplicate rows.
+    """
+    raw = small_spec_raw()
+    raw["ENVIRONMENT"].update(
+        throttle=["low", "mid", "high"], geofence=["none", "WARN", "RETURN"],
+        wind=["none", "medium", "high"],
+    )
+    spec = parse_fuzz_spec(raw, spec_id="golden")
+    states = [t.state for t in spec.states]
+    modes = list(spec.modes)
+    actions = [a.value for a in spec.actions]
+    env = spec.environment
+    draw = _draws(2024)
+
+    def pick(options, anchor):
+        """options[anchor], or a drawn option one time in four."""
+        return options[anchor % len(options)] if next(draw) % 4 else options[next(draw) % len(options)]
+
+    params = []
+    for i in range(210):
+        family = i % 5
+        params.append(dict(
+            app_state=pick(states, family),
+            target_mode=pick(modes, family),
+            action=pick(actions, family),
+            delay_ms=50.0 + (family * 230 + next(draw) % 300) if next(draw) % 3 else 125.0 * (1 + family),
+            throttle=env.throttle[next(draw) % 3],
+            geofence=pick(list(env.geofence), family),
+            wind=env.wind[next(draw) % 3],
+            reason=pick(list(FAILURE_REASONS), 2 * family),
+        ))
+    params += [params[next(draw) % 210] for _ in range(90)]
+    failures = []
+    for i, p in enumerate(params):
+        p = dict(p)
+        reason = p.pop("reason")
+        failures.append((make_case(test_id=f"f{i:03d}", **p), Verdict("FAILURE", reason)))
+    return spec, failures
+
+
+def test_clustering_digest():
+    spec, failures = clustering_failures()
+    result = analyze_failures(failures, spec, seed=5, restarts=3)
+    digest = hashlib.sha256(canonical_dumps(result.to_dict()).encode()).hexdigest()
+    assert digest == CLUSTERING_DIGEST
