@@ -28,6 +28,13 @@ DEFAULT_RESTARTS = 10
 #: default cap for the elbow sweep; fewer distinct rows lower it
 MAX_K = 10
 
+#: points per numpy screen of the reassignment polish; bounds the screen's
+#: (rows, K, features) temporary to about 0.6 MB at K=10 and 30 features
+SCREEN_ROWS = 256
+
+#: relative slack of that screen (see _reassignment_polish)
+SCREEN_SLACK = 1e-9
+
 #: closed set of failure reason codes the default trees can emit
 FAILURE_REASONS = (
     "mode-change-ignored",
@@ -221,45 +228,93 @@ def _lloyd(X: np.ndarray, centroids: np.ndarray, max_iter: int = 300) -> Cluster
     )
 
 
+def _possible_movers(block: np.ndarray, block_labels: np.ndarray, sums: np.ndarray,
+                     counts: np.ndarray) -> np.ndarray:
+    """Rows of block that may improve by a single-point move, in one numpy pass.
+
+    Screens the test of _reassignment_polish under the given cluster sums
+    and counts, with SCREEN_SLACK to spare (see there).
+    """
+    filled = counts > 0
+    d2 = _sq_dists(block, sums / np.where(filled, counts, 1.0)[:, None])
+    rows = np.arange(block.shape[0])
+    n_a = counts[block_labels]
+    gain = n_a / np.maximum(n_a - 1, 1.0) * d2[rows, block_labels]
+    cost = counts / (counts + 1) * d2
+    cost[:, ~filled] = np.inf
+    cost[rows, block_labels] = np.inf
+    best = cost.min(axis=1)
+    slack = SCREEN_SLACK * (1.0 + gain + best)
+    return np.flatnonzero((n_a > 1) & (gain - best > 1e-12 - slack))
+
+
 def _reassignment_polish(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Single-point reassignment sweeps over a converged partition.
 
     Lloyd's fixed points are only centroid-stable; moving one point can
     still lower the total WCSS once the centroid shifts it causes are
     priced in (remove x from cluster a of size n_a: gain n_a/(n_a-1)
-    times its squared distance; add to b: cost n_b/(n_b+1) times). The
-    sweeps accept strictly improving moves until none is left, which
-    escapes the local minima Lloyd cannot.
+    times its squared distance; add to b: cost n_b/(n_b+1) times). A
+    sweep visits the points in order and moves each to the cluster with
+    the largest gain - cost above 1e-12 (the first such cluster on a tie),
+    never emptying a cluster; sweeps repeat until none moves, which
+    escapes the local minima Lloyd cannot (Hartigan & Wong, 1979).
+
+    Within a sweep the cluster sums and counts change only when a point
+    moves, so every point between two moves is judged under one state.
+    _possible_movers screens the next SCREEN_ROWS points under that state
+    and only the points it flags take the scalar test, in order. The
+    first that moves changes the state and the screen restarts after it;
+    a flagged point that stays changes nothing, so the other verdicts of
+    the screen still hold. A sweep without moves is one screen per block.
+
+    The screen sums squares in another order than the scalar dot product.
+    Each squared distance is a sum of d nonnegative terms, so either
+    order is within d * 2**-53 of the exact value relative to it, and the
+    two values of gain - cost differ by at most about
+    2d * 2**-53 * (gain + cost). The encoded features lie in [0, 1], so a
+    squared distance is at most d and the difference is below 1e-12. The
+    screen flags gain - cost > 1e-12 - SCREEN_SLACK * (1 + gain + cost),
+    which covers any d below about 10**6: it never drops a point the
+    scalar test moves, and the moves, hence the labels, are exactly those
+    of the plain point-by-point loop.
     """
     labels = labels.copy()
+    n = X.shape[0]
     counts = np.bincount(labels, minlength=k).astype(float)
     sums = np.zeros((k, X.shape[1]))
     for j in range(k):
         sums[j] = X[labels == j].sum(axis=0)
     for _ in range(200):
         moved = False
-        for i in range(X.shape[0]):
-            a = labels[i]
-            if counts[a] <= 1:
-                continue  # never empty a cluster
-            x = X[i]
-            off_a = x - sums[a] / counts[a]
-            gain = counts[a] / (counts[a] - 1) * float(off_a @ off_a)
-            best_delta, best_b = 1e-12, -1
-            for b in range(k):
-                if b == a:
-                    continue
-                off_b = x - sums[b] / counts[b]
-                cost = counts[b] / (counts[b] + 1) * float(off_b @ off_b)
-                if gain - cost > best_delta:
-                    best_delta, best_b = gain - cost, b
-            if best_b >= 0:
-                sums[a] -= x
-                counts[a] -= 1
-                sums[best_b] += x
-                counts[best_b] += 1
-                labels[i] = best_b
-                moved = True
+        start = 0
+        while start < n:
+            stop = min(start + SCREEN_ROWS, n)
+            flagged = _possible_movers(X[start:stop], labels[start:stop], sums, counts)
+            next_start = stop
+            for i in start + flagged:
+                a = labels[i]
+                x = X[i]
+                off_a = x - sums[a] / counts[a]
+                gain = counts[a] / (counts[a] - 1) * float(off_a @ off_a)
+                best_delta, best_b = 1e-12, -1
+                for b in range(k):
+                    if b == a or not counts[b]:
+                        continue  # an empty cluster has no mean to join
+                    off_b = x - sums[b] / counts[b]
+                    cost = counts[b] / (counts[b] + 1) * float(off_b @ off_b)
+                    if gain - cost > best_delta:
+                        best_delta, best_b = gain - cost, b
+                if best_b >= 0:
+                    sums[a] -= x
+                    counts[a] -= 1
+                    sums[best_b] += x
+                    counts[best_b] += 1
+                    labels[i] = best_b
+                    moved = True
+                    next_start = i + 1
+                    break
+            start = next_start
         if not moved:
             break
     return labels

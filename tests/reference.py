@@ -198,6 +198,55 @@ def random_table(rng):
 
 
 # ---------------------------------------------------------------------------
+# single-point reassignment, one point at a time
+# ---------------------------------------------------------------------------
+
+
+def pointwise_reassignment_polish(X, labels, k):
+    """analysis._reassignment_polish as a plain loop: every point, every cluster.
+
+    Lloyd's fixed points are only centroid-stable; moving one point can
+    still lower the total WCSS once the centroid shifts it causes are
+    priced in (remove x from cluster a of size n_a: gain n_a/(n_a-1)
+    times its squared distance; add to b: cost n_b/(n_b+1) times). The
+    sweeps accept strictly improving moves until none is left, which
+    escapes the local minima Lloyd cannot.
+    """
+    labels = labels.copy()
+    counts = np.bincount(labels, minlength=k).astype(float)
+    sums = np.zeros((k, X.shape[1]))
+    for j in range(k):
+        sums[j] = X[labels == j].sum(axis=0)
+    for _ in range(200):
+        moved = False
+        for i in range(X.shape[0]):
+            a = labels[i]
+            if counts[a] <= 1:
+                continue  # never empty a cluster
+            x = X[i]
+            off_a = x - sums[a] / counts[a]
+            gain = counts[a] / (counts[a] - 1) * float(off_a @ off_a)
+            best_delta, best_b = 1e-12, -1
+            for b in range(k):
+                if b == a:
+                    continue
+                off_b = x - sums[b] / counts[b]
+                cost = counts[b] / (counts[b] + 1) * float(off_b @ off_b)
+                if gain - cost > best_delta:
+                    best_delta, best_b = gain - cost, b
+            if best_b >= 0:
+                sums[a] -= x
+                counts[a] -= 1
+                sums[best_b] += x
+                counts[best_b] += 1
+                labels[i] = best_b
+                moved = True
+        if not moved:
+            break
+    return labels
+
+
+# ---------------------------------------------------------------------------
 # globally optimal k-means objective, by exhaustive partition enumeration
 # ---------------------------------------------------------------------------
 

@@ -1,8 +1,12 @@
 """Failure encoding, K-means, elbow selection, representatives."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from statefuzz import analysis
 from statefuzz.analysis import (
     FAILURE_REASONS,
     ClusterModel,
@@ -19,7 +23,7 @@ from statefuzz.oracle import Verdict
 from statefuzz.sutmodel import AppState
 
 from helpers import make_case
-from reference import exhaustive_best_wcss
+from reference import exhaustive_best_wcss, pointwise_reassignment_polish
 
 FAIL = Verdict("FAILURE", "mode-change-ignored")
 
@@ -220,6 +224,52 @@ def test_representatives_skip_empty_clusters():
     model = ClusterModel(k=2, labels=(0, 0), centroids=np.array([[0.05], [99.0]]), wcss=0.0)
     reps = select_representatives(model, enc)
     assert [r.cluster for r in reps] == [0]
+
+
+# ---------------------------------------------------------------------------
+# reassignment polish against the point-by-point loop
+# ---------------------------------------------------------------------------
+
+
+def polish_matrix(rng, kind, n, d):
+    if kind == "encoded":
+        # a clamped delay column and two one-hot groups, as encode_failures builds
+        X = np.zeros((n, d + 4))
+        X[:, 0] = np.round(rng.random(n), 1)
+        X[np.arange(n), 1 + rng.integers(0, 3, n)] = 1.0
+        X[np.arange(n), 4 + rng.integers(0, d, n)] = 1.0
+        return X
+    if kind == "duplicates":
+        prototypes = (rng.random((3, d)) < 0.5).astype(float)
+        return prototypes[rng.integers(0, 3, n)]
+    if kind == "near-tie":
+        # a coarse grid: many points equidistant from two cluster means
+        return rng.integers(0, 3, (n, min(d, 3))) / 2.0
+    if kind == "tiny":
+        # gains of about 1e-10, close above the 1e-12 a move must beat
+        return rng.random((n, d)) * 1e-5
+    return rng.random((n, d))
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(
+    kind=st.sampled_from(["encoded", "duplicates", "near-tie", "continuous", "tiny"]),
+    n=st.integers(min_value=5, max_value=150),
+    k=st.integers(min_value=2, max_value=9),
+    d=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    rows=st.sampled_from([1, 7, analysis.SCREEN_ROWS]),
+)
+def test_screened_polish_matches_pointwise_loop(kind, n, k, d, seed, rows):
+    rng = np.random.default_rng(seed)
+    X = polish_matrix(rng, kind, n, d)
+    k = min(k, n)
+    labels = rng.integers(0, k, n)  # may leave a cluster empty
+    with np.errstate(invalid="ignore"):  # the loop divides by an empty cluster's count
+        expected = pointwise_reassignment_polish(X, labels, k)
+    with mock.patch.object(analysis, "SCREEN_ROWS", rows):
+        got = analysis._reassignment_polish(X, labels, k)
+    assert np.array_equal(got, expected)
 
 
 # ---------------------------------------------------------------------------
