@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import time
 from collections import Counter
@@ -39,7 +40,13 @@ from .cutset import (
     merge_cut_sets,
     soundness_check,
 )
-from .errors import EmptyFailureSet, InvalidOnly, StateFuzzError, UnknownTestId
+from .errors import (
+    EmptyFailureSet,
+    InvalidOnly,
+    NotACampaign,
+    StateFuzzError,
+    UnknownTestId,
+)
 from .executor import Executor, run_campaign
 from .fuzzspec import (
     FuzzSpecification,
@@ -140,10 +147,15 @@ def _focus_representative(
     seed: int,
     parallelism: int,
     check_soundness: bool,
-    cut_groups: list,
+    cut_groups: dict,
     soundness_docs: list,
 ) -> tuple[list[TestCase], Optional[TruthTable]]:
-    """Run one representative's focused sweep; returns (tests, table)."""
+    """Run one representative's focused sweep; returns (tests, table).
+
+    The table's cut sets go into cut_groups under the representative's id
+    and their soundness checks onto soundness_docs. A sweep without a valid
+    run removes the representative's table and tree from an earlier focus.
+    """
     triples: list = []
 
     def runner(tests: list[TestCase]):
@@ -158,11 +170,14 @@ def _focus_representative(
         table = build_truth_table(base, axes, runs_per_cell, runner, spec, master_seed=seed)
     except InvalidOnly as exc:
         print(f"  {base.test_id}: {exc}", file=sys.stderr)
+        for kind in ("truthtables", "faulttrees"):
+            for stale in root.glob(f"{kind}/{base.test_id}.*"):
+                stale.unlink()
         return [t for t, _p, _v in triples], None
 
     save_truth_table(root, base.test_id, table.to_dict())
     cut_sets = cut_sets_for_table(table, source=f"truthtable:{base.test_id}")
-    cut_groups.append(cut_sets)
+    cut_groups[base.test_id] = cut_sets
     hazard = f"{_dominant_reason(triples)} in {table.scope}"
     fault_tree = build_fault_tree(hazard, cut_sets)
     save_fault_tree(root, base.test_id, fault_tree.to_dict(), fault_tree.to_dot())
@@ -188,10 +203,74 @@ def _representative_ids(representatives) -> list[str]:
     return ids
 
 
-def _emit_combined(root: Path, cut_groups: list) -> None:
-    merged = merge_cut_sets(cut_groups)
-    combined = build_fault_tree("state-dependent failures (combined)", merged)
+def _save_focus_results(
+    root: Path,
+    order: Sequence[str],
+    rep_ids: Sequence[str],
+    cut_groups: dict,
+    soundness_docs: list,
+) -> None:
+    """Rebuild the combined tree and soundness.json from every stored table.
+
+    rep_ids were focused by this call: cut_groups holds the cut sets of
+    those that produced a table, soundness_docs their checks. Every other
+    stored table is read back and keeps its stored soundness entries.
+    Tables follow the focused order of tests.json, then their names.
+    """
+    stored = sorted(p.stem for p in root.glob("truthtables/*.json"))
+    keys = [k for k in order if k in stored] + [k for k in stored if k not in order]
+    groups = []
+    for key in keys:
+        if key in cut_groups:
+            groups.append(cut_groups[key])
+        else:
+            table = TruthTable.from_dict(read_json(root / "truthtables" / f"{key}.json"))
+            groups.append(cut_sets_for_table(table, source=f"truthtable:{key}"))
+    combined = build_fault_tree("state-dependent failures (combined)", merge_cut_sets(groups))
     save_fault_tree(root, "combined", combined.to_dict(), combined.to_dot())
+
+    refocused = {f"truthtable:{r}" for r in rep_ids}
+    path = root / "soundness.json"
+    kept = [
+        doc for doc in (read_json(path) if path.exists() else [])
+        if not refocused.intersection(doc["cut_set"]["sources"])
+    ]
+    rank = {f"truthtable:{k}": i for i, k in enumerate(keys)}
+    docs = sorted(
+        kept + soundness_docs,
+        key=lambda doc: min((rank.get(s, len(rank)) for s in doc["cut_set"]["sources"]),
+                            default=len(rank)),
+    )
+    if docs:
+        save_soundness(root, docs)
+    elif path.exists():
+        path.unlink()
+
+
+#: what a run derives from its results; a rerun into the same directory
+#: clears them first so no artifact of the earlier run survives
+DERIVED_ARTIFACTS = ("truthtables", "faulttrees", "analysis.json", "soundness.json")
+
+
+def _claim_out(root: Path) -> None:
+    """Make root ready for a new campaign.
+
+    A missing or empty directory is used as it is; in a campaign
+    directory the derived artifacts of the earlier run are removed. Any
+    other path is refused.
+    """
+    if root.exists() and not root.is_dir():
+        raise NotACampaign(f"--out {root} is not a directory")
+    if root.is_dir() and any(root.iterdir()):
+        if not (root / "campaign.json").is_file():
+            raise NotACampaign(f"--out {root} is not empty and holds no campaign.json")
+        for name in DERIVED_ARTIFACTS:
+            path = root / name
+            if path.is_dir():
+                shutil.rmtree(path)
+            elif path.exists():
+                path.unlink()
+    root.mkdir(parents=True, exist_ok=True)
 
 
 def _write_report(root: Path) -> str:
@@ -242,7 +321,7 @@ def cmd_run(args) -> int:
     )
     tree = default_tree(args.oracle)
     root = Path(args.out)
-    root.mkdir(parents=True, exist_ok=True)
+    _claim_out(root)
 
     t0 = time.monotonic()
     tests = generate(spec, gen_config)
@@ -262,7 +341,7 @@ def cmd_run(args) -> int:
 
     reps_meta: list[dict] = []
     focused: dict[str, list[TestCase]] = {}
-    cut_groups: list = []
+    cut_groups: dict = {}
     soundness_docs: list = []
     analysis_result = None
     try:
@@ -277,7 +356,8 @@ def cmd_run(args) -> int:
         print(f"clustered {n_fail} failures into K={analysis_result.k}")
         axes = _default_axes(spec)
         tests_by_id = {t.test_id: t for t in tests}
-        for rep_id in _representative_ids(analysis_result.representatives):
+        rep_ids = _representative_ids(analysis_result.representatives)
+        for rep_id in rep_ids:
             base = tests_by_id[rep_id]
             print(f"focused re-fuzz around {rep_id} "
                   f"(state {base.app_state.value}, axes {', '.join(axes)})")
@@ -287,9 +367,7 @@ def cmd_run(args) -> int:
                 cut_groups, soundness_docs,
             )
             focused[rep_id] = rep_tests
-        _emit_combined(root, cut_groups)
-        if soundness_docs:
-            save_soundness(root, soundness_docs)
+        _save_focus_results(root, list(focused), rep_ids, cut_groups, soundness_docs)
 
     wall = time.monotonic() - t0
     save_tests(root, tests, focused)
@@ -354,7 +432,7 @@ def cmd_focus(args) -> int:
     tree = parse_tree(campaign.oracle_tree_raw)
     seed = args.seed if args.seed is not None else campaign.master_seed
     focused = dict(campaign.focused_tests)
-    cut_groups: list = []
+    cut_groups: dict = {}
     soundness_docs: list = []
     for rep_id in rep_ids:
         base = campaign.find_test(rep_id)
@@ -368,10 +446,8 @@ def cmd_focus(args) -> int:
             cut_groups, soundness_docs,
         )
         focused[rep_id] = rep_tests
-    _emit_combined(root, cut_groups)
+    _save_focus_results(root, list(focused), rep_ids, cut_groups, soundness_docs)
     save_tests(root, campaign.tests, focused)
-    if soundness_docs:
-        save_soundness(root, soundness_docs)
     print(f"fault trees written for: {', '.join(rep_ids)} (+combined)")
     return 0
 

@@ -92,3 +92,7 @@ class InvalidOnly(StateFuzzError):
 
 class UnknownTestId(StateFuzzError):
     """A replay or lookup referenced a test id missing from the campaign."""
+
+
+class NotACampaign(StateFuzzError):
+    """An output directory holds files but no campaign.json."""

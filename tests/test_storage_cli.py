@@ -319,6 +319,61 @@ def test_focus_targets_an_explicit_test(campaign_copy, capsys):
     assert "t00003" in doc["focused"]
 
 
+def cut_set_sources(root):
+    doc = read_json(root / "faulttrees" / "combined.json")
+    return {s for cs in doc["cut_sets"] for s in cs["sources"]}
+
+
+def test_focus_keeps_the_combined_results_of_other_tables(campaign_copy, capsys):
+    rep = read_json(campaign_copy / "analysis.json")["representatives"][0]["closest"]
+    assert f"truthtable:{rep}" in cut_set_sources(campaign_copy)
+    stored_soundness = read_json(campaign_copy / "soundness.json")
+    assert stored_soundness
+    rc = cli.main(
+        [
+            "focus",
+            "--campaign", str(campaign_copy),
+            "--test-id", "t00003",
+            "--runs-per-cell", "2",
+            "--no-soundness",
+        ]
+    )
+    assert rc == 0
+    # the representative's table was not re-focused: its cut sets and
+    # soundness checks stay in the combined results
+    assert f"truthtable:{rep}" in cut_set_sources(campaign_copy)
+    assert read_json(campaign_copy / "soundness.json") == stored_soundness
+
+
+def test_focus_on_the_representatives_reproduces_the_run(campaign_dir, campaign_copy, capsys):
+    shutil.rmtree(campaign_copy / "faulttrees")
+    (campaign_copy / "soundness.json").unlink()
+    rc = cli.main(["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "4"])
+    assert rc == 0
+    for name in ("faulttrees/combined.json", "faulttrees/combined.dot", "soundness.json"):
+        assert (campaign_copy / name).read_bytes() == (campaign_dir / name).read_bytes()
+
+
+def test_rerun_into_a_campaign_clears_the_earlier_artifacts(campaign_copy, capsys):
+    assert (campaign_copy / "truthtables").is_dir()
+    args = [a for a in CAMPAIGN_ARGS if a not in ("--fault", "F2")]
+    assert cli.main(args + ["--out", str(campaign_copy)]) == 0
+    assert "no failures" in capsys.readouterr().out
+    for name in ("truthtables", "faulttrees", "analysis.json", "soundness.json"):
+        assert not (campaign_copy / name).exists()
+    report = (campaign_copy / "report.txt").read_text()
+    assert "truth table" not in report.lower() and "cut set" not in report.lower()
+
+
+def test_run_refuses_a_directory_that_is_not_a_campaign(tmp_path, capsys):
+    out = tmp_path / "elsewhere"
+    out.mkdir()
+    (out / "notes.txt").write_text("keep me")
+    assert cli.main(CAMPAIGN_ARGS + ["--out", str(out)]) == 2
+    assert "not empty" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
+
 def test_report_regenerates_from_stored_artifacts(campaign_copy, capsys):
     before = (campaign_copy / "report.txt").read_text()
     (campaign_copy / "report.txt").unlink()
