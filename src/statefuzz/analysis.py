@@ -6,8 +6,9 @@ environment factor the spec actually varies) and the oracle's reason code;
 telemetry traces stay out of the geometry. K-means is Lloyd with
 k-means++ seeding and restarts, each restart polished by single-point
 reassignment sweeps; K is chosen by the max-distance-to-chord elbow over
-a monotone WCSS curve; each cluster then nominates its centroid-closest
-and centroid-farthest test for focused re-fuzzing.
+a monotone WCSS curve. Each cluster then names its centroid-closest and
+centroid-farthest test; the closest is the one the CLI re-fuzzes, the
+farthest is recorded in analysis.json for inspection only.
 """
 
 from __future__ import annotations
@@ -75,7 +76,11 @@ class ClusterModel:
 
 @dataclass(frozen=True)
 class ClusterRepresentatives:
-    """The two tests a cluster sends to focused re-fuzzing."""
+    """A cluster's centroid-closest and centroid-farthest test.
+
+    Focused re-fuzzing uses only ``closest``; ``farthest`` shows how wide
+    the cluster is.
+    """
 
     cluster: int
     closest: str
