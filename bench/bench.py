@@ -21,7 +21,7 @@ metrics and artifact digests, each side's median and quartiles of
 metrics.
 
 Each command merges its result into one section of ``--out`` (under
-``--key`` for ``clustering``, under the workload name otherwise) and
+``--key`` for ``clustering``, under the workload and seed otherwise) and
 records the machine: nproc and the Python and numpy versions. It is not
 part of the test suite.
 """
@@ -209,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
     path = Path(args.out)
     doc = json.loads(path.read_text()) if path.exists() else {}
     doc["machine"] = machine()
-    key = args.key if args.command == "clustering" else args.workload
+    key = args.key if args.command == "clustering" else f"{args.workload} seed {args.seed}"
     doc.setdefault(args.command, {})[key] = section
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
