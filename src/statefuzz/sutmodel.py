@@ -19,8 +19,11 @@ Times are simulated milliseconds. Nothing here reads a wall clock.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from bisect import bisect_left
+from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, repeat
+from operator import add, neg, sub
 from random import Random
 from typing import Optional
 
@@ -302,33 +305,8 @@ class SutConfig:
 
 
 # ---------------------------------------------------------------------------
-# events and records
+# records
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Tick:
-    """Advance simulated time. dt_ms defaults to the 10 ms grid; the test
-    executor issues partial ticks to hit exact injection instants."""
-
-    dt_ms: float = 10.0
-
-
-@dataclass(frozen=True)
-class RcInput:
-    action: RcAction
-
-
-@dataclass(frozen=True)
-class EnvChange:
-    """Mid-flight environment change: field is one of
-    'signal' (lost|restored), 'gps_noise', 'compass_interference', 'wind'."""
-
-    env_field: str
-    value: str
-
-
-Event = Tick | RcInput | EnvChange
 
 
 @dataclass(frozen=True)
@@ -407,58 +385,16 @@ def _point_in_polygon(x: float, y: float, poly: tuple[tuple[float, float], ...])
 
 
 # ---------------------------------------------------------------------------
-# snapshot
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SutSnapshot:
-    """One instant of the composed system, including its mission context.
-
-    Carries everything the transition function needs, so step() is a pure
-    function of (snapshot, event, config, rng).
-    """
-
-    t_ms: float
-    app_state: AppState
-    mode: AutopilotMode
-    position: tuple[float, float, float]
-    armed: bool
-    # mission context (static per flight)
-    waypoints: tuple[tuple[float, float, float], ...]
-    cruise_speed: float
-    geofence_polygon: Optional[tuple[tuple[float, float], ...]]
-    # environment (per-test vector; signal may flip mid-flight)
-    throttle: str = "mid"
-    geofence: str = "none"
-    wind: str = "none"
-    gps_noise: str = "none"
-    compass_interference: str = "none"
-    signal_lost_since: Optional[float] = None
-    # dynamic bookkeeping
-    legs_done: int = 0
-    mode_switch_at: Optional[float] = None
-    warn_active: bool = False
-    fence_failsafe_active: bool = False
-    deferred_action: Optional[RcAction] = None
-
-    def with_time(self, t_ms: float) -> "SutSnapshot":
-        return replace(self, t_ms=t_ms)
-
-
-# ---------------------------------------------------------------------------
 # simulation engine
 # ---------------------------------------------------------------------------
 
 
 class Vehicle:
-    """Mutable flight simulation behind the public step()/executor.
+    """Mutable flight simulation behind the executor.
 
     One instance is one flight. The executor drives it with advance_until(),
     advance_to() and apply_rc(). apply_env() changes the environment
-    mid-flight; only direct callers and the public step() use it. step()
-    wraps a single event in a fresh instance so its snapshot-in/snapshot-out
-    contract stays pure.
+    mid-flight; only direct callers use it.
     """
 
     def __init__(
@@ -836,9 +772,10 @@ class Vehicle:
         while there is jitter. The handlers (timers, geofence, signal loss,
         sensor degradation, the phase step and the simulation ceiling) run
         only on a hop where one of them can fire; _coast takes every other
-        hop. The stop check follows each handler hop, so the clock halts at
-        the exact transition instant and the caller can schedule injection
-        delays from it.
+        hop, replaying runs of full grid hops in one piece where it can. The
+        stop check follows each handler hop, so the clock halts at the exact
+        transition instant and the caller can schedule injection delays from
+        it.
         """
         while not self.finished and self.t + 1e-9 < t_target:
             if self.app is not stop_state:
@@ -896,10 +833,23 @@ class Vehicle:
         condition or leaves the fence while airborne; takes no hop while a
         degradation note is pending. Each hop moves the clock, the position
         and the deviation with the expressions of _integrate and
-        _sample_deviation. In a phase that holds position, once the wind
-        drift is at its cap and there is no GPS jitter, a hop changes only
-        the clock, so the clock jumps to the last grid tick before the next
-        time condition.
+        _sample_deviation.
+
+        A run is the stretch of full 10 ms hops from a grid tick to the last
+        grid tick before the next time condition and t_target. With no live
+        fence and no signal-loss timer, a run is replayed in one piece. Its
+        hops share one dt, so the altitudes of a climb, descent or ascent
+        come from itertools.accumulate over one step: the loop's own
+        additions, one by one in the loop's order, with no closed form, so
+        the sums are bit-identical. bisect finds the hop that reaches the
+        altitude or the ground on that monotone list. A cruise run keeps the
+        loop's arithmetic in a tight loop without the clock and deviation
+        bookkeeping; a hold run moves only the clock. The wind ramp is
+        accumulated and then capped sum by sum, and GPS jitter draws one
+        number per hop taken, in order, once the run's length is fixed.
+        Hops from an off-grid time, the partial hop to t_target, hops under
+        a live fence or signal-loss timer, and the hop that meets the
+        phase's position condition stay in the per-hop loop.
         """
         if self._gps_degraded_due() or self._compass_degraded_due():
             return
@@ -940,8 +890,11 @@ class Vehicle:
         if (self.fence is not None and not self.fence_breached
                 and self.geofence != "none" and self.armed):
             fence = self.fence
-            if kind != "cruise" and _point_in_polygon(x, y, fence):
-                fence = None        # x and y hold, so the fence cannot be left
+            # x and y hold outside cruise, and z too in a hold, so the fence
+            # cannot be left
+            if (kind == "hold" and z <= 0.05
+                    or kind != "cruise" and _point_in_polygon(x, y, fence)):
+                fence = None
 
         cap = WIND_DRIFT_CAP_M[self.wind]
         rate = WIND_DRIFT_RATE_MPS[self.wind]
@@ -949,16 +902,62 @@ class Vehicle:
         rand = self.rng.random
         floor = math.floor
         wind_dev, dev_max = self.wind_dev, self.path_deviation_max
+        run = fence is None and lost_ms == math.inf
 
-        if (kind == "hold" and wind_dev >= cap and not jit and lost_ms == math.inf
-                and not (lands and z <= 0.0) and (fence is None or z <= 0.05)):
-            # every hop before the time conditions would only move the clock
-            tick = _last_tick_before(min(due, t_target))
-            if tick >= (floor(t / TICK_MS) + 1) * TICK_MS:
-                t = tick
-
-        # min() and max() are spelled out below: same values, a third of the cost
         while t + 1e-9 < t_target:
+            if run and t == floor(t / TICK_MS) * TICK_MS:
+                # a run: n full hops, of which the motion allows k
+                run = False
+                n = int((_last_tick_before(min(due, t_target)) - t) / TICK_MS)
+                dt_s = TICK_MS / 1000.0
+                # a hold takes all n: a hold that lands on the ground was
+                # ended by the touchdown on the hop that grounded it
+                k = n
+                if kind == "cruise":
+                    stride = self.cruise * dt_s
+                    for k in range(n):
+                        d = math.sqrt((x - tx) ** 2 + (y - ty) ** 2 + (z - tz) ** 2)
+                        if d <= stride or d == 0.0:
+                            break
+                        f = stride / d
+                        nx, ny, nz = x + (tx - x) * f, y + (ty - y) * f, z + (tz - z) * f
+                        if nx == tx and ny == ty and nz == tz:
+                            break
+                        x, y, z = nx, ny, nz
+                    else:
+                        k = n
+                elif kind != "hold" and n > 0:
+                    # zs[i] is z after i hops, by the loop's own additions
+                    up = kind != "descend"
+                    vz = CLIMB_RATE_MPS if kind == "climb" else MANUAL_CLIMB_MPS if up else sink
+                    zs = list(accumulate(repeat(vz * dt_s, n), add if up else sub, initial=z))
+                    if kind == "climb":
+                        c, limit, stops = bisect_left(zs, TAKEOFF_ALT_M, 1), TAKEOFF_ALT_M, offboard
+                    elif kind == "descend":
+                        c, limit, stops = bisect_left(zs, 0.0, 1, key=neg), 0.0, lands
+                    else:
+                        c = n + 1
+                    if c > n:
+                        z = zs[n]
+                    elif stops:     # the handler hop takes the crossing
+                        k, z = c - 1, zs[c - 1]
+                    else:           # clamped from hop c on
+                        z = limit
+                if k > 0:
+                    t += k * TICK_MS
+                    ws = repeat(wind_dev, k) if jit else (wind_dev,)
+                    if wind_dev < cap:
+                        # the ramp only grows, so capping each sum equals
+                        # capping each step
+                        ws = list(map(min, repeat(cap), accumulate(
+                            repeat(rate * dt_s, k), initial=wind_dev)))[1:]
+                        wind_dev = ws[-1]
+                    if jit:
+                        ws = map(add, ws, [jit * rand() for _ in range(k)])
+                    dev_max = max(dev_max, *ws)
+                continue
+            # one hop; min() and max() are spelled out: same values, a third
+            # of the cost
             hop = (floor(t / TICK_MS) + 1) * TICK_MS
             if not hop < t_target:
                 hop = t_target
@@ -1117,119 +1116,3 @@ class Vehicle:
             self._set_app(AppState.FLYING_TO_WAYPOINT)
         else:
             self._begin_hover()
-
-    # -- snapshot bridge -----------------------------------------------------
-
-    def snapshot(self) -> SutSnapshot:
-        return SutSnapshot(
-            t_ms=self.t,
-            app_state=self.app,
-            mode=self.mode,
-            position=self.pos,
-            armed=self.armed,
-            waypoints=self.waypoints,
-            cruise_speed=self.cruise,
-            geofence_polygon=self.fence,
-            throttle=self.throttle,
-            geofence=self.geofence,
-            wind=self.wind,
-            gps_noise=self.gps_noise,
-            compass_interference=self.compass,
-            signal_lost_since=self.signal_lost_since,
-            legs_done=self.legs_done,
-            mode_switch_at=self.mode_switch_at,
-            warn_active=self.warn_active,
-            fence_failsafe_active=self.fence_failsafe_active,
-            deferred_action=self.deferred_action,
-        )
-
-    @classmethod
-    def from_snapshot(cls, snap: SutSnapshot, config: SutConfig, rng: Random) -> "Vehicle":
-        """Rebuild a drivable vehicle around a snapshot.
-
-        Phase timers that the snapshot does not carry (hover pause, disarm
-        countdown, takeover hold) restart from the snapshot instant.
-        """
-        v = cls(
-            waypoints=snap.waypoints,
-            cruise_speed=snap.cruise_speed,
-            geofence_polygon=snap.geofence_polygon,
-            config=config,
-            env={
-                "throttle": snap.throttle,
-                "geofence": snap.geofence,
-                "wind": snap.wind,
-                "gps_noise": snap.gps_noise,
-                "compass_interference": snap.compass_interference,
-            },
-            rng=rng,
-        )
-        v.t = snap.t_ms
-        v.app = snap.app_state
-        v.mode = snap.mode
-        v.pos = snap.position
-        v.armed = snap.armed
-        v.signal_lost_since = snap.signal_lost_since
-        v.legs_done = snap.legs_done
-        v.mode_switch_at = snap.mode_switch_at
-        v.warn_active = snap.warn_active
-        v.fence_failsafe_active = snap.fence_failsafe_active
-        v.deferred_action = snap.deferred_action
-        v.fence_breached = snap.warn_active or snap.fence_failsafe_active
-        v.diverted = snap.app_state in (AppState.HUMAN_CONTROL, AppState.RETURNING)
-        v.records = []
-        v.trace = [(snap.t_ms, snap.app_state, snap.mode)]
-        v._mode_history = [(snap.t_ms, snap.mode)]
-        if snap.app_state is AppState.HOVERING:
-            v.phase_deadline = snap.t_ms + HOVER_PAUSE_MS
-        elif snap.app_state is AppState.DISARMING:
-            v.phase_deadline = snap.t_ms + DISARM_MS
-        elif snap.app_state is AppState.HUMAN_CONTROL:
-            v.hold_until = snap.t_ms + HOLD_WINDOW_MS
-            v.manual_airborne = snap.position[2] > 0.0
-        return v
-
-
-# ---------------------------------------------------------------------------
-# public transition surface
-# ---------------------------------------------------------------------------
-
-
-def step(
-    snapshot: SutSnapshot, event: Event, config: SutConfig, rng: Random
-) -> tuple[SutSnapshot, list[TelemetryRecord]]:
-    """Apply one event to a snapshot; returns (next snapshot, records).
-
-    Total over the event alphabet; the input snapshot is never mutated.
-    RC input while PRE_ARM or DONE raises IllegalEvent — tests never target
-    those states, so reaching that raise means the harness mis-scheduled.
-    """
-    vehicle = Vehicle.from_snapshot(snapshot, config, rng)
-    if isinstance(event, Tick):
-        vehicle.advance_to(snapshot.t_ms + event.dt_ms)
-        if vehicle.t < snapshot.t_ms + event.dt_ms:
-            vehicle.t = snapshot.t_ms + event.dt_ms  # finished early; clock still moves
-    elif isinstance(event, RcInput):
-        vehicle.apply_rc(event.action)
-    elif isinstance(event, EnvChange):
-        vehicle.apply_env(event.env_field, event.value)
-    else:
-        raise IllegalEvent(f"unknown event {event!r}")
-    return vehicle.snapshot(), list(vehicle.records)
-
-
-def check_failsafes(snapshot: SutSnapshot, config: SutConfig) -> list[FailsafeEvent]:
-    """Report which loss-of-signal contingencies are due at this instant.
-
-    Pure: evaluates the snapshot's signal timer against both thresholds
-    without advancing anything. Geofence and sensor degradation are
-    position/environment conditioned and fire inside the tick loop.
-    """
-    events: list[FailsafeEvent] = []
-    if snapshot.signal_lost_since is not None:
-        lost_for = snapshot.t_ms - snapshot.signal_lost_since
-        if lost_for >= config.app_signal_loss_s * 1000.0:
-            events.append(FailsafeEvent(snapshot.t_ms, "SIGNAL_APP", "return"))
-        if lost_for >= config.autopilot_signal_loss_s * 1000.0:
-            events.append(FailsafeEvent(snapshot.t_ms, "SIGNAL_AUTOPILOT", "rtl"))
-    return events

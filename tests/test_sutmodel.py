@@ -1,6 +1,5 @@
-"""Flight simulation: phase machine, failsafes, fault registry, step()."""
+"""Flight simulation: phase machine, failsafes, fault registry."""
 
-from dataclasses import replace
 from random import Random
 
 import pytest
@@ -16,17 +15,12 @@ from statefuzz.sutmodel import (
     AppState,
     AutopilotMode,
     Decision,
-    EnvChange,
     FaultId,
     InjectionRequest,
     RcAction,
-    RcInput,
     SutConfig,
-    Tick,
     Vehicle,
-    check_failsafes,
     inject_fault_behavior,
-    step,
 )
 
 from conftest import MISSION_A_RAW, MISSION_C_RAW
@@ -534,22 +528,6 @@ def test_apply_env_validates_fields_and_levels():
         v.apply_env("cargo", "heavy")
 
 
-def test_check_failsafes_is_pure_and_threshold_driven():
-    v = make_vehicle()
-    v.advance_until(60000, stop_state=AppState.FLYING_TO_WAYPOINT)
-    snap = v.snapshot()
-    assert check_failsafes(snap, SutConfig()) == []
-
-    lost = replace(snap, signal_lost_since=snap.t_ms - 25000.0)
-    assert [e.kind for e in check_failsafes(lost, SutConfig())] == ["SIGNAL_APP"]
-
-    long_lost = replace(snap, signal_lost_since=snap.t_ms - 65000.0)
-    assert [e.kind for e in check_failsafes(long_lost, SutConfig())] == [
-        "SIGNAL_APP",
-        "SIGNAL_AUTOPILOT",
-    ]
-
-
 def test_wind_drift_saturates_at_the_level_cap():
     v = make_vehicle(env={"wind": "high"})
     v.advance_until(120000, stop_state=None)
@@ -589,58 +567,6 @@ def test_compass_interference_alert():
 
 
 # ---------------------------------------------------------------------------
-# snapshots and the pure step() surface
-# ---------------------------------------------------------------------------
-
-
-def test_snapshot_round_trip_preserves_core_state():
-    v = make_vehicle(env={"wind": "low"})
-    v.advance_until(60000, stop_state=AppState.FLYING_TO_WAYPOINT)
-    snap = v.snapshot()
-    restored = Vehicle.from_snapshot(snap, SutConfig(), Random(0)).snapshot()
-    assert restored == snap
-
-
-def test_step_tick_moves_the_clock_even_after_landing():
-    v = make_vehicle()
-    v.advance_until(120000, stop_state=None)
-    snap = v.snapshot()
-    after, _ = step(snap, Tick(2500.0), SutConfig(), Random(0))
-    assert after.t_ms == snap.t_ms + 2500.0
-    assert after.app_state is AppState.DONE
-
-
-def test_step_rc_input_and_env_change():
-    v = make_vehicle()
-    v.advance_until(60000, stop_state=AppState.FLYING_TO_WAYPOINT)
-    snap = v.snapshot()
-
-    taken, records = step(snap, RcInput(RcAction.POSCTL), SutConfig(), Random(0))
-    assert taken.app_state is AppState.HUMAN_CONTROL
-    assert taken.mode is AutopilotMode.POSCTL
-    assert any(r.kind == "mode" for r in records)
-
-    windy, _ = step(snap, EnvChange("wind", "high"), SutConfig(), Random(0))
-    assert windy.wind == "high"
-
-    silent, _ = step(snap, EnvChange("signal", "lost"), SutConfig(), Random(0))
-    assert silent.signal_lost_since == snap.t_ms
-
-
-def test_step_rejects_rc_input_on_the_ground():
-    v = make_vehicle()
-    snap = v.snapshot()
-    with pytest.raises(IllegalEvent):
-        step(snap, RcInput(RcAction.POSCTL), SutConfig(), Random(0))
-
-
-def test_step_rejects_unknown_events():
-    v = make_vehicle()
-    with pytest.raises(IllegalEvent):
-        step(v.snapshot(), "reboot", SutConfig(), Random(0))
-
-
-# ---------------------------------------------------------------------------
 # the event-skipping loop against the plain grid loop
 # ---------------------------------------------------------------------------
 
@@ -669,37 +595,9 @@ flight_steps = st.lists(
 )
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(
-    mission=st.sampled_from([MISSION_A_RAW, MISSION_C_RAW]),
-    env=st.fixed_dictionaries({
-        "throttle": st.sampled_from(THROTTLE_LEVELS),
-        "geofence": st.sampled_from(GEOFENCE_SETTINGS),
-        "wind": st.sampled_from(INTENSITY_LEVELS),
-        "gps_noise": st.sampled_from(INTENSITY_LEVELS),
-        "compass_interference": st.sampled_from(INTENSITY_LEVELS),
-    }),
-    faults=st.sets(st.sampled_from([f"F{i}" for i in range(1, 9)])),
-    window=st.sampled_from([(0.0, 300.0), (200.0, 600.0), (1500.0, 4500.0)]),
-    signal_loss=st.sampled_from([(20.0, 60.0), (0.5, 1.2)]),
-    degrade_level=st.sampled_from(["low", "high"]),
-    chunk=st.sampled_from([10.0, 333.3, 500.0, 1234.5]),
-    steps=flight_steps,
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_advance_until_matches_the_grid_loop(
-    mission, env, faults, window, signal_loss, degrade_level, chunk, steps, seed
-):
-    """Same hops, floats, records and RNG draws as a loop that runs every
-    handler on every 10 ms tick, through injections and environment changes."""
-    config = SutConfig(
-        latency_window_ms=window,
-        app_signal_loss_s=signal_loss[0],
-        autopilot_signal_loss_s=signal_loss[1],
-        gps_degrade_level=degrade_level,
-        compass_degrade_level=degrade_level,
-        seeded_faults=tuple(sorted(faults)),
-    )
+def fly_pair(config, env, mission, seed, chunk, steps):
+    """Fly a vehicle with advance_until and its twin with the grid loop,
+    comparing the two after every advance call."""
     fast = make_vehicle(config=config, env=env, mission=mission, seed=seed)
     grid = make_vehicle(config=config, env=env, mission=mission, seed=seed)
 
@@ -721,3 +619,82 @@ def test_advance_until_matches_the_grid_loop(
             grid.apply_env(*arg)
     while not fast.finished:
         advance(fast.t + chunk)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    mission=st.sampled_from([MISSION_A_RAW, MISSION_C_RAW]),
+    env=st.fixed_dictionaries({
+        "throttle": st.sampled_from(THROTTLE_LEVELS),
+        "geofence": st.sampled_from(GEOFENCE_SETTINGS),
+        "wind": st.sampled_from(INTENSITY_LEVELS),
+        "gps_noise": st.sampled_from(INTENSITY_LEVELS),
+        "compass_interference": st.sampled_from(INTENSITY_LEVELS),
+    }),
+    faults=st.sets(st.sampled_from([f"F{i}" for i in range(1, 9)])),
+    # the last window outlasts the 12.5 s climb, which then clamps at altitude
+    window=st.sampled_from([(0.0, 300.0), (200.0, 600.0), (1500.0, 4500.0),
+                            (13000.0, 16000.0)]),
+    signal_loss=st.sampled_from([(20.0, 60.0), (0.5, 1.2)]),
+    degrade_level=st.sampled_from(["low", "high"]),
+    chunk=st.sampled_from([10.0, 333.3, 500.0, 1234.5]),
+    steps=flight_steps,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_advance_until_matches_the_grid_loop(
+    mission, env, faults, window, signal_loss, degrade_level, chunk, steps, seed
+):
+    """Same hops, floats, records and RNG draws as a loop that runs every
+    handler on every 10 ms tick, through injections and environment changes."""
+    config = SutConfig(
+        latency_window_ms=window,
+        app_signal_loss_s=signal_loss[0],
+        autopilot_signal_loss_s=signal_loss[1],
+        gps_degrade_level=degrade_level,
+        compass_degrade_level=degrade_level,
+        seeded_faults=tuple(sorted(faults)),
+    )
+    fly_pair(config, env, mission, seed, chunk, steps)
+
+
+FLYING = ("until", AppState.FLYING_TO_WAYPOINT)
+
+#: a leg whose last full hop lands exactly on the waypoint although the
+#: distance left exceeds the stride
+EXACT_LEG = {"id": "exact leg", "waypoints": [[19, 0, 10]], "cruise_speed": 10.0}
+
+#: flights that take each kind of run _coast replays in one piece:
+#: (mission, latency window, environment, steps)
+RUN_CASES = {
+    # TAKEOFF stays STABILIZED past the 12.5 s climb, so z clamps at 10 m
+    "climb clamped at altitude": (MISSION_A_RAW, (13000.0, 16000.0), {}, []),
+    "climb clamped, wind ramp and jitter": (
+        MISSION_A_RAW, (13000.0, 16000.0), {"wind": "high", "gps_noise": "low"}, []),
+    # every flight ends with one; jitter draws on every hop of it
+    "landing descent with jitter": (MISSION_A_RAW, (200.0, 600.0), {"gps_noise": "medium"}, []),
+    "manual sink to the ground": (
+        MISSION_A_RAW, (200.0, 600.0), {"throttle": "low"},
+        [("until", AppState.TAKEOFF), ("wait", 3000.0), ("rc", RcAction.POSCTL)]),
+    "manual landing descent": (
+        MISSION_A_RAW, (200.0, 600.0), {"throttle": "high"},
+        [("until", AppState.LANDING), ("wait", 500.0), ("rc", RcAction.ALTCTL)]),
+    "manual ascent": (
+        MISSION_A_RAW, (200.0, 600.0), {"throttle": "high", "gps_noise": "low"},
+        [FLYING, ("rc", RcAction.STABILIZED)]),
+    # the ramp reaches its cap inside a hold run and a climb run
+    "wind ramp from the start": (MISSION_A_RAW, (1500.0, 4500.0), {"wind": "medium"}, []),
+    "cruise with the wind below its cap, then at it": (
+        MISSION_A_RAW, (200.0, 600.0), {}, [FLYING, ("env", ("wind", "high"))]),
+    "cruise wind ramp with jitter": (
+        MISSION_A_RAW, (200.0, 600.0), {"gps_noise": "low"}, [FLYING, ("env", ("wind", "low"))]),
+    "drift above a lowered cap": (
+        MISSION_A_RAW, (200.0, 600.0), {"wind": "high"}, [FLYING, ("env", ("wind", "low"))]),
+    "cruise onto the waypoint": (EXACT_LEG, (200.0, 600.0), {}, []),
+}
+
+
+@pytest.mark.parametrize("chunk", [500.0, 1234.5])
+@pytest.mark.parametrize("case", list(RUN_CASES))
+def test_runs_match_the_grid_loop(case, chunk):
+    mission, window, env, steps = RUN_CASES[case]
+    fly_pair(SutConfig(latency_window_ms=window), env, mission, 7, chunk, steps)
