@@ -149,8 +149,9 @@ def _focus_representative(
     check_soundness: bool,
     cut_groups: dict,
     soundness_docs: list,
-) -> tuple[list[TestCase], Optional[TruthTable]]:
-    """Run one representative's focused sweep; returns (tests, table).
+) -> list:
+    """Run one representative's focused sweep; returns its (test, profile,
+    verdict) triples.
 
     The table's cut sets go into cut_groups under the representative's id
     and their soundness checks onto soundness_docs. A sweep without a valid
@@ -173,7 +174,7 @@ def _focus_representative(
         for kind in ("truthtables", "faulttrees"):
             for stale in root.glob(f"{kind}/{base.test_id}.*"):
                 stale.unlink()
-        return [t for t, _p, _v in triples], None
+        return triples
 
     save_truth_table(root, base.test_id, table.to_dict())
     cut_sets = cut_sets_for_table(table, source=f"truthtable:{base.test_id}")
@@ -190,7 +191,7 @@ def _focus_representative(
             soundness_docs.append(result.to_dict())
             status = "sound" if result.sound else "NOT SOUND"
             print(f"    soundness: {status} {list(result.verdicts)}")
-    return [t for t, _p, _v in triples], table
+    return triples
 
 
 def _representative_ids(representatives) -> list[str]:
@@ -247,16 +248,13 @@ def _save_focus_results(
         path.unlink()
 
 
-#: what a run derives from its results; a rerun into the same directory
-#: clears them first so no artifact of the earlier run survives
-DERIVED_ARTIFACTS = ("truthtables", "faulttrees", "analysis.json", "soundness.json")
-
-
 def _claim_out(root: Path) -> None:
     """Make root ready for a new campaign.
 
-    A missing or empty directory is used as it is; in a campaign
-    directory the derived artifacts of the earlier run are removed. Any
+    A missing or empty directory is used as it is. In a campaign directory
+    the earlier run's per-test results, its other top-level JSON files and
+    its truth tables and fault trees are removed, so none of them survives
+    the new run; campaign.json stays until the new run replaces it. Any
     other path is refused.
     """
     if root.exists() and not root.is_dir():
@@ -264,21 +262,24 @@ def _claim_out(root: Path) -> None:
     if root.is_dir() and any(root.iterdir()):
         if not (root / "campaign.json").is_file():
             raise NotACampaign(f"--out {root} is not empty and holds no campaign.json")
-        for name in DERIVED_ARTIFACTS:
-            path = root / name
-            if path.is_dir():
-                shutil.rmtree(path)
-            elif path.exists():
+        for name in ("truthtables", "faulttrees"):
+            if (root / name).is_dir():
+                shutil.rmtree(root / name)
+        for path in root.glob("*.json"):
+            if path.name != "campaign.json":
                 path.unlink()
     root.mkdir(parents=True, exist_ok=True)
 
 
-def _write_report(root: Path) -> str:
+def _write_report(root: Path, counts: Optional[dict[str, int]] = None) -> str:
+    """Render report.txt from the stored artifacts.
+
+    counts are the verdict counts over every stored result, main and
+    focused; without them the results are loaded to count them.
+    """
     meta = read_json(root / "campaign.json")
-    campaign = load_campaign(root)
-    counts: dict[str, int] = {}
-    for v in campaign.verdicts.values():
-        counts[v.verdict] = counts.get(v.verdict, 0) + 1
+    if counts is None:
+        counts = Counter(v.verdict for v in load_campaign(root).verdicts.values())
     analysis_doc = None
     if (root / "analysis.json").exists():
         analysis_doc = read_json(root / "analysis.json")
@@ -336,6 +337,8 @@ def cmd_run(args) -> int:
         counts[verdict.verdict] = counts.get(verdict.verdict, 0) + 1
         save_result(root, test, profile, verdict)
         pairs.append((test, verdict))
+    # the verdict of every stored result, main and focused, for the report
+    stored = {t.test_id: v.verdict for t, v in pairs}
     summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     print(f"executed {len(tests)} tests: {summary}")
 
@@ -361,12 +364,13 @@ def cmd_run(args) -> int:
             base = tests_by_id[rep_id]
             print(f"focused re-fuzz around {rep_id} "
                   f"(state {base.app_state.value}, axes {', '.join(axes)})")
-            rep_tests, _table = _focus_representative(
+            triples = _focus_representative(
                 root, base, axes, args.runs_per_cell, spec, mission, config,
                 tree, seed, args.parallelism, args.soundness,
                 cut_groups, soundness_docs,
             )
-            focused[rep_id] = rep_tests
+            focused[rep_id] = [t for t, _p, _v in triples]
+            stored.update((t.test_id, v.verdict) for t, _p, v in triples)
         _save_focus_results(root, list(focused), rep_ids, cut_groups, soundness_docs)
 
     wall = time.monotonic() - t0
@@ -376,7 +380,7 @@ def cmd_run(args) -> int:
         root, spec, mission, config, gen_config, args.oracle,
         serialize_tree(tree), args.parallelism, counts, wall, reps_meta,
     )
-    _write_report(root)
+    _write_report(root, Counter(stored.values()))
     print(f"campaign stored in {root} ({wall:.1f}s)")
     return 0
 
@@ -440,12 +444,12 @@ def cmd_focus(args) -> int:
             raise UnknownTestId(f"campaign has no test {rep_id!r}")
         print(f"focused re-fuzz around {rep_id} "
               f"(state {base.app_state.value}, axes {', '.join(axes)})")
-        rep_tests, _table = _focus_representative(
+        triples = _focus_representative(
             root, base, axes, args.runs_per_cell, campaign.spec, campaign.mission,
             campaign.config, tree, seed, args.parallelism, args.soundness,
             cut_groups, soundness_docs,
         )
-        focused[rep_id] = rep_tests
+        focused[rep_id] = [t for t, _p, _v in triples]
     _save_focus_results(root, list(focused), rep_ids, cut_groups, soundness_docs)
     save_tests(root, campaign.tests, focused)
     print(f"fault trees written for: {', '.join(rep_ids)} (+combined)")

@@ -365,6 +365,21 @@ def test_rerun_into_a_campaign_clears_the_earlier_artifacts(campaign_copy, capsy
     assert "truth table" not in report.lower() and "cut set" not in report.lower()
 
 
+def test_smaller_rerun_keeps_only_its_own_results(campaign_copy, capsys):
+    args = list(CAMPAIGN_ARGS)
+    args[args.index("--repetitions") + 1] = "1"
+    assert cli.main(args + ["--out", str(campaign_copy)]) == 0
+    tests_doc = read_json(campaign_copy / "tests.json")
+    ids = {t["id"] for t in tests_doc["main"]}
+    ids.update(t["id"] for ts in tests_doc["focused"].values() for t in ts)
+    named = {"campaign", "coverage", "tests", "analysis", "soundness"}
+    assert {p.stem for p in campaign_copy.glob("*.json")} - named == ids
+    # the report run renders from memory equals one rendered from the files
+    report = (campaign_copy / "report.txt").read_bytes()
+    assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
+    assert (campaign_copy / "report.txt").read_bytes() == report
+
+
 def test_run_refuses_a_directory_that_is_not_a_campaign(tmp_path, capsys):
     out = tmp_path / "elsewhere"
     out.mkdir()
