@@ -227,7 +227,7 @@ def _lloyd(X: np.ndarray, centroids: np.ndarray, max_iter: int = 300) -> Cluster
         labels = new_labels
     return ClusterModel(
         k=k,
-        labels=tuple(int(v) for v in labels),
+        labels=tuple(labels.tolist()),
         centroids=centroids,
         wcss=_wcss(X, centroids, labels),
     )
@@ -330,7 +330,7 @@ def _polished_lloyd(X: np.ndarray, start: np.ndarray) -> ClusterModel:
     model = _lloyd(X, start)
     for _ in range(50):
         labels = _reassignment_polish(X, np.array(model.labels), model.k)
-        if tuple(int(v) for v in labels) == model.labels:
+        if tuple(labels.tolist()) == model.labels:
             return model
         centroids = np.array([X[labels == j].mean(axis=0) for j in range(model.k)])
         improved = _lloyd(X, centroids)
