@@ -3,6 +3,7 @@
 Usage, from the root of a checkout:
 
     python3 bench/bench.py clustering --out FILE --key after [--src DIR] [--repeats 3]
+    python3 bench/bench.py simulator --out FILE --key after [--src DIR] [--repeats 3]
     python3 bench/bench.py pairs --out FILE --parent DIR --change DIR \\
         --workload reanalyze [--pairs 10] [--seed 0]
     python3 bench/bench.py traced --out FILE --parent DIR --change DIR --workload NAME
@@ -13,6 +14,13 @@ synthetic failure sets of 100, 1,000 and 3,600 failures (the median of
 this checkout's ``src``), and records a digest of each result so two
 source trees can be checked for equal output.
 
+``simulator`` flies, in this process, every flight that the README quick
+start (``run --spec fspec1 --mission mission_a --fault F2 --latency-window
+200 600 --repetitions 20 --seed 0``) stores: its 900 main tests and 540
+focused ones. It reports flights per second and simulated seconds per host
+second over the median of ``--repeats`` passes, at least 3, and a digest of
+the execution profiles.
+
 ``pairs`` runs ``perfbench/run.py --trace 0`` of two checkouts in turn,
 alternating which side runs first, and records every run's end-to-end
 metrics and artifact digests, each side's median and quartiles of
@@ -21,7 +29,8 @@ metrics and artifact digests, each side's median and quartiles of
 metrics.
 
 Each command merges its result into one section of ``--out`` (under
-``--key`` for ``clustering``, under the workload and seed otherwise) and
+``--key`` for ``clustering`` and ``simulator``, under the workload and seed
+otherwise) and
 records the machine: nproc and the Python and numpy versions. It is not
 part of the test suite.
 """
@@ -29,8 +38,10 @@ part of the test suite.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
@@ -39,6 +50,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -46,6 +58,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: failure-set sizes of the clustering layer
 CLUSTER_SIZES = (100, 1000, 3600)
+
+#: the README quick start, the simulator layer's flight set at seed 0
+F2_QUICKSTART = ("run", "--spec", "fspec1", "--mission", "mission_a", "--fault", "F2",
+                 "--latency-window", "200", "600", "--repetitions", "20", "--seed", "0")
 
 #: seconds perfbench measures per run
 PERFBENCH_SECONDS = 20
@@ -64,6 +80,16 @@ def machine() -> dict:
 def quartiles(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def import_from(src: str, module: str):
+    """Import a statefuzz module from the package under src, and only from there."""
+    src_dir = Path(src).resolve()
+    sys.path.insert(0, str(src_dir))
+    mod = importlib.import_module(module)
+    if not Path(mod.__file__).resolve().is_relative_to(src_dir):
+        raise SystemExit(f"statefuzz was imported from {mod.__file__}, not {src_dir}")
+    return mod
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +128,7 @@ def synthetic_failures(n: int):
 
 
 def cmd_clustering(args) -> dict:
-    src = Path(args.src).resolve()
-    sys.path.insert(0, str(src))
-    analysis = importlib.import_module("statefuzz.analysis")
-    if not Path(analysis.__file__).resolve().is_relative_to(src):
-        raise SystemExit(f"statefuzz was imported from {analysis.__file__}, not {src}")
+    analysis = import_from(args.src, "statefuzz.analysis")
     sizes = {}
     for n in CLUSTER_SIZES:
         spec, failures = synthetic_failures(n)
@@ -125,7 +147,47 @@ def cmd_clustering(args) -> dict:
         }
         print(f"{n} failures: median {statistics.median(walls):.3f} s of "
               f"{' '.join(f'{w:.3f}' for w in walls)}, K={result.k}", flush=True)
-    return {"src": str(src), "repeats": args.repeats, "failures": sizes}
+    return {"src": str(Path(args.src).resolve()), "repeats": args.repeats, "failures": sizes}
+
+
+# ---------------------------------------------------------------------------
+# simulator layer, in process
+# ---------------------------------------------------------------------------
+
+
+def cmd_simulator(args) -> dict:
+    cli = import_from(args.src, "statefuzz.cli")
+    from statefuzz.executor import Executor
+    from statefuzz.storage import canonical_dumps, load_campaign
+
+    with tempfile.TemporaryDirectory() as work:
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main([*F2_QUICKSTART, "--out", work]) != 0:
+                raise SystemExit("the quick-start run failed")
+        campaign = load_campaign(Path(work))
+    tests = campaign.tests + [t for ts in campaign.focused_tests.values() for t in ts]
+    walls = []
+    for _ in range(args.repeats):
+        executor = Executor(campaign.mission, campaign.config)
+        t0 = time.perf_counter()
+        profiles = [executor.execute(t) for t in tests]
+        walls.append(time.perf_counter() - t0)
+    wall = statistics.median(walls)
+    sim_s = sum(p.flight_duration_ms for p in profiles) / 1000.0
+    doc = "".join(canonical_dumps(p.to_dict()) for p in profiles).encode()
+    print(f"{len(tests)} flights: median {wall:.3f} s of {' '.join(f'{w:.3f}' for w in walls)}, "
+          f"{len(tests) / wall:.1f} flights/s", flush=True)
+    return {
+        "src": str(Path(args.src).resolve()),
+        "repeats": args.repeats,
+        "flights": len(tests),
+        "median_s": wall,
+        "runs_s": walls,
+        "flights_per_s": len(tests) / wall,
+        "sim_s": sim_s,
+        "sim_s_per_host_s": sim_s / wall,
+        "digest": hashlib.sha256(doc).hexdigest(),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +239,8 @@ def cmd_traced(args) -> dict:
     for side, checkout in (("parent", args.parent), ("change", args.change)):
         out[side] = perfbench(Path(checkout).resolve(), args.workload, args.seed, 1)
         layers = out[side]["metrics"]
-        print(f"{side}: analysis.analyze_failures_s {layers['analysis.analyze_failures_s']:.3f} s, "
+        print(f"{side}: sutmodel.advance_s {layers['sutmodel.advance_s']:.3f} s, "
+              f"analysis.analyze_failures_s {layers['analysis.analyze_failures_s']:.3f} s, "
               f"trace.wall_s {layers['trace.wall_s']:.3f} s", flush=True)
     return {"seed": args.seed, **out}
 
@@ -185,10 +248,12 @@ def cmd_traced(args) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    clustering = sub.add_parser("clustering", help="time analyze_failures in process")
-    clustering.add_argument("--src", default=str(ROOT / "src"))
-    clustering.add_argument("--repeats", type=int, default=3)
-    clustering.add_argument("--key", required=True, help="section name, e.g. before or after")
+    for name, helptext in (("clustering", "time analyze_failures in process"),
+                           ("simulator", "time the quick start's flights in process")):
+        p = sub.add_parser(name, help=helptext)
+        p.add_argument("--src", default=str(ROOT / "src"))
+        p.add_argument("--repeats", type=int, default=3)
+        p.add_argument("--key", required=True, help="section name, e.g. before or after")
     for name, helptext in (("pairs", "alternating perfbench runs of two checkouts"),
                            ("traced", "one traced perfbench run per checkout")):
         p = sub.add_parser(name, help=helptext)
@@ -201,15 +266,17 @@ def main(argv: list[str] | None = None) -> int:
     for p in sub.choices.values():
         p.add_argument("--out", required=True, help="BENCH json file to update")
     args = parser.parse_args(argv)
-    if args.command == "clustering" and args.repeats < 3:
+    in_process = args.command in ("clustering", "simulator")
+    if in_process and args.repeats < 3:
         parser.error("--repeats must be at least 3")
 
-    run = {"clustering": cmd_clustering, "pairs": cmd_pairs, "traced": cmd_traced}[args.command]
+    run = {"clustering": cmd_clustering, "simulator": cmd_simulator,
+           "pairs": cmd_pairs, "traced": cmd_traced}[args.command]
     section = run(args)
     path = Path(args.out)
     doc = json.loads(path.read_text()) if path.exists() else {}
     doc["machine"] = machine()
-    key = args.key if args.command == "clustering" else f"{args.workload} seed {args.seed}"
+    key = args.key if in_process else f"{args.workload} seed {args.seed}"
     doc.setdefault(args.command, {})[key] = section
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
