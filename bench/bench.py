@@ -30,9 +30,8 @@ metrics.
 
 Each command merges its result into one section of ``--out`` (under
 ``--key`` for ``clustering`` and ``simulator``, under the workload and seed
-otherwise) and
-records the machine: nproc and the Python and numpy versions. It is not
-part of the test suite.
+otherwise) and records the machine: nproc and the Python and numpy
+versions. It is not part of the test suite.
 """
 
 from __future__ import annotations
