@@ -58,13 +58,6 @@ class Encoded:
     feature_names: tuple[str, ...]
     test_ids: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "feature_names": list(self.feature_names),
-            "test_ids": list(self.test_ids),
-            "matrix": [[float(v) for v in row] for row in self.matrix],
-        }
-
 
 @dataclass(frozen=True)
 class ClusterModel:

@@ -57,7 +57,6 @@ from .fuzzspec import (
 )
 from .oracle import FAILURE, classify, default_tree, parse_tree, serialize_tree
 from .storage import (
-    Campaign,
     load_campaign,
     read_json,
     render_report,
@@ -194,14 +193,9 @@ def _focus_representative(
     return triples
 
 
-def _representative_ids(representatives) -> list[str]:
+def _representative_ids(representatives: list[dict]) -> list[str]:
     """Cluster exemplars (closest to each centroid), deduplicated in order."""
-    ids: list[str] = []
-    for rep in representatives:
-        closest = rep["closest"] if isinstance(rep, dict) else rep.closest
-        if closest not in ids:
-            ids.append(closest)
-    return ids
+    return list(dict.fromkeys(rep["closest"] for rep in representatives))
 
 
 def _save_focus_results(
@@ -359,7 +353,7 @@ def cmd_run(args) -> int:
         print(f"clustered {n_fail} failures into K={analysis_result.k}")
         axes = _default_axes(spec)
         tests_by_id = {t.test_id: t for t in tests}
-        rep_ids = _representative_ids(analysis_result.representatives)
+        rep_ids = _representative_ids(reps_meta)
         for rep_id in rep_ids:
             base = tests_by_id[rep_id]
             print(f"focused re-fuzz around {rep_id} "
@@ -424,7 +418,8 @@ def cmd_focus(args) -> int:
     root = Path(args.campaign)
     campaign = load_campaign(root)
     if args.test_id:
-        rep_ids = list(args.test_id)
+        # a repeated id is focused once
+        rep_ids = list(dict.fromkeys(args.test_id))
     else:
         analysis_path = root / "analysis.json"
         if not analysis_path.exists():

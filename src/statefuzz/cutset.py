@@ -116,9 +116,6 @@ class TruthTable:
     rows: tuple[TableRow, ...]
     unreachable: tuple[tuple[tuple[str, str], ...], ...] = ()
 
-    def residual_rows(self) -> tuple[TableRow, ...]:
-        return tuple(r for r in self.rows if r.residual)
-
     def has_mode_column(self) -> bool:
         return any(r.observed_mode not in (MODE_VARIES, MODE_ABSENT) for r in self.rows)
 
@@ -398,13 +395,6 @@ class CutSet:
             "literals": [{"column": a, "value": v} for a, v in self.literals],
             "sources": list(self.sources),
         }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "CutSet":
-        return cls(
-            literals=tuple((l["column"], l["value"]) for l in raw["literals"]),
-            sources=tuple(raw.get("sources", ())),
-        )
 
 
 def cut_sets_for_table(table: TruthTable, source: str = "") -> list[CutSet]:

@@ -41,7 +41,7 @@ class ConfigError(StateFuzzError):
 # --- simulated system under test ----------------------------------------
 
 class IllegalEvent(StateFuzzError):
-    """An event was fed to a snapshot that does not define it (harness bug)."""
+    """RC input arrived while the vehicle is PRE_ARM or DONE (harness bug)."""
 
 
 class UnknownFault(StateFuzzError):

@@ -99,10 +99,6 @@ class ExecutionProfile:
         return bool(self.injections)
 
     @property
-    def injection_time_ms(self) -> Optional[float]:
-        return self.injections[0].actual_time_ms if self.injections else None
-
-    @property
     def app_state_at_injection(self) -> Optional[str]:
         return self.injections[0].app_state_at_injection if self.injections else None
 
@@ -156,16 +152,6 @@ class ExecutionProfile:
             exceptions=tuple(raw["exceptions"]),
             trace=tuple(tuple(p) for p in raw["trace"]),
         )
-
-    def mode_strictly_before(self, t_ms: float) -> Optional[str]:
-        """Mode from the last trace point strictly before t_ms."""
-        mode = None
-        for t, _app, m in self.trace:
-            if t < t_ms:
-                mode = m
-            else:
-                break
-        return mode
 
 
 class Executor:

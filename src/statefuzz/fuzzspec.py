@@ -87,9 +87,6 @@ class DelayBand:
     min_ms: float
     max_ms: float
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "min": self.min_ms, "max": self.max_ms}
-
 
 @dataclass(frozen=True)
 class StateTarget:
@@ -117,12 +114,6 @@ class EnvironmentSpace:
     def delay_bounds(self) -> tuple[float, float]:
         """Spec-wide (min, max) over all bands; used for normalization."""
         return min(b.min_ms for b in self.bands), max(b.max_ms for b in self.bands)
-
-    def band(self, name: str) -> DelayBand:
-        for b in self.bands:
-            if b.name == name:
-                return b
-        raise BandError(f"no delay band named {name!r}")
 
     def to_dict(self) -> dict:
         return {

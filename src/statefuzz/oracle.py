@@ -153,8 +153,6 @@ def _expected_completion(test: TestCase, profile: ExecutionProfile) -> bool:
     for _t, kind, detail in profile.failsafe_events:
         if kind == "GEOFENCE" and detail in ("RETURN", "LAND"):
             return False
-        if kind == "SIGNAL_APP":
-            return False
     if test.action == NO_ACTION or not profile.injection_acknowledged:
         return True
     act = RcAction(test.action)

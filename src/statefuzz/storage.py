@@ -15,7 +15,8 @@ Layout of a campaign directory:
 All JSON is written canonically (sorted keys, two-space indent, trailing
 newline), so re-running a campaign with the same seed reproduces every
 file byte for byte; campaign.json is the lone exception because it records
-when and how long the run was.
+when and how long the run was. Every file is replaced whole, so a killed
+process leaves the old version or the new one, never a truncated file.
 
 Everything needed to regenerate a test deterministically (spec, mission,
 config, generator settings, oracle tree, master seed) is embedded in
@@ -27,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,9 +46,25 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def write_json(path: Path, obj) -> None:
+def write_text(path: Path, text: str) -> None:
+    """Replace path with text in one step.
+
+    The text goes to a temp file next to path, which os.replace then moves
+    over it. There is no fsync: this guards against a killed process, not
+    against a power loss.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(canonical_dumps(obj), encoding="utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path: Path, obj) -> None:
+    write_text(path, canonical_dumps(obj))
 
 
 def read_json(path: Path) -> dict:
@@ -70,12 +88,11 @@ class Campaign:
     profiles: dict[str, ExecutionProfile] = field(default_factory=dict)
     verdicts: dict[str, Verdict] = field(default_factory=dict)
 
-    def results(self, tests: Optional[list[TestCase]] = None):
-        """(test, profile, verdict) triples for the given tests (default: main)."""
-        chosen = self.tests if tests is None else tests
+    def results(self):
+        """(test, profile, verdict) triples of the main tests that have a result."""
         return [
             (t, self.profiles[t.test_id], self.verdicts[t.test_id])
-            for t in chosen
+            for t in self.tests
             if t.test_id in self.profiles
         ]
 
@@ -148,13 +165,6 @@ def save_result(root: Path, test: TestCase, profile: ExecutionProfile, verdict: 
     )
 
 
-def load_result(root: Path, test_id: str) -> Optional[dict]:
-    path = root / f"{test_id}.json"
-    if not path.exists():
-        return None
-    return read_json(path)
-
-
 def save_analysis(root: Path, result: AnalysisResult) -> None:
     write_json(root / "analysis.json", result.to_dict())
 
@@ -184,15 +194,12 @@ def table_csv(table_dict: dict) -> str:
 
 def save_truth_table(root: Path, key: str, table_dict: dict) -> None:
     write_json(root / "truthtables" / f"{key}.json", table_dict)
-    path = root / "truthtables" / f"{key}.csv"
-    path.write_text(table_csv(table_dict), encoding="utf-8")
+    write_text(root / "truthtables" / f"{key}.csv", table_csv(table_dict))
 
 
 def save_fault_tree(root: Path, key: str, tree_dict: dict, dot: str) -> None:
     write_json(root / "faulttrees" / f"{key}.json", tree_dict)
-    path = root / "faulttrees" / f"{key}.dot"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dot, encoding="utf-8")
+    write_text(root / "faulttrees" / f"{key}.dot", dot)
 
 
 def save_soundness(root: Path, results: list[dict]) -> None:
@@ -200,7 +207,7 @@ def save_soundness(root: Path, results: list[dict]) -> None:
 
 
 def save_report(root: Path, text: str) -> None:
-    (root / "report.txt").write_text(text, encoding="utf-8")
+    write_text(root / "report.txt", text)
 
 
 def load_campaign(root: Path) -> Campaign:

@@ -228,14 +228,11 @@ class SutConfig:
 
     latency_window_ms bounds the internal STABILIZED-to-OFFBOARD switch
     during TAKEOFF; each flight samples the switch latency uniformly from
-    it. Signal-loss thresholds are seconds; the application-level one must
-    fire before the autopilot-level one.
+    it. The degrade levels are the lowest GPS noise and compass
+    interference levels that raise a degradation alert.
     """
 
     latency_window_ms: tuple[float, float] = (1500.0, 4500.0)
-    app_signal_loss_s: float = 20.0
-    autopilot_signal_loss_s: float = 60.0
-    geofence_action: str = "RETURN"
     gps_degrade_level: str = "high"
     compass_degrade_level: str = "high"
     seeded_faults: tuple[str, ...] = ()
@@ -245,17 +242,6 @@ class SutConfig:
         if not (0.0 <= lo < hi):
             raise ConfigError(
                 f"latency window must satisfy 0 <= lo < hi, got {self.latency_window_ms}"
-            )
-        if not (0.0 < self.app_signal_loss_s < self.autopilot_signal_loss_s):
-            raise ConfigError(
-                "application signal-loss threshold must be positive and below "
-                f"the autopilot threshold ({self.app_signal_loss_s} vs "
-                f"{self.autopilot_signal_loss_s})"
-            )
-        if self.geofence_action not in GEOFENCE_SETTINGS[1:]:
-            raise ConfigError(
-                f"geofence action must be one of {GEOFENCE_SETTINGS[1:]}, "
-                f"got {self.geofence_action!r}"
             )
         for lvl in (self.gps_degrade_level, self.compass_degrade_level):
             if lvl not in INTENSITY_LEVELS:
@@ -273,9 +259,6 @@ class SutConfig:
     def to_dict(self) -> dict:
         return {
             "latency_window_ms": list(self.latency_window_ms),
-            "app_signal_loss_s": self.app_signal_loss_s,
-            "autopilot_signal_loss_s": self.autopilot_signal_loss_s,
-            "geofence_action": self.geofence_action,
             "gps_degrade_level": self.gps_degrade_level,
             "compass_degrade_level": self.compass_degrade_level,
             "seeded_faults": sorted(self.seeded_faults),
@@ -283,19 +266,31 @@ class SutConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SutConfig":
-        known = {
-            "latency_window_ms",
-            "app_signal_loss_s",
-            "autopilot_signal_loss_s",
-            "geofence_action",
-            "gps_degrade_level",
-            "compass_degrade_level",
-            "seeded_faults",
-        }
-        extra = set(raw) - known
+        """Build a config from its dict form.
+
+        Configs stored by older versions also carry app_signal_loss_s,
+        autopilot_signal_loss_s and geofence_action. Nothing reads them any
+        more (a fence's action is the test's geofence level), so they are
+        checked as they always were and then dropped.
+        """
+        known = {"latency_window_ms", "gps_degrade_level", "compass_degrade_level", "seeded_faults"}
+        retired = {"app_signal_loss_s", "autopilot_signal_loss_s", "geofence_action"}
+        extra = set(raw) - known - retired
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
-        kwargs = dict(raw)
+        kwargs = {k: v for k, v in raw.items() if k in known}
+        app_loss = raw.get("app_signal_loss_s", 20.0)
+        autopilot_loss = raw.get("autopilot_signal_loss_s", 60.0)
+        if not (0.0 < app_loss < autopilot_loss):
+            raise ConfigError(
+                "application signal-loss threshold must be positive and below "
+                f"the autopilot threshold ({app_loss} vs {autopilot_loss})"
+            )
+        action = raw.get("geofence_action", "RETURN")
+        if action not in GEOFENCE_SETTINGS[1:]:
+            raise ConfigError(
+                f"geofence action must be one of {GEOFENCE_SETTINGS[1:]}, got {action!r}"
+            )
         if "latency_window_ms" in kwargs:
             lo, hi = kwargs["latency_window_ms"]
             kwargs["latency_window_ms"] = (float(lo), float(hi))
@@ -319,7 +314,7 @@ class TelemetryRecord:
 @dataclass(frozen=True)
 class FailsafeEvent:
     t_ms: float
-    kind: str           # GEOFENCE | SIGNAL_APP | SIGNAL_AUTOPILOT | DEGRADED_GPS | DEGRADED_COMPASS
+    kind: str           # GEOFENCE | DEGRADED_GPS | DEGRADED_COMPASS
     detail: str
 
 
@@ -393,8 +388,8 @@ class Vehicle:
     """Mutable flight simulation behind the executor.
 
     One instance is one flight. The executor drives it with advance_until(),
-    advance_to() and apply_rc(). apply_env() changes the environment
-    mid-flight; only direct callers use it.
+    advance_to() and apply_rc(). The environment (throttle, geofence, wind,
+    GPS noise, compass interference) is fixed when the flight is built.
     """
 
     def __init__(
@@ -427,7 +422,6 @@ class Vehicle:
         self.wind = env.get("wind", "none")
         self.gps_noise = env.get("gps_noise", "none")
         self.compass = env.get("compass_interference", "none")
-        self.signal_lost_since: Optional[float] = None
 
         self.legs_done = 0
         self.mode_switch_at: Optional[float] = None
@@ -447,8 +441,6 @@ class Vehicle:
         self.fence_failsafe_active = False
         self.deferred_action: Optional[RcAction] = None
         self.diverted = False
-        self.app_ls_fired = False
-        self.ap_ls_fired = False
         self.gps_degraded_noted = False
         self.compass_degraded_noted = False
         self.f6_pending = config.has(FaultId.F6) and self.gps_noise == "high"
@@ -552,23 +544,6 @@ class Vehicle:
             self.land_target = (self.pos[0], self.pos[1])
             self._set_mode(AutopilotMode.LAND)
             self._set_app(AppState.LANDING)
-
-    def _check_signal(self) -> None:
-        if self.signal_lost_since is None:
-            return
-        lost_for = self.t - self.signal_lost_since
-        if not self.app_ls_fired and lost_for >= self.cfg.app_signal_loss_s * 1000.0:
-            self.app_ls_fired = True
-            self._failsafe("SIGNAL_APP", "return")
-            if self.app not in (AppState.DONE, AppState.HUMAN_CONTROL):
-                self.diverted = True
-                self._set_mode(AutopilotMode.RTL)
-                self._set_app(AppState.RETURNING)
-        if not self.ap_ls_fired and lost_for >= self.cfg.autopilot_signal_loss_s * 1000.0:
-            self.ap_ls_fired = True
-            self._failsafe("SIGNAL_AUTOPILOT", "rtl")
-            if self.mode is not AutopilotMode.RTL:
-                self._set_mode(AutopilotMode.RTL)
 
     def _gps_degraded_due(self) -> bool:
         return not self.gps_degraded_noted and _reaches(self.gps_noise, self.cfg.gps_degrade_level)
@@ -769,8 +744,8 @@ class Vehicle:
         The clock takes the hops of a plain 10 ms grid loop and no others:
         every grid tick, every timer instant and t_target. Every hop moves
         the vehicle and samples deviation, with one GPS-jitter draw per hop
-        while there is jitter. The handlers (timers, geofence, signal loss,
-        sensor degradation, the phase step and the simulation ceiling) run
+        while there is jitter. The handlers (timers, geofence, sensor
+        degradation, the phase step and the simulation ceiling) run
         only on a hop where one of them can fire; _coast takes every other
         hop, replaying runs of full grid hops in one piece where it can. The
         stop check follows each handler hop, so the clock halts at the exact
@@ -790,7 +765,6 @@ class Vehicle:
             self._fire_timers()
             self._sample_deviation(dt / 1000.0)
             self._check_geofence()
-            self._check_signal()
             self._check_degraded()
             self._phase_step()
             if self.t >= SIM_CEILING_MS and not self.finished:
@@ -815,41 +789,30 @@ class Vehicle:
             return math.inf
         return min((d for d in deadlines if d is not None), default=math.inf)
 
-    def _signal_loss_due_ms(self) -> float:
-        """Time without signal at which the next signal-loss failsafe fires."""
-        due = math.inf
-        if self.signal_lost_since is not None:
-            if not self.app_ls_fired:
-                due = self.cfg.app_signal_loss_s * 1000.0
-            if not self.ap_ls_fired:
-                due = min(due, self.cfg.autopilot_signal_loss_s * 1000.0)
-        return due
-
     def _coast(self, t_target: float) -> None:
         """Take the hops ahead on which no handler can fire.
 
         Stops before a hop that reaches a timer, a phase deadline or the
-        ceiling, reaches a signal-loss threshold, meets the phase's position
-        condition or leaves the fence while airborne; takes no hop while a
-        degradation note is pending. Each hop moves the clock, the position
-        and the deviation with the expressions of _integrate and
-        _sample_deviation.
+        ceiling, meets the phase's position condition or leaves the fence
+        while airborne; takes no hop while a degradation note is pending.
+        Each hop moves the clock, the position and the deviation with the
+        expressions of _integrate and _sample_deviation.
 
         A run is the stretch of full 10 ms hops from a grid tick to the last
         grid tick before the next time condition and t_target. With no live
-        fence and no signal-loss timer, a run is replayed in one piece. Its
-        hops share one dt, so the altitudes of a climb, descent or ascent
-        come from itertools.accumulate over one step: the loop's own
-        additions, one by one in the loop's order, with no closed form, so
-        the sums are bit-identical. bisect finds the hop that reaches the
-        altitude or the ground on that monotone list. A cruise run keeps the
-        loop's arithmetic in a tight loop without the clock and deviation
+        fence, a run is replayed in one piece. Its hops share one dt, so the
+        altitudes of a climb, descent or ascent come from
+        itertools.accumulate over one step: the loop's own additions, one by
+        one in the loop's order, with no closed form, so the sums are
+        bit-identical. bisect finds the hop that reaches the altitude or the
+        ground on that monotone list. A cruise run keeps the loop's
+        arithmetic in a tight loop without the clock and deviation
         bookkeeping; a hold run moves only the clock. The wind ramp is
         accumulated and then capped sum by sum, and GPS jitter draws one
         number per hop taken, in order, once the run's length is fixed.
         Hops from an off-grid time, the partial hop to t_target, hops under
-        a live fence or signal-loss timer, and the hop that meets the
-        phase's position condition stay in the per-hop loop.
+        a live fence, and the hop that meets the phase's position condition
+        stay in the per-hop loop.
         """
         if self._gps_degraded_due() or self._compass_degraded_due():
             return
@@ -859,7 +822,6 @@ class Vehicle:
         # a hop fires a time condition when it reaches this instant; hops
         # stop at timers, so below it a hop is min(t_target, next grid tick)
         due = min(self._next_timer(), SIM_CEILING_MS, self._phase_due())
-        since, lost_ms = self.signal_lost_since, self._signal_loss_due_ms()
 
         # this phase's motion, as in _integrate
         kind = "hold"
@@ -902,7 +864,7 @@ class Vehicle:
         rand = self.rng.random
         floor = math.floor
         wind_dev, dev_max = self.wind_dev, self.path_deviation_max
-        run = fence is None and lost_ms == math.inf
+        run = fence is None
 
         while t + 1e-9 < t_target:
             if run and t == floor(t / TICK_MS) * TICK_MS:
@@ -961,7 +923,7 @@ class Vehicle:
             hop = (floor(t / TICK_MS) + 1) * TICK_MS
             if not hop < t_target:
                 hop = t_target
-            if hop >= due or (since is not None and hop - since >= lost_ms):
+            if hop >= due:
                 break
             dt_s = (hop - t) / 1000.0
             nx, ny, nz = x, y, z
@@ -1003,34 +965,6 @@ class Vehicle:
             self.t = t
             self.pos = (x, y, z)
             self.wind_dev, self.path_deviation_max = wind_dev, dev_max
-
-    def apply_env(self, env_field: str, value: str) -> None:
-        if env_field == "signal":
-            if value == "lost":
-                if self.signal_lost_since is None:
-                    self.signal_lost_since = self.t
-                    self._note("note", "signal lost")
-            elif value == "restored":
-                self.signal_lost_since = None
-                self.app_ls_fired = False
-                self.ap_ls_fired = False
-                self._note("note", "signal restored")
-            else:
-                raise IllegalEvent(f"signal change must be lost|restored, got {value!r}")
-        elif env_field == "gps_noise":
-            if value not in INTENSITY_LEVELS:
-                raise IllegalEvent(f"bad gps_noise level {value!r}")
-            self.gps_noise = value
-        elif env_field == "compass_interference":
-            if value not in INTENSITY_LEVELS:
-                raise IllegalEvent(f"bad compass level {value!r}")
-            self.compass = value
-        elif env_field == "wind":
-            if value not in INTENSITY_LEVELS:
-                raise IllegalEvent(f"bad wind level {value!r}")
-            self.wind = value
-        else:
-            raise IllegalEvent(f"unknown environment field {env_field!r}")
 
     def apply_rc(self, action: RcAction) -> bool:
         """Inject one control action now; returns acknowledgment."""

@@ -35,7 +35,6 @@ def grid_advance_until(vehicle, t_target, stop_state):
         vehicle._fire_timers()
         vehicle._sample_deviation(dt / 1000.0)
         vehicle._check_geofence()
-        vehicle._check_signal()
         vehicle._check_degraded()
         vehicle._phase_step()
         if vehicle.t >= SIM_CEILING_MS and not vehicle.finished:

@@ -136,31 +136,6 @@ def test_path_deviation_is_rounded_to_micrometers(mission_a, narrow_config):
     assert profile.path_deviation_max_m > 0
 
 
-def test_mode_strictly_before_distinguishes_the_instant():
-    test = make_case()
-    profile = ExecutionProfile(
-        test_id="t-hand",
-        context_reached=True,
-        context_reached_time_ms=500.0,
-        injections=(),
-        mode_after_settle=None,
-        final_app_state="DONE",
-        final_mode="OFFBOARD",
-        mission_completed=True,
-        flight_duration_ms=1000.0,
-        path_deviation_max_m=0.0,
-        jerk_flag=False,
-        oscillation_count=0,
-        failsafe_events=(),
-        exceptions=(),
-        trace=((0.0, "PRE_ARM", "STABILIZED"), (800.0, "TAKEOFF", "OFFBOARD")),
-    )
-    del test
-    assert profile.mode_strictly_before(800.0) == "STABILIZED"
-    assert profile.mode_strictly_before(800.1) == "OFFBOARD"
-    assert profile.mode_strictly_before(0.0) is None
-
-
 def test_campaign_results_align_with_inputs(spec, mission_a, narrow_config):
     tests = generate(spec, GeneratorConfig(repetitions_per_combination=1, master_seed=0))[:10]
     profiles = run_campaign(tests, mission_a, narrow_config, parallelism=1)

@@ -1,7 +1,7 @@
 """Campaign persistence and the command-line front end."""
 
 import json
-import re
+import os
 import shutil
 
 import pytest
@@ -10,14 +10,13 @@ from statefuzz import cli
 from statefuzz.storage import (
     canonical_dumps,
     load_campaign,
-    load_result,
     read_json,
     render_report,
+    save_report,
     table_csv,
     write_json,
 )
-
-RESULT_FILE = re.compile(r"^(t|f-t|s-)\S*\.json$")
+from statefuzz.sutmodel import SutConfig
 
 CAMPAIGN_ARGS = [
     "run",
@@ -62,8 +61,24 @@ def test_write_json_creates_parents(tmp_path):
     assert read_json(path) == {"x": 1}
 
 
-def test_load_result_returns_none_when_missing(tmp_path):
-    assert load_result(tmp_path, "t99999") is None
+@pytest.mark.parametrize(
+    "write",
+    [lambda p: write_json(p / "doc.json", {"x": 2}), lambda p: save_report(p, "new\n")],
+    ids=["write_json", "save_report"],
+)
+def test_failed_replace_keeps_the_old_file(tmp_path, monkeypatch, write):
+    write_json(tmp_path / "doc.json", {"x": 1})
+    save_report(tmp_path, "old\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def killed(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", killed)
+    with pytest.raises(KeyboardInterrupt):
+        write(tmp_path)
+    # the old bytes stay and the temp file is gone
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_table_csv_layout():
@@ -165,7 +180,7 @@ def test_every_executed_test_has_a_result_file(campaign_dir):
     ids = [t["id"] for t in doc["main"]]
     ids += [t["id"] for ts in doc["focused"].values() for t in ts]
     for test_id in ids:
-        record = load_result(campaign_dir, test_id)
+        record = read_json(campaign_dir / f"{test_id}.json")
         assert set(record) == {"test", "profile", "verdict"}
         assert record["test"]["id"] == test_id
 
@@ -253,6 +268,19 @@ def test_replay_matches_stored_profile(campaign_dir, capsys):
     assert cli.main(["replay", "--campaign", str(campaign_dir), "--test-id", "t00000"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("replay OK: t00000 ->")
+
+
+def test_campaign_stored_with_the_retired_config_keys_loads_and_replays(campaign_copy, capsys):
+    path = campaign_copy / "campaign.json"
+    meta = read_json(path)
+    meta["config"].update(
+        app_signal_loss_s=20.0, autopilot_signal_loss_s=60.0, geofence_action="RETURN"
+    )
+    write_json(path, meta)
+    config = load_campaign(campaign_copy).config
+    assert config == SutConfig(latency_window_ms=(200.0, 600.0), seeded_faults=("F2",))
+    assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", "t00000"]) == 0
+    assert capsys.readouterr().out.startswith("replay OK: t00000 ->")
 
 
 def test_replay_detects_a_corrupted_profile(campaign_copy, capsys):
@@ -352,6 +380,16 @@ def test_focus_on_the_representatives_reproduces_the_run(campaign_dir, campaign_
     assert rc == 0
     for name in ("faulttrees/combined.json", "faulttrees/combined.dot", "soundness.json"):
         assert (campaign_copy / name).read_bytes() == (campaign_dir / name).read_bytes()
+
+
+def test_focus_flies_a_repeated_test_id_once(campaign_dir, campaign_copy, capsys):
+    rep = read_json(campaign_copy / "analysis.json")["representatives"][0]["closest"]
+    args = ["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "4"]
+    assert cli.main(args + ["--test-id", rep, "--test-id", rep]) == 0
+    assert capsys.readouterr().out.count(f"focused re-fuzz around {rep}") == 1
+    # each soundness check is written once, as the run wrote it
+    path = "soundness.json"
+    assert (campaign_copy / path).read_bytes() == (campaign_dir / path).read_bytes()
 
 
 def test_rerun_into_a_campaign_clears_the_earlier_artifacts(campaign_copy, capsys):

@@ -135,6 +135,7 @@ def test_simulation_ceiling_guards_unreachable_waypoints():
         ({"latency_window_ms": (-1.0, 500.0)}, ConfigError),
         ({"latency_window_ms": (500.0, 500.0)}, ConfigError),
         ({"latency_window_ms": (900.0, 200.0)}, ConfigError),
+        # checked and dropped: stored configs of older versions carry these
         ({"app_signal_loss_s": 0.0}, ConfigError),
         ({"app_signal_loss_s": 80.0}, ConfigError),  # must stay below autopilot's
         ({"geofence_action": "none"}, ConfigError),
@@ -146,12 +147,15 @@ def test_simulation_ceiling_guards_unreachable_waypoints():
 )
 def test_config_validation(kwargs, exc):
     with pytest.raises(exc):
-        SutConfig(**kwargs)
+        SutConfig.from_dict(kwargs)
 
 
 def test_config_round_trip_sorts_faults():
     cfg = SutConfig(seeded_faults=("F5", "F1", "F2"))
     raw = cfg.to_dict()
+    assert set(raw) == {
+        "latency_window_ms", "gps_degrade_level", "compass_degrade_level", "seeded_faults"
+    }
     assert raw["seeded_faults"] == ["F1", "F2", "F5"]
     again = SutConfig.from_dict(raw)
     assert again.faults() == (FaultId.F1, FaultId.F2, FaultId.F5)
@@ -484,48 +488,8 @@ def test_geofence_disabled_level_never_fires():
 
 
 # ---------------------------------------------------------------------------
-# signal loss and degraded sensors
+# wind, GPS noise and degraded sensors
 # ---------------------------------------------------------------------------
-
-
-def test_signal_loss_fires_app_then_autopilot_failsafe():
-    cfg = SutConfig(app_signal_loss_s=5.0, autopilot_signal_loss_s=8.0)
-    v = make_vehicle(config=cfg)
-    v.advance_until(60000, stop_state=AppState.FLYING_TO_WAYPOINT)
-    lost_at = v.t
-    v.apply_env("signal", "lost")
-    v.advance_until(200000, stop_state=None)
-    kinds = [e.kind for e in v.failsafe_events]
-    assert kinds == ["SIGNAL_APP", "SIGNAL_AUTOPILOT"]
-    app_evt, ap_evt = v.failsafe_events
-    assert app_evt.t_ms == pytest.approx(lost_at + 5000.0, abs=20)
-    assert ap_evt.t_ms == pytest.approx(lost_at + 8000.0, abs=20)
-    states = [app for _, app, _ in v.trace]
-    assert AppState.RETURNING in states
-    assert not v.mission_completed
-
-
-def test_signal_restored_resets_the_timers():
-    cfg = SutConfig(app_signal_loss_s=5.0, autopilot_signal_loss_s=8.0)
-    v = make_vehicle(config=cfg)
-    v.advance_until(60000, stop_state=AppState.FLYING_TO_WAYPOINT)
-    v.apply_env("signal", "lost")
-    v.advance_to(v.t + 2000.0)
-    v.apply_env("signal", "restored")
-    v.advance_until(200000, stop_state=None)
-    assert v.failsafe_events == []
-    assert v.mission_completed
-
-
-def test_apply_env_validates_fields_and_levels():
-    v = make_vehicle()
-    v.advance_until(60000, stop_state=AppState.FLYING_TO_WAYPOINT)
-    v.apply_env("wind", "medium")
-    assert v.wind == "medium"
-    with pytest.raises(IllegalEvent):
-        v.apply_env("wind", "gale")
-    with pytest.raises(IllegalEvent):
-        v.apply_env("cargo", "heavy")
 
 
 def test_wind_drift_saturates_at_the_level_cap():
@@ -578,18 +542,11 @@ def observables(v):
     )
 
 
-env_changes = st.one_of(
-    st.sampled_from([("signal", "lost"), ("signal", "restored")]),
-    st.tuples(st.sampled_from(["wind", "gps_noise", "compass_interference"]),
-              st.sampled_from(INTENSITY_LEVELS)),
-)
-
 flight_steps = st.lists(
     st.one_of(
         st.tuples(st.just("until"), st.sampled_from(TARGETABLE_STATES)),
         st.tuples(st.just("wait"), st.sampled_from([0.0, 7.5, 60.0, 333.3, 1000.0, 4321.5])),
         st.tuples(st.just("rc"), st.sampled_from(list(RcAction))),
-        st.tuples(st.just("env"), env_changes),
     ),
     max_size=8,
 )
@@ -614,9 +571,6 @@ def fly_pair(config, env, mission, seed, chunk, steps):
             advance(fast.t + arg)
         elif kind == "rc" and fast.app not in (AppState.PRE_ARM, AppState.DONE):
             assert fast.apply_rc(arg) == grid.apply_rc(arg)
-        elif kind == "env":
-            fast.apply_env(*arg)
-            grid.apply_env(*arg)
     while not fast.finished:
         advance(fast.t + chunk)
 
@@ -635,21 +589,18 @@ def fly_pair(config, env, mission, seed, chunk, steps):
     # the last window outlasts the 12.5 s climb, which then clamps at altitude
     window=st.sampled_from([(0.0, 300.0), (200.0, 600.0), (1500.0, 4500.0),
                             (13000.0, 16000.0)]),
-    signal_loss=st.sampled_from([(20.0, 60.0), (0.5, 1.2)]),
     degrade_level=st.sampled_from(["low", "high"]),
     chunk=st.sampled_from([10.0, 333.3, 500.0, 1234.5]),
     steps=flight_steps,
     seed=st.integers(0, 2**32 - 1),
 )
 def test_advance_until_matches_the_grid_loop(
-    mission, env, faults, window, signal_loss, degrade_level, chunk, steps, seed
+    mission, env, faults, window, degrade_level, chunk, steps, seed
 ):
     """Same hops, floats, records and RNG draws as a loop that runs every
-    handler on every 10 ms tick, through injections and environment changes."""
+    handler on every 10 ms tick, through waits, stops and injections."""
     config = SutConfig(
         latency_window_ms=window,
-        app_signal_loss_s=signal_loss[0],
-        autopilot_signal_loss_s=signal_loss[1],
         gps_degrade_level=degrade_level,
         compass_degrade_level=degrade_level,
         seeded_faults=tuple(sorted(faults)),
@@ -683,12 +634,10 @@ RUN_CASES = {
         [FLYING, ("rc", RcAction.STABILIZED)]),
     # the ramp reaches its cap inside a hold run and a climb run
     "wind ramp from the start": (MISSION_A_RAW, (1500.0, 4500.0), {"wind": "medium"}, []),
-    "cruise with the wind below its cap, then at it": (
-        MISSION_A_RAW, (200.0, 600.0), {}, [FLYING, ("env", ("wind", "high"))]),
-    "cruise wind ramp with jitter": (
-        MISSION_A_RAW, (200.0, 600.0), {"gps_noise": "low"}, [FLYING, ("env", ("wind", "low"))]),
-    "drift above a lowered cap": (
-        MISSION_A_RAW, (200.0, 600.0), {"wind": "high"}, [FLYING, ("env", ("wind", "low"))]),
+    # the ramp reaches its cap within 3.4 s, before any cruise starts
+    "cruise with the wind at its cap": (MISSION_A_RAW, (200.0, 600.0), {"wind": "high"}, [FLYING]),
+    "cruise at the wind cap with jitter": (
+        MISSION_A_RAW, (200.0, 600.0), {"wind": "low", "gps_noise": "low"}, [FLYING]),
     "cruise onto the waypoint": (EXACT_LEG, (200.0, 600.0), {}, []),
 }
 
