@@ -24,6 +24,7 @@ from .sutmodel import (
     RcAction,
     SutConfig,
     Vehicle,
+    summarize_events,
 )
 from .testgen import TestCase, derive_seed
 
@@ -183,7 +184,7 @@ class Executor:
             if vehicle.app is test.app_state:
                 context_time = vehicle.t
                 injection_time = context_time + test.delay_ms
-                vehicle.advance_to(injection_time)
+                vehicle.advance_until(injection_time)
                 app_at_injection = vehicle.app.value
                 mode_at_injection = vehicle.mode.value
                 if vehicle.finished:
@@ -191,11 +192,11 @@ class Executor:
                     # request goes nowhere and nobody acknowledges it
                     acknowledged = False
                     deferred = False
-                    vehicle._note("injection", f"{test.action} sent after flight end")
+                    vehicle.log("injection", f"{test.action} sent after flight end")
                 else:
                     acknowledged = vehicle.apply_rc(RcAction(test.action))
                     deferred = vehicle.deferred_action is not None
-                    vehicle.advance_to(injection_time + SETTLE_MS)
+                    vehicle.advance_until(injection_time + SETTLE_MS)
                     mode_after_settle = vehicle.mode.value
                 injections.append(
                     InjectionRecord(
@@ -210,7 +211,7 @@ class Executor:
                 )
 
         while not vehicle.finished:
-            vehicle.advance_to(vehicle.t + DRIVE_CHUNK_MS)
+            vehicle.advance_until(vehicle.t + DRIVE_CHUNK_MS)
 
         return ExecutionProfile(
             test_id=test.test_id,
@@ -224,12 +225,7 @@ class Executor:
             flight_duration_ms=vehicle.t,
             path_deviation_max_m=round(vehicle.path_deviation_max, 6),
             jerk_flag=vehicle.jerk_flag,
-            oscillation_count=vehicle.oscillation_count,
-            failsafe_events=tuple(
-                (e.t_ms, e.kind, e.detail) for e in vehicle.failsafe_events
-            ),
-            exceptions=tuple(vehicle.exceptions),
-            trace=tuple((t, a.value, m.value) for t, a, m in vehicle.trace),
+            **summarize_events(vehicle.events),
         )
 
 

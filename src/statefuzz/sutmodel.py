@@ -5,6 +5,10 @@ Two layers evolve together. The application layer walks a mission script
 (STABILIZED, OFFBOARD, ...). The composed pair is what tests target and
 what traces record.
 
+A flight is driven through Vehicle.advance_until and Vehicle.apply_rc and
+writes one event log, Vehicle.events; summarize_events derives a profile's
+trace, failsafe events, exceptions and oscillation count from it.
+
 The module also hosts the fault registry. A fault is a behavioral override
 keyed by an id (F1..F11) that is either seeded into a config or not; the
 transition core consults the registry at every injected control action and
@@ -25,7 +29,7 @@ from enum import Enum
 from itertools import accumulate, repeat
 from operator import add, neg, sub
 from random import Random
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import ConfigError, IllegalEvent, UnknownFault
 
@@ -138,21 +142,6 @@ class FaultId(str, Enum):
     F9 = "F9"   # throttle toggle realizes as POSCTL (airframe semantics, always on)
     F10 = "F10"  # loiter request realizes as POSCTL while flying (always on)
     F11 = "F11"  # loiter request realizes as POSCTL while landing (always on)
-
-
-FAULT_NOTES = {
-    FaultId.F1: "AUTO.LAND requests are dropped while the app is HOVERING",
-    FaultId.F2: "POSCTL requests are dropped while TAKEOFF is still STABILIZED",
-    FaultId.F3: "OFFBOARD reactivation from LAND/RTL uses a stale setpoint",
-    FaultId.F4: "POSCTL during a fence-triggered RTL is deferred until touchdown",
-    FaultId.F5: "AUTO.RTL requests are dropped during TAKEOFF",
-    FaultId.F6: "with gps noise 'high' the mode thrashes between LAND and OFFBOARD",
-    FaultId.F7: "POSCTL requests are dropped once a geofence WARN has fired",
-    FaultId.F8: "disarm times out when touchdown happens in STABILIZED",
-    FaultId.F9: "THROTTLE_TOGGLED realizes as POSCTL (not a mode no-op)",
-    FaultId.F10: "AUTO.LOITER realizes as POSCTL while flying",
-    FaultId.F11: "AUTO.LOITER realizes as POSCTL while landing",
-}
 
 
 class Decision(str, Enum):
@@ -300,25 +289,6 @@ class SutConfig:
 
 
 # ---------------------------------------------------------------------------
-# records
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TelemetryRecord:
-    t_ms: float
-    kind: str           # state | mode | injection | failsafe | exception | note
-    detail: str
-
-
-@dataclass(frozen=True)
-class FailsafeEvent:
-    t_ms: float
-    kind: str           # GEOFENCE | DEGRADED_GPS | DEGRADED_COMPASS
-    detail: str
-
-
-# ---------------------------------------------------------------------------
 # flight kinematics constants (desk scale)
 # ---------------------------------------------------------------------------
 
@@ -337,6 +307,7 @@ SIM_CEILING_MS = 600_000.0
 JERK_JUMP_M = 8.0             # setpoint discontinuity that counts as a jerk
 OSC_WINDOW_MS = 5000.0        # a mode must return within this window to count
 THRASH_PERIOD_MS = 500.0
+THRASH_PAIR = (AutopilotMode.LAND, AutopilotMode.OFFBOARD)  # F3/F6 flip between these
 
 WIND_DRIFT_CAP_M = {"none": 0.0, "low": 0.5, "medium": 1.5, "high": 3.0}
 WIND_DRIFT_RATE_MPS = {"none": 0.0, "low": 0.15, "medium": 0.45, "high": 0.9}
@@ -380,6 +351,52 @@ def _point_in_polygon(x: float, y: float, poly: tuple[tuple[float, float], ...])
 
 
 # ---------------------------------------------------------------------------
+# event log
+# ---------------------------------------------------------------------------
+
+
+def summarize_events(events: Iterable[tuple[float, str, str]]) -> dict:
+    """The profile fields a flight's event log determines, by field name.
+
+    trace replays the state and mode events from (0.0, PRE_ARM,
+    STABILIZED); a point at the same instant as the one before replaces it.
+    A mode change counts as an oscillation when it returns to the mode two
+    changes back within OSC_WINDOW_MS. A failsafe event's detail is
+    "<kind>:<detail>". Every field keeps the log's order.
+    """
+    app, mode = AppState.PRE_ARM.value, AutopilotMode.STABILIZED.value
+    trace = [(0.0, app, mode)]
+    back, last = None, (0.0, mode)      # the last two mode changes
+    oscillations = 0
+    failsafes: list[tuple[float, str, str]] = []
+    exceptions: list[str] = []
+    for t, kind, detail in events:
+        if kind == "state":
+            app = detail
+        elif kind == "mode":
+            if back is not None and back[1] == detail and t - back[0] <= OSC_WINDOW_MS:
+                oscillations += 1
+            back, last, mode = last, (t, detail), detail
+        else:
+            if kind == "failsafe":
+                failsafe, _, fired = detail.partition(":")
+                failsafes.append((t, failsafe, fired))
+            elif kind == "exception":
+                exceptions.append(detail)
+            continue
+        if trace[-1][0] == t:
+            trace[-1] = (t, app, mode)
+        else:
+            trace.append((t, app, mode))
+    return {
+        "trace": tuple(trace),
+        "failsafe_events": tuple(failsafes),
+        "exceptions": tuple(exceptions),
+        "oscillation_count": oscillations,
+    }
+
+
+# ---------------------------------------------------------------------------
 # simulation engine
 # ---------------------------------------------------------------------------
 
@@ -387,9 +404,15 @@ def _point_in_polygon(x: float, y: float, poly: tuple[tuple[float, float], ...])
 class Vehicle:
     """Mutable flight simulation behind the executor.
 
-    One instance is one flight. The executor drives it with advance_until(),
-    advance_to() and apply_rc(). The environment (throttle, geofence, wind,
-    GPS noise, compass interference) is fixed when the flight is built.
+    One instance is one flight. The executor drives it with advance_until()
+    and apply_rc(). The environment (throttle, geofence, wind, GPS noise,
+    compass interference) is fixed when the flight is built.
+
+    events is the flight's one log, in order: (t_ms, kind, detail) for each
+    app state entered ("state"), autopilot mode entered ("mode"), control
+    action received ("injection"), failsafe or sensor alert ("failsafe",
+    detail "<kind>:<detail>"), abnormal end ("exception": disarm-timeout or
+    sim-timeout) and anything else worth reading later ("note").
     """
 
     def __init__(
@@ -446,31 +469,20 @@ class Vehicle:
         self.f6_pending = config.has(FaultId.F6) and self.gps_noise == "high"
         self.thrash_flips_left = 0
         self.thrash_next_at = 0.0
-        self.thrash_pair = (AutopilotMode.LAND, AutopilotMode.OFFBOARD)
 
         self.wind_dev = 0.0
         self.path_deviation_max = 0.0
         self.jerk_flag = False
-        self.oscillation_count = 0
-        self._mode_history: list[tuple[float, AutopilotMode]] = [(0.0, self.mode)]
 
         self.finished = False
         self.mission_completed = False
-        self.records: list[TelemetryRecord] = []
-        self.failsafe_events: list[FailsafeEvent] = []
-        self.exceptions: list[str] = []
-        self.trace: list[tuple[float, AppState, AutopilotMode]] = [(0.0, self.app, self.mode)]
+        self.events: list[tuple[float, str, str]] = []
 
     # -- bookkeeping ------------------------------------------------------
 
-    def _note(self, kind: str, detail: str) -> None:
-        self.records.append(TelemetryRecord(self.t, kind, detail))
-
-    def _trace_point(self) -> None:
-        if self.trace and self.trace[-1][0] == self.t:
-            self.trace[-1] = (self.t, self.app, self.mode)
-        else:
-            self.trace.append((self.t, self.app, self.mode))
+    def log(self, kind: str, detail: str) -> None:
+        """Append one event at the current instant."""
+        self.events.append((self.t, kind, detail))
 
     def _set_app(self, state: AppState) -> None:
         if state is self.app:
@@ -478,30 +490,21 @@ class Vehicle:
         if state in (AppState.HUMAN_CONTROL, AppState.RETURNING):
             self.diverted = True
         self.app = state
-        self._note("state", state.value)
-        self._trace_point()
+        self.log("state", state.value)
 
     def _set_mode(self, mode: AutopilotMode) -> None:
         if mode is self.mode:
             return
-        # an A -> B -> A return inside the window counts as one oscillation
-        if len(self._mode_history) >= 2:
-            t_prev, m_prev = self._mode_history[-2]
-            if m_prev is mode and self.t - t_prev <= OSC_WINDOW_MS:
-                self.oscillation_count += 1
-        self._mode_history.append((self.t, mode))
         self.mode = mode
-        self._note("mode", mode.value)
-        self._trace_point()
+        self.log("mode", mode.value)
 
     def _failsafe(self, kind: str, detail: str) -> None:
-        self.failsafe_events.append(FailsafeEvent(self.t, kind, detail))
-        self._note("failsafe", f"{kind}:{detail}")
+        self.log("failsafe", f"{kind}:{detail}")
 
     def _finish(self, reason: str) -> None:
         self.finished = True
         self._set_app(AppState.DONE)
-        self._note("note", f"flight ended: {reason}")
+        self.log("note", f"flight ended: {reason}")
 
     # -- deviation / sensors ----------------------------------------------
 
@@ -535,7 +538,6 @@ class Vehicle:
             self.warn_active = True
         elif action == "RETURN":
             self.fence_failsafe_active = True
-            self.diverted = True
             self._set_mode(AutopilotMode.RTL)
             self._set_app(AppState.RETURNING)
         elif action == "LAND":
@@ -619,7 +621,7 @@ class Vehicle:
                 self.armed = True
                 self._set_app(AppState.TAKEOFF)
                 self.mode_switch_at = self.t + self.switch_latency
-                self._note(
+                self.log(
                     "note", f"armed; offboard switch scheduled +{self.switch_latency:.1f}ms"
                 )
         elif app is AppState.TAKEOFF:
@@ -634,10 +636,10 @@ class Vehicle:
             if self.pos == target:
                 if self.resume_target is not None:
                     self.resume_target = None
-                    self._note("note", "stale setpoint reached; resuming plan")
+                    self.log("note", "stale setpoint reached; resuming plan")
                 else:
                     self.legs_done += 1
-                    self._note("note", f"waypoint {self.legs_done} reached")
+                    self.log("note", f"waypoint {self.legs_done} reached")
                 if self.legs_done >= len(self.waypoints):
                     self._begin_hover()
         elif app is AppState.HOVERING:
@@ -665,8 +667,7 @@ class Vehicle:
                 self._finish("takeover hold window elapsed")
         elif app is AppState.DISARMING:
             if self.disarm_deadline is not None and self.t >= self.disarm_deadline:
-                self.exceptions.append("disarm-timeout")
-                self._note("exception", "disarm-timeout")
+                self.log("exception", "disarm-timeout")
                 self._finish("disarm hang")
             elif self.phase_deadline is not None and self.t >= self.phase_deadline:
                 self.armed = False
@@ -684,21 +685,20 @@ class Vehicle:
             self.f6_pending = False
             self.thrash_flips_left = 6
             self.thrash_next_at = self.t + THRASH_PERIOD_MS
-            self.thrash_pair = (AutopilotMode.LAND, AutopilotMode.OFFBOARD)
-            self._note("note", "gps noise destabilizing mode selection")
+            self.log("note", "gps noise destabilizing mode selection")
 
     def _touchdown(self) -> None:
         if self.deferred_action is not None:
             # the deferred request finally lands once the vehicle is down
             realized = REALIZED_MODE[self.deferred_action]
-            self._note("injection", f"deferred {self.deferred_action.value} applied")
+            self.log("injection", f"deferred {self.deferred_action.value} applied")
             self.deferred_action = None
             self._set_mode(realized)
         self._set_app(AppState.DISARMING)
         if self.cfg.has(FaultId.F8) and self.mode is AutopilotMode.STABILIZED:
             self.disarm_deadline = self.t + DISARM_TIMEOUT_MS
             self.phase_deadline = None
-            self._note("note", "disarm requested; no acknowledgment")
+            self.log("note", "disarm requested; no acknowledgment")
         else:
             self.phase_deadline = self.t + DISARM_MS
             self.disarm_deadline = None
@@ -706,7 +706,7 @@ class Vehicle:
     # -- thrash scheduling (F3/F6) -------------------------------------------
 
     def _fire_thrash(self) -> None:
-        a, b = self.thrash_pair
+        a, b = THRASH_PAIR
         self._set_mode(a if self.mode is b else b)
         self.thrash_flips_left -= 1
         if self.thrash_flips_left > 0:
@@ -732,14 +732,16 @@ class Vehicle:
         if self.thrash_flips_left > 0 and self.t >= self.thrash_next_at:
             self._fire_thrash()
 
+    def _check_ceiling(self) -> None:
+        if self.t >= SIM_CEILING_MS and not self.finished:
+            self.log("exception", "sim-timeout")
+            self._finish("simulation ceiling")
+
     # -- public driving surface -------------------------------------------
 
-    def advance_to(self, t_target: float) -> None:
-        """Integrate forward to an absolute simulated time."""
-        self.advance_until(t_target, stop_state=None)
-
-    def advance_until(self, t_target: float, stop_state: Optional[AppState]) -> None:
-        """Integrate forward, stopping early when stop_state is entered.
+    def advance_until(self, t_target: float, stop_state: Optional[AppState] = None) -> None:
+        """Integrate forward to t_target, stopping early when stop_state is
+        entered.
 
         The clock takes the hops of a plain 10 ms grid loop and no others:
         every grid tick, every timer instant and t_target. Every hop moves
@@ -767,10 +769,7 @@ class Vehicle:
             self._check_geofence()
             self._check_degraded()
             self._phase_step()
-            if self.t >= SIM_CEILING_MS and not self.finished:
-                self.exceptions.append("sim-timeout")
-                self._note("exception", "sim-timeout")
-                self._finish("simulation ceiling")
+            self._check_ceiling()
             if stop_state is not None and self.app is stop_state:
                 return
 
@@ -985,21 +984,21 @@ class Vehicle:
                 break
 
         if decision is Decision.IGNORE:
-            self._note("injection", f"{action.value} ignored")
+            self.log("injection", f"{action.value} ignored")
             return False
         if decision is Decision.DEFER:
             self.deferred_action = action
-            self._note("injection", f"{action.value} deferred until landed")
+            self.log("injection", f"{action.value} deferred until landed")
             return False
         if decision is Decision.CORRUPT:
             # reactivation accepted, but the controller streams the oldest
             # stored setpoint instead of the vehicle's current position
             stale = (0.0, 0.0, TAKEOFF_ALT_M)
-            self._note("injection", f"{action.value} honored with stale setpoint")
+            self.log("injection", f"{action.value} honored with stale setpoint")
             self._apply_offboard_resume(initial_setpoint=stale)
             return True
 
-        self._note("injection", f"{action.value} honored")
+        self.log("injection", f"{action.value} honored")
         self._apply_honored(action)
         return True
 
@@ -1019,7 +1018,7 @@ class Vehicle:
         elif action is RcAction.AUTO_LAND:
             self._set_mode(AutopilotMode.LAND)
             if self.pos[2] <= 0.0:
-                self._note("note", "land request on the ground; no-op")
+                self.log("note", "land request on the ground; no-op")
                 return
             self.mode_switch_at = None
             self.land_target = (self.pos[0], self.pos[1])
@@ -1028,7 +1027,7 @@ class Vehicle:
         elif action is RcAction.AUTO_RTL:
             self._set_mode(AutopilotMode.RTL)
             if self.pos[2] <= 0.0:
-                self._note("note", "return request on the ground; no-op")
+                self.log("note", "return request on the ground; no-op")
                 return
             self.mode_switch_at = None
             self._set_app(AppState.RETURNING)
@@ -1037,11 +1036,10 @@ class Vehicle:
         jump = _dist3(self.pos, initial_setpoint)
         if jump > JERK_JUMP_M:
             self.jerk_flag = True
-            self._note("note", f"setpoint discontinuity {jump:.1f} m")
+            self.log("note", f"setpoint discontinuity {jump:.1f} m")
             self.resume_target = initial_setpoint
             self.thrash_flips_left = 4
             self.thrash_next_at = self.t + THRASH_PERIOD_MS
-            self.thrash_pair = (AutopilotMode.LAND, AutopilotMode.OFFBOARD)
         self.mode_switch_at = None
         self._set_mode(AutopilotMode.OFFBOARD)
         if self.app is AppState.TAKEOFF:

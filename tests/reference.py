@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from statefuzz.cutset import MODE_ABSENT, MODE_COLUMN, MODE_VARIES, TableRow, TruthTable
-from statefuzz.sutmodel import SIM_CEILING_MS, TICK_MS
+from statefuzz.sutmodel import TICK_MS
 
 
 # ---------------------------------------------------------------------------
@@ -37,10 +37,7 @@ def grid_advance_until(vehicle, t_target, stop_state):
         vehicle._check_geofence()
         vehicle._check_degraded()
         vehicle._phase_step()
-        if vehicle.t >= SIM_CEILING_MS and not vehicle.finished:
-            vehicle.exceptions.append("sim-timeout")
-            vehicle._note("exception", "sim-timeout")
-            vehicle._finish("simulation ceiling")
+        vehicle._check_ceiling()
         if stop_state is not None and vehicle.app is stop_state:
             return
 

@@ -10,6 +10,7 @@ from statefuzz.sutmodel import (
     GEOFENCE_SETTINGS,
     INTENSITY_LEVELS,
     NO_ACTION,
+    OSC_WINDOW_MS,
     TARGETABLE_STATES,
     THROTTLE_LEVELS,
     AppState,
@@ -21,6 +22,7 @@ from statefuzz.sutmodel import (
     SutConfig,
     Vehicle,
     inject_fault_behavior,
+    summarize_events,
 )
 
 from conftest import MISSION_A_RAW, MISSION_C_RAW
@@ -42,12 +44,27 @@ def make_vehicle(config=None, env=None, mission=MISSION_A_RAW, seed=1):
     )
 
 
+def summary(vehicle):
+    return summarize_events(vehicle.events)
+
+
 def first_entries(vehicle):
     seen = {}
-    for t, app, _ in vehicle.trace:
-        if app not in seen:
-            seen[app] = t
+    for t, app, _ in summary(vehicle)["trace"]:
+        seen.setdefault(AppState(app), t)
     return seen
+
+
+def failsafes(vehicle):
+    return [(kind, detail) for _, kind, detail in summary(vehicle)["failsafe_events"]]
+
+
+def visited(vehicle):
+    return {AppState(app) for _, app, _ in summary(vehicle)["trace"]}
+
+
+def logged(vehicle, text):
+    return any(text in detail for _, _, detail in vehicle.events)
 
 
 # ---------------------------------------------------------------------------
@@ -60,14 +77,15 @@ def test_baseline_flight_timeline():
     v.advance_until(120000, stop_state=None)
     assert v.finished and v.mission_completed
     assert v.legs_done == 3
-    assert v.exceptions == []
-    assert v.failsafe_events == []
-    assert v.oscillation_count == 0
+    s = summary(v)
+    assert s["exceptions"] == ()
+    assert s["failsafe_events"] == ()
+    assert s["oscillation_count"] == 0
     assert v.path_deviation_max == 0.0
     assert v.mode is AutopilotMode.LAND
 
     entries = first_entries(v)
-    assert v.trace[0] == (0.0, AppState.PRE_ARM, AutopilotMode.STABILIZED)
+    assert s["trace"][0] == (0.0, "PRE_ARM", "STABILIZED")
     assert entries[AppState.TAKEOFF] == 500.0
     # 10 m at 0.8 m/s on a 10 ms grid
     assert 13000.0 <= entries[AppState.FLYING_TO_WAYPOINT] <= 13020.0
@@ -79,16 +97,15 @@ def test_baseline_flight_timeline():
     assert entries[AppState.DISARMING] == pytest.approx(entries[AppState.LANDING] + 5000.0, abs=20)
     assert entries[AppState.DONE] == pytest.approx(entries[AppState.DISARMING] + 1000.0, abs=20)
 
-    states = [app for _, app, _ in v.trace]
-    assert AppState.HUMAN_CONTROL not in states
-    assert AppState.RETURNING not in states
+    assert AppState.HUMAN_CONTROL not in visited(v)
+    assert AppState.RETURNING not in visited(v)
 
 
 def test_mode_switch_lands_inside_latency_window():
     cfg = SutConfig(latency_window_ms=(200.0, 600.0))
     v = make_vehicle(config=cfg)
     v.advance_until(60000, stop_state=AppState.FLYING_TO_WAYPOINT)
-    switch = next(t for t, _, m in v.trace if m is AutopilotMode.OFFBOARD)
+    switch = next(t for t, _, m in summary(v)["trace"] if m == "OFFBOARD")
     # armed at t=500, switch timer set relative to that instant
     assert 700.0 <= switch <= 1110.0
     assert 200.0 <= v.switch_latency < 600.0
@@ -104,7 +121,7 @@ def test_same_seed_reproduces_the_whole_trace():
     b = make_vehicle(env={"wind": "high", "gps_noise": "low"}, seed=9)
     a.advance_until(120000, stop_state=None)
     b.advance_until(120000, stop_state=None)
-    assert a.trace == b.trace
+    assert a.events == b.events
     assert a.path_deviation_max == b.path_deviation_max
 
 
@@ -120,8 +137,42 @@ def test_simulation_ceiling_guards_unreachable_waypoints():
     v = make_vehicle(mission=far)
     v.advance_until(10_000_000, stop_state=None)
     assert v.finished and not v.mission_completed
-    assert "sim-timeout" in v.exceptions
+    assert summary(v)["exceptions"] == ("sim-timeout",)
     assert v.t <= 600000.0
+
+
+@pytest.mark.parametrize("back_at, oscillations", [
+    (1000.0 + OSC_WINDOW_MS, 1),        # OFFBOARD -> POSCTL -> OFFBOARD at the window
+    (1000.0 + OSC_WINDOW_MS + 1.0, 0),  # the same return 1 ms later
+])
+def test_summarize_events_replays_the_log(back_at, oscillations):
+    events = [
+        (500.0, "state", "TAKEOFF"),
+        (500.0, "note", "armed"),
+        (1000.0, "mode", "OFFBOARD"),
+        (3000.0, "injection", "POSCTL honored"),
+        (3000.0, "mode", "POSCTL"),
+        (3000.0, "state", "HUMAN_CONTROL"),     # same instant: one trace point
+        (4000.0, "failsafe", "GEOFENCE:WARN"),
+        (4500.0, "failsafe", "DEGRADED_GPS:high"),
+        (back_at, "mode", "OFFBOARD"),
+        (back_at + 10.0, "exception", "disarm-timeout"),
+        (back_at + 10.0, "state", "DONE"),
+        (back_at + 10.0, "note", "flight ended: disarm hang"),
+    ]
+    assert summarize_events(events) == {
+        "trace": (
+            (0.0, "PRE_ARM", "STABILIZED"),
+            (500.0, "TAKEOFF", "STABILIZED"),
+            (1000.0, "TAKEOFF", "OFFBOARD"),
+            (3000.0, "HUMAN_CONTROL", "POSCTL"),
+            (back_at, "HUMAN_CONTROL", "OFFBOARD"),
+            (back_at + 10.0, "DONE", "OFFBOARD"),
+        ),
+        "failsafe_events": ((4000.0, "GEOFENCE", "WARN"), (4500.0, "DEGRADED_GPS", "high")),
+        "exceptions": ("disarm-timeout",),
+        "oscillation_count": oscillations,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +300,7 @@ def test_takeover_holds_then_ends_flight():
     v.advance_until(120000, stop_state=None)
     assert v.finished and not v.mission_completed
     assert v.t == pytest.approx(t0 + 10000.0, abs=20)
-    assert any("takeover hold window elapsed" in r.detail for r in v.records)
+    assert logged(v, "takeover hold window elapsed")
 
 
 def test_loiter_request_realizes_as_position_hold():
@@ -277,7 +328,7 @@ def test_offboard_request_resumes_the_mission():
     assert v.mode is AutopilotMode.OFFBOARD
     v.advance_until(120000, stop_state=None)
     assert v.finished and v.legs_done == 3
-    assert v.exceptions == []
+    assert summary(v)["exceptions"] == ()
     # the interruption is latched: a resumed flight finishes every leg but
     # no longer counts as completed-as-planned
     assert not v.mission_completed
@@ -287,13 +338,13 @@ def test_mode_ping_pong_counts_oscillations():
     v = make_vehicle()
     v.advance_until(60000, stop_state=AppState.FLYING_TO_WAYPOINT)
     v.apply_rc(RcAction.POSCTL)
-    v.advance_to(v.t + 500.0)
+    v.advance_until(v.t + 500.0)
     v.apply_rc(RcAction.OFFBOARD)   # OFFBOARD was set ages ago: no return yet
-    v.advance_to(v.t + 500.0)
+    v.advance_until(v.t + 500.0)
     v.apply_rc(RcAction.POSCTL)     # POSCTL -> OFFBOARD -> POSCTL inside 5 s
-    v.advance_to(v.t + 500.0)
+    v.advance_until(v.t + 500.0)
     v.apply_rc(RcAction.OFFBOARD)   # and back again
-    assert v.oscillation_count == 2
+    assert summary(v)["oscillation_count"] == 2
 
 
 def test_rc_input_rejected_before_arming_and_after_done():
@@ -312,7 +363,7 @@ def test_auto_land_from_hover_is_honored_when_healthy():
     assert v.app is AppState.LANDING
     assert v.mode is AutopilotMode.LAND
     v.advance_until(120000, stop_state=None)
-    assert v.finished and v.exceptions == []
+    assert v.finished and summary(v)["exceptions"] == ()
 
 
 def test_auto_rtl_keeps_rtl_mode_through_landing():
@@ -346,14 +397,14 @@ def test_f2_swallows_posctl_only_before_the_switch():
     cfg = SutConfig(latency_window_ms=(200.0, 600.0), seeded_faults=("F2",))
     early = make_vehicle(config=cfg)
     early.advance_until(60000, stop_state=AppState.TAKEOFF)
-    early.advance_to(early.t + 100.0)  # still STABILIZED
+    early.advance_until(early.t + 100.0)  # still STABILIZED
     assert early.mode is AutopilotMode.STABILIZED
     assert not early.apply_rc(RcAction.POSCTL)
     assert early.app is AppState.TAKEOFF
 
     late = make_vehicle(config=cfg)
     late.advance_until(60000, stop_state=AppState.TAKEOFF)
-    late.advance_to(late.t + 700.0)  # past the window: OFFBOARD
+    late.advance_until(late.t + 700.0)  # past the window: OFFBOARD
     assert late.mode is AutopilotMode.OFFBOARD
     assert late.apply_rc(RcAction.POSCTL)
     assert late.app is AppState.HUMAN_CONTROL
@@ -366,8 +417,8 @@ def test_f3_offboard_resume_during_landing_jerks_and_thrashes():
     assert v.apply_rc(RcAction.OFFBOARD)  # honored, but with a stale setpoint
     assert v.jerk_flag
     v.advance_until(120000, stop_state=None)
-    assert v.oscillation_count >= 3
-    assert any("stale setpoint" in r.detail for r in v.records)
+    assert summary(v)["oscillation_count"] >= 3
+    assert logged(v, "stale setpoint")
 
 
 def test_f3_does_not_fire_without_the_fault():
@@ -377,8 +428,8 @@ def test_f3_does_not_fire_without_the_fault():
     assert not v.jerk_flag
     v.advance_until(120000, stop_state=None)
     # resume -> hover -> land again is one benign mode return, not a thrash
-    assert v.oscillation_count <= 1
-    assert v.legs_done == 3 and v.exceptions == []
+    assert summary(v)["oscillation_count"] <= 1
+    assert v.legs_done == 3 and summary(v)["exceptions"] == ()
 
 
 def test_f4_defers_posctl_until_touchdown_during_fence_return():
@@ -392,7 +443,7 @@ def test_f4_defers_posctl_until_touchdown_during_fence_return():
     v.advance_until(120000, stop_state=None)
     assert v.finished
     assert v.mode is AutopilotMode.POSCTL  # applied at touchdown, far too late
-    assert any("deferred" in r.detail for r in v.records)
+    assert logged(v, "deferred")
 
 
 def test_f5_swallows_rtl_during_takeoff_in_both_modes():
@@ -400,7 +451,7 @@ def test_f5_swallows_rtl_during_takeoff_in_both_modes():
     for extra_wait in (100.0, 700.0):
         v = make_vehicle(config=cfg)
         v.advance_until(60000, stop_state=AppState.TAKEOFF)
-        v.advance_to(v.t + extra_wait)
+        v.advance_until(v.t + extra_wait)
         assert not v.apply_rc(RcAction.AUTO_RTL)
         assert v.app is AppState.TAKEOFF
         v.advance_until(120000, stop_state=None)
@@ -412,18 +463,18 @@ def test_f6_oscillates_on_noisy_gps_without_any_injection():
     v.advance_until(120000, stop_state=None)
     # six forced flips; the first cannot complete a return pair, the
     # remaining entries give four A -> B -> A returns inside the window
-    assert v.oscillation_count == 4
+    assert summary(v)["oscillation_count"] == 4
     assert v.finished
     healthy = make_vehicle(env={"gps_noise": "high"})
     healthy.advance_until(120000, stop_state=None)
-    assert healthy.oscillation_count == 0
+    assert summary(healthy)["oscillation_count"] == 0
 
 
 def test_f7_ignores_posctl_while_fence_warning_active():
     cfg = SutConfig(seeded_faults=("F7",))
     v = make_vehicle(config=cfg, env={"geofence": "WARN"}, mission=MISSION_C_RAW)
     v.advance_until(120000, stop_state=AppState.FLYING_TO_WAYPOINT)
-    v.advance_to(v.t + 5000.0)  # fence crossed about 3.6 s into the leg
+    v.advance_until(v.t + 5000.0)  # fence crossed about 3.6 s into the leg
     assert v.warn_active
     assert not v.apply_rc(RcAction.POSCTL)
     assert v.app is AppState.FLYING_TO_WAYPOINT
@@ -435,14 +486,14 @@ def test_f8_hangs_the_disarm_after_manual_landing():
     assert v.apply_rc(RcAction.STABILIZED)
     assert v.app is AppState.HUMAN_CONTROL
     v.advance_until(200000, stop_state=None)
-    assert "disarm-timeout" in v.exceptions
+    assert summary(v)["exceptions"] == ("disarm-timeout",)
     assert not v.mission_completed
 
     healthy = make_vehicle()
     healthy.advance_until(60000, stop_state=AppState.LANDING)
     healthy.apply_rc(RcAction.STABILIZED)
     healthy.advance_until(200000, stop_state=None)
-    assert healthy.exceptions == []
+    assert summary(healthy)["exceptions"] == ()
 
 
 # ---------------------------------------------------------------------------
@@ -453,17 +504,15 @@ def test_f8_hangs_the_disarm_after_manual_landing():
 def test_geofence_warn_only_warns():
     v = make_vehicle(env={"geofence": "WARN"}, mission=MISSION_C_RAW)
     v.advance_until(120000, stop_state=None)
-    kinds = [(e.kind, e.detail) for e in v.failsafe_events]
-    assert kinds == [("GEOFENCE", "WARN")]
+    assert failsafes(v) == [("GEOFENCE", "WARN")]
     assert v.mission_completed  # warning does not abort the mission
 
 
 def test_geofence_return_diverts_home():
     v = make_vehicle(env={"geofence": "RETURN"}, mission=MISSION_C_RAW)
     v.advance_until(120000, stop_state=None)
-    assert [(e.kind, e.detail) for e in v.failsafe_events] == [("GEOFENCE", "RETURN")]
-    states = [app for _, app, _ in v.trace]
-    assert AppState.RETURNING in states
+    assert failsafes(v) == [("GEOFENCE", "RETURN")]
+    assert AppState.RETURNING in visited(v)
     assert not v.mission_completed
     assert v.mode is AutopilotMode.RTL
     assert v.pos[0] == pytest.approx(0.0, abs=0.3)
@@ -472,10 +521,9 @@ def test_geofence_return_diverts_home():
 def test_geofence_land_descends_in_place():
     v = make_vehicle(env={"geofence": "LAND"}, mission=MISSION_C_RAW)
     v.advance_until(120000, stop_state=None)
-    assert [(e.kind, e.detail) for e in v.failsafe_events] == [("GEOFENCE", "LAND")]
-    states = [app for _, app, _ in v.trace]
-    assert AppState.RETURNING not in states
-    assert AppState.LANDING in states
+    assert failsafes(v) == [("GEOFENCE", "LAND")]
+    assert AppState.RETURNING not in visited(v)
+    assert AppState.LANDING in visited(v)
     assert not v.mission_completed
     assert v.pos[0] == pytest.approx(18.0, abs=0.3)  # came down at the breach point
 
@@ -483,7 +531,7 @@ def test_geofence_land_descends_in_place():
 def test_geofence_disabled_level_never_fires():
     v = make_vehicle(env={"geofence": "none"}, mission=MISSION_C_RAW)
     v.advance_until(120000, stop_state=None)
-    assert v.failsafe_events == []
+    assert failsafes(v) == []
     assert v.mission_completed
 
 
@@ -505,29 +553,29 @@ def test_gps_jitter_adds_bounded_noise_without_alerts():
     v = make_vehicle(env={"gps_noise": "low"})
     v.advance_until(120000, stop_state=None)
     assert 0.0 < v.path_deviation_max <= 0.1
-    assert v.failsafe_events == []
+    assert failsafes(v) == []
 
 
 def test_gps_degradation_alert_follows_config_threshold():
     noisy = make_vehicle(env={"gps_noise": "high"})
     noisy.advance_until(120000, stop_state=None)
-    assert [e.kind for e in noisy.failsafe_events] == ["DEGRADED_GPS"]
+    assert failsafes(noisy) == [("DEGRADED_GPS", "high")]
 
     sensitive = make_vehicle(
         config=SutConfig(gps_degrade_level="low"), env={"gps_noise": "medium"}
     )
     sensitive.advance_until(120000, stop_state=None)
-    assert [e.kind for e in sensitive.failsafe_events] == ["DEGRADED_GPS"]
+    assert failsafes(sensitive) == [("DEGRADED_GPS", "medium")]
 
     tolerant = make_vehicle(env={"gps_noise": "medium"})
     tolerant.advance_until(120000, stop_state=None)
-    assert tolerant.failsafe_events == []
+    assert failsafes(tolerant) == []
 
 
 def test_compass_interference_alert():
     v = make_vehicle(env={"compass_interference": "high"})
     v.advance_until(120000, stop_state=None)
-    assert [e.kind for e in v.failsafe_events] == ["DEGRADED_COMPASS"]
+    assert failsafes(v) == [("DEGRADED_COMPASS", "high")]
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +585,7 @@ def test_compass_interference_alert():
 
 def observables(v):
     return (
-        v.t, v.pos, v.wind_dev, v.path_deviation_max, v.records, v.trace,
-        v.failsafe_events, v.exceptions, v.rng.getstate(),
+        v.t, v.pos, v.wind_dev, v.path_deviation_max, v.events, v.rng.getstate(),
     )
 
 
@@ -597,7 +644,7 @@ def fly_pair(config, env, mission, seed, chunk, steps):
 def test_advance_until_matches_the_grid_loop(
     mission, env, faults, window, degrade_level, chunk, steps, seed
 ):
-    """Same hops, floats, records and RNG draws as a loop that runs every
+    """Same hops, floats, events and RNG draws as a loop that runs every
     handler on every 10 ms tick, through waits, stops and injections."""
     config = SutConfig(
         latency_window_ms=window,
