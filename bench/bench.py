@@ -4,6 +4,8 @@ Usage, from the root of a checkout:
 
     python3 bench/bench.py clustering --out FILE --key after [--src DIR] [--repeats 3]
     python3 bench/bench.py simulator --out FILE --key after [--src DIR] [--repeats 3]
+    python3 bench/bench.py simulator --out FILE --key alternating \\
+        --parent DIR --change DIR [--pairs 10]
     python3 bench/bench.py pairs --out FILE --parent DIR --change DIR \\
         --workload reanalyze [--pairs 10] [--seed 0]
     python3 bench/bench.py traced --out FILE --parent DIR --change DIR --workload NAME
@@ -19,7 +21,14 @@ start (``run --spec fspec1 --mission mission_a --fault F2 --latency-window
 200 600 --repetitions 20 --seed 0``) stores: its 900 main tests and 540
 focused ones. It reports flights per second and simulated seconds per host
 second over the median of ``--repeats`` passes, at least 3, and a digest of
-the execution profiles.
+the execution profiles. With ``--parent`` and ``--change`` it flies that
+flight set with each checkout's ``src`` instead, in cold single passes: each
+pass is a fresh subprocess with a new ``Executor``, so any per-executor memo
+starts empty. The sides alternate which runs first; the section records each
+side's passes, median and quartiles, the pairs the change won, the profile
+digests, and from one more pass per side, with ``Vehicle._coast`` wrapped in
+the subprocess, the ``_coast`` calls per flight and the entries of the
+executor's ``cruise_runs`` memo (null where a side has none).
 
 ``pairs`` runs ``perfbench/run.py --trace 0`` of two checkouts in turn,
 alternating which side runs first, and records every run's end-to-end
@@ -189,6 +198,89 @@ def cmd_simulator(args) -> dict:
     }
 
 
+def cmd_simulator_ab(args) -> dict:
+    cli = import_from(str(Path(args.change) / "src"), "statefuzz.cli")
+    with tempfile.TemporaryDirectory() as work:
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main([*F2_QUICKSTART, "--out", work]) != 0:
+                raise SystemExit("the quick-start run failed")
+        sides = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
+
+        def one_pass(side: str, count: bool) -> dict:
+            argv = [sys.executable, str(Path(__file__).resolve()), "simulator-pass",
+                    "--src", str(sides[side] / "src"), "--campaign", work]
+            result = subprocess.run(argv + ["--count"] * count, capture_output=True,
+                                    text=True, check=False)
+            if result.returncode != 0:
+                raise SystemExit(f"{' '.join(argv)} exited {result.returncode}:\n"
+                                 f"{result.stderr[-2000:]}")
+            return json.loads(result.stdout.strip().splitlines()[-1])
+
+        pairs = []
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            runs = {side: one_pass(side, False) for side in order}
+            pairs.append({"first": order[0], **runs})
+            print(f"pair {i}: " + ", ".join(
+                f"{side} {runs[side]['wall_s']:.3f} s" for side in order), flush=True)
+        counts = {side: one_pass(side, True) for side in sides}
+    walls = {side: [p[side]["wall_s"] for p in pairs] for side in sides}
+    flights = pairs[0]["parent"]["flights"]
+    out = {
+        "flights": flights,
+        "pairs": pairs,
+        "wall_s": {side: quartiles(values) for side, values in walls.items()},
+        "flights_per_s": {side: flights / statistics.median(v) for side, v in walls.items()},
+        "speedup": statistics.median(walls["parent"]) / statistics.median(walls["change"]),
+        "change_wins": sum(c < p for p, c in zip(walls["parent"], walls["change"])),
+        "digests": {side: sorted({p[side]["digest"] for p in pairs}) for side in sides},
+        "counts": {side: {k: counts[side][k] for k in
+                          ("coast_calls", "coast_calls_per_flight", "memo_entries")}
+                   for side in sides},
+    }
+    print(f"flights/s parent {out['flights_per_s']['parent']:.1f}, change "
+          f"{out['flights_per_s']['change']:.1f} ({out['speedup']:.2f}x), change won "
+          f"{out['change_wins']}/{args.pairs}; _coast calls per flight "
+          + ", ".join(f"{s} {out['counts'][s]['coast_calls_per_flight']:.2f}" for s in sides),
+          flush=True)
+    return out
+
+
+def cmd_simulator_pass(args) -> int:
+    """One cold pass over a stored campaign's flights; prints one JSON line."""
+    sutmodel = import_from(args.src, "statefuzz.sutmodel")
+    from statefuzz.executor import Executor
+    from statefuzz.storage import canonical_dumps, load_campaign
+
+    campaign = load_campaign(Path(args.campaign))
+    tests = campaign.tests + [t for ts in campaign.focused_tests.values() for t in ts]
+    coast_calls = 0
+    if args.count:
+        coast = sutmodel.Vehicle._coast
+
+        def counted(*a, **k):
+            nonlocal coast_calls
+            coast_calls += 1
+            return coast(*a, **k)
+
+        sutmodel.Vehicle._coast = counted
+    executor = Executor(campaign.mission, campaign.config)
+    t0 = time.perf_counter()
+    profiles = [executor.execute(t) for t in tests]
+    wall = time.perf_counter() - t0
+    doc = "".join(canonical_dumps(p.to_dict()) for p in profiles).encode()
+    memo = getattr(executor, "cruise_runs", None)
+    print(json.dumps({
+        "flights": len(tests),
+        "wall_s": wall,
+        "digest": hashlib.sha256(doc).hexdigest(),
+        "coast_calls": coast_calls if args.count else None,
+        "coast_calls_per_flight": coast_calls / len(tests) if args.count else None,
+        "memo_entries": None if memo is None else len(memo),
+    }))
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # end to end, through perfbench
 # ---------------------------------------------------------------------------
@@ -248,11 +340,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (("clustering", "time analyze_failures in process"),
-                           ("simulator", "time the quick start's flights in process")):
+                           ("simulator", "time the quick start's flights")):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--src", default=str(ROOT / "src"))
         p.add_argument("--repeats", type=int, default=3)
         p.add_argument("--key", required=True, help="section name, e.g. before or after")
+    simulator = sub.choices["simulator"]
+    simulator.add_argument("--parent", help="checkout: alternate cold passes with --change")
+    simulator.add_argument("--change", help="checkout: alternate cold passes with --parent")
+    simulator.add_argument("--pairs", type=int, default=10)
     for name, helptext in (("pairs", "alternating perfbench runs of two checkouts"),
                            ("traced", "one traced perfbench run per checkout")):
         p = sub.add_parser(name, help=helptext)
@@ -264,12 +360,23 @@ def main(argv: list[str] | None = None) -> int:
             p.add_argument("--pairs", type=int, default=10)
     for p in sub.choices.values():
         p.add_argument("--out", required=True, help="BENCH json file to update")
+    one_pass = sub.add_parser("simulator-pass", help="one cold simulator pass (internal)")
+    one_pass.add_argument("--src", required=True)
+    one_pass.add_argument("--campaign", required=True)
+    one_pass.add_argument("--count", action="store_true")
     args = parser.parse_args(argv)
+    if args.command == "simulator-pass":
+        return cmd_simulator_pass(args)
     in_process = args.command in ("clustering", "simulator")
     if in_process and args.repeats < 3:
         parser.error("--repeats must be at least 3")
+    ab = args.command == "simulator" and (args.parent or args.change)
+    if ab and not (args.parent and args.change):
+        parser.error("--parent and --change go together")
+    if getattr(args, "pairs", 2) < 2:
+        parser.error("--pairs must be at least 2")
 
-    run = {"clustering": cmd_clustering, "simulator": cmd_simulator,
+    run = {"clustering": cmd_clustering, "simulator": cmd_simulator_ab if ab else cmd_simulator,
            "pairs": cmd_pairs, "traced": cmd_traced}[args.command]
     section = run(args)
     path = Path(args.out)

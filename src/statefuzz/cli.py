@@ -246,10 +246,11 @@ def _claim_out(root: Path) -> None:
     """Make root ready for a new campaign.
 
     A missing or empty directory is used as it is. In a campaign directory
-    the earlier run's per-test results, its other top-level JSON files and
-    its truth tables and fault trees are removed, so none of them survives
-    the new run; campaign.json stays until the new run replaces it. Any
-    other path is refused.
+    the earlier run's per-test results, its other top-level JSON files, its
+    truth tables and fault trees, and the .<name>.<pid>.tmp files a killed
+    writer left behind are removed, so none of them survives the new run;
+    campaign.json stays until the new run replaces it. Any other path is
+    refused.
     """
     if root.exists() and not root.is_dir():
         raise NotACampaign(f"--out {root} is not a directory")
@@ -262,6 +263,8 @@ def _claim_out(root: Path) -> None:
         for path in root.glob("*.json"):
             if path.name != "campaign.json":
                 path.unlink()
+        for path in root.glob(".*.tmp"):
+            path.unlink()
     root.mkdir(parents=True, exist_ok=True)
 
 

@@ -1,11 +1,17 @@
 """Deterministic test execution against the simulated vehicle.
 
 Each test case runs in a fresh vehicle instance seeded from the case's own
-seed. The executor waits for the first occurrence of the targeted app
-state, schedules the injection at exactly (state entry time + sampled
-delay), lets the flight settle, runs it to its end, and assembles an
-execution profile: the closed set of observables every later stage
-(oracle, clustering, truth tables) works from.
+seed. The executor drives it to the first occurrence of the targeted app
+state in one Vehicle.drive call, schedules the injection at exactly (state
+entry time + sampled delay), lets the flight settle, drives it to its end in
+one more call, and assembles an execution profile: the closed set of
+observables every later stage (oracle, clustering, truth tables) works from.
+
+An Executor owns one cruise-run memo and shares it with every vehicle it
+builds, so the memo lives as long as the executor: one run_campaign call,
+one pool worker, one soundness check or one replay. A memoized run depends
+only on its exact inputs, so the memo's contents and the order of the
+flights change no output.
 
 Campaigns fan out over a process pool; results keep submission order, so
 campaign output is reproducible independent of worker scheduling.
@@ -31,9 +37,10 @@ from .testgen import TestCase, derive_seed
 #: observation window after an injection before the flight is resumed
 SETTLE_MS = 1000.0
 
-#: outer driving chunk. Each chunk end is a simulator hop, usually at a time
-#: off the 10 ms grid, and position and clock sums accumulate over those hops:
-#: another chunk length gives other floats and other output bytes.
+#: Vehicle.drive's chunk. A flight leg is one drive call, but each chunk end
+#: (the clock plus this, again and again) is a simulator hop stop, usually at a
+#: time off the 10 ms grid, and position and clock sums accumulate over those
+#: hops: another chunk length gives other floats and other output bytes.
 DRIVE_CHUNK_MS = 500.0
 
 
@@ -161,6 +168,8 @@ class Executor:
     def __init__(self, mission: MissionPlan, config: SutConfig) -> None:
         self.mission = mission
         self.config = config
+        #: the cruise-run memo shared by every flight this executor flies
+        self.cruise_runs: dict = {}
 
     def execute(self, test: TestCase) -> ExecutionProfile:
         rng = Random(derive_seed(test.seed, "flight"))
@@ -171,6 +180,7 @@ class Executor:
             config=self.config,
             env=test.env(),
             rng=rng,
+            cruise_runs=self.cruise_runs,
         )
 
         context_time: Optional[float] = None
@@ -179,8 +189,7 @@ class Executor:
 
         # wait for the targeted state (injections only; baselines just fly)
         if test.action != NO_ACTION:
-            while not vehicle.finished and vehicle.app is not test.app_state:
-                vehicle.advance_until(vehicle.t + DRIVE_CHUNK_MS, stop_state=test.app_state)
+            vehicle.drive(DRIVE_CHUNK_MS, stop_state=test.app_state)
             if vehicle.app is test.app_state:
                 context_time = vehicle.t
                 injection_time = context_time + test.delay_ms
@@ -210,8 +219,7 @@ class Executor:
                     )
                 )
 
-        while not vehicle.finished:
-            vehicle.advance_until(vehicle.t + DRIVE_CHUNK_MS)
+        vehicle.drive(DRIVE_CHUNK_MS)
 
         return ExecutionProfile(
             test_id=test.test_id,

@@ -5,9 +5,14 @@ Two layers evolve together. The application layer walks a mission script
 (STABILIZED, OFFBOARD, ...). The composed pair is what tests target and
 what traces record.
 
-A flight is driven through Vehicle.advance_until and Vehicle.apply_rc and
-writes one event log, Vehicle.events; summarize_events derives a profile's
-trace, failsafe events, exceptions and oscillation count from it.
+A flight is driven through Vehicle.drive, Vehicle.advance_until and
+Vehicle.apply_rc and writes one event log, Vehicle.events; summarize_events
+derives a profile's trace, failsafe events, exceptions and oscillation count
+from it. drive flies a whole leg in one call: its chunk ends are hop stops
+carried from run to run, not call boundaries. Cruise runs are memoized in a
+dict the caller may share between flights (each executor shares one among
+the flights it flies); a run's result depends only on its exact float
+inputs, so a shared memo changes no output.
 
 The module also hosts the fault registry. A fault is a behavioral override
 keyed by an id (F1..F11) that is either seeded into a config or not; the
@@ -334,6 +339,30 @@ def _last_tick_before(bound: float) -> float:
     return tick
 
 
+def _cruise_run(
+    x: float, y: float, z: float, tx: float, ty: float, tz: float, stride: float, n: int
+) -> tuple[int, float, float, float]:
+    """(k, x, y, z) after up to n full hops of stride toward (tx, ty, tz).
+
+    k is the number of hops taken: the run stops before the hop that
+    reaches the target, which the per-hop loop takes. The arithmetic is
+    Vehicle._move_toward's, expression by expression, so the floats are
+    bit-identical. Pure, so Vehicle._coast memoizes it on its arguments.
+    """
+    for k in range(n):
+        d = math.sqrt((x - tx) ** 2 + (y - ty) ** 2 + (z - tz) ** 2)
+        if d <= stride or d == 0.0:
+            break
+        f = stride / d
+        nx, ny, nz = x + (tx - x) * f, y + (ty - y) * f, z + (tz - z) * f
+        if nx == tx and ny == ty and nz == tz:
+            break
+        x, y, z = nx, ny, nz
+    else:
+        k = n
+    return k, x, y, z
+
+
 def _point_in_polygon(x: float, y: float, poly: tuple[tuple[float, float], ...]) -> bool:
     """Ray-cast point-in-polygon; boundary points count as inside."""
     inside = False
@@ -404,15 +433,21 @@ def summarize_events(events: Iterable[tuple[float, str, str]]) -> dict:
 class Vehicle:
     """Mutable flight simulation behind the executor.
 
-    One instance is one flight. The executor drives it with advance_until()
-    and apply_rc(). The environment (throttle, geofence, wind, GPS noise,
-    compass interference) is fixed when the flight is built.
+    One instance is one flight. The executor drives it with drive() to the
+    targeted state and to the end of the flight, with advance_until() to the
+    injection and settle instants, and with apply_rc(). The environment
+    (throttle, geofence, wind, GPS noise, compass interference) is fixed
+    when the flight is built.
 
     events is the flight's one log, in order: (t_ms, kind, detail) for each
     app state entered ("state"), autopilot mode entered ("mode"), control
     action received ("injection"), failsafe or sensor alert ("failsafe",
     detail "<kind>:<detail>"), abnormal end ("exception": disarm-timeout or
     sim-timeout) and anything else worth reading later ("note").
+
+    cruise_runs memoizes _cruise_run. Flights that share it (the executor
+    passes one dict to every vehicle it builds) replay each other's cruise
+    runs; without it the vehicle gets a private empty dict.
     """
 
     def __init__(
@@ -423,9 +458,11 @@ class Vehicle:
         config: SutConfig,
         env: dict,
         rng: Random,
+        cruise_runs: Optional[dict] = None,
     ) -> None:
         self.cfg = config
         self.rng = rng
+        self.cruise_runs = {} if cruise_runs is None else cruise_runs
         self.waypoints = tuple(tuple(float(c) for c in w) for w in waypoints)
         self.cruise = float(cruise_speed)
         self.fence = (
@@ -754,13 +791,35 @@ class Vehicle:
         transition instant and the caller can schedule injection delays from
         it.
         """
-        while not self.finished and self.t + 1e-9 < t_target:
-            if self.app is not stop_state:
-                self._coast(t_target)
-                if self.t + 1e-9 >= t_target:
+        self._fly(t_target, stop_state, None)
+
+    def drive(self, chunk_ms: float, stop_state: Optional[AppState] = None) -> None:
+        """Fly until the flight is finished or stop_state is entered.
+
+        The same hops as calling advance_until(self.t + chunk_ms, stop_state)
+        while the flight is unfinished and not in stop_state, in one call:
+        each chunk end is a hop stop, and on reaching it the next stop is
+        set to the clock plus chunk_ms. Chunk ends mostly fall off the 10 ms
+        grid and split a hop, so chunk_ms shapes the floats.
+        """
+        if self.app is not stop_state:
+            self._fly(self.t + chunk_ms, stop_state, chunk_ms)
+
+    def _fly(self, stop: float, stop_state: Optional[AppState], chunk_ms: Optional[float]) -> None:
+        """advance_until(stop, stop_state); with chunk_ms, each stop reached
+        sets the next at the clock plus chunk_ms, until the flight ends or
+        stop_state is entered."""
+        while not self.finished:
+            if self.t + 1e-9 >= stop:
+                if chunk_ms is None:
                     return
+                stop = self.t + chunk_ms
+            if self.app is not stop_state:
+                stop = self._coast(stop, chunk_ms)
+                if self.t + 1e-9 >= stop:
+                    continue
             next_grid = (math.floor(self.t / TICK_MS) + 1) * TICK_MS
-            hop = min(t_target, next_grid, self._next_timer())
+            hop = min(stop, next_grid, self._next_timer())
             dt = hop - self.t
             self._integrate(dt)
             self.t = hop
@@ -788,14 +847,22 @@ class Vehicle:
             return math.inf
         return min((d for d in deadlines if d is not None), default=math.inf)
 
-    def _coast(self, t_target: float) -> None:
-        """Take the hops ahead on which no handler can fire.
+    def _coast(self, t_target: float, chunk_ms: Optional[float]) -> float:
+        """Take the hops ahead on which no handler can fire; return the
+        current stop.
 
         Stops before a hop that reaches a timer, a phase deadline or the
         ceiling, meets the phase's position condition or leaves the fence
         while airborne; takes no hop while a degradation note is pending.
         Each hop moves the clock, the position and the deviation with the
         expressions of _integrate and _sample_deviation.
+
+        t_target is the current stop. Without chunk_ms the call ends there.
+        With it, reaching the stop sets the next one at the clock plus
+        chunk_ms and the call goes on: no handler ran, so the phase, due
+        time, motion, fence and wind worked out on entry still hold, and
+        only a new run may start. The call then ends only before a handler
+        hop, and returns the stop that hop is bounded by.
 
         A run is the stretch of full 10 ms hops from a grid tick to the last
         grid tick before the next time condition and t_target. With no live
@@ -804,17 +871,16 @@ class Vehicle:
         itertools.accumulate over one step: the loop's own additions, one by
         one in the loop's order, with no closed form, so the sums are
         bit-identical. bisect finds the hop that reaches the altitude or the
-        ground on that monotone list. A cruise run keeps the loop's
-        arithmetic in a tight loop without the clock and deviation
-        bookkeeping; a hold run moves only the clock. The wind ramp is
-        accumulated and then capped sum by sum, and GPS jitter draws one
-        number per hop taken, in order, once the run's length is fixed.
-        Hops from an off-grid time, the partial hop to t_target, hops under
-        a live fence, and the hop that meets the phase's position condition
-        stay in the per-hop loop.
+        ground on that monotone list. A cruise run is _cruise_run, looked up
+        first in cruise_runs by its exact inputs; a hold run moves only the
+        clock. The wind ramp is accumulated and then capped sum by sum, and
+        GPS jitter draws one number per hop taken, in order, once the run's
+        length is fixed. Hops from an off-grid time, the partial hop to
+        t_target, hops under a live fence, and the hop that meets the phase's
+        position condition stay in the per-hop loop.
         """
         if self._gps_degraded_due() or self._compass_degraded_due():
-            return
+            return t_target
         app = self.app
         t = self.t
         x, y, z = self.pos
@@ -863,9 +929,16 @@ class Vehicle:
         rand = self.rng.random
         floor = math.floor
         wind_dev, dev_max = self.wind_dev, self.path_deviation_max
+        memo = self.cruise_runs
         run = fence is None
 
-        while t + 1e-9 < t_target:
+        while True:
+            if not t + 1e-9 < t_target:
+                if chunk_ms is None:
+                    break
+                # a chunk end: nothing fired, so the derived state holds
+                t_target = t + chunk_ms
+                run = fence is None
             if run and t == floor(t / TICK_MS) * TICK_MS:
                 # a run: n full hops, of which the motion allows k
                 run = False
@@ -875,18 +948,15 @@ class Vehicle:
                 # ended by the touchdown on the hop that grounded it
                 k = n
                 if kind == "cruise":
-                    stride = self.cruise * dt_s
-                    for k in range(n):
-                        d = math.sqrt((x - tx) ** 2 + (y - ty) ** 2 + (z - tz) ** 2)
-                        if d <= stride or d == 0.0:
-                            break
-                        f = stride / d
-                        nx, ny, nz = x + (tx - x) * f, y + (ty - y) * f, z + (tz - z) * f
-                        if nx == tx and ny == ty and nz == tz:
-                            break
-                        x, y, z = nx, ny, nz
-                    else:
-                        k = n
+                    key = (x, y, z, tx, ty, tz, self.cruise * dt_s, n)
+                    ran = memo.get(key)
+                    if ran is None:
+                        ran = memo[key] = _cruise_run(*key)
+                    # -0.0 and 0.0 make one key: with no hop taken, the
+                    # position stays this flight's own
+                    k = ran[0]
+                    if k > 0:
+                        _, x, y, z = ran
                 elif kind != "hold" and n > 0:
                     # zs[i] is z after i hops, by the loop's own additions
                     up = kind != "descend"
@@ -964,6 +1034,7 @@ class Vehicle:
             self.t = t
             self.pos = (x, y, z)
             self.wind_dev, self.path_deviation_max = wind_dev, dev_max
+        return t_target
 
     def apply_rc(self, action: RcAction) -> bool:
         """Inject one control action now; returns acknowledgment."""

@@ -147,3 +147,16 @@ def test_parallel_campaign_matches_serial(spec, mission_a, narrow_config):
     serial = run_campaign(tests, mission_a, narrow_config, parallelism=1)
     parallel = run_campaign(tests, mission_a, narrow_config, parallelism=4)
     assert serial == parallel
+
+
+def test_results_do_not_depend_on_the_memo_order(spec, mission_a, narrow_config):
+    tests = generate(spec, GeneratorConfig(repetitions_per_combination=2, master_seed=4))
+    fresh = {t.test_id: Executor(mission_a, narrow_config).execute(t) for t in tests}
+    shared = Executor(mission_a, narrow_config)
+    forward = [shared.execute(t) for t in tests]
+    entries = len(shared.cruise_runs)
+    backward = [shared.execute(t) for t in reversed(tests)]
+    # the reversed pass replays every cruise run the forward pass stored
+    assert entries and len(shared.cruise_runs) == entries
+    for profile in forward + backward:
+        assert profile == fresh[profile.test_id]

@@ -418,6 +418,15 @@ def test_smaller_rerun_keeps_only_its_own_results(campaign_copy, capsys):
     assert (campaign_copy / "report.txt").read_bytes() == report
 
 
+def test_rerun_removes_temp_files_a_killed_writer_left(campaign_copy):
+    stray = [campaign_copy / ".t00001.json.4242.tmp", campaign_copy / ".report.txt.4242.tmp"]
+    for path in stray:
+        path.write_text("half written")
+    assert cli.main(CAMPAIGN_ARGS + ["--out", str(campaign_copy)]) == 0
+    assert not [p for p in stray if p.exists()]
+    assert not list(campaign_copy.glob(".*.tmp"))
+
+
 def test_run_refuses_a_directory_that_is_not_a_campaign(tmp_path, capsys):
     out = tmp_path / "elsewhere"
     out.mkdir()

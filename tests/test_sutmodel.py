@@ -29,7 +29,7 @@ from conftest import MISSION_A_RAW, MISSION_C_RAW
 from reference import grid_advance_until
 
 
-def make_vehicle(config=None, env=None, mission=MISSION_A_RAW, seed=1):
+def make_vehicle(config=None, env=None, mission=MISSION_A_RAW, seed=1, cruise_runs=None):
     return Vehicle(
         waypoints=tuple(tuple(w) for w in mission["waypoints"]),
         cruise_speed=mission["cruise_speed"],
@@ -41,6 +41,7 @@ def make_vehicle(config=None, env=None, mission=MISSION_A_RAW, seed=1):
         config=config or SutConfig(),
         env=env or {},
         rng=Random(seed),
+        cruise_runs=cruise_runs,
     )
 
 
@@ -599,27 +600,35 @@ flight_steps = st.lists(
 )
 
 
-def fly_pair(config, env, mission, seed, chunk, steps):
-    """Fly a vehicle with advance_until and its twin with the grid loop,
-    comparing the two after every advance call."""
-    fast = make_vehicle(config=config, env=env, mission=mission, seed=seed)
+def fly_pair(config, env, mission, seed, chunk, steps, cruise_runs=None):
+    """Fly a vehicle with drive and advance_until and its twin with the grid
+    loop, comparing the two whenever the fast vehicle returns.
+
+    An "until" step and the final leg are one drive(chunk, stop_state) call;
+    the twin takes them chunk by chunk, each next stop at its clock plus
+    chunk.
+    """
+    fast = make_vehicle(config=config, env=env, mission=mission, seed=seed,
+                        cruise_runs=cruise_runs)
     grid = make_vehicle(config=config, env=env, mission=mission, seed=seed)
 
-    def advance(t_target, stop_state=None):
-        fast.advance_until(t_target, stop_state)
-        grid_advance_until(grid, t_target, stop_state)
+    def drive(stop_state=None):
+        fast.drive(chunk, stop_state)
+        while not grid.finished and grid.app is not stop_state:
+            grid_advance_until(grid, grid.t + chunk, stop_state)
         assert observables(fast) == observables(grid)
 
     for kind, arg in steps:
         if kind == "until":
-            while not fast.finished and fast.app is not arg:
-                advance(fast.t + chunk, arg)
+            drive(arg)
         elif kind == "wait":
-            advance(fast.t + arg)
+            fast.advance_until(fast.t + arg)
+            grid_advance_until(grid, grid.t + arg, None)
+            assert observables(fast) == observables(grid)
         elif kind == "rc" and fast.app not in (AppState.PRE_ARM, AppState.DONE):
             assert fast.apply_rc(arg) == grid.apply_rc(arg)
-    while not fast.finished:
-        advance(fast.t + chunk)
+    drive()
+    assert fast.finished
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -645,7 +654,8 @@ def test_advance_until_matches_the_grid_loop(
     mission, env, faults, window, degrade_level, chunk, steps, seed
 ):
     """Same hops, floats, events and RNG draws as a loop that runs every
-    handler on every 10 ms tick, through waits, stops and injections."""
+    handler on every 10 ms tick, through drives, waits, stops and
+    injections."""
     config = SutConfig(
         latency_window_ms=window,
         gps_degrade_level=degrade_level,
@@ -693,4 +703,10 @@ RUN_CASES = {
 @pytest.mark.parametrize("case", list(RUN_CASES))
 def test_runs_match_the_grid_loop(case, chunk):
     mission, window, env, steps = RUN_CASES[case]
-    fly_pair(SutConfig(latency_window_ms=window), env, mission, 7, chunk, steps)
+    config = SutConfig(latency_window_ms=window)
+    memo = {}
+    fly_pair(config, env, mission, 7, chunk, steps, memo)
+    filled = dict(memo)
+    # the sibling flight replays every cruise run from the shared memo
+    fly_pair(config, env, mission, 7, chunk, steps, memo)
+    assert memo == filled
