@@ -18,13 +18,15 @@ source trees can be checked for equal output.
 
 ``simulator`` flies, in this process, every flight that the README quick
 start (``run --spec fspec1 --mission mission_a --fault F2 --latency-window
-200 600 --repetitions 20 --seed 0``) stores: its 900 main tests and 540
-focused ones. It reports flights per second and simulated seconds per host
-second over the median of ``--repeats`` passes, at least 3, and a digest of
-the execution profiles. With ``--parent`` and ``--change`` it flies that
-flight set with each checkout's ``src`` instead, in cold single passes: each
-pass is a fresh subprocess with a new ``Executor``, so any per-executor memo
-starts empty. The sides alternate which runs first; the section records each
+200 600 --repetitions 20 --seed 0``) stores: its 900 main tests and its
+focused ones, each stored sweep once (180 since representatives with one
+sweep key share a sweep; 540 before). It reports flights per second and
+simulated seconds per host second over the median of ``--repeats`` passes,
+at least 3, and a digest of the execution profiles. With ``--parent`` and
+``--change`` the parent's CLI stores the quick start, and both checkouts'
+``src`` fly that one flight set (1,440 flights from a parent that stores a
+sweep per representative), in cold single passes: each pass is a fresh
+subprocess with a new ``Executor``, so any per-executor memo starts empty. The sides alternate which runs first; the section records each
 side's passes, median and quartiles, the pairs the change won, the profile
 digests, and from one more pass per side, with ``Vehicle._coast`` wrapped in
 the subprocess, the ``_coast`` calls per flight and the entries of the
@@ -88,6 +90,16 @@ def machine() -> dict:
 def quartiles(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def flight_set(campaign) -> list:
+    """A loaded campaign's main tests, then each stored sweep's tests.
+
+    Checkouts from before sweeps were keyed hold one sweep per
+    representative, in ``focused_tests``.
+    """
+    sweeps = campaign.sweeps if hasattr(campaign, "sweeps") else campaign.focused_tests
+    return campaign.tests + [t for ts in sweeps.values() for t in ts]
 
 
 def import_from(src: str, module: str):
@@ -173,7 +185,7 @@ def cmd_simulator(args) -> dict:
             if cli.main([*F2_QUICKSTART, "--out", work]) != 0:
                 raise SystemExit("the quick-start run failed")
         campaign = load_campaign(Path(work))
-    tests = campaign.tests + [t for ts in campaign.focused_tests.values() for t in ts]
+    tests = flight_set(campaign)
     walls = []
     for _ in range(args.repeats):
         executor = Executor(campaign.mission, campaign.config)
@@ -199,7 +211,8 @@ def cmd_simulator(args) -> dict:
 
 
 def cmd_simulator_ab(args) -> dict:
-    cli = import_from(str(Path(args.change) / "src"), "statefuzz.cli")
+    # the parent stores the flight set, so both sides can load it
+    cli = import_from(str(Path(args.parent) / "src"), "statefuzz.cli")
     with tempfile.TemporaryDirectory() as work:
         with contextlib.redirect_stdout(io.StringIO()):
             if cli.main([*F2_QUICKSTART, "--out", work]) != 0:
@@ -253,7 +266,7 @@ def cmd_simulator_pass(args) -> int:
     from statefuzz.storage import canonical_dumps, load_campaign
 
     campaign = load_campaign(Path(args.campaign))
-    tests = campaign.tests + [t for ts in campaign.focused_tests.values() for t in ts]
+    tests = flight_set(campaign)
     coast_calls = 0
     if args.count:
         coast = sutmodel.Vehicle._coast

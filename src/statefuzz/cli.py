@@ -77,6 +77,7 @@ from .testgen import (
     GeneratorConfig,
     TestCase,
     generate,
+    sweep_tag,
 )
 
 
@@ -148,22 +149,28 @@ def _focus_representative(
     check_soundness: bool,
     cut_groups: dict,
     soundness_docs: list,
-) -> list:
-    """Run one representative's focused sweep; returns its (test, profile,
-    verdict) triples.
+    results: dict,
+) -> list[TestCase]:
+    """Run one representative's focused sweep; returns the sweep's tests.
 
-    The table's cut sets go into cut_groups under the representative's id
-    and their soundness checks onto soundness_docs. A sweep without a valid
-    run removes the representative's table and tree from an earlier focus.
+    results maps the id of every focused test this command flew to its
+    (profile, verdict). Only tests missing from it are flown, judged and
+    saved, so a sweep whose key an earlier representative shares costs no
+    flight. The table's cut sets go into cut_groups under the
+    representative's id and their soundness checks onto soundness_docs. A
+    sweep without a valid run removes the representative's table and tree
+    from an earlier focus.
     """
     triples: list = []
 
     def runner(tests: list[TestCase]):
-        profiles = run_campaign(tests, mission, config, parallelism=parallelism)
-        for test, profile in zip(tests, profiles):
+        new = [t for t in tests if t.test_id not in results]
+        profiles = run_campaign(new, mission, config, parallelism=parallelism)
+        for test, profile in zip(new, profiles):
             verdict = classify(test, profile, tree)
             save_result(root, test, profile, verdict)
-            triples.append((test, profile, verdict))
+            results[test.test_id] = (profile, verdict)
+        triples.extend((t, *results[t.test_id]) for t in tests)
         return triples
 
     try:
@@ -173,7 +180,7 @@ def _focus_representative(
         for kind in ("truthtables", "faulttrees"):
             for stale in root.glob(f"{kind}/{base.test_id}.*"):
                 stale.unlink()
-        return triples
+        return [t for t, _p, _v in triples]
 
     save_truth_table(root, base.test_id, table.to_dict())
     cut_sets = cut_sets_for_table(table, source=f"truthtable:{base.test_id}")
@@ -190,7 +197,7 @@ def _focus_representative(
             soundness_docs.append(result.to_dict())
             status = "sound" if result.sound else "NOT SOUND"
             print(f"    soundness: {status} {list(result.verdicts)}")
-    return triples
+    return [t for t, _p, _v in triples]
 
 
 def _representative_ids(representatives: list[dict]) -> list[str]:
@@ -340,7 +347,9 @@ def cmd_run(args) -> int:
     print(f"executed {len(tests)} tests: {summary}")
 
     reps_meta: list[dict] = []
-    focused: dict[str, list[TestCase]] = {}
+    focused: dict[str, str] = {}
+    sweeps: dict[str, list[TestCase]] = {}
+    results: dict = {}
     cut_groups: dict = {}
     soundness_docs: list = []
     analysis_result = None
@@ -361,17 +370,18 @@ def cmd_run(args) -> int:
             base = tests_by_id[rep_id]
             print(f"focused re-fuzz around {rep_id} "
                   f"(state {base.app_state.value}, axes {', '.join(axes)})")
-            triples = _focus_representative(
+            tag = sweep_tag(base, axes, args.runs_per_cell, seed)
+            sweeps[tag] = _focus_representative(
                 root, base, axes, args.runs_per_cell, spec, mission, config,
                 tree, seed, args.parallelism, args.soundness,
-                cut_groups, soundness_docs,
+                cut_groups, soundness_docs, results,
             )
-            focused[rep_id] = [t for t, _p, _v in triples]
-            stored.update((t.test_id, v.verdict) for t, _p, v in triples)
+            focused[rep_id] = tag
+        stored.update((test_id, v.verdict) for test_id, (_p, v) in results.items())
         _save_focus_results(root, list(focused), rep_ids, cut_groups, soundness_docs)
 
     wall = time.monotonic() - t0
-    save_tests(root, tests, focused)
+    save_tests(root, tests, focused, sweeps)
     save_coverage(root, coverage.to_dict())
     save_campaign_meta(
         root, spec, mission, config, gen_config, args.oracle,
@@ -433,7 +443,9 @@ def cmd_focus(args) -> int:
     axes = args.axes.split(",") if args.axes else _default_axes(campaign.spec)
     tree = parse_tree(campaign.oracle_tree_raw)
     seed = args.seed if args.seed is not None else campaign.master_seed
-    focused = dict(campaign.focused_tests)
+    focused = dict(campaign.focused)
+    sweeps = dict(campaign.sweeps)
+    results: dict = {}
     cut_groups: dict = {}
     soundness_docs: list = []
     for rep_id in rep_ids:
@@ -442,14 +454,15 @@ def cmd_focus(args) -> int:
             raise UnknownTestId(f"campaign has no test {rep_id!r}")
         print(f"focused re-fuzz around {rep_id} "
               f"(state {base.app_state.value}, axes {', '.join(axes)})")
-        triples = _focus_representative(
+        tag = sweep_tag(base, axes, args.runs_per_cell, seed)
+        sweeps[tag] = _focus_representative(
             root, base, axes, args.runs_per_cell, campaign.spec, campaign.mission,
             campaign.config, tree, seed, args.parallelism, args.soundness,
-            cut_groups, soundness_docs,
+            cut_groups, soundness_docs, results,
         )
-        focused[rep_id] = [t for t, _p, _v in triples]
+        focused[rep_id] = tag
     _save_focus_results(root, list(focused), rep_ids, cut_groups, soundness_docs)
-    save_tests(root, campaign.tests, focused)
+    save_tests(root, campaign.tests, focused, sweeps)
     print(f"fault trees written for: {', '.join(rep_ids)} (+combined)")
     return 0
 

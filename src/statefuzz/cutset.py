@@ -188,7 +188,11 @@ def build_truth_table(
     """Focused re-fuzz around a representative, aggregated into a table.
 
     The runner executes and classifies the generated tests (and may store
-    them); build_truth_table only shapes its output.
+    them); build_truth_table only shapes its output. The tests are those of
+    the representative's sweep key (see testgen.sweep_tag), so
+    representatives with one key hand the runner the same tests, ids
+    included, and a runner may answer a repeated sweep from the results it
+    already has.
     """
     ordered = [a for a in FOCUS_AXES if a in axes]
     tests = focused_generate(representative, ordered, runs_per_cell, spec, master_seed)

@@ -4,7 +4,9 @@ Layout of a campaign directory:
 
     campaign.json            run metadata (the only file with wall-clock data)
     coverage.json            mission coverage check
-    tests.json               every generated test, main and focused
+    tests.json               every generated test: "main" lists the main
+                             tests, "sweeps" the tests of each focus sweep
+                             by its tag, "focused" each representative's tag
     <test-id>.json           one file per executed test: test + profile + verdict
     analysis.json            clustering output
     truthtables/<key>.json   one table per representative, plus .csv
@@ -21,6 +23,13 @@ process leaves the old version or the new one, never a truncated file.
 Everything needed to regenerate a test deterministically (spec, mission,
 config, generator settings, oracle tree, master seed) is embedded in
 campaign.json, so a replay works even after its result file was deleted.
+
+A focus sweep is named by the tag of its key (see testgen.sweep_tag), and
+its tests are f-<tag>-NNNN. Representatives with one key share one sweep,
+stored once in tests.json and flown once. A campaign stored before sweeps
+were keyed maps each representative to its own list of f-<id>-NNNN tests;
+load_campaign reads that list as a sweep tagged with the representative's
+id.
 """
 
 from __future__ import annotations
@@ -84,7 +93,10 @@ class Campaign:
     oracle_tree_raw: dict
     master_seed: int
     tests: list[TestCase] = field(default_factory=list)
-    focused_tests: dict[str, list[TestCase]] = field(default_factory=dict)
+    #: representative id -> the tag of its focus sweep
+    focused: dict[str, str] = field(default_factory=dict)
+    #: sweep tag -> the sweep's tests, in order
+    sweeps: dict[str, list[TestCase]] = field(default_factory=dict)
     profiles: dict[str, ExecutionProfile] = field(default_factory=dict)
     verdicts: dict[str, Verdict] = field(default_factory=dict)
 
@@ -100,7 +112,7 @@ class Campaign:
         for t in self.tests:
             if t.test_id == test_id:
                 return t
-        for ts in self.focused_tests.values():
+        for ts in self.sweeps.values():
             for t in ts:
                 if t.test_id == test_id:
                     return t
@@ -148,14 +160,31 @@ def save_coverage(root: Path, coverage_dict: dict) -> None:
     write_json(root / "coverage.json", coverage_dict)
 
 
-def save_tests(root: Path, main: list[TestCase], focused: dict[str, list[TestCase]]) -> None:
+def save_tests(
+    root: Path,
+    main: list[TestCase],
+    focused: dict[str, str],
+    sweeps: dict[str, list[TestCase]],
+) -> None:
+    """Write tests.json, then delete every focused result file it does not
+    list: those of the sweeps no representative refers to any more.
+
+    focused maps each representative to its sweep's tag; only the sweeps
+    it names are written.
+    """
+    kept = {tag: sweeps[tag] for tag in focused.values()}
     write_json(
         root / "tests.json",
         {
             "main": [t.to_dict() for t in main],
-            "focused": {key: [t.to_dict() for t in ts] for key, ts in focused.items()},
+            "focused": focused,
+            "sweeps": {tag: [t.to_dict() for t in ts] for tag, ts in kept.items()},
         },
     )
+    listed = {t.test_id for ts in kept.values() for t in ts}
+    for path in root.glob("f-*.json"):
+        if path.stem not in listed:
+            path.unlink()
 
 
 def save_result(root: Path, test: TestCase, profile: ExecutionProfile, verdict: Verdict) -> None:
@@ -233,16 +262,22 @@ def load_campaign(root: Path) -> Campaign:
     if tests_path.exists():
         tests_doc = read_json(tests_path)
         campaign.tests = [TestCase.from_dict(t) for t in tests_doc["main"]]
-        campaign.focused_tests = {
-            key: [TestCase.from_dict(t) for t in ts]
-            for key, ts in tests_doc.get("focused", {}).items()
+        sweeps = dict(tests_doc.get("sweeps", {}))
+        for rep_id, entry in tests_doc.get("focused", {}).items():
+            if isinstance(entry, list):
+                # stored before sweeps were keyed: the representative's own tests
+                sweeps[rep_id] = entry
+                entry = rep_id
+            campaign.focused[rep_id] = entry
+        campaign.sweeps = {
+            tag: [TestCase.from_dict(t) for t in ts] for tag, ts in sweeps.items()
         }
     else:
         # the manifest carries everything generation needs, so a deleted
         # tests.json is recoverable
         campaign.tests = generate(campaign.spec, generator)
     every = list(campaign.tests)
-    for ts in campaign.focused_tests.values():
+    for ts in campaign.sweeps.values():
         every.extend(ts)
     for test in every:
         path = root / f"{test.test_id}.json"

@@ -9,7 +9,8 @@ time so a stored test replays byte-for-byte.
 
 Focused generation re-sweeps chosen axes around one base test (where a
 failure cluster pointed), holding everything else at the base's values, to
-populate a truth table.
+populate a truth table. A sweep is named and seeded by its key, the inputs
+that decide its tests, so two bases with one key get the same tests.
 """
 
 from __future__ import annotations
@@ -238,6 +239,39 @@ def generate(spec: FuzzSpecification, config: GeneratorConfig | None = None) -> 
     return cases
 
 
+def sweep_tag(
+    base: TestCase,
+    axes: list[str],
+    runs_per_cell: int,
+    master_seed: int = 0,
+) -> str:
+    """Eight hex digits naming the focus sweep around ``base``.
+
+    They are derived from the sweep's key: the base's spec, mission, scope
+    state, target mode and ``recurring`` flag, the swept axes in
+    ``FOCUS_AXES`` order, the base's value on every unswept axis,
+    ``runs_per_cell`` and the master seed. Nothing else of the base (its id,
+    seed, delay or repetition) goes in.
+    """
+    held = [
+        (base.band_name, base.band_min_ms, base.band_max_ms) if axis == "delay_band"
+        else getattr(base, axis)
+        for axis in FOCUS_AXES
+        if axis not in axes
+    ]
+    key = (
+        base.spec_id,
+        base.mission_id,
+        base.app_state.value,
+        base.target_mode.value,
+        base.recurring,
+        [a for a in FOCUS_AXES if a in axes],
+        held,
+        runs_per_cell,
+    )
+    return f"{derive_seed(master_seed, 'sweep', key):016x}"[:8]
+
+
 def focused_generate(
     base: TestCase,
     axes: list[str],
@@ -250,6 +284,11 @@ def focused_generate(
     Dimensions not named in ``axes`` stay at the base test's values; listed
     axes run over their full spec ranges. Every run re-samples its delay
     inside its cell's band, so even axes=[] replays draw fresh timing.
+
+    Test i (``cell * runs_per_cell + repetition``) is ``f-<tag>-<i:04d>``,
+    where ``tag`` is :func:`sweep_tag`; its seed and delay seed come from the
+    tag and i too. So the tests depend on the sweep's key alone, and two
+    bases with one key get the same tests.
     """
     bad = [a for a in axes if a not in FOCUS_AXES]
     if bad:
@@ -273,6 +312,7 @@ def focused_generate(
         else list(env.compass_interference),
     }
 
+    tag = sweep_tag(base, axes, runs_per_cell, master_seed)
     cases: list[TestCase] = []
     index = 0
     target = StateTarget(base.app_state, base.recurring)
@@ -282,13 +322,13 @@ def focused_generate(
             base.target_mode, target, action, band, throttle, geofence, wind, gps_noise, compass
         )
         for rep in range(runs_per_cell):
-            seed = derive_seed(master_seed, "focus", base.test_id, index)
+            seed = derive_seed(master_seed, "focus", tag, index)
             delay = _sample_delay(
-                band, Random(derive_seed(master_seed, "focus", base.test_id, index, "delay"))
+                band, Random(derive_seed(master_seed, "focus", tag, index, "delay"))
             )
             cases.append(
                 _build_case(
-                    f"f-{base.test_id}-{index:04d}",
+                    f"f-{tag}-{index:04d}",
                     index,
                     base.spec_id,
                     base.mission_id,

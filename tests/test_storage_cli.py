@@ -7,6 +7,7 @@ import shutil
 import pytest
 
 from statefuzz import cli
+from statefuzz.executor import Executor
 from statefuzz.storage import (
     canonical_dumps,
     load_campaign,
@@ -171,14 +172,14 @@ def test_tests_manifest_lists_main_and_focused(campaign_dir):
     doc = read_json(campaign_dir / "tests.json")
     assert [t["id"] for t in doc["main"]] == [f"t{i:05d}" for i in range(90)]
     assert doc["focused"]
-    for rep_id, focused in doc["focused"].items():
-        assert all(t["id"].startswith(f"f-{rep_id}-") for t in focused)
+    for tag in doc["focused"].values():
+        assert all(t["id"].startswith(f"f-{tag}-") for t in doc["sweeps"][tag])
 
 
 def test_every_executed_test_has_a_result_file(campaign_dir):
     doc = read_json(campaign_dir / "tests.json")
     ids = [t["id"] for t in doc["main"]]
-    ids += [t["id"] for ts in doc["focused"].values() for t in ts]
+    ids += [t["id"] for ts in doc["sweeps"].values() for t in ts]
     for test_id in ids:
         record = read_json(campaign_dir / f"{test_id}.json")
         assert set(record) == {"test", "profile", "verdict"}
@@ -247,8 +248,8 @@ def test_load_campaign_round_trip(campaign_dir):
         assert profile.test_id == test.test_id
         assert verdict.verdict in ("SUCCESS", "FAILURE", "INVALID")
     # focused tests resolve through find_test too
-    rep_id = next(iter(campaign.focused_tests))
-    focused_id = campaign.focused_tests[rep_id][0].test_id
+    tag = next(iter(campaign.focused.values()))
+    focused_id = campaign.sweeps[tag][0].test_id
     assert campaign.find_test(focused_id).test_id == focused_id
 
 
@@ -281,6 +282,42 @@ def test_campaign_stored_with_the_retired_config_keys_loads_and_replays(campaign
     assert config == SutConfig(latency_window_ms=(200.0, 600.0), seeded_faults=("F2",))
     assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", "t00000"]) == 0
     assert capsys.readouterr().out.startswith("replay OK: t00000 ->")
+
+
+def to_unkeyed_layout(root):
+    """Rewrite root the way campaigns were stored before sweeps were keyed:
+    tests.json maps each representative to its own list of tests, whose ids
+    are f-<representative>-NNNN."""
+    doc = read_json(root / "tests.json")
+    focused = {}
+    for rep_id, tag in doc["focused"].items():
+        focused[rep_id] = []
+        for test in doc["sweeps"][tag]:
+            record = read_json(root / f"{test['id']}.json")
+            test = dict(test, id=f"f-{rep_id}-{test['index']:04d}")
+            record["test"] = test
+            record["profile"]["test_id"] = test["id"]
+            write_json(root / f"{test['id']}.json", record)
+            focused[rep_id].append(test)
+    for ts in doc["sweeps"].values():
+        for test in ts:
+            (root / f"{test['id']}.json").unlink()
+    write_json(root / "tests.json", {"main": doc["main"], "focused": focused})
+    return focused
+
+
+def test_campaign_stored_before_sweeps_were_keyed_loads_reports_and_replays(
+    campaign_copy, capsys
+):
+    focused = to_unkeyed_layout(campaign_copy)
+    campaign = load_campaign(campaign_copy)
+    assert len(campaign.profiles) == 90 + sum(len(ts) for ts in focused.values())
+    rep_id = next(iter(focused))
+    focused_id = f"f-{rep_id}-0000"
+    assert campaign.find_test(focused_id).test_id == focused_id
+    assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
+    assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", focused_id]) == 0
+    assert f"replay OK: {focused_id} ->" in capsys.readouterr().out
 
 
 def test_replay_detects_a_corrupted_profile(campaign_copy, capsys):
@@ -392,6 +429,68 @@ def test_focus_flies_a_repeated_test_id_once(campaign_dir, campaign_copy, capsys
     assert (campaign_copy / path).read_bytes() == (campaign_dir / path).read_bytes()
 
 
+#: two representatives (t00006, t00008) with one sweep key
+SHARED_KEY_ARGS = [
+    "run",
+    "--spec", "fspec1",
+    "--mission", "mission_a",
+    "--fault", "F2",
+    "--latency-window", "200", "600",
+    "--repetitions", "2",
+    "--runs-per-cell", "2",
+    "--no-soundness",
+    "--seed", "1",
+]
+
+
+def focused_ids(root):
+    doc = read_json(root / "tests.json")
+    return {t["id"] for ts in doc["sweeps"].values() for t in ts}
+
+
+def test_representatives_with_one_sweep_key_fly_it_once(tmp_path, monkeypatch, capsys):
+    flown = []
+    execute = Executor.execute
+
+    def counted(self, test):
+        flown.append(test.test_id)
+        return execute(self, test)
+
+    monkeypatch.setattr(Executor, "execute", counted)
+    root = tmp_path / "campaign"
+    assert cli.main(SHARED_KEY_ARGS + ["--out", str(root)]) == 0
+    focused = read_json(root / "tests.json")["focused"]
+    assert len(focused) == 2 and len(set(focused.values())) == 1
+    # unique keys x 9 cells (3 actions x 3 bands) x 2 runs per cell
+    focus_flights = [i for i in flown if i.startswith("f-")]
+    assert len(focus_flights) == len(set(focused.values())) * 9 * 2
+    assert len(list(root.glob("f-*.json"))) == len(focus_flights)
+    for rep_id in focused:
+        for kind in ("truthtables", "faulttrees"):
+            assert (root / kind / f"{rep_id}.json").exists()
+    assert cut_set_sources(root) == {f"truthtable:{rep_id}" for rep_id in focused}
+    # runs per cell and the seed are part of the key
+    ids = focused_ids(root)
+    for other in (["--runs-per-cell", "3"], ["--runs-per-cell", "2", "--seed", "2"]):
+        args = ["focus", "--campaign", str(root), "--no-soundness", *other]
+        assert cli.main(args) == 0
+        assert not focused_ids(root) & ids
+
+
+def test_refocus_leaves_no_result_file_outside_tests_json(tmp_path, capsys):
+    root = tmp_path / "campaign"
+    args = [
+        "run", "--spec", "fspec1", "--mission", "mission_a", "--fault", "F2",
+        "--latency-window", "200", "600", "--repetitions", "1",
+        "--runs-per-cell", "2", "--seed", "3", "--out", str(root),
+    ]
+    assert cli.main(args) == 0
+    args = ["focus", "--campaign", str(root), "--runs-per-cell", "1", "--axes", "action"]
+    assert cli.main(args) == 0
+    campaign = load_campaign(root)
+    assert [p.name for p in root.glob("f-*.json") if campaign.find_test(p.stem) is None] == []
+
+
 def test_rerun_into_a_campaign_clears_the_earlier_artifacts(campaign_copy, capsys):
     assert (campaign_copy / "truthtables").is_dir()
     args = [a for a in CAMPAIGN_ARGS if a not in ("--fault", "F2")]
@@ -409,7 +508,7 @@ def test_smaller_rerun_keeps_only_its_own_results(campaign_copy, capsys):
     assert cli.main(args + ["--out", str(campaign_copy)]) == 0
     tests_doc = read_json(campaign_copy / "tests.json")
     ids = {t["id"] for t in tests_doc["main"]}
-    ids.update(t["id"] for ts in tests_doc["focused"].values() for t in ts)
+    ids.update(t["id"] for ts in tests_doc["sweeps"].values() for t in ts)
     named = {"campaign", "coverage", "tests", "analysis", "soundness"}
     assert {p.stem for p in campaign_copy.glob("*.json")} - named == ids
     # the report run renders from memory equals one rendered from the files

@@ -12,6 +12,7 @@ from statefuzz.testgen import (
     enumerate_combinations,
     focused_generate,
     generate,
+    sweep_tag,
 )
 
 from conftest import small_spec_raw
@@ -136,9 +137,10 @@ def test_test_case_round_trips_through_dict(spec):
 def test_focused_generate_sweeps_only_named_axes(spec):
     base = generate(spec, GeneratorConfig(repetitions_per_combination=1, master_seed=0))[0]
     cases = focused_generate(base, ["action", "delay_band"], 20, spec)
+    tag = sweep_tag(base, ["action", "delay_band"], 20)
     assert len(cases) == 180  # 3 actions x 3 bands x 20
-    assert all(c.test_id.startswith("f-t00000-") for c in cases)
-    assert cases[-1].test_id == "f-t00000-0179"
+    assert all(c.test_id.startswith(f"f-{tag}-") for c in cases)
+    assert cases[-1].test_id == f"f-{tag}-0179"
     assert {c.app_state for c in cases} == {base.app_state}
     assert {c.target_mode for c in cases} == {base.target_mode}
     assert {c.throttle for c in cases} == {base.throttle}
@@ -146,7 +148,7 @@ def test_focused_generate_sweeps_only_named_axes(spec):
     assert {c.band_name for c in cases} == {"short", "medium", "long"}
     for c in cases:
         assert c.band_min_ms <= c.delay_ms < c.band_max_ms
-    assert cases[0].seed == derive_seed(0, "focus", "t00000", 0)
+    assert cases[0].seed == derive_seed(0, "focus", tag, 0)
 
 
 def test_focused_generate_with_no_axes_resamples_delay(spec):
