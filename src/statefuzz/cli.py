@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 
 from . import analysis as analysis_mod
 from .cutset import (
+    CutSet,
     TruthTable,
     build_fault_tree,
     build_truth_table,
@@ -135,9 +136,18 @@ def _dominant_reason(triples) -> str:
     return sorted(reasons.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
 
 
-def _focus_representative(
+def _conjunction(cut_set: CutSet) -> str:
+    return " AND ".join(f"{a}={v}" for a, v in cut_set.literals)
+
+
+def _representative_ids(representatives: list[dict]) -> list[str]:
+    """Cluster exemplars (closest to each centroid), deduplicated in order."""
+    return list(dict.fromkeys(rep["closest"] for rep in representatives))
+
+
+def _focus(
     root: Path,
-    base: TestCase,
+    bases: Sequence[TestCase],
     axes: Sequence[str],
     runs_per_cell: int,
     spec: FuzzSpecification,
@@ -147,106 +157,92 @@ def _focus_representative(
     seed: int,
     parallelism: int,
     check_soundness: bool,
-    cut_groups: dict,
-    soundness_docs: list,
-    results: dict,
-) -> list[TestCase]:
-    """Run one representative's focused sweep; returns the sweep's tests.
+    focused: dict[str, str],
+    sweeps: dict[str, list[TestCase]],
+) -> tuple[dict, list[str]]:
+    """The focus stage of `run` and `focus`.
 
-    results maps the id of every focused test this command flew to its
-    (profile, verdict). Only tests missing from it are flown, judged and
-    saved, so a sweep whose key an earlier representative shares costs no
-    flight. The table's cut sets go into cut_groups under the
-    representative's id and their soundness checks onto soundness_docs. A
-    sweep without a valid run removes the representative's table and tree
-    from an earlier focus.
+    Re-fuzzes each base into its truth table and fault tree, recording its
+    sweep tag in focused and the sweep's tests in sweeps. The bases share
+    one map of each focused test's id to its (profile, verdict), so a sweep
+    whose key an earlier base shares costs no flight. A base whose sweep
+    has no valid run gets no table, and loses one from an earlier focus.
+
+    Then rebuilds the combined tree from every stored table (in the order
+    of focused, then by name), and soundness.json with one check per
+    combined cut set, in the tree's order and with its sources. A stored
+    check of a cut set with the same literals is kept, not flown again;
+    any other cut set is checked only when check_soundness is on. Returns
+    the results map and the ids of the bases that got a table.
     """
-    triples: list = []
+    results: dict = {}
+    cut_groups: dict[str, list[CutSet]] = {}
+    for base in bases:
+        print(f"focused re-fuzz around {base.test_id} "
+              f"(state {base.app_state.value}, axes {', '.join(axes)})")
+        triples: list = []
 
-    def runner(tests: list[TestCase]):
-        new = [t for t in tests if t.test_id not in results]
-        profiles = run_campaign(new, mission, config, parallelism=parallelism)
-        for test, profile in zip(new, profiles):
-            verdict = classify(test, profile, tree)
-            save_result(root, test, profile, verdict)
-            results[test.test_id] = (profile, verdict)
-        triples.extend((t, *results[t.test_id]) for t in tests)
-        return triples
+        def runner(tests: list[TestCase]):
+            new = [t for t in tests if t.test_id not in results]
+            profiles = run_campaign(new, mission, config, parallelism=parallelism)
+            for test, profile in zip(new, profiles):
+                verdict = classify(test, profile, tree)
+                save_result(root, test, profile, verdict)
+                results[test.test_id] = (profile, verdict)
+            triples.extend((t, *results[t.test_id]) for t in tests)
+            return triples
 
-    try:
-        table = build_truth_table(base, axes, runs_per_cell, runner, spec, master_seed=seed)
-    except InvalidOnly as exc:
-        print(f"  {base.test_id}: {exc}", file=sys.stderr)
-        for kind in ("truthtables", "faulttrees"):
-            for stale in root.glob(f"{kind}/{base.test_id}.*"):
-                stale.unlink()
-        return [t for t, _p, _v in triples]
-
-    save_truth_table(root, base.test_id, table.to_dict())
-    cut_sets = cut_sets_for_table(table, source=f"truthtable:{base.test_id}")
-    cut_groups[base.test_id] = cut_sets
-    hazard = f"{_dominant_reason(triples)} in {table.scope}"
-    fault_tree = build_fault_tree(hazard, cut_sets)
-    save_fault_tree(root, base.test_id, fault_tree.to_dict(), fault_tree.to_dot())
-    for cs in cut_sets:
-        lits = " AND ".join(f"{a}={v}" for a, v in cs.literals)
-        print(f"  cut set: {{ {lits} }}")
-    if check_soundness:
+        table = None
+        try:
+            table = build_truth_table(base, axes, runs_per_cell, runner, spec, master_seed=seed)
+        except InvalidOnly as exc:
+            print(f"  {base.test_id}: {exc}", file=sys.stderr)
+            for kind in ("truthtables", "faulttrees"):
+                for stale in root.glob(f"{kind}/{base.test_id}.*"):
+                    stale.unlink()
+        tag = sweep_tag(base, axes, runs_per_cell, seed)
+        sweeps[tag] = [t for t, _p, _v in triples]
+        focused[base.test_id] = tag
+        if table is None:
+            continue
+        save_truth_table(root, base.test_id, table.to_dict())
+        cut_sets = cut_sets_for_table(table, source=f"truthtable:{base.test_id}")
+        cut_groups[base.test_id] = cut_sets
+        fault_tree = build_fault_tree(f"{_dominant_reason(triples)} in {table.scope}", cut_sets)
+        save_fault_tree(root, base.test_id, fault_tree.to_dict(), fault_tree.to_dot())
         for cs in cut_sets:
-            result = soundness_check(cs, spec, mission, config, tree, master_seed=seed)
-            soundness_docs.append(result.to_dict())
-            status = "sound" if result.sound else "NOT SOUND"
-            print(f"    soundness: {status} {list(result.verdicts)}")
-    return [t for t, _p, _v in triples]
+            print(f"  cut set: {{ {_conjunction(cs)} }}")
+    tabled = list(cut_groups)
 
-
-def _representative_ids(representatives: list[dict]) -> list[str]:
-    """Cluster exemplars (closest to each centroid), deduplicated in order."""
-    return list(dict.fromkeys(rep["closest"] for rep in representatives))
-
-
-def _save_focus_results(
-    root: Path,
-    order: Sequence[str],
-    rep_ids: Sequence[str],
-    cut_groups: dict,
-    soundness_docs: list,
-) -> None:
-    """Rebuild the combined tree and soundness.json from every stored table.
-
-    rep_ids were focused by this call: cut_groups holds the cut sets of
-    those that produced a table, soundness_docs their checks. Every other
-    stored table is read back and keeps its stored soundness entries.
-    Tables follow the focused order of tests.json, then their names.
-    """
     stored = sorted(p.stem for p in root.glob("truthtables/*.json"))
-    keys = [k for k in order if k in stored] + [k for k in stored if k not in order]
     groups = []
-    for key in keys:
-        if key in cut_groups:
-            groups.append(cut_groups[key])
-        else:
+    for key in [k for k in focused if k in stored] + [k for k in stored if k not in focused]:
+        if key not in cut_groups:
             table = TruthTable.from_dict(read_json(root / "truthtables" / f"{key}.json"))
-            groups.append(cut_sets_for_table(table, source=f"truthtable:{key}"))
+            cut_groups[key] = cut_sets_for_table(table, source=f"truthtable:{key}")
+        groups.append(cut_groups[key])
     combined = build_fault_tree("state-dependent failures (combined)", merge_cut_sets(groups))
     save_fault_tree(root, "combined", combined.to_dict(), combined.to_dot())
 
-    refocused = {f"truthtable:{r}" for r in rep_ids}
     path = root / "soundness.json"
-    kept = [
-        doc for doc in (read_json(path) if path.exists() else [])
-        if not refocused.intersection(doc["cut_set"]["sources"])
-    ]
-    rank = {f"truthtable:{k}": i for i, k in enumerate(keys)}
-    docs = sorted(
-        kept + soundness_docs,
-        key=lambda doc: min((rank.get(s, len(rank)) for s in doc["cut_set"]["sources"]),
-                            default=len(rank)),
-    )
+    checks = {
+        tuple((lit["column"], lit["value"]) for lit in doc["cut_set"]["literals"]): doc
+        for doc in (read_json(path) if path.exists() else [])
+    }
+    docs = []
+    for cs in combined.cut_sets:
+        doc = checks.get(cs.literals)
+        if doc is None and check_soundness:
+            doc = soundness_check(cs, spec, mission, config, tree, master_seed=seed).to_dict()
+        if doc is not None:
+            docs.append({**doc, "cut_set": cs.to_dict()})
+            status = "sound" if doc["sound"] else "NOT SOUND"
+            print(f"soundness: {status} {doc['verdicts']} for {{ {_conjunction(cs)} }}")
     if docs:
         save_soundness(root, docs)
     elif path.exists():
         path.unlink()
+    return results, tabled
 
 
 def _claim_out(root: Path) -> None:
@@ -334,13 +330,12 @@ def cmd_run(args) -> int:
     print(f"generated {len(tests)} tests ({per_mission} combinations x {args.repetitions} repetitions)")
 
     profiles = run_campaign(tests, mission, config, parallelism=args.parallelism)
-    counts: dict[str, int] = {}
     pairs = []
     for test, profile in zip(tests, profiles):
         verdict = classify(test, profile, tree)
-        counts[verdict.verdict] = counts.get(verdict.verdict, 0) + 1
         save_result(root, test, profile, verdict)
         pairs.append((test, verdict))
+    counts = Counter(v.verdict for _t, v in pairs)
     # the verdict of every stored result, main and focused, for the report
     stored = {t.test_id: v.verdict for t, v in pairs}
     summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
@@ -349,9 +344,6 @@ def cmd_run(args) -> int:
     reps_meta: list[dict] = []
     focused: dict[str, str] = {}
     sweeps: dict[str, list[TestCase]] = {}
-    results: dict = {}
-    cut_groups: dict = {}
-    soundness_docs: list = []
     analysis_result = None
     try:
         analysis_result = analysis_mod.analyze_failures(pairs, spec, seed=seed)
@@ -363,22 +355,13 @@ def cmd_run(args) -> int:
         reps_meta = [r.to_dict() for r in analysis_result.representatives]
         n_fail = len(analysis_result.encoded.test_ids)
         print(f"clustered {n_fail} failures into K={analysis_result.k}")
-        axes = _default_axes(spec)
         tests_by_id = {t.test_id: t for t in tests}
-        rep_ids = _representative_ids(reps_meta)
-        for rep_id in rep_ids:
-            base = tests_by_id[rep_id]
-            print(f"focused re-fuzz around {rep_id} "
-                  f"(state {base.app_state.value}, axes {', '.join(axes)})")
-            tag = sweep_tag(base, axes, args.runs_per_cell, seed)
-            sweeps[tag] = _focus_representative(
-                root, base, axes, args.runs_per_cell, spec, mission, config,
-                tree, seed, args.parallelism, args.soundness,
-                cut_groups, soundness_docs, results,
-            )
-            focused[rep_id] = tag
+        bases = [tests_by_id[rep_id] for rep_id in _representative_ids(reps_meta)]
+        results, _tabled = _focus(
+            root, bases, _default_axes(spec), args.runs_per_cell, spec, mission, config,
+            tree, seed, args.parallelism, args.soundness, focused, sweeps,
+        )
         stored.update((test_id, v.verdict) for test_id, (_p, v) in results.items())
-        _save_focus_results(root, list(focused), rep_ids, cut_groups, soundness_docs)
 
     wall = time.monotonic() - t0
     save_tests(root, tests, focused, sweeps)
@@ -400,15 +383,11 @@ def cmd_analyze(args) -> int:
         # judge the stored profiles again under another oracle version,
         # without executing anything or touching the stored verdicts
         tree = default_tree(args.oracle)
-        counts: dict[str, int] = {}
-        pairs = []
-        for test in campaign.tests:
-            profile = campaign.profiles.get(test.test_id)
-            if profile is None:
-                continue
-            verdict = classify(test, profile, tree)
-            counts[verdict.verdict] = counts.get(verdict.verdict, 0) + 1
-            pairs.append((test, verdict))
+        pairs = [
+            (test, classify(test, campaign.profiles[test.test_id], tree))
+            for test in campaign.tests if test.test_id in campaign.profiles
+        ]
+        counts = Counter(v.verdict for _t, v in pairs)
         summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
         print(f"re-judged {len(pairs)} stored profiles under oracle {args.oracle}: {summary}")
     else:
@@ -428,6 +407,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_focus(args) -> int:
+    """Re-fuzz the given tests (by default the stored representatives).
+
+    Every id is resolved before anything flies, so an unknown id leaves the
+    campaign as it was. The focus stage then rebuilds the combined tree
+    from every stored table and keeps one check per combined cut set in
+    soundness.json: a stored check of an unchanged cut set is kept across
+    focus, even under another --seed.
+    """
     root = Path(args.campaign)
     campaign = load_campaign(root)
     if args.test_id:
@@ -440,30 +427,24 @@ def cmd_focus(args) -> int:
             return 2
         rep_ids = _representative_ids(read_json(analysis_path)["representatives"])
 
-    axes = args.axes.split(",") if args.axes else _default_axes(campaign.spec)
-    tree = parse_tree(campaign.oracle_tree_raw)
-    seed = args.seed if args.seed is not None else campaign.master_seed
-    focused = dict(campaign.focused)
-    sweeps = dict(campaign.sweeps)
-    results: dict = {}
-    cut_groups: dict = {}
-    soundness_docs: list = []
+    bases = []
     for rep_id in rep_ids:
         base = campaign.find_test(rep_id)
         if base is None:
             raise UnknownTestId(f"campaign has no test {rep_id!r}")
-        print(f"focused re-fuzz around {rep_id} "
-              f"(state {base.app_state.value}, axes {', '.join(axes)})")
-        tag = sweep_tag(base, axes, args.runs_per_cell, seed)
-        sweeps[tag] = _focus_representative(
-            root, base, axes, args.runs_per_cell, campaign.spec, campaign.mission,
-            campaign.config, tree, seed, args.parallelism, args.soundness,
-            cut_groups, soundness_docs, results,
-        )
-        focused[rep_id] = tag
-    _save_focus_results(root, list(focused), rep_ids, cut_groups, soundness_docs)
+        bases.append(base)
+
+    axes = args.axes.split(",") if args.axes else _default_axes(campaign.spec)
+    seed = args.seed if args.seed is not None else campaign.master_seed
+    focused = dict(campaign.focused)
+    sweeps = dict(campaign.sweeps)
+    _results, tabled = _focus(
+        root, bases, axes, args.runs_per_cell, campaign.spec, campaign.mission,
+        campaign.config, parse_tree(campaign.oracle_tree_raw), seed, args.parallelism,
+        args.soundness, focused, sweeps,
+    )
     save_tests(root, campaign.tests, focused, sweeps)
-    print(f"fault trees written for: {', '.join(rep_ids)} (+combined)")
+    print(f"fault trees written for: {', '.join(tabled) or 'none'} (+combined)")
     return 0
 
 

@@ -11,7 +11,8 @@ Layout of a campaign directory:
     analysis.json            clustering output
     truthtables/<key>.json   one table per representative, plus .csv
     faulttrees/<key>.json    one tree per representative, plus .dot, plus combined
-    soundness.json           cut-set re-execution results
+    soundness.json           cut-set re-execution results: one check per
+                             combined cut set, kept across focus
     report.txt               human-readable digest
 
 All JSON is written canonically (sorted keys, two-space indent, trailing

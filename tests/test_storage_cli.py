@@ -7,6 +7,7 @@ import shutil
 import pytest
 
 from statefuzz import cli
+from statefuzz.errors import InvalidOnly
 from statefuzz.executor import Executor
 from statefuzz.storage import (
     canonical_dumps,
@@ -384,6 +385,23 @@ def test_focus_targets_an_explicit_test(campaign_copy, capsys):
     assert "t00003" in doc["focused"]
 
 
+def test_focus_names_only_the_trees_it_wrote(campaign_copy, capsys, monkeypatch):
+    build = cli.build_truth_table
+
+    def invalid_for_t00003(base, *args, **kwargs):
+        if base.test_id == "t00003":
+            raise InvalidOnly("every run was INVALID")
+        return build(base, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_truth_table", invalid_for_t00003)
+    rep = read_json(campaign_copy / "analysis.json")["representatives"][0]["closest"]
+    args = ["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "1",
+            "--no-soundness", "--test-id", rep, "--test-id", "t00003"]
+    assert cli.main(args) == 0
+    assert f"fault trees written for: {rep} (+combined)" in capsys.readouterr().out
+    assert not (campaign_copy / "faulttrees" / "t00003.json").exists()
+
+
 def cut_set_sources(root):
     doc = read_json(root / "faulttrees" / "combined.json")
     return {s for cs in doc["cut_sets"] for s in cs["sources"]}
@@ -419,7 +437,21 @@ def test_focus_on_the_representatives_reproduces_the_run(campaign_dir, campaign_
         assert (campaign_copy / name).read_bytes() == (campaign_dir / name).read_bytes()
 
 
-def test_focus_flies_a_repeated_test_id_once(campaign_dir, campaign_copy, capsys):
+def count_flights(monkeypatch) -> list[str]:
+    """Patch Executor.execute to record the id of every test it flies."""
+    flown = []
+    execute = Executor.execute
+
+    def counted(self, test):
+        flown.append(test.test_id)
+        return execute(self, test)
+
+    monkeypatch.setattr(Executor, "execute", counted)
+    return flown
+
+
+def test_focus_flies_a_repeated_test_id_once(campaign_dir, campaign_copy, capsys, monkeypatch):
+    flown = count_flights(monkeypatch)
     rep = read_json(campaign_copy / "analysis.json")["representatives"][0]["closest"]
     args = ["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "4"]
     assert cli.main(args + ["--test-id", rep, "--test-id", rep]) == 0
@@ -427,6 +459,21 @@ def test_focus_flies_a_repeated_test_id_once(campaign_dir, campaign_copy, capsys
     # each soundness check is written once, as the run wrote it
     path = "soundness.json"
     assert (campaign_copy / path).read_bytes() == (campaign_dir / path).read_bytes()
+    # the stored checks are kept, not flown again
+    assert not [i for i in flown if i.startswith("s-")]
+
+
+def campaign_files(root) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_focus_with_an_unknown_test_id_changes_nothing(campaign_copy, capsys):
+    before = campaign_files(campaign_copy)
+    args = ["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "1",
+            "--test-id", "t00003", "--test-id", "zzz"]
+    assert cli.main(args) == 2
+    assert "campaign has no test 'zzz'" in capsys.readouterr().err
+    assert campaign_files(campaign_copy) == before
 
 
 #: two representatives (t00006, t00008) with one sweep key
@@ -449,14 +496,7 @@ def focused_ids(root):
 
 
 def test_representatives_with_one_sweep_key_fly_it_once(tmp_path, monkeypatch, capsys):
-    flown = []
-    execute = Executor.execute
-
-    def counted(self, test):
-        flown.append(test.test_id)
-        return execute(self, test)
-
-    monkeypatch.setattr(Executor, "execute", counted)
+    flown = count_flights(monkeypatch)
     root = tmp_path / "campaign"
     assert cli.main(SHARED_KEY_ARGS + ["--out", str(root)]) == 0
     focused = read_json(root / "tests.json")["focused"]
@@ -475,6 +515,22 @@ def test_representatives_with_one_sweep_key_fly_it_once(tmp_path, monkeypatch, c
         args = ["focus", "--campaign", str(root), "--no-soundness", *other]
         assert cli.main(args) == 0
         assert not focused_ids(root) & ids
+
+
+def test_soundness_checks_each_combined_cut_set_once(tmp_path, monkeypatch, capsys):
+    flown = count_flights(monkeypatch)
+    root = tmp_path / "campaign"
+    args = [a for a in SHARED_KEY_ARGS if a != "--no-soundness"]
+    assert cli.main(args + ["--out", str(root)]) == 0
+    assert len(read_json(root / "tests.json")["focused"]) == 2
+    tree = read_json(root / "faulttrees" / "combined.json")["cut_sets"]
+    checks = read_json(root / "soundness.json")
+    assert [d["cut_set"]["literals"] for d in checks] == [
+        [{"column": lit["column"], "value": lit["value"]} for lit in cs["literals"]]
+        for cs in tree
+    ]
+    assert [d["cut_set"]["sources"] for d in checks] == [cs["sources"] for cs in tree]
+    assert len([i for i in flown if i.startswith("s-")]) == 3 * len(tree)
 
 
 def test_refocus_leaves_no_result_file_outside_tests_json(tmp_path, capsys):
