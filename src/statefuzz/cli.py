@@ -29,7 +29,7 @@ import time
 from collections import Counter
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import analysis as analysis_mod
 from .cutset import (
@@ -159,37 +159,39 @@ def _focus(
     check_soundness: bool,
     focused: dict[str, str],
     sweeps: dict[str, list[TestCase]],
-) -> tuple[dict, list[str]]:
+) -> Counter:
     """The focus stage of `run` and `focus`.
 
-    Re-fuzzes each base into its truth table and fault tree, recording its
-    sweep tag in focused and the sweep's tests in sweeps. The bases share
-    one map of each focused test's id to its (profile, verdict), so a sweep
-    whose key an earlier base shares costs no flight. A base whose sweep
-    has no valid run gets no table, and loses one from an earlier focus.
+    Records each base's sweep tag in focused. Each tag is flown, judged,
+    stored, tabled and minimized once, and its tests go into sweeps (empty
+    on entry); a later base with the same tag only records it. A sweep with
+    no valid run leaves its tag without a table.
 
-    Then rebuilds the combined tree from every stored table (in the order
-    of focused, then by name), and soundness.json with one check per
-    combined cut set, in the tree's order and with its sources. A stored
-    check of a cut set with the same literals is kept, not flown again;
-    any other cut set is checked only when check_soundness is on. Returns
-    the results map and the ids of the bases that got a table.
+    Then rebuilds the combined tree from the stored tables of the tags in
+    focused, in its order, and soundness.json with one check per combined
+    cut set, in the tree's order and with its sources. A stored check of a
+    cut set with the same literals is kept, not flown again; any other cut
+    set is checked only when check_soundness is on. Returns the verdict
+    counts of the flown tests.
     """
-    results: dict = {}
+    verdicts: Counter = Counter()
     cut_groups: dict[str, list[CutSet]] = {}
     for base in bases:
+        tag = sweep_tag(base, axes, runs_per_cell, seed)
+        focused[base.test_id] = tag
         print(f"focused re-fuzz around {base.test_id} "
-              f"(state {base.app_state.value}, axes {', '.join(axes)})")
+              f"(state {base.app_state.value}, axes {', '.join(axes)}, sweep {tag})")
+        if tag in sweeps:
+            continue
         triples: list = []
 
         def runner(tests: list[TestCase]):
-            new = [t for t in tests if t.test_id not in results]
-            profiles = run_campaign(new, mission, config, parallelism=parallelism)
-            for test, profile in zip(new, profiles):
+            profiles = run_campaign(tests, mission, config, parallelism=parallelism)
+            for test, profile in zip(tests, profiles):
                 verdict = classify(test, profile, tree)
                 save_result(root, test, profile, verdict)
-                results[test.test_id] = (profile, verdict)
-            triples.extend((t, *results[t.test_id]) for t in tests)
+                verdicts[verdict.verdict] += 1
+                triples.append((test, profile, verdict))
             return triples
 
         table = None
@@ -197,30 +199,24 @@ def _focus(
             table = build_truth_table(base, axes, runs_per_cell, runner, spec, master_seed=seed)
         except InvalidOnly as exc:
             print(f"  {base.test_id}: {exc}", file=sys.stderr)
-            for kind in ("truthtables", "faulttrees"):
-                for stale in root.glob(f"{kind}/{base.test_id}.*"):
-                    stale.unlink()
-        tag = sweep_tag(base, axes, runs_per_cell, seed)
         sweeps[tag] = [t for t, _p, _v in triples]
-        focused[base.test_id] = tag
         if table is None:
             continue
-        save_truth_table(root, base.test_id, table.to_dict())
-        cut_sets = cut_sets_for_table(table, source=f"truthtable:{base.test_id}")
-        cut_groups[base.test_id] = cut_sets
+        save_truth_table(root, tag, table.to_dict())
+        cut_sets = cut_sets_for_table(table, source=f"truthtable:{tag}")
+        cut_groups[tag] = cut_sets
         fault_tree = build_fault_tree(f"{_dominant_reason(triples)} in {table.scope}", cut_sets)
-        save_fault_tree(root, base.test_id, fault_tree.to_dict(), fault_tree.to_dot())
+        save_fault_tree(root, tag, fault_tree.to_dict(), fault_tree.to_dot())
         for cs in cut_sets:
             print(f"  cut set: {{ {_conjunction(cs)} }}")
-    tabled = list(cut_groups)
 
-    stored = sorted(p.stem for p in root.glob("truthtables/*.json"))
-    groups = []
-    for key in [k for k in focused if k in stored] + [k for k in stored if k not in focused]:
-        if key not in cut_groups:
-            table = TruthTable.from_dict(read_json(root / "truthtables" / f"{key}.json"))
-            cut_groups[key] = cut_sets_for_table(table, source=f"truthtable:{key}")
-        groups.append(cut_groups[key])
+    tags = list(dict.fromkeys(focused.values()))
+    for tag in tags:
+        path = root / "truthtables" / f"{tag}.json"
+        if tag not in cut_groups and path.exists():
+            table = TruthTable.from_dict(read_json(path))
+            cut_groups[tag] = cut_sets_for_table(table, source=f"truthtable:{tag}")
+    groups = [cut_groups[tag] for tag in tags if tag in cut_groups]
     combined = build_fault_tree("state-dependent failures (combined)", merge_cut_sets(groups))
     save_fault_tree(root, "combined", combined.to_dict(), combined.to_dot())
 
@@ -242,7 +238,7 @@ def _focus(
         save_soundness(root, docs)
     elif path.exists():
         path.unlink()
-    return results, tabled
+    return verdicts
 
 
 def _claim_out(root: Path) -> None:
@@ -271,30 +267,22 @@ def _claim_out(root: Path) -> None:
     root.mkdir(parents=True, exist_ok=True)
 
 
-def _write_report(root: Path, counts: Optional[dict[str, int]] = None) -> str:
+def _write_report(root: Path, counts: dict[str, int], focused: dict[str, str]) -> str:
     """Render report.txt from the stored artifacts.
 
     counts are the verdict counts over every stored result, main and
-    focused; without them the results are loaded to count them.
+    focused; focused maps each representative to its sweep's tag.
     """
     meta = read_json(root / "campaign.json")
-    if counts is None:
-        counts = Counter(v.verdict for v in load_campaign(root).verdicts.values())
-    analysis_doc = None
-    if (root / "analysis.json").exists():
-        analysis_doc = read_json(root / "analysis.json")
-    tables = []
-    table_dir = root / "truthtables"
-    if table_dir.is_dir():
-        tables = [(p.stem, read_json(p)) for p in sorted(table_dir.glob("*.json"))]
-    trees = []
-    tree_dir = root / "faulttrees"
-    if tree_dir.is_dir():
-        paths = sorted(tree_dir.glob("*.json"), key=lambda p: (p.stem == "combined", p.stem))
-        trees = [read_json(p) for p in paths]
-    soundness = []
-    if (root / "soundness.json").exists():
-        soundness = read_json(root / "soundness.json")
+    analysis_path, soundness_path = root / "analysis.json", root / "soundness.json"
+    analysis_doc = read_json(analysis_path) if analysis_path.exists() else None
+    tables = [
+        (p.stem, [rep for rep, tag in focused.items() if tag == p.stem], read_json(p))
+        for p in sorted(root.glob("truthtables/*.json"))
+    ]
+    paths = sorted(root.glob("faulttrees/*.json"), key=lambda p: (p.stem == "combined", p.stem))
+    trees = [read_json(p) for p in paths]
+    soundness = read_json(soundness_path) if soundness_path.exists() else []
     text = render_report(meta, counts, analysis_doc, tables, trees, soundness)
     save_report(root, text)
     return text
@@ -336,12 +324,11 @@ def cmd_run(args) -> int:
         save_result(root, test, profile, verdict)
         pairs.append((test, verdict))
     counts = Counter(v.verdict for _t, v in pairs)
-    # the verdict of every stored result, main and focused, for the report
-    stored = {t.test_id: v.verdict for t, v in pairs}
     summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     print(f"executed {len(tests)} tests: {summary}")
 
     reps_meta: list[dict] = []
+    focus_counts: Counter = Counter()
     focused: dict[str, str] = {}
     sweeps: dict[str, list[TestCase]] = {}
     analysis_result = None
@@ -357,11 +344,10 @@ def cmd_run(args) -> int:
         print(f"clustered {n_fail} failures into K={analysis_result.k}")
         tests_by_id = {t.test_id: t for t in tests}
         bases = [tests_by_id[rep_id] for rep_id in _representative_ids(reps_meta)]
-        results, _tabled = _focus(
+        focus_counts = _focus(
             root, bases, _default_axes(spec), args.runs_per_cell, spec, mission, config,
             tree, seed, args.parallelism, args.soundness, focused, sweeps,
         )
-        stored.update((test_id, v.verdict) for test_id, (_p, v) in results.items())
 
     wall = time.monotonic() - t0
     save_tests(root, tests, focused, sweeps)
@@ -370,7 +356,7 @@ def cmd_run(args) -> int:
         root, spec, mission, config, gen_config, args.oracle,
         serialize_tree(tree), args.parallelism, counts, wall, reps_meta,
     )
-    _write_report(root, Counter(stored.values()))
+    _write_report(root, counts + focus_counts, focused)
     print(f"campaign stored in {root} ({wall:.1f}s)")
     return 0
 
@@ -411,9 +397,9 @@ def cmd_focus(args) -> int:
 
     Every id is resolved before anything flies, so an unknown id leaves the
     campaign as it was. The focus stage then rebuilds the combined tree
-    from every stored table and keeps one check per combined cut set in
-    soundness.json: a stored check of an unchanged cut set is kept across
-    focus, even under another --seed.
+    from the tables of the stored and new tags and keeps one check per
+    combined cut set in soundness.json: a stored check of an unchanged cut
+    set is kept across focus, even under another --seed.
     """
     root = Path(args.campaign)
     campaign = load_campaign(root)
@@ -437,19 +423,23 @@ def cmd_focus(args) -> int:
     axes = args.axes.split(",") if args.axes else _default_axes(campaign.spec)
     seed = args.seed if args.seed is not None else campaign.master_seed
     focused = dict(campaign.focused)
-    sweeps = dict(campaign.sweeps)
-    _results, tabled = _focus(
+    sweeps: dict[str, list[TestCase]] = {}
+    _focus(
         root, bases, axes, args.runs_per_cell, campaign.spec, campaign.mission,
         campaign.config, parse_tree(campaign.oracle_tree_raw), seed, args.parallelism,
         args.soundness, focused, sweeps,
     )
-    save_tests(root, campaign.tests, focused, sweeps)
+    save_tests(root, campaign.tests, focused, {**campaign.sweeps, **sweeps})
+    tabled = [i for i in rep_ids if (root / "truthtables" / f"{focused[i]}.json").exists()]
     print(f"fault trees written for: {', '.join(tabled) or 'none'} (+combined)")
     return 0
 
 
 def cmd_report(args) -> int:
-    text = _write_report(Path(args.campaign))
+    root = Path(args.campaign)
+    campaign = load_campaign(root)
+    counts = Counter(v.verdict for v in campaign.verdicts.values())
+    text = _write_report(root, counts, campaign.focused)
     print(text, end="")
     return 0
 
@@ -485,6 +475,13 @@ def cmd_replay(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def positive_int(text: str) -> int:
+    """The type of --runs-per-cell and --parallelism: an integer of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="statefuzz",
@@ -503,13 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True, help="campaign output directory")
     run.add_argument("--oracle", choices=("v0", "v1"), default="v1")
     run.add_argument("--repetitions", type=int, default=DEFAULT_REPETITIONS)
-    run.add_argument("--runs-per-cell", type=int, default=DEFAULT_FOCUS_REPETITIONS,
-                     help="repetitions per cell in focused re-fuzzing")
     run.add_argument("--mission-policy", choices=("cross-product", "first-only"),
                      default="cross-product")
-    run.add_argument("--soundness", action=argparse.BooleanOptionalAction, default=True)
-    run.add_argument("--parallelism", type=int, default=1)
-    run.add_argument("--seed", type=int, default=None)
     run.set_defaults(fn=cmd_run)
 
     analyze = sub.add_parser("analyze", help="cluster a stored campaign's failures")
@@ -526,11 +518,15 @@ def build_parser() -> argparse.ArgumentParser:
     focus.add_argument("--test-id", action="append", default=[],
                        help="focus on this test instead of the stored representatives")
     focus.add_argument("--axes", help="comma-separated axes to sweep (default: auto)")
-    focus.add_argument("--runs-per-cell", type=int, default=DEFAULT_FOCUS_REPETITIONS)
-    focus.add_argument("--parallelism", type=int, default=1)
-    focus.add_argument("--soundness", action=argparse.BooleanOptionalAction, default=True)
-    focus.add_argument("--seed", type=int, default=None)
     focus.set_defaults(fn=cmd_focus)
+
+    for command in (run, focus):
+        command.add_argument("--runs-per-cell", type=positive_int,
+                             default=DEFAULT_FOCUS_REPETITIONS,
+                             help="repetitions per cell in focused re-fuzzing")
+        command.add_argument("--parallelism", type=positive_int, default=1)
+        command.add_argument("--soundness", action=argparse.BooleanOptionalAction, default=True)
+        command.add_argument("--seed", type=int, default=None)
 
     report = sub.add_parser("report", help="render report.txt for a campaign")
     report.add_argument("--campaign", required=True)

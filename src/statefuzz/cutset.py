@@ -188,14 +188,14 @@ def build_truth_table(
     """Focused re-fuzz around a representative, aggregated into a table.
 
     The runner executes and classifies the generated tests (and may store
-    them); build_truth_table only shapes its output. The tests are those of
-    the representative's sweep key (see testgen.sweep_tag), so
-    representatives with one key hand the runner the same tests, ids
-    included, and a runner may answer a repeated sweep from the results it
-    already has.
+    them); build_truth_table only shapes its output. The tests, and so the
+    table, are a function of the representative's sweep key alone (see
+    testgen.sweep_tag). The axes go to focused_generate as given, so an
+    unknown or repeated axis raises UnknownAxis; the table lists them in
+    FOCUS_AXES order.
     """
+    tests = focused_generate(representative, axes, runs_per_cell, spec, master_seed)
     ordered = [a for a in FOCUS_AXES if a in axes]
-    tests = focused_generate(representative, ordered, runs_per_cell, spec, master_seed)
     items = runner(tests)
     return table_from_results(representative.app_state, ordered, items)
 
@@ -413,14 +413,11 @@ def cut_sets_for_table(table: TruthTable, source: str = "") -> list[CutSet]:
 def merge_cut_sets(groups: Sequence[Sequence[CutSet]]) -> list[CutSet]:
     """Dedup identical literal sets across tables, merging provenance."""
     merged: dict[tuple, list[str]] = {}
-    order: list[tuple] = []
     for group in groups:
         for cs in group:
-            if cs.literals not in merged:
-                merged[cs.literals] = []
-                order.append(cs.literals)
-            merged[cs.literals].extend(s for s in cs.sources if s not in merged[cs.literals])
-    return [CutSet(literals=lits, sources=tuple(merged[lits])) for lits in order]
+            sources = merged.setdefault(cs.literals, [])
+            sources.extend(s for s in cs.sources if s not in sources)
+    return [CutSet(literals=lits, sources=tuple(sources)) for lits, sources in merged.items()]
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ Layout of a campaign directory:
                              by its tag, "focused" each representative's tag
     <test-id>.json           one file per executed test: test + profile + verdict
     analysis.json            clustering output
-    truthtables/<key>.json   one table per representative, plus .csv
-    faulttrees/<key>.json    one tree per representative, plus .dot, plus combined
+    truthtables/<tag>.json   one table per focus sweep, plus .csv
+    faulttrees/<tag>.json    one tree per focus sweep, plus .dot, plus combined
     soundness.json           cut-set re-execution results: one check per
                              combined cut set, kept across focus
     report.txt               human-readable digest
@@ -27,10 +27,10 @@ campaign.json, so a replay works even after its result file was deleted.
 
 A focus sweep is named by the tag of its key (see testgen.sweep_tag), and
 its tests are f-<tag>-NNNN. Representatives with one key share one sweep,
-stored once in tests.json and flown once. A campaign stored before sweeps
-were keyed maps each representative to its own list of f-<id>-NNNN tests;
-load_campaign reads that list as a sweep tagged with the representative's
-id.
+stored once in tests.json, flown once and tabled once, under its tag. A
+campaign stored before sweeps were keyed maps each representative to its
+own list of f-<id>-NNNN tests; load_campaign reads that list as a sweep
+tagged with the representative's id, which is also its table's name.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -167,11 +168,11 @@ def save_tests(
     focused: dict[str, str],
     sweeps: dict[str, list[TestCase]],
 ) -> None:
-    """Write tests.json, then delete every focused result file it does not
-    list: those of the sweeps no representative refers to any more.
+    """Write tests.json, then delete each focused result file, truth table
+    and fault tree whose name it does not list (the combined tree stays).
 
     focused maps each representative to its sweep's tag; only the sweeps
-    it names are written.
+    it names are written, and only their tables and trees kept.
     """
     kept = {tag: sweeps[tag] for tag in focused.values()}
     write_json(
@@ -182,8 +183,9 @@ def save_tests(
             "sweeps": {tag: [t.to_dict() for t in ts] for tag, ts in kept.items()},
         },
     )
-    listed = {t.test_id for ts in kept.values() for t in ts}
-    for path in root.glob("f-*.json"):
+    listed = {t.test_id for ts in kept.values() for t in ts} | set(kept) | {"combined"}
+    stored = chain(root.glob("f-*.json"), root.glob("truthtables/*"), root.glob("faulttrees/*"))
+    for path in stored:
         if path.stem not in listed:
             path.unlink()
 
@@ -333,11 +335,12 @@ def render_report(
     meta: dict,
     verdict_counts: dict[str, int],
     analysis: Optional[dict],
-    tables: list[tuple[str, dict]],
+    tables: list[tuple[str, list[str], dict]],
     fault_trees: list[dict],
     soundness: list[dict],
 ) -> str:
-    """Plain-text digest of a finished campaign. Pure function over dicts."""
+    """Plain-text digest of a finished campaign. Pure function over dicts;
+    tables holds (file stem, the representatives whose tag it is, table)."""
     out: list[str] = []
     out.append("campaign report")
     out.append("=" * 60)
@@ -365,8 +368,11 @@ def render_report(
             out.append(f"    cluster {rep['cluster']}: {rep['closest']} / {rep['farthest']}")
         out.append("")
 
-    for key, table in tables:
-        out.append(f"truth table {key} (scope {table['scope']})")
+    for stem, reps, table in tables:
+        if reps:
+            out.append(f"truth table {', '.join(reps)} (sweep {stem}, scope {table['scope']})")
+        else:
+            out.append(f"truth table {stem} (scope {table['scope']})")
         out.append("-" * 60)
         out.append(_format_table(table))
         residual = [r for r in table["rows"] if r["residual"]]

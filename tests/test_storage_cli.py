@@ -321,6 +321,31 @@ def test_campaign_stored_before_sweeps_were_keyed_loads_reports_and_replays(
     assert f"replay OK: {focused_id} ->" in capsys.readouterr().out
 
 
+def test_campaign_stored_with_a_table_per_representative_loads_reports_and_replays(
+    campaign_copy, capsys
+):
+    focused = read_json(campaign_copy / "tests.json")["focused"]
+    # store each sweep's table and tree once per representative, under its id
+    for kind in ("truthtables", "faulttrees"):
+        for rep_id, tag in focused.items():
+            for path in (campaign_copy / kind).glob(f"{tag}.*"):
+                shutil.copy(path, path.with_stem(rep_id))
+        for tag in set(focused.values()):
+            for path in (campaign_copy / kind).glob(f"{tag}.*"):
+                path.unlink()
+    rep_id, tag = next(iter(focused.items()))
+    assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
+    assert f"truth table {rep_id} (scope TAKEOFF)" in capsys.readouterr().out
+    focused_id = f"f-{tag}-0000"
+    assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", focused_id]) == 0
+    assert f"replay OK: {focused_id} ->" in capsys.readouterr().out
+    # a plain focus moves the tables and trees back under their tags
+    assert cli.main(["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "4"]) == 0
+    tags = set(focused.values())
+    assert {p.stem for p in (campaign_copy / "truthtables").iterdir()} == tags
+    assert {p.stem for p in (campaign_copy / "faulttrees").iterdir()} == tags | {"combined"}
+
+
 def test_replay_detects_a_corrupted_profile(campaign_copy, capsys):
     path = campaign_copy / "t00001.json"
     doc = json.loads(path.read_text())
@@ -377,29 +402,35 @@ def test_focus_targets_an_explicit_test(campaign_copy, capsys):
     out = capsys.readouterr().out
     assert "focused re-fuzz around t00003" in out
     assert "fault trees written for: t00003 (+combined)" in out
-    assert (campaign_copy / "truthtables" / "t00003.json").exists()
-    assert (campaign_copy / "truthtables" / "t00003.csv").exists()
-    assert (campaign_copy / "faulttrees" / "t00003.json").exists()
     # the new focused tests joined the manifest
     doc = read_json(campaign_copy / "tests.json")
     assert "t00003" in doc["focused"]
+    tag = doc["focused"]["t00003"]
+    assert (campaign_copy / "truthtables" / f"{tag}.json").exists()
+    assert (campaign_copy / "truthtables" / f"{tag}.csv").exists()
+    assert (campaign_copy / "faulttrees" / f"{tag}.json").exists()
 
 
 def test_focus_names_only_the_trees_it_wrote(campaign_copy, capsys, monkeypatch):
     build = cli.build_truth_table
+    rep = read_json(campaign_copy / "analysis.json")["representatives"][0]["closest"]
+    # a test of another state, so its sweep key is not the representative's
+    campaign = load_campaign(campaign_copy)
+    state = campaign.find_test(rep).app_state
+    other = next(t.test_id for t in campaign.tests if t.app_state is not state)
 
-    def invalid_for_t00003(base, *args, **kwargs):
-        if base.test_id == "t00003":
+    def invalid_for_other(base, *args, **kwargs):
+        if base.test_id == other:
             raise InvalidOnly("every run was INVALID")
         return build(base, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "build_truth_table", invalid_for_t00003)
-    rep = read_json(campaign_copy / "analysis.json")["representatives"][0]["closest"]
+    monkeypatch.setattr(cli, "build_truth_table", invalid_for_other)
     args = ["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "1",
-            "--no-soundness", "--test-id", rep, "--test-id", "t00003"]
+            "--no-soundness", "--test-id", rep, "--test-id", other]
     assert cli.main(args) == 0
     assert f"fault trees written for: {rep} (+combined)" in capsys.readouterr().out
-    assert not (campaign_copy / "faulttrees" / "t00003.json").exists()
+    tag = read_json(campaign_copy / "tests.json")["focused"][other]
+    assert not (campaign_copy / "faulttrees" / f"{tag}.json").exists()
 
 
 def cut_set_sources(root):
@@ -409,7 +440,8 @@ def cut_set_sources(root):
 
 def test_focus_keeps_the_combined_results_of_other_tables(campaign_copy, capsys):
     rep = read_json(campaign_copy / "analysis.json")["representatives"][0]["closest"]
-    assert f"truthtable:{rep}" in cut_set_sources(campaign_copy)
+    tag = read_json(campaign_copy / "tests.json")["focused"][rep]
+    assert f"truthtable:{tag}" in cut_set_sources(campaign_copy)
     stored_soundness = read_json(campaign_copy / "soundness.json")
     assert stored_soundness
     rc = cli.main(
@@ -424,7 +456,7 @@ def test_focus_keeps_the_combined_results_of_other_tables(campaign_copy, capsys)
     assert rc == 0
     # the representative's table was not re-focused: its cut sets and
     # soundness checks stay in the combined results
-    assert f"truthtable:{rep}" in cut_set_sources(campaign_copy)
+    assert f"truthtable:{tag}" in cut_set_sources(campaign_copy)
     assert read_json(campaign_copy / "soundness.json") == stored_soundness
 
 
@@ -467,12 +499,47 @@ def campaign_files(root) -> dict:
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
-def test_focus_with_an_unknown_test_id_changes_nothing(campaign_copy, capsys):
+@pytest.mark.parametrize(
+    "extra, error",
+    [
+        (["--test-id", "zzz"], "campaign has no test 'zzz'"),
+        (["--axes", "foo"], "unknown focus axes ['foo']"),
+    ],
+    ids=["test_id", "axis"],
+)
+def test_focus_with_an_unknown_test_id_changes_nothing(campaign_copy, capsys, extra, error):
     before = campaign_files(campaign_copy)
     args = ["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "1",
-            "--test-id", "t00003", "--test-id", "zzz"]
+            "--test-id", "t00003", *extra]
     assert cli.main(args) == 2
-    assert "campaign has no test 'zzz'" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
+    assert campaign_files(campaign_copy) == before
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("run", "--runs-per-cell", "0"),
+        ("run", "--parallelism", "0"),
+        ("run", "--parallelism", "-3"),
+        ("focus", "--runs-per-cell", "-1"),
+        ("focus", "--parallelism", "0"),
+    ],
+)
+def test_a_count_below_one_exits_two_before_anything_flies(
+    campaign_copy, capsys, monkeypatch, command, option, value
+):
+    flown = count_flights(monkeypatch)
+    before = campaign_files(campaign_copy)
+    if command == "run":
+        args = CAMPAIGN_ARGS + ["--out", str(campaign_copy)]
+    else:
+        args = ["focus", "--campaign", str(campaign_copy)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args + [option, value])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+    assert flown == []
     assert campaign_files(campaign_copy) == before
 
 
@@ -505,10 +572,12 @@ def test_representatives_with_one_sweep_key_fly_it_once(tmp_path, monkeypatch, c
     focus_flights = [i for i in flown if i.startswith("f-")]
     assert len(focus_flights) == len(set(focused.values())) * 9 * 2
     assert len(list(root.glob("f-*.json"))) == len(focus_flights)
-    for rep_id in focused:
-        for kind in ("truthtables", "faulttrees"):
-            assert (root / kind / f"{rep_id}.json").exists()
-    assert cut_set_sources(root) == {f"truthtable:{rep_id}" for rep_id in focused}
+    (tag,) = set(focused.values())
+    assert sorted(p.name for p in (root / "truthtables").iterdir()) == [f"{tag}.csv", f"{tag}.json"]
+    assert sorted(p.name for p in (root / "faulttrees").iterdir()) == sorted(
+        [f"{tag}.dot", f"{tag}.json", "combined.dot", "combined.json"]
+    )
+    assert cut_set_sources(root) == {f"truthtable:{tag}"}
     # runs per cell and the seed are part of the key
     ids = focused_ids(root)
     for other in (["--runs-per-cell", "3"], ["--runs-per-cell", "2", "--seed", "2"]):
@@ -545,6 +614,11 @@ def test_refocus_leaves_no_result_file_outside_tests_json(tmp_path, capsys):
     assert cli.main(args) == 0
     campaign = load_campaign(root)
     assert [p.name for p in root.glob("f-*.json") if campaign.find_test(p.stem) is None] == []
+    # the tables and trees on disk are those of the sweeps tests.json names
+    tags = set(read_json(root / "tests.json")["focused"].values())
+    assert {p.stem for p in (root / "truthtables").iterdir()} == tags
+    assert {p.stem for p in (root / "faulttrees").iterdir()} - {"combined"} == tags
+    assert cut_set_sources(root) <= {f"truthtable:{tag}" for tag in tags}
 
 
 def test_rerun_into_a_campaign_clears_the_earlier_artifacts(campaign_copy, capsys):
