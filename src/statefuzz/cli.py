@@ -42,13 +42,14 @@ from .cutset import (
     soundness_check,
 )
 from .errors import (
+    BadSeed,
     EmptyFailureSet,
     InvalidOnly,
     NotACampaign,
     StateFuzzError,
     UnknownTestId,
 )
-from .executor import Executor, run_campaign
+from .executor import Executor, open_pool, run_campaign
 from .fuzzspec import (
     FuzzSpecification,
     load_fuzz_spec,
@@ -100,7 +101,12 @@ def _seed_from(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("STATEFUZZ_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise BadSeed(f"STATEFUZZ_SEED={env!r} is not an integer") from None
 
 
 def _load_config(args) -> SutConfig:
@@ -145,21 +151,64 @@ def _representative_ids(representatives: list[dict]) -> list[str]:
     return list(dict.fromkeys(rep["closest"] for rep in representatives))
 
 
+class _Runner:
+    """Flies, judges and stores tests for one command.
+
+    Every flight of a `run` or `focus` goes through one runner: the main
+    stage, each focus sweep and each soundness check. A call flies its
+    tests with run_campaign, judges each under tree, saves its result and
+    returns the (test, profile, verdict) triples in order; last keeps them
+    until the next call and counts tallies the verdicts of every call.
+
+    The first call with parallelism above 1 and at least two tests opens
+    one worker pool, which every later call shares; leaving the `with`
+    block closes it, on error too, so no worker outlives the command.
+    """
+
+    def __init__(self, root: Path, mission, config: SutConfig, tree, parallelism: int) -> None:
+        self.root = root
+        self.mission = mission
+        self.config = config
+        self.tree = tree
+        self.parallelism = parallelism
+        self.counts: Counter = Counter()
+        self.last: list = []
+        self._pool = None
+
+    def __call__(self, tests: list[TestCase]) -> list:
+        if self._pool is None and self.parallelism > 1 and len(tests) >= 2:
+            self._pool = open_pool(self.mission, self.config, self.parallelism)
+        profiles = run_campaign(tests, self.mission, self.config, self.parallelism, pool=self._pool)
+        self.last = []
+        for test, profile in zip(tests, profiles):
+            verdict = classify(test, profile, self.tree)
+            save_result(self.root, test, profile, verdict)
+            self.counts[verdict.verdict] += 1
+            self.last.append((test, profile, verdict))
+        return self.last
+
+    def __enter__(self) -> "_Runner":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.terminate()
+            self._pool.join()
+            self._pool = None
+
+
 def _focus(
-    root: Path,
+    runner: _Runner,
     bases: Sequence[TestCase],
     axes: Sequence[str],
     runs_per_cell: int,
     spec: FuzzSpecification,
-    mission,
-    config: SutConfig,
-    tree,
     seed: int,
-    parallelism: int,
     check_soundness: bool,
     focused: dict[str, str],
     sweeps: dict[str, list[TestCase]],
-) -> Counter:
+    stored_trials: dict[str, list[TestCase]],
+) -> dict[str, list[TestCase]]:
     """The focus stage of `run` and `focus`.
 
     Records each base's sweep tag in focused. Each tag is flown, judged,
@@ -170,11 +219,12 @@ def _focus(
     Then rebuilds the combined tree from the stored tables of the tags in
     focused, in its order, and soundness.json with one check per combined
     cut set, in the tree's order and with its sources. A stored check of a
-    cut set with the same literals is kept, not flown again; any other cut
-    set is checked only when check_soundness is on. Returns the verdict
-    counts of the flown tests.
+    cut set with the same literals is kept, not flown again, and keeps its
+    trials from stored_trials; any other cut set is checked only when
+    check_soundness is on. Returns the trials of the checks in
+    soundness.json by tag.
     """
-    verdicts: Counter = Counter()
+    root = runner.root
     cut_groups: dict[str, list[CutSet]] = {}
     for base in bases:
         tag = sweep_tag(base, axes, runs_per_cell, seed)
@@ -183,22 +233,12 @@ def _focus(
               f"(state {base.app_state.value}, axes {', '.join(axes)}, sweep {tag})")
         if tag in sweeps:
             continue
-        triples: list = []
-
-        def runner(tests: list[TestCase]):
-            profiles = run_campaign(tests, mission, config, parallelism=parallelism)
-            for test, profile in zip(tests, profiles):
-                verdict = classify(test, profile, tree)
-                save_result(root, test, profile, verdict)
-                verdicts[verdict.verdict] += 1
-                triples.append((test, profile, verdict))
-            return triples
-
         table = None
         try:
             table = build_truth_table(base, axes, runs_per_cell, runner, spec, master_seed=seed)
         except InvalidOnly as exc:
             print(f"  {base.test_id}: {exc}", file=sys.stderr)
+        triples = runner.last
         sweeps[tag] = [t for t, _p, _v in triples]
         if table is None:
             continue
@@ -226,10 +266,17 @@ def _focus(
         for doc in (read_json(path) if path.exists() else [])
     }
     docs = []
+    trials: dict[str, list[TestCase]] = {}
     for cs in combined.cut_sets:
         doc = checks.get(cs.literals)
         if doc is None and check_soundness:
-            doc = soundness_check(cs, spec, mission, config, tree, master_seed=seed).to_dict()
+            result = soundness_check(
+                cs, spec, runner.mission, runner.config, runner, master_seed=seed
+            )
+            doc = result.to_dict()
+            trials[result.tag] = list(result.tests)
+        elif doc is not None and "tag" in doc:
+            trials[doc["tag"]] = stored_trials.get(doc["tag"], [])
         if doc is not None:
             docs.append({**doc, "cut_set": cs.to_dict()})
             status = "sound" if doc["sound"] else "NOT SOUND"
@@ -238,7 +285,7 @@ def _focus(
         save_soundness(root, docs)
     elif path.exists():
         path.unlink()
-    return verdicts
+    return trials
 
 
 def _claim_out(root: Path) -> None:
@@ -317,46 +364,42 @@ def cmd_run(args) -> int:
     per_mission = len(tests) // max(args.repetitions, 1)
     print(f"generated {len(tests)} tests ({per_mission} combinations x {args.repetitions} repetitions)")
 
-    profiles = run_campaign(tests, mission, config, parallelism=args.parallelism)
-    pairs = []
-    for test, profile in zip(tests, profiles):
-        verdict = classify(test, profile, tree)
-        save_result(root, test, profile, verdict)
-        pairs.append((test, verdict))
-    counts = Counter(v.verdict for _t, v in pairs)
-    summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-    print(f"executed {len(tests)} tests: {summary}")
-
     reps_meta: list[dict] = []
-    focus_counts: Counter = Counter()
     focused: dict[str, str] = {}
     sweeps: dict[str, list[TestCase]] = {}
-    analysis_result = None
-    try:
-        analysis_result = analysis_mod.analyze_failures(pairs, spec, seed=seed)
-    except EmptyFailureSet:
-        print("no failures: skipping clustering, truth tables and fault trees")
+    trials: dict[str, list[TestCase]] = {}
+    with _Runner(root, mission, config, tree, args.parallelism) as runner:
+        pairs = [(t, v) for t, _p, v in runner(tests)]
+        counts = Counter(v.verdict for _t, v in pairs)
+        summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+        print(f"executed {len(tests)} tests: {summary}")
 
-    if analysis_result is not None:
-        save_analysis(root, analysis_result)
-        reps_meta = [r.to_dict() for r in analysis_result.representatives]
-        n_fail = len(analysis_result.encoded.test_ids)
-        print(f"clustered {n_fail} failures into K={analysis_result.k}")
-        tests_by_id = {t.test_id: t for t in tests}
-        bases = [tests_by_id[rep_id] for rep_id in _representative_ids(reps_meta)]
-        focus_counts = _focus(
-            root, bases, _default_axes(spec), args.runs_per_cell, spec, mission, config,
-            tree, seed, args.parallelism, args.soundness, focused, sweeps,
-        )
+        analysis_result = None
+        try:
+            analysis_result = analysis_mod.analyze_failures(pairs, spec, seed=seed)
+        except EmptyFailureSet:
+            print("no failures: skipping clustering, truth tables and fault trees")
+
+        if analysis_result is not None:
+            save_analysis(root, analysis_result)
+            reps_meta = [r.to_dict() for r in analysis_result.representatives]
+            n_fail = len(analysis_result.encoded.test_ids)
+            print(f"clustered {n_fail} failures into K={analysis_result.k}")
+            tests_by_id = {t.test_id: t for t in tests}
+            bases = [tests_by_id[rep_id] for rep_id in _representative_ids(reps_meta)]
+            trials = _focus(
+                runner, bases, _default_axes(spec), args.runs_per_cell, spec, seed,
+                args.soundness, focused, sweeps, {},
+            )
 
     wall = time.monotonic() - t0
-    save_tests(root, tests, focused, sweeps)
+    save_tests(root, tests, focused, sweeps, trials)
     save_coverage(root, coverage.to_dict())
     save_campaign_meta(
         root, spec, mission, config, gen_config, args.oracle,
         serialize_tree(tree), args.parallelism, counts, wall, reps_meta,
     )
-    _write_report(root, counts + focus_counts, focused)
+    _write_report(root, runner.counts, focused)
     print(f"campaign stored in {root} ({wall:.1f}s)")
     return 0
 
@@ -424,12 +467,13 @@ def cmd_focus(args) -> int:
     seed = args.seed if args.seed is not None else campaign.master_seed
     focused = dict(campaign.focused)
     sweeps: dict[str, list[TestCase]] = {}
-    _focus(
-        root, bases, axes, args.runs_per_cell, campaign.spec, campaign.mission,
-        campaign.config, parse_tree(campaign.oracle_tree_raw), seed, args.parallelism,
-        args.soundness, focused, sweeps,
-    )
-    save_tests(root, campaign.tests, focused, {**campaign.sweeps, **sweeps})
+    tree = parse_tree(campaign.oracle_tree_raw)
+    with _Runner(root, campaign.mission, campaign.config, tree, args.parallelism) as runner:
+        trials = _focus(
+            runner, bases, axes, args.runs_per_cell, campaign.spec, seed, args.soundness,
+            focused, sweeps, campaign.soundness,
+        )
+    save_tests(root, campaign.tests, focused, {**campaign.sweeps, **sweeps}, trials)
     tabled = [i for i in rep_ids if (root / "truthtables" / f"{focused[i]}.json").exists()]
     print(f"fault trees written for: {', '.join(tabled) or 'none'} (+combined)")
     return 0
@@ -476,7 +520,8 @@ def cmd_replay(args) -> int:
 
 
 def positive_int(text: str) -> int:
-    """The type of --runs-per-cell and --parallelism: an integer of at least 1."""
+    """The type of --runs-per-cell, --parallelism, --kmax and --restarts: an
+    integer of at least 1."""
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
     return int(text)
@@ -506,8 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="cluster a stored campaign's failures")
     analyze.add_argument("--campaign", required=True)
-    analyze.add_argument("--kmax", type=int, default=None)
-    analyze.add_argument("--restarts", type=int, default=analysis_mod.DEFAULT_RESTARTS)
+    analyze.add_argument("--kmax", type=positive_int, default=None)
+    analyze.add_argument("--restarts", type=positive_int, default=analysis_mod.DEFAULT_RESTARTS)
     analyze.add_argument("--oracle", choices=("v0", "v1"), default=None,
                          help="judge the stored profiles again under this oracle version")
     analyze.add_argument("--seed", type=int, default=None)

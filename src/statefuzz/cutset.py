@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import InvalidOnly
-from .executor import ExecutionProfile, Executor
+from .executor import ExecutionProfile
 from .fuzzspec import FuzzSpecification, MissionPlan
-from .oracle import FAILURE, INVALID, TreePart, Verdict, classify
+from .oracle import FAILURE, INVALID, Verdict
 from .sutmodel import NO_ACTION, AppState, AutopilotMode, SutConfig
 from .testgen import FOCUS_AXES, TestCase, derive_seed, focused_generate
 
@@ -431,6 +431,10 @@ class SoundnessResult:
     verdicts: tuple[str, ...]
     sound: bool
     note: str = ""
+    #: names the check and its trials, s-<tag>-<i>
+    tag: str = ""
+    #: the flown trials, in order (not serialized: tests.json lists them)
+    tests: tuple[TestCase, ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -438,6 +442,7 @@ class SoundnessResult:
             "verdicts": list(self.verdicts),
             "sound": self.sound,
             "note": self.note,
+            "tag": self.tag,
         }
 
 
@@ -477,16 +482,24 @@ def soundness_check(
     spec: FuzzSpecification,
     mission: MissionPlan,
     config: SutConfig,
-    tree: TreePart,
+    runner: Runner,
     master_seed: int = 0,
     trials: int = 3,
 ) -> SoundnessResult:
-    """Re-execute fresh runs satisfying the cut set; sound means all fail.
+    """Fly fresh runs satisfying the cut set; sound means all fail.
+
+    The runner flies and judges the trials (and may store them), as in
+    build_truth_table; mission and config must be the runner's. The check
+    is named by a tag of eight hex digits hashed from the master seed and
+    the literals, in the style of testgen.sweep_tag, and trial i is
+    s-<tag>-<i>, seeded from the master seed, the literals and i.
 
     Unbound columns take the first spec value; the injection delay is
     chosen to realize the band and observed-mode literals (a cut set whose
-    mode literal cannot be realized under the config is reported as such).
+    mode literal cannot be realized under the config is reported as such,
+    and flies nothing).
     """
+    tag = f"{derive_seed(master_seed, 'soundness', cut_set.literals):016x}"[:8]
     lits = dict(cut_set.literals)
     pairs = spec.constraint_pairs()
     scope_name = lits.get(SCOPE_COLUMN, pairs[0][1].state.value)
@@ -496,16 +509,13 @@ def soundness_check(
     action = lits.get("action", spec.actions[0].value)
     placed = _delay_for(lits, spec, config)
     if placed is None:
-        return SoundnessResult(cut_set, (), False, "mode/band literals are unrealizable")
+        return SoundnessResult(cut_set, (), False, "mode/band literals are unrealizable", tag)
     band_name, band_min, band_max, delay = placed
     env = spec.environment
 
-    ex = Executor(mission, config)
-    verdicts: list[str] = []
-    for trial in range(trials):
-        seed = derive_seed(master_seed, "soundness", str(cut_set.literals), trial)
-        test = TestCase(
-            test_id=f"s-{scope.value}-{trial}",
+    tests = [
+        TestCase(
+            test_id=f"s-{tag}-{trial}",
             index=trial,
             spec_id=spec.spec_id,
             mission_id=mission.id,
@@ -522,13 +532,14 @@ def soundness_check(
             wind=lits.get("wind", env.wind[0]),
             gps_noise=lits.get("gps_noise", env.gps_noise[0]),
             compass_interference=lits.get("compass_interference", env.compass_interference[0]),
-            seed=seed,
+            seed=derive_seed(master_seed, "soundness", str(cut_set.literals), trial),
             repetition=trial,
         )
-        profile = ex.execute(test)
-        verdicts.append(classify(test, profile, tree).verdict)
+        for trial in range(trials)
+    ]
+    verdicts = tuple(v.verdict for _t, _p, v in runner(tests))
     return SoundnessResult(
-        cut_set, tuple(verdicts), sound=all(v == FAILURE for v in verdicts)
+        cut_set, verdicts, all(v == FAILURE for v in verdicts), tag=tag, tests=tuple(tests)
     )
 
 

@@ -38,6 +38,10 @@ class ConfigError(StateFuzzError):
     """A system-under-test configuration violates its invariants."""
 
 
+class BadSeed(StateFuzzError):
+    """The STATEFUZZ_SEED environment variable is not an integer."""
+
+
 # --- simulated system under test ----------------------------------------
 
 class IllegalEvent(StateFuzzError):

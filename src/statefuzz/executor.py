@@ -8,13 +8,17 @@ one more call, and assembles an execution profile: the closed set of
 observables every later stage (oracle, clustering, truth tables) works from.
 
 An Executor owns one cruise-run memo and shares it with every vehicle it
-builds, so the memo lives as long as the executor: one run_campaign call,
-one pool worker, one soundness check or one replay. A memoized run depends
-only on its exact inputs, so the memo's contents and the order of the
-flights change no output.
+builds, so the memo lives as long as the executor: one serial run_campaign
+call, one pool worker or one replay. A memoized run depends only on its
+exact inputs, so the memo's contents and the order of the flights change
+no output.
 
 Campaigns fan out over a process pool; results keep submission order, so
-campaign output is reproducible independent of worker scheduling.
+campaign output is reproducible independent of worker scheduling. A caller
+that flies several batches can open one pool with open_pool and hand it to
+each run_campaign call: its workers, and their memos, then live until the
+caller closes it. Without a pool, run_campaign opens one for the call and
+closes it before returning.
 """
 
 from __future__ import annotations
@@ -252,18 +256,31 @@ def _pool_run(test: TestCase) -> ExecutionProfile:
     return _POOL_EXECUTOR.execute(test)
 
 
+def open_pool(mission: MissionPlan, config: SutConfig, parallelism: int):
+    """A pool of parallelism workers, each with one Executor for mission and config."""
+    return multiprocessing.Pool(
+        processes=parallelism, initializer=_pool_init, initargs=(mission, config)
+    )
+
+
 def run_campaign(
     tests: list[TestCase],
     mission: MissionPlan,
     config: SutConfig,
     parallelism: int = 1,
+    pool=None,
 ) -> list[ExecutionProfile]:
-    """Execute every test; results align index-for-index with the input."""
+    """Execute every test; results align index-for-index with the input.
+
+    With parallelism above 1 and at least two tests, the tests go to pool,
+    which must come from open_pool with the same mission and config, or to
+    a pool opened for this call alone.
+    """
     if parallelism <= 1 or len(tests) < 2:
         ex = Executor(mission, config)
         return [ex.execute(t) for t in tests]
     chunk = max(1, len(tests) // (parallelism * 8))
-    with multiprocessing.Pool(
-        processes=parallelism, initializer=_pool_init, initargs=(mission, config)
-    ) as pool:
+    if pool is not None:
         return pool.map(_pool_run, tests, chunksize=chunk)
+    with open_pool(mission, config, parallelism) as own:
+        return own.map(_pool_run, tests, chunksize=chunk)

@@ -247,6 +247,13 @@ def _string_list(raw: object, where: str) -> list[str]:
 
 
 def _parse_bands(raw: object) -> tuple[DelayBand, ...]:
+    """The bands in order of their bounds (min, max, then name).
+
+    Not in document order: canonical JSON sorts the keys of the bands
+    object, so a spec stored in campaign.json would come back in another
+    order, and generation, which walks the bands in order, would give other
+    tests from it.
+    """
     if not isinstance(raw, dict):
         raise BandError("transition_delay must be an object")
     _require_keys(raw, ("bands",), "transition_delay", ("bands",))
@@ -265,7 +272,7 @@ def _parse_bands(raw: object) -> tuple[DelayBand, ...]:
         if lo < 0 or not lo < hi:
             raise BandError(f"band {name!r} must satisfy 0 <= min < max, got [{lo}, {hi})")
         bands.append(DelayBand(name, lo, hi))
-    return tuple(bands)
+    return tuple(sorted(bands, key=lambda b: (b.min_ms, b.max_ms, b.name)))
 
 
 def _parse_levels(raw: object, key: str) -> tuple[str, ...]:

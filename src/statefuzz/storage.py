@@ -6,13 +6,17 @@ Layout of a campaign directory:
     coverage.json            mission coverage check
     tests.json               every generated test: "main" lists the main
                              tests, "sweeps" the tests of each focus sweep
-                             by its tag, "focused" each representative's tag
-    <test-id>.json           one file per executed test: test + profile + verdict
+                             by its tag, "focused" each representative's tag,
+                             "soundness" the trials of each soundness check
+                             by its tag
+    <test-id>.json           one file per executed test: test + profile +
+                             verdict (t*, f-<tag>-NNNN and s-<tag>-<i>)
     analysis.json            clustering output
     truthtables/<tag>.json   one table per focus sweep, plus .csv
     faulttrees/<tag>.json    one tree per focus sweep, plus .dot, plus combined
     soundness.json           cut-set re-execution results: one check per
-                             combined cut set, kept across focus
+                             combined cut set, kept across focus, each with
+                             the tag that names its trials
     report.txt               human-readable digest
 
 All JSON is written canonically (sorted keys, two-space indent, trailing
@@ -31,6 +35,11 @@ stored once in tests.json, flown once and tabled once, under its tag. A
 campaign stored before sweeps were keyed maps each representative to its
 own list of f-<id>-NNNN tests; load_campaign reads that list as a sweep
 tagged with the representative's id, which is also its table's name.
+
+A soundness check is named by the tag of its cut set's literals and the
+master seed (see cutset.soundness_check), and its trials s-<tag>-<i> are
+stored like any other test, so replay finds them. A campaign stored before
+the trials were kept has checks without a tag and no s-* files.
 """
 
 from __future__ import annotations
@@ -99,6 +108,8 @@ class Campaign:
     focused: dict[str, str] = field(default_factory=dict)
     #: sweep tag -> the sweep's tests, in order
     sweeps: dict[str, list[TestCase]] = field(default_factory=dict)
+    #: soundness check tag -> the check's trials, in order
+    soundness: dict[str, list[TestCase]] = field(default_factory=dict)
     profiles: dict[str, ExecutionProfile] = field(default_factory=dict)
     verdicts: dict[str, Verdict] = field(default_factory=dict)
 
@@ -110,15 +121,12 @@ class Campaign:
             if t.test_id in self.profiles
         ]
 
+    def every_test(self):
+        """Main tests, then each sweep's, then each soundness check's trials."""
+        return chain(self.tests, *self.sweeps.values(), *self.soundness.values())
+
     def find_test(self, test_id: str) -> Optional[TestCase]:
-        for t in self.tests:
-            if t.test_id == test_id:
-                return t
-        for ts in self.sweeps.values():
-            for t in ts:
-                if t.test_id == test_id:
-                    return t
-        return None
+        return next((t for t in self.every_test() if t.test_id == test_id), None)
 
 
 def save_campaign_meta(
@@ -167,12 +175,15 @@ def save_tests(
     main: list[TestCase],
     focused: dict[str, str],
     sweeps: dict[str, list[TestCase]],
+    soundness: dict[str, list[TestCase]],
 ) -> None:
-    """Write tests.json, then delete each focused result file, truth table
-    and fault tree whose name it does not list (the combined tree stays).
+    """Write tests.json, then delete each focused or soundness result file,
+    truth table and fault tree whose name it does not list (the combined
+    tree stays).
 
     focused maps each representative to its sweep's tag; only the sweeps
-    it names are written, and only their tables and trees kept.
+    it names are written, and only their tables and trees kept. soundness
+    maps each check in soundness.json to its trials.
     """
     kept = {tag: sweeps[tag] for tag in focused.values()}
     write_json(
@@ -181,10 +192,15 @@ def save_tests(
             "main": [t.to_dict() for t in main],
             "focused": focused,
             "sweeps": {tag: [t.to_dict() for t in ts] for tag, ts in kept.items()},
+            "soundness": {tag: [t.to_dict() for t in ts] for tag, ts in soundness.items()},
         },
     )
-    listed = {t.test_id for ts in kept.values() for t in ts} | set(kept) | {"combined"}
-    stored = chain(root.glob("f-*.json"), root.glob("truthtables/*"), root.glob("faulttrees/*"))
+    listed = {t.test_id for ts in chain(kept.values(), soundness.values()) for t in ts}
+    listed |= set(kept) | {"combined"}
+    stored = chain(
+        root.glob("f-*.json"), root.glob("s-*.json"),
+        root.glob("truthtables/*"), root.glob("faulttrees/*"),
+    )
     for path in stored:
         if path.stem not in listed:
             path.unlink()
@@ -275,14 +291,15 @@ def load_campaign(root: Path) -> Campaign:
         campaign.sweeps = {
             tag: [TestCase.from_dict(t) for t in ts] for tag, ts in sweeps.items()
         }
+        campaign.soundness = {
+            tag: [TestCase.from_dict(t) for t in ts]
+            for tag, ts in tests_doc.get("soundness", {}).items()
+        }
     else:
         # the manifest carries everything generation needs, so a deleted
         # tests.json is recoverable
         campaign.tests = generate(campaign.spec, generator)
-    every = list(campaign.tests)
-    for ts in campaign.sweeps.values():
-        every.extend(ts)
-    for test in every:
+    for test in campaign.every_test():
         path = root / f"{test.test_id}.json"
         if not path.exists():
             continue

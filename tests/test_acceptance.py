@@ -176,6 +176,20 @@ def test_criterion_4_multi_fault_discrimination(multi_fault_dir):
     assert found <= checked
 
 
+def test_soundness_trials_of_one_scope_are_distinct_stored_tests(multi_fault_dir, capsys):
+    checks = read_json(multi_fault_dir / "soundness.json")
+    scope = {"column": "app_state", "value": "TAKEOFF"}
+    takeoff = [doc for doc in checks if scope in doc["cut_set"]["literals"]]
+    assert len(takeoff) >= 2
+    trials = read_json(multi_fault_dir / "tests.json")["soundness"]
+    ids = [t["id"] for doc in takeoff for t in trials[doc["tag"]]]
+    assert len(set(ids)) == len(ids) == 3 * len(takeoff)
+    assert all((multi_fault_dir / f"{i}.json").exists() for i in ids)
+    # flown through the run's pool, each trial still replays
+    assert cli.main(["replay", "--campaign", str(multi_fault_dir), "--test-id", ids[-1]]) == 0
+    assert capsys.readouterr().out.startswith(f"replay OK: {ids[-1]} ->")
+
+
 def test_criterion_5_oracle_v1_clears_v0_false_positives(tmp_path, capsys):
     raw = small_spec_raw()
     raw["RC_INPUT_EVENTS"] = ["AUTO.LOITER", "THROTTLE_TOGGLED"]

@@ -24,7 +24,8 @@ from statefuzz.cutset import (
     table_from_results,
 )
 from statefuzz.errors import InvalidOnly
-from statefuzz.oracle import Verdict, default_tree
+from statefuzz.executor import Executor
+from statefuzz.oracle import Verdict, classify, default_tree
 from statefuzz.sutmodel import AppState, SutConfig
 
 from helpers import make_case, make_profile
@@ -374,35 +375,65 @@ F2_CUT_SET = CutSet(
 )
 
 
+def flying_runner(mission, config):
+    """Fly each test in process and judge it under the v1 tree, storing nothing."""
+    ex, tree = Executor(mission, config), default_tree("v1")
+
+    def runner(tests):
+        return [(t, p, classify(t, p, tree)) for t in tests for p in [ex.execute(t)]]
+
+    return runner
+
+
+def check(cut_set, spec, mission, config, **kwargs):
+    return soundness_check(
+        cut_set, spec, mission, config, flying_runner(mission, config), **kwargs
+    )
+
+
 def test_soundness_confirms_a_real_cut_set(spec, mission_a):
     config = SutConfig(latency_window_ms=(200.0, 600.0), seeded_faults=("F2",))
-    res = soundness_check(F2_CUT_SET, spec, mission_a, config, default_tree("v1"))
+    res = check(F2_CUT_SET, spec, mission_a, config)
     assert res.sound
     assert res.verdicts == ("FAILURE", "FAILURE", "FAILURE")
     assert res.note == ""
 
 
 def test_soundness_rejects_on_a_healthy_vehicle(spec, mission_a, narrow_config):
-    res = soundness_check(F2_CUT_SET, spec, mission_a, narrow_config, default_tree("v1"))
+    res = check(F2_CUT_SET, spec, mission_a, narrow_config)
     assert not res.sound
     assert set(res.verdicts) == {"SUCCESS"}
 
 
 def test_soundness_flags_unrealizable_literals(spec, mission_a):
     config = SutConfig(latency_window_ms=(0.0, 600.0), seeded_faults=("F2",))
-    res = soundness_check(F2_CUT_SET, spec, mission_a, config, default_tree("v1"))
+    res = check(F2_CUT_SET, spec, mission_a, config)
     assert not res.sound
     assert res.verdicts == ()
     assert res.note == "mode/band literals are unrealizable"
+    assert res.tests == ()
 
 
 def test_soundness_result_dict_shape(spec, mission_a):
     config = SutConfig(latency_window_ms=(200.0, 600.0), seeded_faults=("F2",))
-    raw = soundness_check(F2_CUT_SET, spec, mission_a, config, default_tree("v1")).to_dict()
+    res = check(F2_CUT_SET, spec, mission_a, config)
+    raw = res.to_dict()
     assert raw["sound"] is True
     assert raw["cut_set"]["literals"][0] == {"column": "app_state", "value": "TAKEOFF"}
     assert raw["verdicts"] == ["FAILURE"] * 3
     assert raw["note"] == ""
+    assert [t.test_id for t in res.tests] == [f"s-{raw['tag']}-{i}" for i in range(3)]
+
+
+def test_soundness_tags_differ_across_cut_sets_of_one_scope(spec, mission_a, narrow_config):
+    other = CutSet(literals=(("app_state", "TAKEOFF"), ("action", "ALTCTL")))
+    first = check(F2_CUT_SET, spec, mission_a, narrow_config)
+    second = check(other, spec, mission_a, narrow_config)
+    again = check(F2_CUT_SET, spec, mission_a, narrow_config, master_seed=1)
+    assert len({first.tag, second.tag, again.tag}) == 3
+    assert all(len(r.tag) == 8 for r in (first, second, again))
+    ids = [t.test_id for r in (first, second) for t in r.tests]
+    assert len(set(ids)) == 6
 
 
 # ---------------------------------------------------------------------------

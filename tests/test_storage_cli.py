@@ -1,6 +1,7 @@
 """Campaign persistence and the command-line front end."""
 
 import json
+import multiprocessing
 import os
 import shutil
 
@@ -215,8 +216,25 @@ def test_soundness_findings_on_disk(campaign_dir):
     docs = read_json(campaign_dir / "soundness.json")
     assert docs
     for doc in docs:
-        assert set(doc) == {"cut_set", "verdicts", "sound", "note"}
+        assert set(doc) == {"cut_set", "verdicts", "sound", "note", "tag"}
     assert any(d["sound"] for d in docs)
+
+
+def soundness_ids(root) -> list[str]:
+    doc = read_json(root / "tests.json")
+    return [t["id"] for ts in doc["soundness"].values() for t in ts]
+
+
+def test_soundness_trials_are_stored_tests(campaign_dir):
+    checks = read_json(campaign_dir / "soundness.json")
+    trials = read_json(campaign_dir / "tests.json")["soundness"]
+    assert list(trials) == [doc["tag"] for doc in checks]
+    for doc in checks:
+        ids = [t["id"] for t in trials[doc["tag"]]]
+        assert ids == [f"s-{doc['tag']}-{i}" for i in range(3)]
+        verdicts = [read_json(campaign_dir / f"{i}.json")["verdict"]["verdict"] for i in ids]
+        assert verdicts == doc["verdicts"]
+    assert sorted(p.stem for p in campaign_dir.glob("s-*.json")) == sorted(soundness_ids(campaign_dir))
 
 
 def test_report_text_on_disk(campaign_dir):
@@ -261,6 +279,24 @@ def test_load_campaign_regenerates_deleted_tests_manifest(campaign_copy):
     assert len(campaign.results()) == 90
 
 
+def test_stored_bands_keep_their_order(campaign_dir, campaign_copy, capsys):
+    # canonical JSON stores fspec1's bands as long, medium, short; they come
+    # back in order of their bounds, as run took them from the spec file
+    stored = read_json(campaign_copy / "tests.json")["main"]
+    (campaign_copy / "tests.json").unlink()
+    campaign = load_campaign(campaign_copy)
+    assert [b.name for b in campaign.spec.environment.bands] == ["short", "medium", "long"]
+    assert [t.to_dict() for t in campaign.tests] == stored
+    # so a plain focus with run's arguments gives each sweep test its cell again
+    shutil.copy(campaign_dir / "tests.json", campaign_copy / "tests.json")
+    assert cli.main(["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "4"]) == 0
+    assert campaign_files(campaign_copy / "truthtables") == campaign_files(
+        campaign_dir / "truthtables"
+    )
+    for path in campaign_dir.glob("f-*.json"):
+        assert (campaign_copy / path.name).read_bytes() == path.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # replay
 # ---------------------------------------------------------------------------
@@ -270,6 +306,13 @@ def test_replay_matches_stored_profile(campaign_dir, capsys):
     assert cli.main(["replay", "--campaign", str(campaign_dir), "--test-id", "t00000"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("replay OK: t00000 ->")
+
+
+def test_replay_finds_a_soundness_trial(campaign_dir, capsys):
+    trial = soundness_ids(campaign_dir)[0]
+    assert trial.startswith("s-") and trial.endswith("-0")
+    assert cli.main(["replay", "--campaign", str(campaign_dir), "--test-id", trial]) == 0
+    assert capsys.readouterr().out.startswith(f"replay OK: {trial} -> FAILURE")
 
 
 def test_campaign_stored_with_the_retired_config_keys_loads_and_replays(campaign_copy, capsys):
@@ -344,6 +387,29 @@ def test_campaign_stored_with_a_table_per_representative_loads_reports_and_repla
     tags = set(focused.values())
     assert {p.stem for p in (campaign_copy / "truthtables").iterdir()} == tags
     assert {p.stem for p in (campaign_copy / "faulttrees").iterdir()} == tags | {"combined"}
+
+
+def test_campaign_stored_before_soundness_trials_were_kept_loads_and_refocuses(
+    campaign_copy, capsys
+):
+    checks = [
+        {k: v for k, v in doc.items() if k != "tag"}
+        for doc in read_json(campaign_copy / "soundness.json")
+    ]
+    write_json(campaign_copy / "soundness.json", checks)
+    doc = read_json(campaign_copy / "tests.json")
+    del doc["soundness"]
+    write_json(campaign_copy / "tests.json", doc)
+    for path in campaign_copy.glob("s-*.json"):
+        path.unlink()
+    assert load_campaign(campaign_copy).soundness == {}
+    assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
+    assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", "t00000"]) == 0
+    # a focus keeps the untagged checks as they are and flies no trial
+    assert cli.main(["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "4"]) == 0
+    assert read_json(campaign_copy / "soundness.json") == checks
+    assert read_json(campaign_copy / "tests.json")["soundness"] == {}
+    assert not list(campaign_copy.glob("s-*.json"))
 
 
 def test_replay_detects_a_corrupted_profile(campaign_copy, capsys):
@@ -438,7 +504,7 @@ def cut_set_sources(root):
     return {s for cs in doc["cut_sets"] for s in cs["sources"]}
 
 
-def test_focus_keeps_the_combined_results_of_other_tables(campaign_copy, capsys):
+def test_focus_keeps_the_combined_results_of_other_tables(campaign_dir, campaign_copy, capsys):
     rep = read_json(campaign_copy / "analysis.json")["representatives"][0]["closest"]
     tag = read_json(campaign_copy / "tests.json")["focused"][rep]
     assert f"truthtable:{tag}" in cut_set_sources(campaign_copy)
@@ -458,6 +524,10 @@ def test_focus_keeps_the_combined_results_of_other_tables(campaign_copy, capsys)
     # soundness checks stay in the combined results
     assert f"truthtable:{tag}" in cut_set_sources(campaign_copy)
     assert read_json(campaign_copy / "soundness.json") == stored_soundness
+    # and so do the trials of those checks
+    trials = soundness_ids(campaign_copy)
+    assert trials and trials == soundness_ids(campaign_dir)
+    assert all((campaign_copy / f"{i}.json").exists() for i in trials)
 
 
 def test_focus_on_the_representatives_reproduces_the_run(campaign_dir, campaign_copy, capsys):
@@ -524,23 +594,95 @@ def test_focus_with_an_unknown_test_id_changes_nothing(campaign_copy, capsys, ex
         ("run", "--parallelism", "-3"),
         ("focus", "--runs-per-cell", "-1"),
         ("focus", "--parallelism", "0"),
+        ("analyze", "--kmax", "-1"),
+        ("analyze", "--kmax", "0"),
+        ("analyze", "--restarts", "0"),
+        ("run", "STATEFUZZ_SEED", "abc"),
     ],
 )
 def test_a_count_below_one_exits_two_before_anything_flies(
     campaign_copy, capsys, monkeypatch, command, option, value
 ):
+    """So does a STATEFUZZ_SEED that is not an integer."""
     flown = count_flights(monkeypatch)
     before = campaign_files(campaign_copy)
     if command == "run":
         args = CAMPAIGN_ARGS + ["--out", str(campaign_copy)]
+    elif command == "analyze":
+        args = ["analyze", "--campaign", str(campaign_copy)]
     else:
         args = ["focus", "--campaign", str(campaign_copy)]
-    with pytest.raises(SystemExit) as exc:
-        cli.main(args + [option, value])
-    assert exc.value.code == 2
-    assert "positive integer" in capsys.readouterr().err
+    if option.startswith("--"):
+        args += [option, value]
+        error = "positive integer"
+    else:
+        monkeypatch.setenv(option, value)
+        at = args.index("--seed")
+        del args[at:at + 2]
+        error = f"{option}='{value}' is not an integer"
+    try:
+        code = cli.main(args)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert error in capsys.readouterr().err
     assert flown == []
     assert campaign_files(campaign_copy) == before
+
+
+def count_pools(monkeypatch) -> list:
+    """Patch multiprocessing.Pool to record every pool opened."""
+    opened = []
+    pool = multiprocessing.Pool
+
+    def counted(*args, **kwargs):
+        opened.append(pool(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(multiprocessing, "Pool", counted)
+    return opened
+
+
+def without_manifest(root) -> dict:
+    return {p: data for p, data in campaign_files(root).items() if p.name != "campaign.json"}
+
+
+@pytest.mark.parametrize("parallelism, pools", [("2", 1), ("1", 0)])
+def test_run_opens_at_most_one_pool(campaign_dir, tmp_path, monkeypatch, capsys, parallelism, pools):
+    opened = count_pools(monkeypatch)
+    root = tmp_path / "campaign"
+    assert cli.main(CAMPAIGN_ARGS + ["--parallelism", parallelism, "--out", str(root)]) == 0
+    # main tests, a focus sweep and soundness trials all flew
+    assert soundness_ids(root) and focused_ids(root)
+    assert len(opened) == pools
+    assert multiprocessing.active_children() == []
+    # the shared pool's workers change no byte
+    assert without_manifest(root) == without_manifest(campaign_dir)
+
+
+def test_focus_opens_one_pool_and_only_when_it_flies(campaign_copy, monkeypatch, capsys):
+    opened = count_pools(monkeypatch)
+    args = ["focus", "--campaign", str(campaign_copy), "--parallelism", "2"]
+    assert cli.main(args + ["--axes", "foo"]) == 2
+    assert opened == []
+    assert cli.main(args + ["--runs-per-cell", "3"]) == 0
+    assert len(opened) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_a_command_that_raises_mid_focus_leaves_no_worker(tmp_path, monkeypatch, capsys):
+    build = cli.build_truth_table
+
+    def broken(*args, **kwargs):
+        build(*args, **kwargs)
+        raise RuntimeError("killed mid-focus")
+
+    monkeypatch.setattr(cli, "build_truth_table", broken)
+    opened = count_pools(monkeypatch)
+    with pytest.raises(RuntimeError, match="killed mid-focus"):
+        cli.main(CAMPAIGN_ARGS + ["--parallelism", "2", "--out", str(tmp_path / "c")])
+    assert len(opened) == 1
+    assert multiprocessing.active_children() == []
 
 
 #: two representatives (t00006, t00008) with one sweep key
@@ -614,6 +756,8 @@ def test_refocus_leaves_no_result_file_outside_tests_json(tmp_path, capsys):
     assert cli.main(args) == 0
     campaign = load_campaign(root)
     assert [p.name for p in root.glob("f-*.json") if campaign.find_test(p.stem) is None] == []
+    # the old cut set's soundness trials went with its check
+    assert sorted(p.stem for p in root.glob("s-*.json")) == sorted(soundness_ids(root))
     # the tables and trees on disk are those of the sweeps tests.json names
     tags = set(read_json(root / "tests.json")["focused"].values())
     assert {p.stem for p in (root / "truthtables").iterdir()} == tags
@@ -639,6 +783,7 @@ def test_smaller_rerun_keeps_only_its_own_results(campaign_copy, capsys):
     tests_doc = read_json(campaign_copy / "tests.json")
     ids = {t["id"] for t in tests_doc["main"]}
     ids.update(t["id"] for ts in tests_doc["sweeps"].values() for t in ts)
+    ids.update(soundness_ids(campaign_copy))
     named = {"campaign", "coverage", "tests", "analysis", "soundness"}
     assert {p.stem for p in campaign_copy.glob("*.json")} - named == ids
     # the report run renders from memory equals one rendered from the files
