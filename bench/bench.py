@@ -6,6 +6,7 @@ Usage, from the root of a checkout:
     python3 bench/bench.py simulator --out FILE --key after [--src DIR] [--repeats 3]
     python3 bench/bench.py simulator --out FILE --key alternating \\
         --parent DIR --change DIR [--pairs 10]
+    python3 bench/bench.py storage --out FILE --key after [--src DIR] [--repeats 3]
     python3 bench/bench.py pairs --out FILE --parent DIR --change DIR \\
         --workload reanalyze [--pairs 10] [--seed 0]
     python3 bench/bench.py traced --out FILE --parent DIR --change DIR --workload NAME
@@ -32,6 +33,16 @@ digests, and from one more pass per side, with ``Vehicle._coast`` wrapped in
 the subprocess, the ``_coast`` calls per flight and the entries of the
 executor's ``cruise_runs`` memo (null where a side has none).
 
+``storage`` stores the README quick start with the package under ``--src``,
+loads it, and then, ``--repeats`` times (at least 3), stores every loaded
+result again into a fresh directory holding only that campaign's
+``campaign.json`` and ``tests.json``, one ``storage.save_result`` call per
+result in the campaign's test order, and loads that directory back with
+``storage.load_campaign``. It reports the median time of each per 1,000
+results, the bytes the results take on disk, and a digest of the loaded
+profiles and verdicts, so two source trees can be checked for equal
+results.
+
 ``pairs`` runs ``perfbench/run.py --trace 0`` of two checkouts in turn,
 alternating which side runs first, and records every run's end-to-end
 metrics and artifact digests, each side's median and quartiles of
@@ -40,8 +51,8 @@ metrics and artifact digests, each side's median and quartiles of
 metrics.
 
 Each command merges its result into one section of ``--out`` (under
-``--key`` for ``clustering`` and ``simulator``, under the workload and seed
-otherwise) and records the machine: nproc and the Python and numpy
+``--key`` for ``clustering``, ``simulator`` and ``storage``, under the
+workload and seed otherwise) and records the machine: nproc and the Python and numpy
 versions. It is not part of the test suite.
 """
 
@@ -295,6 +306,56 @@ def cmd_simulator_pass(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# storage layer, in process
+# ---------------------------------------------------------------------------
+
+
+def cmd_storage(args) -> dict:
+    cli = import_from(args.src, "statefuzz.cli")
+    from statefuzz.storage import canonical_dumps, load_campaign, save_result
+
+    saves, loads = [], []
+    with tempfile.TemporaryDirectory() as work:
+        stored = Path(work) / "stored"
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main([*F2_QUICKSTART, "--out", str(stored)]) != 0:
+                raise SystemExit("the quick-start run failed")
+        campaign = load_campaign(stored)
+        results = [(t, campaign.profiles[t.test_id], campaign.verdicts[t.test_id])
+                   for t in campaign.every_test() if t.test_id in campaign.profiles]
+        for i in range(args.repeats):
+            root = Path(work) / f"copy{i}"
+            root.mkdir()
+            for name in ("campaign.json", "tests.json"):
+                (root / name).write_bytes((stored / name).read_bytes())
+            t0 = time.perf_counter()
+            for test, profile, verdict in results:
+                save_result(root, test, profile, verdict)
+            saves.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            loaded = load_campaign(root)
+            loads.append(time.perf_counter() - t0)
+        size = sum(p.stat().st_size for p in root.iterdir()
+                   if p.name not in ("campaign.json", "tests.json"))
+        doc = "".join(canonical_dumps([t, loaded.profiles[t].to_dict(), loaded.verdicts[t].to_dict()])
+                      for t in sorted(loaded.profiles)).encode()
+    n = len(results)
+    out = {
+        "repeats": args.repeats,
+        "results": n,
+        "save_ms_per_1000": 1e6 * statistics.median(saves) / n,
+        "load_ms_per_1000": 1e6 * statistics.median(loads) / n,
+        "save_runs_s": saves,
+        "load_runs_s": loads,
+        "stored_bytes": size,
+        "digest": hashlib.sha256(doc).hexdigest(),
+    }
+    print(f"{n} results: save_result {out['save_ms_per_1000']:.1f} ms and load_campaign "
+          f"{out['load_ms_per_1000']:.1f} ms per 1,000, {size:,} bytes", flush=True)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # end to end, through perfbench
 # ---------------------------------------------------------------------------
 
@@ -353,7 +414,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (("clustering", "time analyze_failures in process"),
-                           ("simulator", "time the quick start's flights")):
+                           ("simulator", "time the quick start's flights"),
+                           ("storage", "time save_result and load_campaign in process")):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--src", default=str(ROOT / "src"))
         p.add_argument("--repeats", type=int, default=3)
@@ -380,7 +442,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "simulator-pass":
         return cmd_simulator_pass(args)
-    in_process = args.command in ("clustering", "simulator")
+    in_process = args.command in ("clustering", "simulator", "storage")
     if in_process and args.repeats < 3:
         parser.error("--repeats must be at least 3")
     ab = args.command == "simulator" and (args.parent or args.change)
@@ -390,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be at least 2")
 
     run = {"clustering": cmd_clustering, "simulator": cmd_simulator_ab if ab else cmd_simulator,
-           "pairs": cmd_pairs, "traced": cmd_traced}[args.command]
+           "storage": cmd_storage, "pairs": cmd_pairs, "traced": cmd_traced}[args.command]
     section = run(args)
     path = Path(args.out)
     doc = json.loads(path.read_text()) if path.exists() else {}

@@ -59,6 +59,7 @@ from .fuzzspec import (
 )
 from .oracle import FAILURE, classify, default_tree, parse_tree, serialize_tree
 from .storage import (
+    RESULTS,
     load_campaign,
     read_json,
     render_report,
@@ -71,6 +72,7 @@ from .storage import (
     save_soundness,
     save_tests,
     save_truth_table,
+    trim_results,
 )
 from .sutmodel import SutConfig
 from .testgen import (
@@ -163,6 +165,8 @@ class _Runner:
     The first call with parallelism above 1 and at least two tests opens
     one worker pool, which every later call shares; leaving the `with`
     block closes it, on error too, so no worker outlives the command.
+    Entering the block cuts a torn last line off the results log, so the
+    lines this command appends stay whole.
     """
 
     def __init__(self, root: Path, mission, config: SutConfig, tree, parallelism: int) -> None:
@@ -188,6 +192,7 @@ class _Runner:
         return self.last
 
     def __enter__(self) -> "_Runner":
+        trim_results(self.root)
         return self
 
     def __exit__(self, *exc) -> None:
@@ -292,11 +297,12 @@ def _claim_out(root: Path) -> None:
     """Make root ready for a new campaign.
 
     A missing or empty directory is used as it is. In a campaign directory
-    the earlier run's per-test results, its other top-level JSON files, its
-    truth tables and fault trees, and the .<name>.<pid>.tmp files a killed
-    writer left behind are removed, so none of them survives the new run;
-    campaign.json stays until the new run replaces it. Any other path is
-    refused.
+    the earlier run's results log, its other top-level JSON files (per-test
+    results of the per-file layout among them), its truth tables and fault
+    trees, and the .<name>.<pid>.tmp files a killed writer left behind are
+    removed, so none of them survives the new run; campaign.json stays
+    until the new run replaces it with a running manifest. Any other path
+    is refused.
     """
     if root.exists() and not root.is_dir():
         raise NotACampaign(f"--out {root} is not a directory")
@@ -311,6 +317,7 @@ def _claim_out(root: Path) -> None:
                 path.unlink()
         for path in root.glob(".*.tmp"):
             path.unlink()
+        (root / RESULTS).unlink(missing_ok=True)
     root.mkdir(parents=True, exist_ok=True)
 
 
@@ -318,13 +325,15 @@ def _write_report(root: Path, counts: dict[str, int], focused: dict[str, str]) -
     """Render report.txt from the stored artifacts.
 
     counts are the verdict counts over every stored result, main and
-    focused; focused maps each representative to its sweep's tag.
+    focused; focused maps each representative to its sweep's tag. A
+    table is headed by its representatives in sorted order, so the report
+    does not depend on the order focused was built in.
     """
     meta = read_json(root / "campaign.json")
     analysis_path, soundness_path = root / "analysis.json", root / "soundness.json"
     analysis_doc = read_json(analysis_path) if analysis_path.exists() else None
     tables = [
-        (p.stem, [rep for rep, tag in focused.items() if tag == p.stem], read_json(p))
+        (p.stem, sorted(rep for rep, tag in focused.items() if tag == p.stem), read_json(p))
         for p in sorted(root.glob("truthtables/*.json"))
     ]
     paths = sorted(root.glob("faulttrees/*.json"), key=lambda p: (p.stem == "combined", p.stem))
@@ -358,6 +367,9 @@ def cmd_run(args) -> int:
     tree = default_tree(args.oracle)
     root = Path(args.out)
     _claim_out(root)
+    meta_args = (root, spec, mission, config, gen_config, args.oracle,
+                 serialize_tree(tree), args.parallelism)
+    save_campaign_meta(*meta_args, {}, 0.0, [], "running")
 
     t0 = time.monotonic()
     tests = generate(spec, gen_config)
@@ -395,11 +407,8 @@ def cmd_run(args) -> int:
     wall = time.monotonic() - t0
     save_tests(root, tests, focused, sweeps, trials)
     save_coverage(root, coverage.to_dict())
-    save_campaign_meta(
-        root, spec, mission, config, gen_config, args.oracle,
-        serialize_tree(tree), args.parallelism, counts, wall, reps_meta,
-    )
     _write_report(root, runner.counts, focused)
+    save_campaign_meta(*meta_args, counts, wall, reps_meta, "complete")
     print(f"campaign stored in {root} ({wall:.1f}s)")
     return 0
 

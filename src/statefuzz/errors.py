@@ -100,3 +100,7 @@ class UnknownTestId(StateFuzzError):
 
 class NotACampaign(StateFuzzError):
     """An output directory holds files but no campaign.json."""
+
+
+class CampaignRunning(StateFuzzError):
+    """campaign.json says the run writing the campaign has not finished."""

@@ -1,16 +1,20 @@
-"""Campaign persistence: canonical JSON files under one directory.
+"""Campaign persistence: canonical JSON files and one results log under one
+directory.
 
 Layout of a campaign directory:
 
-    campaign.json            run metadata (the only file with wall-clock data)
+    campaign.json            run metadata (the only file with wall-clock data);
+                             "status" is "running" from the run's first write
+                             until its last one sets "complete"
     coverage.json            mission coverage check
     tests.json               every generated test: "main" lists the main
                              tests, "sweeps" the tests of each focus sweep
                              by its tag, "focused" each representative's tag,
                              "soundness" the trials of each soundness check
                              by its tag
-    <test-id>.json           one file per executed test: test + profile +
-                             verdict (t*, f-<tag>-NNNN and s-<tag>-<i>)
+    results.jsonl            one line per flown test, in flight order: the
+                             compact, sorted-key JSON {"id", "profile",
+                             "verdict"} (t*, f-<tag>-NNNN and s-<tag>-<i>)
     analysis.json            clustering output
     truthtables/<tag>.json   one table per focus sweep, plus .csv
     faulttrees/<tag>.json    one tree per focus sweep, plus .dot, plus combined
@@ -19,15 +23,31 @@ Layout of a campaign directory:
                              the tag that names its trials
     report.txt               human-readable digest
 
-All JSON is written canonically (sorted keys, two-space indent, trailing
-newline), so re-running a campaign with the same seed reproduces every
-file byte for byte; campaign.json is the lone exception because it records
-when and how long the run was. Every file is replaced whole, so a killed
+All JSON files are written canonically (sorted keys, two-space indent,
+trailing newline) and the log's lines in test order, so re-running a
+campaign with the same seed reproduces every file byte for byte, at any
+parallelism; campaign.json is the lone exception because it records when
+and how long the run was. Every file is replaced whole, so a killed
 process leaves the old version or the new one, never a truncated file.
+The results log is the exception to that rule: save_result appends to it,
+so a killed writer can leave a last line without its newline.
+Readers skip such a torn line, a command cuts it off before it appends
+(trim_results), and save_tests rewrites the log whole when it holds a line
+that tests.json does not list, or lists twice. A test's case is not in the
+log: tests.json holds it.
+
+A manifest without "status" was written by a run that finished;
+load_campaign refuses one whose status is "running", since its other files
+may belong to an earlier run.
 
 Everything needed to regenerate a test deterministically (spec, mission,
 config, generator settings, oracle tree, master seed) is embedded in
-campaign.json, so a replay works even after its result file was deleted.
+campaign.json, so a replay works even after its result was deleted.
+
+A campaign stored before the results log holds one <test-id>.json file
+per flown test (test + profile + verdict, indented). iter_results reads
+those files for the ids the log does not hold, and the next save_tests
+folds the listed ones into the log and deletes them all.
 
 A focus sweep is named by the tag of its key (see testgen.sweep_tag), and
 its tests are f-<tag>-NNNN. Representatives with one key share one sweep,
@@ -39,7 +59,7 @@ tagged with the representative's id, which is also its table's name.
 A soundness check is named by the tag of its cut set's literals and the
 master seed (see cutset.soundness_check), and its trials s-<tag>-<i> are
 stored like any other test, so replay finds them. A campaign stored before
-the trials were kept has checks without a tag and no s-* files.
+the trials were kept has checks without a tag and no stored trials.
 """
 
 from __future__ import annotations
@@ -55,11 +75,21 @@ from pathlib import Path
 from typing import Optional
 
 from .analysis import AnalysisResult
+from .errors import CampaignRunning
 from .executor import ExecutionProfile
 from .fuzzspec import FuzzSpecification, MissionPlan, parse_fuzz_spec, parse_mission
 from .oracle import Verdict
 from .sutmodel import SutConfig
 from .testgen import GeneratorConfig, TestCase, generate
+
+
+#: the results log of a campaign directory
+RESULTS = "results.jsonl"
+#: the top-level JSON files that are not per-test results (per-file layout)
+_NAMED = frozenset({"campaign", "coverage", "tests", "analysis", "soundness"})
+#: where a log line's test id starts: sorted keys put "id" first
+_ID_AT = len('{"id":')
+_DECODER = json.JSONDecoder()
 
 
 def canonical_dumps(obj) -> str:
@@ -141,7 +171,9 @@ def save_campaign_meta(
     verdict_counts: dict[str, int],
     wall_time_s: float,
     representatives: list[dict],
+    status: str,
 ) -> None:
+    """Write campaign.json; status is "running" or "complete"."""
     write_json(
         root / "campaign.json",
         {
@@ -160,6 +192,7 @@ def save_campaign_meta(
             "parallelism": parallelism,
             "verdict_counts": verdict_counts,
             "representatives": representatives,
+            "status": status,
             "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "wall_time_s": round(wall_time_s, 3),
         },
@@ -177,9 +210,9 @@ def save_tests(
     sweeps: dict[str, list[TestCase]],
     soundness: dict[str, list[TestCase]],
 ) -> None:
-    """Write tests.json, then delete each focused or soundness result file,
-    truth table and fault tree whose name it does not list (the combined
-    tree stays).
+    """Write tests.json, then keep only what it lists: one line per listed
+    test in the results log, and the truth tables and fault trees of the
+    sweeps it names (the combined tree stays).
 
     focused maps each representative to its sweep's tag; only the sweeps
     it names are written, and only their tables and trees kept. soundness
@@ -195,22 +228,103 @@ def save_tests(
             "soundness": {tag: [t.to_dict() for t in ts] for tag, ts in soundness.items()},
         },
     )
-    listed = {t.test_id for ts in chain(kept.values(), soundness.values()) for t in ts}
-    listed |= set(kept) | {"combined"}
-    stored = chain(
-        root.glob("f-*.json"), root.glob("s-*.json"),
-        root.glob("truthtables/*"), root.glob("faulttrees/*"),
-    )
-    for path in stored:
-        if path.stem not in listed:
+    listed = dict.fromkeys(t.test_id for t in chain(main, *kept.values(), *soundness.values()))
+    _keep_results(root, listed)
+    tables = set(kept) | {"combined"}
+    for path in chain(root.glob("truthtables/*"), root.glob("faulttrees/*")):
+        if path.stem not in tables:
             path.unlink()
 
 
+def _log(root: Path):
+    """Yield (test id, line) for each line of the results log, read one line
+    at a time; the id is None for a torn line (one without its newline)."""
+    path = root / RESULTS
+    if path.exists():
+        with path.open(encoding="utf-8") as log:
+            for line in log:
+                torn = not line.endswith("\n")
+                yield None if torn else _DECODER.raw_decode(line, _ID_AT)[0], line
+
+
+def _result_line(test_id: str, profile: dict, verdict: dict) -> str:
+    doc = {"id": test_id, "profile": profile, "verdict": verdict}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _per_file_results(root: Path) -> list[Path]:
+    """The <test-id>.json result files of the per-file layout, sorted."""
+    return [p for p in sorted(root.glob("*.json")) if p.stem not in _NAMED]
+
+
+def _keep_results(root: Path, listed: dict) -> None:
+    """Leave one result line per listed test id in the log and no per-test file.
+
+    A log whose every line is complete, listed and the first of its id is
+    left as it is. Otherwise it is rewritten whole: first the per-file
+    results of listed ids, in listed order, then the log's lines in order,
+    the first line of an id winning. Then every per-test file is deleted.
+    """
+    files = {p.stem: p for p in _per_file_results(root)}
+    seen = set()
+    for test_id, _line in _log(root):
+        if test_id not in listed or test_id in seen:
+            break
+        seen.add(test_id)
+    else:
+        if not files:
+            return
+    lines = {}
+    for test_id in listed:
+        if test_id in files:
+            doc = read_json(files[test_id])
+            lines[test_id] = _result_line(test_id, doc["profile"], doc["verdict"])
+    for test_id, line in _log(root):
+        if test_id in listed and test_id not in lines:
+            lines[test_id] = line
+    write_text(root / RESULTS, "".join(lines.values()))
+    for path in files.values():
+        path.unlink()
+
+
 def save_result(root: Path, test: TestCase, profile: ExecutionProfile, verdict: Verdict) -> None:
-    write_json(
-        root / f"{test.test_id}.json",
-        {"test": test.to_dict(), "profile": profile.to_dict(), "verdict": verdict.to_dict()},
-    )
+    """Append test's result to the results log as one line."""
+    with open(root / RESULTS, "a", encoding="utf-8") as log:
+        log.write(_result_line(test.test_id, profile.to_dict(), verdict.to_dict()))
+
+
+def trim_results(root: Path) -> None:
+    """Cut a torn last line off the results log, so that the next line
+    appended starts a line of its own."""
+    path = root / RESULTS
+    if not path.exists():
+        return
+    with path.open("rb+") as log:
+        size = log.seek(0, os.SEEK_END)
+        if size == 0:
+            return
+        log.seek(size - 1)
+        if log.read(1) != b"\n":
+            log.seek(0)
+            log.truncate(log.read().rfind(b"\n") + 1)
+
+
+def iter_results(root: Path):
+    """Yield (test id, result) once per stored result; result["profile"] and
+    result["verdict"] are dicts.
+
+    The log is read line by line, the first line of an id winning and a
+    torn last line skipped; then the per-file results of the ids the log
+    does not hold.
+    """
+    seen = set()
+    for test_id, line in _log(root):
+        if test_id is not None and test_id not in seen:
+            seen.add(test_id)
+            yield test_id, json.loads(line)
+    for path in _per_file_results(root):
+        if path.stem not in seen:
+            yield path.stem, read_json(path)
 
 
 def save_analysis(root: Path, result: AnalysisResult) -> None:
@@ -260,6 +374,11 @@ def save_report(root: Path, text: str) -> None:
 
 def load_campaign(root: Path) -> Campaign:
     meta = read_json(root / "campaign.json")
+    if meta.get("status", "complete") != "complete":
+        raise CampaignRunning(
+            f"campaign {root} is {meta['status']}: the run writing it has not finished, "
+            "so its files may belong to an earlier run; run it again"
+        )
     gen_raw = meta["generator"]
     generator = GeneratorConfig(
         repetitions_per_combination=gen_raw["repetitions_per_combination"],
@@ -299,13 +418,11 @@ def load_campaign(root: Path) -> Campaign:
         # the manifest carries everything generation needs, so a deleted
         # tests.json is recoverable
         campaign.tests = generate(campaign.spec, generator)
-    for test in campaign.every_test():
-        path = root / f"{test.test_id}.json"
-        if not path.exists():
-            continue
-        doc = read_json(path)
-        campaign.profiles[test.test_id] = ExecutionProfile.from_dict(doc["profile"])
-        campaign.verdicts[test.test_id] = Verdict.from_dict(doc["verdict"])
+    ids = {t.test_id for t in campaign.every_test()}
+    for test_id, doc in iter_results(root):
+        if test_id in ids:
+            campaign.profiles[test_id] = ExecutionProfile.from_dict(doc["profile"])
+            campaign.verdicts[test_id] = Verdict.from_dict(doc["verdict"])
     return campaign
 
 

@@ -20,7 +20,7 @@ from statefuzz.cutset import table_from_results
 from statefuzz.executor import run_campaign
 from statefuzz.fuzzspec import parse_fuzz_spec, parse_mission
 from statefuzz.oracle import classify, default_tree
-from statefuzz.storage import read_json
+from statefuzz.storage import iter_results, read_json
 from statefuzz.sutmodel import AppState, SutConfig
 from statefuzz.testgen import focused_generate
 
@@ -184,7 +184,8 @@ def test_soundness_trials_of_one_scope_are_distinct_stored_tests(multi_fault_dir
     trials = read_json(multi_fault_dir / "tests.json")["soundness"]
     ids = [t["id"] for doc in takeoff for t in trials[doc["tag"]]]
     assert len(set(ids)) == len(ids) == 3 * len(takeoff)
-    assert all((multi_fault_dir / f"{i}.json").exists() for i in ids)
+    stored = dict(iter_results(multi_fault_dir))
+    assert all(i in stored for i in ids)
     # flown through the run's pool, each trial still replays
     assert cli.main(["replay", "--campaign", str(multi_fault_dir), "--test-id", ids[-1]]) == 0
     assert capsys.readouterr().out.startswith(f"replay OK: {ids[-1]} ->")
@@ -217,11 +218,12 @@ def test_criterion_5_oracle_v1_clears_v0_false_positives(tmp_path, capsys):
     meta = read_json(root / "campaign.json")
     assert meta["verdict_counts"] == {"FAILURE": 18}  # healthy vehicle, no faults
     by_action = {"AUTO.LOITER": 0, "THROTTLE_TOGGLED": 0}
-    for i in range(18):
-        doc = read_json(root / f"t{i:05d}.json")
+    results = dict(iter_results(root))
+    for test in read_json(root / "tests.json")["main"]:
+        doc = results[test["id"]]
         assert doc["verdict"]["verdict"] == "FAILURE"
         assert doc["verdict"]["reason"] == "unexpected-mode"
-        by_action[doc["test"]["injected_action"]] += 1
+        by_action[test["injected_action"]] += 1
     assert by_action["AUTO.LOITER"] == 9 and by_action["THROTTLE_TOGGLED"] == 9
 
     # same stored profiles, corrected oracle, no re-execution
@@ -307,4 +309,6 @@ def test_criterion_9_same_seed_campaigns_are_byte_identical(tmp_path):
             continue  # carries wall time, timestamp and the parallelism flag
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
         compared += 1
-    assert compared > 100  # profiles, tables, trees, report, manifests
+    # each line of the equal results logs is one flown test's profile and verdict
+    compared += len((a / "results.jsonl").read_text().splitlines())
+    assert compared > 100  # result lines, tables, trees, report, manifests

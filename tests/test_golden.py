@@ -28,7 +28,7 @@ from conftest import MISSION_A_RAW, MISSION_C_RAW, small_spec_raw
 from helpers import make_case
 
 MATRIX_DIGEST = "eb0dbec7bf477ff29dbabd1f6336077c141e49b936b77b65214e090228f638c1"
-RUN_DIGEST = "b697eaff7edbc3b4dac1882c49da4b0b0f02a3cd87df364d8848f2da3aca798c"
+RUN_DIGEST = "ce050ba4a023d7506dddd5b3ac7e48292fe2ede2a02dfa5a7a004f0420659e7f"
 CLUSTERING_DIGEST = "0bae8a368900f64a4303b5f53f9f56bac2e8aaf39e040acba542fd5049d0b5cf"
 
 ACTIONS = tuple(a.value for a in RcAction) + (NO_ACTION,)

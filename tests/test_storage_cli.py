@@ -12,10 +12,12 @@ from statefuzz.errors import InvalidOnly
 from statefuzz.executor import Executor
 from statefuzz.storage import (
     canonical_dumps,
+    iter_results,
     load_campaign,
     read_json,
     render_report,
     save_report,
+    save_tests,
     table_csv,
     write_json,
 )
@@ -156,9 +158,11 @@ def test_campaign_manifest_contents(campaign_dir):
         "parallelism",
         "verdict_counts",
         "representatives",
+        "status",
         "created_at",
         "wall_time_s",
     }
+    assert meta["status"] == "complete"
     assert meta["spec_id"] == "fspec1"
     assert meta["master_seed"] == 0
     assert meta["oracle_version"] == "v1"
@@ -178,14 +182,34 @@ def test_tests_manifest_lists_main_and_focused(campaign_dir):
         assert all(t["id"].startswith(f"f-{tag}-") for t in doc["sweeps"][tag])
 
 
+def logged_ids(root) -> list[str]:
+    """The test ids of the results log's lines, in order."""
+    return [json.loads(line)["id"] for line in (root / "results.jsonl").read_text().splitlines()]
+
+
+def write_log(root, results: dict) -> None:
+    """Store results (test id -> result, as iter_results gives them) as the
+    results log, in order."""
+    (root / "results.jsonl").write_text("".join(
+        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" for doc in results.values()
+    ))
+
+
 def test_every_executed_test_has_a_result_file(campaign_dir):
     doc = read_json(campaign_dir / "tests.json")
     ids = [t["id"] for t in doc["main"]]
     ids += [t["id"] for ts in doc["sweeps"].values() for t in ts]
+    ids += soundness_ids(campaign_dir)
+    results = dict(iter_results(campaign_dir))
     for test_id in ids:
-        record = read_json(campaign_dir / f"{test_id}.json")
-        assert set(record) == {"test", "profile", "verdict"}
-        assert record["test"]["id"] == test_id
+        record = results[test_id]
+        assert set(record) == {"id", "profile", "verdict"}
+        assert record["profile"]["test_id"] == test_id
+    # one compact line per flown test, in flight order, and no per-test file
+    assert logged_ids(campaign_dir) == ids
+    assert {p.name for p in campaign_dir.glob("*.json")} == {
+        "campaign.json", "coverage.json", "tests.json", "analysis.json", "soundness.json"
+    }
 
 
 def test_truth_tables_on_disk(campaign_dir):
@@ -229,12 +253,14 @@ def test_soundness_trials_are_stored_tests(campaign_dir):
     checks = read_json(campaign_dir / "soundness.json")
     trials = read_json(campaign_dir / "tests.json")["soundness"]
     assert list(trials) == [doc["tag"] for doc in checks]
+    results = dict(iter_results(campaign_dir))
     for doc in checks:
         ids = [t["id"] for t in trials[doc["tag"]]]
         assert ids == [f"s-{doc['tag']}-{i}" for i in range(3)]
-        verdicts = [read_json(campaign_dir / f"{i}.json")["verdict"]["verdict"] for i in ids]
+        verdicts = [results[i]["verdict"]["verdict"] for i in ids]
         assert verdicts == doc["verdicts"]
-    assert sorted(p.stem for p in campaign_dir.glob("s-*.json")) == sorted(soundness_ids(campaign_dir))
+    logged = [i for i in logged_ids(campaign_dir) if i.startswith("s-")]
+    assert sorted(logged) == sorted(soundness_ids(campaign_dir))
 
 
 def test_report_text_on_disk(campaign_dir):
@@ -293,8 +319,8 @@ def test_stored_bands_keep_their_order(campaign_dir, campaign_copy, capsys):
     assert campaign_files(campaign_copy / "truthtables") == campaign_files(
         campaign_dir / "truthtables"
     )
-    for path in campaign_dir.glob("f-*.json"):
-        assert (campaign_copy / path.name).read_bytes() == path.read_bytes()
+    log = "results.jsonl"
+    assert (campaign_copy / log).read_bytes() == (campaign_dir / log).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +354,25 @@ def test_campaign_stored_with_the_retired_config_keys_loads_and_replays(campaign
     assert capsys.readouterr().out.startswith("replay OK: t00000 ->")
 
 
+def to_per_file_layout(root):
+    """Rewrite root the way campaigns were stored before the results log:
+    one indented <test-id>.json file per flown test, with its case, and a
+    manifest without a status."""
+    tests = {t.test_id: t.to_dict() for t in load_campaign(root).every_test()}
+    for test_id, doc in iter_results(root):
+        record = {"test": tests[test_id], "profile": doc["profile"], "verdict": doc["verdict"]}
+        write_json(root / f"{test_id}.json", record)
+    (root / "results.jsonl").unlink()
+    meta = read_json(root / "campaign.json")
+    del meta["status"]
+    write_json(root / "campaign.json", meta)
+
+
 def to_unkeyed_layout(root):
     """Rewrite root the way campaigns were stored before sweeps were keyed:
-    tests.json maps each representative to its own list of tests, whose ids
-    are f-<representative>-NNNN."""
+    per-file results, and tests.json maps each representative to its own
+    list of tests, whose ids are f-<representative>-NNNN."""
+    to_per_file_layout(root)
     doc = read_json(root / "tests.json")
     focused = {}
     for rep_id, tag in doc["focused"].items():
@@ -400,8 +441,8 @@ def test_campaign_stored_before_soundness_trials_were_kept_loads_and_refocuses(
     doc = read_json(campaign_copy / "tests.json")
     del doc["soundness"]
     write_json(campaign_copy / "tests.json", doc)
-    for path in campaign_copy.glob("s-*.json"):
-        path.unlink()
+    results = dict(iter_results(campaign_copy))
+    write_log(campaign_copy, {i: r for i, r in results.items() if not i.startswith("s-")})
     assert load_campaign(campaign_copy).soundness == {}
     assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
     assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", "t00000"]) == 0
@@ -409,14 +450,79 @@ def test_campaign_stored_before_soundness_trials_were_kept_loads_and_refocuses(
     assert cli.main(["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "4"]) == 0
     assert read_json(campaign_copy / "soundness.json") == checks
     assert read_json(campaign_copy / "tests.json")["soundness"] == {}
-    assert not list(campaign_copy.glob("s-*.json"))
+    assert not [i for i in logged_ids(campaign_copy) if i.startswith("s-")]
+
+
+def test_campaign_stored_per_file_loads_reports_replays_and_refocuses(
+    campaign_dir, campaign_copy, capsys
+):
+    to_per_file_layout(campaign_copy)
+    campaign = load_campaign(campaign_copy)
+    assert len(campaign.profiles) == len(list(campaign.every_test()))
+    (campaign_copy / "report.txt").unlink()
+    assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
+    report = "report.txt"
+    assert (campaign_copy / report).read_bytes() == (campaign_dir / report).read_bytes()
+    capsys.readouterr()
+    tag = next(iter(campaign.focused.values()))
+    trial = soundness_ids(campaign_copy)[0]
+    for test_id in ("t00000", f"f-{tag}-0000", trial):
+        assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", test_id]) == 0
+        assert capsys.readouterr().out.startswith(f"replay OK: {test_id} ->")
+    # a plain focus folds the files into the log: each result is stored once
+    assert cli.main(["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "4"]) == 0
+    assert {p.stem for p in campaign_copy.glob("*.json")} == {
+        "campaign", "coverage", "tests", "analysis", "soundness"
+    }
+    ids = logged_ids(campaign_copy)
+    assert len(ids) == len(set(ids))
+    assert sorted(ids) == sorted(t.test_id for t in load_campaign(campaign_copy).every_test())
+    log = "results.jsonl"
+    assert sorted((campaign_copy / log).read_text().splitlines()) == sorted(
+        (campaign_dir / log).read_text().splitlines()
+    )
+
+
+def torn_log(root) -> str:
+    """Cut the results log's last line in half, as a killed writer leaves
+    it; returns the id of the torn line."""
+    path = root / "results.jsonl"
+    text = path.read_text()
+    start = text.rindex("\n", 0, len(text) - 1) + 1
+    path.write_text(text[: start + (len(text) - start) // 2])
+    return json.loads(text[start:])["id"]
+
+
+def test_a_torn_last_line_is_ignored_and_then_dropped(campaign_dir, campaign_copy, capsys):
+    torn = torn_log(campaign_copy)
+    campaign = load_campaign(campaign_copy)
+    assert torn not in campaign.profiles
+    assert len(campaign.profiles) == len(logged_ids(campaign_dir)) - 1
+    assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
+    assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", "t00000"]) == 0
+    # the next rewrite of the log drops the torn line
+    save_tests(campaign_copy, campaign.tests, campaign.focused, campaign.sweeps,
+               campaign.soundness)
+    text = (campaign_copy / "results.jsonl").read_text()
+    assert text.endswith("\n")
+    assert logged_ids(campaign_copy) == [i for i in logged_ids(campaign_dir) if i != torn]
+
+
+def test_a_focus_after_a_killed_writer_appends_whole_lines(campaign_dir, campaign_copy, capsys):
+    torn = torn_log(campaign_copy)
+    args = ["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "2", "--no-soundness"]
+    assert cli.main(args + ["--test-id", "t00003"]) == 0
+    # every line parses, each id once, and the torn result is gone
+    ids = logged_ids(campaign_copy)
+    assert len(ids) == len(set(ids)) and torn not in ids
+    assert set(ids) == set(load_campaign(campaign_copy).profiles)
+    assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
 
 
 def test_replay_detects_a_corrupted_profile(campaign_copy, capsys):
-    path = campaign_copy / "t00001.json"
-    doc = json.loads(path.read_text())
-    doc["profile"]["oscillation_count"] = 99
-    path.write_text(json.dumps(doc))
+    results = dict(iter_results(campaign_copy))
+    results["t00001"]["profile"]["oscillation_count"] = 99
+    write_log(campaign_copy, results)
     assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", "t00001"]) == 1
     out = capsys.readouterr().out
     assert "replay MISMATCH for t00001" in out
@@ -424,7 +530,9 @@ def test_replay_detects_a_corrupted_profile(campaign_copy, capsys):
 
 
 def test_replay_without_a_stored_profile_reexecutes(campaign_copy, capsys):
-    (campaign_copy / "t00002.json").unlink()
+    results = dict(iter_results(campaign_copy))
+    del results["t00002"]
+    write_log(campaign_copy, results)
     assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", "t00002"]) == 0
     assert "no stored profile for t00002" in capsys.readouterr().out
 
@@ -527,7 +635,7 @@ def test_focus_keeps_the_combined_results_of_other_tables(campaign_dir, campaign
     # and so do the trials of those checks
     trials = soundness_ids(campaign_copy)
     assert trials and trials == soundness_ids(campaign_dir)
-    assert all((campaign_copy / f"{i}.json").exists() for i in trials)
+    assert set(trials) <= set(logged_ids(campaign_copy))
 
 
 def test_focus_on_the_representatives_reproduces_the_run(campaign_dir, campaign_copy, capsys):
@@ -535,7 +643,9 @@ def test_focus_on_the_representatives_reproduces_the_run(campaign_dir, campaign_
     (campaign_copy / "soundness.json").unlink()
     rc = cli.main(["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "4"])
     assert rc == 0
-    for name in ("faulttrees/combined.json", "faulttrees/combined.dot", "soundness.json"):
+    names = ("faulttrees/combined.json", "faulttrees/combined.dot", "soundness.json",
+             "results.jsonl")
+    for name in names:
         assert (campaign_copy / name).read_bytes() == (campaign_dir / name).read_bytes()
 
 
@@ -713,7 +823,7 @@ def test_representatives_with_one_sweep_key_fly_it_once(tmp_path, monkeypatch, c
     # unique keys x 9 cells (3 actions x 3 bands) x 2 runs per cell
     focus_flights = [i for i in flown if i.startswith("f-")]
     assert len(focus_flights) == len(set(focused.values())) * 9 * 2
-    assert len(list(root.glob("f-*.json"))) == len(focus_flights)
+    assert len([i for i in logged_ids(root) if i.startswith("f-")]) == len(focus_flights)
     (tag,) = set(focused.values())
     assert sorted(p.name for p in (root / "truthtables").iterdir()) == [f"{tag}.csv", f"{tag}.json"]
     assert sorted(p.name for p in (root / "faulttrees").iterdir()) == sorted(
@@ -726,6 +836,17 @@ def test_representatives_with_one_sweep_key_fly_it_once(tmp_path, monkeypatch, c
         args = ["focus", "--campaign", str(root), "--no-soundness", *other]
         assert cli.main(args) == 0
         assert not focused_ids(root) & ids
+
+
+def test_report_heads_a_shared_table_as_run_did(tmp_path, capsys):
+    root = tmp_path / "campaign"
+    assert cli.main(SHARED_KEY_ARGS + ["--out", str(root)]) == 0
+    focused = read_json(root / "tests.json")["focused"]
+    (tag,) = set(focused.values())
+    report = (root / "report.txt").read_bytes()
+    assert f"truth table t00006, t00008 (sweep {tag}, scope TAKEOFF)".encode() in report
+    assert cli.main(["report", "--campaign", str(root)]) == 0
+    assert (root / "report.txt").read_bytes() == report
 
 
 def test_soundness_checks_each_combined_cut_set_once(tmp_path, monkeypatch, capsys):
@@ -755,9 +876,9 @@ def test_refocus_leaves_no_result_file_outside_tests_json(tmp_path, capsys):
     args = ["focus", "--campaign", str(root), "--runs-per-cell", "1", "--axes", "action"]
     assert cli.main(args) == 0
     campaign = load_campaign(root)
-    assert [p.name for p in root.glob("f-*.json") if campaign.find_test(p.stem) is None] == []
+    assert [i for i in logged_ids(root) if campaign.find_test(i) is None] == []
     # the old cut set's soundness trials went with its check
-    assert sorted(p.stem for p in root.glob("s-*.json")) == sorted(soundness_ids(root))
+    assert sorted(i for i in logged_ids(root) if i.startswith("s-")) == sorted(soundness_ids(root))
     # the tables and trees on disk are those of the sweeps tests.json names
     tags = set(read_json(root / "tests.json")["focused"].values())
     assert {p.stem for p in (root / "truthtables").iterdir()} == tags
@@ -785,11 +906,44 @@ def test_smaller_rerun_keeps_only_its_own_results(campaign_copy, capsys):
     ids.update(t["id"] for ts in tests_doc["sweeps"].values() for t in ts)
     ids.update(soundness_ids(campaign_copy))
     named = {"campaign", "coverage", "tests", "analysis", "soundness"}
-    assert {p.stem for p in campaign_copy.glob("*.json")} - named == ids
+    assert {p.stem for p in campaign_copy.glob("*.json")} == named
+    assert sorted(logged_ids(campaign_copy)) == sorted(ids)
     # the report run renders from memory equals one rendered from the files
     report = (campaign_copy / "report.txt").read_bytes()
     assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
     assert (campaign_copy / "report.txt").read_bytes() == report
+
+
+class Killed(BaseException):
+    """Stands for a signal that ends the process mid-run."""
+
+
+def test_a_killed_rerun_leaves_a_campaign_that_commands_refuse(campaign_copy, monkeypatch, capsys):
+    save = cli.save_result
+    saved = []
+
+    def killed_after_50(*args):
+        if len(saved) == 50:
+            raise Killed
+        saved.append(args[1].test_id)
+        save(*args)
+
+    monkeypatch.setattr(cli, "save_result", killed_after_50)
+    args = list(CAMPAIGN_ARGS)
+    args[args.index("--seed") + 1] = "7"
+    with pytest.raises(Killed):
+        cli.main(args + ["--out", str(campaign_copy)])
+    assert logged_ids(campaign_copy) == saved
+    meta = read_json(campaign_copy / "campaign.json")
+    assert meta["status"] == "running" and meta["master_seed"] == 7
+    capsys.readouterr()
+    for command in (["report"], ["analyze"], ["focus"], ["replay", "--test-id", "t00003"]):
+        assert cli.main([*command, "--campaign", str(campaign_copy)]) == 2
+        assert "is running: the run writing it has not finished" in capsys.readouterr().err
+    # a rerun that finishes makes it a campaign again
+    monkeypatch.setattr(cli, "save_result", save)
+    assert cli.main(args + ["--out", str(campaign_copy)]) == 0
+    assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", "t00003"]) == 0
 
 
 def test_rerun_removes_temp_files_a_killed_writer_left(campaign_copy):
