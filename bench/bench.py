@@ -7,6 +7,8 @@ Usage, from the root of a checkout:
     python3 bench/bench.py simulator --out FILE --key alternating \\
         --parent DIR --change DIR [--pairs 10]
     python3 bench/bench.py storage --out FILE --key after [--src DIR] [--repeats 3]
+    python3 bench/bench.py oracle --out FILE --key after [--src DIR] [--repeats 3]
+    python3 bench/bench.py startup --out FILE --parent DIR --change DIR [--pairs 10]
     python3 bench/bench.py pairs --out FILE --parent DIR --change DIR \\
         --workload reanalyze [--pairs 10] [--seed 0]
     python3 bench/bench.py traced --out FILE --parent DIR --change DIR --workload NAME
@@ -43,17 +45,32 @@ results, the bytes the results take on disk, and a digest of the loaded
 profiles and verdicts, so two source trees can be checked for equal
 results.
 
+``oracle`` stores the README quick start with the package under ``--src``
+and judges every stored profile under oracle ``v0`` and ``v1``, in this
+process. It reports, per version, classifications per second over the
+median of ``--repeats`` passes (at least 3), the verdict counts and a digest
+of the verdicts, so two source trees can be checked for equal verdicts.
+
+``startup`` times cold starts of two checkouts: ``--pairs`` alternating
+pairs of fresh interpreters that only ``import statefuzz.cli``, then one
+start per subcommand, under ``-X importtime``, that runs it on a small
+stored campaign (``run`` stores its own). It records each side's import
+times, their median and quartiles, the pairs the change won, and which heavy
+modules (numpy, multiprocessing) each start loaded; for each subcommand, its
+wall time and the time its imports took.
+
 ``pairs`` runs ``perfbench/run.py --trace 0`` of two checkouts in turn,
 alternating which side runs first, and records every run's end-to-end
-metrics and artifact digests, each side's median and quartiles of
-``wall_s``, and the number of pairs the change won. ``traced`` runs
-``perfbench/run.py --trace 1`` once per side and records the per-layer
+metrics and artifact digests, and for each end-to-end metric each side's
+median and quartiles and the number of pairs the change won. ``traced``
+runs ``perfbench/run.py --trace 1`` once per side and records the per-layer
 metrics.
 
 Each command merges its result into one section of ``--out`` (under
-``--key`` for ``clustering``, ``simulator`` and ``storage``, under the
-workload and seed otherwise) and records the machine: nproc and the Python and numpy
-versions. It is not part of the test suite.
+``--key`` for ``clustering``, ``simulator``, ``storage`` and ``oracle``,
+under ``parent vs change`` for ``startup``, under the workload and seed
+otherwise) and records the machine: nproc and the Python and numpy versions.
+It is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -68,11 +85,13 @@ import math
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,8 +103,19 @@ CLUSTER_SIZES = (100, 1000, 3600)
 F2_QUICKSTART = ("run", "--spec", "fspec1", "--mission", "mission_a", "--fault", "F2",
                  "--latency-window", "200", "600", "--repetitions", "20", "--seed", "0")
 
+#: a small campaign for the subcommand starts: 45 main tests, one run per cell
+SMALL_RUN = ("run", "--spec", "fspec1", "--mission", "mission_a", "--fault", "F2",
+             "--latency-window", "200", "600", "--repetitions", "1", "--runs-per-cell", "1",
+             "--no-soundness", "--seed", "0")
+
 #: seconds perfbench measures per run
 PERFBENCH_SECONDS = 20
+
+#: the end-to-end metrics of perfbench, each lower-is-better
+END_TO_END = ("wall_s", "peak_rss_mb", "campaign_mb", "setup_s")
+
+#: modules a cold start should load only when a command needs them
+HEAVY = ("numpy", "multiprocessing")
 
 
 def machine() -> dict:
@@ -356,6 +386,133 @@ def cmd_storage(args) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# oracle layer, in process
+# ---------------------------------------------------------------------------
+
+
+def cmd_oracle(args) -> dict:
+    cli = import_from(args.src, "statefuzz.cli")
+    from statefuzz.oracle import classify, default_tree
+    from statefuzz.storage import canonical_dumps, load_campaign
+
+    with tempfile.TemporaryDirectory() as work:
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main([*F2_QUICKSTART, "--out", work]) != 0:
+                raise SystemExit("the quick-start run failed")
+        campaign = load_campaign(Path(work))
+    stored = [(t, campaign.profiles[t.test_id])
+              for t in campaign.every_test() if t.test_id in campaign.profiles]
+    out = {"repeats": args.repeats, "profiles": len(stored), "versions": {}}
+    for version in ("v0", "v1"):
+        tree = default_tree(version)
+        walls = []
+        for _ in range(args.repeats):
+            t0 = time.perf_counter()
+            verdicts = [classify(t, p, tree) for t, p in stored]
+            walls.append(time.perf_counter() - t0)
+        doc = "".join(canonical_dumps([t.test_id, v.to_dict()])
+                      for (t, _p), v in zip(stored, verdicts)).encode()
+        wall = statistics.median(walls)
+        out["versions"][version] = {
+            "median_s": wall,
+            "runs_s": walls,
+            "classifications_per_s": len(stored) / wall,
+            "verdicts": dict(sorted(Counter(v.verdict for v in verdicts).items())),
+            "digest": hashlib.sha256(doc).hexdigest(),
+        }
+        print(f"oracle {version}: {len(stored)} profiles, median {1000 * wall:.1f} ms, "
+              f"{len(stored) / wall:,.0f} classifications/s, "
+              f"{out['versions'][version]['verdicts']}", flush=True)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# cold starts, in fresh interpreters
+# ---------------------------------------------------------------------------
+
+#: prints which statefuzz was imported and which heavy modules were loaded
+_LOADED = ("import json, sys, statefuzz\n"
+           "print(json.dumps({'file': statefuzz.__file__, "
+           "'loaded': [m for m in %r if m in sys.modules]}))\n" % (HEAVY,))
+
+
+def fresh_start(src: Path, code: str, *argv: str, importtime: bool = False) -> dict:
+    """One fresh interpreter with PYTHONPATH=src running code: its wall time,
+    the heavy modules it loaded and, under -X importtime, its import time."""
+    command = [sys.executable, *(["-X", "importtime"] if importtime else []), "-c",
+               code + _LOADED, *argv]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    t0 = time.perf_counter()
+    result = subprocess.run(command, env=env, capture_output=True, text=True, check=False)
+    wall = time.perf_counter() - t0
+    if result.returncode != 0:
+        raise SystemExit(f"{' '.join(command)} exited {result.returncode}:\n"
+                         f"{result.stderr[-2000:]}")
+    doc = json.loads(result.stdout.strip().splitlines()[-1])
+    if not Path(doc["file"]).resolve().is_relative_to(src):
+        raise SystemExit(f"statefuzz was imported from {doc['file']}, not {src}")
+    out = {"wall_s": wall, "loaded": doc["loaded"]}
+    if importtime:
+        # top-level lines of -X importtime: "import time: self | cumulative | name"
+        rows = [line.split("|") for line in result.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line]
+        out["import_s"] = sum(int(r[1]) for r in rows[1:] if not r[2].startswith("  ")) / 1e6
+    return out
+
+
+def cmd_startup(args) -> dict:
+    sides = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
+    pairs = []
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        runs = {side: fresh_start(sides[side] / "src", "import statefuzz.cli\n")
+                for side in order}
+        pairs.append({"first": order[0], **runs})
+        print(f"pair {i}: " + ", ".join(
+            f"{side} {runs[side]['wall_s']:.3f} s {runs[side]['loaded']}" for side in order),
+            flush=True)
+    walls = {side: [p[side]["wall_s"] for p in pairs] for side in sides}
+    out = {
+        "pairs": pairs,
+        "import_cli_s": {side: quartiles(values) for side, values in walls.items()},
+        "change_wins": sum(c < p for p, c in zip(walls["parent"], walls["change"])),
+        "loaded": {side: sorted({m for p in pairs for m in p[side]["loaded"]}) for side in sides},
+        "commands": {},
+    }
+    main = ("import json, sys\n"
+            "from statefuzz import cli\n"
+            "if cli.main(json.loads(sys.argv[1])) != 0:\n"
+            "    raise SystemExit('the command failed')\n")
+    with tempfile.TemporaryDirectory() as work:
+        stored = Path(work) / "stored"
+        fresh_start(sides["parent"] / "src", main, json.dumps([*SMALL_RUN, "--out", str(stored)]))
+        commands = {
+            "run": [*SMALL_RUN, "--out"],
+            "analyze": ["analyze", "--campaign"],
+            "focus": ["focus", "--test-id", "t00003", "--runs-per-cell", "1", "--no-soundness",
+                      "--campaign"],
+            "report": ["report", "--campaign"],
+            "replay": ["replay", "--test-id", "t00003", "--campaign"],
+        }
+        for name, argv in commands.items():
+            out["commands"][name] = {}
+            for side, checkout in sides.items():
+                campaign = Path(work) / f"{name}-{side}"
+                if name != "run":
+                    shutil.copytree(stored, campaign)
+                start = fresh_start(checkout / "src", main, json.dumps([*argv, str(campaign)]),
+                                    importtime=True)
+                out["commands"][name][side] = start
+            print(f"{name}: " + ", ".join(
+                f"{side} {r['wall_s']:.3f} s, imports {r['import_s']:.3f} s {r['loaded']}"
+                for side, r in out["commands"][name].items()), flush=True)
+    median = {side: out["import_cli_s"][side]["median"] for side in sides}
+    print(f"import statefuzz.cli: median parent {median['parent']:.3f} s, change "
+          f"{median['change']:.3f} s, change won {out['change_wins']}/{args.pairs}", flush=True)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # end to end, through perfbench
 # ---------------------------------------------------------------------------
 
@@ -385,13 +542,22 @@ def cmd_pairs(args) -> dict:
         runs = {side: perfbench(sides[side], args.workload, args.seed, 0) for side in order}
         pairs.append({"first": order[0], **runs})
         print(f"pair {i}: " + ", ".join(
-            f"{side} {runs[side]['metrics']['wall_s']:.3f} s" for side in order), flush=True)
-    walls = {side: [p[side]["metrics"]["wall_s"] for p in pairs] for side in sides}
+            f"{side} wall {runs[side]['metrics']['wall_s']:.3f} s setup "
+            f"{runs[side]['metrics']['setup_s']:.3f} s" for side in order), flush=True)
+    metrics = {}
+    for name in END_TO_END:
+        values = {side: [p[side]["metrics"][name] for p in pairs] for side in sides}
+        metrics[name] = {
+            **{side: quartiles(v) for side, v in values.items()},
+            "change_wins": sum(c < p for p, c in zip(values["parent"], values["change"])),
+        }
+        print(f"{name}: median parent {metrics[name]['parent']['median']:.3f}, change "
+              f"{metrics[name]['change']['median']:.3f}, change won "
+              f"{metrics[name]['change_wins']}/{args.pairs}", flush=True)
     return {
         "seed": args.seed,
         "pairs": pairs,
-        "wall_s": {side: quartiles(values) for side, values in walls.items()},
-        "change_wins": sum(c < p for p, c in zip(walls["parent"], walls["change"])),
+        "metrics": metrics,
         "ops_failed": {
             side: f"{sum(p[side]['failed'] for p in pairs)}/{sum(p[side]['attempted'] for p in pairs)}"
             for side in sides
@@ -415,7 +581,8 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (("clustering", "time analyze_failures in process"),
                            ("simulator", "time the quick start's flights"),
-                           ("storage", "time save_result and load_campaign in process")):
+                           ("storage", "time save_result and load_campaign in process"),
+                           ("oracle", "time classify over the quick start's profiles")):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--src", default=str(ROOT / "src"))
         p.add_argument("--repeats", type=int, default=3)
@@ -425,13 +592,15 @@ def main(argv: list[str] | None = None) -> int:
     simulator.add_argument("--change", help="checkout: alternate cold passes with --parent")
     simulator.add_argument("--pairs", type=int, default=10)
     for name, helptext in (("pairs", "alternating perfbench runs of two checkouts"),
-                           ("traced", "one traced perfbench run per checkout")):
+                           ("traced", "one traced perfbench run per checkout"),
+                           ("startup", "cold starts of two checkouts")):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--parent", required=True)
         p.add_argument("--change", required=True)
-        p.add_argument("--workload", required=True)
-        p.add_argument("--seed", type=int, default=0)
-        if name == "pairs":
+        if name != "startup":
+            p.add_argument("--workload", required=True)
+            p.add_argument("--seed", type=int, default=0)
+        if name != "traced":
             p.add_argument("--pairs", type=int, default=10)
     for p in sub.choices.values():
         p.add_argument("--out", required=True, help="BENCH json file to update")
@@ -442,7 +611,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "simulator-pass":
         return cmd_simulator_pass(args)
-    in_process = args.command in ("clustering", "simulator", "storage")
+    in_process = args.command in ("clustering", "simulator", "storage", "oracle")
     if in_process and args.repeats < 3:
         parser.error("--repeats must be at least 3")
     ab = args.command == "simulator" and (args.parent or args.change)
@@ -452,12 +621,18 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be at least 2")
 
     run = {"clustering": cmd_clustering, "simulator": cmd_simulator_ab if ab else cmd_simulator,
-           "storage": cmd_storage, "pairs": cmd_pairs, "traced": cmd_traced}[args.command]
+           "storage": cmd_storage, "oracle": cmd_oracle, "startup": cmd_startup,
+           "pairs": cmd_pairs, "traced": cmd_traced}[args.command]
     section = run(args)
     path = Path(args.out)
     doc = json.loads(path.read_text()) if path.exists() else {}
     doc["machine"] = machine()
-    key = args.key if in_process else f"{args.workload} seed {args.seed}"
+    if in_process:
+        key = args.key
+    elif args.command == "startup":
+        key = "parent vs change"
+    else:
+        key = f"{args.workload} seed {args.seed}"
     doc.setdefault(args.command, {})[key] = section
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0

@@ -5,17 +5,13 @@ seeded test cases, execute them deterministically against the simulated
 vehicle, judge each run with a decision-tree oracle, cluster the failures,
 re-fuzz representative contexts into truth tables, and minimize those into
 cut sets rendered as fault trees.
+
+The clustering names (AnalysisResult, analyze_failures, encode_failures,
+kmeans, select_k, select_representatives, sweep_k) load statefuzz.analysis,
+and with it numpy, on first use: importing the package, or any command that
+does not cluster, never loads numpy.
 """
 
-from .analysis import (
-    AnalysisResult,
-    analyze_failures,
-    encode_failures,
-    kmeans,
-    select_k,
-    select_representatives,
-    sweep_k,
-)
 from .cutset import (
     CutSet,
     FaultTree,
@@ -140,3 +136,23 @@ __all__ = [
     "validate_coverage",
     "validate_sut_config",
 ]
+
+#: names resolved from statefuzz.analysis on first access (PEP 562)
+_ANALYSIS_NAMES = frozenset({
+    "AnalysisResult",
+    "analyze_failures",
+    "encode_failures",
+    "kmeans",
+    "select_k",
+    "select_representatives",
+    "sweep_k",
+})
+
+
+def __getattr__(name: str):
+    if name in _ANALYSIS_NAMES:
+        from . import analysis
+
+        value = globals()[name] = getattr(analysis, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -31,7 +31,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
-from . import analysis as analysis_mod
 from .cutset import (
     CutSet,
     TruthTable,
@@ -350,6 +349,8 @@ def _write_report(root: Path, counts: dict[str, int], focused: dict[str, str]) -
 
 
 def cmd_run(args) -> int:
+    from . import analysis as analysis_mod
+
     spec = load_fuzz_spec(_resolve(args.spec))
     mission = load_mission(_resolve(args.mission))
     config = _load_config(args)
@@ -414,9 +415,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis as analysis_mod
+
     root = Path(args.campaign)
     campaign = load_campaign(root)
     seed = args.seed if args.seed is not None else campaign.master_seed
+    restarts = args.restarts if args.restarts is not None else analysis_mod.DEFAULT_RESTARTS
     if args.oracle:
         # judge the stored profiles again under another oracle version,
         # without executing anything or touching the stored verdicts
@@ -432,7 +436,7 @@ def cmd_analyze(args) -> int:
         pairs = [(t, v) for t, _p, v in campaign.results()]
     try:
         result = analysis_mod.analyze_failures(
-            pairs, campaign.spec, seed=seed, k_max=args.kmax, restarts=args.restarts
+            pairs, campaign.spec, seed=seed, k_max=args.kmax, restarts=restarts
         )
     except EmptyFailureSet:
         print("no failures in this campaign; nothing to cluster")
@@ -561,7 +565,10 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="cluster a stored campaign's failures")
     analyze.add_argument("--campaign", required=True)
     analyze.add_argument("--kmax", type=positive_int, default=None)
-    analyze.add_argument("--restarts", type=positive_int, default=analysis_mod.DEFAULT_RESTARTS)
+    # None stands for analysis.DEFAULT_RESTARTS, which cmd_analyze reads:
+    # building the parser must not load numpy
+    analyze.add_argument("--restarts", type=positive_int, default=None,
+                         help="k-means++ restarts per K (default: 10)")
     analyze.add_argument("--oracle", choices=("v0", "v1"), default=None,
                          help="judge the stored profiles again under this oracle version")
     analyze.add_argument("--seed", type=int, default=None)

@@ -23,7 +23,6 @@ closes it before returning.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from random import Random
 from typing import Optional
@@ -257,7 +256,12 @@ def _pool_run(test: TestCase) -> ExecutionProfile:
 
 
 def open_pool(mission: MissionPlan, config: SutConfig, parallelism: int):
-    """A pool of parallelism workers, each with one Executor for mission and config."""
+    """A pool of parallelism workers, each with one Executor for mission and config.
+
+    multiprocessing is imported here, so a serial command never loads it.
+    """
+    import multiprocessing
+
     return multiprocessing.Pool(
         processes=parallelism, initializer=_pool_init, initargs=(mission, config)
     )

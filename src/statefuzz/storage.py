@@ -72,15 +72,17 @@ import time
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .analysis import AnalysisResult
 from .errors import CampaignRunning
 from .executor import ExecutionProfile
 from .fuzzspec import FuzzSpecification, MissionPlan, parse_fuzz_spec, parse_mission
 from .oracle import Verdict
 from .sutmodel import SutConfig
 from .testgen import GeneratorConfig, TestCase, generate
+
+if TYPE_CHECKING:
+    from .analysis import AnalysisResult
 
 
 #: the results log of a campaign directory

@@ -7,7 +7,7 @@ import shutil
 
 import pytest
 
-from statefuzz import cli
+from statefuzz import analysis, cli
 from statefuzz.errors import InvalidOnly
 from statefuzz.executor import Executor
 from statefuzz.storage import (
@@ -560,6 +560,24 @@ def test_analyze_honors_kmax(campaign_copy, capsys):
     doc = read_json(campaign_copy / "analysis.json")
     assert len(doc["wcss_curve"]) <= 2
     assert doc["k"] <= 2
+
+
+def test_analyze_defaults_to_the_analysis_restarts(campaign_copy, capsys, monkeypatch):
+    seen = []
+    original = analysis.analyze_failures
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["restarts"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "analyze_failures", spy)
+    assert cli.main(["analyze", "--campaign", str(campaign_copy)]) == 0
+    assert cli.main(["analyze", "--campaign", str(campaign_copy), "--restarts", "3"]) == 0
+    assert seen == [analysis.DEFAULT_RESTARTS, 3]
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        cli.main(["analyze", "--help"])
+    assert f"(default: {analysis.DEFAULT_RESTARTS})" in " ".join(capsys.readouterr().out.split())
 
 
 def test_focus_targets_an_explicit_test(campaign_copy, capsys):
