@@ -8,6 +8,7 @@ Usage, from the root of a checkout:
         --parent DIR --change DIR [--pairs 10]
     python3 bench/bench.py storage --out FILE --key after [--src DIR] [--repeats 3]
     python3 bench/bench.py oracle --out FILE --key after [--src DIR] [--repeats 3]
+    python3 bench/bench.py minimize --out FILE --key after [--src DIR] [--repeats 3]
     python3 bench/bench.py startup --out FILE --parent DIR --change DIR [--pairs 10]
     python3 bench/bench.py pairs --out FILE --parent DIR --change DIR \\
         --workload reanalyze [--pairs 10] [--seed 0]
@@ -51,6 +52,15 @@ process. It reports, per version, classifications per second over the
 median of ``--repeats`` passes (at least 3), the verdict counts and a digest
 of the verdicts, so two source trees can be checked for equal verdicts.
 
+``minimize`` stores the seed-0 ``f2_quickstart`` and ``env_fence_c``
+campaigns of perfbench (serially: a campaign is the same at any
+parallelism) with the package under ``--src`` and times
+``cutset.minimize`` on each stored truth table, in this process. It
+reports, per table, its rows and axes, the median time per call over
+``--repeats`` passes (at least 3) of ``MINIMIZE_CALLS`` calls each and the
+number of cut sets, and a digest of every table's cut sets, so two source
+trees can be checked for equal output.
+
 ``startup`` times cold starts of two checkouts: ``--pairs`` alternating
 pairs of fresh interpreters that only ``import statefuzz.cli``, then one
 start per subcommand, under ``-X importtime``, that runs it on a small
@@ -67,9 +77,9 @@ runs ``perfbench/run.py --trace 1`` once per side and records the per-layer
 metrics.
 
 Each command merges its result into one section of ``--out`` (under
-``--key`` for ``clustering``, ``simulator``, ``storage`` and ``oracle``,
-under ``parent vs change`` for ``startup``, under the workload and seed
-otherwise) and records the machine: nproc and the Python and numpy versions.
+``--key`` for ``clustering``, ``simulator``, ``storage``, ``oracle`` and
+``minimize``, under ``parent vs change`` for ``startup``, under the
+workload and seed otherwise) and records the machine: nproc and the Python and numpy versions.
 It is not part of the test suite.
 """
 
@@ -107,6 +117,18 @@ F2_QUICKSTART = ("run", "--spec", "fspec1", "--mission", "mission_a", "--fault",
 SMALL_RUN = ("run", "--spec", "fspec1", "--mission", "mission_a", "--fault", "F2",
              "--latency-window", "200", "600", "--repetitions", "1", "--runs-per-cell", "1",
              "--no-soundness", "--seed", "0")
+
+#: perfbench's seed-0 campaigns whose truth tables the minimization layer times
+MINIMIZE_RUNS = {
+    "f2_quickstart": F2_QUICKSTART,
+    "env_fence_c": ("run", "--spec", str(ROOT / "perfbench" / "specs" / "env_fence_c.json"),
+                    "--mission", "mission_c", "--fault", "F2", "--fault", "F5", "--fault", "F7",
+                    "--latency-window", "200", "600", "--repetitions", "4",
+                    "--runs-per-cell", "4", "--seed", "0"),
+}
+
+#: minimize calls per timed pass: one call on these tables takes about 0.1-1 ms
+MINIMIZE_CALLS = 50
 
 #: seconds perfbench measures per run
 PERFBENCH_SECONDS = 20
@@ -427,6 +449,51 @@ def cmd_oracle(args) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# minimization layer, in process
+# ---------------------------------------------------------------------------
+
+
+def cmd_minimize(args) -> dict:
+    cli = import_from(args.src, "statefuzz.cli")
+    from statefuzz.cutset import TruthTable, minimize
+
+    out = {"repeats": args.repeats, "campaigns": {}}
+    everything = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as work:
+        for name, argv in MINIMIZE_RUNS.items():
+            root = Path(work) / name
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.main([*argv, "--out", str(root)]) != 0:
+                    raise SystemExit(f"the {name} run failed")
+            tables = {}
+            for path in sorted((root / "truthtables").glob("*.json")):
+                table = TruthTable.from_dict(json.loads(path.read_text()))
+                walls = []
+                for _ in range(args.repeats):
+                    t0 = time.perf_counter()
+                    for _ in range(MINIMIZE_CALLS):
+                        cut_sets = minimize(table)
+                    walls.append((time.perf_counter() - t0) / MINIMIZE_CALLS)
+                doc = json.dumps(cut_sets).encode()
+                everything.update(path.stem.encode() + b"\0" + doc + b"\0")
+                tables[path.stem] = {
+                    "rows": len(table.rows),
+                    "axes": len(table.axes),
+                    "median_ms": 1000 * statistics.median(walls),
+                    "runs_s": walls,
+                    "cut_sets": len(cut_sets),
+                    "digest": hashlib.sha256(doc).hexdigest(),
+                }
+                print(f"{name} {path.stem}: {len(table.rows)} rows, {len(table.axes)} axes, "
+                      f"median {1000 * statistics.median(walls):.2f} ms, "
+                      f"{len(cut_sets)} cut sets", flush=True)
+            out["campaigns"][name] = tables
+    out["digest"] = everything.hexdigest()
+    print(f"cut-set digest {out['digest']}", flush=True)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # cold starts, in fresh interpreters
 # ---------------------------------------------------------------------------
 
@@ -582,7 +649,8 @@ def main(argv: list[str] | None = None) -> int:
     for name, helptext in (("clustering", "time analyze_failures in process"),
                            ("simulator", "time the quick start's flights"),
                            ("storage", "time save_result and load_campaign in process"),
-                           ("oracle", "time classify over the quick start's profiles")):
+                           ("oracle", "time classify over the quick start's profiles"),
+                           ("minimize", "time cutset.minimize per stored truth table")):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--src", default=str(ROOT / "src"))
         p.add_argument("--repeats", type=int, default=3)
@@ -611,7 +679,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "simulator-pass":
         return cmd_simulator_pass(args)
-    in_process = args.command in ("clustering", "simulator", "storage", "oracle")
+    in_process = args.command in ("clustering", "simulator", "storage", "oracle", "minimize")
     if in_process and args.repeats < 3:
         parser.error("--repeats must be at least 3")
     ab = args.command == "simulator" and (args.parent or args.change)
@@ -621,7 +689,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be at least 2")
 
     run = {"clustering": cmd_clustering, "simulator": cmd_simulator_ab if ab else cmd_simulator,
-           "storage": cmd_storage, "oracle": cmd_oracle, "startup": cmd_startup,
+           "storage": cmd_storage, "oracle": cmd_oracle, "minimize": cmd_minimize,
+           "startup": cmd_startup,
            "pairs": cmd_pairs, "traced": cmd_traced}[args.command]
     section = run(args)
     path = Path(args.out)

@@ -26,7 +26,7 @@ from .cutset import (
     soundness_check,
     table_from_results,
 )
-from .executor import ExecutionProfile, Executor, InjectionRecord, run_campaign
+from .executor import ExecutionProfile, Executor, run_campaign
 from .fuzzspec import (
     CoverageReport,
     DelayBand,
@@ -92,7 +92,6 @@ __all__ = [
     "FuzzSpecification",
     "GeneratorConfig",
     "INVALID",
-    "InjectionRecord",
     "InjectionRequest",
     "MissionPlan",
     "RcAction",

@@ -439,7 +439,9 @@ def cmd_analyze(args) -> int:
             pairs, campaign.spec, seed=seed, k_max=args.kmax, restarts=restarts
         )
     except EmptyFailureSet:
-        print("no failures in this campaign; nothing to cluster")
+        # a clustering of other verdicts must not outlive them
+        (root / "analysis.json").unlink(missing_ok=True)
+        print("no failures in this campaign; nothing to cluster, no analysis.json")
         return 0
     save_analysis(root, result)
     print(f"clustered {len(result.encoded.test_ids)} failures into K={result.k}")
@@ -465,7 +467,9 @@ def cmd_focus(args) -> int:
     else:
         analysis_path = root / "analysis.json"
         if not analysis_path.exists():
-            print("run `statefuzz analyze` first: analysis.json is missing", file=sys.stderr)
+            print("analysis.json is missing: run `statefuzz analyze` first. A campaign "
+                  "without failures has no representatives; --test-id names tests directly.",
+                  file=sys.stderr)
             return 2
         rep_ids = _representative_ids(read_json(analysis_path)["representatives"])
 

@@ -48,49 +48,21 @@ DRIVE_CHUNK_MS = 500.0
 
 
 @dataclass(frozen=True)
-class InjectionRecord:
-    """One delivered (or dead-lettered) RC injection."""
-
-    scheduled_time_ms: float
-    actual_time_ms: float
-    action: str
-    acknowledged: bool
-    app_state_at_injection: str
-    mode_at_injection: str
-    deferred: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "scheduled_time_ms": self.scheduled_time_ms,
-            "actual_time_ms": self.actual_time_ms,
-            "action": self.action,
-            "acknowledged": self.acknowledged,
-            "app_state_at_injection": self.app_state_at_injection,
-            "mode_at_injection": self.mode_at_injection,
-            "deferred": self.deferred,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "InjectionRecord":
-        return cls(
-            scheduled_time_ms=raw["scheduled_time_ms"],
-            actual_time_ms=raw["actual_time_ms"],
-            action=raw["action"],
-            acknowledged=raw["acknowledged"],
-            app_state_at_injection=raw["app_state_at_injection"],
-            mode_at_injection=raw["mode_at_injection"],
-            deferred=raw["deferred"],
-        )
-
-
-@dataclass(frozen=True)
 class ExecutionProfile:
-    """Everything one run exposes to the verdict and analysis stages."""
+    """Everything one run exposes to the verdict and analysis stages.
+
+    A flight injects at most once: at context_reached_time_ms plus the
+    test's delay_ms, the test's action. The four injection fields describe
+    that injection; they are None (injection_deferred False) when the
+    context was never reached, so nothing was injected.
+    """
 
     test_id: str
-    context_reached: bool
     context_reached_time_ms: Optional[float]
-    injections: tuple[InjectionRecord, ...]
+    app_state_at_injection: Optional[str]
+    mode_at_injection: Optional[str]
+    injection_acknowledged: Optional[bool]
+    injection_deferred: bool
     mode_after_settle: Optional[str]
     final_app_state: str
     final_mode: str
@@ -103,34 +75,18 @@ class ExecutionProfile:
     exceptions: tuple[str, ...] = ()
     trace: tuple[tuple[float, str, str], ...] = ()
 
-    # -- flattened accessors for the (single-injection) common case --------
-
     @property
-    def injection_attempted(self) -> bool:
-        return bool(self.injections)
-
-    @property
-    def app_state_at_injection(self) -> Optional[str]:
-        return self.injections[0].app_state_at_injection if self.injections else None
-
-    @property
-    def mode_at_injection(self) -> Optional[str]:
-        return self.injections[0].mode_at_injection if self.injections else None
-
-    @property
-    def injection_acknowledged(self) -> Optional[bool]:
-        return self.injections[0].acknowledged if self.injections else None
-
-    @property
-    def injection_deferred(self) -> bool:
-        return any(i.deferred for i in self.injections)
+    def context_reached(self) -> bool:
+        return self.context_reached_time_ms is not None
 
     def to_dict(self) -> dict:
         return {
             "test_id": self.test_id,
-            "context_reached": self.context_reached,
             "context_reached_time_ms": self.context_reached_time_ms,
-            "injections": [i.to_dict() for i in self.injections],
+            "app_state_at_injection": self.app_state_at_injection,
+            "mode_at_injection": self.mode_at_injection,
+            "injection_acknowledged": self.injection_acknowledged,
+            "injection_deferred": self.injection_deferred,
             "mode_after_settle": self.mode_after_settle,
             "final_app_state": self.final_app_state,
             "final_mode": self.final_mode,
@@ -146,11 +102,27 @@ class ExecutionProfile:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExecutionProfile":
+        """Read a stored profile, in this shape or in the one stored before
+        the injection fields were flat: a "context_reached" flag and a list
+        "injections" of at most one record, whose "acknowledged",
+        "app_state_at_injection", "mode_at_injection" and "deferred" are the
+        four fields."""
+        if "injections" in raw:
+            record = raw["injections"][0] if raw["injections"] else {}
+            raw = {
+                **raw,
+                "app_state_at_injection": record.get("app_state_at_injection"),
+                "mode_at_injection": record.get("mode_at_injection"),
+                "injection_acknowledged": record.get("acknowledged"),
+                "injection_deferred": record.get("deferred", False),
+            }
         return cls(
             test_id=raw["test_id"],
-            context_reached=raw["context_reached"],
             context_reached_time_ms=raw["context_reached_time_ms"],
-            injections=tuple(InjectionRecord.from_dict(i) for i in raw["injections"]),
+            app_state_at_injection=raw["app_state_at_injection"],
+            mode_at_injection=raw["mode_at_injection"],
+            injection_acknowledged=raw["injection_acknowledged"],
+            injection_deferred=raw["injection_deferred"],
             mode_after_settle=raw["mode_after_settle"],
             final_app_state=raw["final_app_state"],
             final_mode=raw["final_mode"],
@@ -187,7 +159,10 @@ class Executor:
         )
 
         context_time: Optional[float] = None
-        injections: list[InjectionRecord] = []
+        app_at_injection: Optional[str] = None
+        mode_at_injection: Optional[str] = None
+        acknowledged: Optional[bool] = None
+        deferred = False
         mode_after_settle: Optional[str] = None
 
         # wait for the targeted state (injections only; baselines just fly)
@@ -203,32 +178,22 @@ class Executor:
                     # the flight ended before the scheduled instant; the
                     # request goes nowhere and nobody acknowledges it
                     acknowledged = False
-                    deferred = False
                     vehicle.log("injection", f"{test.action} sent after flight end")
                 else:
                     acknowledged = vehicle.apply_rc(RcAction(test.action))
                     deferred = vehicle.deferred_action is not None
                     vehicle.advance_until(injection_time + SETTLE_MS)
                     mode_after_settle = vehicle.mode.value
-                injections.append(
-                    InjectionRecord(
-                        scheduled_time_ms=injection_time,
-                        actual_time_ms=injection_time,
-                        action=test.action,
-                        acknowledged=acknowledged,
-                        app_state_at_injection=app_at_injection,
-                        mode_at_injection=mode_at_injection,
-                        deferred=deferred,
-                    )
-                )
 
         vehicle.drive(DRIVE_CHUNK_MS)
 
         return ExecutionProfile(
             test_id=test.test_id,
-            context_reached=context_time is not None,
             context_reached_time_ms=context_time,
-            injections=tuple(injections),
+            app_state_at_injection=app_at_injection,
+            mode_at_injection=mode_at_injection,
+            injection_acknowledged=acknowledged,
+            injection_deferred=deferred,
             mode_after_settle=mode_after_settle,
             final_app_state=vehicle.app.value,
             final_mode=vehicle.mode.value,

@@ -14,7 +14,9 @@ Layout of a campaign directory:
                              by its tag
     results.jsonl            one line per flown test, in flight order: the
                              compact, sorted-key JSON {"id", "profile",
-                             "verdict"} (t*, f-<tag>-NNNN and s-<tag>-<i>)
+                             "verdict"} (t*, f-<tag>-NNNN and s-<tag>-<i>);
+                             the profile holds its one injection as flat
+                             fields (see executor.ExecutionProfile)
     analysis.json            clustering output
     truthtables/<tag>.json   one table per focus sweep, plus .csv
     faulttrees/<tag>.json    one tree per focus sweep, plus .dot, plus combined
@@ -43,6 +45,11 @@ may belong to an earlier run.
 Everything needed to regenerate a test deterministically (spec, mission,
 config, generator settings, oracle tree, master seed) is embedded in
 campaign.json, so a replay works even after its result was deleted.
+
+A profile stored before the injection fields were flat holds a
+"context_reached" flag and a list "injections" of at most one record;
+ExecutionProfile.from_dict reads it as the flat fields, and its stored line
+or file is kept as it is, beside the flat lines appended later.
 
 A campaign stored before the results log holds one <test-id>.json file
 per flown test (test + profile + verdict, indented). iter_results reads

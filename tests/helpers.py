@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from statefuzz.executor import ExecutionProfile, Executor, InjectionRecord
+from statefuzz.executor import ExecutionProfile, Executor
 from statefuzz.oracle import classify, default_tree
 from statefuzz.sutmodel import AppState, AutopilotMode
 from statefuzz.testgen import TestCase
@@ -81,30 +81,22 @@ def make_profile(
 ):
     """Synthetic profile for oracle/analysis tests.
 
-    Produces at most one injection record; a test with action NONE, or one
-    whose context was never reached, gets none at all, matching what the
-    executor emits for those runs.
+    A test with action NONE (the executor waits for no context), or one
+    whose context was never reached, has no context time and no injection:
+    its injection fields are unset, matching what the executor emits for
+    those runs.
     """
-    injections = ()
-    if test.action != "NONE" and context_reached:
-        injections = (
-            InjectionRecord(
-                scheduled_time_ms=1000.0 + test.delay_ms,
-                actual_time_ms=1000.0 + test.delay_ms,
-                action=test.action,
-                acknowledged=acknowledged,
-                app_state_at_injection=(
-                    test.app_state.value if injection_app_state is None else injection_app_state
-                ),
-                mode_at_injection=mode_at_injection,
-                deferred=deferred,
-            ),
-        )
+    injected = test.action != "NONE" and context_reached
     return ExecutionProfile(
         test_id=test.test_id,
-        context_reached=context_reached,
-        context_reached_time_ms=1000.0 if context_reached else None,
-        injections=injections,
+        context_reached_time_ms=1000.0 if injected else None,
+        app_state_at_injection=(
+            (test.app_state.value if injection_app_state is None else injection_app_state)
+            if injected else None
+        ),
+        mode_at_injection=mode_at_injection if injected else None,
+        injection_acknowledged=acknowledged if injected else None,
+        injection_deferred=deferred and injected,
         mode_after_settle=mode_after_settle,
         final_app_state=final_app_state,
         final_mode=final_mode,

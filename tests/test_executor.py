@@ -12,9 +12,12 @@ from helpers import make_case
 def test_baseline_flies_the_mission_without_injections(mission_a, narrow_config):
     test = make_case(action=NO_ACTION, delay_ms=0.0)
     profile = Executor(mission_a, narrow_config).execute(test)
-    assert profile.injections == ()
-    assert not profile.injection_attempted
+    assert not profile.context_reached
+    assert profile.context_reached_time_ms is None
+    assert profile.app_state_at_injection is None
+    assert profile.mode_at_injection is None
     assert profile.injection_acknowledged is None
+    assert not profile.injection_deferred
     assert profile.mission_completed
     assert profile.final_app_state == "DONE"
     assert profile.final_mode == "LAND"
@@ -40,10 +43,11 @@ def test_context_wait_anchors_injection_timing(mission_a, narrow_config):
     profile = Executor(mission_a, narrow_config).execute(test)
     assert profile.context_reached
     assert profile.context_reached_time_ms == 500.0
-    rec = profile.injections[0]
-    assert rec.scheduled_time_ms == 750.0
-    assert rec.actual_time_ms == 750.0
-    assert rec.app_state_at_injection == "TAKEOFF"
+    # the action lands at context time + delay: ALTCTL is honored at once
+    injection_time = profile.context_reached_time_ms + test.delay_ms
+    assert injection_time == 750.0
+    assert [t for t, _app, mode in profile.trace if mode == "ALTCTL"][0] == injection_time
+    assert profile.app_state_at_injection == "TAKEOFF"
 
 
 def test_flying_context_time_matches_climb(mission_a, narrow_config):
@@ -57,15 +61,13 @@ def test_f2_race_resolves_by_injection_delay(mission_a):
     ex = Executor(mission_a, cfg)
 
     early = ex.execute(make_case(delay_ms=100.0, seed=11))
-    rec = early.injections[0]
-    assert rec.mode_at_injection == "STABILIZED"
-    assert not rec.acknowledged
+    assert early.mode_at_injection == "STABILIZED"
+    assert not early.injection_acknowledged
     assert early.mode_after_settle in ("STABILIZED", "OFFBOARD")  # switch may fire in the settle second
 
     late = ex.execute(make_case(delay_ms=700.0, seed=11))
-    rec = late.injections[0]
-    assert rec.mode_at_injection == "OFFBOARD"
-    assert rec.acknowledged
+    assert late.mode_at_injection == "OFFBOARD"
+    assert late.injection_acknowledged
     assert late.mode_after_settle == "POSCTL"
     assert late.final_app_state == "DONE"
 
@@ -81,18 +83,19 @@ def test_injection_after_flight_end_is_dead_lettered(mission_a, narrow_config):
     )
     profile = Executor(mission_a, narrow_config).execute(test)
     assert profile.context_reached
-    rec = profile.injections[0]
-    assert not rec.acknowledged and not rec.deferred
-    assert rec.app_state_at_injection == "DONE"
+    assert not profile.injection_acknowledged and not profile.injection_deferred
+    assert profile.app_state_at_injection == "DONE"
     assert profile.mode_after_settle is None
-    assert profile.flight_duration_ms < rec.scheduled_time_ms
+    # the flight, and its last trace point, end before the injection instant
+    injection_time = profile.context_reached_time_ms + test.delay_ms
+    assert profile.flight_duration_ms < injection_time
+    assert profile.trace[-1][0] < injection_time
 
 
 def test_settle_sample_reflects_the_honored_mode(mission_a, narrow_config):
     test = make_case(app_state=AppState.HOVERING, action="ALTCTL", delay_ms=300.0)
     profile = Executor(mission_a, narrow_config).execute(test)
-    rec = profile.injections[0]
-    assert rec.acknowledged and not rec.deferred
+    assert profile.injection_acknowledged and not profile.injection_deferred
     assert profile.mode_after_settle == "ALTCTL"
     assert profile.final_app_state == "DONE"
     assert not profile.mission_completed  # manual takeover interrupts the plan
@@ -109,9 +112,7 @@ def test_deferred_flag_propagates(mission_c):
         mission_id="Flight plan C",
     )
     profile = Executor(mission_c, cfg).execute(test)
-    rec = profile.injections[0]
-    assert rec.deferred and not rec.acknowledged
-    assert profile.injection_deferred
+    assert profile.injection_deferred and not profile.injection_acknowledged
     assert profile.final_mode == "POSCTL"  # applied on touchdown
 
 

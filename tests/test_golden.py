@@ -27,8 +27,8 @@ from statefuzz.sutmodel import NO_ACTION, TARGETABLE_STATES, RcAction, SutConfig
 from conftest import MISSION_A_RAW, MISSION_C_RAW, small_spec_raw
 from helpers import make_case
 
-MATRIX_DIGEST = "eb0dbec7bf477ff29dbabd1f6336077c141e49b936b77b65214e090228f638c1"
-RUN_DIGEST = "ce050ba4a023d7506dddd5b3ac7e48292fe2ede2a02dfa5a7a004f0420659e7f"
+MATRIX_DIGEST = "a5c8750fd8bf4c1125fe5323fa132b061380a712f3c35d578496a2982b518f98"
+RUN_DIGEST = "0cd0cb624d6e80abbb5a7976fad4e652cb9c209d11f70b285f26f2deb5ab929e"
 CLUSTERING_DIGEST = "0bae8a368900f64a4303b5f53f9f56bac2e8aaf39e040acba542fd5049d0b5cf"
 
 ACTIONS = tuple(a.value for a in RcAction) + (NO_ACTION,)
@@ -93,6 +93,31 @@ def test_flight_matrix_digest():
         for tree in trees:
             h.update(canonical_dumps(classify(case, profile, tree).to_dict()).encode())
     assert h.hexdigest() == MATRIX_DIGEST
+
+
+def test_a_flight_injects_exactly_when_it_reaches_its_context():
+    """The profile's premise: the injection fields are unset (None, and
+    injection_deferred False) exactly when the context was never reached,
+    and a baseline never reaches one."""
+    reached = 0
+    for mission_raw, faults, case in flight_matrix():
+        config = SutConfig(latency_window_ms=(200.0, 600.0), seeded_faults=faults)
+        profile = Executor(parse_mission(dict(mission_raw)), config).execute(case)
+        fields = (
+            profile.app_state_at_injection,
+            profile.mode_at_injection,
+            profile.injection_acknowledged,
+        )
+        if profile.context_reached_time_ms is None:
+            assert fields == (None, None, None), case.test_id
+            assert not profile.injection_deferred, case.test_id
+        else:
+            assert None not in fields, case.test_id
+        if case.action == NO_ACTION:
+            assert not profile.context_reached, case.test_id
+        reached += profile.context_reached
+    # both sides of the premise occur in the matrix
+    assert 0 < reached < len(flight_matrix())
 
 
 def test_small_run_digest(tmp_path):

@@ -483,6 +483,67 @@ def test_campaign_stored_per_file_loads_reports_replays_and_refocuses(
     )
 
 
+def to_nested_injections(root):
+    """Rewrite each stored profile of root the way profiles were stored
+    before the injection fields were flat: a "context_reached" flag and a
+    list "injections" of at most one record, which held the injection
+    instant twice and repeated the test's action."""
+    tests = {t.test_id: t for t in load_campaign(root).every_test()}
+    results = dict(iter_results(root))
+    for test_id, doc in results.items():
+        profile = doc["profile"]
+        record = {
+            "app_state_at_injection": profile.pop("app_state_at_injection"),
+            "mode_at_injection": profile.pop("mode_at_injection"),
+            "acknowledged": profile.pop("injection_acknowledged"),
+            "deferred": profile.pop("injection_deferred"),
+        }
+        test = tests[test_id]
+        profile["context_reached"] = profile["context_reached_time_ms"] is not None
+        profile["injections"] = []
+        if profile["context_reached"]:
+            at = profile["context_reached_time_ms"] + test.delay_ms
+            profile["injections"].append(
+                {**record, "scheduled_time_ms": at, "actual_time_ms": at, "action": test.action}
+            )
+    write_log(root, results)
+
+
+@pytest.mark.parametrize("per_file", [False, True], ids=["log", "per-file"])
+def test_campaign_stored_with_nested_injections_loads_reports_replays_and_refocuses(
+    campaign_dir, campaign_copy, tmp_path, capsys, per_file
+):
+    to_nested_injections(campaign_copy)
+    if per_file:
+        # a campaign stored before the results log has both old shapes
+        to_per_file_layout(campaign_copy)
+    assert load_campaign(campaign_copy).profiles == load_campaign(campaign_dir).profiles
+    (campaign_copy / "report.txt").unlink()
+    assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
+    report = "report.txt"
+    assert (campaign_copy / report).read_bytes() == (campaign_dir / report).read_bytes()
+    # the stored profiles judge alike under another oracle
+    flat = tmp_path / "flat"
+    shutil.copytree(campaign_dir, flat)
+    capsys.readouterr()
+    outs = []
+    for root in (flat, campaign_copy):
+        assert cli.main(["analyze", "--campaign", str(root), "--oracle", "v0"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and "re-judged 90 stored profiles under oracle v0:" in outs[0]
+    tag = next(iter(load_campaign(campaign_copy).focused.values()))
+    for test_id in ("t00000", f"f-{tag}-0000", soundness_ids(campaign_copy)[0]):
+        assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", test_id]) == 0
+        assert capsys.readouterr().out.startswith(f"replay OK: {test_id} ->")
+    # a plain focus with new sweeps appends flat lines beside the nested ones
+    assert cli.main(["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "2"]) == 0
+    profiles = [doc["profile"] for _id, doc in iter_results(campaign_copy)]
+    assert {"injections" in p for p in profiles} == {True, False}
+    campaign = load_campaign(campaign_copy)
+    assert set(campaign.profiles) == {t.test_id for t in campaign.every_test()}
+    assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
+
+
 def torn_log(root) -> str:
     """Cut the results log's last line in half, as a killed writer leaves
     it; returns the id of the torn line."""
@@ -553,6 +614,23 @@ def test_analyze_rejudges_under_another_oracle(campaign_copy, capsys):
     assert "re-judged 90 stored profiles under oracle v0:" in out
     assert "clustered" in out and "K=" in out
     assert (campaign_copy / "analysis.json").exists()
+
+
+def test_analyze_without_failures_removes_the_earlier_clustering(campaign_copy, capsys):
+    # every stored verdict judged a success: nothing is left to cluster
+    results = dict(iter_results(campaign_copy))
+    for doc in results.values():
+        doc["verdict"] = {"verdict": "SUCCESS", "reason": "ok", "fired_path": []}
+    write_log(campaign_copy, results)
+    assert cli.main(["analyze", "--campaign", str(campaign_copy)]) == 0
+    assert "no failures in this campaign; nothing to cluster" in capsys.readouterr().out
+    assert not (campaign_copy / "analysis.json").exists()
+    # so the report shows no clusters, and focus asks for the tests to fly
+    assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
+    assert "failure clusters" not in capsys.readouterr().out
+    assert cli.main(["focus", "--campaign", str(campaign_copy)]) == 2
+    err = capsys.readouterr().err
+    assert "without failures has no representatives" in err and "--test-id" in err
 
 
 def test_analyze_honors_kmax(campaign_copy, capsys):
