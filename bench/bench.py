@@ -37,14 +37,17 @@ the subprocess, the ``_coast`` calls per flight and the entries of the
 executor's ``cruise_runs`` memo (null where a side has none).
 
 ``storage`` stores the README quick start with the package under ``--src``,
-loads it, and then, ``--repeats`` times (at least 3), stores every loaded
-result again into a fresh directory holding only that campaign's
-``campaign.json`` and ``tests.json``, one ``storage.save_result`` call per
-result in the campaign's test order, and loads that directory back with
-``storage.load_campaign``. It reports the median time of each per 1,000
-results, the bytes the results take on disk, and a digest of the loaded
-profiles and verdicts, so two source trees can be checked for equal
-results.
+loads it, and then, ``--repeats`` times (at least 3), copies that
+campaign's ``campaign.json`` and ``tests.json`` into a fresh directory and
+there times four steps: ``storage.load_campaign`` with no results yet (so
+it only reads the tests: parses the stored cases, or regenerates them from
+their recipes and checks their sha256), one ``storage.save_result`` call
+per result in the campaign's test order, ``storage.load_campaign`` of the
+whole directory, and ``storage.save_tests`` of the loaded tests. It reports
+the median time of the results' save and load per 1,000 results, and of
+the tests' read and ``save_tests`` per 1,000 tests, the bytes the results
+and ``tests.json`` take on disk, and a digest of the loaded profiles and
+verdicts, so two source trees can be checked for equal results.
 
 ``oracle`` stores the README quick start with the package under ``--src``
 and judges every stored profile under oracle ``v0`` and ``v1``, in this
@@ -159,10 +162,11 @@ def flight_set(campaign) -> list:
     """A loaded campaign's main tests, then each stored sweep's tests.
 
     Checkouts from before sweeps were keyed hold one sweep per
-    representative, in ``focused_tests``.
+    representative, in ``focused_tests``; checkouts from before recipes hold
+    each sweep as a list of tests, not as an entry with ``tests``.
     """
     sweeps = campaign.sweeps if hasattr(campaign, "sweeps") else campaign.focused_tests
-    return campaign.tests + [t for ts in sweeps.values() for t in ts]
+    return campaign.tests + [t for ts in sweeps.values() for t in getattr(ts, "tests", ts)]
 
 
 def import_from(src: str, module: str):
@@ -364,9 +368,9 @@ def cmd_simulator_pass(args) -> int:
 
 def cmd_storage(args) -> dict:
     cli = import_from(args.src, "statefuzz.cli")
-    from statefuzz.storage import canonical_dumps, load_campaign, save_result
+    from statefuzz.storage import canonical_dumps, load_campaign, save_result, save_tests
 
-    saves, loads = [], []
+    reads, saves, loads, writes = [], [], [], []
     with tempfile.TemporaryDirectory() as work:
         stored = Path(work) / "stored"
         with contextlib.redirect_stdout(io.StringIO()):
@@ -381,29 +385,49 @@ def cmd_storage(args) -> dict:
             for name in ("campaign.json", "tests.json"):
                 (root / name).write_bytes((stored / name).read_bytes())
             t0 = time.perf_counter()
+            load_campaign(root)
+            reads.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
             for test, profile, verdict in results:
                 save_result(root, test, profile, verdict)
             saves.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
             loaded = load_campaign(root)
             loads.append(time.perf_counter() - t0)
+            # the main tests are an entry with their recipe since tests.json
+            # stores recipes, a plain list before
+            main = getattr(loaded, "main", loaded.tests)
+            t0 = time.perf_counter()
+            save_tests(root, main, loaded.focused, loaded.sweeps, loaded.soundness)
+            writes.append(time.perf_counter() - t0)
         size = sum(p.stat().st_size for p in root.iterdir()
                    if p.name not in ("campaign.json", "tests.json"))
+        tests_bytes = (root / "tests.json").stat().st_size
         doc = "".join(canonical_dumps([t, loaded.profiles[t].to_dict(), loaded.verdicts[t].to_dict()])
                       for t in sorted(loaded.profiles)).encode()
     n = len(results)
+    tests = len(list(loaded.every_test()))
     out = {
         "repeats": args.repeats,
         "results": n,
+        "tests": tests,
         "save_ms_per_1000": 1e6 * statistics.median(saves) / n,
         "load_ms_per_1000": 1e6 * statistics.median(loads) / n,
+        "read_tests_ms_per_1000": 1e6 * statistics.median(reads) / tests,
+        "save_tests_ms_per_1000": 1e6 * statistics.median(writes) / tests,
         "save_runs_s": saves,
         "load_runs_s": loads,
+        "read_tests_runs_s": reads,
+        "save_tests_runs_s": writes,
         "stored_bytes": size,
+        "tests_json_bytes": tests_bytes,
         "digest": hashlib.sha256(doc).hexdigest(),
     }
     print(f"{n} results: save_result {out['save_ms_per_1000']:.1f} ms and load_campaign "
-          f"{out['load_ms_per_1000']:.1f} ms per 1,000, {size:,} bytes", flush=True)
+          f"{out['load_ms_per_1000']:.1f} ms per 1,000, {size:,} bytes; {tests} tests: "
+          f"read {out['read_tests_ms_per_1000']:.1f} ms and save_tests "
+          f"{out['save_tests_ms_per_1000']:.1f} ms per 1,000, tests.json {tests_bytes:,} bytes",
+          flush=True)
     return out
 
 
@@ -648,7 +672,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (("clustering", "time analyze_failures in process"),
                            ("simulator", "time the quick start's flights"),
-                           ("storage", "time save_result and load_campaign in process"),
+                           ("storage", "time save_result, save_tests and load_campaign in process"),
                            ("oracle", "time classify over the quick start's profiles"),
                            ("minimize", "time cutset.minimize per stored truth table")):
         p = sub.add_parser(name, help=helptext)

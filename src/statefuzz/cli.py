@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .cutset import (
+    SOUNDNESS_TRIALS,
     CutSet,
     TruthTable,
     build_fault_tree,
@@ -59,6 +60,8 @@ from .fuzzspec import (
 from .oracle import FAILURE, classify, default_tree, parse_tree, serialize_tree
 from .storage import (
     RESULTS,
+    Entry,
+    check_entry,
     load_campaign,
     read_json,
     render_report,
@@ -71,6 +74,7 @@ from .storage import (
     save_soundness,
     save_tests,
     save_truth_table,
+    sweep_entry,
     trim_results,
 )
 from .sutmodel import SutConfig
@@ -210,22 +214,22 @@ def _focus(
     seed: int,
     check_soundness: bool,
     focused: dict[str, str],
-    sweeps: dict[str, list[TestCase]],
-    stored_trials: dict[str, list[TestCase]],
-) -> dict[str, list[TestCase]]:
+    sweeps: dict[str, Entry],
+    stored_trials: dict[str, Entry],
+) -> dict[str, Entry]:
     """The focus stage of `run` and `focus`.
 
     Records each base's sweep tag in focused. Each tag is flown, judged,
-    stored, tabled and minimized once, and its tests go into sweeps (empty
-    on entry); a later base with the same tag only records it. A sweep with
-    no valid run leaves its tag without a table.
+    stored, tabled and minimized once, and its tests and recipe go into
+    sweeps (empty on entry); a later base with the same tag only records
+    it. A sweep with no valid run leaves its tag without a table.
 
     Then rebuilds the combined tree from the stored tables of the tags in
     focused, in its order, and soundness.json with one check per combined
     cut set, in the tree's order and with its sources. A stored check of a
     cut set with the same literals is kept, not flown again, and keeps its
     trials from stored_trials; any other cut set is checked only when
-    check_soundness is on. Returns the trials of the checks in
+    check_soundness is on. Returns the trials and recipes of the checks in
     soundness.json by tag.
     """
     root = runner.root
@@ -243,7 +247,7 @@ def _focus(
         except InvalidOnly as exc:
             print(f"  {base.test_id}: {exc}", file=sys.stderr)
         triples = runner.last
-        sweeps[tag] = [t for t, _p, _v in triples]
+        sweeps[tag] = sweep_entry(base, axes, runs_per_cell, seed, [t for t, _p, _v in triples])
         if table is None:
             continue
         save_truth_table(root, tag, table.to_dict())
@@ -270,7 +274,7 @@ def _focus(
         for doc in (read_json(path) if path.exists() else [])
     }
     docs = []
-    trials: dict[str, list[TestCase]] = {}
+    trials: dict[str, Entry] = {}
     for cs in combined.cut_sets:
         doc = checks.get(cs.literals)
         if doc is None and check_soundness:
@@ -278,9 +282,9 @@ def _focus(
                 cs, spec, runner.mission, runner.config, runner, master_seed=seed
             )
             doc = result.to_dict()
-            trials[result.tag] = list(result.tests)
+            trials[result.tag] = check_entry(cs.literals, seed, SOUNDNESS_TRIALS, result.tests)
         elif doc is not None and "tag" in doc:
-            trials[doc["tag"]] = stored_trials.get(doc["tag"], [])
+            trials[doc["tag"]] = stored_trials.get(doc["tag"], Entry([]))
         if doc is not None:
             docs.append({**doc, "cut_set": cs.to_dict()})
             status = "sound" if doc["sound"] else "NOT SOUND"
@@ -343,6 +347,13 @@ def _write_report(root: Path, counts: dict[str, int], focused: dict[str, str]) -
     return text
 
 
+def _write_stored_report(campaign) -> str:
+    """_write_report over a loaded campaign's stored verdicts, as `report`
+    renders it."""
+    counts = Counter(v.verdict for v in campaign.verdicts.values())
+    return _write_report(campaign.root, counts, campaign.focused)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -379,8 +390,8 @@ def cmd_run(args) -> int:
 
     reps_meta: list[dict] = []
     focused: dict[str, str] = {}
-    sweeps: dict[str, list[TestCase]] = {}
-    trials: dict[str, list[TestCase]] = {}
+    sweeps: dict[str, Entry] = {}
+    trials: dict[str, Entry] = {}
     with _Runner(root, mission, config, tree, args.parallelism) as runner:
         pairs = [(t, v) for t, _p, v in runner(tests)]
         counts = Counter(v.verdict for _t, v in pairs)
@@ -406,7 +417,7 @@ def cmd_run(args) -> int:
             )
 
     wall = time.monotonic() - t0
-    save_tests(root, tests, focused, sweeps, trials)
+    save_tests(root, Entry(tests, {}), focused, sweeps, trials)
     save_coverage(root, coverage.to_dict())
     _write_report(root, runner.counts, focused)
     save_campaign_meta(*meta_args, counts, wall, reps_meta, "complete")
@@ -442,11 +453,13 @@ def cmd_analyze(args) -> int:
         # a clustering of other verdicts must not outlive them
         (root / "analysis.json").unlink(missing_ok=True)
         print("no failures in this campaign; nothing to cluster, no analysis.json")
-        return 0
-    save_analysis(root, result)
-    print(f"clustered {len(result.encoded.test_ids)} failures into K={result.k}")
-    for rep in result.representatives:
-        print(f"  cluster {rep.cluster}: closest={rep.closest} farthest={rep.farthest}")
+    else:
+        save_analysis(root, result)
+        print(f"clustered {len(result.encoded.test_ids)} failures into K={result.k}")
+        for rep in result.representatives:
+            print(f"  cluster {rep.cluster}: closest={rep.closest} farthest={rep.farthest}")
+    # the report shows this clustering, beside the stored verdicts
+    _write_stored_report(campaign)
     return 0
 
 
@@ -483,25 +496,21 @@ def cmd_focus(args) -> int:
     axes = args.axes.split(",") if args.axes else _default_axes(campaign.spec)
     seed = args.seed if args.seed is not None else campaign.master_seed
     focused = dict(campaign.focused)
-    sweeps: dict[str, list[TestCase]] = {}
+    sweeps: dict[str, Entry] = {}
     tree = parse_tree(campaign.oracle_tree_raw)
     with _Runner(root, campaign.mission, campaign.config, tree, args.parallelism) as runner:
         trials = _focus(
             runner, bases, axes, args.runs_per_cell, campaign.spec, seed, args.soundness,
             focused, sweeps, campaign.soundness,
         )
-    save_tests(root, campaign.tests, focused, {**campaign.sweeps, **sweeps}, trials)
+    save_tests(root, campaign.main, focused, {**campaign.sweeps, **sweeps}, trials)
     tabled = [i for i in rep_ids if (root / "truthtables" / f"{focused[i]}.json").exists()]
     print(f"fault trees written for: {', '.join(tabled) or 'none'} (+combined)")
     return 0
 
 
 def cmd_report(args) -> int:
-    root = Path(args.campaign)
-    campaign = load_campaign(root)
-    counts = Counter(v.verdict for v in campaign.verdicts.values())
-    text = _write_report(root, counts, campaign.focused)
-    print(text, end="")
+    print(_write_stored_report(load_campaign(Path(args.campaign))), end="")
     return 0
 
 

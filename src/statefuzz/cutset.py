@@ -433,7 +433,7 @@ class SoundnessResult:
     note: str = ""
     #: names the check and its trials, s-<tag>-<i>
     tag: str = ""
-    #: the flown trials, in order (not serialized: tests.json lists them)
+    #: the flown trials, in order (not serialized: tests.json stores their recipe)
     tests: tuple[TestCase, ...] = ()
 
     def to_dict(self) -> dict:
@@ -477,30 +477,30 @@ def _delay_for(
     return bands[0].name, bands[0].min_ms, bands[0].max_ms, delay
 
 
-def soundness_check(
-    cut_set: CutSet,
+#: trials per soundness check
+SOUNDNESS_TRIALS = 3
+
+
+def soundness_trials(
+    literals: tuple[tuple[str, str], ...],
     spec: FuzzSpecification,
-    mission: MissionPlan,
+    mission_id: str,
     config: SutConfig,
-    runner: Runner,
     master_seed: int = 0,
-    trials: int = 3,
-) -> SoundnessResult:
-    """Fly fresh runs satisfying the cut set; sound means all fail.
+    trials: int = SOUNDNESS_TRIALS,
+) -> tuple[str, Optional[list[TestCase]]]:
+    """The tag and the trials of the soundness check of a cut set with
+    these literals; the trials are None when its mode/band literals cannot
+    be realized under config.
 
-    The runner flies and judges the trials (and may store them), as in
-    build_truth_table; mission and config must be the runner's. The check
-    is named by a tag of eight hex digits hashed from the master seed and
-    the literals, in the style of testgen.sweep_tag, and trial i is
-    s-<tag>-<i>, seeded from the master seed, the literals and i.
-
-    Unbound columns take the first spec value; the injection delay is
-    chosen to realize the band and observed-mode literals (a cut set whose
-    mode literal cannot be realized under the config is reported as such,
-    and flies nothing).
+    The tag is eight hex digits hashed from the master seed and the
+    literals, in the style of testgen.sweep_tag, and trial i is
+    s-<tag>-<i>, seeded from the master seed, the literals and i. Unbound
+    columns take the first spec value; the injection delay is chosen to
+    realize the band and observed-mode literals.
     """
-    tag = f"{derive_seed(master_seed, 'soundness', cut_set.literals):016x}"[:8]
-    lits = dict(cut_set.literals)
+    tag = f"{derive_seed(master_seed, 'soundness', literals):016x}"[:8]
+    lits = dict(literals)
     pairs = spec.constraint_pairs()
     scope_name = lits.get(SCOPE_COLUMN, pairs[0][1].state.value)
     scope = AppState(scope_name)
@@ -509,16 +509,15 @@ def soundness_check(
     action = lits.get("action", spec.actions[0].value)
     placed = _delay_for(lits, spec, config)
     if placed is None:
-        return SoundnessResult(cut_set, (), False, "mode/band literals are unrealizable", tag)
+        return tag, None
     band_name, band_min, band_max, delay = placed
     env = spec.environment
-
-    tests = [
+    return tag, [
         TestCase(
             test_id=f"s-{tag}-{trial}",
             index=trial,
             spec_id=spec.spec_id,
-            mission_id=mission.id,
+            mission_id=mission_id,
             app_state=scope,
             target_mode=mode,
             recurring=target.recurring,
@@ -532,11 +531,35 @@ def soundness_check(
             wind=lits.get("wind", env.wind[0]),
             gps_noise=lits.get("gps_noise", env.gps_noise[0]),
             compass_interference=lits.get("compass_interference", env.compass_interference[0]),
-            seed=derive_seed(master_seed, "soundness", str(cut_set.literals), trial),
+            seed=derive_seed(master_seed, "soundness", str(literals), trial),
             repetition=trial,
         )
         for trial in range(trials)
     ]
+
+
+def soundness_check(
+    cut_set: CutSet,
+    spec: FuzzSpecification,
+    mission: MissionPlan,
+    config: SutConfig,
+    runner: Runner,
+    master_seed: int = 0,
+    trials: int = SOUNDNESS_TRIALS,
+) -> SoundnessResult:
+    """Fly fresh runs satisfying the cut set; sound means all fail.
+
+    The trials are soundness_trials' for the cut set's literals. The
+    runner flies and judges them (and may store them), as in
+    build_truth_table; mission and config must be the runner's. A cut set
+    whose mode literal cannot be realized under the config is reported as
+    such, and flies nothing.
+    """
+    tag, tests = soundness_trials(
+        cut_set.literals, spec, mission.id, config, master_seed, trials
+    )
+    if tests is None:
+        return SoundnessResult(cut_set, (), False, "mode/band literals are unrealizable", tag)
     verdicts = tuple(v.verdict for _t, _p, v in runner(tests))
     return SoundnessResult(
         cut_set, verdicts, all(v == FAILURE for v in verdicts), tag=tag, tests=tuple(tests)

@@ -104,3 +104,7 @@ class NotACampaign(StateFuzzError):
 
 class CampaignRunning(StateFuzzError):
     """campaign.json says the run writing the campaign has not finished."""
+
+
+class RecipeMismatch(StateFuzzError):
+    """A tests.json recipe no longer regenerates the cases it was stored with."""

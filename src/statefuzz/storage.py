@@ -7,11 +7,12 @@ Layout of a campaign directory:
                              "status" is "running" from the run's first write
                              until its last one sets "complete"
     coverage.json            mission coverage check
-    tests.json               every generated test: "main" lists the main
-                             tests, "sweeps" the tests of each focus sweep
-                             by its tag, "focused" each representative's tag,
-                             "soundness" the trials of each soundness check
-                             by its tag
+    tests.json               the recipe of every generated test: "main" for
+                             the main tests, "sweeps" each focus sweep's by
+                             its tag, "focused" each representative's tag,
+                             "soundness" each soundness check's trials by
+                             its tag; each recipe with the sha256 of the
+                             cases it gave
     results.jsonl            one line per flown test, in flight order: the
                              compact, sorted-key JSON {"id", "profile",
                              "verdict"} (t*, f-<tag>-NNNN and s-<tag>-<i>);
@@ -35,8 +36,22 @@ The results log is the exception to that rule: save_result appends to it,
 so a killed writer can leave a last line without its newline.
 Readers skip such a torn line, a command cuts it off before it appends
 (trim_results), and save_tests rewrites the log whole when it holds a line
-that tests.json does not list, or lists twice. A test's case is not in the
-log: tests.json holds it.
+that tests.json does not name, or names twice. A test's case is not in the
+log: load_campaign regenerates it from its recipe in tests.json.
+
+tests.json stores no case, only what regenerates the cases:
+    main                     {"sha256"}: generate(spec, generator) over the
+                             spec and generator settings of campaign.json
+    sweeps/<tag>             {"base", "axes", "runs_per_cell", "seed",
+                             "sha256"}: focused_generate over the base's full
+                             case (see testgen.sweep_tag for the tag)
+    soundness/<tag>          {"literals", "seed", "trials", "sha256"}:
+                             cutset.soundness_trials over the cut set's
+                             [column, value] pairs
+load_campaign regenerates every recipe and compares the sha256 of the cases
+(see cases_digest), and a sweep's or check's tag with the one its recipe
+gives. On a mismatch it raises RecipeMismatch naming the entry, before any
+command writes a file: the stored results would be paired with other tests.
 
 A manifest without "status" was written by a run that finished;
 load_campaign refuses one whose status is "running", since its other files
@@ -51,6 +66,13 @@ A profile stored before the injection fields were flat holds a
 ExecutionProfile.from_dict reads it as the flat fields, and its stored line
 or file is kept as it is, beside the flat lines appended later.
 
+A campaign stored before recipes lists each entry's cases instead, as
+case dicts. load_campaign reads such a list as it is, and save_tests writes
+it back as a list: a sweep's or check's list has no recipe, and a main list
+that generate no longer gives (stored before the bands were taken in order
+of their bounds) must keep its cases. A main list equal to what generate
+gives is written back as a recipe.
+
 A campaign stored before the results log holds one <test-id>.json file
 per flown test (test + profile + verdict, indented). iter_results reads
 those files for the ids the log does not hold, and the next save_tests
@@ -64,7 +86,7 @@ own list of f-<id>-NNNN tests; load_campaign reads that list as a sweep
 tagged with the representative's id, which is also its table's name.
 
 A soundness check is named by the tag of its cut set's literals and the
-master seed (see cutset.soundness_check), and its trials s-<tag>-<i> are
+master seed (see cutset.soundness_trials), and its trials s-<tag>-<i> are
 stored like any other test, so replay finds them. A campaign stored before
 the trials were kept has checks without a tag and no stored trials.
 """
@@ -72,21 +94,24 @@ the trials were kept has checks without a tag and no stored trials.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
 import time
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-from .errors import CampaignRunning
+from .cutset import soundness_trials
+from .errors import CampaignRunning, RecipeMismatch
 from .executor import ExecutionProfile
 from .fuzzspec import FuzzSpecification, MissionPlan, parse_fuzz_spec, parse_mission
 from .oracle import Verdict
 from .sutmodel import SutConfig
-from .testgen import GeneratorConfig, TestCase, generate
+from .testgen import GeneratorConfig, TestCase, focused_generate, generate, sweep_tag
 
 if TYPE_CHECKING:
     from .analysis import AnalysisResult
@@ -99,6 +124,11 @@ _NAMED = frozenset({"campaign", "coverage", "tests", "analysis", "soundness"})
 #: where a log line's test id starts: sorted keys put "id" first
 _ID_AT = len('{"id":')
 _DECODER = json.JSONDecoder()
+#: what cases_digest hashes: every field of a test case, enums by value
+_COLUMNS = tuple(
+    attrgetter(f"{name}.value" if name in ("app_state", "target_mode") else name)
+    for name in TestCase.__dataclass_fields__
+)
 
 
 def canonical_dumps(obj) -> str:
@@ -130,6 +160,35 @@ def read_json(path: Path) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+@dataclass(frozen=True)
+class Entry:
+    """One entry of tests.json: its cases, in order, and the recipe they
+    regenerate from (the JSON inputs, without the sha256).
+
+    recipe is None for a list stored before recipes, which stays a list.
+    """
+
+    tests: list[TestCase]
+    recipe: Optional[dict] = None
+
+
+def sweep_entry(
+    base: TestCase, axes, runs_per_cell: int, seed: int, tests: list[TestCase]
+) -> Entry:
+    """A focus sweep, whose tests are focused_generate(base, axes,
+    runs_per_cell, spec, seed)."""
+    recipe = {"base": base.to_dict(), "axes": list(axes), "runs_per_cell": runs_per_cell,
+              "seed": seed}
+    return Entry(list(tests), recipe)
+
+
+def check_entry(literals, seed: int, trials: int, tests) -> Entry:
+    """A soundness check, whose trials are cutset.soundness_trials(literals,
+    spec, mission id, config, seed, trials)."""
+    recipe = {"literals": [list(lit) for lit in literals], "seed": seed, "trials": trials}
+    return Entry(list(tests), recipe)
+
+
 @dataclass
 class Campaign:
     """A campaign directory pulled back into memory."""
@@ -142,15 +201,21 @@ class Campaign:
     oracle_version: str
     oracle_tree_raw: dict
     master_seed: int
-    tests: list[TestCase] = field(default_factory=list)
+    #: the main tests, in order, and their recipe
+    main: Entry = field(default_factory=lambda: Entry([]))
     #: representative id -> the tag of its focus sweep
     focused: dict[str, str] = field(default_factory=dict)
-    #: sweep tag -> the sweep's tests, in order
-    sweeps: dict[str, list[TestCase]] = field(default_factory=dict)
-    #: soundness check tag -> the check's trials, in order
-    soundness: dict[str, list[TestCase]] = field(default_factory=dict)
+    #: sweep tag -> the sweep's tests, in order, and their recipe
+    sweeps: dict[str, Entry] = field(default_factory=dict)
+    #: soundness check tag -> the check's trials, in order, and their recipe
+    soundness: dict[str, Entry] = field(default_factory=dict)
     profiles: dict[str, ExecutionProfile] = field(default_factory=dict)
     verdicts: dict[str, Verdict] = field(default_factory=dict)
+
+    @property
+    def tests(self) -> list[TestCase]:
+        """The main tests."""
+        return self.main.tests
 
     def results(self):
         """(test, profile, verdict) triples of the main tests that have a result."""
@@ -162,7 +227,8 @@ class Campaign:
 
     def every_test(self):
         """Main tests, then each sweep's, then each soundness check's trials."""
-        return chain(self.tests, *self.sweeps.values(), *self.soundness.values())
+        entries = chain([self.main], self.sweeps.values(), self.soundness.values())
+        return chain.from_iterable(e.tests for e in entries)
 
     def find_test(self, test_id: str) -> Optional[TestCase]:
         return next((t for t in self.every_test() if t.test_id == test_id), None)
@@ -212,14 +278,32 @@ def save_coverage(root: Path, coverage_dict: dict) -> None:
     write_json(root / "coverage.json", coverage_dict)
 
 
+def cases_digest(tests) -> str:
+    """sha256 over every field of tests, one field at a time: the repr of
+    the field's values in test order, enums by value. Cheaper than hashing
+    their JSON, and as exact: a float's repr round-trips."""
+    digest = hashlib.sha256()
+    for column in _COLUMNS:
+        digest.update(repr(list(map(column, tests))).encode())
+    return digest.hexdigest()
+
+
+def _stored(entry: Entry):
+    """An entry as tests.json stores it: its recipe and the sha256 of its
+    cases, or the list of its cases when it has no recipe."""
+    if entry.recipe is None:
+        return [t.to_dict() for t in entry.tests]
+    return {**entry.recipe, "sha256": cases_digest(entry.tests)}
+
+
 def save_tests(
     root: Path,
-    main: list[TestCase],
+    main: Entry,
     focused: dict[str, str],
-    sweeps: dict[str, list[TestCase]],
-    soundness: dict[str, list[TestCase]],
+    sweeps: dict[str, Entry],
+    soundness: dict[str, Entry],
 ) -> None:
-    """Write tests.json, then keep only what it lists: one line per listed
+    """Write tests.json, then keep only what it names: one line per named
     test in the results log, and the truth tables and fault trees of the
     sweeps it names (the combined tree stays).
 
@@ -231,14 +315,14 @@ def save_tests(
     write_json(
         root / "tests.json",
         {
-            "main": [t.to_dict() for t in main],
+            "main": _stored(main),
             "focused": focused,
-            "sweeps": {tag: [t.to_dict() for t in ts] for tag, ts in kept.items()},
-            "soundness": {tag: [t.to_dict() for t in ts] for tag, ts in soundness.items()},
+            "sweeps": {tag: _stored(e) for tag, e in kept.items()},
+            "soundness": {tag: _stored(e) for tag, e in soundness.items()},
         },
     )
-    listed = dict.fromkeys(t.test_id for t in chain(main, *kept.values(), *soundness.values()))
-    _keep_results(root, listed)
+    entries = chain([main], kept.values(), soundness.values())
+    _keep_results(root, dict.fromkeys(t.test_id for e in entries for t in e.tests))
     tables = set(kept) | {"combined"}
     for path in chain(root.glob("truthtables/*"), root.glob("faulttrees/*")):
         if path.stem not in tables:
@@ -407,32 +491,84 @@ def load_campaign(root: Path) -> Campaign:
     )
     tests_path = root / "tests.json"
     if tests_path.exists():
-        tests_doc = read_json(tests_path)
-        campaign.tests = [TestCase.from_dict(t) for t in tests_doc["main"]]
-        sweeps = dict(tests_doc.get("sweeps", {}))
-        for rep_id, entry in tests_doc.get("focused", {}).items():
-            if isinstance(entry, list):
-                # stored before sweeps were keyed: the representative's own tests
-                sweeps[rep_id] = entry
-                entry = rep_id
-            campaign.focused[rep_id] = entry
-        campaign.sweeps = {
-            tag: [TestCase.from_dict(t) for t in ts] for tag, ts in sweeps.items()
-        }
-        campaign.soundness = {
-            tag: [TestCase.from_dict(t) for t in ts]
-            for tag, ts in tests_doc.get("soundness", {}).items()
-        }
+        _read_tests(campaign, read_json(tests_path))
     else:
         # the manifest carries everything generation needs, so a deleted
         # tests.json is recoverable
-        campaign.tests = generate(campaign.spec, generator)
+        campaign.main = Entry(generate(spec, generator), {})
     ids = {t.test_id for t in campaign.every_test()}
     for test_id, doc in iter_results(root):
         if test_id in ids:
             campaign.profiles[test_id] = ExecutionProfile.from_dict(doc["profile"])
             campaign.verdicts[test_id] = Verdict.from_dict(doc["verdict"])
     return campaign
+
+
+def _read_tests(campaign: Campaign, doc: dict) -> None:
+    """Fill campaign's entries from tests.json, whatever its shape.
+
+    A recipe is regenerated and checked (see _regenerated). A list of case
+    dicts, stored before recipes, is read as it is and keeps no recipe,
+    but for a main list equal to what generate gives. Before sweeps were
+    keyed, "focused" mapped a representative to its own list; that list is
+    read as a sweep tagged with the representative's id. Before soundness
+    trials were kept, there was no "soundness".
+    """
+    def entry(kind: str, tag: Optional[str], raw) -> Entry:
+        if isinstance(raw, list):
+            return Entry([TestCase.from_dict(t) for t in raw])
+        return _regenerated(campaign, kind, tag, raw)
+
+    campaign.main = entry("main", None, doc["main"])
+    if campaign.main.recipe is None and campaign.tests == generate(
+        campaign.spec, campaign.generator
+    ):
+        campaign.main = Entry(campaign.tests, {})
+    sweeps = {tag: entry("sweeps", tag, raw) for tag, raw in doc.get("sweeps", {}).items()}
+    for rep_id, tag in doc.get("focused", {}).items():
+        if isinstance(tag, list):
+            sweeps[rep_id] = entry("sweeps", rep_id, tag)
+            tag = rep_id
+        campaign.focused[rep_id] = tag
+    campaign.sweeps = sweeps
+    campaign.soundness = {
+        tag: entry("soundness", tag, raw) for tag, raw in doc.get("soundness", {}).items()
+    }
+
+
+def _regenerated(campaign: Campaign, kind: str, tag: Optional[str], raw: dict) -> Entry:
+    """The entry tests.json stores as raw, a recipe of the given kind ("main",
+    "sweeps" or "soundness"), regenerated under campaign's spec, mission and
+    config; raises RecipeMismatch when the recipe gives another tag than
+    the one it is stored under, or cases of another sha256."""
+    def refuse(problem: str) -> RecipeMismatch:
+        where = f"tests.json {kind}" + (f" {tag}" if tag else "")
+        return RecipeMismatch(
+            f"{where}: {problem}; the code that generates tests has changed since the "
+            "campaign was stored, or the campaign was edited, so its stored results "
+            "cannot be matched to their tests"
+        )
+
+    recipe = {k: v for k, v in raw.items() if k != "sha256"}
+    if kind == "main":
+        tests = generate(campaign.spec, campaign.generator)
+    elif kind == "sweeps":
+        key = (TestCase.from_dict(recipe["base"]), recipe["axes"], recipe["runs_per_cell"])
+        if sweep_tag(*key, recipe["seed"]) != tag:
+            raise refuse("its recipe gives another tag")
+        tests = focused_generate(*key, campaign.spec, recipe["seed"])
+    else:
+        literals = tuple(tuple(lit) for lit in recipe["literals"])
+        named, tests = soundness_trials(
+            literals, campaign.spec, campaign.mission.id, campaign.config,
+            recipe["seed"], recipe["trials"],
+        )
+        if named != tag:
+            raise refuse("its recipe gives another tag")
+        tests = tests or []
+    if cases_digest(tests) != raw["sha256"]:
+        raise refuse("the cases regenerated from its recipe have another sha256")
+    return Entry(tests, recipe)
 
 
 # ---------------------------------------------------------------------------

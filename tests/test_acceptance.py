@@ -20,7 +20,7 @@ from statefuzz.cutset import table_from_results
 from statefuzz.executor import run_campaign
 from statefuzz.fuzzspec import parse_fuzz_spec, parse_mission
 from statefuzz.oracle import classify, default_tree
-from statefuzz.storage import iter_results, read_json
+from statefuzz.storage import iter_results, load_campaign, read_json
 from statefuzz.sutmodel import AppState, SutConfig
 from statefuzz.testgen import focused_generate
 
@@ -181,8 +181,8 @@ def test_soundness_trials_of_one_scope_are_distinct_stored_tests(multi_fault_dir
     scope = {"column": "app_state", "value": "TAKEOFF"}
     takeoff = [doc for doc in checks if scope in doc["cut_set"]["literals"]]
     assert len(takeoff) >= 2
-    trials = read_json(multi_fault_dir / "tests.json")["soundness"]
-    ids = [t["id"] for doc in takeoff for t in trials[doc["tag"]]]
+    trials = load_campaign(multi_fault_dir).soundness
+    ids = [t.test_id for doc in takeoff for t in trials[doc["tag"]].tests]
     assert len(set(ids)) == len(ids) == 3 * len(takeoff)
     stored = dict(iter_results(multi_fault_dir))
     assert all(i in stored for i in ids)
@@ -219,11 +219,11 @@ def test_criterion_5_oracle_v1_clears_v0_false_positives(tmp_path, capsys):
     assert meta["verdict_counts"] == {"FAILURE": 18}  # healthy vehicle, no faults
     by_action = {"AUTO.LOITER": 0, "THROTTLE_TOGGLED": 0}
     results = dict(iter_results(root))
-    for test in read_json(root / "tests.json")["main"]:
-        doc = results[test["id"]]
+    for test in load_campaign(root).tests:
+        doc = results[test.test_id]
         assert doc["verdict"]["verdict"] == "FAILURE"
         assert doc["verdict"]["reason"] == "unexpected-mode"
-        by_action[test["injected_action"]] += 1
+        by_action[test.action] += 1
     assert by_action["AUTO.LOITER"] == 9 and by_action["THROTTLE_TOGGLED"] == 9
 
     # same stored profiles, corrected oracle, no re-execution

@@ -1,5 +1,6 @@
 """Campaign persistence and the command-line front end."""
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -7,11 +8,12 @@ import shutil
 
 import pytest
 
-from statefuzz import analysis, cli
-from statefuzz.errors import InvalidOnly
+from statefuzz import analysis, cli, fuzzspec, testgen
+from statefuzz.errors import InvalidOnly, RecipeMismatch
 from statefuzz.executor import Executor
 from statefuzz.storage import (
     canonical_dumps,
+    cases_digest,
     iter_results,
     load_campaign,
     read_json,
@@ -21,7 +23,9 @@ from statefuzz.storage import (
     table_csv,
     write_json,
 )
-from statefuzz.sutmodel import SutConfig
+from statefuzz.sutmodel import AppState, AutopilotMode, SutConfig
+
+from conftest import small_spec_raw
 
 CAMPAIGN_ARGS = [
     "run",
@@ -175,11 +179,11 @@ def test_campaign_manifest_contents(campaign_dir):
 
 
 def test_tests_manifest_lists_main_and_focused(campaign_dir):
-    doc = read_json(campaign_dir / "tests.json")
-    assert [t["id"] for t in doc["main"]] == [f"t{i:05d}" for i in range(90)]
-    assert doc["focused"]
-    for tag in doc["focused"].values():
-        assert all(t["id"].startswith(f"f-{tag}-") for t in doc["sweeps"][tag])
+    campaign = load_campaign(campaign_dir)
+    assert [t.test_id for t in campaign.tests] == [f"t{i:05d}" for i in range(90)]
+    assert campaign.focused
+    for tag in campaign.focused.values():
+        assert all(t.test_id.startswith(f"f-{tag}-") for t in campaign.sweeps[tag].tests)
 
 
 def logged_ids(root) -> list[str]:
@@ -196,9 +200,9 @@ def write_log(root, results: dict) -> None:
 
 
 def test_every_executed_test_has_a_result_file(campaign_dir):
-    doc = read_json(campaign_dir / "tests.json")
-    ids = [t["id"] for t in doc["main"]]
-    ids += [t["id"] for ts in doc["sweeps"].values() for t in ts]
+    campaign = load_campaign(campaign_dir)
+    ids = [t.test_id for t in campaign.tests]
+    ids += [t.test_id for e in campaign.sweeps.values() for t in e.tests]
     ids += soundness_ids(campaign_dir)
     results = dict(iter_results(campaign_dir))
     for test_id in ids:
@@ -245,17 +249,16 @@ def test_soundness_findings_on_disk(campaign_dir):
 
 
 def soundness_ids(root) -> list[str]:
-    doc = read_json(root / "tests.json")
-    return [t["id"] for ts in doc["soundness"].values() for t in ts]
+    return [t.test_id for e in load_campaign(root).soundness.values() for t in e.tests]
 
 
 def test_soundness_trials_are_stored_tests(campaign_dir):
     checks = read_json(campaign_dir / "soundness.json")
-    trials = read_json(campaign_dir / "tests.json")["soundness"]
+    trials = load_campaign(campaign_dir).soundness
     assert list(trials) == [doc["tag"] for doc in checks]
     results = dict(iter_results(campaign_dir))
     for doc in checks:
-        ids = [t["id"] for t in trials[doc["tag"]]]
+        ids = [t.test_id for t in trials[doc["tag"]].tests]
         assert ids == [f"s-{doc['tag']}-{i}" for i in range(3)]
         verdicts = [results[i]["verdict"]["verdict"] for i in ids]
         assert verdicts == doc["verdicts"]
@@ -294,7 +297,7 @@ def test_load_campaign_round_trip(campaign_dir):
         assert verdict.verdict in ("SUCCESS", "FAILURE", "INVALID")
     # focused tests resolve through find_test too
     tag = next(iter(campaign.focused.values()))
-    focused_id = campaign.sweeps[tag][0].test_id
+    focused_id = campaign.sweeps[tag].tests[0].test_id
     assert campaign.find_test(focused_id).test_id == focused_id
 
 
@@ -308,19 +311,237 @@ def test_load_campaign_regenerates_deleted_tests_manifest(campaign_copy):
 def test_stored_bands_keep_their_order(campaign_dir, campaign_copy, capsys):
     # canonical JSON stores fspec1's bands as long, medium, short; they come
     # back in order of their bounds, as run took them from the spec file
+    to_listed_tests(campaign_copy)
+    listed = (campaign_copy / "tests.json").read_bytes()
     stored = read_json(campaign_copy / "tests.json")["main"]
     (campaign_copy / "tests.json").unlink()
     campaign = load_campaign(campaign_copy)
     assert [b.name for b in campaign.spec.environment.bands] == ["short", "medium", "long"]
     assert [t.to_dict() for t in campaign.tests] == stored
     # so a plain focus with run's arguments gives each sweep test its cell again
-    shutil.copy(campaign_dir / "tests.json", campaign_copy / "tests.json")
+    (campaign_copy / "tests.json").write_bytes(listed)
     assert cli.main(["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "4"]) == 0
     assert campaign_files(campaign_copy / "truthtables") == campaign_files(
         campaign_dir / "truthtables"
     )
     log = "results.jsonl"
     assert (campaign_copy / log).read_bytes() == (campaign_dir / log).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# tests.json: recipes, regenerated and checked on load
+# ---------------------------------------------------------------------------
+
+
+def test_tests_json_stores_recipes_not_cases(campaign_dir):
+    doc = read_json(campaign_dir / "tests.json")
+    campaign = load_campaign(campaign_dir)
+    assert doc["main"] == {"sha256": cases_digest(campaign.tests)}
+    assert doc["focused"] == campaign.focused
+    for tag, recipe in doc["sweeps"].items():
+        assert set(recipe) == {"base", "axes", "runs_per_cell", "seed", "sha256"}
+        assert recipe["base"] == campaign.find_test(recipe["base"]["id"]).to_dict()
+        assert (recipe["axes"], recipe["runs_per_cell"], recipe["seed"]) == (
+            ["action", "delay_band"], 4, 0
+        )
+        assert recipe["sha256"] == cases_digest(campaign.sweeps[tag].tests)
+    checks = read_json(campaign_dir / "soundness.json")
+    assert list(doc["soundness"]) == [c["tag"] for c in checks]
+    for check, (tag, recipe) in zip(checks, doc["soundness"].items()):
+        literals = [[lit["column"], lit["value"]] for lit in check["cut_set"]["literals"]]
+        assert recipe == {"literals": literals, "seed": 0, "trials": 3,
+                          "sha256": cases_digest(campaign.soundness[tag].tests)}
+    assert len((campaign_dir / "tests.json").read_bytes()) < 4000
+
+
+def test_cases_digest_covers_every_field(campaign_dir):
+    tests = load_campaign(campaign_dir).tests[:3]
+    digest = cases_digest(tests)
+    other = {AppState: AppState.HOVERING, AutopilotMode: AutopilotMode.LAND}
+    for field in dataclasses.fields(testgen.TestCase):
+        value = getattr(tests[1], field.name)
+        if isinstance(value, bool):
+            value = not value
+        elif type(value) in other:
+            value = other[type(value)]
+        elif isinstance(value, str):
+            value += "x"
+        else:
+            value += 1
+        edited = [tests[0], dataclasses.replace(tests[1], **{field.name: value}), tests[2]]
+        assert cases_digest(edited) != digest, field.name
+    assert cases_digest(tests) == digest
+
+
+def edit_recipe(section: str, key: str, value):
+    """An edit that sets key of the first recipe in a section of tests.json
+    to value(the stored value) and returns the entry's name."""
+    def edit(root) -> str:
+        doc = read_json(root / "tests.json")
+        tag, recipe = next(iter(doc[section].items()))
+        recipe[key] = value(recipe[key])
+        write_json(root / "tests.json", doc)
+        return f"tests.json {section} {tag}"
+
+    return edit
+
+
+def retag(section: str):
+    """An edit that stores the first recipe of a section of tests.json under
+    another tag (and, for a sweep, points its representatives there)."""
+    def edit(root) -> str:
+        doc = read_json(root / "tests.json")
+        tag = next(iter(doc[section]))
+        doc[section]["0badc0de"] = doc[section].pop(tag)
+        doc["focused"] = {rep: "0badc0de" if t == tag else t for rep, t in doc["focused"].items()}
+        write_json(root / "tests.json", doc)
+        return f"tests.json {section} 0badc0de"
+
+    return edit
+
+
+def reorder_bands(root) -> str:
+    """Swap the bounds of the short and long bands in campaign.json, so the
+    spec's bands come back in another order."""
+    meta = read_json(root / "campaign.json")
+    bands = meta["spec"]["ENVIRONMENT"]["transition_delay"]["bands"]
+    bands["short"], bands["long"] = bands["long"], bands["short"]
+    write_json(root / "campaign.json", meta)
+    return "tests.json main"
+
+
+@pytest.mark.parametrize("command", ["analyze", "focus", "report", "replay"])
+@pytest.mark.parametrize(
+    "edit",
+    [
+        edit_recipe("sweeps", "runs_per_cell", lambda n: n + 1),
+        edit_recipe("soundness", "seed", lambda seed: seed + 1),
+        edit_recipe("sweeps", "sha256", lambda digest: "0" * 64),
+        retag("sweeps"),
+        retag("soundness"),
+        reorder_bands,
+    ],
+    ids=["runs_per_cell", "check_seed", "sweep_sha256", "sweep_tag", "check_tag", "band_order"],
+)
+def test_an_edited_recipe_exits_two_and_changes_nothing(campaign_copy, capsys, edit, command):
+    entry = edit(campaign_copy)
+    before = campaign_files(campaign_copy)
+    with pytest.raises(RecipeMismatch, match=entry):
+        load_campaign(campaign_copy)
+    args = [command, "--campaign", str(campaign_copy)]
+    if command == "replay":
+        args += ["--test-id", "t00000"]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: {entry}: ")
+    assert campaign_files(campaign_copy) == before
+
+
+def test_bands_taken_in_document_order_are_refused(campaign_copy, capsys, monkeypatch):
+    # the defect the bands' order of bounds mends: canonical JSON stores
+    # fspec1's bands as long, medium, short, so generation in document order
+    # pairs the stored results with other tests
+    def document_order(raw):
+        bands = raw["bands"].items()
+        return tuple(fuzzspec.DelayBand(n, float(b["min"]), float(b["max"])) for n, b in bands)
+
+    monkeypatch.setattr(fuzzspec, "_parse_bands", document_order)
+    before = campaign_files(campaign_copy)
+    assert cli.main(["report", "--campaign", str(campaign_copy)]) == 2
+    assert capsys.readouterr().err.startswith("error: tests.json main: ")
+    assert campaign_files(campaign_copy) == before
+
+
+@pytest.mark.parametrize("edited", [False, True], ids=["regenerable", "edited"])
+def test_a_listed_main_becomes_a_recipe_only_when_generate_gives_it(
+    campaign_copy, capsys, edited
+):
+    to_listed_tests(campaign_copy)
+    doc = read_json(campaign_copy / "tests.json")
+    if edited:
+        # as a main list stored before the bands were taken in order
+        doc["main"][0]["delay_ms"] += 1.0
+        write_json(campaign_copy / "tests.json", doc)
+    args = ["focus", "--campaign", str(campaign_copy), "--test-id", "t00003",
+            "--runs-per-cell", "1", "--no-soundness"]
+    assert cli.main(args) == 0
+    after = read_json(campaign_copy / "tests.json")
+    main = load_campaign(campaign_copy).tests
+    if edited:
+        assert after["main"] == doc["main"] == [t.to_dict() for t in main]
+    else:
+        assert after["main"] == {"sha256": cases_digest(main)}
+    # listed sweeps and checks have no recipe: they stay lists
+    assert {tag: after["sweeps"][tag] for tag in doc["sweeps"]} == doc["sweeps"]
+    assert after["soundness"] == doc["soundness"]
+
+
+def capture_flown(monkeypatch) -> list[list]:
+    """Patch the runner's run_campaign to record each list of tests it flies."""
+    batches = []
+    run_campaign = cli.run_campaign
+
+    def recorded(tests, *args, **kwargs):
+        batches.append(list(tests))
+        return run_campaign(tests, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_campaign", recorded)
+    return batches
+
+
+def entries(campaign) -> list[list]:
+    """The case lists of a loaded campaign: main, each sweep, each check."""
+    stored = [campaign.main, *campaign.sweeps.values(), *campaign.soundness.values()]
+    return [e.tests for e in stored]
+
+
+def multi_fault_args(tmp_path) -> list[str]:
+    """F1 + F2 + F5 seeded over a spec whose actions can trip all three."""
+    raw = small_spec_raw()
+    raw["RC_INPUT_EVENTS"] = ["POSCTL", "AUTO.LAND", "AUTO.RTL"]
+    raw["CONSTRAINTS"]["REQUIRES_PX4_MODE"] = {"OFFBOARD": ["TAKEOFF", "HOVERING"]}
+    spec_path = tmp_path / "three_fault_spec.json"
+    spec_path.write_text(json.dumps(raw))
+    return ["run", "--spec", str(spec_path), "--mission", "mission_a",
+            "--fault", "F1", "--fault", "F2", "--fault", "F5", "--latency-window", "200", "600",
+            "--repetitions", "10", "--parallelism", "2", "--seed", "0"]
+
+
+@pytest.mark.parametrize("campaign", ["tier-1", "multi-fault"])
+def test_a_loaded_campaign_holds_the_cases_run_flew(tmp_path, monkeypatch, capsys, campaign):
+    batches = capture_flown(monkeypatch)
+    args = CAMPAIGN_ARGS if campaign == "tier-1" else multi_fault_args(tmp_path)
+    root = tmp_path / "campaign"
+    assert cli.main(args + ["--out", str(root)]) == 0
+    loaded = load_campaign(root)
+    assert len(loaded.sweeps) >= 1 and len(loaded.soundness) >= 1
+    first_id = lambda tests: tests[0].test_id
+    assert sorted(filter(None, entries(loaded)), key=first_id) == sorted(batches, key=first_id)
+    flown = [t for batch in batches for t in batch]
+    assert sorted(loaded.every_test(), key=lambda t: t.test_id) == sorted(
+        flown, key=lambda t: t.test_id
+    )
+
+
+def test_a_loaded_campaign_holds_the_cases_focus_flew(campaign_copy, monkeypatch, capsys):
+    # the bases are a sweep's test and a soundness trial, stored in full
+    earlier = load_campaign(campaign_copy)
+    bases = [next(iter(earlier.sweeps.values())).tests[5].test_id,
+             soundness_ids(campaign_copy)[0]]
+    batches = capture_flown(monkeypatch)
+    args = ["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "2"]
+    assert cli.main(args + ["--test-id", bases[0], "--test-id", bases[1]]) == 0
+    assert len(batches) >= 2
+    loaded = load_campaign(campaign_copy)
+    stored = entries(loaded)
+    assert all(batch in stored for batch in batches)
+    kept = {t.test_id: t for t in earlier.every_test()}
+    flown = {t.test_id for batch in batches for t in batch}
+    assert all(kept[t.test_id] == t for t in loaded.every_test() if t.test_id not in flown)
+    # a sweep's recipe holds the full case of the first base with its tag
+    doc = read_json(campaign_copy / "tests.json")
+    for tag in {loaded.focused[base] for base in bases}:
+        first = next(base for base in bases if loaded.focused[base] == tag)
+        assert doc["sweeps"][tag]["base"] == kept[first].to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +563,7 @@ def test_replay_finds_a_soundness_trial(campaign_dir, capsys):
 
 
 def test_campaign_stored_with_the_retired_config_keys_loads_and_replays(campaign_copy, capsys):
+    to_listed_tests(campaign_copy)
     path = campaign_copy / "campaign.json"
     meta = read_json(path)
     meta["config"].update(
@@ -354,10 +576,25 @@ def test_campaign_stored_with_the_retired_config_keys_loads_and_replays(campaign
     assert capsys.readouterr().out.startswith("replay OK: t00000 ->")
 
 
+def to_listed_tests(root):
+    """Rewrite tests.json the way campaigns were stored before recipes:
+    every entry lists its cases."""
+    campaign = load_campaign(root)
+    write_json(root / "tests.json", {
+        "main": [t.to_dict() for t in campaign.tests],
+        "focused": campaign.focused,
+        "sweeps": {tag: [t.to_dict() for t in e.tests] for tag, e in campaign.sweeps.items()},
+        "soundness": {
+            tag: [t.to_dict() for t in e.tests] for tag, e in campaign.soundness.items()
+        },
+    })
+
+
 def to_per_file_layout(root):
     """Rewrite root the way campaigns were stored before the results log:
-    one indented <test-id>.json file per flown test, with its case, and a
-    manifest without a status."""
+    one indented <test-id>.json file per flown test, with its case, a
+    manifest without a status, and tests.json listing every case."""
+    to_listed_tests(root)
     tests = {t.test_id: t.to_dict() for t in load_campaign(root).every_test()}
     for test_id, doc in iter_results(root):
         record = {"test": tests[test_id], "profile": doc["profile"], "verdict": doc["verdict"]}
@@ -372,22 +609,24 @@ def to_unkeyed_layout(root):
     """Rewrite root the way campaigns were stored before sweeps were keyed:
     per-file results, and tests.json maps each representative to its own
     list of tests, whose ids are f-<representative>-NNNN."""
+    campaign = load_campaign(root)
     to_per_file_layout(root)
-    doc = read_json(root / "tests.json")
+    sweeps = {tag: [t.to_dict() for t in e.tests] for tag, e in campaign.sweeps.items()}
     focused = {}
-    for rep_id, tag in doc["focused"].items():
+    for rep_id, tag in campaign.focused.items():
         focused[rep_id] = []
-        for test in doc["sweeps"][tag]:
+        for test in sweeps[tag]:
             record = read_json(root / f"{test['id']}.json")
             test = dict(test, id=f"f-{rep_id}-{test['index']:04d}")
             record["test"] = test
             record["profile"]["test_id"] = test["id"]
             write_json(root / f"{test['id']}.json", record)
             focused[rep_id].append(test)
-    for ts in doc["sweeps"].values():
+    for ts in sweeps.values():
         for test in ts:
             (root / f"{test['id']}.json").unlink()
-    write_json(root / "tests.json", {"main": doc["main"], "focused": focused})
+    main = [t.to_dict() for t in campaign.tests]
+    write_json(root / "tests.json", {"main": main, "focused": focused})
     return focused
 
 
@@ -408,6 +647,7 @@ def test_campaign_stored_before_sweeps_were_keyed_loads_reports_and_replays(
 def test_campaign_stored_with_a_table_per_representative_loads_reports_and_replays(
     campaign_copy, capsys
 ):
+    to_listed_tests(campaign_copy)
     focused = read_json(campaign_copy / "tests.json")["focused"]
     # store each sweep's table and tree once per representative, under its id
     for kind in ("truthtables", "faulttrees"):
@@ -438,6 +678,7 @@ def test_campaign_stored_before_soundness_trials_were_kept_loads_and_refocuses(
         for doc in read_json(campaign_copy / "soundness.json")
     ]
     write_json(campaign_copy / "soundness.json", checks)
+    to_listed_tests(campaign_copy)
     doc = read_json(campaign_copy / "tests.json")
     del doc["soundness"]
     write_json(campaign_copy / "tests.json", doc)
@@ -513,6 +754,7 @@ def to_nested_injections(root):
 def test_campaign_stored_with_nested_injections_loads_reports_replays_and_refocuses(
     campaign_dir, campaign_copy, tmp_path, capsys, per_file
 ):
+    to_listed_tests(campaign_copy)
     to_nested_injections(campaign_copy)
     if per_file:
         # a campaign stored before the results log has both old shapes
@@ -562,7 +804,7 @@ def test_a_torn_last_line_is_ignored_and_then_dropped(campaign_dir, campaign_cop
     assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
     assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", "t00000"]) == 0
     # the next rewrite of the log drops the torn line
-    save_tests(campaign_copy, campaign.tests, campaign.focused, campaign.sweeps,
+    save_tests(campaign_copy, campaign.main, campaign.focused, campaign.sweeps,
                campaign.soundness)
     text = (campaign_copy / "results.jsonl").read_text()
     assert text.endswith("\n")
@@ -631,6 +873,39 @@ def test_analyze_without_failures_removes_the_earlier_clustering(campaign_copy, 
     assert cli.main(["focus", "--campaign", str(campaign_copy)]) == 2
     err = capsys.readouterr().err
     assert "without failures has no representatives" in err and "--test-id" in err
+
+
+@pytest.fixture(scope="module")
+def false_positive_dir(tmp_path_factory):
+    """A healthy vehicle judged by oracle v0, which fails its AUTO.LOITER and
+    THROTTLE_TOGGLED flights."""
+    raw = small_spec_raw()
+    raw["RC_INPUT_EVENTS"] = ["POSCTL", "AUTO.LOITER", "THROTTLE_TOGGLED", "AUTO.LAND"]
+    raw["CONSTRAINTS"]["REQUIRES_PX4_MODE"]["OFFBOARD"] = [
+        "TAKEOFF", "FLYING_TO_WAYPOINT", "HOVERING"
+    ]
+    root = tmp_path_factory.mktemp("false-positives")
+    spec_path = root / "reanalyze.json"
+    spec_path.write_text(json.dumps(raw))
+    args = ["run", "--spec", str(spec_path), "--mission", "mission_a",
+            "--latency-window", "200", "600", "--repetitions", "2", "--runs-per-cell", "1",
+            "--no-soundness", "--oracle", "v0", "--seed", "0", "--out", str(root / "campaign")]
+    assert cli.main(args) == 0
+    return root / "campaign"
+
+
+@pytest.mark.parametrize("options", [["--oracle", "v1"], ["--kmax", "1"]], ids=["v1", "kmax"])
+def test_analyze_rewrites_the_report(false_positive_dir, tmp_path, capsys, options):
+    root = tmp_path / "campaign"
+    shutil.copytree(false_positive_dir, root)
+    assert "59 failing tests, K=3" in (root / "report.txt").read_text()
+    assert cli.main(["analyze", "--campaign", str(root), *options]) == 0
+    analyzed = (root / "report.txt").read_text()
+    assert "59 failing tests, K=3" not in analyzed
+    assert ("failure clusters" in analyzed) == (options[0] == "--kmax")
+    # the report analyze rendered is the one `report` renders
+    assert cli.main(["report", "--campaign", str(root)]) == 0
+    assert (root / "report.txt").read_text() == analyzed
 
 
 def test_analyze_honors_kmax(campaign_copy, capsys):
@@ -906,8 +1181,7 @@ SHARED_KEY_ARGS = [
 
 
 def focused_ids(root):
-    doc = read_json(root / "tests.json")
-    return {t["id"] for ts in doc["sweeps"].values() for t in ts}
+    return {t.test_id for e in load_campaign(root).sweeps.values() for t in e.tests}
 
 
 def test_representatives_with_one_sweep_key_fly_it_once(tmp_path, monkeypatch, capsys):
@@ -997,9 +1271,9 @@ def test_smaller_rerun_keeps_only_its_own_results(campaign_copy, capsys):
     args = list(CAMPAIGN_ARGS)
     args[args.index("--repetitions") + 1] = "1"
     assert cli.main(args + ["--out", str(campaign_copy)]) == 0
-    tests_doc = read_json(campaign_copy / "tests.json")
-    ids = {t["id"] for t in tests_doc["main"]}
-    ids.update(t["id"] for ts in tests_doc["sweeps"].values() for t in ts)
+    campaign = load_campaign(campaign_copy)
+    ids = {t.test_id for t in campaign.tests}
+    ids.update(t.test_id for e in campaign.sweeps.values() for t in e.tests)
     ids.update(soundness_ids(campaign_copy))
     named = {"campaign", "coverage", "tests", "analysis", "soundness"}
     assert {p.stem for p in campaign_copy.glob("*.json")} == named
