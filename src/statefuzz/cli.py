@@ -510,7 +510,7 @@ def cmd_focus(args) -> int:
 
 
 def cmd_report(args) -> int:
-    print(_write_stored_report(load_campaign(Path(args.campaign))), end="")
+    print(_write_stored_report(load_campaign(Path(args.campaign), profiles=False)), end="")
     return 0
 
 

@@ -74,9 +74,9 @@ of their bounds) must keep its cases. A main list equal to what generate
 gives is written back as a recipe.
 
 A campaign stored before the results log holds one <test-id>.json file
-per flown test (test + profile + verdict, indented). iter_results reads
-those files for the ids the log does not hold, and the next save_tests
-folds the listed ones into the log and deletes them all.
+per flown test (test + profile + verdict, indented). iter_results and
+iter_verdicts read those files for the ids the log does not hold, and the
+next save_tests folds the listed ones into the log and deletes them all.
 
 A focus sweep is named by the tag of its key (see testgen.sweep_tag), and
 its tests are f-<tag>-NNNN. Representatives with one key share one sweep,
@@ -123,6 +123,9 @@ RESULTS = "results.jsonl"
 _NAMED = frozenset({"campaign", "coverage", "tests", "analysis", "soundness"})
 #: where a log line's test id starts: sorted keys put "id" first
 _ID_AT = len('{"id":')
+#: what precedes a log line's verdict: sorted keys put it last, and the one
+#: "verdict" key inside it holds a string
+_VERDICT_KEY = ',"verdict":{'
 _DECODER = json.JSONDecoder()
 #: what cases_digest hashes: every field of a test case, enums by value
 _COLUMNS = tuple(
@@ -420,6 +423,24 @@ def iter_results(root: Path):
             yield path.stem, read_json(path)
 
 
+def iter_verdicts(root: Path):
+    """Yield (test id, verdict dict) once per stored result, as iter_results
+    does, without decoding the profiles: a log line's verdict is decoded
+    from where it starts."""
+    seen = set()
+    for test_id, line in _log(root):
+        if test_id is not None and test_id not in seen:
+            seen.add(test_id)
+            at = line.rfind(_VERDICT_KEY)
+            if at < 0:
+                yield test_id, json.loads(line)["verdict"]
+            else:
+                yield test_id, _DECODER.raw_decode(line, at + len(_VERDICT_KEY) - 1)[0]
+    for path in _per_file_results(root):
+        if path.stem not in seen:
+            yield path.stem, read_json(path)["verdict"]
+
+
 def save_analysis(root: Path, result: AnalysisResult) -> None:
     write_json(root / "analysis.json", result.to_dict())
 
@@ -465,7 +486,9 @@ def save_report(root: Path, text: str) -> None:
     write_text(root / "report.txt", text)
 
 
-def load_campaign(root: Path) -> Campaign:
+def load_campaign(root: Path, profiles: bool = True) -> Campaign:
+    """The campaign stored in root; without profiles, only the verdicts of
+    its results are read."""
     meta = read_json(root / "campaign.json")
     if meta.get("status", "complete") != "complete":
         raise CampaignRunning(
@@ -497,6 +520,11 @@ def load_campaign(root: Path) -> Campaign:
         # tests.json is recoverable
         campaign.main = Entry(generate(spec, generator), {})
     ids = {t.test_id for t in campaign.every_test()}
+    if not profiles:
+        for test_id, raw in iter_verdicts(root):
+            if test_id in ids:
+                campaign.verdicts[test_id] = Verdict.from_dict(raw)
+        return campaign
     for test_id, doc in iter_results(root):
         if test_id in ids:
             campaign.profiles[test_id] = ExecutionProfile.from_dict(doc["profile"])

@@ -12,6 +12,7 @@ from statefuzz import analysis, cli, fuzzspec, testgen
 from statefuzz.errors import InvalidOnly, RecipeMismatch
 from statefuzz.executor import Executor
 from statefuzz.storage import (
+    RESULTS,
     canonical_dumps,
     cases_digest,
     iter_results,
@@ -306,6 +307,20 @@ def test_load_campaign_regenerates_deleted_tests_manifest(campaign_copy):
     campaign = load_campaign(campaign_copy)
     assert [t.test_id for t in campaign.tests] == [f"t{i:05d}" for i in range(90)]
     assert len(campaign.results()) == 90
+
+
+@pytest.mark.parametrize("layout", ["log", "per-file"])
+def test_a_campaign_loaded_without_profiles_has_the_same_verdicts(campaign_copy, layout):
+    if layout == "per-file":
+        to_per_file_layout(campaign_copy)
+    # a torn last line is skipped by both readers
+    with (campaign_copy / RESULTS).open("a", encoding="utf-8") as log:
+        log.write('{"id":"t00000","profile":{},"verdict":{"verdict":"FAILURE"')
+    full = load_campaign(campaign_copy)
+    verdicts_only = load_campaign(campaign_copy, profiles=False)
+    assert verdicts_only.profiles == {}
+    assert list(verdicts_only.verdicts.items()) == list(full.verdicts.items())
+    assert len(full.verdicts) > 90
 
 
 def test_stored_bands_keep_their_order(campaign_dir, campaign_copy, capsys):
