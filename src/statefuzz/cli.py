@@ -381,14 +381,13 @@ def cmd_run(args) -> int:
     _claim_out(root)
     meta_args = (root, spec, mission, config, gen_config, args.oracle,
                  serialize_tree(tree), args.parallelism)
-    save_campaign_meta(*meta_args, {}, 0.0, [], "running")
+    save_campaign_meta(*meta_args, {}, 0.0, "running")
 
     t0 = time.monotonic()
     tests = generate(spec, gen_config)
     per_mission = len(tests) // max(args.repetitions, 1)
     print(f"generated {len(tests)} tests ({per_mission} combinations x {args.repetitions} repetitions)")
 
-    reps_meta: list[dict] = []
     focused: dict[str, str] = {}
     sweeps: dict[str, Entry] = {}
     trials: dict[str, Entry] = {}
@@ -406,11 +405,11 @@ def cmd_run(args) -> int:
 
         if analysis_result is not None:
             save_analysis(root, analysis_result)
-            reps_meta = [r.to_dict() for r in analysis_result.representatives]
             n_fail = len(analysis_result.encoded.test_ids)
             print(f"clustered {n_fail} failures into K={analysis_result.k}")
             tests_by_id = {t.test_id: t for t in tests}
-            bases = [tests_by_id[rep_id] for rep_id in _representative_ids(reps_meta)]
+            reps = [r.to_dict() for r in analysis_result.representatives]
+            bases = [tests_by_id[rep_id] for rep_id in _representative_ids(reps)]
             trials = _focus(
                 runner, bases, _default_axes(spec), args.runs_per_cell, spec, seed,
                 args.soundness, focused, sweeps, {},
@@ -420,7 +419,7 @@ def cmd_run(args) -> int:
     save_tests(root, Entry(tests, {}), focused, sweeps, trials)
     save_coverage(root, coverage.to_dict())
     _write_report(root, runner.counts, focused)
-    save_campaign_meta(*meta_args, counts, wall, reps_meta, "complete")
+    save_campaign_meta(*meta_args, counts, wall, "complete")
     print(f"campaign stored in {root} ({wall:.1f}s)")
     return 0
 

@@ -102,20 +102,7 @@ class ExecutionProfile:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExecutionProfile":
-        """Read a stored profile, in this shape or in the one stored before
-        the injection fields were flat: a "context_reached" flag and a list
-        "injections" of at most one record, whose "acknowledged",
-        "app_state_at_injection", "mode_at_injection" and "deferred" are the
-        four fields."""
-        if "injections" in raw:
-            record = raw["injections"][0] if raw["injections"] else {}
-            raw = {
-                **raw,
-                "app_state_at_injection": record.get("app_state_at_injection"),
-                "mode_at_injection": record.get("mode_at_injection"),
-                "injection_acknowledged": record.get("acknowledged"),
-                "injection_deferred": record.get("deferred", False),
-            }
+        """The profile whose to_dict is raw."""
         return cls(
             test_id=raw["test_id"],
             context_reached_time_ms=raw["context_reached_time_ms"],
@@ -165,7 +152,7 @@ class Executor:
         deferred = False
         mode_after_settle: Optional[str] = None
 
-        # wait for the targeted state (injections only; baselines just fly)
+        # wait for the targeted state (a baseline just flies)
         if test.action != NO_ACTION:
             vehicle.drive(DRIVE_CHUNK_MS, stop_state=test.app_state)
             if vehicle.app is test.app_state:

@@ -53,42 +53,24 @@ load_campaign regenerates every recipe and compares the sha256 of the cases
 gives. On a mismatch it raises RecipeMismatch naming the entry, before any
 command writes a file: the stored results would be paired with other tests.
 
-A manifest without "status" was written by a run that finished;
-load_campaign refuses one whose status is "running", since its other files
-may belong to an earlier run.
+load_campaign refuses a campaign whose status is "running", since its
+other files may belong to an earlier run.
 
 Everything needed to regenerate a test deterministically (spec, mission,
 config, generator settings, oracle tree, master seed) is embedded in
 campaign.json, so a replay works even after its result was deleted.
 
-A profile stored before the injection fields were flat holds a
-"context_reached" flag and a list "injections" of at most one record;
-ExecutionProfile.from_dict reads it as the flat fields, and its stored line
-or file is kept as it is, beside the flat lines appended later.
-
-A campaign stored before recipes lists each entry's cases instead, as
-case dicts. load_campaign reads such a list as it is, and save_tests writes
-it back as a list: a sweep's or check's list has no recipe, and a main list
-that generate no longer gives (stored before the bands were taken in order
-of their bounds) must keep its cases. A main list equal to what generate
-gives is written back as a recipe.
-
-A campaign stored before the results log holds one <test-id>.json file
-per flown test (test + profile + verdict, indented). iter_results and
-iter_verdicts read those files for the ids the log does not hold, and the
-next save_tests folds the listed ones into the log and deletes them all.
-
 A focus sweep is named by the tag of its key (see testgen.sweep_tag), and
 its tests are f-<tag>-NNNN. Representatives with one key share one sweep,
-stored once in tests.json, flown once and tabled once, under its tag. A
-campaign stored before sweeps were keyed maps each representative to its
-own list of f-<id>-NNNN tests; load_campaign reads that list as a sweep
-tagged with the representative's id, which is also its table's name.
+stored once in tests.json, flown once and tabled once, under its tag.
 
 A soundness check is named by the tag of its cut set's literals and the
 master seed (see cutset.soundness_trials), and its trials s-<tag>-<i> are
-stored like any other test, so replay finds them. A campaign stored before
-the trials were kept has checks without a tag and no stored trials.
+stored like any other test, so replay finds them.
+
+Campaigns stored in earlier layouts still load. The section "earlier
+layouts" below lists them and holds the code that reads them, so every
+other reader sees the current shape only.
 """
 
 from __future__ import annotations
@@ -248,7 +230,6 @@ def save_campaign_meta(
     parallelism: int,
     verdict_counts: dict[str, int],
     wall_time_s: float,
-    representatives: list[dict],
     status: str,
 ) -> None:
     """Write campaign.json; status is "running" or "complete"."""
@@ -269,7 +250,6 @@ def save_campaign_meta(
             "master_seed": generator.master_seed,
             "parallelism": parallelism,
             "verdict_counts": verdict_counts,
-            "representatives": representatives,
             "status": status,
             "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "wall_time_s": round(wall_time_s, 3),
@@ -348,20 +328,13 @@ def _result_line(test_id: str, profile: dict, verdict: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _per_file_results(root: Path) -> list[Path]:
-    """The <test-id>.json result files of the per-file layout, sorted."""
-    return [p for p in sorted(root.glob("*.json")) if p.stem not in _NAMED]
-
-
 def _keep_results(root: Path, listed: dict) -> None:
     """Leave one result line per listed test id in the log and no per-test file.
 
     A log whose every line is complete, listed and the first of its id is
-    left as it is. Otherwise it is rewritten whole: first the per-file
-    results of listed ids, in listed order, then the log's lines in order,
-    the first line of an id winning. Then every per-test file is deleted.
+    left as it is; otherwise it is rewritten from _stored_results(listed).
     """
-    files = {p.stem: p for p in _per_file_results(root)}
+    files = _per_file_results(root)
     seen = set()
     for test_id, _line in _log(root):
         if test_id not in listed or test_id in seen:
@@ -370,16 +343,8 @@ def _keep_results(root: Path, listed: dict) -> None:
     else:
         if not files:
             return
-    lines = {}
-    for test_id in listed:
-        if test_id in files:
-            doc = read_json(files[test_id])
-            lines[test_id] = _result_line(test_id, doc["profile"], doc["verdict"])
-    for test_id, line in _log(root):
-        if test_id in listed and test_id not in lines:
-            lines[test_id] = line
-    write_text(root / RESULTS, "".join(lines.values()))
-    for path in files.values():
+    write_text(root / RESULTS, "".join(line for _id, line in _stored_results(root, listed)))
+    for path in files:
         path.unlink()
 
 
@@ -406,39 +371,19 @@ def trim_results(root: Path) -> None:
 
 
 def iter_results(root: Path):
-    """Yield (test id, result) once per stored result; result["profile"] and
-    result["verdict"] are dicts.
-
-    The log is read line by line, the first line of an id winning and a
-    torn last line skipped; then the per-file results of the ids the log
-    does not hold.
-    """
-    seen = set()
-    for test_id, line in _log(root):
-        if test_id is not None and test_id not in seen:
-            seen.add(test_id)
-            yield test_id, json.loads(line)
-    for path in _per_file_results(root):
-        if path.stem not in seen:
-            yield path.stem, read_json(path)
+    """Yield (test id, result) once per stored result (see _stored_results);
+    result["profile"] and result["verdict"] are dicts, as stored."""
+    for test_id, line in _stored_results(root):
+        yield test_id, json.loads(line)
 
 
 def iter_verdicts(root: Path):
     """Yield (test id, verdict dict) once per stored result, as iter_results
     does, without decoding the profiles: a log line's verdict is decoded
     from where it starts."""
-    seen = set()
-    for test_id, line in _log(root):
-        if test_id is not None and test_id not in seen:
-            seen.add(test_id)
-            at = line.rfind(_VERDICT_KEY)
-            if at < 0:
-                yield test_id, json.loads(line)["verdict"]
-            else:
-                yield test_id, _DECODER.raw_decode(line, at + len(_VERDICT_KEY) - 1)[0]
-    for path in _per_file_results(root):
-        if path.stem not in seen:
-            yield path.stem, read_json(path)["verdict"]
+    for test_id, line in _stored_results(root):
+        at = line.rindex(_VERDICT_KEY) + len(_VERDICT_KEY) - 1
+        yield test_id, _DECODER.raw_decode(line, at)[0]
 
 
 def save_analysis(root: Path, result: AnalysisResult) -> None:
@@ -489,8 +434,8 @@ def save_report(root: Path, text: str) -> None:
 def load_campaign(root: Path, profiles: bool = True) -> Campaign:
     """The campaign stored in root; without profiles, only the verdicts of
     its results are read."""
-    meta = read_json(root / "campaign.json")
-    if meta.get("status", "complete") != "complete":
+    meta = _manifest(root)
+    if meta["status"] != "complete":
         raise CampaignRunning(
             f"campaign {root} is {meta['status']}: the run writing it has not finished, "
             "so its files may belong to an earlier run; run it again"
@@ -501,7 +446,7 @@ def load_campaign(root: Path, profiles: bool = True) -> Campaign:
         master_seed=gen_raw["master_seed"],
         mission_policy=gen_raw["mission_policy"],
     )
-    spec = parse_fuzz_spec(meta["spec"], spec_id=meta.get("spec_id", "spec"))
+    spec = parse_fuzz_spec(meta["spec"], spec_id=meta["spec_id"])
     campaign = Campaign(
         root=root,
         spec=spec,
@@ -527,41 +472,9 @@ def load_campaign(root: Path, profiles: bool = True) -> Campaign:
         return campaign
     for test_id, doc in iter_results(root):
         if test_id in ids:
-            campaign.profiles[test_id] = ExecutionProfile.from_dict(doc["profile"])
+            campaign.profiles[test_id] = ExecutionProfile.from_dict(_current_profile(doc["profile"]))
             campaign.verdicts[test_id] = Verdict.from_dict(doc["verdict"])
     return campaign
-
-
-def _read_tests(campaign: Campaign, doc: dict) -> None:
-    """Fill campaign's entries from tests.json, whatever its shape.
-
-    A recipe is regenerated and checked (see _regenerated). A list of case
-    dicts, stored before recipes, is read as it is and keeps no recipe,
-    but for a main list equal to what generate gives. Before sweeps were
-    keyed, "focused" mapped a representative to its own list; that list is
-    read as a sweep tagged with the representative's id. Before soundness
-    trials were kept, there was no "soundness".
-    """
-    def entry(kind: str, tag: Optional[str], raw) -> Entry:
-        if isinstance(raw, list):
-            return Entry([TestCase.from_dict(t) for t in raw])
-        return _regenerated(campaign, kind, tag, raw)
-
-    campaign.main = entry("main", None, doc["main"])
-    if campaign.main.recipe is None and campaign.tests == generate(
-        campaign.spec, campaign.generator
-    ):
-        campaign.main = Entry(campaign.tests, {})
-    sweeps = {tag: entry("sweeps", tag, raw) for tag, raw in doc.get("sweeps", {}).items()}
-    for rep_id, tag in doc.get("focused", {}).items():
-        if isinstance(tag, list):
-            sweeps[rep_id] = entry("sweeps", rep_id, tag)
-            tag = rep_id
-        campaign.focused[rep_id] = tag
-    campaign.sweeps = sweeps
-    campaign.soundness = {
-        tag: entry("soundness", tag, raw) for tag, raw in doc.get("soundness", {}).items()
-    }
 
 
 def _regenerated(campaign: Campaign, kind: str, tag: Optional[str], raw: dict) -> Entry:
@@ -597,6 +510,105 @@ def _regenerated(campaign: Campaign, kind: str, tag: Optional[str], raw: dict) -
     if cases_digest(tests) != raw["sha256"]:
         raise refuse("the cases regenerated from its recipe have another sha256")
     return Entry(tests, recipe)
+
+
+# ---------------------------------------------------------------------------
+# earlier layouts
+# ---------------------------------------------------------------------------
+#
+# The earlier shapes of a stored campaign, each pinned by the test named
+# test_campaign_stored_<name> in tests/test_storage_cli.py:
+#
+# - per_file: one indented <test-id>.json result (test, profile, verdict)
+#   per flown test, stored before the results log, and a manifest without
+#   "status" (its run finished) or "spec_id" ("spec"). _stored_results
+#   yields those results ahead of the log's lines, so a file wins over a
+#   line of its id; save_tests folds the listed ones into the log.
+# - with_nested_injections: a profile with a "context_reached" flag and a
+#   list "injections" of at most one record; _current_profile reads its four
+#   flat fields, and the stored line or file stays as it is.
+# - all of the above and below: tests.json lists each entry's cases, as
+#   stored before recipes. _read_tests reads a list as it is, and save_tests
+#   writes it back, but a main list that generate gives becomes a recipe (a
+#   main list stored before the bands were taken in order of their bounds
+#   keeps its cases; a sweep or check list records no recipe).
+# - before_sweeps_were_keyed: "focused" maps a representative to its own
+#   list of f-<id>-NNNN tests, read as a sweep tagged with the id.
+# - before_soundness_trials_were_kept: no "soundness" in tests.json and
+#   checks without a tag, which cli._focus keeps as they are.
+# - with_a_table_per_representative: tables and trees named by a
+#   representative's id, each headed by that id alone in render_report.
+# - with_the_retired_config_keys: read by SutConfig.from_dict, which also
+#   checks the user's --config files.
+
+
+def _manifest(root: Path) -> dict:
+    """campaign.json, with the keys an earlier manifest lacks."""
+    return {"status": "complete", "spec_id": "spec", **read_json(root / "campaign.json")}
+
+
+def _per_file_results(root: Path) -> list[Path]:
+    """The <test-id>.json result files of the per-file layout, sorted."""
+    return [p for p in sorted(root.glob("*.json")) if p.stem not in _NAMED]
+
+
+def _stored_results(root: Path, listed=None):
+    """Yield (test id, log line) once per stored result, the first of an id
+    winning: the per-file results as log lines, then the log's whole lines,
+    read one at a time (a torn one is skipped). With listed, only its ids'
+    results, the per-file ones in its order; without, those by id."""
+    files = {p.stem: p for p in _per_file_results(root)}
+    seen = set()
+    for test_id in files if listed is None else listed:
+        if test_id in files:
+            seen.add(test_id)
+            doc = read_json(files[test_id])
+            yield test_id, _result_line(test_id, doc["profile"], doc["verdict"])
+    for test_id, line in _log(root):
+        if test_id is not None and test_id not in seen and (listed is None or test_id in listed):
+            seen.add(test_id)
+            yield test_id, line
+
+
+def _current_profile(raw: dict) -> dict:
+    """A stored profile in the shape ExecutionProfile.from_dict reads: one
+    with nested injections gets the four flat fields from its record."""
+    if "injections" not in raw:
+        return raw
+    record = raw["injections"][0] if raw["injections"] else {}
+    return {
+        **raw,
+        "app_state_at_injection": record.get("app_state_at_injection"),
+        "mode_at_injection": record.get("mode_at_injection"),
+        "injection_acknowledged": record.get("acknowledged"),
+        "injection_deferred": record.get("deferred", False),
+    }
+
+
+def _read_tests(campaign: Campaign, doc: dict) -> None:
+    """Fill campaign's entries from tests.json, in its current shape or an
+    earlier one (see the list above). A recipe is regenerated and checked
+    (see _regenerated)."""
+    def entry(kind: str, tag: Optional[str], raw) -> Entry:
+        if isinstance(raw, list):
+            return Entry([TestCase.from_dict(t) for t in raw])
+        return _regenerated(campaign, kind, tag, raw)
+
+    campaign.main = entry("main", None, doc["main"])
+    if campaign.main.recipe is None and campaign.tests == generate(
+        campaign.spec, campaign.generator
+    ):
+        campaign.main = Entry(campaign.tests, {})
+    sweeps = {tag: entry("sweeps", tag, raw) for tag, raw in doc.get("sweeps", {}).items()}
+    for rep_id, tag in doc.get("focused", {}).items():
+        if isinstance(tag, list):
+            sweeps[rep_id] = entry("sweeps", rep_id, tag)
+            tag = rep_id
+        campaign.focused[rep_id] = tag
+    campaign.sweeps = sweeps
+    campaign.soundness = {
+        tag: entry("soundness", tag, raw) for tag, raw in doc.get("soundness", {}).items()
+    }
 
 
 # ---------------------------------------------------------------------------
