@@ -7,6 +7,8 @@ Usage, from the root of a checkout:
     python3 bench/bench.py simulator --out FILE --key alternating \\
         --parent DIR --change DIR [--pairs 10]
     python3 bench/bench.py storage --out FILE --key after [--src DIR] [--repeats 3]
+    python3 bench/bench.py storage --out FILE --key alternating \\
+        --parent DIR --change DIR [--pairs 10]
     python3 bench/bench.py oracle --out FILE --key after [--src DIR] [--repeats 3]
     python3 bench/bench.py minimize --out FILE --key after [--src DIR] [--repeats 3]
     python3 bench/bench.py startup --out FILE --parent DIR --change DIR [--pairs 10]
@@ -47,7 +49,15 @@ whole directory, and ``storage.save_tests`` of the loaded tests. It reports
 the median time of the results' save and load per 1,000 results, and of
 the tests' read and ``save_tests`` per 1,000 tests, the bytes the results
 and ``tests.json`` take on disk, and a digest of the loaded profiles and
-verdicts, so two source trees can be checked for equal results.
+verdicts, so two source trees can be checked for equal results. With
+``--parent`` and ``--change`` the parent's CLI stores the quick start, and
+both checkouts' ``src`` time those four steps on it in single passes, each
+in a fresh subprocess, the sides alternating which runs first: host drift
+over minutes exceeds what a storage change moves, so one tree per
+invocation cannot compare two. The section records each side's passes,
+the median and quartiles of each step per 1,000, the pairs the change won,
+the stored bytes and the digests. Either ``save_result`` signature works:
+with a verdict argument (results stored with their verdicts) or without.
 
 ``oracle`` stores the README quick start with the package under ``--src``
 and judges every stored profile under oracle ``v0`` and ``v1``, in this
@@ -92,6 +102,7 @@ import argparse
 import contextlib
 import hashlib
 import importlib
+import inspect
 import io
 import json
 import math
@@ -167,6 +178,13 @@ def flight_set(campaign) -> list:
     """
     sweeps = campaign.sweeps if hasattr(campaign, "sweeps") else campaign.focused_tests
     return campaign.tests + [t for ts in sweeps.values() for t in getattr(ts, "tests", ts)]
+
+
+def store_quickstart(cli, root: Path) -> None:
+    """Store the README quick start in root with the given CLI module."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main([*F2_QUICKSTART, "--out", str(root)]) != 0:
+            raise SystemExit("the quick-start run failed")
 
 
 def import_from(src: str, module: str):
@@ -248,9 +266,7 @@ def cmd_simulator(args) -> dict:
     from statefuzz.storage import canonical_dumps, load_campaign
 
     with tempfile.TemporaryDirectory() as work:
-        with contextlib.redirect_stdout(io.StringIO()):
-            if cli.main([*F2_QUICKSTART, "--out", work]) != 0:
-                raise SystemExit("the quick-start run failed")
+        store_quickstart(cli, Path(work))
         campaign = load_campaign(Path(work))
     tests = flight_set(campaign)
     walls = []
@@ -281,9 +297,7 @@ def cmd_simulator_ab(args) -> dict:
     # the parent stores the flight set, so both sides can load it
     cli = import_from(str(Path(args.parent) / "src"), "statefuzz.cli")
     with tempfile.TemporaryDirectory() as work:
-        with contextlib.redirect_stdout(io.StringIO()):
-            if cli.main([*F2_QUICKSTART, "--out", work]) != 0:
-                raise SystemExit("the quick-start run failed")
+        store_quickstart(cli, Path(work))
         sides = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
 
         def one_pass(side: str, count: bool) -> dict:
@@ -366,69 +380,147 @@ def cmd_simulator_pass(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_storage(args) -> dict:
-    cli = import_from(args.src, "statefuzz.cli")
+def storage_repeat(stored: Path, root: Path) -> dict:
+    """Copy stored's campaign.json and tests.json into root (new), then time
+    there: load_campaign with no results, one save_result per result of
+    stored in test order, load_campaign of the whole directory, save_tests
+    of the loaded tests. Seconds of each step, counts, bytes and a digest."""
     from statefuzz.storage import canonical_dumps, load_campaign, save_result, save_tests
 
-    reads, saves, loads, writes = [], [], [], []
-    with tempfile.TemporaryDirectory() as work:
-        stored = Path(work) / "stored"
-        with contextlib.redirect_stdout(io.StringIO()):
-            if cli.main([*F2_QUICKSTART, "--out", str(stored)]) != 0:
-                raise SystemExit("the quick-start run failed")
-        campaign = load_campaign(stored)
-        results = [(t, campaign.profiles[t.test_id], campaign.verdicts[t.test_id])
-                   for t in campaign.every_test() if t.test_id in campaign.profiles]
-        for i in range(args.repeats):
-            root = Path(work) / f"copy{i}"
-            root.mkdir()
-            for name in ("campaign.json", "tests.json"):
-                (root / name).write_bytes((stored / name).read_bytes())
-            t0 = time.perf_counter()
-            load_campaign(root)
-            reads.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            for test, profile, verdict in results:
-                save_result(root, test, profile, verdict)
-            saves.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            loaded = load_campaign(root)
-            loads.append(time.perf_counter() - t0)
-            # the main tests are an entry with their recipe since tests.json
-            # stores recipes, a plain list before
-            main = getattr(loaded, "main", loaded.tests)
-            t0 = time.perf_counter()
-            save_tests(root, main, loaded.focused, loaded.sweeps, loaded.soundness)
-            writes.append(time.perf_counter() - t0)
-        size = sum(p.stat().st_size for p in root.iterdir()
-                   if p.name not in ("campaign.json", "tests.json"))
-        tests_bytes = (root / "tests.json").stat().st_size
-        doc = "".join(canonical_dumps([t, loaded.profiles[t].to_dict(), loaded.verdicts[t].to_dict()])
-                      for t in sorted(loaded.profiles)).encode()
-    n = len(results)
-    tests = len(list(loaded.every_test()))
-    out = {
-        "repeats": args.repeats,
-        "results": n,
-        "tests": tests,
-        "save_ms_per_1000": 1e6 * statistics.median(saves) / n,
-        "load_ms_per_1000": 1e6 * statistics.median(loads) / n,
-        "read_tests_ms_per_1000": 1e6 * statistics.median(reads) / tests,
-        "save_tests_ms_per_1000": 1e6 * statistics.median(writes) / tests,
-        "save_runs_s": saves,
-        "load_runs_s": loads,
-        "read_tests_runs_s": reads,
-        "save_tests_runs_s": writes,
-        "stored_bytes": size,
-        "tests_json_bytes": tests_bytes,
+    campaign = load_campaign(stored)
+    results = [(t, campaign.profiles[t.test_id], campaign.verdicts[t.test_id])
+               for t in campaign.every_test() if t.test_id in campaign.profiles]
+    # results were stored with their verdicts before verdicts were judged on load
+    verdict_arg = len(inspect.signature(save_result).parameters) == 4
+    root.mkdir()
+    for name in ("campaign.json", "tests.json"):
+        (root / name).write_bytes((stored / name).read_bytes())
+    t0 = time.perf_counter()
+    load_campaign(root)
+    read = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    for test, profile, verdict in results:
+        if verdict_arg:
+            save_result(root, test, profile, verdict)
+        else:
+            save_result(root, test, profile)
+    save = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    loaded = load_campaign(root)
+    load = time.perf_counter() - t0
+    # the main tests are an entry with their recipe since tests.json stores
+    # recipes, a plain list before
+    main = getattr(loaded, "main", loaded.tests)
+    t0 = time.perf_counter()
+    save_tests(root, main, loaded.focused, loaded.sweeps, loaded.soundness)
+    write = time.perf_counter() - t0
+    doc = "".join(canonical_dumps([t, loaded.profiles[t].to_dict(), loaded.verdicts[t].to_dict()])
+                  for t in sorted(loaded.profiles)).encode()
+    return {
+        "results": len(results),
+        "tests": len(list(loaded.every_test())),
+        "read_tests_s": read,
+        "save_s": save,
+        "load_s": load,
+        "save_tests_s": write,
+        "stored_bytes": sum(p.stat().st_size for p in root.iterdir()
+                            if p.name not in ("campaign.json", "tests.json")),
+        "tests_json_bytes": (root / "tests.json").stat().st_size,
         "digest": hashlib.sha256(doc).hexdigest(),
     }
-    print(f"{n} results: save_result {out['save_ms_per_1000']:.1f} ms and load_campaign "
-          f"{out['load_ms_per_1000']:.1f} ms per 1,000, {size:,} bytes; {tests} tests: "
-          f"read {out['read_tests_ms_per_1000']:.1f} ms and save_tests "
-          f"{out['save_tests_ms_per_1000']:.1f} ms per 1,000, tests.json {tests_bytes:,} bytes",
-          flush=True)
+
+
+#: storage_repeat's timed steps, each reported per 1,000 results or tests
+STORAGE_STEPS = {"save_s": "results", "load_s": "results", "read_tests_s": "tests",
+                 "save_tests_s": "tests"}
+
+
+def per_1000(step: str, seconds: float, repeat: dict) -> float:
+    return 1e6 * seconds / repeat[STORAGE_STEPS[step]]
+
+
+def cmd_storage(args) -> dict:
+    cli = import_from(args.src, "statefuzz.cli")
+    with tempfile.TemporaryDirectory() as work:
+        stored = Path(work) / "stored"
+        store_quickstart(cli, stored)
+        repeats = [storage_repeat(stored, Path(work) / f"copy{i}") for i in range(args.repeats)]
+    last = repeats[-1]
+    runs = {step: [r[step] for r in repeats] for step in STORAGE_STEPS}
+    median = {step: per_1000(step, statistics.median(v), last) for step, v in runs.items()}
+    out = {
+        "repeats": args.repeats,
+        "results": last["results"],
+        "tests": last["tests"],
+        "save_ms_per_1000": median["save_s"],
+        "load_ms_per_1000": median["load_s"],
+        "read_tests_ms_per_1000": median["read_tests_s"],
+        "save_tests_ms_per_1000": median["save_tests_s"],
+        "save_runs_s": runs["save_s"],
+        "load_runs_s": runs["load_s"],
+        "read_tests_runs_s": runs["read_tests_s"],
+        "save_tests_runs_s": runs["save_tests_s"],
+        "stored_bytes": last["stored_bytes"],
+        "tests_json_bytes": last["tests_json_bytes"],
+        "digest": last["digest"],
+    }
+    print(f"{out['results']} results: save_result {out['save_ms_per_1000']:.1f} ms and "
+          f"load_campaign {out['load_ms_per_1000']:.1f} ms per 1,000, "
+          f"{out['stored_bytes']:,} bytes; {out['tests']} tests: read "
+          f"{out['read_tests_ms_per_1000']:.1f} ms and save_tests "
+          f"{out['save_tests_ms_per_1000']:.1f} ms per 1,000, tests.json "
+          f"{out['tests_json_bytes']:,} bytes", flush=True)
     return out
+
+
+def cmd_storage_ab(args) -> dict:
+    # the parent stores the quick start, so both sides can load it
+    cli = import_from(str(Path(args.parent) / "src"), "statefuzz.cli")
+    sides = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
+    with tempfile.TemporaryDirectory() as work:
+        stored = Path(work) / "stored"
+        store_quickstart(cli, stored)
+        pairs = []
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            runs = {}
+            for side in order:
+                argv = [sys.executable, str(Path(__file__).resolve()), "storage-pass",
+                        "--src", str(sides[side] / "src"), "--campaign", str(stored),
+                        "--root", str(Path(work) / f"{side}{i}")]
+                result = subprocess.run(argv, capture_output=True, text=True, check=False)
+                if result.returncode != 0:
+                    raise SystemExit(f"{' '.join(argv)} exited {result.returncode}:\n"
+                                     f"{result.stderr[-2000:]}")
+                runs[side] = json.loads(result.stdout.strip().splitlines()[-1])
+            pairs.append({"first": order[0], **runs})
+            print(f"pair {i}: " + ", ".join(
+                f"{side} load {per_1000('load_s', runs[side]['load_s'], runs[side]):.1f} ms "
+                f"per 1,000" for side in order), flush=True)
+    out = {"pairs": pairs, "steps_ms_per_1000": {}}
+    for step in STORAGE_STEPS:
+        values = {side: [per_1000(step, p[side][step], p[side]) for p in pairs] for side in sides}
+        out["steps_ms_per_1000"][step] = {
+            **{side: quartiles(v) for side, v in values.items()},
+            "change_wins": sum(c < p for p, c in zip(values["parent"], values["change"])),
+        }
+    for key in ("results", "tests", "stored_bytes", "tests_json_bytes", "digest"):
+        out[key] = {side: sorted({p[side][key] for p in pairs}) for side in sides}
+    for step, doc in out["steps_ms_per_1000"].items():
+        print(f"{step} per 1,000: median parent {doc['parent']['median']:.1f} ms, change "
+              f"{doc['change']['median']:.1f} ms, change won {doc['change_wins']}/{args.pairs}",
+              flush=True)
+    print(f"stored bytes: parent {out['stored_bytes']['parent']}, change "
+          f"{out['stored_bytes']['change']}; digests equal: "
+          f"{out['digest']['parent'] == out['digest']['change']}", flush=True)
+    return out
+
+
+def cmd_storage_pass(args) -> int:
+    """One storage_repeat on a stored campaign; prints one JSON line."""
+    import_from(args.src, "statefuzz.storage")
+    print(json.dumps(storage_repeat(Path(args.campaign), Path(args.root))))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +534,7 @@ def cmd_oracle(args) -> dict:
     from statefuzz.storage import canonical_dumps, load_campaign
 
     with tempfile.TemporaryDirectory() as work:
-        with contextlib.redirect_stdout(io.StringIO()):
-            if cli.main([*F2_QUICKSTART, "--out", work]) != 0:
-                raise SystemExit("the quick-start run failed")
+        store_quickstart(cli, Path(work))
         campaign = load_campaign(Path(work))
     stored = [(t, campaign.profiles[t.test_id])
               for t in campaign.every_test() if t.test_id in campaign.profiles]
@@ -679,10 +769,11 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--src", default=str(ROOT / "src"))
         p.add_argument("--repeats", type=int, default=3)
         p.add_argument("--key", required=True, help="section name, e.g. before or after")
-    simulator = sub.choices["simulator"]
-    simulator.add_argument("--parent", help="checkout: alternate cold passes with --change")
-    simulator.add_argument("--change", help="checkout: alternate cold passes with --parent")
-    simulator.add_argument("--pairs", type=int, default=10)
+    for name in ("simulator", "storage"):
+        p = sub.choices[name]
+        p.add_argument("--parent", help="checkout: alternate cold passes with --change")
+        p.add_argument("--change", help="checkout: alternate cold passes with --parent")
+        p.add_argument("--pairs", type=int, default=10)
     for name, helptext in (("pairs", "alternating perfbench runs of two checkouts"),
                            ("traced", "one traced perfbench run per checkout"),
                            ("startup", "cold starts of two checkouts")):
@@ -700,20 +791,27 @@ def main(argv: list[str] | None = None) -> int:
     one_pass.add_argument("--src", required=True)
     one_pass.add_argument("--campaign", required=True)
     one_pass.add_argument("--count", action="store_true")
+    storage_pass = sub.add_parser("storage-pass", help="one storage pass (internal)")
+    storage_pass.add_argument("--src", required=True)
+    storage_pass.add_argument("--campaign", required=True)
+    storage_pass.add_argument("--root", required=True, help="new directory to store into")
     args = parser.parse_args(argv)
     if args.command == "simulator-pass":
         return cmd_simulator_pass(args)
+    if args.command == "storage-pass":
+        return cmd_storage_pass(args)
     in_process = args.command in ("clustering", "simulator", "storage", "oracle", "minimize")
     if in_process and args.repeats < 3:
         parser.error("--repeats must be at least 3")
-    ab = args.command == "simulator" and (args.parent or args.change)
+    ab = args.command in ("simulator", "storage") and (args.parent or args.change)
     if ab and not (args.parent and args.change):
         parser.error("--parent and --change go together")
     if getattr(args, "pairs", 2) < 2:
         parser.error("--pairs must be at least 2")
 
     run = {"clustering": cmd_clustering, "simulator": cmd_simulator_ab if ab else cmd_simulator,
-           "storage": cmd_storage, "oracle": cmd_oracle, "minimize": cmd_minimize,
+           "storage": cmd_storage_ab if ab else cmd_storage, "oracle": cmd_oracle,
+           "minimize": cmd_minimize,
            "startup": cmd_startup,
            "pairs": cmd_pairs, "traced": cmd_traced}[args.command]
     section = run(args)

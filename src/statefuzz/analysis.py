@@ -36,6 +36,10 @@ SCREEN_ROWS = 256
 #: relative slack of that screen (see _reassignment_polish)
 SCREEN_SLACK = 1e-9
 
+#: points from which _sq_dists takes one centroid at a time: on fewer, its
+#: one (n, K, features) difference array costs less than K numpy calls
+COLUMN_ROWS = 512
+
 #: closed set of failure reason codes the default trees can emit
 FAILURE_REASONS = (
     "mode-change-ignored",
@@ -174,9 +178,16 @@ def encode_failures(
 
 
 def _sq_dists(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(n, k) matrix of squared Euclidean distances."""
-    diff = X[:, None, :] - centroids[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+    """(n, k) matrix of squared Euclidean distances; both ways sum each
+    distance in the same order, so they give the same bits."""
+    if X.shape[0] < COLUMN_ROWS:
+        diff = X[:, None, :] - centroids[None, :, :]
+        return np.einsum("nkd,nkd->nk", diff, diff)
+    out = np.empty((len(centroids), X.shape[0]))
+    for j, centroid in enumerate(centroids):
+        diff = X - centroid
+        out[j] = np.einsum("nd,nd->n", diff, diff)
+    return out.T
 
 
 def _wcss(X: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
@@ -185,10 +196,12 @@ def _wcss(X: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _plus_plus_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeds; d2 keeps each point's squared distance to its nearest seed."""
     n = X.shape[0]
     centroids = [X[rng.integers(n)]]
+    d2 = np.full(n, np.inf)
     for _ in range(1, k):
-        d2 = np.min(_sq_dists(X, np.array(centroids)), axis=1)
+        d2 = np.minimum(d2, _sq_dists(X, centroids[-1][None])[:, 0])
         total = d2.sum()
         if total <= 0.0:
             centroids.append(X[rng.integers(n)])

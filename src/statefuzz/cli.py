@@ -48,6 +48,7 @@ from .errors import (
     NotACampaign,
     StateFuzzError,
     UnknownTestId,
+    VerdictDrift,
 )
 from .executor import Executor, open_pool, run_campaign
 from .fuzzspec import (
@@ -147,6 +148,11 @@ def _dominant_reason(triples) -> str:
     return sorted(reasons.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
 
 
+def _summary(counts) -> str:
+    """Verdict counts as VERDICT=n pairs, in verdict order."""
+    return ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+
+
 def _conjunction(cut_set: CutSet) -> str:
     return " AND ".join(f"{a}={v}" for a, v in cut_set.literals)
 
@@ -161,7 +167,7 @@ class _Runner:
 
     Every flight of a `run` or `focus` goes through one runner: the main
     stage, each focus sweep and each soundness check. A call flies its
-    tests with run_campaign, judges each under tree, saves its result and
+    tests with run_campaign, judges each under tree, saves its profile and
     returns the (test, profile, verdict) triples in order; last keeps them
     until the next call and counts tallies the verdicts of every call.
 
@@ -189,7 +195,7 @@ class _Runner:
         self.last = []
         for test, profile in zip(tests, profiles):
             verdict = classify(test, profile, self.tree)
-            save_result(self.root, test, profile, verdict)
+            save_result(self.root, test, profile)
             self.counts[verdict.verdict] += 1
             self.last.append((test, profile, verdict))
         return self.last
@@ -348,10 +354,24 @@ def _write_report(root: Path, counts: dict[str, int], focused: dict[str, str]) -
 
 
 def _write_stored_report(campaign) -> str:
-    """_write_report over a loaded campaign's stored verdicts, as `report`
-    renders it."""
+    """_write_report over a loaded campaign's verdicts, as `report` renders
+    it."""
     counts = Counter(v.verdict for v in campaign.verdicts.values())
     return _write_report(campaign.root, counts, campaign.focused)
+
+
+def _refuse_drift(campaign) -> None:
+    """Refuse a campaign whose main tests, judged on load, count other
+    verdicts than campaign.json recorded when they flew; one that lacks a
+    main test's result is not compared."""
+    judged = Counter(v.verdict for _t, _p, v in campaign.results())
+    if judged.total() == len(campaign.tests) and judged != Counter(campaign.verdict_counts):
+        raise VerdictDrift(
+            f"campaign.json records the main verdicts {_summary(campaign.verdict_counts)}, "
+            f"but its stored profiles judge as {_summary(judged)} under its oracle tree: the "
+            "oracle code has changed since the campaign was stored, or the campaign was "
+            "edited"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +414,7 @@ def cmd_run(args) -> int:
     with _Runner(root, mission, config, tree, args.parallelism) as runner:
         pairs = [(t, v) for t, _p, v in runner(tests)]
         counts = Counter(v.verdict for _t, v in pairs)
-        summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-        print(f"executed {len(tests)} tests: {summary}")
+        print(f"executed {len(tests)} tests: {_summary(counts)}")
 
         analysis_result = None
         try:
@@ -429,21 +448,19 @@ def cmd_analyze(args) -> int:
 
     root = Path(args.campaign)
     campaign = load_campaign(root)
+    _refuse_drift(campaign)
     seed = args.seed if args.seed is not None else campaign.master_seed
     restarts = args.restarts if args.restarts is not None else analysis_mod.DEFAULT_RESTARTS
+    pairs = [(t, v) for t, _p, v in campaign.results()]
     if args.oracle:
         # judge the stored profiles again under another oracle version,
-        # without executing anything or touching the stored verdicts
+        # without executing anything; campaign.json keeps the tree that
+        # load_campaign judges them under
         tree = default_tree(args.oracle)
-        pairs = [
-            (test, classify(test, campaign.profiles[test.test_id], tree))
-            for test in campaign.tests if test.test_id in campaign.profiles
-        ]
+        pairs = [(t, classify(t, campaign.profiles[t.test_id], tree)) for t, _v in pairs]
         counts = Counter(v.verdict for _t, v in pairs)
-        summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-        print(f"re-judged {len(pairs)} stored profiles under oracle {args.oracle}: {summary}")
-    else:
-        pairs = [(t, v) for t, _p, v in campaign.results()]
+        print(f"re-judged {len(pairs)} stored profiles under oracle {args.oracle}: "
+              f"{_summary(counts)}")
     try:
         result = analysis_mod.analyze_failures(
             pairs, campaign.spec, seed=seed, k_max=args.kmax, restarts=restarts
@@ -457,7 +474,8 @@ def cmd_analyze(args) -> int:
         print(f"clustered {len(result.encoded.test_ids)} failures into K={result.k}")
         for rep in result.representatives:
             print(f"  cluster {rep.cluster}: closest={rep.closest} farthest={rep.farthest}")
-    # the report shows this clustering, beside the stored verdicts
+    # the report shows this clustering, beside the verdicts under the
+    # campaign's own tree
     _write_stored_report(campaign)
     return 0
 
@@ -509,7 +527,9 @@ def cmd_focus(args) -> int:
 
 
 def cmd_report(args) -> int:
-    print(_write_stored_report(load_campaign(Path(args.campaign), profiles=False)), end="")
+    campaign = load_campaign(Path(args.campaign))
+    _refuse_drift(campaign)
+    print(_write_stored_report(campaign), end="")
     return 0
 
 

@@ -108,3 +108,8 @@ class CampaignRunning(StateFuzzError):
 
 class RecipeMismatch(StateFuzzError):
     """A tests.json recipe no longer regenerates the cases it was stored with."""
+
+
+class VerdictDrift(StateFuzzError):
+    """The stored profiles, judged on load, count other main verdicts than
+    campaign.json recorded when they flew."""

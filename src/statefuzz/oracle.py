@@ -69,10 +69,6 @@ class Verdict:
             "fired_path": list(self.fired_path),
         }
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "Verdict":
-        return cls(raw["verdict"], raw["reason"], tuple(raw.get("fired_path", ())))
-
 
 # ---------------------------------------------------------------------------
 # predicates

@@ -14,10 +14,11 @@ Layout of a campaign directory:
                              its tag; each recipe with the sha256 of the
                              cases it gave
     results.jsonl            one line per flown test, in flight order: the
-                             compact, sorted-key JSON {"id", "profile",
-                             "verdict"} (t*, f-<tag>-NNNN and s-<tag>-<i>);
-                             the profile holds its one injection as flat
-                             fields (see executor.ExecutionProfile)
+                             compact, sorted-key JSON {"id", "profile"}
+                             (t*, f-<tag>-NNNN and s-<tag>-<i>); the profile
+                             holds its one injection as flat fields (see
+                             executor.ExecutionProfile) and leaves out its
+                             test_id, which is the line's id
     analysis.json            clustering output
     truthtables/<tag>.json   one table per focus sweep, plus .csv
     faulttrees/<tag>.json    one tree per focus sweep, plus .dot, plus combined
@@ -37,7 +38,10 @@ so a killed writer can leave a last line without its newline.
 Readers skip such a torn line, a command cuts it off before it appends
 (trim_results), and save_tests rewrites the log whole when it holds a line
 that tests.json does not name, or names twice. A test's case is not in the
-log: load_campaign regenerates it from its recipe in tests.json.
+log: load_campaign regenerates it from its recipe in tests.json. Nor is
+its verdict: load_campaign judges each stored profile under the oracle tree
+of campaign.json, so a verdict is what today's oracle code says; the main
+ones as judged in flight are counted in campaign.json's "verdict_counts".
 
 tests.json stores no case, only what regenerates the cases:
     main                     {"sha256"}: generate(spec, generator) over the
@@ -91,7 +95,7 @@ from .cutset import soundness_trials
 from .errors import CampaignRunning, RecipeMismatch
 from .executor import ExecutionProfile
 from .fuzzspec import FuzzSpecification, MissionPlan, parse_fuzz_spec, parse_mission
-from .oracle import Verdict
+from .oracle import Verdict, classify, parse_tree
 from .sutmodel import SutConfig
 from .testgen import GeneratorConfig, TestCase, focused_generate, generate, sweep_tag
 
@@ -105,9 +109,6 @@ RESULTS = "results.jsonl"
 _NAMED = frozenset({"campaign", "coverage", "tests", "analysis", "soundness"})
 #: where a log line's test id starts: sorted keys put "id" first
 _ID_AT = len('{"id":')
-#: what precedes a log line's verdict: sorted keys put it last, and the one
-#: "verdict" key inside it holds a string
-_VERDICT_KEY = ',"verdict":{'
 _DECODER = json.JSONDecoder()
 #: what cases_digest hashes: every field of a test case, enums by value
 _COLUMNS = tuple(
@@ -194,7 +195,10 @@ class Campaign:
     sweeps: dict[str, Entry] = field(default_factory=dict)
     #: soundness check tag -> the check's trials, in order, and their recipe
     soundness: dict[str, Entry] = field(default_factory=dict)
+    #: the main verdict counts campaign.json recorded when they flew
+    verdict_counts: dict[str, int] = field(default_factory=dict)
     profiles: dict[str, ExecutionProfile] = field(default_factory=dict)
+    #: each stored profile's verdict, judged on load under oracle_tree_raw
     verdicts: dict[str, Verdict] = field(default_factory=dict)
 
     @property
@@ -323,21 +327,24 @@ def _log(root: Path):
                 yield None if torn else _DECODER.raw_decode(line, _ID_AT)[0], line
 
 
-def _result_line(test_id: str, profile: dict, verdict: dict) -> str:
-    doc = {"id": test_id, "profile": profile, "verdict": verdict}
+def _result_line(test_id: str, profile: dict) -> str:
+    """A result as the log stores it: its id and its profile, less the
+    profile's test_id, which is the id."""
+    doc = {"id": test_id, "profile": {k: v for k, v in profile.items() if k != "test_id"}}
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _keep_results(root: Path, listed: dict) -> None:
     """Leave one result line per listed test id in the log and no per-test file.
 
-    A log whose every line is complete, listed and the first of its id is
-    left as it is; otherwise it is rewritten from _stored_results(listed).
+    A log whose every line is complete, listed, the first of its id and
+    without a verdict is left as it is; otherwise it is rewritten from
+    _stored_results(listed).
     """
     files = _per_file_results(root)
     seen = set()
-    for test_id, _line in _log(root):
-        if test_id not in listed or test_id in seen:
+    for test_id, line in _log(root):
+        if test_id not in listed or test_id in seen or _WITH_VERDICT in line:
             break
         seen.add(test_id)
     else:
@@ -348,10 +355,11 @@ def _keep_results(root: Path, listed: dict) -> None:
         path.unlink()
 
 
-def save_result(root: Path, test: TestCase, profile: ExecutionProfile, verdict: Verdict) -> None:
-    """Append test's result to the results log as one line."""
+def save_result(root: Path, test: TestCase, profile: ExecutionProfile) -> None:
+    """Append test's flight to the results log as one line; its verdict is
+    judged on load."""
     with open(root / RESULTS, "a", encoding="utf-8") as log:
-        log.write(_result_line(test.test_id, profile.to_dict(), verdict.to_dict()))
+        log.write(_result_line(test.test_id, profile.to_dict()))
 
 
 def trim_results(root: Path) -> None:
@@ -372,18 +380,9 @@ def trim_results(root: Path) -> None:
 
 def iter_results(root: Path):
     """Yield (test id, result) once per stored result (see _stored_results);
-    result["profile"] and result["verdict"] are dicts, as stored."""
+    result is a log line's {"id", "profile"}, the profile as stored."""
     for test_id, line in _stored_results(root):
         yield test_id, json.loads(line)
-
-
-def iter_verdicts(root: Path):
-    """Yield (test id, verdict dict) once per stored result, as iter_results
-    does, without decoding the profiles: a log line's verdict is decoded
-    from where it starts."""
-    for test_id, line in _stored_results(root):
-        at = line.rindex(_VERDICT_KEY) + len(_VERDICT_KEY) - 1
-        yield test_id, _DECODER.raw_decode(line, at)[0]
 
 
 def save_analysis(root: Path, result: AnalysisResult) -> None:
@@ -431,9 +430,9 @@ def save_report(root: Path, text: str) -> None:
     write_text(root / "report.txt", text)
 
 
-def load_campaign(root: Path, profiles: bool = True) -> Campaign:
-    """The campaign stored in root; without profiles, only the verdicts of
-    its results are read."""
+def load_campaign(root: Path) -> Campaign:
+    """The campaign stored in root, each stored profile judged under its
+    oracle tree."""
     meta = _manifest(root)
     if meta["status"] != "complete":
         raise CampaignRunning(
@@ -456,6 +455,7 @@ def load_campaign(root: Path, profiles: bool = True) -> Campaign:
         oracle_version=meta["oracle_version"],
         oracle_tree_raw=meta["oracle_tree"],
         master_seed=meta["master_seed"],
+        verdict_counts=meta["verdict_counts"],
     )
     tests_path = root / "tests.json"
     if tests_path.exists():
@@ -464,16 +464,14 @@ def load_campaign(root: Path, profiles: bool = True) -> Campaign:
         # the manifest carries everything generation needs, so a deleted
         # tests.json is recoverable
         campaign.main = Entry(generate(spec, generator), {})
-    ids = {t.test_id for t in campaign.every_test()}
-    if not profiles:
-        for test_id, raw in iter_verdicts(root):
-            if test_id in ids:
-                campaign.verdicts[test_id] = Verdict.from_dict(raw)
-        return campaign
+    tests = {t.test_id: t for t in campaign.every_test()}
+    tree = parse_tree(campaign.oracle_tree_raw)
     for test_id, doc in iter_results(root):
-        if test_id in ids:
-            campaign.profiles[test_id] = ExecutionProfile.from_dict(_current_profile(doc["profile"]))
-            campaign.verdicts[test_id] = Verdict.from_dict(doc["verdict"])
+        if test_id in tests:
+            raw = {**_current_profile(doc["profile"]), "test_id": test_id}
+            profile = ExecutionProfile.from_dict(raw)
+            campaign.profiles[test_id] = profile
+            campaign.verdicts[test_id] = classify(tests[test_id], profile, tree)
     return campaign
 
 
@@ -519,14 +517,19 @@ def _regenerated(campaign: Campaign, kind: str, tag: Optional[str], raw: dict) -
 # The earlier shapes of a stored campaign, each pinned by the test named
 # test_campaign_stored_<name> in tests/test_storage_cli.py:
 #
+# - with_verdicts: a log line {"id", "profile", "verdict"} whose profile
+#   repeats the id as its test_id. _stored_results drops the verdict and
+#   the test_id, so the profile is judged again on load, and save_tests
+#   folds such a log into the current lines.
 # - per_file: one indented <test-id>.json result (test, profile, verdict)
 #   per flown test, stored before the results log, and a manifest without
 #   "status" (its run finished) or "spec_id" ("spec"). _stored_results
-#   yields those results ahead of the log's lines, so a file wins over a
-#   line of its id; save_tests folds the listed ones into the log.
+#   yields those results ahead of the log's lines, as current lines, so a
+#   file wins over a line of its id; save_tests folds the listed ones into
+#   the log.
 # - with_nested_injections: a profile with a "context_reached" flag and a
 #   list "injections" of at most one record; _current_profile reads its four
-#   flat fields, and the stored line or file stays as it is.
+#   flat fields, and the stored profile stays as it is.
 # - all of the above and below: tests.json lists each entry's cases, as
 #   stored before recipes. _read_tests reads a list as it is, and save_tests
 #   writes it back, but a main list that generate gives becomes a recipe (a
@@ -542,6 +545,11 @@ def _regenerated(campaign: Campaign, kind: str, tag: Optional[str], raw: dict) -
 #   checks the user's --config files.
 
 
+#: what marks a log line stored with its verdict: sorted keys put the
+#: verdict after the profile, and a JSON string holds no unescaped quote
+_WITH_VERDICT = ',"verdict":{'
+
+
 def _manifest(root: Path) -> dict:
     """campaign.json, with the keys an earlier manifest lacks."""
     return {"status": "complete", "spec_id": "spec", **read_json(root / "campaign.json")}
@@ -554,25 +562,28 @@ def _per_file_results(root: Path) -> list[Path]:
 
 def _stored_results(root: Path, listed=None):
     """Yield (test id, log line) once per stored result, the first of an id
-    winning: the per-file results as log lines, then the log's whole lines,
-    read one at a time (a torn one is skipped). With listed, only its ids'
-    results, the per-file ones in its order; without, those by id."""
+    winning, each line in the current shape: the per-file results, then
+    the log's whole lines, read one at a time (a torn one is skipped). With
+    listed, only its ids' results, the per-file ones in its order; without,
+    those by id."""
     files = {p.stem: p for p in _per_file_results(root)}
     seen = set()
     for test_id in files if listed is None else listed:
         if test_id in files:
             seen.add(test_id)
-            doc = read_json(files[test_id])
-            yield test_id, _result_line(test_id, doc["profile"], doc["verdict"])
+            yield test_id, _result_line(test_id, read_json(files[test_id])["profile"])
     for test_id, line in _log(root):
         if test_id is not None and test_id not in seen and (listed is None or test_id in listed):
             seen.add(test_id)
+            if _WITH_VERDICT in line:
+                line = _result_line(test_id, json.loads(line)["profile"])
             yield test_id, line
 
 
 def _current_profile(raw: dict) -> dict:
-    """A stored profile in the shape ExecutionProfile.from_dict reads: one
-    with nested injections gets the four flat fields from its record."""
+    """A stored profile in the shape ExecutionProfile.from_dict reads, but
+    for its test_id: one with nested injections gets the four flat fields
+    from its record."""
     if "injections" not in raw:
         return raw
     record = raw["injections"][0] if raw["injections"] else {}

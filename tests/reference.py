@@ -43,6 +43,32 @@ def grid_advance_until(vehicle, t_target, stop_state):
 
 
 # ---------------------------------------------------------------------------
+# k-means distances and seeding over the whole (n, k, d) difference array
+# ---------------------------------------------------------------------------
+
+
+def broadcast_sq_dists(X, centroids):
+    """analysis._sq_dists in one broadcast: every point minus every centroid."""
+    diff = X[:, None, :] - centroids[None, :, :]
+    return np.einsum("nkd,nkd->nk", diff, diff)
+
+
+def plus_plus_init(X, k, rng):
+    """analysis._plus_plus_init taking, for each pick, every point's distance
+    to every centroid picked so far."""
+    n = X.shape[0]
+    centroids = [X[rng.integers(n)]]
+    for _ in range(1, k):
+        d2 = np.min(broadcast_sq_dists(X, np.array(centroids)), axis=1)
+        total = d2.sum()
+        if total <= 0.0:
+            centroids.append(X[rng.integers(n)])
+            continue
+        centroids.append(X[rng.choice(n, p=d2 / total)])
+    return np.array(centroids, dtype=float)
+
+
+# ---------------------------------------------------------------------------
 # minimal failing conjunctions, by exhaustive search
 # ---------------------------------------------------------------------------
 

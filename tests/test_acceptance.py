@@ -218,11 +218,11 @@ def test_criterion_5_oracle_v1_clears_v0_false_positives(tmp_path, capsys):
     meta = read_json(root / "campaign.json")
     assert meta["verdict_counts"] == {"FAILURE": 18}  # healthy vehicle, no faults
     by_action = {"AUTO.LOITER": 0, "THROTTLE_TOGGLED": 0}
-    results = dict(iter_results(root))
-    for test in load_campaign(root).tests:
-        doc = results[test.test_id]
-        assert doc["verdict"]["verdict"] == "FAILURE"
-        assert doc["verdict"]["reason"] == "unexpected-mode"
+    campaign = load_campaign(root)
+    for test in campaign.tests:
+        verdict = campaign.verdicts[test.test_id]
+        assert verdict.verdict == "FAILURE"
+        assert verdict.reason == "unexpected-mode"
         by_action[test.action] += 1
     assert by_action["AUTO.LOITER"] == 9 and by_action["THROTTLE_TOGGLED"] == 9
 
@@ -309,6 +309,6 @@ def test_criterion_9_same_seed_campaigns_are_byte_identical(tmp_path):
             continue  # carries wall time, timestamp and the parallelism flag
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
         compared += 1
-    # each line of the equal results logs is one flown test's profile and verdict
+    # each line of the equal results logs is one flown test's profile
     compared += len((a / "results.jsonl").read_text().splitlines())
     assert compared > 100  # result lines, tables, trees, report, manifests

@@ -23,7 +23,12 @@ from statefuzz.oracle import Verdict
 from statefuzz.sutmodel import AppState
 
 from helpers import make_case
-from reference import exhaustive_best_wcss, pointwise_reassignment_polish
+from reference import (
+    broadcast_sq_dists,
+    exhaustive_best_wcss,
+    plus_plus_init,
+    pointwise_reassignment_polish,
+)
 
 FAIL = Verdict("FAILURE", "mode-change-ignored")
 
@@ -270,6 +275,27 @@ def test_screened_polish_matches_pointwise_loop(kind, n, k, d, seed, rows):
     with mock.patch.object(analysis, "SCREEN_ROWS", rows):
         got = analysis._reassignment_polish(X, labels, k)
     assert np.array_equal(got, expected)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    kind=st.sampled_from(["encoded", "duplicates", "near-tie", "continuous", "tiny"]),
+    n=st.integers(min_value=1, max_value=150),
+    k=st.integers(min_value=1, max_value=10),
+    d=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    column_rows=st.sampled_from([0, 40, analysis.COLUMN_ROWS]),
+)
+def test_distances_and_seeding_match_the_broadcast_reference(kind, n, k, d, seed, column_rows):
+    # one centroid column at a time sums each distance in the broadcast's
+    # order, so the results are bit-identical, not merely close
+    X = polish_matrix(np.random.default_rng(seed), kind, n, d)
+    k = min(k, n)
+    with mock.patch.object(analysis, "COLUMN_ROWS", column_rows):
+        start = analysis._plus_plus_init(X, k, analysis._restart_rng(seed, k, 0))
+        dists = analysis._sq_dists(X, start)
+    assert np.array_equal(start, plus_plus_init(X, k, analysis._restart_rng(seed, k, 0)))
+    assert np.array_equal(dists, broadcast_sq_dists(X, start))
 
 
 # ---------------------------------------------------------------------------

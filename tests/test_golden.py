@@ -28,7 +28,7 @@ from conftest import MISSION_A_RAW, MISSION_C_RAW, small_spec_raw
 from helpers import make_case
 
 MATRIX_DIGEST = "a5c8750fd8bf4c1125fe5323fa132b061380a712f3c35d578496a2982b518f98"
-RUN_DIGEST = "bb48c735067befb421772eaf71db12c20aab922ff6c93cff5e873fd6f5e141d5"
+RUN_DIGEST = "cd47d8b37986d0e4ec6f4a0bd4c3c976a4a5b1c91077fcd704103f32e0d09b60"
 CLUSTERING_DIGEST = "0bae8a368900f64a4303b5f53f9f56bac2e8aaf39e040acba542fd5049d0b5cf"
 
 ACTIONS = tuple(a.value for a in RcAction) + (NO_ACTION,)

@@ -7,7 +7,6 @@ import pytest
 
 from statefuzz.errors import MalformedTree, MissingDatum, UnknownPredicate
 from statefuzz.oracle import (
-    Verdict,
     classify,
     default_tree,
     expected_mode,
@@ -96,12 +95,6 @@ def test_revisions_differ_only_in_the_mode_mapping():
     v1 = json.dumps(serialize_tree(default_tree("v1")), sort_keys=True)
     assert v0 != v1
     assert v0.replace('"mapping": "naive"', '"mapping": "rotorcraft"') == v1
-
-
-def test_verdict_round_trip():
-    v = Verdict("FAILURE", "thrashing", ("a=true", "b=false"))
-    assert Verdict.from_dict(v.to_dict()) == v
-    assert Verdict.from_dict({"verdict": "SUCCESS", "reason": "ok"}).fired_path == ()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import shutil
+from collections import Counter
 
 import pytest
 
@@ -206,8 +207,9 @@ def test_every_executed_test_has_a_result_file(campaign_dir):
     results = dict(iter_results(campaign_dir))
     for test_id in ids:
         record = results[test_id]
-        assert set(record) == {"id", "profile", "verdict"}
-        assert record["profile"]["test_id"] == test_id
+        # the verdict is judged on load, and the id is not stored twice
+        assert set(record) == {"id", "profile"}
+        assert "test_id" not in record["profile"]
     # one compact line per flown test, in flight order, and no per-test file
     assert logged_ids(campaign_dir) == ids
     assert {p.name for p in campaign_dir.glob("*.json")} == {
@@ -253,13 +255,13 @@ def soundness_ids(root) -> list[str]:
 
 def test_soundness_trials_are_stored_tests(campaign_dir):
     checks = read_json(campaign_dir / "soundness.json")
-    trials = load_campaign(campaign_dir).soundness
+    campaign = load_campaign(campaign_dir)
+    trials = campaign.soundness
     assert list(trials) == [doc["tag"] for doc in checks]
-    results = dict(iter_results(campaign_dir))
     for doc in checks:
         ids = [t.test_id for t in trials[doc["tag"]].tests]
         assert ids == [f"s-{doc['tag']}-{i}" for i in range(3)]
-        verdicts = [results[i]["verdict"]["verdict"] for i in ids]
+        verdicts = [campaign.verdicts[i].verdict for i in ids]
         assert verdicts == doc["verdicts"]
     logged = [i for i in logged_ids(campaign_dir) if i.startswith("s-")]
     assert sorted(logged) == sorted(soundness_ids(campaign_dir))
@@ -308,17 +310,20 @@ def test_load_campaign_regenerates_deleted_tests_manifest(campaign_copy):
 
 
 @pytest.mark.parametrize("layout", ["log", "per-file"])
-def test_a_campaign_loaded_without_profiles_has_the_same_verdicts(campaign_copy, layout):
+def test_verdicts_judged_on_load_are_those_the_run_judged(campaign_copy, layout):
     if layout == "per-file":
         to_per_file_layout(campaign_copy)
-    # a torn last line is skipped by both readers
+    # a torn last line is skipped
     with (campaign_copy / RESULTS).open("a", encoding="utf-8") as log:
-        log.write('{"id":"t00000","profile":{},"verdict":{"verdict":"FAILURE"')
-    full = load_campaign(campaign_copy)
-    verdicts_only = load_campaign(campaign_copy, profiles=False)
-    assert verdicts_only.profiles == {}
-    assert list(verdicts_only.verdicts.items()) == list(full.verdicts.items())
-    assert len(full.verdicts) > 90
+        log.write('{"id":"t00000","profile":{"final_mode":"LAND"')
+    campaign = load_campaign(campaign_copy)
+    assert list(campaign.verdicts) == list(campaign.profiles)
+    assert len(campaign.verdicts) > 90
+    main = Counter(v.verdict for _t, _p, v in campaign.results())
+    assert main == read_json(campaign_copy / "campaign.json")["verdict_counts"]
+    for check in read_json(campaign_copy / "soundness.json"):
+        trials = campaign.soundness[check["tag"]].tests
+        assert [campaign.verdicts[t.test_id].verdict for t in trials] == check["verdicts"]
 
 
 def test_stored_bands_keep_their_order(campaign_dir, campaign_copy, capsys):
@@ -605,12 +610,15 @@ def to_listed_tests(root):
 
 def to_per_file_layout(root):
     """Rewrite root the way campaigns were stored before the results log:
-    one indented <test-id>.json file per flown test, with its case, a
-    manifest without a status, and tests.json listing every case."""
+    one indented <test-id>.json file per flown test, with its case, its
+    profile (and test_id) as stored and its verdict, a manifest without a
+    status, and tests.json listing every case."""
     to_listed_tests(root)
-    tests = {t.test_id: t.to_dict() for t in load_campaign(root).every_test()}
+    campaign = load_campaign(root)
+    tests = {t.test_id: t.to_dict() for t in campaign.every_test()}
     for test_id, doc in iter_results(root):
-        record = {"test": tests[test_id], "profile": doc["profile"], "verdict": doc["verdict"]}
+        record = {"test": tests[test_id], "profile": {**doc["profile"], "test_id": test_id},
+                  "verdict": campaign.verdicts[test_id].to_dict()}
         write_json(root / f"{test_id}.json", record)
     (root / "results.jsonl").unlink()
     meta = read_json(root / "campaign.json")
@@ -741,19 +749,20 @@ def test_a_per_file_result_wins_over_a_log_line_of_its_id(campaign_copy):
     # per-file results predate the log, so a file is the older copy of its
     # id; the campaign loads the same profile before and after the fold
     campaign = load_campaign(campaign_copy)
-    logged = dict(iter_results(campaign_copy))["t00001"]
-    assert logged["profile"]["oscillation_count"] != 99
-    profile = dict(logged["profile"], oscillation_count=99)
+    logged = campaign.profiles["t00001"].to_dict()
+    assert logged["oscillation_count"] != 99
+    profile = dict(logged, oscillation_count=99)
+    stored = {k: v for k, v in profile.items() if k != "test_id"}
     record = {"test": campaign.find_test("t00001").to_dict(), "profile": profile,
-              "verdict": logged["verdict"]}
+              "verdict": campaign.verdicts["t00001"].to_dict()}
     write_json(campaign_copy / "t00001.json", record)
     before = load_campaign(campaign_copy).profiles["t00001"]
-    assert dict(iter_results(campaign_copy))["t00001"]["profile"] == profile
+    assert dict(iter_results(campaign_copy))["t00001"]["profile"] == stored
     save_tests(campaign_copy, campaign.main, campaign.focused, campaign.sweeps, campaign.soundness)
     assert not (campaign_copy / "t00001.json").exists()
     assert load_campaign(campaign_copy).profiles["t00001"] == before
     assert before.to_dict() == profile
-    assert dict(iter_results(campaign_copy))["t00001"]["profile"] == profile
+    assert dict(iter_results(campaign_copy))["t00001"]["profile"] == stored
 
 
 def test_folded_per_file_results_are_the_log_run_writes(campaign_dir, campaign_copy):
@@ -764,13 +773,56 @@ def test_folded_per_file_results_are_the_log_run_writes(campaign_dir, campaign_c
     assert (campaign_copy / RESULTS).read_bytes() == (campaign_dir / RESULTS).read_bytes()
 
 
+def to_lines_with_verdicts(root):
+    """Rewrite the results log the way it was stored before verdicts were
+    judged on load: each line also holds its verdict, and its profile
+    repeats the id as test_id."""
+    campaign = load_campaign(root)
+    write_log(root, {
+        test_id: {"id": test_id, "profile": profile.to_dict(),
+                  "verdict": campaign.verdicts[test_id].to_dict()}
+        for test_id, profile in campaign.profiles.items()
+    })
+
+
+def test_campaign_stored_with_verdicts_loads_reports_replays_and_refocuses(
+    campaign_dir, campaign_copy, capsys
+):
+    to_lines_with_verdicts(campaign_copy)
+    assert (campaign_copy / RESULTS).stat().st_size > (campaign_dir / RESULTS).stat().st_size
+    stored, fresh = load_campaign(campaign_copy), load_campaign(campaign_dir)
+    assert stored.profiles == fresh.profiles
+    assert list(stored.verdicts.items()) == list(fresh.verdicts.items())
+    (campaign_copy / "report.txt").unlink()
+    assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
+    report = "report.txt"
+    assert (campaign_copy / report).read_bytes() == (campaign_dir / report).read_bytes()
+    capsys.readouterr()
+    tag = next(iter(stored.focused.values()))
+    for test_id in ("t00000", f"f-{tag}-0000", soundness_ids(campaign_copy)[0]):
+        assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", test_id]) == 0
+        assert capsys.readouterr().out.startswith(f"replay OK: {test_id} ->")
+    # a focus that flies a new sweep folds the log into one line shape: the
+    # run's lines, then the sweep's
+    args = ["focus", "--campaign", str(campaign_copy), "--test-id", "t00003",
+            "--runs-per-cell", "1", "--no-soundness"]
+    assert cli.main(args) == 0
+    lines = (campaign_copy / RESULTS).read_text().splitlines(keepends=True)
+    run = (campaign_dir / RESULTS).read_text().splitlines(keepends=True)
+    assert lines[:len(run)] == run and len(lines) > len(run)
+    assert all(set(doc) == {"id", "profile"} and "test_id" not in doc["profile"]
+               for doc in map(json.loads, lines))
+
+
 def to_nested_injections(root):
     """Rewrite each stored profile of root the way profiles were stored
     before the injection fields were flat: a "context_reached" flag and a
     list "injections" of at most one record, which held the injection
-    instant twice and repeated the test's action."""
+    instant twice and repeated the test's action. Those lines also held
+    their verdicts."""
+    to_lines_with_verdicts(root)
     tests = {t.test_id: t for t in load_campaign(root).every_test()}
-    results = dict(iter_results(root))
+    results = {doc["id"]: doc for doc in map(json.loads, (root / RESULTS).read_text().splitlines())}
     for test_id, doc in results.items():
         profile = doc["profile"]
         record = {
@@ -880,6 +932,48 @@ def test_replay_without_a_stored_profile_reexecutes(campaign_copy, capsys):
     assert "no stored profile for t00002" in capsys.readouterr().out
 
 
+def store_another_oracle(root):
+    """Turn every SUCCESS leaf of the oracle tree in campaign.json into a
+    FAILURE, so the stored profiles judge otherwise on load, as after a
+    change to the oracle code; returns the recorded and the judged main
+    verdict counts."""
+    meta = read_json(root / "campaign.json")
+    meta["oracle_tree"] = json.loads(json.dumps(meta["oracle_tree"]).replace(
+        '"SUCCESS"', '"FAILURE"'))
+    write_json(root / "campaign.json", meta)
+    judged = Counter(v.verdict for _t, _p, v in load_campaign(root).results())
+    return meta["verdict_counts"], judged
+
+
+@pytest.mark.parametrize(
+    "command", [["analyze"], ["analyze", "--oracle", "v1"], ["report"]],
+    ids=["analyze", "analyze-v1", "report"],
+)
+def test_a_campaign_judged_otherwise_on_load_exits_two_and_changes_nothing(
+    campaign_copy, capsys, command
+):
+    recorded, judged = store_another_oracle(campaign_copy)
+    assert judged != recorded
+    before = campaign_files(campaign_copy)
+    assert cli.main([*command, "--campaign", str(campaign_copy)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: campaign.json records the main verdicts ")
+    for counts in (recorded, judged):
+        assert ", ".join(f"{k}={v}" for k, v in sorted(counts.items())) in err
+    assert campaign_files(campaign_copy) == before
+    # replay still diagnoses one stored profile
+    assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", "t00000"]) == 0
+    assert capsys.readouterr().out.startswith("replay OK: t00000 ->")
+
+
+def test_a_campaign_missing_a_main_result_is_not_compared(campaign_copy, capsys):
+    store_another_oracle(campaign_copy)
+    results = dict(iter_results(campaign_copy))
+    del results["t00002"]
+    write_log(campaign_copy, results)
+    assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
+
+
 def test_replay_unknown_test_id(campaign_dir, capsys):
     assert cli.main(["replay", "--campaign", str(campaign_dir), "--test-id", "zzz"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -896,23 +990,6 @@ def test_analyze_rejudges_under_another_oracle(campaign_copy, capsys):
     assert "re-judged 90 stored profiles under oracle v0:" in out
     assert "clustered" in out and "K=" in out
     assert (campaign_copy / "analysis.json").exists()
-
-
-def test_analyze_without_failures_removes_the_earlier_clustering(campaign_copy, capsys):
-    # every stored verdict judged a success: nothing is left to cluster
-    results = dict(iter_results(campaign_copy))
-    for doc in results.values():
-        doc["verdict"] = {"verdict": "SUCCESS", "reason": "ok", "fired_path": []}
-    write_log(campaign_copy, results)
-    assert cli.main(["analyze", "--campaign", str(campaign_copy)]) == 0
-    assert "no failures in this campaign; nothing to cluster" in capsys.readouterr().out
-    assert not (campaign_copy / "analysis.json").exists()
-    # so the report shows no clusters, and focus asks for the tests to fly
-    assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
-    assert "failure clusters" not in capsys.readouterr().out
-    assert cli.main(["focus", "--campaign", str(campaign_copy)]) == 2
-    err = capsys.readouterr().err
-    assert "without failures has no representatives" in err and "--test-id" in err
 
 
 @pytest.fixture(scope="module")
@@ -932,6 +1009,25 @@ def false_positive_dir(tmp_path_factory):
             "--no-soundness", "--oracle", "v0", "--seed", "0", "--out", str(root / "campaign")]
     assert cli.main(args) == 0
     return root / "campaign"
+
+
+def test_analyze_without_failures_removes_the_earlier_clustering(
+    false_positive_dir, tmp_path, capsys
+):
+    # the healthy flights oracle v0 failed all pass under v1: nothing is
+    # left to cluster
+    campaign_copy = tmp_path / "campaign"
+    shutil.copytree(false_positive_dir, campaign_copy)
+    assert (campaign_copy / "analysis.json").exists()
+    assert cli.main(["analyze", "--campaign", str(campaign_copy), "--oracle", "v1"]) == 0
+    assert "no failures in this campaign; nothing to cluster" in capsys.readouterr().out
+    assert not (campaign_copy / "analysis.json").exists()
+    # so the report shows no clusters, and focus asks for the tests to fly
+    assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
+    assert "failure clusters" not in capsys.readouterr().out
+    assert cli.main(["focus", "--campaign", str(campaign_copy)]) == 2
+    err = capsys.readouterr().err
+    assert "without failures has no representatives" in err and "--test-id" in err
 
 
 @pytest.mark.parametrize("options", [["--oracle", "v1"], ["--kmax", "1"]], ids=["v1", "kmax"])
