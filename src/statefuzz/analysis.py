@@ -38,6 +38,8 @@ SCREEN_SLACK = 1e-9
 
 #: points from which _sq_dists takes one centroid at a time: on fewer, its
 #: one (n, K, features) difference array costs less than K numpy calls
+#: (analyze_failures, alternating in process: columns lose up to 300 points,
+#: tie at 400, win from 500; BENCH_18.json "crossover")
 COLUMN_ROWS = 512
 
 #: closed set of failure reason codes the default trees can emit

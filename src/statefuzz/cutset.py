@@ -44,6 +44,16 @@ SCOPE_COLUMN = "app_state"
 #: executes tests and returns (test, profile, verdict) triples in order
 Runner = Callable[[list[TestCase]], list[tuple[TestCase, ExecutionProfile, Verdict]]]
 
+_AXIS_FIELD = {
+    "action": "action",
+    "delay_band": "band_name",
+    "throttle": "throttle",
+    "geofence": "geofence",
+    "wind": "wind",
+    "gps_noise": "gps_noise",
+    "compass_interference": "compass_interference",
+}
+
 
 @dataclass(frozen=True)
 class TableRow:
@@ -140,10 +150,7 @@ def table_from_results(
     state was never reachable under any cell, so there is nothing to say).
     """
     def cell_key(test: TestCase) -> tuple[tuple[str, str], ...]:
-        # each focus axis is the test's field of its name, but for the band
-        return tuple(
-            (axis, getattr(test, "band_name" if axis == "delay_band" else axis)) for axis in axes
-        )
+        return tuple((axis, getattr(test, _AXIS_FIELD[axis])) for axis in axes)
 
     cells: dict[tuple, list[tuple[TestCase, ExecutionProfile, Verdict]]] = {}
     for test, profile, verdict in items:
@@ -198,31 +205,60 @@ def _rows_for_cell(
     bucket: list,
     valid: list,
 ) -> list[TableRow]:
-    """One row for a cell, or one per observed mode when that observation
-    separates its failing runs from the others."""
+    failures = sum(1 for _t, _p, v in valid if v.verdict == FAILURE)
     modes = [_observed_mode(t, p) for t, p, _v in valid]
-    mixed = 0 < _failures(valid) < len(valid)
-    if mixed:
+    uniform_mode = modes[0] if len(set(modes)) == 1 else MODE_VARIES
+
+    if 0 < failures < len(valid):
         groups: dict[str, list] = {}
-        for item, mode in zip(valid, modes):
-            groups.setdefault(mode, []).append(item)
-        if len(groups) > 1 and all(_failures(g) in (0, len(g)) for g in groups.values()):
-            return [_row(key, mode, groups[mode], groups[mode], split=True)
-                    for mode in sorted(groups)]
-    mode = modes[0] if len(set(modes)) == 1 else MODE_VARIES
-    return [_row(key, mode, bucket, valid, residual=mixed)]
+        for (t, p, v), m in zip(valid, modes):
+            groups.setdefault(m, []).append((t, p, v))
+        pure = len(groups) > 1 and all(
+            len({item[2].verdict == FAILURE for item in grp}) == 1 for grp in groups.values()
+        )
+        if pure:
+            out = []
+            for mode in sorted(groups):
+                grp = groups[mode]
+                n_fail = sum(1 for _t, _p, v in grp if v.verdict == FAILURE)
+                out.append(
+                    TableRow(
+                        values=key,
+                        observed_mode=mode,
+                        runs=len(grp),
+                        valid=len(grp),
+                        failures=n_fail,
+                        split=True,
+                        residual=False,
+                        test_ids=tuple(t.test_id for t, _p, _v in grp),
+                    )
+                )
+            return out
+        return [
+            TableRow(
+                values=key,
+                observed_mode=uniform_mode,
+                runs=len(bucket),
+                valid=len(valid),
+                failures=failures,
+                split=False,
+                residual=True,
+                test_ids=tuple(t.test_id for t, _p, _v in valid),
+            )
+        ]
 
-
-def _failures(items: list) -> int:
-    return sum(1 for _t, _p, v in items if v.verdict == FAILURE)
-
-
-def _row(key, mode: str, runs: list, valid: list, split=False, residual=False) -> TableRow:
-    return TableRow(
-        values=key, observed_mode=mode, runs=len(runs), valid=len(valid),
-        failures=_failures(valid), split=split, residual=residual,
-        test_ids=tuple(t.test_id for t, _p, _v in valid),
-    )
+    return [
+        TableRow(
+            values=key,
+            observed_mode=uniform_mode,
+            runs=len(bucket),
+            valid=len(valid),
+            failures=failures,
+            split=False,
+            residual=False,
+            test_ids=tuple(t.test_id for t, _p, _v in valid),
+        )
+    ]
 
 
 def _observed_mode(test: TestCase, profile: ExecutionProfile) -> str:
@@ -328,7 +364,9 @@ def minimize(table: TruthTable) -> list[Conjunction]:
 
     # coverage-dominance: keep a conjunction only if no kept one already
     # explains every failing row it covers
-    by_coverage = sorted(minimal, key=lambda c: (-conj_mask(c).bit_count(), len(c), c))
+    by_coverage = sorted(
+        minimal, key=lambda c: (-_popcount(conj_mask(c)), len(c), c)
+    )
     kept: list[Conjunction] = []
     kept_masks: list[int] = []
     for conj in by_coverage:
@@ -340,6 +378,10 @@ def minimize(table: TruthTable) -> list[Conjunction]:
 
     kept.sort(key=lambda c: (len(c), c))
     return kept
+
+
+def _popcount(mask: int) -> int:
+    return bin(mask).count("1")
 
 
 # ---------------------------------------------------------------------------

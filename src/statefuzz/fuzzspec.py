@@ -63,13 +63,12 @@ _TOP_KEYS = (
 )
 _ENV_KEYS = ("transition_delay", "throttle", "geofence", "wind", "GPS", "COMPASS_INTERFERENCE")
 
-#: the EnvironmentSpace field of each level list; one left out keeps its default
-_ENV_FIELDS = {
-    "throttle": "throttle",
-    "geofence": "geofence",
-    "wind": "wind",
-    "GPS": "gps_noise",
-    "COMPASS_INTERFERENCE": "compass_interference",
+_ENV_DEFAULTS = {
+    "throttle": ("mid",),
+    "geofence": ("none",),
+    "wind": ("none",),
+    "GPS": ("none",),
+    "COMPASS_INTERFERENCE": ("none",),
 }
 _ENV_VOCAB = {
     "throttle": THROTTLE_LEVELS,
@@ -331,10 +330,18 @@ def parse_fuzz_spec(raw: dict, spec_id: str = "spec") -> FuzzSpecification:
     if not isinstance(env_raw, dict):
         raise VocabularyError("ENVIRONMENT must be an object")
     _require_keys(env_raw, _ENV_KEYS, "ENVIRONMENT", ("transition_delay",))
+    bands = _parse_bands(env_raw["transition_delay"])
+    levels = {
+        key: _parse_levels(env_raw[key], key) if key in env_raw else _ENV_DEFAULTS[key]
+        for key in _ENV_KEYS[1:]
+    }
     environment = EnvironmentSpace(
-        bands=_parse_bands(env_raw["transition_delay"]),
-        **{name: _parse_levels(env_raw[key], key)
-           for key, name in _ENV_FIELDS.items() if key in env_raw},
+        bands=bands,
+        throttle=levels["throttle"],
+        geofence=levels["geofence"],
+        wind=levels["wind"],
+        gps_noise=levels["GPS"],
+        compass_interference=levels["COMPASS_INTERFERENCE"],
     )
 
     contexts = tuple(_string_list(raw["MISSION_CONTEXT"], "MISSION_CONTEXT"))

@@ -282,7 +282,7 @@ def test_screened_polish_matches_pointwise_loop(kind, n, k, d, seed, rows):
     kind=st.sampled_from(["encoded", "duplicates", "near-tie", "continuous", "tiny"]),
     n=st.integers(min_value=1, max_value=150),
     k=st.integers(min_value=1, max_value=10),
-    d=st.integers(min_value=1, max_value=8),
+    d=st.integers(min_value=1, max_value=32),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     column_rows=st.sampled_from([0, 40, analysis.COLUMN_ROWS]),
 )

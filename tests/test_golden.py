@@ -15,8 +15,9 @@ that is intended, say why in CHANGES.md and replace the digest.
 """
 
 import hashlib
+from unittest import mock
 
-from statefuzz import cli
+from statefuzz import analysis, cli
 from statefuzz.analysis import FAILURE_REASONS, analyze_failures
 from statefuzz.executor import Executor
 from statefuzz.fuzzspec import parse_fuzz_spec, parse_mission
@@ -194,5 +195,16 @@ def clustering_failures():
 def test_clustering_digest():
     spec, failures = clustering_failures()
     result = analyze_failures(failures, spec, seed=5, restarts=3)
+    digest = hashlib.sha256(canonical_dumps(result.to_dict()).encode()).hexdigest()
+    assert digest == CLUSTERING_DIGEST
+
+
+def test_clustering_digest_through_centroid_columns():
+    # the digest's 300 failures sit below COLUMN_ROWS, so its run takes the
+    # broadcast; the same run one centroid column at a time, at the width
+    # of real encodings, must give the same bits
+    spec, failures = clustering_failures()
+    with mock.patch.object(analysis, "COLUMN_ROWS", 0):
+        result = analyze_failures(failures, spec, seed=5, restarts=3)
     digest = hashlib.sha256(canonical_dumps(result.to_dict()).encode()).hexdigest()
     assert digest == CLUSTERING_DIGEST
