@@ -19,9 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateK, EmptyFailureSet
-from .fuzzspec import FuzzSpecification
+from .fuzzspec import ENV_AXES, FuzzSpecification
 from .oracle import FAILURE, Verdict
-from .testgen import TestCase
+from .testgen import TestCase, axis_levels
 
 #: selection restarts per K on the elbow sweep
 DEFAULT_RESTARTS = 10
@@ -135,13 +135,7 @@ def encode_failures(
     state_vocab = [t.state.value for t in spec.states]
     mode_vocab = [m.value for m in spec.modes]
     action_vocab = [a.value for a in spec.actions]
-    env_axes = [
-        ("throttle", list(spec.environment.throttle)),
-        ("geofence", list(spec.environment.geofence)),
-        ("wind", list(spec.environment.wind)),
-        ("gps_noise", list(spec.environment.gps_noise)),
-        ("compass_interference", list(spec.environment.compass_interference)),
-    ]
+    env_axes = [(axis, axis_levels(spec, axis)) for axis in ENV_AXES]
 
     names: list[str] = ["delay_norm"]
     names += [f"state={s}" for s in state_vocab]

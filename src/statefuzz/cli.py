@@ -52,6 +52,7 @@ from .errors import (
 )
 from .executor import Executor, open_pool, run_campaign
 from .fuzzspec import (
+    ENV_AXES,
     FuzzSpecification,
     load_fuzz_spec,
     load_mission,
@@ -82,8 +83,10 @@ from .sutmodel import SutConfig
 from .testgen import (
     DEFAULT_FOCUS_REPETITIONS,
     DEFAULT_REPETITIONS,
+    FOCUS_AXES,
     GeneratorConfig,
     TestCase,
+    axis_levels,
     generate,
     sweep_tag,
 )
@@ -134,10 +137,9 @@ def _default_axes(spec: FuzzSpecification) -> list[str]:
     """Action and delay band always sweep; environment axes only when the
     spec gives them more than one level."""
     axes = ["action", "delay_band"]
-    env = spec.environment
-    for name in ("throttle", "geofence", "wind", "gps_noise", "compass_interference"):
-        if len(getattr(env, name)) > 1:
-            axes.append(name)
+    for axis in ENV_AXES:
+        if len(axis_levels(spec, axis)) > 1:
+            axes.append(axis)
     return axes
 
 
@@ -487,10 +489,12 @@ def cmd_focus(args) -> int:
     campaign as it was. The focus stage then rebuilds the combined tree
     from the tables of the stored and new tags and keeps one check per
     combined cut set in soundness.json: a stored check of an unchanged cut
-    set is kept across focus, even under another --seed.
+    set is kept across focus, even under another --seed. A campaign whose
+    stored profiles judge otherwise than campaign.json records is refused.
     """
     root = Path(args.campaign)
     campaign = load_campaign(root)
+    _refuse_drift(campaign)
     if args.test_id:
         # a repeated id is focused once
         rep_ids = list(dict.fromkeys(args.test_id))
@@ -610,7 +614,9 @@ def build_parser() -> argparse.ArgumentParser:
     focus.add_argument("--campaign", required=True)
     focus.add_argument("--test-id", action="append", default=[],
                        help="focus on this test instead of the stored representatives")
-    focus.add_argument("--axes", help="comma-separated axes to sweep (default: auto)")
+    focus.add_argument("--axes", help=f"comma-separated axes to sweep, of {', '.join(FOCUS_AXES)} "
+                       "(default: action, delay_band and each environment axis the spec "
+                       "gives more than one level)")
     focus.set_defaults(fn=cmd_focus)
 
     for command in (run, focus):

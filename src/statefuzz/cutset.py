@@ -29,10 +29,10 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import InvalidOnly
 from .executor import ExecutionProfile
-from .fuzzspec import FuzzSpecification, MissionPlan
+from .fuzzspec import ENV_AXES, FuzzSpecification, MissionPlan
 from .oracle import FAILURE, INVALID, Verdict
 from .sutmodel import NO_ACTION, AppState, AutopilotMode, SutConfig
-from .testgen import FOCUS_AXES, TestCase, derive_seed, focused_generate
+from .testgen import FOCUS_AXES, TestCase, axis_levels, axis_value, derive_seed, focused_generate
 
 #: observed-mode markers for rows that were not split
 MODE_VARIES = "*"
@@ -43,17 +43,6 @@ SCOPE_COLUMN = "app_state"
 
 #: executes tests and returns (test, profile, verdict) triples in order
 Runner = Callable[[list[TestCase]], list[tuple[TestCase, ExecutionProfile, Verdict]]]
-
-_AXIS_FIELD = {
-    "action": "action",
-    "delay_band": "band_name",
-    "throttle": "throttle",
-    "geofence": "geofence",
-    "wind": "wind",
-    "gps_noise": "gps_noise",
-    "compass_interference": "compass_interference",
-}
-
 
 @dataclass(frozen=True)
 class TableRow:
@@ -150,7 +139,7 @@ def table_from_results(
     state was never reachable under any cell, so there is nothing to say).
     """
     def cell_key(test: TestCase) -> tuple[tuple[str, str], ...]:
-        return tuple((axis, getattr(test, _AXIS_FIELD[axis])) for axis in axes)
+        return tuple((axis, axis_value(test, axis)) for axis in axes)
 
     cells: dict[tuple, list[tuple[TestCase, ExecutionProfile, Verdict]]] = {}
     for test, profile, verdict in items:
@@ -205,6 +194,18 @@ def _rows_for_cell(
     bucket: list,
     valid: list,
 ) -> list[TableRow]:
+    def row(runs: int, items: list, observed_mode: str, split=False, residual=False):
+        return TableRow(
+            values=key,
+            observed_mode=observed_mode,
+            runs=runs,
+            valid=len(items),
+            failures=sum(1 for _t, _p, v in items if v.verdict == FAILURE),
+            split=split,
+            residual=residual,
+            test_ids=tuple(t.test_id for t, _p, _v in items),
+        )
+
     failures = sum(1 for _t, _p, v in valid if v.verdict == FAILURE)
     modes = [_observed_mode(t, p) for t, p, _v in valid]
     uniform_mode = modes[0] if len(set(modes)) == 1 else MODE_VARIES
@@ -217,48 +218,10 @@ def _rows_for_cell(
             len({item[2].verdict == FAILURE for item in grp}) == 1 for grp in groups.values()
         )
         if pure:
-            out = []
-            for mode in sorted(groups):
-                grp = groups[mode]
-                n_fail = sum(1 for _t, _p, v in grp if v.verdict == FAILURE)
-                out.append(
-                    TableRow(
-                        values=key,
-                        observed_mode=mode,
-                        runs=len(grp),
-                        valid=len(grp),
-                        failures=n_fail,
-                        split=True,
-                        residual=False,
-                        test_ids=tuple(t.test_id for t, _p, _v in grp),
-                    )
-                )
-            return out
-        return [
-            TableRow(
-                values=key,
-                observed_mode=uniform_mode,
-                runs=len(bucket),
-                valid=len(valid),
-                failures=failures,
-                split=False,
-                residual=True,
-                test_ids=tuple(t.test_id for t, _p, _v in valid),
-            )
-        ]
+            return [row(len(grp), grp, mode, split=True) for mode, grp in sorted(groups.items())]
+        return [row(len(bucket), valid, uniform_mode, residual=True)]
 
-    return [
-        TableRow(
-            values=key,
-            observed_mode=uniform_mode,
-            runs=len(bucket),
-            valid=len(valid),
-            failures=failures,
-            split=False,
-            residual=False,
-            test_ids=tuple(t.test_id for t, _p, _v in valid),
-        )
-    ]
+    return [row(len(bucket), valid, uniform_mode)]
 
 
 def _observed_mode(test: TestCase, profile: ExecutionProfile) -> str:
@@ -365,7 +328,7 @@ def minimize(table: TruthTable) -> list[Conjunction]:
     # coverage-dominance: keep a conjunction only if no kept one already
     # explains every failing row it covers
     by_coverage = sorted(
-        minimal, key=lambda c: (-_popcount(conj_mask(c)), len(c), c)
+        minimal, key=lambda c: (-conj_mask(c).bit_count(), len(c), c)
     )
     kept: list[Conjunction] = []
     kept_masks: list[int] = []
@@ -378,10 +341,6 @@ def minimize(table: TruthTable) -> list[Conjunction]:
 
     kept.sort(key=lambda c: (len(c), c))
     return kept
-
-
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +470,6 @@ def soundness_trials(
     if placed is None:
         return tag, None
     band_name, band_min, band_max, delay = placed
-    env = spec.environment
     return tag, [
         TestCase(
             test_id=f"s-{tag}-{trial}",
@@ -526,11 +484,7 @@ def soundness_trials(
             band_min_ms=band_min,
             band_max_ms=band_max,
             delay_ms=delay,
-            throttle=lits.get("throttle", env.throttle[0]),
-            geofence=lits.get("geofence", env.geofence[0]),
-            wind=lits.get("wind", env.wind[0]),
-            gps_noise=lits.get("gps_noise", env.gps_noise[0]),
-            compass_interference=lits.get("compass_interference", env.compass_interference[0]),
+            **{axis: lits.get(axis, axis_levels(spec, axis)[0]) for axis in ENV_AXES},
             seed=derive_seed(master_seed, "soundness", str(literals), trial),
             repetition=trial,
         )

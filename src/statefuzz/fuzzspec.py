@@ -15,6 +15,11 @@ A fuzz specification is a JSON document with a fixed, closed vocabulary:
       "CONSTRAINTS": {"REQUIRES_PX4_MODE": {"OFFBOARD": ["TAKEOFF", ...], ...}}
     }
 
+Each environment axis but the delay is named by its ENVIRONMENT key in the
+document and by a field of EnvironmentSpace and TestCase in code; the two
+differ for ``GPS`` (field ``gps_noise``) and ``COMPASS_INTERFERENCE`` (field
+``compass_interference``). ENV_TABLE pairs them, in sweep order.
+
 Unknown keys are rejected at every level, as are values outside the state,
 mode, action and level vocabularies. A trailing ``*`` on an app state (in
 FROM_APP_states or in a constraint value) marks it as recurring once per
@@ -61,22 +66,16 @@ _TOP_KEYS = (
     "MISSION_CONTEXT",
     "CONSTRAINTS",
 )
-_ENV_KEYS = ("transition_delay", "throttle", "geofence", "wind", "GPS", "COMPASS_INTERFERENCE")
-
-_ENV_DEFAULTS = {
-    "throttle": ("mid",),
-    "geofence": ("none",),
-    "wind": ("none",),
-    "GPS": ("none",),
-    "COMPASS_INTERFERENCE": ("none",),
-}
-_ENV_VOCAB = {
-    "throttle": THROTTLE_LEVELS,
-    "geofence": GEOFENCE_SETTINGS,
-    "wind": INTENSITY_LEVELS,
-    "GPS": INTENSITY_LEVELS,
-    "COMPASS_INTERFERENCE": INTENSITY_LEVELS,
-}
+#: the environment axes, in sweep order: the field EnvironmentSpace and
+#: TestCase name each by, its key under ENVIRONMENT, and its levels
+ENV_TABLE = (
+    ("throttle", "throttle", THROTTLE_LEVELS),
+    ("geofence", "geofence", GEOFENCE_SETTINGS),
+    ("wind", "wind", INTENSITY_LEVELS),
+    ("gps_noise", "GPS", INTENSITY_LEVELS),
+    ("compass_interference", "COMPASS_INTERFERENCE", INTENSITY_LEVELS),
+)
+ENV_AXES = tuple(name for name, _key, _levels in ENV_TABLE)
 
 
 @dataclass(frozen=True)
@@ -116,16 +115,14 @@ class EnvironmentSpace:
         return min(b.min_ms for b in self.bands), max(b.max_ms for b in self.bands)
 
     def to_dict(self) -> dict:
-        return {
+        doc = {
             "transition_delay": {
                 "bands": {b.name: {"min": b.min_ms, "max": b.max_ms} for b in self.bands}
-            },
-            "throttle": list(self.throttle),
-            "geofence": list(self.geofence),
-            "wind": list(self.wind),
-            "GPS": list(self.gps_noise),
-            "COMPASS_INTERFERENCE": list(self.compass_interference),
+            }
         }
+        for name, key, _levels in ENV_TABLE:
+            doc[key] = list(getattr(self, name))
+        return doc
 
 
 @dataclass(frozen=True)
@@ -275,9 +272,8 @@ def _parse_bands(raw: object) -> tuple[DelayBand, ...]:
     return tuple(sorted(bands, key=lambda b: (b.min_ms, b.max_ms, b.name)))
 
 
-def _parse_levels(raw: object, key: str) -> tuple[str, ...]:
+def _parse_levels(raw: object, key: str, vocab: tuple[str, ...]) -> tuple[str, ...]:
     values = _string_list(raw, f"ENVIRONMENT.{key}")
-    vocab = _ENV_VOCAB[key]
     bad = [v for v in values if v not in vocab]
     if bad:
         raise VocabularyError(f"ENVIRONMENT.{key} has unknown levels {bad}; expected {list(vocab)}")
@@ -329,20 +325,16 @@ def parse_fuzz_spec(raw: dict, spec_id: str = "spec") -> FuzzSpecification:
     env_raw = raw["ENVIRONMENT"]
     if not isinstance(env_raw, dict):
         raise VocabularyError("ENVIRONMENT must be an object")
-    _require_keys(env_raw, _ENV_KEYS, "ENVIRONMENT", ("transition_delay",))
+    env_keys = ("transition_delay",) + tuple(key for _name, key, _levels in ENV_TABLE)
+    _require_keys(env_raw, env_keys, "ENVIRONMENT", ("transition_delay",))
     bands = _parse_bands(env_raw["transition_delay"])
+    # an axis the spec leaves out keeps EnvironmentSpace's default
     levels = {
-        key: _parse_levels(env_raw[key], key) if key in env_raw else _ENV_DEFAULTS[key]
-        for key in _ENV_KEYS[1:]
+        name: _parse_levels(env_raw[key], key, vocab)
+        for name, key, vocab in ENV_TABLE
+        if key in env_raw
     }
-    environment = EnvironmentSpace(
-        bands=bands,
-        throttle=levels["throttle"],
-        geofence=levels["geofence"],
-        wind=levels["wind"],
-        gps_noise=levels["GPS"],
-        compass_interference=levels["COMPASS_INTERFERENCE"],
-    )
+    environment = EnvironmentSpace(bands=bands, **levels)
 
     contexts = tuple(_string_list(raw["MISSION_CONTEXT"], "MISSION_CONTEXT"))
 

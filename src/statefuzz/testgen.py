@@ -21,22 +21,14 @@ from itertools import product
 from random import Random
 
 from .errors import ConfigError, EmptyProduct, UnknownAxis
-from .fuzzspec import DelayBand, FuzzSpecification, StateTarget
+from .fuzzspec import ENV_AXES, DelayBand, FuzzSpecification, StateTarget
 from .sutmodel import AppState, AutopilotMode, RcAction
 
 DEFAULT_REPETITIONS = 80
 DEFAULT_FOCUS_REPETITIONS = 20
 
 #: sweepable dimensions for focused re-fuzzing, in canonical order
-FOCUS_AXES = (
-    "action",
-    "delay_band",
-    "throttle",
-    "geofence",
-    "wind",
-    "gps_noise",
-    "compass_interference",
-)
+FOCUS_AXES = ("action", "delay_band") + ENV_AXES
 
 
 def derive_seed(*parts: object) -> int:
@@ -100,13 +92,7 @@ class TestCase:
     repetition: int
 
     def env(self) -> dict:
-        return {
-            "throttle": self.throttle,
-            "geofence": self.geofence,
-            "wind": self.wind,
-            "gps_noise": self.gps_noise,
-            "compass_interference": self.compass_interference,
-        }
+        return {axis: getattr(self, axis) for axis in ENV_AXES}
 
     def to_dict(self) -> dict:
         return {
@@ -152,21 +138,28 @@ class TestCase:
         )
 
 
+def axis_levels(spec: FuzzSpecification, axis: str) -> tuple:
+    """The levels the spec gives a focus axis: its actions, its delay bands,
+    or the levels of an environment axis."""
+    if axis == "action":
+        return spec.actions
+    if axis == "delay_band":
+        return spec.environment.bands
+    return getattr(spec.environment, axis)
+
+
+def axis_value(test: TestCase, axis: str) -> str:
+    """A test's value on a focus axis, as truth tables and cut sets name it:
+    the delay band's name, or the test's field of the axis's name."""
+    return test.band_name if axis == "delay_band" else getattr(test, axis)
+
+
 def enumerate_combinations(spec: FuzzSpecification) -> list[Combination]:
     """Constraint-filtered cross product of the spec, in declaration order."""
     pairs = spec.constraint_pairs()
     if not pairs:
         raise EmptyProduct("constraints admit no (mode, state) pair; nothing to enumerate")
-    env = spec.environment
-    dims = (
-        spec.actions,
-        env.bands,
-        env.throttle,
-        env.geofence,
-        env.wind,
-        env.gps_noise,
-        env.compass_interference,
-    )
+    dims = [axis_levels(spec, axis) for axis in FOCUS_AXES]
     for dim in dims:
         if not dim:
             raise EmptyProduct("a spec dimension is empty; nothing to enumerate")
@@ -298,33 +291,24 @@ def focused_generate(
     if runs_per_cell < 1:
         raise ConfigError(f"runs_per_cell must be >= 1, got {runs_per_cell}")
 
-    env = spec.environment
-    base_band = DelayBand(base.band_name, base.band_min_ms, base.band_max_ms)
-    ranges = {
-        "action": [RcAction(base.action)] if "action" not in axes else list(spec.actions),
-        "delay_band": [base_band] if "delay_band" not in axes else list(env.bands),
-        "throttle": [base.throttle] if "throttle" not in axes else list(env.throttle),
-        "geofence": [base.geofence] if "geofence" not in axes else list(env.geofence),
-        "wind": [base.wind] if "wind" not in axes else list(env.wind),
-        "gps_noise": [base.gps_noise] if "gps_noise" not in axes else list(env.gps_noise),
-        "compass_interference": [base.compass_interference]
-        if "compass_interference" not in axes
-        else list(env.compass_interference),
+    # an unswept axis holds the base's own level, its band whole
+    held = {
+        "action": RcAction(base.action),
+        "delay_band": DelayBand(base.band_name, base.band_min_ms, base.band_max_ms),
+        **base.env(),
     }
+    ranges = [axis_levels(spec, axis) if axis in axes else [held[axis]] for axis in FOCUS_AXES]
 
     tag = sweep_tag(base, axes, runs_per_cell, master_seed)
     cases: list[TestCase] = []
     index = 0
     target = StateTarget(base.app_state, base.recurring)
-    for values in product(*(ranges[a] for a in FOCUS_AXES)):
-        action, band, throttle, geofence, wind, gps_noise, compass = values
-        combo = Combination(
-            base.target_mode, target, action, band, throttle, geofence, wind, gps_noise, compass
-        )
+    for values in product(*ranges):
+        combo = Combination(base.target_mode, target, *values)
         for rep in range(runs_per_cell):
             seed = derive_seed(master_seed, "focus", tag, index)
             delay = _sample_delay(
-                band, Random(derive_seed(master_seed, "focus", tag, index, "delay"))
+                combo.band, Random(derive_seed(master_seed, "focus", tag, index, "delay"))
             )
             cases.append(
                 _build_case(

@@ -946,8 +946,8 @@ def store_another_oracle(root):
 
 
 @pytest.mark.parametrize(
-    "command", [["analyze"], ["analyze", "--oracle", "v1"], ["report"]],
-    ids=["analyze", "analyze-v1", "report"],
+    "command", [["analyze"], ["analyze", "--oracle", "v1"], ["focus"], ["report"]],
+    ids=["analyze", "analyze-v1", "focus", "report"],
 )
 def test_a_campaign_judged_otherwise_on_load_exits_two_and_changes_nothing(
     campaign_copy, capsys, command

@@ -8,6 +8,7 @@ path, without installing its wrappers, so a rename or a moved argument
 fails the ordinary test run too.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -15,6 +16,8 @@ from pathlib import Path
 from unittest.mock import MagicMock
 
 import pytest
+
+from statefuzz import testgen
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -69,3 +72,12 @@ def test_the_tracer_reads_no_argument_left_unchecked():
             tracing._arg = record
             counter((), {}, MagicMock())
     assert read == set(READ_ARGUMENTS)
+
+
+def test_the_tracers_axis_fields_match_the_package():
+    # the tracer keys a truth table's sweep by its own copy of the test-case
+    # field behind each focus axis; a renamed axis or field would raise only
+    # in a traced run
+    fields = load_tracing()._AXIS_FIELD
+    assert tuple(fields) == testgen.FOCUS_AXES
+    assert set(fields.values()) <= {f.name for f in dataclasses.fields(testgen.TestCase)}
