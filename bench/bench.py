@@ -36,7 +36,7 @@ subprocess with a new ``Executor``, so any per-executor memo starts empty. The s
 side's passes, median and quartiles, the pairs the change won, the profile
 digests, and from one more pass per side, with ``Vehicle._coast`` wrapped in
 the subprocess, the ``_coast`` calls per flight and the entries of the
-executor's ``cruise_runs`` memo (null where a side has none).
+executor's ``cruise_runs`` memo.
 
 ``storage`` stores the README quick start with the package under ``--src``,
 loads it, and then, ``--repeats`` times (at least 3), copies that
@@ -49,15 +49,14 @@ whole directory, and ``storage.save_tests`` of the loaded tests. It reports
 the median time of the results' save and load per 1,000 results, and of
 the tests' read and ``save_tests`` per 1,000 tests, the bytes the results
 and ``tests.json`` take on disk, and a digest of the loaded profiles and
-verdicts, so two source trees can be checked for equal results. With
+of each verdict and its reason, so two source trees can be checked for equal results. With
 ``--parent`` and ``--change`` the parent's CLI stores the quick start, and
 both checkouts' ``src`` time those four steps on it in single passes, each
 in a fresh subprocess, the sides alternating which runs first: host drift
 over minutes exceeds what a storage change moves, so one tree per
 invocation cannot compare two. The section records each side's passes,
 the median and quartiles of each step per 1,000, the pairs the change won,
-the stored bytes and the digests. Either ``save_result`` signature works:
-with a verdict argument (results stored with their verdicts) or without.
+the stored bytes and the digests.
 
 ``oracle`` stores the README quick start with the package under ``--src``
 and judges every stored profile under oracle ``v0`` and ``v1``, in this
@@ -102,7 +101,6 @@ import argparse
 import contextlib
 import hashlib
 import importlib
-import inspect
 import io
 import json
 import math
@@ -170,14 +168,8 @@ def quartiles(values: list[float]) -> dict:
 
 
 def flight_set(campaign) -> list:
-    """A loaded campaign's main tests, then each stored sweep's tests.
-
-    Checkouts from before sweeps were keyed hold one sweep per
-    representative, in ``focused_tests``; checkouts from before recipes hold
-    each sweep as a list of tests, not as an entry with ``tests``.
-    """
-    sweeps = campaign.sweeps if hasattr(campaign, "sweeps") else campaign.focused_tests
-    return campaign.tests + [t for ts in sweeps.values() for t in getattr(ts, "tests", ts)]
+    """A loaded campaign's main tests, then each stored sweep's tests."""
+    return campaign.tests + [t for e in campaign.sweeps.values() for t in e.tests]
 
 
 def store_quickstart(cli, root: Path) -> None:
@@ -363,14 +355,13 @@ def cmd_simulator_pass(args) -> int:
     profiles = [executor.execute(t) for t in tests]
     wall = time.perf_counter() - t0
     doc = "".join(canonical_dumps(p.to_dict()) for p in profiles).encode()
-    memo = getattr(executor, "cruise_runs", None)
     print(json.dumps({
         "flights": len(tests),
         "wall_s": wall,
         "digest": hashlib.sha256(doc).hexdigest(),
         "coast_calls": coast_calls if args.count else None,
         "coast_calls_per_flight": coast_calls / len(tests) if args.count else None,
-        "memo_entries": None if memo is None else len(memo),
+        "memo_entries": len(executor.cruise_runs),
     }))
     return 0
 
@@ -388,10 +379,8 @@ def storage_repeat(stored: Path, root: Path) -> dict:
     from statefuzz.storage import canonical_dumps, load_campaign, save_result, save_tests
 
     campaign = load_campaign(stored)
-    results = [(t, campaign.profiles[t.test_id], campaign.verdicts[t.test_id])
+    results = [(t, campaign.profiles[t.test_id])
                for t in campaign.every_test() if t.test_id in campaign.profiles]
-    # results were stored with their verdicts before verdicts were judged on load
-    verdict_arg = len(inspect.signature(save_result).parameters) == 4
     root.mkdir()
     for name in ("campaign.json", "tests.json"):
         (root / name).write_bytes((stored / name).read_bytes())
@@ -399,22 +388,17 @@ def storage_repeat(stored: Path, root: Path) -> dict:
     load_campaign(root)
     read = time.perf_counter() - t0
     t0 = time.perf_counter()
-    for test, profile, verdict in results:
-        if verdict_arg:
-            save_result(root, test, profile, verdict)
-        else:
-            save_result(root, test, profile)
+    for test, profile in results:
+        save_result(root, test, profile)
     save = time.perf_counter() - t0
     t0 = time.perf_counter()
     loaded = load_campaign(root)
     load = time.perf_counter() - t0
-    # the main tests are an entry with their recipe since tests.json stores
-    # recipes, a plain list before
-    main = getattr(loaded, "main", loaded.tests)
     t0 = time.perf_counter()
-    save_tests(root, main, loaded.focused, loaded.sweeps, loaded.soundness)
+    save_tests(root, loaded.main, loaded.focused, loaded.sweeps, loaded.soundness)
     write = time.perf_counter() - t0
-    doc = "".join(canonical_dumps([t, loaded.profiles[t].to_dict(), loaded.verdicts[t].to_dict()])
+    doc = "".join(canonical_dumps([t, loaded.profiles[t].to_dict(), loaded.verdicts[t].verdict,
+                                   loaded.verdicts[t].reason])
                   for t in sorted(loaded.profiles)).encode()
     return {
         "results": len(results),
@@ -546,7 +530,7 @@ def cmd_oracle(args) -> dict:
             t0 = time.perf_counter()
             verdicts = [classify(t, p, tree) for t, p in stored]
             walls.append(time.perf_counter() - t0)
-        doc = "".join(canonical_dumps([t.test_id, v.to_dict()])
+        doc = "".join(canonical_dumps([t.test_id, v.verdict, v.reason])
                       for (t, _p), v in zip(stored, verdicts)).encode()
         wall = statistics.median(walls)
         out["versions"][version] = {

@@ -9,6 +9,11 @@ Subcommands mirror the pipeline stages:
     report   render report.txt from the stored artifacts
     replay   re-execute one stored test and compare against its profile
 
+`run` builds the storage.Campaign that load_campaign gives the others,
+and each stage is one function on it, whatever the command: _Runner
+flies, judges and stores, _cluster clusters, _focus re-fuzzes and
+_write_report renders report.txt.
+
 Specs and missions are JSON paths; the names bundled with the package
 (fspec1, mission_a, mission_c, sut_default) also resolve directly. The
 master seed comes from --seed, falling back to the STATEFUZZ_SEED
@@ -29,7 +34,7 @@ import time
 from collections import Counter
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .cutset import (
     SOUNDNESS_TRIALS,
@@ -62,6 +67,7 @@ from .fuzzspec import (
 from .oracle import FAILURE, classify, default_tree, parse_tree, serialize_tree
 from .storage import (
     RESULTS,
+    Campaign,
     Entry,
     check_entry,
     load_campaign,
@@ -143,8 +149,8 @@ def _default_axes(spec: FuzzSpecification) -> list[str]:
     return axes
 
 
-def _dominant_reason(triples) -> str:
-    reasons = Counter(v.reason for _t, _p, v in triples if v.verdict == FAILURE)
+def _dominant_reason(verdicts) -> str:
+    reasons = Counter(v.reason for v in verdicts if v.verdict == FAILURE)
     if not reasons:
         return "no failing cells"
     return sorted(reasons.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
@@ -159,19 +165,38 @@ def _conjunction(cut_set: CutSet) -> str:
     return " AND ".join(f"{a}={v}" for a, v in cut_set.literals)
 
 
-def _representative_ids(representatives: list[dict]) -> list[str]:
-    """Cluster exemplars (closest to each centroid), deduplicated in order."""
-    return list(dict.fromkeys(rep["closest"] for rep in representatives))
+def _representative_ids(root: Path) -> Optional[list[str]]:
+    """The tests analysis.json nominates for focus: each cluster's exemplar
+    (closest to its centroid), deduplicated in order; None without an
+    analysis.json."""
+    path = root / "analysis.json"
+    if not path.exists():
+        return None
+    return list(dict.fromkeys(rep["closest"] for rep in read_json(path)["representatives"]))
+
+
+def _find_tests(campaign: Campaign, test_ids: Sequence[str]) -> list[TestCase]:
+    """campaign's tests of the given ids, in order; an unknown id raises
+    UnknownTestId, before anything flies."""
+    tests = []
+    for test_id in test_ids:
+        test = campaign.find_test(test_id)
+        if test is None:
+            raise UnknownTestId(f"campaign has no test {test_id!r}")
+        tests.append(test)
+    return tests
 
 
 class _Runner:
-    """Flies, judges and stores tests for one command.
+    """Flies, judges and stores tests into one command's campaign.
 
     Every flight of a `run` or `focus` goes through one runner: the main
     stage, each focus sweep and each soundness check. A call flies its
-    tests with run_campaign, judges each under tree, saves its profile and
-    returns the (test, profile, verdict) triples in order; last keeps them
-    until the next call and counts tallies the verdicts of every call.
+    tests with run_campaign, judges each under the campaign's oracle tree,
+    appends its profile to the results log, records its verdict in
+    campaign.verdicts and returns the (test, profile, verdict) triples in
+    order; last keeps the call's tests until the next call. No profile is
+    kept past the call that flew it.
 
     The first call with parallelism above 1 and at least two tests opens
     one worker pool, which every later call shares; leaving the `with`
@@ -180,30 +205,30 @@ class _Runner:
     lines this command appends stay whole.
     """
 
-    def __init__(self, root: Path, mission, config: SutConfig, tree, parallelism: int) -> None:
-        self.root = root
-        self.mission = mission
-        self.config = config
-        self.tree = tree
+    def __init__(self, campaign: Campaign, parallelism: int) -> None:
+        self.campaign = campaign
         self.parallelism = parallelism
-        self.counts: Counter = Counter()
-        self.last: list = []
+        self.tree = parse_tree(campaign.oracle_tree_raw)
+        self.last: list[TestCase] = []
         self._pool = None
 
     def __call__(self, tests: list[TestCase]) -> list:
+        campaign = self.campaign
+        mission, config = campaign.mission, campaign.config
         if self._pool is None and self.parallelism > 1 and len(tests) >= 2:
-            self._pool = open_pool(self.mission, self.config, self.parallelism)
-        profiles = run_campaign(tests, self.mission, self.config, self.parallelism, pool=self._pool)
-        self.last = []
+            self._pool = open_pool(mission, config, self.parallelism)
+        profiles = run_campaign(tests, mission, config, self.parallelism, pool=self._pool)
+        triples = []
         for test, profile in zip(tests, profiles):
             verdict = classify(test, profile, self.tree)
-            save_result(self.root, test, profile)
-            self.counts[verdict.verdict] += 1
-            self.last.append((test, profile, verdict))
-        return self.last
+            save_result(campaign.root, test, profile)
+            campaign.verdicts[test.test_id] = verdict
+            triples.append((test, profile, verdict))
+        self.last = tests
+        return triples
 
     def __enter__(self) -> "_Runner":
-        trim_results(self.root)
+        trim_results(self.campaign.root)
         return self
 
     def __exit__(self, *exc) -> None:
@@ -213,60 +238,88 @@ class _Runner:
             self._pool = None
 
 
+def _cluster(campaign: Campaign, pairs: list, seed: int, k_max=None, restarts=None) -> bool:
+    """The clustering stage of `run` and `analyze`: clusters the failures
+    among pairs, (test, verdict), into analysis.json and returns True; with
+    no failure, removes analysis.json, since a clustering of other verdicts
+    must not outlive them, and returns False. restarts None stands for
+    analysis.DEFAULT_RESTARTS."""
+    from . import analysis as analysis_mod
+
+    if restarts is None:
+        restarts = analysis_mod.DEFAULT_RESTARTS
+    try:
+        result = analysis_mod.analyze_failures(
+            pairs, campaign.spec, seed=seed, k_max=k_max, restarts=restarts
+        )
+    except EmptyFailureSet:
+        (campaign.root / "analysis.json").unlink(missing_ok=True)
+        return False
+    save_analysis(campaign.root, result)
+    print(f"clustered {len(result.encoded.test_ids)} failures into K={result.k}")
+    for rep in result.representatives:
+        print(f"  cluster {rep.cluster}: closest={rep.closest} farthest={rep.farthest}")
+    return True
+
+
 def _focus(
     runner: _Runner,
     bases: Sequence[TestCase],
     axes: Sequence[str],
     runs_per_cell: int,
-    spec: FuzzSpecification,
     seed: int,
     check_soundness: bool,
-    focused: dict[str, str],
-    sweeps: dict[str, Entry],
-    stored_trials: dict[str, Entry],
-) -> dict[str, Entry]:
-    """The focus stage of `run` and `focus`.
+) -> None:
+    """The focus stage of `run` and `focus`, on the runner's campaign.
 
-    Records each base's sweep tag in focused. Each tag is flown, judged,
-    stored, tabled and minimized once, and its tests and recipe go into
-    sweeps (empty on entry); a later base with the same tag only records
-    it. A sweep with no valid run leaves its tag without a table.
+    Records each base's sweep tag in campaign.focused. A tag that
+    campaign.sweeps holds with its table on disk is not flown again; any
+    other is flown, judged, stored, tabled and minimized once, and its
+    tests and recipe go into campaign.sweeps (a later base with the same
+    tag only records it). A sweep with no valid run leaves its tag without
+    a table. campaign.sweeps then keeps the tags campaign.focused names.
 
-    Then rebuilds the combined tree from the stored tables of the tags in
-    focused, in its order, and soundness.json with one check per combined
-    cut set, in the tree's order and with its sources. A stored check of a
-    cut set with the same literals is kept, not flown again, and keeps its
-    trials from stored_trials; any other cut set is checked only when
-    check_soundness is on. Returns the trials and recipes of the checks in
-    soundness.json by tag.
+    Then rebuilds the combined tree from the stored tables of those tags,
+    in focused's order, and soundness.json with one check per combined cut
+    set, in the tree's order and with its sources. A stored check of a cut
+    set with the same literals is kept, not flown again, with its trials;
+    any other cut set is checked only when check_soundness is on.
+    campaign.soundness ends holding the trials of the checks in
+    soundness.json, by tag.
     """
-    root = runner.root
+    campaign = runner.campaign
+    root, spec = campaign.root, campaign.spec
+    flown: set[str] = set()
     cut_groups: dict[str, list[CutSet]] = {}
     for base in bases:
         tag = sweep_tag(base, axes, runs_per_cell, seed)
-        focused[base.test_id] = tag
+        campaign.focused[base.test_id] = tag
         print(f"focused re-fuzz around {base.test_id} "
               f"(state {base.app_state.value}, axes {', '.join(axes)}, sweep {tag})")
-        if tag in sweeps:
+        stored = tag in campaign.sweeps and (root / "truthtables" / f"{tag}.json").exists()
+        if tag in flown or stored:
             continue
+        flown.add(tag)
         table = None
         try:
             table = build_truth_table(base, axes, runs_per_cell, runner, spec, master_seed=seed)
         except InvalidOnly as exc:
             print(f"  {base.test_id}: {exc}", file=sys.stderr)
-        triples = runner.last
-        sweeps[tag] = sweep_entry(base, axes, runs_per_cell, seed, [t for t, _p, _v in triples])
+        tests = runner.last
+        campaign.sweeps[tag] = sweep_entry(base, axes, runs_per_cell, seed, tests)
         if table is None:
             continue
         save_truth_table(root, tag, table.to_dict())
         cut_sets = cut_sets_for_table(table, source=f"truthtable:{tag}")
         cut_groups[tag] = cut_sets
-        fault_tree = build_fault_tree(f"{_dominant_reason(triples)} in {table.scope}", cut_sets)
+        reason = _dominant_reason(campaign.verdicts[t.test_id] for t in tests)
+        fault_tree = build_fault_tree(f"{reason} in {table.scope}", cut_sets)
         save_fault_tree(root, tag, fault_tree.to_dict(), fault_tree.to_dot())
         for cs in cut_sets:
             print(f"  cut set: {{ {_conjunction(cs)} }}")
 
-    tags = list(dict.fromkeys(focused.values()))
+    tags = list(dict.fromkeys(campaign.focused.values()))
+    campaign.sweeps = {tag: campaign.sweeps[tag] for tag in tags}
     for tag in tags:
         path = root / "truthtables" / f"{tag}.json"
         if tag not in cut_groups and path.exists():
@@ -282,17 +335,19 @@ def _focus(
         for doc in (read_json(path) if path.exists() else [])
     }
     docs = []
-    trials: dict[str, Entry] = {}
+    stored_trials, campaign.soundness = campaign.soundness, {}
     for cs in combined.cut_sets:
         doc = checks.get(cs.literals)
         if doc is None and check_soundness:
             result = soundness_check(
-                cs, spec, runner.mission, runner.config, runner, master_seed=seed
+                cs, spec, campaign.mission, campaign.config, runner, master_seed=seed
             )
             doc = result.to_dict()
-            trials[result.tag] = check_entry(cs.literals, seed, SOUNDNESS_TRIALS, result.tests)
+            campaign.soundness[result.tag] = check_entry(
+                cs.literals, seed, SOUNDNESS_TRIALS, result.tests
+            )
         elif doc is not None and "tag" in doc:
-            trials[doc["tag"]] = stored_trials.get(doc["tag"], Entry([]))
+            campaign.soundness[doc["tag"]] = stored_trials.get(doc["tag"], Entry([]))
         if doc is not None:
             docs.append({**doc, "cut_set": cs.to_dict()})
             status = "sound" if doc["sound"] else "NOT SOUND"
@@ -301,7 +356,6 @@ def _focus(
         save_soundness(root, docs)
     elif path.exists():
         path.unlink()
-    return trials
 
 
 def _claim_out(root: Path) -> None:
@@ -332,19 +386,26 @@ def _claim_out(root: Path) -> None:
     root.mkdir(parents=True, exist_ok=True)
 
 
-def _write_report(root: Path, counts: dict[str, int], focused: dict[str, str]) -> str:
-    """Render report.txt from the stored artifacts.
+def _write_report(campaign: Campaign) -> str:
+    """Render report.txt from campaign's stored artifacts and verdicts.
 
-    counts are the verdict counts over every stored result, main and
-    focused; focused maps each representative to its sweep's tag. A
-    table is headed by its representatives in sorted order, so the report
-    does not depend on the order focused was built in.
+    The verdict counts are those of every test tests.json lists, main,
+    focused and soundness trials, that has a verdict. A table is headed by
+    the representatives of its sweep in sorted order, so the report does
+    not depend on the order campaign.focused was built in.
     """
+    root = campaign.root
+    counts = Counter(
+        campaign.verdicts[t.test_id].verdict
+        for t in campaign.every_test()
+        if t.test_id in campaign.verdicts
+    )
     meta = read_json(root / "campaign.json")
     analysis_path, soundness_path = root / "analysis.json", root / "soundness.json"
     analysis_doc = read_json(analysis_path) if analysis_path.exists() else None
     tables = [
-        (p.stem, sorted(rep for rep, tag in focused.items() if tag == p.stem), read_json(p))
+        (p.stem, sorted(rep for rep, tag in campaign.focused.items() if tag == p.stem),
+         read_json(p))
         for p in sorted(root.glob("truthtables/*.json"))
     ]
     paths = sorted(root.glob("faulttrees/*.json"), key=lambda p: (p.stem == "combined", p.stem))
@@ -355,14 +416,7 @@ def _write_report(root: Path, counts: dict[str, int], focused: dict[str, str]) -
     return text
 
 
-def _write_stored_report(campaign) -> str:
-    """_write_report over a loaded campaign's verdicts, as `report` renders
-    it."""
-    counts = Counter(v.verdict for v in campaign.verdicts.values())
-    return _write_report(campaign.root, counts, campaign.focused)
-
-
-def _refuse_drift(campaign) -> None:
+def _refuse_drift(campaign: Campaign) -> None:
     """Refuse a campaign whose main tests, judged on load, count other
     verdicts than campaign.json recorded when they flew; one that lacks a
     main test's result is not compared."""
@@ -382,8 +436,6 @@ def _refuse_drift(campaign) -> None:
 
 
 def cmd_run(args) -> int:
-    from . import analysis as analysis_mod
-
     spec = load_fuzz_spec(_resolve(args.spec))
     mission = load_mission(_resolve(args.mission))
     config = _load_config(args)
@@ -393,66 +445,46 @@ def cmd_run(args) -> int:
         print(f"coverage warning: {gap}", file=sys.stderr)
 
     seed = _seed_from(args)
-    gen_config = GeneratorConfig(
+    generator = GeneratorConfig(
         repetitions_per_combination=args.repetitions,
         master_seed=seed,
         mission_policy=args.mission_policy,
     )
-    tree = default_tree(args.oracle)
     root = Path(args.out)
     _claim_out(root)
-    meta_args = (root, spec, mission, config, gen_config, args.oracle,
-                 serialize_tree(tree), args.parallelism)
-    save_campaign_meta(*meta_args, {}, 0.0, "running")
+    tree = serialize_tree(default_tree(args.oracle))
+    campaign = Campaign(root, spec, mission, config, generator, args.oracle, tree)
+    save_campaign_meta(campaign, args.parallelism, 0.0, "running")
 
     t0 = time.monotonic()
-    tests = generate(spec, gen_config)
+    campaign.main = Entry(generate(spec, generator), {})
+    tests = campaign.tests
     per_mission = len(tests) // max(args.repetitions, 1)
-    print(f"generated {len(tests)} tests ({per_mission} combinations x {args.repetitions} repetitions)")
+    print(f"generated {len(tests)} tests "
+          f"({per_mission} combinations x {args.repetitions} repetitions)")
 
-    focused: dict[str, str] = {}
-    sweeps: dict[str, Entry] = {}
-    trials: dict[str, Entry] = {}
-    with _Runner(root, mission, config, tree, args.parallelism) as runner:
+    with _Runner(campaign, args.parallelism) as runner:
         pairs = [(t, v) for t, _p, v in runner(tests)]
-        counts = Counter(v.verdict for _t, v in pairs)
-        print(f"executed {len(tests)} tests: {_summary(counts)}")
-
-        analysis_result = None
-        try:
-            analysis_result = analysis_mod.analyze_failures(pairs, spec, seed=seed)
-        except EmptyFailureSet:
+        campaign.verdict_counts = Counter(v.verdict for _t, v in pairs)
+        print(f"executed {len(tests)} tests: {_summary(campaign.verdict_counts)}")
+        if _cluster(campaign, pairs, seed):
+            bases = _find_tests(campaign, _representative_ids(root))
+            _focus(runner, bases, _default_axes(spec), args.runs_per_cell, seed, args.soundness)
+        else:
             print("no failures: skipping clustering, truth tables and fault trees")
 
-        if analysis_result is not None:
-            save_analysis(root, analysis_result)
-            n_fail = len(analysis_result.encoded.test_ids)
-            print(f"clustered {n_fail} failures into K={analysis_result.k}")
-            tests_by_id = {t.test_id: t for t in tests}
-            reps = [r.to_dict() for r in analysis_result.representatives]
-            bases = [tests_by_id[rep_id] for rep_id in _representative_ids(reps)]
-            trials = _focus(
-                runner, bases, _default_axes(spec), args.runs_per_cell, spec, seed,
-                args.soundness, focused, sweeps, {},
-            )
-
     wall = time.monotonic() - t0
-    save_tests(root, Entry(tests, {}), focused, sweeps, trials)
+    save_tests(root, campaign.main, campaign.focused, campaign.sweeps, campaign.soundness)
     save_coverage(root, coverage.to_dict())
-    _write_report(root, runner.counts, focused)
-    save_campaign_meta(*meta_args, counts, wall, "complete")
+    _write_report(campaign)
+    save_campaign_meta(campaign, args.parallelism, wall, "complete")
     print(f"campaign stored in {root} ({wall:.1f}s)")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    from . import analysis as analysis_mod
-
-    root = Path(args.campaign)
-    campaign = load_campaign(root)
+    campaign = load_campaign(Path(args.campaign))
     _refuse_drift(campaign)
-    seed = args.seed if args.seed is not None else campaign.master_seed
-    restarts = args.restarts if args.restarts is not None else analysis_mod.DEFAULT_RESTARTS
     pairs = [(t, v) for t, _p, v in campaign.results()]
     if args.oracle:
         # judge the stored profiles again under another oracle version,
@@ -463,22 +495,12 @@ def cmd_analyze(args) -> int:
         counts = Counter(v.verdict for _t, v in pairs)
         print(f"re-judged {len(pairs)} stored profiles under oracle {args.oracle}: "
               f"{_summary(counts)}")
-    try:
-        result = analysis_mod.analyze_failures(
-            pairs, campaign.spec, seed=seed, k_max=args.kmax, restarts=restarts
-        )
-    except EmptyFailureSet:
-        # a clustering of other verdicts must not outlive them
-        (root / "analysis.json").unlink(missing_ok=True)
+    seed = args.seed if args.seed is not None else campaign.master_seed
+    if not _cluster(campaign, pairs, seed, args.kmax, args.restarts):
         print("no failures in this campaign; nothing to cluster, no analysis.json")
-    else:
-        save_analysis(root, result)
-        print(f"clustered {len(result.encoded.test_ids)} failures into K={result.k}")
-        for rep in result.representatives:
-            print(f"  cluster {rep.cluster}: closest={rep.closest} farthest={rep.farthest}")
     # the report shows this clustering, beside the verdicts under the
     # campaign's own tree
-    _write_stored_report(campaign)
+    _write_report(campaign)
     return 0
 
 
@@ -486,46 +508,34 @@ def cmd_focus(args) -> int:
     """Re-fuzz the given tests (by default the stored representatives).
 
     Every id is resolved before anything flies, so an unknown id leaves the
-    campaign as it was. The focus stage then rebuilds the combined tree
-    from the tables of the stored and new tags and keeps one check per
-    combined cut set in soundness.json: a stored check of an unchanged cut
-    set is kept across focus, even under another --seed. A campaign whose
-    stored profiles judge otherwise than campaign.json records is refused.
+    campaign as it was. The focus stage flies no sweep tests.json already
+    holds with its table, rebuilds the combined tree from the tables of the
+    stored and new tags and keeps one check per combined cut set in
+    soundness.json: a stored check of an unchanged cut set is kept across
+    focus, even under another --seed. tests.json and report.txt are then
+    rewritten. A campaign whose stored profiles judge otherwise than
+    campaign.json records is refused.
     """
-    root = Path(args.campaign)
-    campaign = load_campaign(root)
+    campaign = load_campaign(Path(args.campaign))
     _refuse_drift(campaign)
-    if args.test_id:
-        # a repeated id is focused once
-        rep_ids = list(dict.fromkeys(args.test_id))
-    else:
-        analysis_path = root / "analysis.json"
-        if not analysis_path.exists():
-            print("analysis.json is missing: run `statefuzz analyze` first. A campaign "
-                  "without failures has no representatives; --test-id names tests directly.",
-                  file=sys.stderr)
-            return 2
-        rep_ids = _representative_ids(read_json(analysis_path)["representatives"])
-
-    bases = []
-    for rep_id in rep_ids:
-        base = campaign.find_test(rep_id)
-        if base is None:
-            raise UnknownTestId(f"campaign has no test {rep_id!r}")
-        bases.append(base)
-
+    # a repeated id is focused once
+    rep_ids = list(dict.fromkeys(args.test_id)) or _representative_ids(campaign.root)
+    if rep_ids is None:
+        print("analysis.json is missing: run `statefuzz analyze` first. A campaign "
+              "without failures has no representatives; --test-id names tests directly.",
+              file=sys.stderr)
+        return 2
+    bases = _find_tests(campaign, rep_ids)
     axes = args.axes.split(",") if args.axes else _default_axes(campaign.spec)
     seed = args.seed if args.seed is not None else campaign.master_seed
-    focused = dict(campaign.focused)
-    sweeps: dict[str, Entry] = {}
-    tree = parse_tree(campaign.oracle_tree_raw)
-    with _Runner(root, campaign.mission, campaign.config, tree, args.parallelism) as runner:
-        trials = _focus(
-            runner, bases, axes, args.runs_per_cell, campaign.spec, seed, args.soundness,
-            focused, sweeps, campaign.soundness,
-        )
-    save_tests(root, campaign.main, focused, {**campaign.sweeps, **sweeps}, trials)
-    tabled = [i for i in rep_ids if (root / "truthtables" / f"{focused[i]}.json").exists()]
+    with _Runner(campaign, args.parallelism) as runner:
+        _focus(runner, bases, axes, args.runs_per_cell, seed, args.soundness)
+    save_tests(
+        campaign.root, campaign.main, campaign.focused, campaign.sweeps, campaign.soundness
+    )
+    _write_report(campaign)
+    tables = campaign.root / "truthtables"
+    tabled = [i for i in rep_ids if (tables / f"{campaign.focused[i]}.json").exists()]
     print(f"fault trees written for: {', '.join(tabled) or 'none'} (+combined)")
     return 0
 
@@ -533,16 +543,13 @@ def cmd_focus(args) -> int:
 def cmd_report(args) -> int:
     campaign = load_campaign(Path(args.campaign))
     _refuse_drift(campaign)
-    print(_write_stored_report(campaign), end="")
+    print(_write_report(campaign), end="")
     return 0
 
 
 def cmd_replay(args) -> int:
-    root = Path(args.campaign)
-    campaign = load_campaign(root)
-    test = campaign.find_test(args.test_id)
-    if test is None:
-        raise UnknownTestId(f"campaign has no test {args.test_id!r}")
+    campaign = load_campaign(Path(args.campaign))
+    (test,) = _find_tests(campaign, [args.test_id])
     ex = Executor(campaign.mission, campaign.config)
     fresh = ex.execute(test)
     tree = parse_tree(campaign.oracle_tree_raw)

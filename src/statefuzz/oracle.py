@@ -60,14 +60,6 @@ _NAIVE_MODE = {
 class Verdict:
     verdict: str
     reason: str
-    fired_path: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "fired_path": list(self.fired_path),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +291,12 @@ def serialize_tree(part: TreePart) -> dict:
 
 
 def classify(test: TestCase, profile: ExecutionProfile, tree: TreePart) -> Verdict:
-    """Walk the tree for one run; the fired path records every step taken."""
-    path: list[str] = []
+    """Walk the tree for one run to the leaf that judges it."""
     node = tree
     while isinstance(node, Node):
         fn, _allowed = PREDICATES[node.predicate]
-        outcome = bool(fn(test, profile, node.params))
-        path.append(f"{node.predicate}={str(outcome).lower()}")
-        node = node.on_true if outcome else node.on_false
-    return Verdict(node.verdict, node.reason, tuple(path))
+        node = node.on_true if fn(test, profile, node.params) else node.on_false
+    return Verdict(node.verdict, node.reason)
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,8 @@ def check_entry(literals, seed: int, trials: int, tests) -> Entry:
 
 @dataclass
 class Campaign:
-    """A campaign directory pulled back into memory."""
+    """A campaign directory in memory: built by `run` as it stores it, and
+    pulled back by load_campaign."""
 
     root: Path
     spec: FuzzSpecification
@@ -186,7 +187,6 @@ class Campaign:
     generator: GeneratorConfig
     oracle_version: str
     oracle_tree_raw: dict
-    master_seed: int
     #: the main tests, in order, and their recipe
     main: Entry = field(default_factory=lambda: Entry([]))
     #: representative id -> the tag of its focus sweep
@@ -198,8 +198,13 @@ class Campaign:
     #: the main verdict counts campaign.json recorded when they flew
     verdict_counts: dict[str, int] = field(default_factory=dict)
     profiles: dict[str, ExecutionProfile] = field(default_factory=dict)
-    #: each stored profile's verdict, judged on load under oracle_tree_raw
+    #: each stored profile's verdict under oracle_tree_raw, judged in
+    #: flight or on load
     verdicts: dict[str, Verdict] = field(default_factory=dict)
+
+    @property
+    def master_seed(self) -> int:
+        return self.generator.master_seed
 
     @property
     def tests(self) -> list[TestCase]:
@@ -224,36 +229,29 @@ class Campaign:
 
 
 def save_campaign_meta(
-    root: Path,
-    spec: FuzzSpecification,
-    mission: MissionPlan,
-    config: SutConfig,
-    generator: GeneratorConfig,
-    oracle_version: str,
-    oracle_tree_raw: dict,
-    parallelism: int,
-    verdict_counts: dict[str, int],
-    wall_time_s: float,
-    status: str,
+    campaign: Campaign, parallelism: int, wall_time_s: float, status: str
 ) -> None:
-    """Write campaign.json; status is "running" or "complete"."""
+    """Write campaign.json: what regenerates and judges campaign's tests,
+    its main verdict counts, and how and how long it ran; status is
+    "running" or "complete"."""
+    generator = campaign.generator
     write_json(
-        root / "campaign.json",
+        campaign.root / "campaign.json",
         {
-            "spec": spec.to_dict(),
-            "spec_id": spec.spec_id,
-            "mission": mission.to_dict(),
-            "config": config.to_dict(),
+            "spec": campaign.spec.to_dict(),
+            "spec_id": campaign.spec.spec_id,
+            "mission": campaign.mission.to_dict(),
+            "config": campaign.config.to_dict(),
             "generator": {
                 "repetitions_per_combination": generator.repetitions_per_combination,
                 "master_seed": generator.master_seed,
                 "mission_policy": generator.mission_policy,
             },
-            "oracle_version": oracle_version,
-            "oracle_tree": oracle_tree_raw,
+            "oracle_version": campaign.oracle_version,
+            "oracle_tree": campaign.oracle_tree_raw,
             "master_seed": generator.master_seed,
             "parallelism": parallelism,
-            "verdict_counts": verdict_counts,
+            "verdict_counts": campaign.verdict_counts,
             "status": status,
             "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "wall_time_s": round(wall_time_s, 3),
@@ -454,7 +452,6 @@ def load_campaign(root: Path) -> Campaign:
         generator=generator,
         oracle_version=meta["oracle_version"],
         oracle_tree_raw=meta["oracle_tree"],
-        master_seed=meta["master_seed"],
         verdict_counts=meta["verdict_counts"],
     )
     tests_path = root / "tests.json"

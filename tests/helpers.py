@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from statefuzz.executor import ExecutionProfile, Executor
-from statefuzz.oracle import classify, default_tree
+from statefuzz.oracle import PREDICATES, Node, Verdict, classify, default_tree
 from statefuzz.sutmodel import AppState, AutopilotMode
 from statefuzz.testgen import TestCase
 
@@ -109,3 +109,16 @@ def make_profile(
         exceptions=tuple(exceptions),
         trace=tuple(trace),
     )
+
+
+def fired_path(test, profile, tree) -> tuple[str, ...]:
+    """Each predicate classify meets on its way to the leaf that judges the
+    run, as "predicate=outcome", in order; checks that classify ends at
+    that leaf."""
+    path, node = [], tree
+    while isinstance(node, Node):
+        outcome = bool(PREDICATES[node.predicate][0](test, profile, node.params))
+        path.append(f"{node.predicate}={str(outcome).lower()}")
+        node = node.on_true if outcome else node.on_false
+    assert classify(test, profile, tree) == Verdict(node.verdict, node.reason)
+    return tuple(path)

@@ -19,7 +19,7 @@ from statefuzz.analysis import (
     sweep_k,
 )
 from statefuzz.errors import DegenerateK, EmptyFailureSet
-from statefuzz.oracle import Verdict
+from statefuzz.oracle import FAILURE, Leaf, Verdict, default_tree
 from statefuzz.sutmodel import AppState
 
 from helpers import make_case
@@ -41,6 +41,20 @@ def failing(test_id, state=AppState.TAKEOFF, action="POSCTL", delay=100.0, reaso
 # ---------------------------------------------------------------------------
 # encoding
 # ---------------------------------------------------------------------------
+
+
+def failure_leaf_reasons(part) -> set[str]:
+    if isinstance(part, Leaf):
+        return {part.reason} if part.verdict == FAILURE else set()
+    return failure_leaf_reasons(part.on_true) | failure_leaf_reasons(part.on_false)
+
+
+@pytest.mark.parametrize("version", ["v0", "v1"])
+def test_failure_reasons_are_the_oracle_failure_leaves(version):
+    # a reason the oracle can give but the encoding lacks would encode as
+    # an all-zero one-hot
+    assert len(set(FAILURE_REASONS)) == len(FAILURE_REASONS)
+    assert set(FAILURE_REASONS) == failure_leaf_reasons(default_tree(version))
 
 
 def test_feature_names_are_spec_derived(spec):

@@ -26,7 +26,7 @@ from statefuzz.storage import canonical_dumps
 from statefuzz.sutmodel import NO_ACTION, TARGETABLE_STATES, RcAction, SutConfig
 
 from conftest import MISSION_A_RAW, MISSION_C_RAW, small_spec_raw
-from helpers import make_case
+from helpers import fired_path, make_case
 
 MATRIX_DIGEST = "a5c8750fd8bf4c1125fe5323fa132b061380a712f3c35d578496a2982b518f98"
 RUN_DIGEST = "cd47d8b37986d0e4ec6f4a0bd4c3c976a4a5b1c91077fcd704103f32e0d09b60"
@@ -92,7 +92,12 @@ def test_flight_matrix_digest():
         profile = Executor(parse_mission(dict(mission_raw)), config).execute(case)
         h.update(canonical_dumps(profile.to_dict()).encode())
         for tree in trees:
-            h.update(canonical_dumps(classify(case, profile, tree).to_dict()).encode())
+            # each verdict in the shape the digest was taken over, with
+            # the predicate outcomes on its way to the leaf
+            v = classify(case, profile, tree)
+            doc = {"verdict": v.verdict, "reason": v.reason,
+                   "fired_path": list(fired_path(case, profile, tree))}
+            h.update(canonical_dumps(doc).encode())
     assert h.hexdigest() == MATRIX_DIGEST
 
 

@@ -15,7 +15,7 @@ from statefuzz.oracle import (
 )
 from statefuzz.sutmodel import NO_ACTION, AppState, AutopilotMode, SutConfig
 
-from helpers import make_case, make_profile, run_case
+from helpers import fired_path, make_case, make_profile, run_case
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,7 @@ def test_baseline_nominal():
     test = make_case(action=NO_ACTION)
     v = judge(test, make_profile(test))
     assert (v.verdict, v.reason) == ("SUCCESS", "nominal")
-    assert v.fired_path[0] == "injection_planned=false"
+    assert fired_path(test, make_profile(test), V1)[0] == "injection_planned=false"
 
 
 def test_baseline_incomplete_mission_fails():
@@ -170,7 +170,8 @@ def test_ignored_injection_fails():
     test = make_case()
     v = judge(test, make_profile(test, acknowledged=False))
     assert (v.verdict, v.reason) == ("FAILURE", "mode-change-ignored")
-    assert v.fired_path[-1] == "mode_change_deferred=false"
+    path = fired_path(test, make_profile(test, acknowledged=False), V1)
+    assert path[-1] == "mode_change_deferred=false"
 
 
 def test_deferred_injection_fails_differently():
@@ -282,8 +283,7 @@ def test_unanswerable_predicate_raises_missing_datum():
 
 def test_fired_path_records_every_step():
     test = make_case(action=NO_ACTION)
-    v = judge(test, make_profile(test))
-    assert v.fired_path == (
+    assert fired_path(test, make_profile(test), V1) == (
         "injection_planned=false",
         "mission_completed_when_expected=true",
         "shutdown_clean=true",

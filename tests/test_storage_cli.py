@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 
 from statefuzz import analysis, cli, fuzzspec, testgen
+from statefuzz.cutset import TruthTable, table_from_results
 from statefuzz.errors import InvalidOnly, RecipeMismatch
 from statefuzz.executor import Executor
 from statefuzz.storage import (
@@ -336,8 +337,10 @@ def test_stored_bands_keep_their_order(campaign_dir, campaign_copy, capsys):
     campaign = load_campaign(campaign_copy)
     assert [b.name for b in campaign.spec.environment.bands] == ["short", "medium", "long"]
     assert [t.to_dict() for t in campaign.tests] == stored
-    # so a plain focus with run's arguments gives each sweep test its cell again
+    # so a plain focus with run's arguments, with the tables gone, gives
+    # each sweep test its cell again
     (campaign_copy / "tests.json").write_bytes(listed)
+    shutil.rmtree(campaign_copy / "truthtables")
     assert cli.main(["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "4"]) == 0
     assert campaign_files(campaign_copy / "truthtables") == campaign_files(
         campaign_dir / "truthtables"
@@ -608,6 +611,12 @@ def to_listed_tests(root):
     })
 
 
+def stored_verdict(verdict) -> dict:
+    """A verdict as results stored it before verdicts were judged on load.
+    Its fired path is left out: no reader of those results reads it."""
+    return {"verdict": verdict.verdict, "reason": verdict.reason}
+
+
 def to_per_file_layout(root):
     """Rewrite root the way campaigns were stored before the results log:
     one indented <test-id>.json file per flown test, with its case, its
@@ -618,7 +627,7 @@ def to_per_file_layout(root):
     tests = {t.test_id: t.to_dict() for t in campaign.every_test()}
     for test_id, doc in iter_results(root):
         record = {"test": tests[test_id], "profile": {**doc["profile"], "test_id": test_id},
-                  "verdict": campaign.verdicts[test_id].to_dict()}
+                  "verdict": stored_verdict(campaign.verdicts[test_id])}
         write_json(root / f"{test_id}.json", record)
     (root / "results.jsonl").unlink()
     meta = read_json(root / "campaign.json")
@@ -754,7 +763,7 @@ def test_a_per_file_result_wins_over_a_log_line_of_its_id(campaign_copy):
     profile = dict(logged, oscillation_count=99)
     stored = {k: v for k, v in profile.items() if k != "test_id"}
     record = {"test": campaign.find_test("t00001").to_dict(), "profile": profile,
-              "verdict": campaign.verdicts["t00001"].to_dict()}
+              "verdict": stored_verdict(campaign.verdicts["t00001"])}
     write_json(campaign_copy / "t00001.json", record)
     before = load_campaign(campaign_copy).profiles["t00001"]
     assert dict(iter_results(campaign_copy))["t00001"]["profile"] == stored
@@ -780,7 +789,7 @@ def to_lines_with_verdicts(root):
     campaign = load_campaign(root)
     write_log(root, {
         test_id: {"id": test_id, "profile": profile.to_dict(),
-                  "verdict": campaign.verdicts[test_id].to_dict()}
+                  "verdict": stored_verdict(campaign.verdicts[test_id])}
         for test_id, profile in campaign.profiles.items()
     })
 
@@ -1146,14 +1155,13 @@ def test_focus_keeps_the_combined_results_of_other_tables(campaign_dir, campaign
 
 
 def test_focus_on_the_representatives_reproduces_the_run(campaign_dir, campaign_copy, capsys):
-    shutil.rmtree(campaign_copy / "faulttrees")
+    # without their tables the sweeps fly again
+    for name in ("truthtables", "faulttrees"):
+        shutil.rmtree(campaign_copy / name)
     (campaign_copy / "soundness.json").unlink()
     rc = cli.main(["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "4"])
     assert rc == 0
-    names = ("faulttrees/combined.json", "faulttrees/combined.dot", "soundness.json",
-             "results.jsonl")
-    for name in names:
-        assert (campaign_copy / name).read_bytes() == (campaign_dir / name).read_bytes()
+    assert without_manifest(campaign_copy) == without_manifest(campaign_dir)
 
 
 def count_flights(monkeypatch) -> list[str]:
@@ -1180,6 +1188,51 @@ def test_focus_flies_a_repeated_test_id_once(campaign_dir, campaign_copy, capsys
     assert (campaign_copy / path).read_bytes() == (campaign_dir / path).read_bytes()
     # the stored checks are kept, not flown again
     assert not [i for i in flown if i.startswith("s-")]
+
+
+def test_a_plain_focus_flies_no_stored_sweep(campaign_copy, capsys, monkeypatch):
+    # were a stored sweep flown again, its changed flights would show in
+    # its table: every f-* flight now drifts off its path
+    flown = []
+    execute = Executor.execute
+
+    def changed(self, test):
+        flown.append(test.test_id)
+        profile = execute(self, test)
+        if test.test_id.startswith("f-"):
+            profile = dataclasses.replace(profile, oscillation_count=99)
+        return profile
+
+    monkeypatch.setattr(Executor, "execute", changed)
+    before = campaign_files(campaign_copy)
+    assert cli.main(["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "4"]) == 0
+    assert not [i for i in flown if i.startswith("f-")]
+    # each stored table is the one its stored results give
+    campaign = load_campaign(campaign_copy)
+    for tag, sweep in campaign.sweeps.items():
+        base = testgen.TestCase.from_dict(sweep.recipe["base"])
+        axes = [a for a in testgen.FOCUS_AXES if a in sweep.recipe["axes"]]
+        items = [(t, campaign.profiles[t.test_id], campaign.verdicts[t.test_id])
+                 for t in sweep.tests]
+        stored = TruthTable.from_dict(read_json(campaign_copy / "truthtables" / f"{tag}.json"))
+        assert stored == table_from_results(base.app_state, axes, items)
+    # and nothing flew, so every file is as the run left it
+    assert campaign_files(campaign_copy) == before
+
+
+@pytest.mark.parametrize(
+    "options",
+    [["--test-id", "t00003", "--runs-per-cell", "2"], ["--runs-per-cell", "1", "--axes", "action"]],
+    ids=["new-sweep", "other-sweeps"],
+)
+def test_focus_rewrites_the_report_as_report_renders_it(campaign_copy, capsys, options):
+    assert cli.main(["focus", "--campaign", str(campaign_copy), *options]) == 0
+    focused = (campaign_copy / "report.txt").read_text()
+    if "--test-id" in options:
+        assert "truth table t00003 (sweep " in focused
+    capsys.readouterr()
+    assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
+    assert capsys.readouterr().out == focused
 
 
 def campaign_files(root) -> dict:
