@@ -346,8 +346,8 @@ def _focus(
             campaign.soundness[result.tag] = check_entry(
                 cs.literals, seed, SOUNDNESS_TRIALS, result.tests
             )
-        elif doc is not None and "tag" in doc:
-            campaign.soundness[doc["tag"]] = stored_trials.get(doc["tag"], Entry([]))
+        elif doc is not None:
+            campaign.soundness[doc["tag"]] = stored_trials[doc["tag"]]
         if doc is not None:
             docs.append({**doc, "cut_set": cs.to_dict()})
             status = "sound" if doc["sound"] else "NOT SOUND"
@@ -362,12 +362,12 @@ def _claim_out(root: Path) -> None:
     """Make root ready for a new campaign.
 
     A missing or empty directory is used as it is. In a campaign directory
-    the earlier run's results log, its other top-level JSON files (per-test
-    results of the per-file layout among them), its truth tables and fault
-    trees, and the .<name>.<pid>.tmp files a killed writer left behind are
-    removed, so none of them survives the new run; campaign.json stays
-    until the new run replaces it with a running manifest. Any other path
-    is refused.
+    of any layout (nothing here loads it) the earlier run's results log,
+    every other top-level JSON file (an earlier layout's per-test results
+    among them), its truth tables and fault trees, and the
+    .<name>.<pid>.tmp files a killed writer left behind are removed, so none
+    of them survives the new run; campaign.json stays until the new run
+    replaces it with a running manifest. Any other path is refused.
     """
     if root.exists() and not root.is_dir():
         raise NotACampaign(f"--out {root} is not a directory")

@@ -106,6 +106,11 @@ class CampaignRunning(StateFuzzError):
     """campaign.json says the run writing the campaign has not finished."""
 
 
+class LayoutMismatch(StateFuzzError):
+    """campaign.json records no layout or another than this code reads, or a
+    complete campaign holds no tests.json: run the campaign again."""
+
+
 class RecipeMismatch(StateFuzzError):
     """A tests.json recipe no longer regenerates the cases it was stored with."""
 

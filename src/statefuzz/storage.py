@@ -4,8 +4,9 @@ directory.
 Layout of a campaign directory:
 
     campaign.json            run metadata (the only file with wall-clock data);
-                             "status" is "running" from the run's first write
-                             until its last one sets "complete"
+                             "layout" is LAYOUT; "status" is "running" from
+                             the run's first write until its last one sets
+                             "complete"
     coverage.json            mission coverage check
     tests.json               the recipe of every generated test: "main" for
                              the main tests, "sweeps" each focus sweep's by
@@ -37,7 +38,9 @@ The results log is the exception to that rule: save_result appends to it,
 so a killed writer can leave a last line without its newline.
 Readers skip such a torn line, a command cuts it off before it appends
 (trim_results), and save_tests rewrites the log whole when it holds a line
-that tests.json does not name, or names twice. A test's case is not in the
+that tests.json does not name, or names twice. The last whole line of an
+id wins, so a test flown again (a sweep whose table was deleted, say)
+keeps its new flight. A test's case is not in the
 log: load_campaign regenerates it from its recipe in tests.json. Nor is
 its verdict: load_campaign judges each stored profile under the oracle tree
 of campaign.json, so a verdict is what today's oracle code says; the main
@@ -58,7 +61,10 @@ gives. On a mismatch it raises RecipeMismatch naming the entry, before any
 command writes a file: the stored results would be paired with other tests.
 
 load_campaign refuses a campaign whose status is "running", since its
-other files may belong to an earlier run.
+other files may belong to an earlier run. It also refuses (LayoutMismatch)
+a manifest without LAYOUT as its layout, and a complete campaign without
+tests.json; the error names the `run` over the inputs and seed in
+campaign.json that stores the campaign again, byte for byte.
 
 Everything needed to regenerate a test deterministically (spec, mission,
 config, generator settings, oracle tree, master seed) is embedded in
@@ -71,10 +77,6 @@ stored once in tests.json, flown once and tabled once, under its tag.
 A soundness check is named by the tag of its cut set's literals and the
 master seed (see cutset.soundness_trials), and its trials s-<tag>-<i> are
 stored like any other test, so replay finds them.
-
-Campaigns stored in earlier layouts still load. The section "earlier
-layouts" below lists them and holds the code that reads them, so every
-other reader sees the current shape only.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from .cutset import soundness_trials
-from .errors import CampaignRunning, RecipeMismatch
+from .errors import CampaignRunning, LayoutMismatch, RecipeMismatch
 from .executor import ExecutionProfile
 from .fuzzspec import FuzzSpecification, MissionPlan, parse_fuzz_spec, parse_mission
 from .oracle import Verdict, classify, parse_tree
@@ -103,10 +105,11 @@ if TYPE_CHECKING:
     from .analysis import AnalysisResult
 
 
+#: the layout of the campaign directories this code writes and reads,
+#: recorded in campaign.json; a change to the shape of a stored file raises it
+LAYOUT = 1
 #: the results log of a campaign directory
 RESULTS = "results.jsonl"
-#: the top-level JSON files that are not per-test results (per-file layout)
-_NAMED = frozenset({"campaign", "coverage", "tests", "analysis", "soundness"})
 #: where a log line's test id starts: sorted keys put "id" first
 _ID_AT = len('{"id":')
 _DECODER = json.JSONDecoder()
@@ -149,13 +152,10 @@ def read_json(path: Path) -> dict:
 @dataclass(frozen=True)
 class Entry:
     """One entry of tests.json: its cases, in order, and the recipe they
-    regenerate from (the JSON inputs, without the sha256).
-
-    recipe is None for a list stored before recipes, which stays a list.
-    """
+    regenerate from (the JSON inputs, without the sha256)."""
 
     tests: list[TestCase]
-    recipe: Optional[dict] = None
+    recipe: dict
 
 
 def sweep_entry(
@@ -188,7 +188,7 @@ class Campaign:
     oracle_version: str
     oracle_tree_raw: dict
     #: the main tests, in order, and their recipe
-    main: Entry = field(default_factory=lambda: Entry([]))
+    main: Entry = field(default_factory=lambda: Entry([], {}))
     #: representative id -> the tag of its focus sweep
     focused: dict[str, str] = field(default_factory=dict)
     #: sweep tag -> the sweep's tests, in order, and their recipe
@@ -238,6 +238,7 @@ def save_campaign_meta(
     write_json(
         campaign.root / "campaign.json",
         {
+            "layout": LAYOUT,
             "spec": campaign.spec.to_dict(),
             "spec_id": campaign.spec.spec_id,
             "mission": campaign.mission.to_dict(),
@@ -273,11 +274,9 @@ def cases_digest(tests) -> str:
     return digest.hexdigest()
 
 
-def _stored(entry: Entry):
+def _stored(entry: Entry) -> dict:
     """An entry as tests.json stores it: its recipe and the sha256 of its
-    cases, or the list of its cases when it has no recipe."""
-    if entry.recipe is None:
-        return [t.to_dict() for t in entry.tests]
+    cases."""
     return {**entry.recipe, "sha256": cases_digest(entry.tests)}
 
 
@@ -333,24 +332,22 @@ def _result_line(test_id: str, profile: dict) -> str:
 
 
 def _keep_results(root: Path, listed: dict) -> None:
-    """Leave one result line per listed test id in the log and no per-test file.
+    """Leave one result line per listed test id in the log: the last whole
+    line of the id, where its first line stood.
 
-    A log whose every line is complete, listed, the first of its id and
-    without a verdict is left as it is; otherwise it is rewritten from
-    _stored_results(listed).
+    A log whose every line is whole, listed and the only one of its id is
+    left as it is, read one line at a time; only a rewrite holds the kept
+    lines in memory.
     """
-    files = _per_file_results(root)
     seen = set()
-    for test_id, line in _log(root):
-        if test_id not in listed or test_id in seen or _WITH_VERDICT in line:
+    for test_id, _line in _log(root):
+        if test_id not in listed or test_id in seen:
             break
         seen.add(test_id)
     else:
-        if not files:
-            return
-    write_text(root / RESULTS, "".join(line for _id, line in _stored_results(root, listed)))
-    for path in files:
-        path.unlink()
+        return
+    kept = {test_id: line for test_id, line in _log(root) if test_id in listed}
+    write_text(root / RESULTS, "".join(kept.values()))
 
 
 def save_result(root: Path, test: TestCase, profile: ExecutionProfile) -> None:
@@ -377,10 +374,13 @@ def trim_results(root: Path) -> None:
 
 
 def iter_results(root: Path):
-    """Yield (test id, result) once per stored result (see _stored_results);
-    result is a log line's {"id", "profile"}, the profile as stored."""
-    for test_id, line in _stored_results(root):
-        yield test_id, json.loads(line)
+    """Yield (test id, result) for each whole line of the results log, in
+    order, read one line at a time; result is the line's {"id", "profile"},
+    the profile as stored. An id may come more than once: its last result
+    is the one that stands."""
+    for test_id, line in _log(root):
+        if test_id is not None:
+            yield test_id, json.loads(line)
 
 
 def save_analysis(root: Path, result: AnalysisResult) -> None:
@@ -430,14 +430,38 @@ def save_report(root: Path, text: str) -> None:
 
 def load_campaign(root: Path) -> Campaign:
     """The campaign stored in root, each stored profile judged under its
-    oracle tree."""
-    meta = _manifest(root)
+    oracle tree; the last whole result line of an id is the one that stands.
+
+    Refuses a campaign of another layout, or a complete one without
+    tests.json (LayoutMismatch), and one still running (CampaignRunning).
+    """
+    meta = read_json(root / "campaign.json")
+    gen_raw = meta.get("generator", {})
+    spec_file = f"{meta.get('spec_id')}.json"
+    regenerate = (
+        f'regenerate it: save the "spec", "mission" and "config" of its campaign.json as '
+        f"{spec_file}, mission.json and config.json, then run `statefuzz run --spec {spec_file} "
+        f"--mission mission.json --config config.json --seed {gen_raw.get('master_seed')} "
+        f"--repetitions {gen_raw.get('repetitions_per_combination')} --oracle "
+        f"{meta.get('oracle_version')} --mission-policy {gen_raw.get('mission_policy')} "
+        f"--out {root}` with the --runs-per-cell and --soundness it ran with"
+    )
+    if meta.get("layout") != LAYOUT:
+        raise LayoutMismatch(
+            f"campaign {root} has layout {meta.get('layout', 'none')}, but this code reads "
+            f"layout {LAYOUT}; {regenerate}"
+        )
     if meta["status"] != "complete":
         raise CampaignRunning(
             f"campaign {root} is {meta['status']}: the run writing it has not finished, "
             "so its files may belong to an earlier run; run it again"
         )
-    gen_raw = meta["generator"]
+    tests_path = root / "tests.json"
+    if not tests_path.exists():
+        raise LayoutMismatch(
+            f"campaign {root} holds no tests.json, so its stored results cannot be "
+            f"matched to their tests; {regenerate}"
+        )
     generator = GeneratorConfig(
         repetitions_per_combination=gen_raw["repetitions_per_combination"],
         master_seed=gen_raw["master_seed"],
@@ -454,19 +478,18 @@ def load_campaign(root: Path) -> Campaign:
         oracle_tree_raw=meta["oracle_tree"],
         verdict_counts=meta["verdict_counts"],
     )
-    tests_path = root / "tests.json"
-    if tests_path.exists():
-        _read_tests(campaign, read_json(tests_path))
-    else:
-        # the manifest carries everything generation needs, so a deleted
-        # tests.json is recoverable
-        campaign.main = Entry(generate(spec, generator), {})
+    doc = read_json(tests_path)
+    campaign.main = _regenerated(campaign, "main", None, doc["main"])
+    campaign.focused = doc["focused"]
+    campaign.sweeps, campaign.soundness = (
+        {tag: _regenerated(campaign, kind, tag, raw) for tag, raw in doc[kind].items()}
+        for kind in ("sweeps", "soundness")
+    )
     tests = {t.test_id: t for t in campaign.every_test()}
     tree = parse_tree(campaign.oracle_tree_raw)
-    for test_id, doc in iter_results(root):
+    for test_id, result in iter_results(root):
         if test_id in tests:
-            raw = {**_current_profile(doc["profile"]), "test_id": test_id}
-            profile = ExecutionProfile.from_dict(raw)
+            profile = ExecutionProfile.from_dict({**result["profile"], "test_id": test_id})
             campaign.profiles[test_id] = profile
             campaign.verdicts[test_id] = classify(tests[test_id], profile, tree)
     return campaign
@@ -505,118 +528,6 @@ def _regenerated(campaign: Campaign, kind: str, tag: Optional[str], raw: dict) -
     if cases_digest(tests) != raw["sha256"]:
         raise refuse("the cases regenerated from its recipe have another sha256")
     return Entry(tests, recipe)
-
-
-# ---------------------------------------------------------------------------
-# earlier layouts
-# ---------------------------------------------------------------------------
-#
-# The earlier shapes of a stored campaign, each pinned by the test named
-# test_campaign_stored_<name> in tests/test_storage_cli.py:
-#
-# - with_verdicts: a log line {"id", "profile", "verdict"} whose profile
-#   repeats the id as its test_id. _stored_results drops the verdict and
-#   the test_id, so the profile is judged again on load, and save_tests
-#   folds such a log into the current lines.
-# - per_file: one indented <test-id>.json result (test, profile, verdict)
-#   per flown test, stored before the results log, and a manifest without
-#   "status" (its run finished) or "spec_id" ("spec"). _stored_results
-#   yields those results ahead of the log's lines, as current lines, so a
-#   file wins over a line of its id; save_tests folds the listed ones into
-#   the log.
-# - with_nested_injections: a profile with a "context_reached" flag and a
-#   list "injections" of at most one record; _current_profile reads its four
-#   flat fields, and the stored profile stays as it is.
-# - all of the above and below: tests.json lists each entry's cases, as
-#   stored before recipes. _read_tests reads a list as it is, and save_tests
-#   writes it back, but a main list that generate gives becomes a recipe (a
-#   main list stored before the bands were taken in order of their bounds
-#   keeps its cases; a sweep or check list records no recipe).
-# - before_sweeps_were_keyed: "focused" maps a representative to its own
-#   list of f-<id>-NNNN tests, read as a sweep tagged with the id.
-# - before_soundness_trials_were_kept: no "soundness" in tests.json and
-#   checks without a tag, which cli._focus keeps as they are.
-# - with_a_table_per_representative: tables and trees named by a
-#   representative's id, each headed by that id alone in render_report.
-# - with_the_retired_config_keys: read by SutConfig.from_dict, which also
-#   checks the user's --config files.
-
-
-#: what marks a log line stored with its verdict: sorted keys put the
-#: verdict after the profile, and a JSON string holds no unescaped quote
-_WITH_VERDICT = ',"verdict":{'
-
-
-def _manifest(root: Path) -> dict:
-    """campaign.json, with the keys an earlier manifest lacks."""
-    return {"status": "complete", "spec_id": "spec", **read_json(root / "campaign.json")}
-
-
-def _per_file_results(root: Path) -> list[Path]:
-    """The <test-id>.json result files of the per-file layout, sorted."""
-    return [p for p in sorted(root.glob("*.json")) if p.stem not in _NAMED]
-
-
-def _stored_results(root: Path, listed=None):
-    """Yield (test id, log line) once per stored result, the first of an id
-    winning, each line in the current shape: the per-file results, then
-    the log's whole lines, read one at a time (a torn one is skipped). With
-    listed, only its ids' results, the per-file ones in its order; without,
-    those by id."""
-    files = {p.stem: p for p in _per_file_results(root)}
-    seen = set()
-    for test_id in files if listed is None else listed:
-        if test_id in files:
-            seen.add(test_id)
-            yield test_id, _result_line(test_id, read_json(files[test_id])["profile"])
-    for test_id, line in _log(root):
-        if test_id is not None and test_id not in seen and (listed is None or test_id in listed):
-            seen.add(test_id)
-            if _WITH_VERDICT in line:
-                line = _result_line(test_id, json.loads(line)["profile"])
-            yield test_id, line
-
-
-def _current_profile(raw: dict) -> dict:
-    """A stored profile in the shape ExecutionProfile.from_dict reads, but
-    for its test_id: one with nested injections gets the four flat fields
-    from its record."""
-    if "injections" not in raw:
-        return raw
-    record = raw["injections"][0] if raw["injections"] else {}
-    return {
-        **raw,
-        "app_state_at_injection": record.get("app_state_at_injection"),
-        "mode_at_injection": record.get("mode_at_injection"),
-        "injection_acknowledged": record.get("acknowledged"),
-        "injection_deferred": record.get("deferred", False),
-    }
-
-
-def _read_tests(campaign: Campaign, doc: dict) -> None:
-    """Fill campaign's entries from tests.json, in its current shape or an
-    earlier one (see the list above). A recipe is regenerated and checked
-    (see _regenerated)."""
-    def entry(kind: str, tag: Optional[str], raw) -> Entry:
-        if isinstance(raw, list):
-            return Entry([TestCase.from_dict(t) for t in raw])
-        return _regenerated(campaign, kind, tag, raw)
-
-    campaign.main = entry("main", None, doc["main"])
-    if campaign.main.recipe is None and campaign.tests == generate(
-        campaign.spec, campaign.generator
-    ):
-        campaign.main = Entry(campaign.tests, {})
-    sweeps = {tag: entry("sweeps", tag, raw) for tag, raw in doc.get("sweeps", {}).items()}
-    for rep_id, tag in doc.get("focused", {}).items():
-        if isinstance(tag, list):
-            sweeps[rep_id] = entry("sweeps", rep_id, tag)
-            tag = rep_id
-        campaign.focused[rep_id] = tag
-    campaign.sweeps = sweeps
-    campaign.soundness = {
-        tag: entry("soundness", tag, raw) for tag, raw in doc.get("soundness", {}).items()
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -696,10 +607,7 @@ def render_report(
         out.append("")
 
     for stem, reps, table in tables:
-        if reps:
-            out.append(f"truth table {', '.join(reps)} (sweep {stem}, scope {table['scope']})")
-        else:
-            out.append(f"truth table {stem} (scope {table['scope']})")
+        out.append(f"truth table {', '.join(reps)} (sweep {stem}, scope {table['scope']})")
         out.append("-" * 60)
         out.append(_format_table(table))
         residual = [r for r in table["rows"] if r["residual"]]

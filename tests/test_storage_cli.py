@@ -4,6 +4,8 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import re
+import shlex
 import shutil
 from collections import Counter
 
@@ -11,9 +13,10 @@ import pytest
 
 from statefuzz import analysis, cli, fuzzspec, testgen
 from statefuzz.cutset import TruthTable, table_from_results
-from statefuzz.errors import InvalidOnly, RecipeMismatch
+from statefuzz.errors import InvalidOnly, LayoutMismatch, RecipeMismatch
 from statefuzz.executor import Executor
 from statefuzz.storage import (
+    LAYOUT,
     RESULTS,
     canonical_dumps,
     cases_digest,
@@ -22,6 +25,7 @@ from statefuzz.storage import (
     read_json,
     render_report,
     save_report,
+    save_result,
     save_tests,
     table_csv,
     write_json,
@@ -154,6 +158,7 @@ def test_render_report_sections():
 def test_campaign_manifest_contents(campaign_dir):
     meta = read_json(campaign_dir / "campaign.json")
     assert set(meta) == {
+        "layout",
         "spec",
         "spec_id",
         "mission",
@@ -168,6 +173,7 @@ def test_campaign_manifest_contents(campaign_dir):
         "created_at",
         "wall_time_s",
     }
+    assert meta["layout"] == LAYOUT == 1
     assert meta["status"] == "complete"
     assert meta["spec_id"] == "fspec1"
     assert meta["master_seed"] == 0
@@ -303,17 +309,30 @@ def test_load_campaign_round_trip(campaign_dir):
     assert campaign.find_test(focused_id).test_id == focused_id
 
 
-def test_load_campaign_regenerates_deleted_tests_manifest(campaign_copy):
+def test_load_campaign_refuses_a_deleted_tests_manifest(
+    campaign_dir, campaign_copy, tmp_path, monkeypatch, capsys
+):
     (campaign_copy / "tests.json").unlink()
-    campaign = load_campaign(campaign_copy)
-    assert [t.test_id for t in campaign.tests] == [f"t{i:05d}" for i in range(90)]
-    assert len(campaign.results()) == 90
+    with pytest.raises(LayoutMismatch, match="holds no tests.json") as refused:
+        load_campaign(campaign_copy)
+    # the command the error names, with run's --runs-per-cell, stores the
+    # campaign again byte for byte from the inputs campaign.json holds
+    command = re.search(r"`statefuzz (run [^`]*)`", str(refused.value)).group(1)
+    args = shlex.split(command)
+    assert args[args.index("--seed") + 1] == "0"
+    assert args[args.index("--repetitions") + 1] == "2"
+    assert args[args.index("--oracle") + 1] == "v1"
+    assert args[args.index("--mission-policy") + 1] == "cross-product"
+    meta = read_json(campaign_copy / "campaign.json")
+    inputs = tmp_path / "inputs"
+    for option, key in (("--spec", "spec"), ("--mission", "mission"), ("--config", "config")):
+        write_json(inputs / args[args.index(option) + 1], meta[key])
+    monkeypatch.chdir(inputs)
+    assert cli.main(args + ["--runs-per-cell", "4"]) == 0
+    assert without_manifest(campaign_copy) == without_manifest(campaign_dir)
 
 
-@pytest.mark.parametrize("layout", ["log", "per-file"])
-def test_verdicts_judged_on_load_are_those_the_run_judged(campaign_copy, layout):
-    if layout == "per-file":
-        to_per_file_layout(campaign_copy)
+def test_verdicts_judged_on_load_are_those_the_run_judged(campaign_copy):
     # a torn last line is skipped
     with (campaign_copy / RESULTS).open("a", encoding="utf-8") as log:
         log.write('{"id":"t00000","profile":{"final_mode":"LAND"')
@@ -330,16 +349,12 @@ def test_verdicts_judged_on_load_are_those_the_run_judged(campaign_copy, layout)
 def test_stored_bands_keep_their_order(campaign_dir, campaign_copy, capsys):
     # canonical JSON stores fspec1's bands as long, medium, short; they come
     # back in order of their bounds, as run took them from the spec file
-    to_listed_tests(campaign_copy)
-    listed = (campaign_copy / "tests.json").read_bytes()
-    stored = read_json(campaign_copy / "tests.json")["main"]
-    (campaign_copy / "tests.json").unlink()
+    stored = read_json(campaign_copy / "campaign.json")["spec"]["ENVIRONMENT"]
+    assert list(stored["transition_delay"]["bands"]) == ["long", "medium", "short"]
     campaign = load_campaign(campaign_copy)
     assert [b.name for b in campaign.spec.environment.bands] == ["short", "medium", "long"]
-    assert [t.to_dict() for t in campaign.tests] == stored
-    # so a plain focus with run's arguments, with the tables gone, gives
-    # each sweep test its cell again
-    (campaign_copy / "tests.json").write_bytes(listed)
+    # so a plain focus with run's arguments, with the tables gone, flies
+    # every sweep again and gives each sweep test its cell again
     shutil.rmtree(campaign_copy / "truthtables")
     assert cli.main(["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "4"]) == 0
     assert campaign_files(campaign_copy / "truthtables") == campaign_files(
@@ -457,6 +472,48 @@ def test_an_edited_recipe_exits_two_and_changes_nothing(campaign_copy, capsys, e
     assert campaign_files(campaign_copy) == before
 
 
+def set_layout(layout):
+    """An edit that stores layout in campaign.json, or removes the key when
+    layout is None; it returns what the error names."""
+    def edit(root) -> str:
+        meta = read_json(root / "campaign.json")
+        if layout is None:
+            del meta["layout"]
+        else:
+            meta["layout"] = layout
+        write_json(root / "campaign.json", meta)
+        found = "none" if layout is None else layout
+        return f"has layout {found}, but this code reads layout {LAYOUT};"
+
+    return edit
+
+
+def delete_tests_json(root) -> str:
+    (root / "tests.json").unlink()
+    return "holds no tests.json"
+
+
+@pytest.mark.parametrize("command", ["analyze", "focus", "report", "replay"])
+@pytest.mark.parametrize(
+    "edit",
+    [set_layout(None), set_layout(0), set_layout(2), delete_tests_json],
+    ids=["no_layout", "layout_0", "layout_2", "no_tests_json"],
+)
+def test_a_campaign_of_another_layout_exits_two_and_changes_nothing(
+    campaign_copy, capsys, edit, command
+):
+    named = edit(campaign_copy)
+    before = campaign_files(campaign_copy)
+    args = [command, "--campaign", str(campaign_copy)]
+    if command == "replay":
+        args += ["--test-id", "t00000"]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: campaign {campaign_copy} {named}")
+    assert "run `statefuzz run --spec fspec1.json --mission mission.json" in err
+    assert campaign_files(campaign_copy) == before
+
+
 def test_bands_taken_in_document_order_are_refused(campaign_copy, capsys, monkeypatch):
     # the defect the bands' order of bounds mends: canonical JSON stores
     # fspec1's bands as long, medium, short, so generation in document order
@@ -470,30 +527,6 @@ def test_bands_taken_in_document_order_are_refused(campaign_copy, capsys, monkey
     assert cli.main(["report", "--campaign", str(campaign_copy)]) == 2
     assert capsys.readouterr().err.startswith("error: tests.json main: ")
     assert campaign_files(campaign_copy) == before
-
-
-@pytest.mark.parametrize("edited", [False, True], ids=["regenerable", "edited"])
-def test_a_listed_main_becomes_a_recipe_only_when_generate_gives_it(
-    campaign_copy, capsys, edited
-):
-    to_listed_tests(campaign_copy)
-    doc = read_json(campaign_copy / "tests.json")
-    if edited:
-        # as a main list stored before the bands were taken in order
-        doc["main"][0]["delay_ms"] += 1.0
-        write_json(campaign_copy / "tests.json", doc)
-    args = ["focus", "--campaign", str(campaign_copy), "--test-id", "t00003",
-            "--runs-per-cell", "1", "--no-soundness"]
-    assert cli.main(args) == 0
-    after = read_json(campaign_copy / "tests.json")
-    main = load_campaign(campaign_copy).tests
-    if edited:
-        assert after["main"] == doc["main"] == [t.to_dict() for t in main]
-    else:
-        assert after["main"] == {"sha256": cases_digest(main)}
-    # listed sweeps and checks have no recipe: they stay lists
-    assert {tag: after["sweeps"][tag] for tag in doc["sweeps"]} == doc["sweeps"]
-    assert after["soundness"] == doc["soundness"]
 
 
 def capture_flown(monkeypatch) -> list[list]:
@@ -584,7 +617,6 @@ def test_replay_finds_a_soundness_trial(campaign_dir, capsys):
 
 
 def test_campaign_stored_with_the_retired_config_keys_loads_and_replays(campaign_copy, capsys):
-    to_listed_tests(campaign_copy)
     path = campaign_copy / "campaign.json"
     meta = read_json(path)
     meta["config"].update(
@@ -595,296 +627,6 @@ def test_campaign_stored_with_the_retired_config_keys_loads_and_replays(campaign
     assert config == SutConfig(latency_window_ms=(200.0, 600.0), seeded_faults=("F2",))
     assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", "t00000"]) == 0
     assert capsys.readouterr().out.startswith("replay OK: t00000 ->")
-
-
-def to_listed_tests(root):
-    """Rewrite tests.json the way campaigns were stored before recipes:
-    every entry lists its cases."""
-    campaign = load_campaign(root)
-    write_json(root / "tests.json", {
-        "main": [t.to_dict() for t in campaign.tests],
-        "focused": campaign.focused,
-        "sweeps": {tag: [t.to_dict() for t in e.tests] for tag, e in campaign.sweeps.items()},
-        "soundness": {
-            tag: [t.to_dict() for t in e.tests] for tag, e in campaign.soundness.items()
-        },
-    })
-
-
-def stored_verdict(verdict) -> dict:
-    """A verdict as results stored it before verdicts were judged on load.
-    Its fired path is left out: no reader of those results reads it."""
-    return {"verdict": verdict.verdict, "reason": verdict.reason}
-
-
-def to_per_file_layout(root):
-    """Rewrite root the way campaigns were stored before the results log:
-    one indented <test-id>.json file per flown test, with its case, its
-    profile (and test_id) as stored and its verdict, a manifest without a
-    status, and tests.json listing every case."""
-    to_listed_tests(root)
-    campaign = load_campaign(root)
-    tests = {t.test_id: t.to_dict() for t in campaign.every_test()}
-    for test_id, doc in iter_results(root):
-        record = {"test": tests[test_id], "profile": {**doc["profile"], "test_id": test_id},
-                  "verdict": stored_verdict(campaign.verdicts[test_id])}
-        write_json(root / f"{test_id}.json", record)
-    (root / "results.jsonl").unlink()
-    meta = read_json(root / "campaign.json")
-    del meta["status"]
-    write_json(root / "campaign.json", meta)
-
-
-def to_unkeyed_layout(root):
-    """Rewrite root the way campaigns were stored before sweeps were keyed:
-    per-file results, and tests.json maps each representative to its own
-    list of tests, whose ids are f-<representative>-NNNN."""
-    campaign = load_campaign(root)
-    to_per_file_layout(root)
-    sweeps = {tag: [t.to_dict() for t in e.tests] for tag, e in campaign.sweeps.items()}
-    focused = {}
-    for rep_id, tag in campaign.focused.items():
-        focused[rep_id] = []
-        for test in sweeps[tag]:
-            record = read_json(root / f"{test['id']}.json")
-            test = dict(test, id=f"f-{rep_id}-{test['index']:04d}")
-            record["test"] = test
-            record["profile"]["test_id"] = test["id"]
-            write_json(root / f"{test['id']}.json", record)
-            focused[rep_id].append(test)
-    for ts in sweeps.values():
-        for test in ts:
-            (root / f"{test['id']}.json").unlink()
-    main = [t.to_dict() for t in campaign.tests]
-    write_json(root / "tests.json", {"main": main, "focused": focused})
-    return focused
-
-
-def test_campaign_stored_before_sweeps_were_keyed_loads_reports_and_replays(
-    campaign_copy, capsys
-):
-    focused = to_unkeyed_layout(campaign_copy)
-    campaign = load_campaign(campaign_copy)
-    assert len(campaign.profiles) == 90 + sum(len(ts) for ts in focused.values())
-    rep_id = next(iter(focused))
-    focused_id = f"f-{rep_id}-0000"
-    assert campaign.find_test(focused_id).test_id == focused_id
-    assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
-    assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", focused_id]) == 0
-    assert f"replay OK: {focused_id} ->" in capsys.readouterr().out
-
-
-def test_campaign_stored_with_a_table_per_representative_loads_reports_and_replays(
-    campaign_copy, capsys
-):
-    to_listed_tests(campaign_copy)
-    focused = read_json(campaign_copy / "tests.json")["focused"]
-    # store each sweep's table and tree once per representative, under its id
-    for kind in ("truthtables", "faulttrees"):
-        for rep_id, tag in focused.items():
-            for path in (campaign_copy / kind).glob(f"{tag}.*"):
-                shutil.copy(path, path.with_stem(rep_id))
-        for tag in set(focused.values()):
-            for path in (campaign_copy / kind).glob(f"{tag}.*"):
-                path.unlink()
-    rep_id, tag = next(iter(focused.items()))
-    assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
-    assert f"truth table {rep_id} (scope TAKEOFF)" in capsys.readouterr().out
-    focused_id = f"f-{tag}-0000"
-    assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", focused_id]) == 0
-    assert f"replay OK: {focused_id} ->" in capsys.readouterr().out
-    # a plain focus moves the tables and trees back under their tags
-    assert cli.main(["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "4"]) == 0
-    tags = set(focused.values())
-    assert {p.stem for p in (campaign_copy / "truthtables").iterdir()} == tags
-    assert {p.stem for p in (campaign_copy / "faulttrees").iterdir()} == tags | {"combined"}
-
-
-def test_campaign_stored_before_soundness_trials_were_kept_loads_and_refocuses(
-    campaign_copy, capsys
-):
-    checks = [
-        {k: v for k, v in doc.items() if k != "tag"}
-        for doc in read_json(campaign_copy / "soundness.json")
-    ]
-    write_json(campaign_copy / "soundness.json", checks)
-    to_listed_tests(campaign_copy)
-    doc = read_json(campaign_copy / "tests.json")
-    del doc["soundness"]
-    write_json(campaign_copy / "tests.json", doc)
-    results = dict(iter_results(campaign_copy))
-    write_log(campaign_copy, {i: r for i, r in results.items() if not i.startswith("s-")})
-    assert load_campaign(campaign_copy).soundness == {}
-    assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
-    assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", "t00000"]) == 0
-    # a focus keeps the untagged checks as they are and flies no trial
-    assert cli.main(["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "4"]) == 0
-    assert read_json(campaign_copy / "soundness.json") == checks
-    assert read_json(campaign_copy / "tests.json")["soundness"] == {}
-    assert not [i for i in logged_ids(campaign_copy) if i.startswith("s-")]
-
-
-def test_campaign_stored_per_file_loads_reports_replays_and_refocuses(
-    campaign_dir, campaign_copy, capsys
-):
-    to_per_file_layout(campaign_copy)
-    campaign = load_campaign(campaign_copy)
-    assert len(campaign.profiles) == len(list(campaign.every_test()))
-    (campaign_copy / "report.txt").unlink()
-    assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
-    report = "report.txt"
-    assert (campaign_copy / report).read_bytes() == (campaign_dir / report).read_bytes()
-    capsys.readouterr()
-    tag = next(iter(campaign.focused.values()))
-    trial = soundness_ids(campaign_copy)[0]
-    for test_id in ("t00000", f"f-{tag}-0000", trial):
-        assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", test_id]) == 0
-        assert capsys.readouterr().out.startswith(f"replay OK: {test_id} ->")
-    # a plain focus folds the files into the log: each result is stored once
-    assert cli.main(["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "4"]) == 0
-    assert {p.stem for p in campaign_copy.glob("*.json")} == {
-        "campaign", "coverage", "tests", "analysis", "soundness"
-    }
-    ids = logged_ids(campaign_copy)
-    assert len(ids) == len(set(ids))
-    assert sorted(ids) == sorted(t.test_id for t in load_campaign(campaign_copy).every_test())
-    log = "results.jsonl"
-    assert sorted((campaign_copy / log).read_text().splitlines()) == sorted(
-        (campaign_dir / log).read_text().splitlines()
-    )
-
-
-def test_a_per_file_result_wins_over_a_log_line_of_its_id(campaign_copy):
-    # per-file results predate the log, so a file is the older copy of its
-    # id; the campaign loads the same profile before and after the fold
-    campaign = load_campaign(campaign_copy)
-    logged = campaign.profiles["t00001"].to_dict()
-    assert logged["oscillation_count"] != 99
-    profile = dict(logged, oscillation_count=99)
-    stored = {k: v for k, v in profile.items() if k != "test_id"}
-    record = {"test": campaign.find_test("t00001").to_dict(), "profile": profile,
-              "verdict": stored_verdict(campaign.verdicts["t00001"])}
-    write_json(campaign_copy / "t00001.json", record)
-    before = load_campaign(campaign_copy).profiles["t00001"]
-    assert dict(iter_results(campaign_copy))["t00001"]["profile"] == stored
-    save_tests(campaign_copy, campaign.main, campaign.focused, campaign.sweeps, campaign.soundness)
-    assert not (campaign_copy / "t00001.json").exists()
-    assert load_campaign(campaign_copy).profiles["t00001"] == before
-    assert before.to_dict() == profile
-    assert dict(iter_results(campaign_copy))["t00001"]["profile"] == stored
-
-
-def test_folded_per_file_results_are_the_log_run_writes(campaign_dir, campaign_copy):
-    # the fold writes the per-file results in test order, not by file name
-    to_per_file_layout(campaign_copy)
-    campaign = load_campaign(campaign_copy)
-    save_tests(campaign_copy, campaign.main, campaign.focused, campaign.sweeps, campaign.soundness)
-    assert (campaign_copy / RESULTS).read_bytes() == (campaign_dir / RESULTS).read_bytes()
-
-
-def to_lines_with_verdicts(root):
-    """Rewrite the results log the way it was stored before verdicts were
-    judged on load: each line also holds its verdict, and its profile
-    repeats the id as test_id."""
-    campaign = load_campaign(root)
-    write_log(root, {
-        test_id: {"id": test_id, "profile": profile.to_dict(),
-                  "verdict": stored_verdict(campaign.verdicts[test_id])}
-        for test_id, profile in campaign.profiles.items()
-    })
-
-
-def test_campaign_stored_with_verdicts_loads_reports_replays_and_refocuses(
-    campaign_dir, campaign_copy, capsys
-):
-    to_lines_with_verdicts(campaign_copy)
-    assert (campaign_copy / RESULTS).stat().st_size > (campaign_dir / RESULTS).stat().st_size
-    stored, fresh = load_campaign(campaign_copy), load_campaign(campaign_dir)
-    assert stored.profiles == fresh.profiles
-    assert list(stored.verdicts.items()) == list(fresh.verdicts.items())
-    (campaign_copy / "report.txt").unlink()
-    assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
-    report = "report.txt"
-    assert (campaign_copy / report).read_bytes() == (campaign_dir / report).read_bytes()
-    capsys.readouterr()
-    tag = next(iter(stored.focused.values()))
-    for test_id in ("t00000", f"f-{tag}-0000", soundness_ids(campaign_copy)[0]):
-        assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", test_id]) == 0
-        assert capsys.readouterr().out.startswith(f"replay OK: {test_id} ->")
-    # a focus that flies a new sweep folds the log into one line shape: the
-    # run's lines, then the sweep's
-    args = ["focus", "--campaign", str(campaign_copy), "--test-id", "t00003",
-            "--runs-per-cell", "1", "--no-soundness"]
-    assert cli.main(args) == 0
-    lines = (campaign_copy / RESULTS).read_text().splitlines(keepends=True)
-    run = (campaign_dir / RESULTS).read_text().splitlines(keepends=True)
-    assert lines[:len(run)] == run and len(lines) > len(run)
-    assert all(set(doc) == {"id", "profile"} and "test_id" not in doc["profile"]
-               for doc in map(json.loads, lines))
-
-
-def to_nested_injections(root):
-    """Rewrite each stored profile of root the way profiles were stored
-    before the injection fields were flat: a "context_reached" flag and a
-    list "injections" of at most one record, which held the injection
-    instant twice and repeated the test's action. Those lines also held
-    their verdicts."""
-    to_lines_with_verdicts(root)
-    tests = {t.test_id: t for t in load_campaign(root).every_test()}
-    results = {doc["id"]: doc for doc in map(json.loads, (root / RESULTS).read_text().splitlines())}
-    for test_id, doc in results.items():
-        profile = doc["profile"]
-        record = {
-            "app_state_at_injection": profile.pop("app_state_at_injection"),
-            "mode_at_injection": profile.pop("mode_at_injection"),
-            "acknowledged": profile.pop("injection_acknowledged"),
-            "deferred": profile.pop("injection_deferred"),
-        }
-        test = tests[test_id]
-        profile["context_reached"] = profile["context_reached_time_ms"] is not None
-        profile["injections"] = []
-        if profile["context_reached"]:
-            at = profile["context_reached_time_ms"] + test.delay_ms
-            profile["injections"].append(
-                {**record, "scheduled_time_ms": at, "actual_time_ms": at, "action": test.action}
-            )
-    write_log(root, results)
-
-
-@pytest.mark.parametrize("per_file", [False, True], ids=["log", "per-file"])
-def test_campaign_stored_with_nested_injections_loads_reports_replays_and_refocuses(
-    campaign_dir, campaign_copy, tmp_path, capsys, per_file
-):
-    to_listed_tests(campaign_copy)
-    to_nested_injections(campaign_copy)
-    if per_file:
-        # a campaign stored before the results log has both old shapes
-        to_per_file_layout(campaign_copy)
-    assert load_campaign(campaign_copy).profiles == load_campaign(campaign_dir).profiles
-    (campaign_copy / "report.txt").unlink()
-    assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
-    report = "report.txt"
-    assert (campaign_copy / report).read_bytes() == (campaign_dir / report).read_bytes()
-    # the stored profiles judge alike under another oracle
-    flat = tmp_path / "flat"
-    shutil.copytree(campaign_dir, flat)
-    capsys.readouterr()
-    outs = []
-    for root in (flat, campaign_copy):
-        assert cli.main(["analyze", "--campaign", str(root), "--oracle", "v0"]) == 0
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1] and "re-judged 90 stored profiles under oracle v0:" in outs[0]
-    tag = next(iter(load_campaign(campaign_copy).focused.values()))
-    for test_id in ("t00000", f"f-{tag}-0000", soundness_ids(campaign_copy)[0]):
-        assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", test_id]) == 0
-        assert capsys.readouterr().out.startswith(f"replay OK: {test_id} ->")
-    # a plain focus with new sweeps appends flat lines beside the nested ones
-    assert cli.main(["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "2"]) == 0
-    profiles = [doc["profile"] for _id, doc in iter_results(campaign_copy)]
-    assert {"injections" in p for p in profiles} == {True, False}
-    campaign = load_campaign(campaign_copy)
-    assert set(campaign.profiles) == {t.test_id for t in campaign.every_test()}
-    assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
 
 
 def torn_log(root) -> str:
@@ -921,6 +663,25 @@ def test_a_focus_after_a_killed_writer_appends_whole_lines(campaign_dir, campaig
     assert len(ids) == len(set(ids)) and torn not in ids
     assert set(ids) == set(load_campaign(campaign_copy).profiles)
     assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
+
+
+def test_the_last_whole_line_of_an_id_wins(campaign_dir, campaign_copy, capsys):
+    campaign = load_campaign(campaign_copy)
+    test = campaign.find_test("t00001")
+    flown_again = dataclasses.replace(campaign.profiles["t00001"], oscillation_count=99)
+    save_result(campaign_copy, test, flown_again)
+    with (campaign_copy / RESULTS).open("a", encoding="utf-8") as log:
+        log.write('{"id":"t00001","profile":{"final_mode":"LAND"')
+    # on load the later whole line stands, and the torn one is skipped
+    assert load_campaign(campaign_copy).profiles["t00001"] == flown_again
+    assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", "t00001"]) == 1
+    assert "oscillation_count: stored=99" in capsys.readouterr().out
+    # a rewrite keeps it, where the id's first line stood
+    save_tests(campaign_copy, campaign.main, campaign.focused, campaign.sweeps,
+               campaign.soundness)
+    assert logged_ids(campaign_copy) == logged_ids(campaign_dir)
+    assert dict(iter_results(campaign_copy))["t00001"]["profile"]["oscillation_count"] == 99
+    assert load_campaign(campaign_copy).profiles["t00001"] == flown_again
 
 
 def test_replay_detects_a_corrupted_profile(campaign_copy, capsys):
@@ -1207,17 +968,46 @@ def test_a_plain_focus_flies_no_stored_sweep(campaign_copy, capsys, monkeypatch)
     before = campaign_files(campaign_copy)
     assert cli.main(["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "4"]) == 0
     assert not [i for i in flown if i.startswith("f-")]
-    # each stored table is the one its stored results give
-    campaign = load_campaign(campaign_copy)
+    assert_tables_are_those_of_the_stored_results(campaign_copy)
+    # and nothing flew, so every file is as the run left it
+    assert campaign_files(campaign_copy) == before
+
+
+def assert_tables_are_those_of_the_stored_results(root):
+    """Each stored table is the one the stored results of its sweep give."""
+    campaign = load_campaign(root)
     for tag, sweep in campaign.sweeps.items():
         base = testgen.TestCase.from_dict(sweep.recipe["base"])
         axes = [a for a in testgen.FOCUS_AXES if a in sweep.recipe["axes"]]
         items = [(t, campaign.profiles[t.test_id], campaign.verdicts[t.test_id])
                  for t in sweep.tests]
-        stored = TruthTable.from_dict(read_json(campaign_copy / "truthtables" / f"{tag}.json"))
+        stored = TruthTable.from_dict(read_json(root / "truthtables" / f"{tag}.json"))
         assert stored == table_from_results(base.app_state, axes, items)
-    # and nothing flew, so every file is as the run left it
-    assert campaign_files(campaign_copy) == before
+
+
+def test_a_sweep_flown_again_stores_its_new_flights(campaign_copy, capsys, monkeypatch):
+    # the last whole line of an id wins: a sweep whose table was deleted
+    # flies again, and its new flights, which now drift off their path, are
+    # the results its new table is built from
+    tag = next(iter(load_campaign(campaign_copy).sweeps))
+    (campaign_copy / "truthtables" / f"{tag}.json").unlink()
+    run_campaign = cli.run_campaign
+
+    def changed(tests, *args, **kwargs):
+        profiles = run_campaign(tests, *args, **kwargs)
+        return [dataclasses.replace(p, oscillation_count=99) if t.test_id.startswith("f-") else p
+                for t, p in zip(tests, profiles)]
+
+    monkeypatch.setattr(cli, "run_campaign", changed)
+    assert cli.main(["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "4"]) == 0
+    campaign = load_campaign(campaign_copy)
+    reflown = [t.test_id for t in campaign.sweeps[tag].tests]
+    assert reflown
+    assert [campaign.profiles[i].oscillation_count for i in reflown] == [99] * len(reflown)
+    # each id keeps one line, and every table matches the stored results
+    ids = logged_ids(campaign_copy)
+    assert len(ids) == len(set(ids))
+    assert_tables_are_those_of_the_stored_results(campaign_copy)
 
 
 @pytest.mark.parametrize(
@@ -1512,6 +1302,16 @@ def test_rerun_removes_temp_files_a_killed_writer_left(campaign_copy):
     assert cli.main(CAMPAIGN_ARGS + ["--out", str(campaign_copy)]) == 0
     assert not [p for p in stray if p.exists()]
     assert not list(campaign_copy.glob(".*.tmp"))
+
+
+def test_rerun_replaces_a_campaign_of_another_layout(campaign_dir, campaign_copy, capsys):
+    # run never loads the campaign it replaces, so an earlier layout, with
+    # a per-test result file, is cleared like any other
+    set_layout(None)(campaign_copy)
+    write_json(campaign_copy / "t00001.json", {"test": {}, "profile": {}})
+    assert cli.main(CAMPAIGN_ARGS + ["--out", str(campaign_copy)]) == 0
+    assert without_manifest(campaign_copy) == without_manifest(campaign_dir)
+    assert read_json(campaign_copy / "campaign.json")["layout"] == LAYOUT
 
 
 def test_run_refuses_a_directory_that_is_not_a_campaign(tmp_path, capsys):
