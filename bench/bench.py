@@ -67,7 +67,9 @@ of the verdicts, so two source trees can be checked for equal verdicts.
 ``minimize`` stores the seed-0 ``f2_quickstart`` and ``env_fence_c``
 campaigns of perfbench (serially: a campaign is the same at any
 parallelism) with the package under ``--src`` and times
-``cutset.minimize`` on each stored truth table, in this process. It
+``cutset.minimize`` on the truth table of each stored sweep, built by
+``cutset.table_from_results`` over the sweep's stored results as
+``load_campaign`` gives them, in this process. It
 reports, per table, its rows and axes, the median time per call over
 ``--repeats`` passes (at least 3) of ``MINIMIZE_CALLS`` calls each and the
 number of cut sets, and a digest of every table's cut sets, so two source
@@ -395,7 +397,7 @@ def storage_repeat(stored: Path, root: Path) -> dict:
     loaded = load_campaign(root)
     load = time.perf_counter() - t0
     t0 = time.perf_counter()
-    save_tests(root, loaded.main, loaded.focused, loaded.sweeps, loaded.soundness)
+    save_tests(loaded)
     write = time.perf_counter() - t0
     doc = "".join(canonical_dumps([t, loaded.profiles[t].to_dict(), loaded.verdicts[t].verdict,
                                    loaded.verdicts[t].reason])
@@ -553,7 +555,10 @@ def cmd_oracle(args) -> dict:
 
 def cmd_minimize(args) -> dict:
     cli = import_from(args.src, "statefuzz.cli")
-    from statefuzz.cutset import TruthTable, minimize
+    from statefuzz.cutset import minimize, table_from_results
+    from statefuzz.errors import InvalidOnly
+    from statefuzz.storage import load_campaign
+    from statefuzz.testgen import FOCUS_AXES, TestCase
 
     out = {"repeats": args.repeats, "campaigns": {}}
     everything = hashlib.sha256()
@@ -563,9 +568,17 @@ def cmd_minimize(args) -> dict:
             with contextlib.redirect_stdout(io.StringIO()):
                 if cli.main([*argv, "--out", str(root)]) != 0:
                     raise SystemExit(f"the {name} run failed")
+            campaign = load_campaign(root)
             tables = {}
-            for path in sorted((root / "truthtables").glob("*.json")):
-                table = TruthTable.from_dict(json.loads(path.read_text()))
+            for tag, sweep in sorted(campaign.sweeps.items()):
+                base = TestCase.from_dict(sweep.recipe["base"])
+                axes = [a for a in FOCUS_AXES if a in sweep.recipe["axes"]]
+                items = [(t, campaign.profiles[t.test_id], campaign.verdicts[t.test_id])
+                         for t in sweep.tests]
+                try:
+                    table = table_from_results(base.app_state, axes, items)
+                except InvalidOnly:
+                    continue
                 walls = []
                 for _ in range(args.repeats):
                     t0 = time.perf_counter()
@@ -573,8 +586,8 @@ def cmd_minimize(args) -> dict:
                         cut_sets = minimize(table)
                     walls.append((time.perf_counter() - t0) / MINIMIZE_CALLS)
                 doc = json.dumps(cut_sets).encode()
-                everything.update(path.stem.encode() + b"\0" + doc + b"\0")
-                tables[path.stem] = {
+                everything.update(tag.encode() + b"\0" + doc + b"\0")
+                tables[tag] = {
                     "rows": len(table.rows),
                     "axes": len(table.axes),
                     "median_ms": 1000 * statistics.median(walls),
@@ -582,7 +595,7 @@ def cmd_minimize(args) -> dict:
                     "cut_sets": len(cut_sets),
                     "digest": hashlib.sha256(doc).hexdigest(),
                 }
-                print(f"{name} {path.stem}: {len(table.rows)} rows, {len(table.axes)} axes, "
+                print(f"{name} {tag}: {len(table.rows)} rows, {len(table.axes)} axes, "
                       f"median {1000 * statistics.median(walls):.2f} ms, "
                       f"{len(cut_sets)} cut sets", flush=True)
             out["campaigns"][name] = tables

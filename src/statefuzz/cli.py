@@ -31,7 +31,7 @@ import os
 import shutil
 import sys
 import time
-from collections import Counter
+from collections import ChainMap, Counter
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
@@ -39,7 +39,6 @@ from typing import Optional, Sequence
 from .cutset import (
     SOUNDNESS_TRIALS,
     CutSet,
-    TruthTable,
     build_fault_tree,
     build_truth_table,
     cut_sets_for_table,
@@ -69,7 +68,7 @@ from .storage import (
     RESULTS,
     Campaign,
     Entry,
-    check_entry,
+    check_recipe,
     load_campaign,
     read_json,
     render_report,
@@ -82,7 +81,7 @@ from .storage import (
     save_soundness,
     save_tests,
     save_truth_table,
-    sweep_entry,
+    sweep_recipe,
     trim_results,
 )
 from .sutmodel import SutConfig
@@ -191,16 +190,17 @@ class _Runner:
     """Flies, judges and stores tests into one command's campaign.
 
     Every flight of a `run` or `focus` goes through one runner: the main
-    stage, each focus sweep and each soundness check. A call flies its
-    tests with run_campaign, judges each under the campaign's oracle tree,
-    appends its profile to the results log, records its verdict in
-    campaign.verdicts and returns the (test, profile, verdict) triples in
-    order; last keeps the call's tests until the next call. No profile is
-    kept past the call that flew it.
+    stage, each focus sweep and each soundness check. A call returns the
+    (test, profile, verdict) triples of its tests in order: a test with a
+    result in campaign.profiles is taken from there, and the others are
+    flown with run_campaign, judged under the campaign's oracle tree,
+    appended to the results log and their verdicts recorded in
+    campaign.verdicts. last keeps the call's tests until the next call. No
+    profile is kept past the call that flew it.
 
-    The first call with parallelism above 1 and at least two tests opens
-    one worker pool, which every later call shares; leaving the `with`
-    block closes it, on error too, so no worker outlives the command.
+    The first call with parallelism above 1 and at least two tests to fly
+    opens one worker pool, which every later call shares; leaving the
+    `with` block closes it, on error too, so no worker outlives the command.
     Entering the block cuts a torn last line off the results log, so the
     lines this command appends stay whole.
     """
@@ -214,18 +214,19 @@ class _Runner:
 
     def __call__(self, tests: list[TestCase]) -> list:
         campaign = self.campaign
-        mission, config = campaign.mission, campaign.config
-        if self._pool is None and self.parallelism > 1 and len(tests) >= 2:
-            self._pool = open_pool(mission, config, self.parallelism)
-        profiles = run_campaign(tests, mission, config, self.parallelism, pool=self._pool)
-        triples = []
-        for test, profile in zip(tests, profiles):
-            verdict = classify(test, profile, self.tree)
-            save_result(campaign.root, test, profile)
-            campaign.verdicts[test.test_id] = verdict
-            triples.append((test, profile, verdict))
+        profiles = ChainMap({}, campaign.profiles)
+        missing = [t for t in tests if t.test_id not in profiles]
+        if missing:
+            mission, config = campaign.mission, campaign.config
+            if self._pool is None and self.parallelism > 1 and len(missing) >= 2:
+                self._pool = open_pool(mission, config, self.parallelism)
+            flown = run_campaign(missing, mission, config, self.parallelism, pool=self._pool)
+            for test, profile in zip(missing, flown):
+                save_result(campaign.root, test, profile)
+                campaign.verdicts[test.test_id] = classify(test, profile, self.tree)
+                profiles[test.test_id] = profile
         self.last = tests
-        return triples
+        return [(t, profiles[t.test_id], campaign.verdicts[t.test_id]) for t in tests]
 
     def __enter__(self) -> "_Runner":
         trim_results(self.campaign.root)
@@ -269,93 +270,83 @@ def _focus(
     runs_per_cell: int,
     seed: int,
     check_soundness: bool,
-) -> None:
-    """The focus stage of `run` and `focus`, on the runner's campaign.
+) -> set[str]:
+    """The focus stage of `run` and `focus`, on the runner's campaign;
+    returns the sweep tags that got a table.
 
-    Records each base's sweep tag in campaign.focused. A tag that
-    campaign.sweeps holds with its table on disk is not flown again; any
-    other is flown, judged, stored, tabled and minimized once, and its
-    tests and recipe go into campaign.sweeps (a later base with the same
-    tag only records it). A sweep with no valid run leaves its tag without
-    a table. campaign.sweeps then keeps the tags campaign.focused names.
+    Records each base's sweep tag in campaign.focused; a tag that
+    campaign.sweeps does not hold takes the recipe of the first base with
+    it. Every tag campaign.focused names is then tabled, in its order, by
+    build_truth_table over its recipe through the runner, so only the
+    tests without a result fly, and its table and tree are written; a
+    sweep with no valid run gets neither. campaign.sweeps ends holding
+    those tags.
 
-    Then rebuilds the combined tree from the stored tables of those tags,
-    in focused's order, and soundness.json with one check per combined cut
-    set, in the tree's order and with its sources. A stored check of a cut
-    set with the same literals is kept, not flown again, with its trials;
-    any other cut set is checked only when check_soundness is on.
-    campaign.soundness ends holding the trials of the checks in
-    soundness.json, by tag.
+    Then rebuilds the combined tree from those tables, and soundness.json
+    with one check per combined cut set, in the tree's order and with its
+    sources. A cut set with the literals of a check in campaign.soundness
+    is checked again under that check's seed and trials, so it keeps its
+    tag and trials and flies only the trials without a result; any other
+    cut set is checked at seed only when check_soundness is on.
+    campaign.soundness ends holding the checks in soundness.json.
     """
     campaign = runner.campaign
     root, spec = campaign.root, campaign.spec
-    flown: set[str] = set()
-    cut_groups: dict[str, list[CutSet]] = {}
+    recipes = {tag: entry.recipe for tag, entry in campaign.sweeps.items()}
     for base in bases:
         tag = sweep_tag(base, axes, runs_per_cell, seed)
         campaign.focused[base.test_id] = tag
+        recipes.setdefault(tag, sweep_recipe(base, axes, runs_per_cell, seed))
         print(f"focused re-fuzz around {base.test_id} "
               f"(state {base.app_state.value}, axes {', '.join(axes)}, sweep {tag})")
-        stored = tag in campaign.sweeps and (root / "truthtables" / f"{tag}.json").exists()
-        if tag in flown or stored:
-            continue
-        flown.add(tag)
+
+    campaign.sweeps = {}
+    groups: dict[str, list[CutSet]] = {}
+    for tag in dict.fromkeys(campaign.focused.values()):
+        recipe = recipes[tag]
+        base = TestCase.from_dict(recipe["base"])
         table = None
         try:
-            table = build_truth_table(base, axes, runs_per_cell, runner, spec, master_seed=seed)
+            table = build_truth_table(base, recipe["axes"], recipe["runs_per_cell"], runner,
+                                      spec, master_seed=recipe["seed"])
         except InvalidOnly as exc:
             print(f"  {base.test_id}: {exc}", file=sys.stderr)
-        tests = runner.last
-        campaign.sweeps[tag] = sweep_entry(base, axes, runs_per_cell, seed, tests)
+        campaign.sweeps[tag] = Entry(runner.last, recipe)
         if table is None:
             continue
         save_truth_table(root, tag, table.to_dict())
         cut_sets = cut_sets_for_table(table, source=f"truthtable:{tag}")
-        cut_groups[tag] = cut_sets
-        reason = _dominant_reason(campaign.verdicts[t.test_id] for t in tests)
+        groups[tag] = cut_sets
+        reason = _dominant_reason(campaign.verdicts[t.test_id] for t in runner.last)
         fault_tree = build_fault_tree(f"{reason} in {table.scope}", cut_sets)
         save_fault_tree(root, tag, fault_tree.to_dict(), fault_tree.to_dot())
         for cs in cut_sets:
             print(f"  cut set: {{ {_conjunction(cs)} }}")
-
-    tags = list(dict.fromkeys(campaign.focused.values()))
-    campaign.sweeps = {tag: campaign.sweeps[tag] for tag in tags}
-    for tag in tags:
-        path = root / "truthtables" / f"{tag}.json"
-        if tag not in cut_groups and path.exists():
-            table = TruthTable.from_dict(read_json(path))
-            cut_groups[tag] = cut_sets_for_table(table, source=f"truthtable:{tag}")
-    groups = [cut_groups[tag] for tag in tags if tag in cut_groups]
-    combined = build_fault_tree("state-dependent failures (combined)", merge_cut_sets(groups))
+    combined = build_fault_tree(
+        "state-dependent failures (combined)", merge_cut_sets(groups.values())
+    )
     save_fault_tree(root, "combined", combined.to_dict(), combined.to_dot())
 
-    path = root / "soundness.json"
-    checks = {
-        tuple((lit["column"], lit["value"]) for lit in doc["cut_set"]["literals"]): doc
-        for doc in (read_json(path) if path.exists() else [])
-    }
+    checks = {tuple(map(tuple, e.recipe["literals"])): e.recipe
+              for e in campaign.soundness.values()}
+    campaign.soundness = {}
     docs = []
-    stored_trials, campaign.soundness = campaign.soundness, {}
     for cs in combined.cut_sets:
-        doc = checks.get(cs.literals)
-        if doc is None and check_soundness:
-            result = soundness_check(
-                cs, spec, campaign.mission, campaign.config, runner, master_seed=seed
-            )
-            doc = result.to_dict()
-            campaign.soundness[result.tag] = check_entry(
-                cs.literals, seed, SOUNDNESS_TRIALS, result.tests
-            )
-        elif doc is not None:
-            campaign.soundness[doc["tag"]] = stored_trials[doc["tag"]]
-        if doc is not None:
-            docs.append({**doc, "cut_set": cs.to_dict()})
-            status = "sound" if doc["sound"] else "NOT SOUND"
-            print(f"soundness: {status} {doc['verdicts']} for {{ {_conjunction(cs)} }}")
+        if cs.literals not in checks and not check_soundness:
+            continue
+        recipe = checks.get(cs.literals) or check_recipe(cs.literals, seed, SOUNDNESS_TRIALS)
+        result = soundness_check(
+            cs, spec, campaign.mission, campaign.config, runner, recipe["seed"], recipe["trials"]
+        )
+        campaign.soundness[result.tag] = Entry(list(result.tests), recipe)
+        docs.append(result.to_dict())
+        status = "sound" if result.sound else "NOT SOUND"
+        print(f"soundness: {status} {list(result.verdicts)} for {{ {_conjunction(cs)} }}")
     if docs:
         save_soundness(root, docs)
-    elif path.exists():
-        path.unlink()
+    else:
+        (root / "soundness.json").unlink(missing_ok=True)
+    return set(groups)
 
 
 def _claim_out(root: Path) -> None:
@@ -390,9 +381,11 @@ def _write_report(campaign: Campaign) -> str:
     """Render report.txt from campaign's stored artifacts and verdicts.
 
     The verdict counts are those of every test tests.json lists, main,
-    focused and soundness trials, that has a verdict. A table is headed by
-    the representatives of its sweep in sorted order, so the report does
-    not depend on the order campaign.focused was built in.
+    focused and soundness trials, that has a verdict. The tables and trees
+    are those of the sweeps tests.json names, by tag, then the combined
+    tree: a file a killed focus left behind is not rendered. A table is
+    headed by the representatives of its sweep in sorted order, so the
+    report does not depend on the order campaign.focused was built in.
     """
     root = campaign.root
     counts = Counter(
@@ -403,13 +396,15 @@ def _write_report(campaign: Campaign) -> str:
     meta = read_json(root / "campaign.json")
     analysis_path, soundness_path = root / "analysis.json", root / "soundness.json"
     analysis_doc = read_json(analysis_path) if analysis_path.exists() else None
-    tables = [
-        (p.stem, sorted(rep for rep, tag in campaign.focused.items() if tag == p.stem),
-         read_json(p))
-        for p in sorted(root.glob("truthtables/*.json"))
-    ]
-    paths = sorted(root.glob("faulttrees/*.json"), key=lambda p: (p.stem == "combined", p.stem))
-    trees = [read_json(p) for p in paths]
+    tags = sorted(campaign.sweeps)
+    tables = []
+    for tag in tags:
+        path = root / "truthtables" / f"{tag}.json"
+        if path.exists():
+            reps = sorted(rep for rep, t in campaign.focused.items() if t == tag)
+            tables.append((tag, reps, read_json(path)))
+    paths = [root / "faulttrees" / f"{tag}.json" for tag in [*tags, "combined"]]
+    trees = [read_json(p) for p in paths if p.exists()]
     soundness = read_json(soundness_path) if soundness_path.exists() else []
     text = render_report(meta, counts, analysis_doc, tables, trees, soundness)
     save_report(root, text)
@@ -474,7 +469,7 @@ def cmd_run(args) -> int:
             print("no failures: skipping clustering, truth tables and fault trees")
 
     wall = time.monotonic() - t0
-    save_tests(root, campaign.main, campaign.focused, campaign.sweeps, campaign.soundness)
+    save_tests(campaign)
     save_coverage(root, coverage.to_dict())
     _write_report(campaign)
     save_campaign_meta(campaign, args.parallelism, wall, "complete")
@@ -508,13 +503,13 @@ def cmd_focus(args) -> int:
     """Re-fuzz the given tests (by default the stored representatives).
 
     Every id is resolved before anything flies, so an unknown id leaves the
-    campaign as it was. The focus stage flies no sweep tests.json already
-    holds with its table, rebuilds the combined tree from the tables of the
-    stored and new tags and keeps one check per combined cut set in
-    soundness.json: a stored check of an unchanged cut set is kept across
-    focus, even under another --seed. tests.json and report.txt are then
-    rewritten. A campaign whose stored profiles judge otherwise than
-    campaign.json records is refused.
+    campaign as it was. The focus stage tables every sweep tests.json and
+    the given tests name, flying only the tests without a stored result,
+    rebuilds the combined tree from those tables and keeps one check per
+    combined cut set in soundness.json: a stored check of an unchanged cut
+    set is kept across focus, with its seed, even under another --seed.
+    tests.json and report.txt are then rewritten. A campaign whose stored
+    profiles judge otherwise than campaign.json records is refused.
     """
     campaign = load_campaign(Path(args.campaign))
     _refuse_drift(campaign)
@@ -529,14 +524,11 @@ def cmd_focus(args) -> int:
     axes = args.axes.split(",") if args.axes else _default_axes(campaign.spec)
     seed = args.seed if args.seed is not None else campaign.master_seed
     with _Runner(campaign, args.parallelism) as runner:
-        _focus(runner, bases, axes, args.runs_per_cell, seed, args.soundness)
-    save_tests(
-        campaign.root, campaign.main, campaign.focused, campaign.sweeps, campaign.soundness
-    )
+        tabled = _focus(runner, bases, axes, args.runs_per_cell, seed, args.soundness)
+    save_tests(campaign)
     _write_report(campaign)
-    tables = campaign.root / "truthtables"
-    tabled = [i for i in rep_ids if (tables / f"{campaign.focused[i]}.json").exists()]
-    print(f"fault trees written for: {', '.join(tabled) or 'none'} (+combined)")
+    written = [i for i in rep_ids if campaign.focused[i] in tabled]
+    print(f"fault trees written for: {', '.join(written) or 'none'} (+combined)")
     return 0
 
 

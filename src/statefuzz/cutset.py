@@ -84,19 +84,6 @@ class TableRow:
             "test_ids": list(self.test_ids),
         }
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "TableRow":
-        return cls(
-            values=tuple((a, v) for a, v in raw["values"].items()),
-            observed_mode=raw["observed_mode"],
-            runs=raw["runs"],
-            valid=raw["valid"],
-            failures=raw["failures"],
-            split=raw["split"],
-            residual=raw["residual"],
-            test_ids=tuple(raw["test_ids"]),
-        )
-
 
 @dataclass(frozen=True)
 class TruthTable:
@@ -115,17 +102,6 @@ class TruthTable:
             "rows": [r.to_dict() for r in self.rows],
             "unreachable": [dict(cell) for cell in self.unreachable],
         }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "TruthTable":
-        return cls(
-            scope=raw["scope"],
-            axes=tuple(raw["axes"]),
-            rows=tuple(TableRow.from_dict(r) for r in raw["rows"]),
-            unreachable=tuple(
-                tuple((a, v) for a, v in cell.items()) for cell in raw["unreachable"]
-            ),
-        )
 
 
 def table_from_results(

@@ -195,9 +195,6 @@ def _p_shutdown_clean(test: TestCase, profile: ExecutionProfile, params: Mapping
 PREDICATES: dict[str, tuple[Callable[[TestCase, ExecutionProfile, Mapping], bool], frozenset]] = {
     "injection_planned": (_p_injection_planned, frozenset()),
     "context_reached": (_p_context_reached, frozenset()),
-    # a flight injects exactly when it reaches its context; the name stays
-    # for stored trees that use it
-    "injection_attempted": (_p_context_reached, frozenset()),
     "injection_in_target_context": (_p_injection_in_target_context, frozenset()),
     "injection_acknowledged": (_p_injection_acknowledged, frozenset()),
     "mode_change_deferred": (_p_mode_change_deferred, frozenset()),

@@ -28,6 +28,10 @@ Layout of a campaign directory:
                              the tag that names its trials
     report.txt               human-readable digest
 
+The truth tables, fault trees and soundness.json are outputs only: each
+focus derives them again from tests.json and the results log, and they
+are read only to render report.txt.
+
 All JSON files are written canonically (sorted keys, two-space indent,
 trailing newline) and the log's lines in test order, so re-running a
 campaign with the same seed reproduces every file byte for byte, at any
@@ -39,7 +43,7 @@ so a killed writer can leave a last line without its newline.
 Readers skip such a torn line, a command cuts it off before it appends
 (trim_results), and save_tests rewrites the log whole when it holds a line
 that tests.json does not name, or names twice. The last whole line of an
-id wins, so a test flown again (a sweep whose table was deleted, say)
+id wins, so a test flown again (one whose line was torn or deleted, say)
 keeps its new flight. A test's case is not in the
 log: load_campaign regenerates it from its recipe in tests.json. Nor is
 its verdict: load_campaign judges each stored profile under the oracle tree
@@ -72,7 +76,9 @@ campaign.json, so a replay works even after its result was deleted.
 
 A focus sweep is named by the tag of its key (see testgen.sweep_tag), and
 its tests are f-<tag>-NNNN. Representatives with one key share one sweep,
-stored once in tests.json, flown once and tabled once, under its tag.
+stored once in tests.json, flown once and tabled once, under its tag. A
+test is flown only when it has no result: a later focus tables a stored
+sweep from its stored results, and flies only those that are missing.
 
 A soundness check is named by the tag of its cut set's literals and the
 master seed (see cutset.soundness_trials), and its trials s-<tag>-<i> are
@@ -158,21 +164,18 @@ class Entry:
     recipe: dict
 
 
-def sweep_entry(
-    base: TestCase, axes, runs_per_cell: int, seed: int, tests: list[TestCase]
-) -> Entry:
-    """A focus sweep, whose tests are focused_generate(base, axes,
-    runs_per_cell, spec, seed)."""
-    recipe = {"base": base.to_dict(), "axes": list(axes), "runs_per_cell": runs_per_cell,
-              "seed": seed}
-    return Entry(list(tests), recipe)
+def sweep_recipe(base: TestCase, axes, runs_per_cell: int, seed: int) -> dict:
+    """The recipe of a focus sweep, whose tests are focused_generate(base,
+    axes, runs_per_cell, spec, seed)."""
+    return {"base": base.to_dict(), "axes": list(axes), "runs_per_cell": runs_per_cell,
+            "seed": seed}
 
 
-def check_entry(literals, seed: int, trials: int, tests) -> Entry:
-    """A soundness check, whose trials are cutset.soundness_trials(literals,
-    spec, mission id, config, seed, trials)."""
-    recipe = {"literals": [list(lit) for lit in literals], "seed": seed, "trials": trials}
-    return Entry(list(tests), recipe)
+def check_recipe(literals, seed: int, trials: int) -> dict:
+    """The recipe of a soundness check, whose trials are
+    cutset.soundness_trials(literals, spec, mission id, config, seed,
+    trials)."""
+    return {"literals": [list(lit) for lit in literals], "seed": seed, "trials": trials}
 
 
 @dataclass
@@ -280,32 +283,27 @@ def _stored(entry: Entry) -> dict:
     return {**entry.recipe, "sha256": cases_digest(entry.tests)}
 
 
-def save_tests(
-    root: Path,
-    main: Entry,
-    focused: dict[str, str],
-    sweeps: dict[str, Entry],
-    soundness: dict[str, Entry],
-) -> None:
-    """Write tests.json, then keep only what it names: one line per named
-    test in the results log, and the truth tables and fault trees of the
-    sweeps it names (the combined tree stays).
+def save_tests(campaign: Campaign) -> None:
+    """Write campaign's tests.json, then keep only what it names: one line
+    per named test in the results log, and the truth tables and fault trees
+    of the sweeps it names (the combined tree stays).
 
-    focused maps each representative to its sweep's tag; only the sweeps
-    it names are written, and only their tables and trees kept. soundness
-    maps each check in soundness.json to its trials.
+    campaign.focused maps each representative to its sweep's tag; only the
+    sweeps it names are written, and only their tables and trees kept.
+    campaign.soundness maps each check in soundness.json to its trials.
     """
-    kept = {tag: sweeps[tag] for tag in focused.values()}
+    root = campaign.root
+    kept = {tag: campaign.sweeps[tag] for tag in campaign.focused.values()}
     write_json(
         root / "tests.json",
         {
-            "main": _stored(main),
-            "focused": focused,
+            "main": _stored(campaign.main),
+            "focused": campaign.focused,
             "sweeps": {tag: _stored(e) for tag, e in kept.items()},
-            "soundness": {tag: _stored(e) for tag, e in soundness.items()},
+            "soundness": {tag: _stored(e) for tag, e in campaign.soundness.items()},
         },
     )
-    entries = chain([main], kept.values(), soundness.values())
+    entries = chain([campaign.main], kept.values(), campaign.soundness.values())
     _keep_results(root, dict.fromkeys(t.test_id for e in entries for t in e.tests))
     tables = set(kept) | {"combined"}
     for path in chain(root.glob("truthtables/*"), root.glob("faulttrees/*")):

@@ -244,8 +244,14 @@ def sweep_tag(
     state, target mode and ``recurring`` flag, the swept axes in
     ``FOCUS_AXES`` order, the base's value on every unswept axis,
     ``runs_per_cell`` and the master seed. Nothing else of the base (its id,
-    seed, delay or repetition) goes in.
+    seed, delay or repetition) goes in. An unknown or repeated axis raises
+    UnknownAxis.
     """
+    bad = [a for a in axes if a not in FOCUS_AXES]
+    if bad:
+        raise UnknownAxis(f"unknown focus axes {bad}; valid axes are {list(FOCUS_AXES)}")
+    if len(set(axes)) != len(axes):
+        raise UnknownAxis("focus axes contain duplicates")
     held = [
         (base.band_name, base.band_min_ms, base.band_max_ms) if axis == "delay_band"
         else getattr(base, axis)
@@ -283,11 +289,7 @@ def focused_generate(
     tag and i too. So the tests depend on the sweep's key alone, and two
     bases with one key get the same tests.
     """
-    bad = [a for a in axes if a not in FOCUS_AXES]
-    if bad:
-        raise UnknownAxis(f"unknown focus axes {bad}; valid axes are {list(FOCUS_AXES)}")
-    if len(set(axes)) != len(axes):
-        raise UnknownAxis("focus axes contain duplicates")
+    tag = sweep_tag(base, axes, runs_per_cell, master_seed)
     if runs_per_cell < 1:
         raise ConfigError(f"runs_per_cell must be >= 1, got {runs_per_cell}")
 
@@ -298,8 +300,6 @@ def focused_generate(
         **base.env(),
     }
     ranges = [axis_levels(spec, axis) if axis in axes else [held[axis]] for axis in FOCUS_AXES]
-
-    tag = sweep_tag(base, axes, runs_per_cell, master_seed)
     cases: list[TestCase] = []
     index = 0
     target = StateTarget(base.app_state, base.recurring)

@@ -1,5 +1,6 @@
 """Truth tables, Boolean minimization, cut sets, fault trees."""
 
+import json
 import random
 
 import pytest
@@ -182,7 +183,14 @@ def test_table_dict_round_trip():
         triple("STABILIZED", LONG, "INVALID"),
     ]
     table = table_from_results(AppState.TAKEOFF, ["action", "delay_band"], items)
-    assert TruthTable.from_dict(table.to_dict()) == table
+    doc = table.to_dict()
+    assert json.loads(json.dumps(doc)) == doc
+    assert (doc["scope"], doc["axes"]) == ("TAKEOFF", ["action", "delay_band"])
+    assert [(r["values"], r["failure_rate"]) for r in doc["rows"]] == [
+        ({"action": "ALTCTL", "delay_band": "short"}, 0.0),
+        ({"action": "POSCTL", "delay_band": "short"}, 100.0),
+    ]
+    assert doc["unreachable"] == [{"action": "STABILIZED", "delay_band": "long"}]
 
 
 def test_build_truth_table_orders_axes_canonically(spec):

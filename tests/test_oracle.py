@@ -145,21 +145,6 @@ def test_context_never_reached_is_invalid():
     assert (v.verdict, v.reason) == ("INVALID", "context-not-met")
 
 
-def test_a_stored_tree_naming_injection_attempted_reads_the_context():
-    tree = parse_tree(
-        {
-            "predicate": "injection_attempted",
-            "true": {"verdict": "SUCCESS", "reason": "injected"},
-            "false": {"verdict": "INVALID", "reason": "context-not-met"},
-        }
-    )
-    test = make_case()
-    assert classify(test, make_profile(test), tree).reason == "injected"
-    assert classify(test, make_profile(test, context_reached=False), tree).reason == (
-        "context-not-met"
-    )
-
-
 def test_wrong_context_is_invalid():
     test = make_case(app_state=AppState.HOVERING)
     v = judge(test, make_profile(test, injection_app_state="DONE"))

@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 from statefuzz import analysis, cli, fuzzspec, testgen
-from statefuzz.cutset import TruthTable, table_from_results
+from statefuzz.cutset import table_from_results
 from statefuzz.errors import InvalidOnly, LayoutMismatch, RecipeMismatch
 from statefuzz.executor import Executor
 from statefuzz.storage import (
@@ -353,9 +353,12 @@ def test_stored_bands_keep_their_order(campaign_dir, campaign_copy, capsys):
     assert list(stored["transition_delay"]["bands"]) == ["long", "medium", "short"]
     campaign = load_campaign(campaign_copy)
     assert [b.name for b in campaign.spec.environment.bands] == ["short", "medium", "long"]
-    # so a plain focus with run's arguments, with the tables gone, flies
-    # every sweep again and gives each sweep test its cell again
+    # so a plain focus with run's arguments, with the tables and every
+    # result but the main ones gone, flies every sweep again and gives each
+    # sweep test its cell again
     shutil.rmtree(campaign_copy / "truthtables")
+    main = {i: r for i, r in iter_results(campaign_copy) if i.startswith("t")}
+    write_log(campaign_copy, main)
     assert cli.main(["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "4"]) == 0
     assert campaign_files(campaign_copy / "truthtables") == campaign_files(
         campaign_dir / "truthtables"
@@ -647,8 +650,7 @@ def test_a_torn_last_line_is_ignored_and_then_dropped(campaign_dir, campaign_cop
     assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
     assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", "t00000"]) == 0
     # the next rewrite of the log drops the torn line
-    save_tests(campaign_copy, campaign.main, campaign.focused, campaign.sweeps,
-               campaign.soundness)
+    save_tests(campaign)
     text = (campaign_copy / "results.jsonl").read_text()
     assert text.endswith("\n")
     assert logged_ids(campaign_copy) == [i for i in logged_ids(campaign_dir) if i != torn]
@@ -656,12 +658,18 @@ def test_a_torn_last_line_is_ignored_and_then_dropped(campaign_dir, campaign_cop
 
 def test_a_focus_after_a_killed_writer_appends_whole_lines(campaign_dir, campaign_copy, capsys):
     torn = torn_log(campaign_copy)
+    assert torn.startswith("s-")
     args = ["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "2", "--no-soundness"]
     assert cli.main(args + ["--test-id", "t00003"]) == 0
-    # every line parses, each id once, and the torn result is gone
+    # every line parses, each id once, and the torn soundness trial, whose
+    # check is kept, flew again and was stored
     ids = logged_ids(campaign_copy)
-    assert len(ids) == len(set(ids)) and torn not in ids
-    assert set(ids) == set(load_campaign(campaign_copy).profiles)
+    assert len(ids) == len(set(ids)) and torn in ids
+    campaign = load_campaign(campaign_copy)
+    assert set(ids) == set(campaign.profiles)
+    for check in read_json(campaign_copy / "soundness.json"):
+        trials = campaign.soundness[check["tag"]].tests
+        assert [campaign.verdicts[t.test_id].verdict for t in trials] == check["verdicts"]
     assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
 
 
@@ -677,8 +685,7 @@ def test_the_last_whole_line_of_an_id_wins(campaign_dir, campaign_copy, capsys):
     assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", "t00001"]) == 1
     assert "oscillation_count: stored=99" in capsys.readouterr().out
     # a rewrite keeps it, where the id's first line stood
-    save_tests(campaign_copy, campaign.main, campaign.focused, campaign.sweeps,
-               campaign.soundness)
+    save_tests(campaign)
     assert logged_ids(campaign_copy) == logged_ids(campaign_dir)
     assert dict(iter_results(campaign_copy))["t00001"]["profile"]["oscillation_count"] == 99
     assert load_campaign(campaign_copy).profiles["t00001"] == flown_again
@@ -916,7 +923,8 @@ def test_focus_keeps_the_combined_results_of_other_tables(campaign_dir, campaign
 
 
 def test_focus_on_the_representatives_reproduces_the_run(campaign_dir, campaign_copy, capsys):
-    # without their tables the sweeps fly again
+    # the tables, trees and checks are derived again from the stored
+    # results, so nothing flies and every file is as the run wrote it
     for name in ("truthtables", "faulttrees"):
         shutil.rmtree(campaign_copy / name)
     (campaign_copy / "soundness.json").unlink()
@@ -951,6 +959,23 @@ def test_focus_flies_a_repeated_test_id_once(campaign_dir, campaign_copy, capsys
     assert not [i for i in flown if i.startswith("s-")]
 
 
+def test_a_stored_check_keeps_its_seed_under_another_seed(campaign_dir, campaign_copy, capsys,
+                                                          monkeypatch):
+    flown = count_flights(monkeypatch)
+    stored = {str(d["cut_set"]["literals"]): d for d in read_json(campaign_dir / "soundness.json")}
+    args = ["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "4", "--seed", "5"]
+    assert cli.main(args) == 0
+    kept = [d for d in read_json(campaign_copy / "soundness.json")
+            if str(d["cut_set"]["literals"]) in stored]
+    # the new sweeps find a cut set checked before: its check keeps its tag
+    # and verdicts, and none of its trials flies again
+    assert kept
+    for doc in kept:
+        before = stored[str(doc["cut_set"]["literals"])]
+        assert (doc["tag"], doc["verdicts"]) == (before["tag"], before["verdicts"])
+        assert not [i for i in flown if i.startswith(f"s-{doc['tag']}-")]
+
+
 def test_a_plain_focus_flies_no_stored_sweep(campaign_copy, capsys, monkeypatch):
     # were a stored sweep flown again, its changed flights would show in
     # its table: every f-* flight now drifts off its path
@@ -981,33 +1006,112 @@ def assert_tables_are_those_of_the_stored_results(root):
         axes = [a for a in testgen.FOCUS_AXES if a in sweep.recipe["axes"]]
         items = [(t, campaign.profiles[t.test_id], campaign.verdicts[t.test_id])
                  for t in sweep.tests]
-        stored = TruthTable.from_dict(read_json(root / "truthtables" / f"{tag}.json"))
-        assert stored == table_from_results(base.app_state, axes, items)
+        stored = read_json(root / "truthtables" / f"{tag}.json")
+        assert stored == table_from_results(base.app_state, axes, items).to_dict()
 
 
 def test_a_sweep_flown_again_stores_its_new_flights(campaign_copy, capsys, monkeypatch):
-    # the last whole line of an id wins: a sweep whose table was deleted
-    # flies again, and its new flights, which now drift off their path, are
-    # the results its new table is built from
-    tag = next(iter(load_campaign(campaign_copy).sweeps))
-    (campaign_copy / "truthtables" / f"{tag}.json").unlink()
+    # the last whole line of an id wins: a sweep test whose result line was
+    # deleted flies again, and alone, and its new flight, which now drifts
+    # off its path, is the result its table is built from
+    campaign = load_campaign(campaign_copy)
+    lost = next(iter(campaign.sweeps.values())).tests[0].test_id
+    results = dict(iter_results(campaign_copy))
+    del results[lost]
+    write_log(campaign_copy, results)
+    flown = []
     run_campaign = cli.run_campaign
 
     def changed(tests, *args, **kwargs):
+        flown.extend(t.test_id for t in tests)
         profiles = run_campaign(tests, *args, **kwargs)
-        return [dataclasses.replace(p, oscillation_count=99) if t.test_id.startswith("f-") else p
-                for t, p in zip(tests, profiles)]
+        return [dataclasses.replace(p, oscillation_count=99) for p in profiles]
 
     monkeypatch.setattr(cli, "run_campaign", changed)
-    assert cli.main(["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "4"]) == 0
-    campaign = load_campaign(campaign_copy)
-    reflown = [t.test_id for t in campaign.sweeps[tag].tests]
-    assert reflown
-    assert [campaign.profiles[i].oscillation_count for i in reflown] == [99] * len(reflown)
+    opened = count_pools(monkeypatch)
+    args = ["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "4", "--parallelism", "2"]
+    assert cli.main(args) == 0
+    # one test to fly opens no pool
+    assert flown == [lost] and opened == []
+    assert load_campaign(campaign_copy).profiles[lost].oscillation_count == 99
     # each id keeps one line, and every table matches the stored results
     ids = logged_ids(campaign_copy)
     assert len(ids) == len(set(ids))
     assert_tables_are_those_of_the_stored_results(campaign_copy)
+
+
+def test_a_focus_derives_its_outputs_from_the_stored_results(campaign_copy, capsys, monkeypatch):
+    focus = ["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "4"]
+    assert cli.main(focus + ["--test-id", "t00076"]) == 0
+    assert "truth table t00076 (sweep " in (campaign_copy / "report.txt").read_text()
+    before = without_manifest(campaign_copy)
+    # with every table, tree and check gone, a plain focus derives them all
+    # again from tests.json and the results log, the second sweep's too
+    for name in ("truthtables", "faulttrees"):
+        shutil.rmtree(campaign_copy / name)
+    (campaign_copy / "soundness.json").unlink()
+    flown = count_flights(monkeypatch)
+    batches = capture_flown(monkeypatch)
+    assert cli.main(focus) == 0
+    assert flown == [] and batches == []
+    assert without_manifest(campaign_copy) == before
+
+
+def test_a_sweep_with_no_valid_run_flies_once(tmp_path, capsys, monkeypatch):
+    # RETURNING is reached only through a geofence breach, and mission_a has
+    # no fence, so every run of a RETURNING sweep is INVALID
+    raw = small_spec_raw()
+    raw["FROM_PX4_modes"].append("RTL")
+    raw["FROM_APP_states"].append("RETURNING")
+    raw["CONSTRAINTS"]["REQUIRES_PX4_MODE"]["RTL"] = ["RETURNING"]
+    spec_path = tmp_path / "rtl_spec.json"
+    spec_path.write_text(json.dumps(raw))
+    root = tmp_path / "campaign"
+    args = ["run", "--spec", str(spec_path), "--mission", "mission_a", "--fault", "F2",
+            "--latency-window", "200", "600", "--repetitions", "2", "--runs-per-cell", "4",
+            "--seed", "0", "--out", str(root)]
+    assert cli.main(args) == 0
+    campaign = load_campaign(root)
+    returning = next(t.test_id for t in campaign.tests if t.app_state is AppState.RETURNING)
+    batches = capture_flown(monkeypatch)
+    focus = ["focus", "--campaign", str(root), "--runs-per-cell", "4", "--test-id", returning]
+    assert cli.main(focus) == 0
+    assert "the state was never reached" in capsys.readouterr().err
+    # 3 actions x 3 bands x 4 runs per cell, stored without a table
+    assert [len(b) for b in batches] == [36]
+    tag = read_json(root / "tests.json")["focused"][returning]
+    assert not (root / "truthtables" / f"{tag}.json").exists()
+    before = campaign_files(root)
+    for _ in range(2):
+        assert cli.main(focus) == 0
+        assert [len(b) for b in batches] == [36]
+        assert campaign_files(root) == before
+
+
+def test_report_renders_only_the_sweeps_tests_json_names(
+    campaign_dir, campaign_copy, capsys, monkeypatch
+):
+    # a focus killed after its new sweep's table was written, before
+    # tests.json named the sweep
+    stored = set(load_campaign(campaign_copy).sweeps) | {"combined"}
+    save_fault_tree = cli.save_fault_tree
+
+    def killed(root, key, *args):
+        if key not in stored:
+            raise RuntimeError("killed mid-focus")
+        save_fault_tree(root, key, *args)
+
+    monkeypatch.setattr(cli, "save_fault_tree", killed)
+    args = ["focus", "--campaign", str(campaign_copy), "--test-id", "t00003",
+            "--runs-per-cell", "1", "--no-soundness"]
+    with pytest.raises(RuntimeError, match="killed mid-focus"):
+        cli.main(args)
+    tables = {p.stem for p in (campaign_copy / "truthtables").glob("*.json")}
+    assert len(tables - stored) == 1
+    # report renders the sweeps tests.json names, as the run did
+    assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
+    path = "report.txt"
+    assert (campaign_copy / path).read_bytes() == (campaign_dir / path).read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -1037,13 +1141,20 @@ def campaign_files(root) -> dict:
     ],
     ids=["test_id", "axis"],
 )
-def test_focus_with_an_unknown_test_id_changes_nothing(campaign_copy, capsys, extra, error):
+def test_focus_with_an_unknown_test_id_changes_nothing(
+    campaign_copy, capsys, monkeypatch, extra, error
+):
+    # a stored sweep lacks a result, yet nothing flies before the refusal
+    results = dict(iter_results(campaign_copy))
+    del results[next(i for i in results if i.startswith("f-"))]
+    write_log(campaign_copy, results)
     before = campaign_files(campaign_copy)
+    batches = capture_flown(monkeypatch)
     args = ["focus", "--campaign", str(campaign_copy), "--runs-per-cell", "1",
             "--test-id", "t00003", *extra]
     assert cli.main(args) == 2
     assert error in capsys.readouterr().err
-    assert campaign_files(campaign_copy) == before
+    assert batches == [] and campaign_files(campaign_copy) == before
 
 
 @pytest.mark.parametrize(
@@ -1124,6 +1235,9 @@ def test_focus_opens_one_pool_and_only_when_it_flies(campaign_copy, monkeypatch,
     opened = count_pools(monkeypatch)
     args = ["focus", "--campaign", str(campaign_copy), "--parallelism", "2"]
     assert cli.main(args + ["--axes", "foo"]) == 2
+    assert opened == []
+    # every result of the stored sweeps and checks is there: nothing flies
+    assert cli.main(args + ["--runs-per-cell", "4"]) == 0
     assert opened == []
     assert cli.main(args + ["--runs-per-cell", "3"]) == 0
     assert len(opened) == 1
