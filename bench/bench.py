@@ -213,9 +213,10 @@ def synthetic_failures(n: int):
     raw = json.loads((package / "data" / "fspec1.json").read_text())
     raw["ENVIRONMENT"].update(throttle=["low", "mid", "high"], wind=["none", "medium", "high"])
     spec = parse_fuzz_spec(raw, spec_id="bench")
-    combos = len(generate(spec, GeneratorConfig(repetitions_per_combination=1)))
+    mission_id = spec.mission_contexts[0]
+    combos = len(generate(spec, GeneratorConfig(repetitions_per_combination=1), mission_id))
     config = GeneratorConfig(repetitions_per_combination=math.ceil(n / combos), master_seed=0)
-    tests = sorted(generate(spec, config), key=lambda t: t.repetition)[:n]
+    tests = sorted(generate(spec, config, mission_id), key=lambda t: t.repetition)[:n]
     states = [t.state for t in spec.states]
     actions = [a.value for a in spec.actions]
     failures = []

@@ -1,10 +1,10 @@
 """State-aware fuzzing of a simulated dual-layer flight stack.
 
-The pipeline: parse a fuzz spec and mission, enumerate combinations into
-seeded test cases, execute them deterministically against the simulated
-vehicle, judge each run with a decision-tree oracle, cluster the failures,
-re-fuzz representative contexts into truth tables, and minimize those into
-cut sets rendered as fault trees.
+The pipeline: parse a fuzz spec and mission, enumerate the spec's
+combinations for that mission into seeded test cases, execute them
+deterministically against the simulated vehicle, judge each run with a
+decision-tree oracle, cluster the failures, re-fuzz representative contexts
+into truth tables, and minimize those into cut sets rendered as fault trees.
 
 The clustering names (AnalysisResult, analyze_failures, encode_failures,
 kmeans, select_k, select_representatives, sweep_k) load statefuzz.analysis,
@@ -67,7 +67,6 @@ from .testgen import (
     GeneratorConfig,
     TestCase,
     derive_seed,
-    enumerate_combinations,
     focused_generate,
     generate,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "default_tree",
     "derive_seed",
     "encode_failures",
-    "enumerate_combinations",
     "focused_generate",
     "generate",
     "inject_fault_behavior",

@@ -32,6 +32,7 @@ import shutil
 import sys
 import time
 from collections import ChainMap, Counter
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
@@ -130,11 +131,10 @@ def _load_config(args) -> SutConfig:
         raw = {}
     config = SutConfig.from_dict(raw)
     if args.fault:
-        seeded = sorted(set(config.seeded_faults) | set(args.fault))
-        config = SutConfig.from_dict({**config.to_dict(), "seeded_faults": seeded})
+        seeded = tuple(sorted(set(config.seeded_faults) | set(args.fault)))
+        config = replace(config, seeded_faults=seeded)
     if args.latency_window:
-        lo, hi = args.latency_window
-        config = SutConfig.from_dict({**config.to_dict(), "latency_window_ms": [lo, hi]})
+        config = replace(config, latency_window_ms=tuple(args.latency_window))
     return config
 
 
@@ -440,23 +440,19 @@ def cmd_run(args) -> int:
         print(f"coverage warning: {gap}", file=sys.stderr)
 
     seed = _seed_from(args)
-    generator = GeneratorConfig(
-        repetitions_per_combination=args.repetitions,
-        master_seed=seed,
-        mission_policy=args.mission_policy,
-    )
+    generator = GeneratorConfig(repetitions_per_combination=args.repetitions, master_seed=seed)
+    t0 = time.monotonic()
+    # generated before --out is claimed, so a spec that admits no test for
+    # this mission leaves a stored campaign as it was
+    tests = generate(spec, generator, mission.id)
     root = Path(args.out)
     _claim_out(root)
     tree = serialize_tree(default_tree(args.oracle))
     campaign = Campaign(root, spec, mission, config, generator, args.oracle, tree)
+    campaign.main = Entry(tests, {})
     save_campaign_meta(campaign, args.parallelism, 0.0, "running")
-
-    t0 = time.monotonic()
-    campaign.main = Entry(generate(spec, generator), {})
-    tests = campaign.tests
-    per_mission = len(tests) // max(args.repetitions, 1)
     print(f"generated {len(tests)} tests "
-          f"({per_mission} combinations x {args.repetitions} repetitions)")
+          f"({len(tests) // args.repetitions} combinations x {args.repetitions} repetitions)")
 
     with _Runner(campaign, args.parallelism) as runner:
         pairs = [(t, v) for t, _p, v in runner(tests)]
@@ -593,8 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True, help="campaign output directory")
     run.add_argument("--oracle", choices=("v0", "v1"), default="v1")
     run.add_argument("--repetitions", type=int, default=DEFAULT_REPETITIONS)
-    run.add_argument("--mission-policy", choices=("cross-product", "first-only"),
-                     default="cross-product")
     run.set_defaults(fn=cmd_run)
 
     analyze = sub.add_parser("analyze", help="cluster a stored campaign's failures")

@@ -29,10 +29,18 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import InvalidOnly
 from .executor import ExecutionProfile
-from .fuzzspec import ENV_AXES, FuzzSpecification, MissionPlan
+from .fuzzspec import ENV_AXES, DelayBand, FuzzSpecification, MissionPlan, StateTarget
 from .oracle import FAILURE, INVALID, Verdict
-from .sutmodel import NO_ACTION, AppState, AutopilotMode, SutConfig
-from .testgen import FOCUS_AXES, TestCase, axis_levels, axis_value, derive_seed, focused_generate
+from .sutmodel import NO_ACTION, AppState, AutopilotMode, RcAction, SutConfig
+from .testgen import (
+    FOCUS_AXES,
+    TestCase,
+    axis_levels,
+    axis_value,
+    derive_seed,
+    focused_generate,
+    new_case,
+)
 
 #: observed-mode markers for rows that were not split
 MODE_VARIES = "*"
@@ -383,8 +391,8 @@ class SoundnessResult:
 
 def _delay_for(
     literals: Mapping[str, str], spec: FuzzSpecification, config: SutConfig
-) -> Optional[tuple[str, float, float, float]]:
-    """Pick (band_name, band_min, band_max, delay) realizing band/mode literals."""
+) -> Optional[tuple[DelayBand, float]]:
+    """Pick (band, delay) realizing band/mode literals."""
     lo_w, hi_w = config.latency_window_ms
     bands = spec.environment.bands
     if "delay_band" in literals:
@@ -408,8 +416,8 @@ def _delay_for(
         delay = (span_lo + span_hi) / 2.0
     for b in bands:
         if b.min_ms <= delay < b.max_ms:
-            return b.name, b.min_ms, b.max_ms, delay
-    return bands[0].name, bands[0].min_ms, bands[0].max_ms, delay
+            return b, delay
+    return bands[0], delay
 
 
 #: trials per soundness check
@@ -439,30 +447,22 @@ def soundness_trials(
     pairs = spec.constraint_pairs()
     scope_name = lits.get(SCOPE_COLUMN, pairs[0][1].state.value)
     scope = AppState(scope_name)
-    pair = next(((m, t) for m, t in pairs if t.state is scope), pairs[0])
-    mode, target = pair
-    action = lits.get("action", spec.actions[0].value)
+    # a scope that no pair targets takes the first pair's mode
+    mode, target = next(((m, t) for m, t in pairs if t.state is scope), pairs[0])
+    target = StateTarget(scope, target.recurring)
     placed = _delay_for(lits, spec, config)
     if placed is None:
         return tag, None
-    band_name, band_min, band_max, delay = placed
+    band, delay = placed
+    levels = (
+        RcAction(lits.get("action", spec.actions[0].value)),
+        band,
+        *(lits.get(axis, axis_levels(spec, axis)[0]) for axis in ENV_AXES),
+    )
     return tag, [
-        TestCase(
-            test_id=f"s-{tag}-{trial}",
-            index=trial,
-            spec_id=spec.spec_id,
-            mission_id=mission_id,
-            app_state=scope,
-            target_mode=mode,
-            recurring=target.recurring,
-            action=action,
-            band_name=band_name,
-            band_min_ms=band_min,
-            band_max_ms=band_max,
-            delay_ms=delay,
-            **{axis: lits.get(axis, axis_levels(spec, axis)[0]) for axis in ENV_AXES},
-            seed=derive_seed(master_seed, "soundness", str(literals), trial),
-            repetition=trial,
+        new_case(
+            f"s-{tag}-{trial}", trial, spec.spec_id, mission_id, mode, target, levels, delay,
+            derive_seed(master_seed, "soundness", str(literals), trial), trial,
         )
         for trial in range(trials)
     ]

@@ -55,7 +55,8 @@ class UnknownFault(StateFuzzError):
 # --- test generation ------------------------------------------------------
 
 class EmptyProduct(StateFuzzError):
-    """The constrained combination space is empty; nothing to generate."""
+    """The constrained combination space is empty, or the spec does not list
+    the mission in MISSION_CONTEXT; nothing to generate."""
 
 
 class UnknownAxis(StateFuzzError):

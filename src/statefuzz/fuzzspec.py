@@ -20,6 +20,9 @@ document and by a field of EnvironmentSpace and TestCase in code; the two
 differ for ``GPS`` (field ``gps_noise``) and ``COMPASS_INTERFERENCE`` (field
 ``compass_interference``). ENV_TABLE pairs them, in sweep order.
 
+MISSION_CONTEXT lists the ids of the mission plans the spec may fly. A
+campaign flies one of them, and testgen.generate refuses any other.
+
 Unknown keys are rejected at every level, as are values outside the state,
 mode, action and level vocabularies. A trailing ``*`` on an app state (in
 FROM_APP_states or in a constraint value) marks it as recurring once per

@@ -51,8 +51,9 @@ of campaign.json, so a verdict is what today's oracle code says; the main
 ones as judged in flight are counted in campaign.json's "verdict_counts".
 
 tests.json stores no case, only what regenerates the cases:
-    main                     {"sha256"}: generate(spec, generator) over the
-                             spec and generator settings of campaign.json
+    main                     {"sha256"}: generate(spec, generator, mission
+                             id) over the spec, generator settings and
+                             mission of campaign.json
     sweeps/<tag>             {"base", "axes", "runs_per_cell", "seed",
                              "sha256"}: focused_generate over the base's full
                              case (see testgen.sweep_tag for the tag)
@@ -71,8 +72,9 @@ tests.json; the error names the `run` over the inputs and seed in
 campaign.json that stores the campaign again, byte for byte.
 
 Everything needed to regenerate a test deterministically (spec, mission,
-config, generator settings, oracle tree, master seed) is embedded in
-campaign.json, so a replay works even after its result was deleted.
+config, oracle tree, and the generator settings, the master seed among
+them) is embedded in campaign.json once, so a replay works even after its
+result was deleted.
 
 A focus sweep is named by the tag of its key (see testgen.sweep_tag), and
 its tests are f-<tag>-NNNN. Representatives with one key share one sweep,
@@ -93,7 +95,7 @@ import io
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
@@ -113,7 +115,7 @@ if TYPE_CHECKING:
 
 #: the layout of the campaign directories this code writes and reads,
 #: recorded in campaign.json; a change to the shape of a stored file raises it
-LAYOUT = 1
+LAYOUT = 2
 #: the results log of a campaign directory
 RESULTS = "results.jsonl"
 #: where a log line's test id starts: sorted keys put "id" first
@@ -237,7 +239,6 @@ def save_campaign_meta(
     """Write campaign.json: what regenerates and judges campaign's tests,
     its main verdict counts, and how and how long it ran; status is
     "running" or "complete"."""
-    generator = campaign.generator
     write_json(
         campaign.root / "campaign.json",
         {
@@ -246,14 +247,9 @@ def save_campaign_meta(
             "spec_id": campaign.spec.spec_id,
             "mission": campaign.mission.to_dict(),
             "config": campaign.config.to_dict(),
-            "generator": {
-                "repetitions_per_combination": generator.repetitions_per_combination,
-                "master_seed": generator.master_seed,
-                "mission_policy": generator.mission_policy,
-            },
+            "generator": asdict(campaign.generator),
             "oracle_version": campaign.oracle_version,
             "oracle_tree": campaign.oracle_tree_raw,
-            "master_seed": generator.master_seed,
             "parallelism": parallelism,
             "verdict_counts": campaign.verdict_counts,
             "status": status,
@@ -441,8 +437,8 @@ def load_campaign(root: Path) -> Campaign:
         f"{spec_file}, mission.json and config.json, then run `statefuzz run --spec {spec_file} "
         f"--mission mission.json --config config.json --seed {gen_raw.get('master_seed')} "
         f"--repetitions {gen_raw.get('repetitions_per_combination')} --oracle "
-        f"{meta.get('oracle_version')} --mission-policy {gen_raw.get('mission_policy')} "
-        f"--out {root}` with the --runs-per-cell and --soundness it ran with"
+        f"{meta.get('oracle_version')} --out {root}` with the --runs-per-cell and --soundness "
+        "it ran with"
     )
     if meta.get("layout") != LAYOUT:
         raise LayoutMismatch(
@@ -460,11 +456,7 @@ def load_campaign(root: Path) -> Campaign:
             f"campaign {root} holds no tests.json, so its stored results cannot be "
             f"matched to their tests; {regenerate}"
         )
-    generator = GeneratorConfig(
-        repetitions_per_combination=gen_raw["repetitions_per_combination"],
-        master_seed=gen_raw["master_seed"],
-        mission_policy=gen_raw["mission_policy"],
-    )
+    generator = GeneratorConfig(**gen_raw)
     spec = parse_fuzz_spec(meta["spec"], spec_id=meta["spec_id"])
     campaign = Campaign(
         root=root,
@@ -508,7 +500,7 @@ def _regenerated(campaign: Campaign, kind: str, tag: Optional[str], raw: dict) -
 
     recipe = {k: v for k, v in raw.items() if k != "sha256"}
     if kind == "main":
-        tests = generate(campaign.spec, campaign.generator)
+        tests = generate(campaign.spec, campaign.generator, campaign.mission.id)
     elif kind == "sweeps":
         key = (TestCase.from_dict(recipe["base"]), recipe["axes"], recipe["runs_per_cell"])
         if sweep_tag(*key, recipe["seed"]) != tag:
@@ -582,7 +574,7 @@ def render_report(
     out.append("=" * 60)
     out.append(f"mission:        {meta['mission']['id']}")
     out.append(f"oracle:         {meta['oracle_version']}")
-    out.append(f"master seed:    {meta['master_seed']}")
+    out.append(f"master seed:    {meta['generator']['master_seed']}")
     out.append(f"seeded faults:  {', '.join(meta['config']['seeded_faults']) or '(none)'}")
     out.append("")
     out.append("verdicts")

@@ -1,11 +1,13 @@
 """Turning a fuzz specification into concrete, replayable test cases.
 
+A campaign flies one mission, which the spec's MISSION_CONTEXT must list.
 A combination is one point in the cross product of the spec's dimensions:
 constrained (mode, state) pair x injected action x delay band x environment
 levels. Each combination is expanded into ``repetitions_per_combination``
 test cases; every test gets its own seed derived from the campaign master
 seed, and its concrete injection delay is drawn from the band at generation
-time so a stored test replays byte-for-byte.
+time so a stored test replays byte-for-byte. Every case, main, focused or
+soundness trial, is made by new_case.
 
 Focused generation re-sweeps chosen axes around one base test (where a
 failure cluster pointed), holding everything else at the base's values, to
@@ -41,30 +43,12 @@ def derive_seed(*parts: object) -> int:
 class GeneratorConfig:
     repetitions_per_combination: int = DEFAULT_REPETITIONS
     master_seed: int = 0
-    mission_policy: str = "cross-product"
 
     def __post_init__(self):
         if self.repetitions_per_combination < 1:
             raise ConfigError(
                 f"repetitions_per_combination must be >= 1, got {self.repetitions_per_combination}"
             )
-        if self.mission_policy not in ("cross-product", "first-only"):
-            raise ConfigError(
-                f"mission_policy must be 'cross-product' or 'first-only', got {self.mission_policy!r}"
-            )
-
-
-@dataclass(frozen=True)
-class Combination:
-    mode: AutopilotMode
-    target: StateTarget
-    action: RcAction
-    band: DelayBand
-    throttle: str
-    geofence: str
-    wind: str
-    gps_noise: str
-    compass_interference: str
 
 
 @dataclass(frozen=True)
@@ -83,6 +67,7 @@ class TestCase:
     band_min_ms: float
     band_max_ms: float
     delay_ms: float
+    # the environment levels, in ENV_AXES order: new_case passes them by position
     throttle: str
     geofence: str
     wind: str
@@ -128,11 +113,7 @@ class TestCase:
             band_min_ms=band["min"],
             band_max_ms=band["max"],
             delay_ms=raw["delay_ms"],
-            throttle=env["throttle"],
-            geofence=env["geofence"],
-            wind=env["wind"],
-            gps_noise=env["gps_noise"],
-            compass_interference=env["compass_interference"],
+            **{axis: env[axis] for axis in ENV_AXES},
             seed=raw["rng_seed"],
             repetition=raw["repetition"],
         )
@@ -154,81 +135,57 @@ def axis_value(test: TestCase, axis: str) -> str:
     return test.band_name if axis == "delay_band" else getattr(test, axis)
 
 
-def enumerate_combinations(spec: FuzzSpecification) -> list[Combination]:
-    """Constraint-filtered cross product of the spec, in declaration order."""
-    pairs = spec.constraint_pairs()
-    if not pairs:
-        raise EmptyProduct("constraints admit no (mode, state) pair; nothing to enumerate")
-    dims = [axis_levels(spec, axis) for axis in FOCUS_AXES]
-    for dim in dims:
-        if not dim:
-            raise EmptyProduct("a spec dimension is empty; nothing to enumerate")
-    return [
-        Combination(mode, target, *rest)
-        for (mode, target) in pairs
-        for rest in product(*dims)
-    ]
+def new_case(
+    test_id: str, index: int, spec_id: str, mission_id: str, mode: AutopilotMode,
+    target: StateTarget, levels: tuple, delay_ms: float, seed: int, repetition: int,
+) -> TestCase:
+    """The test case of these inputs, the one constructor every generator
+    goes through. levels holds one level per FOCUS_AXES axis, in its order:
+    the action (an RcAction), the delay band, then each environment level."""
+    action, band, *env = levels
+    return TestCase(
+        test_id, index, spec_id, mission_id, target.state, mode, target.recurring,
+        action.value, band.name, band.min_ms, band.max_ms, delay_ms, *env, seed, repetition,
+    )
 
 
 def _sample_delay(band: DelayBand, rng: Random) -> float:
     return band.min_ms + (band.max_ms - band.min_ms) * rng.random()
 
 
-def _build_case(
-    test_id: str,
-    index: int,
-    spec_id: str,
-    mission_id: str,
-    combo: Combination,
-    delay_ms: float,
-    seed: int,
-    repetition: int,
-) -> TestCase:
-    return TestCase(
-        test_id=test_id,
-        index=index,
-        spec_id=spec_id,
-        mission_id=mission_id,
-        app_state=combo.target.state,
-        target_mode=combo.mode,
-        recurring=combo.target.recurring,
-        action=combo.action.value,
-        band_name=combo.band.name,
-        band_min_ms=combo.band.min_ms,
-        band_max_ms=combo.band.max_ms,
-        delay_ms=delay_ms,
-        throttle=combo.throttle,
-        geofence=combo.geofence,
-        wind=combo.wind,
-        gps_noise=combo.gps_noise,
-        compass_interference=combo.compass_interference,
-        seed=seed,
-        repetition=repetition,
-    )
+def generate(
+    spec: FuzzSpecification, generator: GeneratorConfig, mission_id: str
+) -> list[TestCase]:
+    """The main tests of a campaign that flies mission_id.
 
-
-def generate(spec: FuzzSpecification, config: GeneratorConfig | None = None) -> list[TestCase]:
-    """Expand every combination into seeded, delay-sampled test cases."""
-    config = config or GeneratorConfig()
-    contexts = spec.mission_contexts
-    if config.mission_policy == "first-only":
-        contexts = contexts[:1]
-    combos = enumerate_combinations(spec)
+    Every constraint pair is crossed with every level of each FOCUS_AXES
+    axis, in declaration order, and each combination expands into
+    ``repetitions_per_combination`` seeded cases whose delays are drawn
+    from their bands. Raises EmptyProduct when the spec's MISSION_CONTEXT
+    does not list mission_id, or when the spec admits no combination.
+    """
+    if mission_id not in spec.mission_contexts:
+        raise EmptyProduct(
+            f"mission {mission_id!r} is not in the spec's MISSION_CONTEXT "
+            f"{list(spec.mission_contexts)}; nothing to generate"
+        )
+    pairs = spec.constraint_pairs()
+    if not pairs:
+        raise EmptyProduct("constraints admit no (mode, state) pair; nothing to enumerate")
+    dims = [axis_levels(spec, axis) for axis in FOCUS_AXES]
+    if not all(dims):
+        raise EmptyProduct("a spec dimension is empty; nothing to enumerate")
+    master_seed = generator.master_seed
     cases: list[TestCase] = []
-    index = 0
-    for mission_id in contexts:
-        for combo in combos:
-            for rep in range(config.repetitions_per_combination):
-                seed = derive_seed(config.master_seed, index)
-                delay = _sample_delay(
-                    combo.band, Random(derive_seed(config.master_seed, index, "delay"))
-                )
-                cases.append(
-                    _build_case(
-                        f"t{index:05d}", index, spec.spec_id, mission_id, combo, delay, seed, rep
-                    )
-                )
-                index += 1
+    for mode, target in pairs:
+        for levels in product(*dims):
+            for rep in range(generator.repetitions_per_combination):
+                index = len(cases)
+                delay = _sample_delay(levels[1], Random(derive_seed(master_seed, index, "delay")))
+                cases.append(new_case(
+                    f"t{index:05d}", index, spec.spec_id, mission_id, mode, target, levels,
+                    delay, derive_seed(master_seed, index), rep,
+                ))
     return cases
 
 
@@ -294,33 +251,25 @@ def focused_generate(
         raise ConfigError(f"runs_per_cell must be >= 1, got {runs_per_cell}")
 
     # an unswept axis holds the base's own level, its band whole
-    held = {
-        "action": RcAction(base.action),
-        "delay_band": DelayBand(base.band_name, base.band_min_ms, base.band_max_ms),
-        **base.env(),
-    }
-    ranges = [axis_levels(spec, axis) if axis in axes else [held[axis]] for axis in FOCUS_AXES]
-    cases: list[TestCase] = []
-    index = 0
+    held = (
+        RcAction(base.action),
+        DelayBand(base.band_name, base.band_min_ms, base.band_max_ms),
+        *base.env().values(),
+    )
+    ranges = [
+        axis_levels(spec, axis) if axis in axes else [level]
+        for axis, level in zip(FOCUS_AXES, held)
+    ]
     target = StateTarget(base.app_state, base.recurring)
-    for values in product(*ranges):
-        combo = Combination(base.target_mode, target, *values)
+    cases: list[TestCase] = []
+    for levels in product(*ranges):
         for rep in range(runs_per_cell):
-            seed = derive_seed(master_seed, "focus", tag, index)
+            index = len(cases)
             delay = _sample_delay(
-                combo.band, Random(derive_seed(master_seed, "focus", tag, index, "delay"))
+                levels[1], Random(derive_seed(master_seed, "focus", tag, index, "delay"))
             )
-            cases.append(
-                _build_case(
-                    f"f-{tag}-{index:04d}",
-                    index,
-                    base.spec_id,
-                    base.mission_id,
-                    combo,
-                    delay,
-                    seed,
-                    rep,
-                )
-            )
-            index += 1
+            cases.append(new_case(
+                f"f-{tag}-{index:04d}", index, base.spec_id, base.mission_id, base.target_mode,
+                target, levels, delay, derive_seed(master_seed, "focus", tag, index), rep,
+            ))
     return cases

@@ -54,7 +54,7 @@ def every_axis_spec():
 @pytest.fixture(scope="module")
 def main_tests(every_axis_spec):
     config = GeneratorConfig(repetitions_per_combination=1, master_seed=SEED)
-    return generate(every_axis_spec, config)
+    return generate(every_axis_spec, config, "Flight plan A")
 
 
 def test_main_tests_digest(main_tests):

@@ -26,6 +26,7 @@ from statefuzz.cutset import (
 )
 from statefuzz.errors import InvalidOnly
 from statefuzz.executor import Executor
+from statefuzz.fuzzspec import DelayBand
 from statefuzz.oracle import Verdict, classify, default_tree
 from statefuzz.sutmodel import AppState, SutConfig
 
@@ -345,23 +346,17 @@ def test_cut_set_dict_form():
 def test_delay_placement_honors_mode_literals(spec, narrow_config):
     # free placement lands mid-span; mode literals pull the delay to the
     # side of the switch window that realizes the observed mode
-    assert _delay_for({}, spec, narrow_config) == ("long", 600.0, 1200.0, 625.0)
+    assert _delay_for({}, spec, narrow_config) == (DelayBand("long", 600.0, 1200.0), 625.0)
     assert _delay_for({MODE_COLUMN: "STABILIZED"}, spec, narrow_config) == (
-        "short",
-        50.0,
-        200.0,
+        DelayBand("short", 50.0, 200.0),
         125.0,
     )
     assert _delay_for({MODE_COLUMN: "OFFBOARD"}, spec, narrow_config) == (
-        "long",
-        600.0,
-        1200.0,
+        DelayBand("long", 600.0, 1200.0),
         900.0,
     )
     assert _delay_for({"delay_band": "medium"}, spec, narrow_config) == (
-        "medium",
-        200.0,
-        600.0,
+        DelayBand("medium", 200.0, 600.0),
         400.0,
     )
 

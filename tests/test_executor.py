@@ -138,20 +138,23 @@ def test_path_deviation_is_rounded_to_micrometers(mission_a, narrow_config):
 
 
 def test_campaign_results_align_with_inputs(spec, mission_a, narrow_config):
-    tests = generate(spec, GeneratorConfig(repetitions_per_combination=1, master_seed=0))[:10]
+    config = GeneratorConfig(repetitions_per_combination=1, master_seed=0)
+    tests = generate(spec, config, mission_a.id)[:10]
     profiles = run_campaign(tests, mission_a, narrow_config, parallelism=1)
     assert [p.test_id for p in profiles] == [t.test_id for t in tests]
 
 
 def test_parallel_campaign_matches_serial(spec, mission_a, narrow_config):
-    tests = generate(spec, GeneratorConfig(repetitions_per_combination=1, master_seed=4))[:12]
+    config = GeneratorConfig(repetitions_per_combination=1, master_seed=4)
+    tests = generate(spec, config, mission_a.id)[:12]
     serial = run_campaign(tests, mission_a, narrow_config, parallelism=1)
     parallel = run_campaign(tests, mission_a, narrow_config, parallelism=4)
     assert serial == parallel
 
 
 def test_results_do_not_depend_on_the_memo_order(spec, mission_a, narrow_config):
-    tests = generate(spec, GeneratorConfig(repetitions_per_combination=2, master_seed=4))
+    config = GeneratorConfig(repetitions_per_combination=2, master_seed=4)
+    tests = generate(spec, config, mission_a.id)
     fresh = {t.test_id: Executor(mission_a, narrow_config).execute(t) for t in tests}
     shared = Executor(mission_a, narrow_config)
     forward = [shared.execute(t) for t in tests]

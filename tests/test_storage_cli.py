@@ -125,7 +125,7 @@ def test_render_report_sections():
     meta = {
         "mission": {"id": "Flight plan A"},
         "oracle_version": "v1",
-        "master_seed": 0,
+        "generator": {"master_seed": 0},
         "config": {"seeded_faults": ["F2"]},
     }
     tree = {
@@ -166,17 +166,16 @@ def test_campaign_manifest_contents(campaign_dir):
         "generator",
         "oracle_version",
         "oracle_tree",
-        "master_seed",
         "parallelism",
         "verdict_counts",
         "status",
         "created_at",
         "wall_time_s",
     }
-    assert meta["layout"] == LAYOUT == 1
+    assert meta["layout"] == LAYOUT == 2
     assert meta["status"] == "complete"
     assert meta["spec_id"] == "fspec1"
-    assert meta["master_seed"] == 0
+    assert meta["generator"] == {"master_seed": 0, "repetitions_per_combination": 2}
     assert meta["oracle_version"] == "v1"
     assert meta["config"]["seeded_faults"] == ["F2"]
     assert meta["config"]["latency_window_ms"] == [200.0, 600.0]
@@ -298,6 +297,8 @@ def test_load_campaign_round_trip(campaign_dir):
     assert campaign.oracle_version == "v1"
     assert campaign.find_test("t00000").test_id == "t00000"
     assert campaign.find_test("nope") is None
+    # every test, main, focused or soundness trial, flew the campaign's mission
+    assert {t.mission_id for t in campaign.every_test()} == {campaign.mission.id}
     triples = campaign.results()
     assert len(triples) == 90
     for test, profile, verdict in triples[:5]:
@@ -322,7 +323,6 @@ def test_load_campaign_refuses_a_deleted_tests_manifest(
     assert args[args.index("--seed") + 1] == "0"
     assert args[args.index("--repetitions") + 1] == "2"
     assert args[args.index("--oracle") + 1] == "v1"
-    assert args[args.index("--mission-policy") + 1] == "cross-product"
     meta = read_json(campaign_copy / "campaign.json")
     inputs = tmp_path / "inputs"
     for option, key in (("--spec", "spec"), ("--mission", "mission"), ("--config", "config")):
@@ -499,8 +499,8 @@ def delete_tests_json(root) -> str:
 @pytest.mark.parametrize("command", ["analyze", "focus", "report", "replay"])
 @pytest.mark.parametrize(
     "edit",
-    [set_layout(None), set_layout(0), set_layout(2), delete_tests_json],
-    ids=["no_layout", "layout_0", "layout_2", "no_tests_json"],
+    [set_layout(None), set_layout(0), set_layout(1), set_layout(3), delete_tests_json],
+    ids=["no_layout", "layout_0", "layout_1", "layout_3", "no_tests_json"],
 )
 def test_a_campaign_of_another_layout_exits_two_and_changes_nothing(
     campaign_copy, capsys, edit, command
@@ -1398,7 +1398,7 @@ def test_a_killed_rerun_leaves_a_campaign_that_commands_refuse(campaign_copy, mo
         cli.main(args + ["--out", str(campaign_copy)])
     assert logged_ids(campaign_copy) == saved
     meta = read_json(campaign_copy / "campaign.json")
-    assert meta["status"] == "running" and meta["master_seed"] == 7
+    assert meta["status"] == "running" and meta["generator"]["master_seed"] == 7
     capsys.readouterr()
     for command in (["report"], ["analyze"], ["focus"], ["replay", "--test-id", "t00003"]):
         assert cli.main([*command, "--campaign", str(campaign_copy)]) == 2
@@ -1426,6 +1426,38 @@ def test_rerun_replaces_a_campaign_of_another_layout(campaign_dir, campaign_copy
     assert cli.main(CAMPAIGN_ARGS + ["--out", str(campaign_copy)]) == 0
     assert without_manifest(campaign_copy) == without_manifest(campaign_dir)
     assert read_json(campaign_copy / "campaign.json")["layout"] == LAYOUT
+
+
+def no_pair_spec(root) -> dict:
+    """A spec whose constraints admit no (mode, state) pair."""
+    raw = small_spec_raw()
+    raw["CONSTRAINTS"]["REQUIRES_PX4_MODE"] = {}
+    write_json(root / "no_pairs.json", raw)
+    return {"--spec": str(root / "no_pairs.json")}
+
+
+@pytest.mark.parametrize(
+    "inputs, error",
+    [
+        (lambda root: {"--mission": "mission_c"},
+         "mission 'Flight plan C' is not in the spec's MISSION_CONTEXT ['Flight plan A']"),
+        (no_pair_spec, "constraints admit no (mode, state) pair"),
+    ],
+    ids=["unlisted_mission", "no_pairs"],
+)
+def test_a_rerun_that_generates_nothing_changes_nothing(
+    campaign_copy, tmp_path, capsys, inputs, error
+):
+    # the tests are generated before --out is claimed, so a stored
+    # campaign keeps every file, and stays one the other commands load
+    before = campaign_files(campaign_copy)
+    args = list(CAMPAIGN_ARGS)
+    for option, value in inputs(tmp_path).items():
+        args[args.index(option) + 1] = value
+    assert cli.main(args + ["--out", str(campaign_copy)]) == 2
+    assert error in capsys.readouterr().err
+    assert campaign_files(campaign_copy) == before
+    assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
 
 
 def test_run_refuses_a_directory_that_is_not_a_campaign(tmp_path, capsys):
@@ -1518,7 +1550,7 @@ def test_seed_falls_back_to_the_environment(tmp_path, monkeypatch, capsys):
     printed = capsys.readouterr().out
     assert "no failures: skipping clustering" in printed
     meta = read_json(out / "campaign.json")
-    assert meta["master_seed"] == 5
+    assert meta["generator"]["master_seed"] == 5
     assert meta["verdict_counts"] == {"SUCCESS": 1}
     assert not (out / "analysis.json").exists()
     # the report still renders without clusters or tables

@@ -1,15 +1,16 @@
 """Combinatorial test generation and seed derivation."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from statefuzz.errors import ConfigError, EmptyProduct, UnknownAxis
-from statefuzz.fuzzspec import parse_fuzz_spec
+from statefuzz.fuzzspec import ENV_AXES, parse_fuzz_spec
 from statefuzz.sutmodel import AppState, AutopilotMode
 from statefuzz.testgen import (
     GeneratorConfig,
     derive_seed,
-    enumerate_combinations,
     focused_generate,
     generate,
     sweep_tag,
@@ -17,6 +18,8 @@ from statefuzz.testgen import (
 
 from conftest import small_spec_raw
 from helpers import make_case
+
+MISSION = "Flight plan A"
 
 
 def test_derive_seed_is_frozen():
@@ -34,21 +37,21 @@ def test_derive_seed_separates_argument_boundaries():
 
 
 def test_enumeration_size_and_order(spec):
-    combos = enumerate_combinations(spec)
+    combos = generate(spec, GeneratorConfig(repetitions_per_combination=1), MISSION)
     assert len(combos) == 45  # 5 constrained pairs x 3 actions x 3 bands
     first = combos[0]
-    assert first.mode is AutopilotMode.OFFBOARD
-    assert first.target.state is AppState.TAKEOFF
+    assert first.target_mode is AutopilotMode.OFFBOARD
+    assert first.app_state is AppState.TAKEOFF
     assert first.action == "ALTCTL"
-    assert first.band.name == "short"
+    assert first.band_name == "short"
     # bands vary fastest, then actions, then (mode, state) pairs
-    assert combos[1].band.name == "medium"
+    assert combos[1].band_name == "medium"
     assert combos[3].action == "POSCTL"
     last = combos[-1]
-    assert last.mode is AutopilotMode.LAND
-    assert last.target.state is AppState.DISARMING
+    assert last.target_mode is AutopilotMode.LAND
+    assert last.app_state is AppState.DISARMING
     assert last.action == "STABILIZED"
-    assert last.band.name == "long"
+    assert last.band_name == "long"
 
 
 def test_enumeration_requires_constraint_pairs():
@@ -56,11 +59,34 @@ def test_enumeration_requires_constraint_pairs():
     raw["CONSTRAINTS"]["REQUIRES_PX4_MODE"] = {}
     spec = parse_fuzz_spec(raw, spec_id="s")
     with pytest.raises(EmptyProduct):
-        enumerate_combinations(spec)
+        generate(spec, GeneratorConfig(), MISSION)
+
+
+def test_generate_flies_the_one_mission_it_is_given():
+    raw = small_spec_raw()
+    raw["MISSION_CONTEXT"] = ["Flight plan C", "Flight plan A"]
+    spec = parse_fuzz_spec(raw, spec_id="s")
+    cases = generate(spec, GeneratorConfig(repetitions_per_combination=1), MISSION)
+    assert len(cases) == 45
+    assert {c.mission_id for c in cases} == {MISSION}
+
+
+def test_generate_refuses_a_mission_the_spec_does_not_list(spec):
+    with pytest.raises(EmptyProduct) as refused:
+        generate(spec, GeneratorConfig(), "Flight plan C")
+    assert "'Flight plan C'" in str(refused.value)
+    assert "['Flight plan A']" in str(refused.value)
+
+
+def test_environment_fields_follow_env_axes():
+    # new_case passes a test's environment levels by position
+    fields = [f.name for f in dataclasses.fields(make_case())]
+    start = fields.index(ENV_AXES[0])
+    assert tuple(fields[start:start + len(ENV_AXES)]) == ENV_AXES
 
 
 def test_generate_expands_repetitions(spec):
-    cases = generate(spec, GeneratorConfig(repetitions_per_combination=80, master_seed=0))
+    cases = generate(spec, GeneratorConfig(repetitions_per_combination=80, master_seed=0), MISSION)
     assert len(cases) == 3600
     assert cases[0].test_id == "t00000"
     assert cases[-1].test_id == "t03599"
@@ -72,36 +98,22 @@ def test_generate_expands_repetitions(spec):
 
 def test_generate_is_deterministic(spec):
     cfg = GeneratorConfig(repetitions_per_combination=3, master_seed=7)
-    assert generate(spec, cfg) == generate(spec, cfg)
-    other = generate(spec, GeneratorConfig(repetitions_per_combination=3, master_seed=8))
-    assert [c.delay_ms for c in other] != [c.delay_ms for c in generate(spec, cfg)]
+    assert generate(spec, cfg, MISSION) == generate(spec, cfg, MISSION)
+    other = generate(spec, GeneratorConfig(repetitions_per_combination=3, master_seed=8), MISSION)
+    assert [c.delay_ms for c in other] != [c.delay_ms for c in generate(spec, cfg, MISSION)]
 
 
 def test_generated_delays_stay_inside_their_band(spec):
-    for case in generate(spec, GeneratorConfig(repetitions_per_combination=5, master_seed=3)):
+    config = GeneratorConfig(repetitions_per_combination=5, master_seed=3)
+    for case in generate(spec, config, MISSION):
         assert case.band_min_ms <= case.delay_ms < case.band_max_ms
 
 
 def test_generated_seed_and_delay_formulas(spec):
-    case = generate(spec, GeneratorConfig(repetitions_per_combination=1, master_seed=0))[0]
+    case = generate(spec, GeneratorConfig(repetitions_per_combination=1, master_seed=0), MISSION)[0]
     assert case.seed == derive_seed(0, 0)
-    assert case.mission_id == "Flight plan A"
+    assert case.mission_id == MISSION
     assert case.spec_id == "fspec1"
-
-
-def test_mission_policies():
-    raw = small_spec_raw()
-    raw["MISSION_CONTEXT"] = ["Flight plan A", "Flight plan C"]
-    spec = parse_fuzz_spec(raw, spec_id="s")
-    crossed = generate(spec, GeneratorConfig(repetitions_per_combination=1, master_seed=0))
-    assert len(crossed) == 90
-    assert {c.mission_id for c in crossed} == {"Flight plan A", "Flight plan C"}
-    first_only = generate(
-        spec,
-        GeneratorConfig(repetitions_per_combination=1, master_seed=0, mission_policy="first-only"),
-    )
-    assert len(first_only) == 45
-    assert {c.mission_id for c in first_only} == {"Flight plan A"}
 
 
 @pytest.mark.parametrize(
@@ -109,7 +121,6 @@ def test_mission_policies():
     [
         {"repetitions_per_combination": 0},
         {"repetitions_per_combination": -2},
-        {"mission_policy": "round-robin"},
     ],
 )
 def test_generator_config_validation(kwargs):
@@ -118,7 +129,8 @@ def test_generator_config_validation(kwargs):
 
 
 def test_test_case_round_trips_through_dict(spec):
-    case = generate(spec, GeneratorConfig(repetitions_per_combination=2, master_seed=1))[17]
+    config = GeneratorConfig(repetitions_per_combination=2, master_seed=1)
+    case = generate(spec, config, MISSION)[17]
     raw = case.to_dict()
     assert raw["id"] == case.test_id
     assert raw["delay_band"] == {
@@ -135,7 +147,7 @@ def test_test_case_round_trips_through_dict(spec):
 
 
 def test_focused_generate_sweeps_only_named_axes(spec):
-    base = generate(spec, GeneratorConfig(repetitions_per_combination=1, master_seed=0))[0]
+    base = generate(spec, GeneratorConfig(repetitions_per_combination=1, master_seed=0), MISSION)[0]
     cases = focused_generate(base, ["action", "delay_band"], 20, spec)
     tag = sweep_tag(base, ["action", "delay_band"], 20)
     assert len(cases) == 180  # 3 actions x 3 bands x 20
@@ -152,7 +164,7 @@ def test_focused_generate_sweeps_only_named_axes(spec):
 
 
 def test_focused_generate_with_no_axes_resamples_delay(spec):
-    base = generate(spec, GeneratorConfig(repetitions_per_combination=1, master_seed=0))[3]
+    base = generate(spec, GeneratorConfig(repetitions_per_combination=1, master_seed=0), MISSION)[3]
     cases = focused_generate(base, [], 10, spec)
     assert len(cases) == 10
     assert {c.action for c in cases} == {base.action}
@@ -162,7 +174,7 @@ def test_focused_generate_with_no_axes_resamples_delay(spec):
 
 
 def test_focused_generate_is_deterministic(spec):
-    base = generate(spec, GeneratorConfig(repetitions_per_combination=1, master_seed=0))[5]
+    base = generate(spec, GeneratorConfig(repetitions_per_combination=1, master_seed=0), MISSION)[5]
     a = focused_generate(base, ["delay_band"], 4, spec, master_seed=9)
     b = focused_generate(base, ["delay_band"], 4, spec, master_seed=9)
     assert a == b
