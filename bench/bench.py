@@ -29,10 +29,11 @@ focused ones, each stored sweep once (180 since representatives with one
 sweep key share a sweep; 540 before). It reports flights per second and
 simulated seconds per host second over the median of ``--repeats`` passes,
 at least 3, and a digest of the execution profiles. With ``--parent`` and
-``--change`` the parent's CLI stores the quick start, and both checkouts'
-``src`` fly that one flight set (1,440 flights from a parent that stores a
-sweep per representative), in cold single passes: each pass is a fresh
-subprocess with a new ``Executor``, so any per-executor memo starts empty. The sides alternate which runs first; the section records each
+``--change`` each checkout's CLI stores the quick start in a fresh
+interpreter, so the two may store different layouts, and each checkout's
+``src`` flies the flight set it stored, in cold single passes: each pass is
+a fresh subprocess with a new ``Executor``, so any per-executor memo starts
+empty. The sides alternate which runs first; the section records each
 side's passes, median and quartiles, the pairs the change won, the profile
 digests, and from one more pass per side, with ``Vehicle._coast`` wrapped in
 the subprocess, the ``_coast`` calls per flight and the entries of the
@@ -50,9 +51,11 @@ the median time of the results' save and load per 1,000 results, and of
 the tests' read and ``save_tests`` per 1,000 tests, the bytes the results
 and ``tests.json`` take on disk, and a digest of the loaded profiles and
 of each verdict and its reason, so two source trees can be checked for equal results. With
-``--parent`` and ``--change`` the parent's CLI stores the quick start, and
-both checkouts' ``src`` time those four steps on it in single passes, each
-in a fresh subprocess, the sides alternating which runs first: host drift
+``--parent`` and ``--change`` each checkout's CLI stores the quick start in
+a fresh interpreter, so the two may store different layouts, and each
+checkout's ``src`` times those four steps on the campaign it stored in
+single passes, each in a fresh subprocess, the sides alternating which runs
+first: equal digests show that both sides stored the same facts. Host drift
 over minutes exceeds what a storage change moves, so one tree per
 invocation cannot compare two. The section records each side's passes,
 the median and quartiles of each step per 1,000, the pairs the change won,
@@ -78,7 +81,7 @@ trees can be checked for equal output.
 ``startup`` times cold starts of two checkouts: ``--pairs`` alternating
 pairs of fresh interpreters that only ``import statefuzz.cli``, then one
 start per subcommand, under ``-X importtime``, that runs it on a small
-stored campaign (``run`` stores its own). It records each side's import
+campaign the side's own CLI stored (``run`` stores its own). It records each side's import
 times, their median and quartiles, the pairs the change won, and which heavy
 modules (numpy, multiprocessing) each start loaded; for each subcommand, its
 wall time and the time its imports took.
@@ -179,6 +182,23 @@ def store_quickstart(cli, root: Path) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         if cli.main([*F2_QUICKSTART, "--out", str(root)]) != 0:
             raise SystemExit("the quick-start run failed")
+
+
+#: runs the CLI on the JSON list of arguments in argv[1], for fresh_start
+CLI_MAIN = ("import json, sys\n"
+            "from statefuzz import cli\n"
+            "if cli.main(json.loads(sys.argv[1])) != 0:\n"
+            "    raise SystemExit('the command failed')\n")
+
+
+def store_with(checkouts: dict, work: Path, run: tuple) -> dict:
+    """Store the campaign of the run arguments once per checkout (side ->
+    checkout), each with its own CLI in a fresh interpreter, so that each
+    side reads the layout it wrote; side -> campaign directory."""
+    stored = {side: work / f"stored-{side}" for side in checkouts}
+    for side, checkout in checkouts.items():
+        fresh_start(checkout / "src", CLI_MAIN, json.dumps([*run, "--out", str(stored[side])]))
+    return stored
 
 
 def import_from(src: str, module: str):
@@ -289,15 +309,14 @@ def cmd_simulator(args) -> dict:
 
 
 def cmd_simulator_ab(args) -> dict:
-    # the parent stores the flight set, so both sides can load it
-    cli = import_from(str(Path(args.parent) / "src"), "statefuzz.cli")
+    # each side flies the flight set it stored, in the layout it reads
+    sides = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
     with tempfile.TemporaryDirectory() as work:
-        store_quickstart(cli, Path(work))
-        sides = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
+        stored = store_with(sides, Path(work), F2_QUICKSTART)
 
         def one_pass(side: str, count: bool) -> dict:
             argv = [sys.executable, str(Path(__file__).resolve()), "simulator-pass",
-                    "--src", str(sides[side] / "src"), "--campaign", work]
+                    "--src", str(sides[side] / "src"), "--campaign", str(stored[side])]
             result = subprocess.run(argv + ["--count"] * count, capture_output=True,
                                     text=True, check=False)
             if result.returncode != 0:
@@ -314,12 +333,13 @@ def cmd_simulator_ab(args) -> dict:
                 f"{side} {runs[side]['wall_s']:.3f} s" for side in order), flush=True)
         counts = {side: one_pass(side, True) for side in sides}
     walls = {side: [p[side]["wall_s"] for p in pairs] for side in sides}
-    flights = pairs[0]["parent"]["flights"]
+    flights = {side: pairs[0][side]["flights"] for side in sides}
     out = {
         "flights": flights,
         "pairs": pairs,
         "wall_s": {side: quartiles(values) for side, values in walls.items()},
-        "flights_per_s": {side: flights / statistics.median(v) for side, v in walls.items()},
+        "flights_per_s": {side: flights[side] / statistics.median(v)
+                          for side, v in walls.items()},
         "speedup": statistics.median(walls["parent"]) / statistics.median(walls["change"]),
         "change_wins": sum(c < p for p, c in zip(walls["parent"], walls["change"])),
         "digests": {side: sorted({p[side]["digest"] for p in pairs}) for side in sides},
@@ -461,19 +481,17 @@ def cmd_storage(args) -> dict:
 
 
 def cmd_storage_ab(args) -> dict:
-    # the parent stores the quick start, so both sides can load it
-    cli = import_from(str(Path(args.parent) / "src"), "statefuzz.cli")
+    # each side times the quick start it stored, in the layout it reads
     sides = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
     with tempfile.TemporaryDirectory() as work:
-        stored = Path(work) / "stored"
-        store_quickstart(cli, stored)
+        stored = store_with(sides, Path(work), F2_QUICKSTART)
         pairs = []
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             runs = {}
             for side in order:
                 argv = [sys.executable, str(Path(__file__).resolve()), "storage-pass",
-                        "--src", str(sides[side] / "src"), "--campaign", str(stored),
+                        "--src", str(sides[side] / "src"), "--campaign", str(stored[side]),
                         "--root", str(Path(work) / f"{side}{i}")]
                 result = subprocess.run(argv, capture_output=True, text=True, check=False)
                 if result.returncode != 0:
@@ -658,13 +676,8 @@ def cmd_startup(args) -> dict:
         "loaded": {side: sorted({m for p in pairs for m in p[side]["loaded"]}) for side in sides},
         "commands": {},
     }
-    main = ("import json, sys\n"
-            "from statefuzz import cli\n"
-            "if cli.main(json.loads(sys.argv[1])) != 0:\n"
-            "    raise SystemExit('the command failed')\n")
     with tempfile.TemporaryDirectory() as work:
-        stored = Path(work) / "stored"
-        fresh_start(sides["parent"] / "src", main, json.dumps([*SMALL_RUN, "--out", str(stored)]))
+        stored = store_with(sides, Path(work), SMALL_RUN)
         commands = {
             "run": [*SMALL_RUN, "--out"],
             "analyze": ["analyze", "--campaign"],
@@ -678,8 +691,8 @@ def cmd_startup(args) -> dict:
             for side, checkout in sides.items():
                 campaign = Path(work) / f"{name}-{side}"
                 if name != "run":
-                    shutil.copytree(stored, campaign)
-                start = fresh_start(checkout / "src", main, json.dumps([*argv, str(campaign)]),
+                    shutil.copytree(stored[side], campaign)
+                start = fresh_start(checkout / "src", CLI_MAIN, json.dumps([*argv, str(campaign)]),
                                     importtime=True)
                 out["commands"][name][side] = start
             print(f"{name}: " + ", ".join(

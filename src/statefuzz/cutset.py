@@ -24,6 +24,7 @@ that serializes to DOT and JSON.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -392,32 +393,32 @@ class SoundnessResult:
 def _delay_for(
     literals: Mapping[str, str], spec: FuzzSpecification, config: SutConfig
 ) -> Optional[tuple[DelayBand, float]]:
-    """Pick (band, delay) realizing band/mode literals."""
+    """Pick (band, delay) realizing band/mode literals: the midpoint of the
+    bands' span in the mode literal's window of delays or, in a gap between
+    bands, of the first band's part of that window; None if no band meets it."""
     lo_w, hi_w = config.latency_window_ms
     bands = spec.environment.bands
     if "delay_band" in literals:
         bands = tuple(b for b in bands if b.name == literals["delay_band"])
         if not bands:
             return None
-    span_lo = min(b.min_ms for b in bands)
-    span_hi = max(b.max_ms for b in bands)
-    mode = literals.get(MODE_COLUMN)
-    if mode == AutopilotMode.STABILIZED.value:
-        hi = min(span_hi, lo_w)
-        if hi <= span_lo:
-            return None
-        delay = (span_lo + hi) / 2.0
-    elif mode == AutopilotMode.OFFBOARD.value:
-        lo = max(span_lo, hi_w)
-        if lo >= span_hi:
-            return None
-        delay = (lo + span_hi) / 2.0
-    else:
-        delay = (span_lo + span_hi) / 2.0
+    # STABILIZED is seen before the switch window opens, OFFBOARD once it closed
+    window_lo, window_hi = {
+        AutopilotMode.STABILIZED.value: (-math.inf, lo_w),
+        AutopilotMode.OFFBOARD.value: (hi_w, math.inf),
+    }.get(literals.get(MODE_COLUMN), (-math.inf, math.inf))
+    lo = max(min(b.min_ms for b in bands), window_lo)
+    hi = min(max(b.max_ms for b in bands), window_hi)
+    if lo >= hi:
+        return None
+    delay = (lo + hi) / 2.0
     for b in bands:
         if b.min_ms <= delay < b.max_ms:
             return b, delay
-    return bands[0], delay
+    # in a gap: the window, a half-line that meets the span, meets a band
+    parts = ((b, max(b.min_ms, window_lo), min(b.max_ms, window_hi)) for b in bands)
+    band, lo, hi = next(part for part in parts if part[1] < part[2])
+    return band, (lo + hi) / 2.0
 
 
 #: trials per soundness check

@@ -23,7 +23,7 @@ closes it before returning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from random import Random
 from typing import Optional
 
@@ -54,7 +54,9 @@ class ExecutionProfile:
     A flight injects at most once: at context_reached_time_ms plus the
     test's delay_ms, the test's action. The four injection fields describe
     that injection; they are None (injection_deferred False) when the
-    context was never reached, so nothing was injected.
+    context was never reached, so nothing was injected. A result line is
+    the JSON array of the fields in declaration order (PROFILE_FIELDS), so
+    a change to the fields or their order raises storage.LAYOUT.
     """
 
     test_id: str
@@ -80,48 +82,19 @@ class ExecutionProfile:
         return self.context_reached_time_ms is not None
 
     def to_dict(self) -> dict:
-        return {
-            "test_id": self.test_id,
-            "context_reached_time_ms": self.context_reached_time_ms,
-            "app_state_at_injection": self.app_state_at_injection,
-            "mode_at_injection": self.mode_at_injection,
-            "injection_acknowledged": self.injection_acknowledged,
-            "injection_deferred": self.injection_deferred,
-            "mode_after_settle": self.mode_after_settle,
-            "final_app_state": self.final_app_state,
-            "final_mode": self.final_mode,
-            "mission_completed": self.mission_completed,
-            "flight_duration_ms": self.flight_duration_ms,
-            "path_deviation_max_m": self.path_deviation_max_m,
-            "jerk_flag": self.jerk_flag,
-            "oscillation_count": self.oscillation_count,
-            "failsafe_events": [list(e) for e in self.failsafe_events],
-            "exceptions": list(self.exceptions),
-            "trace": [list(p) for p in self.trace],
-        }
+        return {name: getattr(self, name) for name in PROFILE_FIELDS}
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExecutionProfile":
-        """The profile whose to_dict is raw."""
-        return cls(
-            test_id=raw["test_id"],
-            context_reached_time_ms=raw["context_reached_time_ms"],
-            app_state_at_injection=raw["app_state_at_injection"],
-            mode_at_injection=raw["mode_at_injection"],
-            injection_acknowledged=raw["injection_acknowledged"],
-            injection_deferred=raw["injection_deferred"],
-            mode_after_settle=raw["mode_after_settle"],
-            final_app_state=raw["final_app_state"],
-            final_mode=raw["final_mode"],
-            mission_completed=raw["mission_completed"],
-            flight_duration_ms=raw["flight_duration_ms"],
-            path_deviation_max_m=raw["path_deviation_max_m"],
-            jerk_flag=raw["jerk_flag"],
-            oscillation_count=raw["oscillation_count"],
-            failsafe_events=tuple(tuple(e) for e in raw["failsafe_events"]),
-            exceptions=tuple(raw["exceptions"]),
-            trace=tuple(tuple(p) for p in raw["trace"]),
-        )
+    def from_row(cls, row: list) -> "ExecutionProfile":
+        """The profile whose fields in PROFILE_FIELDS order are row's items,
+        as JSON gives them back: its last three, lists, become tuples."""
+        *head, failsafe_events, exceptions, trace = row
+        return cls(*head, tuple(map(tuple, failsafe_events)), tuple(exceptions),
+                   tuple(map(tuple, trace)))
+
+
+#: ExecutionProfile's field names in declaration order, a result line's order
+PROFILE_FIELDS = tuple(f.name for f in fields(ExecutionProfile))
 
 
 class Executor:

@@ -15,11 +15,11 @@ Layout of a campaign directory:
                              its tag; each recipe with the sha256 of the
                              cases it gave
     results.jsonl            one line per flown test, in flight order: the
-                             compact, sorted-key JSON {"id", "profile"}
-                             (t*, f-<tag>-NNNN and s-<tag>-<i>); the profile
-                             holds its one injection as flat fields (see
-                             executor.ExecutionProfile) and leaves out its
-                             test_id, which is the line's id
+                             compact JSON array of its profile's fields in
+                             declaration order (executor.PROFILE_FIELDS),
+                             its test id first (t*, f-<tag>-NNNN and
+                             s-<tag>-<i>); LAYOUT stands for that order, so
+                             no line or file names a field
     analysis.json            clustering output
     truthtables/<tag>.json   one table per focus sweep, plus .csv
     faulttrees/<tag>.json    one tree per focus sweep, plus .dot, plus combined
@@ -103,7 +103,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .cutset import soundness_trials
 from .errors import CampaignRunning, LayoutMismatch, RecipeMismatch
-from .executor import ExecutionProfile
+from .executor import PROFILE_FIELDS, ExecutionProfile
 from .fuzzspec import FuzzSpecification, MissionPlan, parse_fuzz_spec, parse_mission
 from .oracle import Verdict, classify, parse_tree
 from .sutmodel import SutConfig
@@ -114,12 +114,15 @@ if TYPE_CHECKING:
 
 
 #: the layout of the campaign directories this code writes and reads,
-#: recorded in campaign.json; a change to the shape of a stored file raises it
-LAYOUT = 2
+#: recorded in campaign.json; a change to the shape of a stored file raises
+#: it. Layout 3 stores a result line as its profile's PROFILE_FIELDS values.
+LAYOUT = 3
 #: the results log of a campaign directory
 RESULTS = "results.jsonl"
-#: where a log line's test id starts: sorted keys put "id" first
-_ID_AT = len('{"id":')
+#: where a log line's test id starts: test_id is a row's first value
+_ID_AT = 1
+#: a profile's row: its field values in PROFILE_FIELDS order
+_row = attrgetter(*PROFILE_FIELDS)
 _DECODER = json.JSONDecoder()
 #: what cases_digest hashes: every field of a test case, enums by value
 _COLUMNS = tuple(
@@ -318,13 +321,6 @@ def _log(root: Path):
                 yield None if torn else _DECODER.raw_decode(line, _ID_AT)[0], line
 
 
-def _result_line(test_id: str, profile: dict) -> str:
-    """A result as the log stores it: its id and its profile, less the
-    profile's test_id, which is the id."""
-    doc = {"id": test_id, "profile": {k: v for k, v in profile.items() if k != "test_id"}}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def _keep_results(root: Path, listed: dict) -> None:
     """Leave one result line per listed test id in the log: the last whole
     line of the id, where its first line stood.
@@ -345,10 +341,10 @@ def _keep_results(root: Path, listed: dict) -> None:
 
 
 def save_result(root: Path, test: TestCase, profile: ExecutionProfile) -> None:
-    """Append test's flight to the results log as one line; its verdict is
-    judged on load."""
+    """Append test's flight to the results log as one line: the row of
+    profile, whose test_id is test's; its verdict is judged on load."""
     with open(root / RESULTS, "a", encoding="utf-8") as log:
-        log.write(_result_line(test.test_id, profile.to_dict()))
+        log.write(json.dumps(_row(profile), separators=(",", ":")) + "\n")
 
 
 def trim_results(root: Path) -> None:
@@ -368,10 +364,11 @@ def trim_results(root: Path) -> None:
 
 
 def iter_results(root: Path):
-    """Yield (test id, result) for each whole line of the results log, in
-    order, read one line at a time; result is the line's {"id", "profile"},
-    the profile as stored. An id may come more than once: its last result
-    is the one that stands."""
+    """Yield (test id, row) for each whole line of the results log, in
+    order, read one line at a time; row is the line's array, the profile's
+    fields in PROFILE_FIELDS order as JSON gives them back (see
+    ExecutionProfile.from_row). An id may come more than once: its last
+    row is the one that stands."""
     for test_id, line in _log(root):
         if test_id is not None:
             yield test_id, json.loads(line)
@@ -477,9 +474,9 @@ def load_campaign(root: Path) -> Campaign:
     )
     tests = {t.test_id: t for t in campaign.every_test()}
     tree = parse_tree(campaign.oracle_tree_raw)
-    for test_id, result in iter_results(root):
+    for test_id, row in iter_results(root):
         if test_id in tests:
-            profile = ExecutionProfile.from_dict({**result["profile"], "test_id": test_id})
+            profile = ExecutionProfile.from_row(row)
             campaign.profiles[test_id] = profile
             campaign.verdicts[test_id] = classify(tests[test_id], profile, tree)
     return campaign

@@ -262,10 +262,10 @@ class SutConfig:
     def from_dict(cls, raw: dict) -> "SutConfig":
         """Build a config from its dict form.
 
-        Configs stored by older versions also carry app_signal_loss_s,
-        autopilot_signal_loss_s and geofence_action. Nothing reads them any
-        more (a fence's action is the test's geofence level), so they are
-        checked as they always were and then dropped.
+        A --config file may also carry the retired app_signal_loss_s,
+        autopilot_signal_loss_s and geofence_action; campaigns written with
+        them are of an earlier layout, which is refused. Nothing reads them
+        (a fence's action is the test's geofence level): checked, then dropped.
         """
         known = {"latency_window_ms", "gps_degrade_level", "compass_degrade_level", "seeded_faults"}
         retired = {"app_signal_loss_s", "autopilot_signal_loss_s", "geofence_action"}

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from statefuzz.executor import ExecutionProfile, Executor
+from statefuzz.executor import PROFILE_FIELDS, ExecutionProfile, Executor
 from statefuzz.oracle import PREDICATES, Node, Verdict, classify, default_tree
 from statefuzz.sutmodel import AppState, AutopilotMode
 from statefuzz.testgen import TestCase
@@ -50,6 +50,12 @@ def make_case(
         seed=seed,
         repetition=repetition,
     )
+
+
+def column(name: str) -> int:
+    """Where a results-log row (as iter_results gives it) holds the profile
+    field name; tests read and edit raw rows only through it."""
+    return PROFILE_FIELDS.index(name)
 
 
 def run_case(test, mission, config, version="v1"):

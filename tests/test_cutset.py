@@ -22,14 +22,16 @@ from statefuzz.cutset import (
     merge_cut_sets,
     minimize,
     soundness_check,
+    soundness_trials,
     table_from_results,
 )
 from statefuzz.errors import InvalidOnly
 from statefuzz.executor import Executor
-from statefuzz.fuzzspec import DelayBand
+from statefuzz.fuzzspec import DelayBand, parse_fuzz_spec
 from statefuzz.oracle import Verdict, classify, default_tree
 from statefuzz.sutmodel import AppState, SutConfig
 
+from conftest import small_spec_raw
 from helpers import make_case, make_profile
 from reference import brute_minimize, random_table
 
@@ -366,6 +368,35 @@ def test_delay_placement_reports_unrealizable_combinations(spec, narrow_config):
     assert _delay_for({"delay_band": "bogus"}, spec, narrow_config) is None
     instant = SutConfig(latency_window_ms=(0.0, 600.0))
     assert _delay_for({MODE_COLUMN: "STABILIZED"}, spec, instant) is None
+
+
+@pytest.mark.parametrize("literals,band", [
+    ((), "short"),
+    ((("app_state", "TAKEOFF"), ("action", "POSCTL")), "short"),
+    ((("app_state", "TAKEOFF"), (MODE_COLUMN, "STABILIZED")), "short"),
+    ((("app_state", "HOVERING"), (MODE_COLUMN, "OFFBOARD")), "long"),
+    ((("delay_band", "long"), (MODE_COLUMN, "OFFBOARD")), "long"),
+], ids=["free", "state_action", "stabilized", "offboard", "long_offboard"])
+def test_every_trial_delay_lies_in_its_own_band(literals, band, narrow_config):
+    # bands with gaps between them: the span's midpoint (625 ms, or 900 ms
+    # under OFFBOARD) falls in a gap, so the delay comes from the first band
+    # that meets the mode literal's window
+    raw = small_spec_raw()
+    raw["ENVIRONMENT"]["transition_delay"]["bands"] = {
+        "short": {"min": 50, "max": 200},
+        "mid": {"min": 300, "max": 400},
+        "long": {"min": 1000, "max": 1200},
+    }
+    spec = parse_fuzz_spec(raw, spec_id="gaps")
+    lo_w, hi_w = narrow_config.latency_window_ms
+    mode = dict(literals).get(MODE_COLUMN)
+    _tag, trials = soundness_trials(literals, spec, "Flight plan A", narrow_config)
+    assert trials
+    for trial in trials:
+        assert trial.band_name == band
+        assert trial.band_min_ms <= trial.delay_ms < trial.band_max_ms
+        assert mode != "STABILIZED" or trial.delay_ms < lo_w
+        assert mode != "OFFBOARD" or trial.delay_ms >= hi_w
 
 
 F2_CUT_SET = CutSet(

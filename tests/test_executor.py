@@ -1,12 +1,14 @@
 """Flight execution: context waits, injection delivery, settle sampling."""
 
+import json
+
 import pytest
 
-from statefuzz.executor import ExecutionProfile, Executor, run_campaign
+from statefuzz.executor import PROFILE_FIELDS, ExecutionProfile, Executor, run_campaign
 from statefuzz.sutmodel import NO_ACTION, AppState, AutopilotMode, SutConfig
 from statefuzz.testgen import GeneratorConfig, generate
 
-from helpers import make_case
+from helpers import make_case, make_profile
 
 
 def test_baseline_flies_the_mission_without_injections(mission_a, narrow_config):
@@ -122,12 +124,19 @@ def test_execute_is_deterministic(mission_a, narrow_config):
     assert ex.execute(test) == ex.execute(test)
 
 
-def test_profile_round_trips_through_dict(mission_a, narrow_config):
+def test_profile_round_trips_through_a_json_row(mission_a, narrow_config):
     test = make_case(app_state=AppState.HOVERING, action="STABILIZED", delay_ms=200.0)
-    profile = Executor(mission_a, narrow_config).execute(test)
-    raw = profile.to_dict()
-    assert raw["test_id"] == test.test_id
-    assert ExecutionProfile.from_dict(raw) == profile
+    flown = Executor(mission_a, narrow_config).execute(test)
+    events = make_profile(test, failsafe_events=[(1.5, "GEOFENCE", "RTL")],
+                          exceptions=["boom"], trace=[(0.0, "TAKEOFF", "OFFBOARD")])
+    assert flown.trace
+    for profile in (flown, events):
+        # a row is the field values in declaration order, test_id first
+        row = json.loads(json.dumps([getattr(profile, name) for name in PROFILE_FIELDS]))
+        assert row[0] == test.test_id
+        assert ExecutionProfile.from_row(row) == profile
+        # to_dict names the same values, and its JSON is the lists' JSON
+        assert json.dumps(profile.to_dict()) == json.dumps(dict(zip(PROFILE_FIELDS, row)))
 
 
 def test_path_deviation_is_rounded_to_micrometers(mission_a, narrow_config):

@@ -14,7 +14,7 @@ import pytest
 from statefuzz import analysis, cli, fuzzspec, testgen
 from statefuzz.cutset import table_from_results
 from statefuzz.errors import InvalidOnly, LayoutMismatch, RecipeMismatch
-from statefuzz.executor import Executor
+from statefuzz.executor import PROFILE_FIELDS, ExecutionProfile, Executor
 from statefuzz.storage import (
     LAYOUT,
     RESULTS,
@@ -33,6 +33,7 @@ from statefuzz.storage import (
 from statefuzz.sutmodel import AppState, AutopilotMode, SutConfig
 
 from conftest import small_spec_raw
+from helpers import column
 
 CAMPAIGN_ARGS = [
     "run",
@@ -172,7 +173,28 @@ def test_campaign_manifest_contents(campaign_dir):
         "created_at",
         "wall_time_s",
     }
-    assert meta["layout"] == LAYOUT == 2
+    assert meta["layout"] == LAYOUT == 3
+    # layout 3 stores a result line as these fields' values in this order,
+    # so reordering ExecutionProfile's fields must raise LAYOUT
+    assert PROFILE_FIELDS == tuple(f.name for f in dataclasses.fields(ExecutionProfile)) == (
+        "test_id",
+        "context_reached_time_ms",
+        "app_state_at_injection",
+        "mode_at_injection",
+        "injection_acknowledged",
+        "injection_deferred",
+        "mode_after_settle",
+        "final_app_state",
+        "final_mode",
+        "mission_completed",
+        "flight_duration_ms",
+        "path_deviation_max_m",
+        "jerk_flag",
+        "oscillation_count",
+        "failsafe_events",
+        "exceptions",
+        "trace",
+    )
     assert meta["status"] == "complete"
     assert meta["spec_id"] == "fspec1"
     assert meta["generator"] == {"master_seed": 0, "repetitions_per_combination": 2}
@@ -194,14 +216,15 @@ def test_tests_manifest_lists_main_and_focused(campaign_dir):
 
 def logged_ids(root) -> list[str]:
     """The test ids of the results log's lines, in order."""
-    return [json.loads(line)["id"] for line in (root / "results.jsonl").read_text().splitlines()]
+    return [json.loads(line)[column("test_id")]
+            for line in (root / "results.jsonl").read_text().splitlines()]
 
 
 def write_log(root, results: dict) -> None:
-    """Store results (test id -> result, as iter_results gives them) as the
+    """Store results (test id -> row, as iter_results gives them) as the
     results log, in order."""
     (root / "results.jsonl").write_text("".join(
-        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" for doc in results.values()
+        json.dumps(row, separators=(",", ":")) + "\n" for row in results.values()
     ))
 
 
@@ -213,9 +236,14 @@ def test_every_executed_test_has_a_result_file(campaign_dir):
     results = dict(iter_results(campaign_dir))
     for test_id in ids:
         record = results[test_id]
-        # the verdict is judged on load, and the id is not stored twice
-        assert set(record) == {"id", "profile"}
-        assert "test_id" not in record["profile"]
+        # the verdict is judged on load, and the id is not stored twice:
+        # the row holds the profile's fields and nothing else
+        assert len(record) == len(PROFILE_FIELDS)
+        assert record[column("test_id")] == test_id
+        assert test_id not in record[column("test_id") + 1:]
+    # no line names a field: the layout gives their order
+    text = (campaign_dir / "results.jsonl").read_text()
+    assert not [name for name in PROFILE_FIELDS if f'"{name}"' in text]
     # one compact line per flown test, in flight order, and no per-test file
     assert logged_ids(campaign_dir) == ids
     assert {p.name for p in campaign_dir.glob("*.json")} == {
@@ -335,7 +363,7 @@ def test_load_campaign_refuses_a_deleted_tests_manifest(
 def test_verdicts_judged_on_load_are_those_the_run_judged(campaign_copy):
     # a torn last line is skipped
     with (campaign_copy / RESULTS).open("a", encoding="utf-8") as log:
-        log.write('{"id":"t00000","profile":{"final_mode":"LAND"')
+        log.write('["t00000",1500.0,"TAKEOFF"')
     campaign = load_campaign(campaign_copy)
     assert list(campaign.verdicts) == list(campaign.profiles)
     assert len(campaign.verdicts) > 90
@@ -499,8 +527,9 @@ def delete_tests_json(root) -> str:
 @pytest.mark.parametrize("command", ["analyze", "focus", "report", "replay"])
 @pytest.mark.parametrize(
     "edit",
-    [set_layout(None), set_layout(0), set_layout(1), set_layout(3), delete_tests_json],
-    ids=["no_layout", "layout_0", "layout_1", "layout_3", "no_tests_json"],
+    [set_layout(None), set_layout(0), set_layout(1), set_layout(2), set_layout(4),
+     delete_tests_json],
+    ids=["no_layout", "layout_0", "layout_1", "layout_2", "layout_4", "no_tests_json"],
 )
 def test_a_campaign_of_another_layout_exits_two_and_changes_nothing(
     campaign_copy, capsys, edit, command
@@ -639,7 +668,7 @@ def torn_log(root) -> str:
     text = path.read_text()
     start = text.rindex("\n", 0, len(text) - 1) + 1
     path.write_text(text[: start + (len(text) - start) // 2])
-    return json.loads(text[start:])["id"]
+    return json.loads(text[start:])[column("test_id")]
 
 
 def test_a_torn_last_line_is_ignored_and_then_dropped(campaign_dir, campaign_copy, capsys):
@@ -679,7 +708,7 @@ def test_the_last_whole_line_of_an_id_wins(campaign_dir, campaign_copy, capsys):
     flown_again = dataclasses.replace(campaign.profiles["t00001"], oscillation_count=99)
     save_result(campaign_copy, test, flown_again)
     with (campaign_copy / RESULTS).open("a", encoding="utf-8") as log:
-        log.write('{"id":"t00001","profile":{"final_mode":"LAND"')
+        log.write('["t00001",1500.0,"TAKEOFF"')
     # on load the later whole line stands, and the torn one is skipped
     assert load_campaign(campaign_copy).profiles["t00001"] == flown_again
     assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", "t00001"]) == 1
@@ -687,13 +716,13 @@ def test_the_last_whole_line_of_an_id_wins(campaign_dir, campaign_copy, capsys):
     # a rewrite keeps it, where the id's first line stood
     save_tests(campaign)
     assert logged_ids(campaign_copy) == logged_ids(campaign_dir)
-    assert dict(iter_results(campaign_copy))["t00001"]["profile"]["oscillation_count"] == 99
+    assert dict(iter_results(campaign_copy))["t00001"][column("oscillation_count")] == 99
     assert load_campaign(campaign_copy).profiles["t00001"] == flown_again
 
 
 def test_replay_detects_a_corrupted_profile(campaign_copy, capsys):
     results = dict(iter_results(campaign_copy))
-    results["t00001"]["profile"]["oscillation_count"] = 99
+    results["t00001"][column("oscillation_count")] = 99
     write_log(campaign_copy, results)
     assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", "t00001"]) == 1
     out = capsys.readouterr().out
