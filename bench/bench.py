@@ -577,7 +577,7 @@ def cmd_minimize(args) -> dict:
     from statefuzz.cutset import minimize, table_from_results
     from statefuzz.errors import InvalidOnly
     from statefuzz.storage import load_campaign
-    from statefuzz.testgen import FOCUS_AXES, TestCase
+    from statefuzz.testgen import AXES
 
     out = {"repeats": args.repeats, "campaigns": {}}
     everything = hashlib.sha256()
@@ -590,12 +590,11 @@ def cmd_minimize(args) -> dict:
             campaign = load_campaign(root)
             tables = {}
             for tag, sweep in sorted(campaign.sweeps.items()):
-                base = TestCase.from_dict(sweep.recipe["base"])
-                axes = [a for a in FOCUS_AXES if a in sweep.recipe["axes"]]
+                axes = [a for a in AXES if a in sweep.recipe["axes"]]
                 items = [(t, campaign.profiles[t.test_id], campaign.verdicts[t.test_id])
                          for t in sweep.tests]
                 try:
-                    table = table_from_results(base.app_state, axes, items)
+                    table = table_from_results(axes, items)
                 except InvalidOnly:
                     continue
                 walls = []

@@ -89,7 +89,7 @@ from .sutmodel import SutConfig
 from .testgen import (
     DEFAULT_FOCUS_REPETITIONS,
     DEFAULT_REPETITIONS,
-    FOCUS_AXES,
+    AXES,
     GeneratorConfig,
     TestCase,
     axis_levels,
@@ -607,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     focus.add_argument("--campaign", required=True)
     focus.add_argument("--test-id", action="append", default=[],
                        help="focus on this test instead of the stored representatives")
-    focus.add_argument("--axes", help=f"comma-separated axes to sweep, of {', '.join(FOCUS_AXES)} "
+    focus.add_argument("--axes", help=f"comma-separated axes to sweep, of {', '.join(AXES)} "
                        "(default: action, delay_band and each environment axis the spec "
                        "gives more than one level)")
     focus.set_defaults(fn=cmd_focus)

@@ -1,9 +1,9 @@
 """Truth tables over re-fuzzed cells, and their reduction to cut sets.
 
-A truth table is scoped to one app state: the state targeted by the
-representative test the focused campaign grew from. Its axes are the swept
-dimensions; each row aggregates the repeated runs of one cell into a
-failure rate over the runs that were valid (reached the right context).
+A truth table's axes are the swept dimensions, the injection context (app
+state) among them when a sweep varies it; its scope names the contexts its
+runs were injected in. Each row aggregates the repeated runs of one cell
+into a failure rate over the runs that were valid (reached the context).
 Cells where no run was valid are set aside as unreachable, and rows whose
 runs disagree are split by the observed mode at injection when that
 observation separates the outcomes perfectly; rows that stay mixed are
@@ -26,20 +26,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import InvalidOnly
 from .executor import ExecutionProfile
-from .fuzzspec import ENV_AXES, DelayBand, FuzzSpecification, MissionPlan, StateTarget
+from .fuzzspec import DelayBand, FuzzSpecification, MissionPlan
 from .oracle import FAILURE, INVALID, Verdict
-from .sutmodel import NO_ACTION, AppState, AutopilotMode, RcAction, SutConfig
+from .sutmodel import NO_ACTION, AutopilotMode, SutConfig
 from .testgen import (
-    FOCUS_AXES,
+    AXES,
+    CONTEXT,
     TestCase,
     axis_levels,
     axis_value,
     derive_seed,
     focused_generate,
+    level_name,
     new_case,
 )
 
@@ -48,7 +50,6 @@ MODE_VARIES = "*"
 MODE_ABSENT = "-"
 
 MODE_COLUMN = "mode_at_injection"
-SCOPE_COLUMN = "app_state"
 
 #: executes tests and returns (test, profile, verdict) triples in order
 Runner = Callable[[list[TestCase]], list[tuple[TestCase, ExecutionProfile, Verdict]]]
@@ -114,22 +115,26 @@ class TruthTable:
 
 
 def table_from_results(
-    scope: AppState,
     axes: Sequence[str],
     items: Sequence[tuple[TestCase, ExecutionProfile, Verdict]],
 ) -> TruthTable:
-    """Aggregate executed focused runs into a truth table.
+    """Aggregate executed focused runs into a truth table over axes, scoped
+    to the items' states in order, joined by "+".
 
-    Raises InvalidOnly when not a single cell produced a valid run (the
-    state was never reachable under any cell, so there is nothing to say).
+    Raises ValueError when the items come from several contexts and the
+    context is not an axis, and InvalidOnly when not a single cell produced
+    a valid run (the context was never reachable, so there is nothing to say).
     """
+    states = dict.fromkeys(test.app_state.value for test, _p, _v in items)
+    scope = "+".join(states)
+    if len(states) > 1 and CONTEXT not in axes:
+        raise ValueError(f"runs from the contexts {scope} need the {CONTEXT} axis")
+
     def cell_key(test: TestCase) -> tuple[tuple[str, str], ...]:
         return tuple((axis, axis_value(test, axis)) for axis in axes)
 
     cells: dict[tuple, list[tuple[TestCase, ExecutionProfile, Verdict]]] = {}
     for test, profile, verdict in items:
-        if test.app_state is not scope:
-            continue
         cells.setdefault(cell_key(test), []).append((test, profile, verdict))
 
     rows: list[TableRow] = []
@@ -144,10 +149,10 @@ def table_from_results(
 
     if not rows:
         raise InvalidOnly(
-            f"every cell scoped to {scope.value} was invalid; the state was never reached"
+            f"every cell scoped to {scope} was invalid; the state was never reached"
         )
     return TruthTable(
-        scope=scope.value, axes=tuple(axes), rows=tuple(rows), unreachable=tuple(unreachable)
+        scope=scope, axes=tuple(axes), rows=tuple(rows), unreachable=tuple(unreachable)
     )
 
 
@@ -166,12 +171,11 @@ def build_truth_table(
     table, are a function of the representative's sweep key alone (see
     testgen.sweep_tag). The axes go to focused_generate as given, so an
     unknown or repeated axis raises UnknownAxis; the table lists them in
-    FOCUS_AXES order.
+    AXES order.
     """
     tests = focused_generate(representative, axes, runs_per_cell, spec, master_seed)
-    ordered = [a for a in FOCUS_AXES if a in axes]
-    items = runner(tests)
-    return table_from_results(representative.app_state, ordered, items)
+    ordered = [a for a in AXES if a in axes]
+    return table_from_results(ordered, runner(tests))
 
 
 def _rows_for_cell(
@@ -346,12 +350,11 @@ class CutSet:
 
 
 def cut_sets_for_table(table: TruthTable, source: str = "") -> list[CutSet]:
-    """Scope-qualified cut sets: the table's app state leads every set."""
-    scope_lit = (SCOPE_COLUMN, table.scope)
+    """The table's cut sets; when the context is not one of its columns, the
+    table's one app state leads every set."""
+    lead = () if CONTEXT in table.axes else ((CONTEXT, table.scope),)
     sources = (source,) if source else ()
-    return [
-        CutSet(literals=(scope_lit,) + conj, sources=sources) for conj in minimize(table)
-    ]
+    return [CutSet(literals=lead + conj, sources=sources) for conj in minimize(table)]
 
 
 def merge_cut_sets(groups: Sequence[Sequence[CutSet]]) -> list[CutSet]:
@@ -391,22 +394,18 @@ class SoundnessResult:
 
 
 def _delay_for(
-    literals: Mapping[str, str], spec: FuzzSpecification, config: SutConfig
+    mode: Optional[str], bands: Sequence[DelayBand], config: SutConfig
 ) -> Optional[tuple[DelayBand, float]]:
-    """Pick (band, delay) realizing band/mode literals: the midpoint of the
-    bands' span in the mode literal's window of delays or, in a gap between
-    bands, of the first band's part of that window; None if no band meets it."""
+    """Pick (band, delay) among bands realizing mode, the value of an
+    observed-mode literal or None: the midpoint of the bands' span in the
+    mode's window of delays or, in a gap between bands, of the first band's
+    part of that window; None if no band meets it."""
     lo_w, hi_w = config.latency_window_ms
-    bands = spec.environment.bands
-    if "delay_band" in literals:
-        bands = tuple(b for b in bands if b.name == literals["delay_band"])
-        if not bands:
-            return None
     # STABILIZED is seen before the switch window opens, OFFBOARD once it closed
     window_lo, window_hi = {
         AutopilotMode.STABILIZED.value: (-math.inf, lo_w),
         AutopilotMode.OFFBOARD.value: (hi_w, math.inf),
-    }.get(literals.get(MODE_COLUMN), (-math.inf, math.inf))
+    }.get(mode, (-math.inf, math.inf))
     lo = max(min(b.min_ms for b in bands), window_lo)
     hi = min(max(b.max_ms for b in bands), window_hi)
     if lo >= hi:
@@ -434,35 +433,30 @@ def soundness_trials(
     trials: int = SOUNDNESS_TRIALS,
 ) -> tuple[str, Optional[list[TestCase]]]:
     """The tag and the trials of the soundness check of a cut set with
-    these literals; the trials are None when its mode/band literals cannot
-    be realized under config.
+    these literals; the trials are None when the literals cannot be
+    realized: one names a level the spec does not give, or the mode/band
+    literals fit no delay under config.
 
     The tag is eight hex digits hashed from the master seed and the
     literals, in the style of testgen.sweep_tag, and trial i is
-    s-<tag>-<i>, seeded from the master seed, the literals and i. Unbound
-    columns take the first spec value; the injection delay is chosen to
-    realize the band and observed-mode literals.
+    s-<tag>-<i>, seeded from the master seed, the literals and i. Each axis
+    takes the first spec level that a literal names, or else its first
+    level; the injection delay is chosen to realize the band and
+    observed-mode literals.
     """
     tag = f"{derive_seed(master_seed, 'soundness', literals):016x}"[:8]
     lits = dict(literals)
-    pairs = spec.constraint_pairs()
-    scope_name = lits.get(SCOPE_COLUMN, pairs[0][1].state.value)
-    scope = AppState(scope_name)
-    # a scope that no pair targets takes the first pair's mode
-    mode, target = next(((m, t) for m, t in pairs if t.state is scope), pairs[0])
-    target = StateTarget(scope, target.recurring)
-    placed = _delay_for(lits, spec, config)
-    if placed is None:
+    named = {axis: [level for level in axis_levels(spec, axis)
+                    if axis not in lits or level_name(axis, level) == lits[axis]]
+             for axis in AXES}
+    placed = all(named.values()) and _delay_for(lits.get(MODE_COLUMN), named["delay_band"], config)
+    if not placed:
         return tag, None
     band, delay = placed
-    levels = (
-        RcAction(lits.get("action", spec.actions[0].value)),
-        band,
-        *(lits.get(axis, axis_levels(spec, axis)[0]) for axis in ENV_AXES),
-    )
+    levels = tuple(band if axis == "delay_band" else named[axis][0] for axis in AXES)
     return tag, [
         new_case(
-            f"s-{tag}-{trial}", trial, spec.spec_id, mission_id, mode, target, levels, delay,
+            f"s-{tag}-{trial}", trial, spec.spec_id, mission_id, levels, delay,
             derive_seed(master_seed, "soundness", str(literals), trial), trial,
         )
         for trial in range(trials)
@@ -503,7 +497,7 @@ def soundness_check(
 
 #: literal column -> display category and fill color
 _CATEGORY = {
-    SCOPE_COLUMN: ("state", "yellow"),
+    CONTEXT: ("state", "yellow"),
     MODE_COLUMN: ("state", "yellow"),
     "action": ("action", "pink"),
 }

@@ -423,8 +423,9 @@ def load_campaign(root: Path) -> Campaign:
     """The campaign stored in root, each stored profile judged under its
     oracle tree; the last whole result line of an id is the one that stands.
 
-    Refuses a campaign of another layout, or a complete one without
-    tests.json (LayoutMismatch), and one still running (CampaignRunning).
+    Refuses a campaign of another layout, one whose generator block holds
+    an unknown key, or a complete one without tests.json (LayoutMismatch),
+    and one still running (CampaignRunning).
     """
     meta = read_json(root / "campaign.json")
     gen_raw = meta.get("generator", {})
@@ -453,7 +454,11 @@ def load_campaign(root: Path) -> Campaign:
             f"campaign {root} holds no tests.json, so its stored results cannot be "
             f"matched to their tests; {regenerate}"
         )
-    generator = GeneratorConfig(**gen_raw)
+    try:
+        generator = GeneratorConfig(**gen_raw)
+    except TypeError as exc:
+        raise LayoutMismatch(f"campaign {root} has a generator block this code does not read "
+                             f"({exc}); {regenerate}") from None
     spec = parse_fuzz_spec(meta["spec"], spec_id=meta["spec_id"])
     campaign = Campaign(
         root=root,
@@ -485,8 +490,8 @@ def load_campaign(root: Path) -> Campaign:
 def _regenerated(campaign: Campaign, kind: str, tag: Optional[str], raw: dict) -> Entry:
     """The entry tests.json stores as raw, a recipe of the given kind ("main",
     "sweeps" or "soundness"), regenerated under campaign's spec, mission and
-    config; raises RecipeMismatch when the recipe gives another tag than
-    the one it is stored under, or cases of another sha256."""
+    config; raises RecipeMismatch when the recipe is malformed, or gives
+    another tag than the one it is stored under, or cases of another sha256."""
     def refuse(problem: str) -> RecipeMismatch:
         where = f"tests.json {kind}" + (f" {tag}" if tag else "")
         return RecipeMismatch(
@@ -496,24 +501,27 @@ def _regenerated(campaign: Campaign, kind: str, tag: Optional[str], raw: dict) -
         )
 
     recipe = {k: v for k, v in raw.items() if k != "sha256"}
-    if kind == "main":
-        tests = generate(campaign.spec, campaign.generator, campaign.mission.id)
-    elif kind == "sweeps":
-        key = (TestCase.from_dict(recipe["base"]), recipe["axes"], recipe["runs_per_cell"])
-        if sweep_tag(*key, recipe["seed"]) != tag:
-            raise refuse("its recipe gives another tag")
-        tests = focused_generate(*key, campaign.spec, recipe["seed"])
-    else:
-        literals = tuple(tuple(lit) for lit in recipe["literals"])
-        named, tests = soundness_trials(
-            literals, campaign.spec, campaign.mission.id, campaign.config,
-            recipe["seed"], recipe["trials"],
-        )
-        if named != tag:
-            raise refuse("its recipe gives another tag")
-        tests = tests or []
-    if cases_digest(tests) != raw["sha256"]:
-        raise refuse("the cases regenerated from its recipe have another sha256")
+    try:
+        if kind == "main":
+            tests = generate(campaign.spec, campaign.generator, campaign.mission.id)
+        elif kind == "sweeps":
+            key = (TestCase.from_dict(recipe["base"]), recipe["axes"], recipe["runs_per_cell"])
+            if sweep_tag(*key, recipe["seed"]) != tag:
+                raise refuse("its recipe gives another tag")
+            tests = focused_generate(*key, campaign.spec, recipe["seed"])
+        else:
+            literals = tuple(tuple(lit) for lit in recipe["literals"])
+            named, tests = soundness_trials(
+                literals, campaign.spec, campaign.mission.id, campaign.config,
+                recipe["seed"], recipe["trials"],
+            )
+            if named != tag:
+                raise refuse("its recipe gives another tag")
+            tests = tests or []
+        if cases_digest(tests) != raw["sha256"]:
+            raise refuse("the cases regenerated from its recipe have another sha256")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise refuse(f"its recipe is malformed ({type(exc).__name__}: {exc})") from None
     return Entry(tests, recipe)
 
 

@@ -260,31 +260,13 @@ class SutConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SutConfig":
-        """Build a config from its dict form.
-
-        A --config file may also carry the retired app_signal_loss_s,
-        autopilot_signal_loss_s and geofence_action; campaigns written with
-        them are of an earlier layout, which is refused. Nothing reads them
-        (a fence's action is the test's geofence level): checked, then dropped.
-        """
+        """Build a config from its dict form; a key that to_dict does not
+        write raises ConfigError, which names it."""
         known = {"latency_window_ms", "gps_degrade_level", "compass_degrade_level", "seeded_faults"}
-        retired = {"app_signal_loss_s", "autopilot_signal_loss_s", "geofence_action"}
-        extra = set(raw) - known - retired
+        extra = set(raw) - known
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
-        kwargs = {k: v for k, v in raw.items() if k in known}
-        app_loss = raw.get("app_signal_loss_s", 20.0)
-        autopilot_loss = raw.get("autopilot_signal_loss_s", 60.0)
-        if not (0.0 < app_loss < autopilot_loss):
-            raise ConfigError(
-                "application signal-loss threshold must be positive and below "
-                f"the autopilot threshold ({app_loss} vs {autopilot_loss})"
-            )
-        action = raw.get("geofence_action", "RETURN")
-        if action not in GEOFENCE_SETTINGS[1:]:
-            raise ConfigError(
-                f"geofence action must be one of {GEOFENCE_SETTINGS[1:]}, got {action!r}"
-            )
+        kwargs = dict(raw)
         if "latency_window_ms" in kwargs:
             lo, hi = kwargs["latency_window_ms"]
             kwargs["latency_window_ms"] = (float(lo), float(hi))

@@ -1,16 +1,16 @@
 """Turning a fuzz specification into concrete, replayable test cases.
 
 A campaign flies one mission, which the spec's MISSION_CONTEXT must list.
-A combination is one point in the cross product of the spec's dimensions:
-constrained (mode, state) pair x injected action x delay band x environment
+A combination is one level on each of AXES: constrained (mode, state)
+pair (the injection context) x injected action x delay band x environment
 levels. Each combination is expanded into ``repetitions_per_combination``
 test cases; every test gets its own seed derived from the campaign master
 seed, and its concrete injection delay is drawn from the band at generation
 time so a stored test replays byte-for-byte. Every case, main, focused or
-soundness trial, is made by new_case.
+soundness trial, is made by new_case from one level per axis.
 
 Focused generation re-sweeps chosen axes around one base test (where a
-failure cluster pointed), holding everything else at the base's values, to
+failure cluster pointed), holding the others at the base's levels, to
 populate a truth table. A sweep is named and seeded by its key, the inputs
 that decide its tests, so two bases with one key get the same tests.
 """
@@ -29,8 +29,14 @@ from .sutmodel import AppState, AutopilotMode, RcAction
 DEFAULT_REPETITIONS = 80
 DEFAULT_FOCUS_REPETITIONS = 20
 
-#: sweepable dimensions for focused re-fuzzing, in canonical order
+#: the axes a focus sweeps by default, in canonical order
 FOCUS_AXES = ("action", "delay_band") + ENV_AXES
+#: the injection context: a (mode, StateTarget) constraint pair, named by its state
+CONTEXT = "app_state"
+#: every dimension of a test, in canonical order: new_case takes one level per axis
+AXES = (CONTEXT,) + FOCUS_AXES
+#: where a levels tuple holds the delay band
+_BAND = AXES.index("delay_band")
 
 
 def derive_seed(*parts: object) -> int:
@@ -120,8 +126,10 @@ class TestCase:
 
 
 def axis_levels(spec: FuzzSpecification, axis: str) -> tuple:
-    """The levels the spec gives a focus axis: its actions, its delay bands,
-    or the levels of an environment axis."""
+    """The levels the spec gives an axis: its constraint pairs, its actions,
+    its delay bands, or the levels of an environment axis."""
+    if axis == CONTEXT:
+        return spec.constraint_pairs()
     if axis == "action":
         return spec.actions
     if axis == "delay_band":
@@ -129,20 +137,32 @@ def axis_levels(spec: FuzzSpecification, axis: str) -> tuple:
     return getattr(spec.environment, axis)
 
 
+def level_name(axis: str, level) -> str:
+    """A spec level of an axis as axis_value names a test's level on it."""
+    if axis == CONTEXT:
+        return level[1].state.value
+    if axis == "action":
+        return level.value
+    return level.name if axis == "delay_band" else level
+
+
 def axis_value(test: TestCase, axis: str) -> str:
-    """A test's value on a focus axis, as truth tables and cut sets name it:
+    """A test's value on an axis, as level_name names its level: its state,
     the delay band's name, or the test's field of the axis's name."""
+    if axis == CONTEXT:
+        return test.app_state.value
     return test.band_name if axis == "delay_band" else getattr(test, axis)
 
 
 def new_case(
-    test_id: str, index: int, spec_id: str, mission_id: str, mode: AutopilotMode,
-    target: StateTarget, levels: tuple, delay_ms: float, seed: int, repetition: int,
+    test_id: str, index: int, spec_id: str, mission_id: str, levels: tuple, delay_ms: float,
+    seed: int, repetition: int,
 ) -> TestCase:
     """The test case of these inputs, the one constructor every generator
-    goes through. levels holds one level per FOCUS_AXES axis, in its order:
-    the action (an RcAction), the delay band, then each environment level."""
-    action, band, *env = levels
+    goes through. levels holds one level per AXES axis, in its order: the
+    context (a (mode, StateTarget) pair), the action (an RcAction), the
+    delay band, then each environment level."""
+    (mode, target), action, band, *env = levels
     return TestCase(
         test_id, index, spec_id, mission_id, target.state, mode, target.recurring,
         action.value, band.name, band.min_ms, band.max_ms, delay_ms, *env, seed, repetition,
@@ -158,34 +178,30 @@ def generate(
 ) -> list[TestCase]:
     """The main tests of a campaign that flies mission_id.
 
-    Every constraint pair is crossed with every level of each FOCUS_AXES
-    axis, in declaration order, and each combination expands into
-    ``repetitions_per_combination`` seeded cases whose delays are drawn
-    from their bands. Raises EmptyProduct when the spec's MISSION_CONTEXT
-    does not list mission_id, or when the spec admits no combination.
+    The levels of the AXES axes are crossed in declaration order (the
+    constraint pairs vary slowest), and each combination expands into
+    ``repetitions_per_combination`` seeded cases whose delays are drawn from
+    their bands. Raises EmptyProduct when the spec's MISSION_CONTEXT does
+    not list mission_id, or when an axis has no level.
     """
     if mission_id not in spec.mission_contexts:
         raise EmptyProduct(
             f"mission {mission_id!r} is not in the spec's MISSION_CONTEXT "
             f"{list(spec.mission_contexts)}; nothing to generate"
         )
-    pairs = spec.constraint_pairs()
-    if not pairs:
-        raise EmptyProduct("constraints admit no (mode, state) pair; nothing to enumerate")
-    dims = [axis_levels(spec, axis) for axis in FOCUS_AXES]
+    dims = [axis_levels(spec, axis) for axis in AXES]
     if not all(dims):
-        raise EmptyProduct("a spec dimension is empty; nothing to enumerate")
+        raise EmptyProduct("constraints admit no (mode, state) pair, or a dimension is empty")
     master_seed = generator.master_seed
     cases: list[TestCase] = []
-    for mode, target in pairs:
-        for levels in product(*dims):
-            for rep in range(generator.repetitions_per_combination):
-                index = len(cases)
-                delay = _sample_delay(levels[1], Random(derive_seed(master_seed, index, "delay")))
-                cases.append(new_case(
-                    f"t{index:05d}", index, spec.spec_id, mission_id, mode, target, levels,
-                    delay, derive_seed(master_seed, index), rep,
-                ))
+    for levels in product(*dims):
+        for rep in range(generator.repetitions_per_combination):
+            index = len(cases)
+            delay = _sample_delay(levels[_BAND], Random(derive_seed(master_seed, index, "delay")))
+            cases.append(new_case(
+                f"t{index:05d}", index, spec.spec_id, mission_id, levels, delay,
+                derive_seed(master_seed, index), rep,
+            ))
     return cases
 
 
@@ -197,16 +213,16 @@ def sweep_tag(
 ) -> str:
     """Eight hex digits naming the focus sweep around ``base``.
 
-    They are derived from the sweep's key: the base's spec, mission, scope
-    state, target mode and ``recurring`` flag, the swept axes in
-    ``FOCUS_AXES`` order, the base's value on every unswept axis,
-    ``runs_per_cell`` and the master seed. Nothing else of the base (its id,
-    seed, delay or repetition) goes in. An unknown or repeated axis raises
-    UnknownAxis.
+    They are derived from the sweep's key: the base's spec and mission, its
+    state, target mode and ``recurring`` flag when the context is held, the
+    swept axes in ``AXES`` order, the base's value on every other unswept
+    axis, ``runs_per_cell`` and the master seed. Nothing else of the base
+    (its id, seed, delay or repetition) goes in. An unknown or repeated axis
+    raises UnknownAxis.
     """
-    bad = [a for a in axes if a not in FOCUS_AXES]
+    bad = [a for a in axes if a not in AXES]
     if bad:
-        raise UnknownAxis(f"unknown focus axes {bad}; valid axes are {list(FOCUS_AXES)}")
+        raise UnknownAxis(f"unknown focus axes {bad}; valid axes are {list(AXES)}")
     if len(set(axes)) != len(axes):
         raise UnknownAxis("focus axes contain duplicates")
     held = [
@@ -215,13 +231,14 @@ def sweep_tag(
         for axis in FOCUS_AXES
         if axis not in axes
     ]
+    # a held context keeps the place in the key it had before it was an axis
+    context = () if CONTEXT in axes else (base.app_state.value, base.target_mode.value,
+                                          base.recurring)
     key = (
         base.spec_id,
         base.mission_id,
-        base.app_state.value,
-        base.target_mode.value,
-        base.recurring,
-        [a for a in FOCUS_AXES if a in axes],
+        *context,
+        [a for a in AXES if a in axes],
         held,
         runs_per_cell,
     )
@@ -237,9 +254,10 @@ def focused_generate(
 ) -> list[TestCase]:
     """Sweep the listed axes around ``base`` for truth-table construction.
 
-    Dimensions not named in ``axes`` stay at the base test's values; listed
-    axes run over their full spec ranges. Every run re-samples its delay
-    inside its cell's band, so even axes=[] replays draw fresh timing.
+    Axes not named in ``axes`` stay at the base test's levels (its band
+    whole); listed axes run over their full spec ranges. Every run
+    re-samples its delay inside its cell's band, so even axes=[] replays
+    draw fresh timing.
 
     Test i (``cell * runs_per_cell + repetition``) is ``f-<tag>-<i:04d>``,
     where ``tag`` is :func:`sweep_tag`; its seed and delay seed come from the
@@ -249,27 +267,22 @@ def focused_generate(
     tag = sweep_tag(base, axes, runs_per_cell, master_seed)
     if runs_per_cell < 1:
         raise ConfigError(f"runs_per_cell must be >= 1, got {runs_per_cell}")
-
-    # an unswept axis holds the base's own level, its band whole
-    held = (
-        RcAction(base.action),
-        DelayBand(base.band_name, base.band_min_ms, base.band_max_ms),
-        *base.env().values(),
-    )
-    ranges = [
-        axis_levels(spec, axis) if axis in axes else [level]
-        for axis, level in zip(FOCUS_AXES, held)
-    ]
-    target = StateTarget(base.app_state, base.recurring)
+    held = {
+        CONTEXT: (base.target_mode, StateTarget(base.app_state, base.recurring)),
+        "action": RcAction(base.action),
+        "delay_band": DelayBand(base.band_name, base.band_min_ms, base.band_max_ms),
+        **base.env(),
+    }
+    ranges = [axis_levels(spec, axis) if axis in axes else [held[axis]] for axis in AXES]
     cases: list[TestCase] = []
     for levels in product(*ranges):
         for rep in range(runs_per_cell):
             index = len(cases)
             delay = _sample_delay(
-                levels[1], Random(derive_seed(master_seed, "focus", tag, index, "delay"))
+                levels[_BAND], Random(derive_seed(master_seed, "focus", tag, index, "delay"))
             )
             cases.append(new_case(
-                f"f-{tag}-{index:04d}", index, base.spec_id, base.mission_id, base.target_mode,
-                target, levels, delay, derive_seed(master_seed, "focus", tag, index), rep,
+                f"f-{tag}-{index:04d}", index, base.spec_id, base.mission_id, levels, delay,
+                derive_seed(master_seed, "focus", tag, index), rep,
             ))
     return cases

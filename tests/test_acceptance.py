@@ -21,7 +21,7 @@ from statefuzz.executor import run_campaign
 from statefuzz.fuzzspec import parse_fuzz_spec, parse_mission
 from statefuzz.oracle import classify, default_tree
 from statefuzz.storage import iter_results, load_campaign, read_json
-from statefuzz.sutmodel import AppState, SutConfig
+from statefuzz.sutmodel import SutConfig
 from statefuzz.testgen import focused_generate
 
 from conftest import MISSION_A_RAW, small_spec_raw
@@ -61,7 +61,7 @@ def f2_band_table():
     profiles = run_campaign(tests, mission, config)
     tree = default_tree("v1")
     triples = [(t, p, classify(t, p, tree)) for t, p in zip(tests, profiles)]
-    table = table_from_results(AppState.TAKEOFF, ["delay_band"], triples)
+    table = table_from_results(["delay_band"], triples)
     return table, time.monotonic() - t0
 
 
@@ -189,6 +189,54 @@ def test_soundness_trials_of_one_scope_are_distinct_stored_tests(multi_fault_dir
     # flown through the run's pool, each trial still replays
     assert cli.main(["replay", "--campaign", str(multi_fault_dir), "--test-id", ids[-1]]) == 0
     assert capsys.readouterr().out.startswith(f"replay OK: {ids[-1]} ->")
+
+
+def test_a_context_sweep_states_a_fault_by_its_mode(tmp_path):
+    """F3 (OFFBOARD while in mode LAND or RTL) fails in LANDING and in
+    DISARMING. A sweep of the context axis around a failing DISARMING test
+    tables both states at once, so the minimizer can state F3 by its mode."""
+    raw = small_spec_raw()
+    raw["RC_INPUT_EVENTS"] = ["POSCTL", "AUTO.LAND", "AUTO.RTL", "STABILIZED", "OFFBOARD"]
+    spec_path = tmp_path / "five_fault_spec.json"
+    spec_path.write_text(json.dumps(raw))
+    root = tmp_path / "campaign"
+    faults = [arg for fault in ("F1", "F2", "F3", "F5", "F8") for arg in ("--fault", fault)]
+    rc = cli.main(
+        [
+            "run",
+            "--spec", str(spec_path),
+            "--mission", "mission_a",
+            *faults,
+            "--latency-window", "200", "600",
+            "--repetitions", "3",
+            "--runs-per-cell", "1",
+            "--no-soundness",
+            "--seed", "0",
+            "--out", str(root),
+        ]
+    )
+    assert rc == 0
+    campaign = load_campaign(root)
+    base = campaign.find_test("t00216")
+    assert (base.app_state.value, base.action) == ("DISARMING", "OFFBOARD")
+    assert campaign.verdicts[base.test_id].verdict == "FAILURE"
+    rc = cli.main(
+        [
+            "focus",
+            "--campaign", str(root),
+            "--test-id", base.test_id,
+            "--axes", "app_state,action,delay_band",
+            "--runs-per-cell", "2",
+            "--no-soundness",
+        ]
+    )
+    assert rc == 0
+    combined = read_json(root / "faulttrees" / "combined.json")
+    found = {
+        frozenset((l["column"], l["value"]) for l in cs["literals"])
+        for cs in combined["cut_sets"]
+    }
+    assert frozenset({("action", "OFFBOARD"), ("mode_at_injection", "LAND")}) in found
 
 
 def test_criterion_5_oracle_v1_clears_v0_false_positives(tmp_path, capsys):

@@ -61,7 +61,7 @@ def test_uniform_cells_become_single_rows():
         triple("POSCTL", SHORT, "FAILURE", mode="STABILIZED"),
         triple("POSCTL", SHORT, "FAILURE", mode="STABILIZED"),
     ]
-    table = table_from_results(AppState.TAKEOFF, ["action", "delay_band"], items)
+    table = table_from_results(["action", "delay_band"], items)
     assert table.scope == "TAKEOFF"
     assert table.axes == ("action", "delay_band")
     assert len(table.rows) == 2  # sorted by cell key: ALTCTL first
@@ -81,7 +81,7 @@ def test_mixed_cell_splits_by_observed_mode():
         triple("POSCTL", MEDIUM, "FAILURE", mode="STABILIZED"),
         triple("POSCTL", MEDIUM, "SUCCESS", mode="OFFBOARD"),
     ]
-    table = table_from_results(AppState.TAKEOFF, ["action", "delay_band"], items)
+    table = table_from_results(["action", "delay_band"], items)
     assert len(table.rows) == 2
     offboard, stabilized = table.rows  # split rows come out sorted by mode
     assert offboard.observed_mode == "OFFBOARD"
@@ -97,7 +97,7 @@ def test_impure_mixed_cell_is_residual():
         triple("POSCTL", MEDIUM, "FAILURE"),
         triple("POSCTL", MEDIUM, "SUCCESS"),
     ]
-    table = table_from_results(AppState.TAKEOFF, ["action", "delay_band"], items)
+    table = table_from_results(["action", "delay_band"], items)
     (row,) = table.rows
     assert row.residual and not row.split
     assert row.observed_mode == "OFFBOARD"  # same mode throughout, still impure
@@ -110,7 +110,7 @@ def test_impure_cell_with_varying_modes_shows_a_star():
         triple("POSCTL", MEDIUM, "SUCCESS", mode="STABILIZED"),
         triple("POSCTL", MEDIUM, "FAILURE", mode="OFFBOARD"),
     ]
-    table = table_from_results(AppState.TAKEOFF, ["action", "delay_band"], items)
+    table = table_from_results(["action", "delay_band"], items)
     (row,) = table.rows
     assert row.residual
     assert row.observed_mode == MODE_VARIES
@@ -122,7 +122,7 @@ def test_invalid_runs_mark_cells_unreachable():
         triple("POSCTL", LONG, "INVALID"),
         triple("POSCTL", LONG, "INVALID"),
     ]
-    table = table_from_results(AppState.TAKEOFF, ["action", "delay_band"], items)
+    table = table_from_results(["action", "delay_band"], items)
     assert len(table.rows) == 1
     assert table.unreachable == (
         (("action", "POSCTL"), ("delay_band", "long")),
@@ -134,7 +134,7 @@ def test_invalid_runs_inside_a_live_cell_only_shrink_valid():
         triple("ALTCTL", SHORT, "SUCCESS"),
         triple("ALTCTL", SHORT, "INVALID"),
     ]
-    table = table_from_results(AppState.TAKEOFF, ["action", "delay_band"], items)
+    table = table_from_results(["action", "delay_band"], items)
     (row,) = table.rows
     assert row.runs == 2 and row.valid == 1 and row.failures == 0
 
@@ -142,22 +142,42 @@ def test_invalid_runs_inside_a_live_cell_only_shrink_valid():
 def test_all_invalid_raises():
     items = [triple("ALTCTL", SHORT, "INVALID")]
     with pytest.raises(InvalidOnly, match="TAKEOFF"):
-        table_from_results(AppState.TAKEOFF, ["action", "delay_band"], items)
+        table_from_results(["action", "delay_band"], items)
 
 
-def test_off_scope_results_are_ignored():
+def test_results_of_several_contexts_need_the_context_column():
     items = [
         triple("ALTCTL", SHORT, "SUCCESS"),
         triple("ALTCTL", SHORT, "FAILURE", state=AppState.HOVERING),
     ]
-    table = table_from_results(AppState.TAKEOFF, ["action", "delay_band"], items)
-    (row,) = table.rows
-    assert row.failures == 0
+    with pytest.raises(ValueError, match=r"contexts TAKEOFF\+HOVERING need the app_state axis"):
+        table_from_results(["action", "delay_band"], items)
+    table = table_from_results(["app_state", "action", "delay_band"], items)
+    assert table.scope == "TAKEOFF+HOVERING"
+    assert [(r.value_of("app_state"), r.failures) for r in table.rows] == [
+        ("HOVERING", 1), ("TAKEOFF", 0),
+    ]
+
+
+def test_a_table_over_two_contexts_names_the_context_only_where_rows_need_it():
+    # POSCTL fails in both contexts, AUTO.LAND in HOVERING alone, AUTO.RTL in neither
+    outcomes = {"POSCTL": ("FAILURE", "FAILURE"), "AUTO.LAND": ("SUCCESS", "FAILURE"),
+                "AUTO.RTL": ("SUCCESS", "SUCCESS")}
+    items = [
+        triple(action, SHORT, verdict, state=state)
+        for action, verdicts in outcomes.items()
+        for state, verdict in zip((AppState.TAKEOFF, AppState.HOVERING), verdicts)
+    ]
+    table = table_from_results(["app_state", "action"], items)
+    assert cut_sets_for_table(table, source="two") == [
+        CutSet(literals=(("action", "POSCTL"),), sources=("two",)),
+        CutSet(literals=(("app_state", "HOVERING"), ("action", "AUTO.LAND")), sources=("two",)),
+    ]
 
 
 def test_no_injection_rows_have_no_mode():
     items = [triple("NONE", SHORT, "SUCCESS")]
-    table = table_from_results(AppState.TAKEOFF, ["action", "delay_band"], items)
+    table = table_from_results(["action", "delay_band"], items)
     assert table.rows[0].observed_mode == MODE_ABSENT
     assert not table.has_mode_column()
 
@@ -185,7 +205,7 @@ def test_table_dict_round_trip():
         triple("POSCTL", SHORT, "FAILURE"),
         triple("STABILIZED", LONG, "INVALID"),
     ]
-    table = table_from_results(AppState.TAKEOFF, ["action", "delay_band"], items)
+    table = table_from_results(["action", "delay_band"], items)
     doc = table.to_dict()
     assert json.loads(json.dumps(doc)) == doc
     assert (doc["scope"], doc["axes"]) == ("TAKEOFF", ["action", "delay_band"])
@@ -227,7 +247,7 @@ def walkthrough_table():
             triple(action, LONG, "SUCCESS", mode="OFFBOARD"),
             triple(action, LONG, "SUCCESS", mode="OFFBOARD"),
         ]
-    return table_from_results(AppState.TAKEOFF, ["action", "delay_band"], items)
+    return table_from_results(["action", "delay_band"], items)
 
 
 def test_minimize_prefers_the_mode_explanation():
@@ -242,13 +262,13 @@ def test_minimize_prefers_the_mode_explanation():
 
 def test_minimize_when_every_row_fails():
     items = [triple("POSCTL", SHORT, "FAILURE"), triple("ALTCTL", SHORT, "FAILURE")]
-    table = table_from_results(AppState.TAKEOFF, ["action", "delay_band"], items)
+    table = table_from_results(["action", "delay_band"], items)
     assert minimize(table) == [()]
 
 
 def test_minimize_when_nothing_fails():
     items = [triple("POSCTL", SHORT, "SUCCESS")]
-    table = table_from_results(AppState.TAKEOFF, ["action", "delay_band"], items)
+    table = table_from_results(["action", "delay_band"], items)
     assert minimize(table) == []
 
 
@@ -348,26 +368,30 @@ def test_cut_set_dict_form():
 def test_delay_placement_honors_mode_literals(spec, narrow_config):
     # free placement lands mid-span; mode literals pull the delay to the
     # side of the switch window that realizes the observed mode
-    assert _delay_for({}, spec, narrow_config) == (DelayBand("long", 600.0, 1200.0), 625.0)
-    assert _delay_for({MODE_COLUMN: "STABILIZED"}, spec, narrow_config) == (
+    bands = spec.environment.bands
+    assert _delay_for(None, bands, narrow_config) == (DelayBand("long", 600.0, 1200.0), 625.0)
+    assert _delay_for("STABILIZED", bands, narrow_config) == (
         DelayBand("short", 50.0, 200.0),
         125.0,
     )
-    assert _delay_for({MODE_COLUMN: "OFFBOARD"}, spec, narrow_config) == (
+    assert _delay_for("OFFBOARD", bands, narrow_config) == (
         DelayBand("long", 600.0, 1200.0),
         900.0,
     )
-    assert _delay_for({"delay_band": "medium"}, spec, narrow_config) == (
+    assert _delay_for(None, [DelayBand("medium", 200.0, 600.0)], narrow_config) == (
         DelayBand("medium", 200.0, 600.0),
         400.0,
     )
 
 
 def test_delay_placement_reports_unrealizable_combinations(spec, narrow_config):
-    assert _delay_for({"delay_band": "short", MODE_COLUMN: "OFFBOARD"}, spec, narrow_config) is None
-    assert _delay_for({"delay_band": "bogus"}, spec, narrow_config) is None
+    assert _delay_for("OFFBOARD", [DelayBand("short", 50.0, 200.0)], narrow_config) is None
     instant = SutConfig(latency_window_ms=(0.0, 600.0))
-    assert _delay_for({MODE_COLUMN: "STABILIZED"}, spec, instant) is None
+    assert _delay_for("STABILIZED", spec.environment.bands, instant) is None
+    # so are literals that name no level of the spec, on any axis
+    for column in ("app_state", "action", "delay_band", "wind"):
+        literals = ((column, "bogus"),)
+        assert soundness_trials(literals, spec, "Flight plan A", narrow_config)[1] is None
 
 
 @pytest.mark.parametrize("literals,band", [

@@ -30,7 +30,7 @@ from statefuzz.storage import (
     table_csv,
     write_json,
 )
-from statefuzz.sutmodel import AppState, AutopilotMode, SutConfig
+from statefuzz.sutmodel import AppState, AutopilotMode
 
 from conftest import small_spec_raw
 from helpers import column
@@ -467,6 +467,22 @@ def retag(section: str):
     return edit
 
 
+def bogus_literal(column: str):
+    """An edit that gives the first soundness check's literal on column a
+    value that names no level of the spec."""
+    return edit_recipe(
+        "soundness", "literals",
+        lambda lits: [[c, "BOGUS" if c == column else v] for c, v in lits],
+    )
+
+
+def drop_main_sha256(root) -> str:
+    doc = read_json(root / "tests.json")
+    del doc["main"]["sha256"]
+    write_json(root / "tests.json", doc)
+    return "tests.json main"
+
+
 def reorder_bands(root) -> str:
     """Swap the bounds of the short and long bands in campaign.json, so the
     spec's bands come back in another order."""
@@ -487,8 +503,15 @@ def reorder_bands(root) -> str:
         retag("sweeps"),
         retag("soundness"),
         reorder_bands,
+        bogus_literal("app_state"),
+        bogus_literal("action"),
+        edit_recipe("sweeps", "base", lambda base: {**base, "target_app_state": "BOGUS"}),
+        edit_recipe("sweeps", "base", lambda base: {k: v for k, v in base.items()
+                                                    if k != "rng_seed"}),
+        drop_main_sha256,
     ],
-    ids=["runs_per_cell", "check_seed", "sweep_sha256", "sweep_tag", "check_tag", "band_order"],
+    ids=["runs_per_cell", "check_seed", "sweep_sha256", "sweep_tag", "check_tag", "band_order",
+         "literal_state", "literal_action", "base_state", "base_seed", "main_sha256"],
 )
 def test_an_edited_recipe_exits_two_and_changes_nothing(campaign_copy, capsys, edit, command):
     entry = edit(campaign_copy)
@@ -524,12 +547,20 @@ def delete_tests_json(root) -> str:
     return "holds no tests.json"
 
 
+def extra_generator_key(root) -> str:
+    meta = read_json(root / "campaign.json")
+    meta["generator"]["mission_policy"] = "first"
+    write_json(root / "campaign.json", meta)
+    return "has a generator block this code does not read"
+
+
 @pytest.mark.parametrize("command", ["analyze", "focus", "report", "replay"])
 @pytest.mark.parametrize(
     "edit",
     [set_layout(None), set_layout(0), set_layout(1), set_layout(2), set_layout(4),
-     delete_tests_json],
-    ids=["no_layout", "layout_0", "layout_1", "layout_2", "layout_4", "no_tests_json"],
+     delete_tests_json, extra_generator_key],
+    ids=["no_layout", "layout_0", "layout_1", "layout_2", "layout_4", "no_tests_json",
+         "generator_key"],
 )
 def test_a_campaign_of_another_layout_exits_two_and_changes_nothing(
     campaign_copy, capsys, edit, command
@@ -648,17 +679,21 @@ def test_replay_finds_a_soundness_trial(campaign_dir, capsys):
     assert capsys.readouterr().out.startswith(f"replay OK: {trial} -> FAILURE")
 
 
-def test_campaign_stored_with_the_retired_config_keys_loads_and_replays(campaign_copy, capsys):
+def test_campaign_stored_with_the_retired_config_keys_is_refused(campaign_copy, capsys):
     path = campaign_copy / "campaign.json"
     meta = read_json(path)
     meta["config"].update(
         app_signal_loss_s=20.0, autopilot_signal_loss_s=60.0, geofence_action="RETURN"
     )
     write_json(path, meta)
-    config = load_campaign(campaign_copy).config
-    assert config == SutConfig(latency_window_ms=(200.0, 600.0), seeded_faults=("F2",))
-    assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", "t00000"]) == 0
-    assert capsys.readouterr().out.startswith("replay OK: t00000 ->")
+    before = campaign_files(campaign_copy)
+    for args in (["report"], ["replay", "--test-id", "t00000"]):
+        assert cli.main([*args, "--campaign", str(campaign_copy)]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown config keys: "
+            "['app_signal_loss_s', 'autopilot_signal_loss_s', 'geofence_action']\n"
+        )
+    assert campaign_files(campaign_copy) == before
 
 
 def torn_log(root) -> str:
@@ -1031,12 +1066,35 @@ def assert_tables_are_those_of_the_stored_results(root):
     """Each stored table is the one the stored results of its sweep give."""
     campaign = load_campaign(root)
     for tag, sweep in campaign.sweeps.items():
-        base = testgen.TestCase.from_dict(sweep.recipe["base"])
-        axes = [a for a in testgen.FOCUS_AXES if a in sweep.recipe["axes"]]
+        axes = [a for a in testgen.AXES if a in sweep.recipe["axes"]]
         items = [(t, campaign.profiles[t.test_id], campaign.verdicts[t.test_id])
                  for t in sweep.tests]
         stored = read_json(root / "truthtables" / f"{tag}.json")
-        assert stored == table_from_results(base.app_state, axes, items).to_dict()
+        assert stored == table_from_results(axes, items).to_dict()
+
+
+def test_a_focus_that_sweeps_the_context_tables_several_contexts(campaign_copy, capsys,
+                                                                monkeypatch):
+    args = ["focus", "--campaign", str(campaign_copy), "--test-id", "t00006", "--axes",
+            "app_state,action,delay_band", "--runs-per-cell", "1", "--no-soundness"]
+    assert cli.main(args) == 0
+    campaign = load_campaign(campaign_copy)
+    tag = campaign.focused["t00006"]
+    table = read_json(campaign_copy / "truthtables" / f"{tag}.json")
+    assert table["axes"] == ["app_state", "action", "delay_band"]
+    assert len({row["values"]["app_state"] for row in table["rows"]}) > 1
+    assert_tables_are_those_of_the_stored_results(campaign_copy)
+    # focused again, it flies nothing and changes no file
+    flown = count_flights(monkeypatch)
+    before = campaign_files(campaign_copy)
+    assert cli.main(args) == 0
+    assert flown == [] and campaign_files(campaign_copy) == before
+    # a test the sweep flew in another context than its base's replays
+    other = next(t.test_id for t in campaign.sweeps[tag].tests
+                 if t.app_state is not campaign.find_test("t00006").app_state)
+    capsys.readouterr()
+    assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", other]) == 0
+    assert capsys.readouterr().out.startswith(f"replay OK: {other} ->")
 
 
 def test_a_sweep_flown_again_stores_its_new_flights(campaign_copy, capsys, monkeypatch):

@@ -187,19 +187,22 @@ def test_summarize_events_replays_the_log(back_at, oscillations):
         ({"latency_window_ms": (-1.0, 500.0)}, ConfigError),
         ({"latency_window_ms": (500.0, 500.0)}, ConfigError),
         ({"latency_window_ms": (900.0, 200.0)}, ConfigError),
-        # checked and dropped: stored configs of older versions carry these
-        ({"app_signal_loss_s": 0.0}, ConfigError),
-        ({"app_signal_loss_s": 80.0}, ConfigError),  # must stay below autopilot's
-        ({"geofence_action": "none"}, ConfigError),
-        ({"geofence_action": "EXPLODE"}, ConfigError),
+        # retired keys, which only earlier layouts wrote, are unknown keys
+        ({"app_signal_loss_s": 20.0}, ConfigError),
+        ({"autopilot_signal_loss_s": 60.0}, ConfigError),
+        ({"geofence_action": "RETURN"}, ConfigError),
+        ({"latency_window_ms": (200.0, 600.0), "geofence_action": "RETURN"}, ConfigError),
         ({"gps_degrade_level": "extreme"}, ConfigError),
         ({"compass_degrade_level": ""}, ConfigError),
         ({"seeded_faults": ("F2", "F99")}, UnknownFault),
     ],
 )
 def test_config_validation(kwargs, exc):
-    with pytest.raises(exc):
+    with pytest.raises(exc) as refused:
         SutConfig.from_dict(kwargs)
+    # an unknown key is named in the error
+    for key in set(kwargs) - set(SutConfig().to_dict()):
+        assert repr(key) in str(refused.value)
 
 
 def test_config_round_trip_sorts_faults():
