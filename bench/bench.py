@@ -22,21 +22,28 @@ synthetic failure sets of 100, 1,000 and 3,600 failures (the median of
 this checkout's ``src``), and records a digest of each result so two
 source trees can be checked for equal output.
 
-``simulator`` flies, in this process, every flight that the README quick
-start (``run --spec fspec1 --mission mission_a --fault F2 --latency-window
-200 600 --repetitions 20 --seed 0``) stores: its 900 main tests and its
-focused ones, each stored sweep once (180 since representatives with one
-sweep key share a sweep; 540 before). It reports flights per second and
-simulated seconds per host second over the median of ``--repeats`` passes,
-at least 3, and a digest of the execution profiles. With ``--parent`` and
-``--change`` each checkout's CLI stores the quick start in a fresh
+``simulator`` flies, in this process, two flight sets. One is every flight
+that the README quick start (``run --spec fspec1 --mission mission_a
+--fault F2 --latency-window 200 600 --repetitions 20 --seed 0``) stores:
+its 900 main tests and its focused ones, each stored sweep once (180 since
+representatives with one sweep key share a sweep; 540 before). These are
+calm flights with no fence. The other is the 576 main tests of perfbench's
+seed-0 ``env_fence_c`` campaign (mission C, F2+F5+F7, the spec read from
+``perfbench/specs/env_fence_c.json``), which cross a live geofence under
+wind and draw GPS jitter. For each set it reports flights per second and
+simulated seconds per host second over the median of ``--repeats``
+passes, at least 3, a digest of the execution profiles, and from one more
+pass the ``_point_in_polygon`` calls and the flights' ``rng.random``
+draws per flight; that pass must fly the same profiles. With ``--parent``
+and ``--change`` each checkout's CLI stores each set's campaign in a fresh
 interpreter, so the two may store different layouts, and each checkout's
 ``src`` flies the flight set it stored, in cold single passes: each pass is
 a fresh subprocess with a new ``Executor``, so any per-executor memo starts
-empty. The sides alternate which runs first; the section records each
-side's passes, median and quartiles, the pairs the change won, the profile
-digests, and from one more pass per side, with ``Vehicle._coast`` wrapped in
-the subprocess, the ``_coast`` calls per flight and the entries of the
+empty. The sides alternate which runs first; each set's section records
+each side's passes, median and quartiles, the pairs the change won, the
+profile digests, and from one more pass per side, with ``Vehicle._coast``
+and ``_point_in_polygon`` wrapped and each flight's ``rng.random`` counted
+in the subprocess, the calls of each per flight and the entries of the
 executor's ``cruise_runs`` memo.
 
 ``storage`` stores the README quick start with the package under ``--src``,
@@ -135,14 +142,19 @@ SMALL_RUN = ("run", "--spec", "fspec1", "--mission", "mission_a", "--fault", "F2
              "--latency-window", "200", "600", "--repetitions", "1", "--runs-per-cell", "1",
              "--no-soundness", "--seed", "0")
 
+#: perfbench's seed-0 env_fence_c campaign, serially (a campaign is the same
+#: at any parallelism); the spec is only read
+ENV_FENCE_C = ("run", "--spec", str(ROOT / "perfbench" / "specs" / "env_fence_c.json"),
+               "--mission", "mission_c", "--fault", "F2", "--fault", "F5", "--fault", "F7",
+               "--latency-window", "200", "600", "--repetitions", "4",
+               "--runs-per-cell", "4", "--seed", "0")
+
 #: perfbench's seed-0 campaigns whose truth tables the minimization layer times
-MINIMIZE_RUNS = {
-    "f2_quickstart": F2_QUICKSTART,
-    "env_fence_c": ("run", "--spec", str(ROOT / "perfbench" / "specs" / "env_fence_c.json"),
-                    "--mission", "mission_c", "--fault", "F2", "--fault", "F5", "--fault", "F7",
-                    "--latency-window", "200", "600", "--repetitions", "4",
-                    "--runs-per-cell", "4", "--seed", "0"),
-}
+MINIMIZE_RUNS = {"f2_quickstart": F2_QUICKSTART, "env_fence_c": ENV_FENCE_C}
+
+#: the simulator layer's flight sets: the run that stores each, and whether
+#: its stored sweeps are flown after its main tests
+FLIGHT_SETS = {"f2_quickstart": (F2_QUICKSTART, True), "env_fence_c": (ENV_FENCE_C, False)}
 
 #: minimize calls per timed pass: one call on these tables takes about 0.1-1 ms
 MINIMIZE_CALLS = 50
@@ -172,16 +184,18 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def flight_set(campaign) -> list:
-    """A loaded campaign's main tests, then each stored sweep's tests."""
-    return campaign.tests + [t for e in campaign.sweeps.values() for t in e.tests]
+def flight_set(campaign, sweeps: bool = True) -> list:
+    """A loaded campaign's main tests, then, with sweeps, each stored sweep's tests."""
+    swept = [t for e in campaign.sweeps.values() for t in e.tests] if sweeps else []
+    return campaign.tests + swept
 
 
-def store_quickstart(cli, root: Path) -> None:
-    """Store the README quick start in root with the given CLI module."""
+def store_run(cli, root: Path, run: tuple = F2_QUICKSTART) -> None:
+    """Store the campaign of the run arguments (the README quick start by
+    default) in root with the given CLI module."""
     with contextlib.redirect_stdout(io.StringIO()):
-        if cli.main([*F2_QUICKSTART, "--out", str(root)]) != 0:
-            raise SystemExit("the quick-start run failed")
+        if cli.main([*run, "--out", str(root)]) != 0:
+            raise SystemExit(f"the run {' '.join(run)} failed")
 
 
 #: runs the CLI on the JSON list of arguments in argv[1], for fresh_start
@@ -275,108 +289,163 @@ def cmd_clustering(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def counting(sutmodel, executor):
+    """Count _point_in_polygon calls and the flights' rng.random draws while
+    the block runs; yields the Counter. Draws go to the flight's own
+    generator, in order, so the flights fly as without it."""
+    counts = Counter()
+    ray_cast, make_rng = sutmodel._point_in_polygon, executor.Random
+
+    def point_in_polygon(*args):
+        counts["point_in_polygon"] += 1
+        return ray_cast(*args)
+
+    def counted_rng(seed):
+        rng = make_rng(seed)
+        draw = rng.random
+
+        def random():
+            counts["random"] += 1
+            return draw()
+
+        rng.random = random
+        return rng
+
+    sutmodel._point_in_polygon, executor.Random = point_in_polygon, counted_rng
+    try:
+        yield counts
+    finally:
+        sutmodel._point_in_polygon, executor.Random = ray_cast, make_rng
+
+
+def per_flight(counts: Counter, flights: int) -> dict:
+    return {f"{name}_per_flight": counts[name] / flights
+            for name in ("point_in_polygon", "random")}
+
+
 def cmd_simulator(args) -> dict:
     cli = import_from(args.src, "statefuzz.cli")
+    from statefuzz import executor as executor_module, sutmodel
     from statefuzz.executor import Executor
     from statefuzz.storage import canonical_dumps, load_campaign
 
-    with tempfile.TemporaryDirectory() as work:
-        store_quickstart(cli, Path(work))
-        campaign = load_campaign(Path(work))
-    tests = flight_set(campaign)
-    walls = []
-    for _ in range(args.repeats):
-        executor = Executor(campaign.mission, campaign.config)
-        t0 = time.perf_counter()
-        profiles = [executor.execute(t) for t in tests]
-        walls.append(time.perf_counter() - t0)
-    wall = statistics.median(walls)
-    sim_s = sum(p.flight_duration_ms for p in profiles) / 1000.0
-    doc = "".join(canonical_dumps(p.to_dict()) for p in profiles).encode()
-    print(f"{len(tests)} flights: median {wall:.3f} s of {' '.join(f'{w:.3f}' for w in walls)}, "
-          f"{len(tests) / wall:.1f} flights/s", flush=True)
-    return {
-        "src": str(Path(args.src).resolve()),
-        "repeats": args.repeats,
-        "flights": len(tests),
-        "median_s": wall,
-        "runs_s": walls,
-        "flights_per_s": len(tests) / wall,
-        "sim_s": sim_s,
-        "sim_s_per_host_s": sim_s / wall,
-        "digest": hashlib.sha256(doc).hexdigest(),
-    }
+    out = {"src": str(Path(args.src).resolve()), "repeats": args.repeats}
+    for name, (run, sweeps) in FLIGHT_SETS.items():
+        with tempfile.TemporaryDirectory() as work:
+            store_run(cli, Path(work), run)
+            campaign = load_campaign(Path(work))
+        tests = flight_set(campaign, sweeps)
+        walls = []
+        for _ in range(args.repeats):
+            executor = Executor(campaign.mission, campaign.config)
+            t0 = time.perf_counter()
+            profiles = [executor.execute(t) for t in tests]
+            walls.append(time.perf_counter() - t0)
+        with counting(sutmodel, executor_module) as counts:
+            executor = Executor(campaign.mission, campaign.config)
+            counted = [executor.execute(t) for t in tests]
+        if counted != profiles:
+            raise SystemExit(f"{name}: the counted pass flew other profiles")
+        wall = statistics.median(walls)
+        sim_s = sum(p.flight_duration_ms for p in profiles) / 1000.0
+        doc = "".join(canonical_dumps(p.to_dict()) for p in profiles).encode()
+        out[name] = {
+            "flights": len(tests),
+            "median_s": wall,
+            "runs_s": walls,
+            "flights_per_s": len(tests) / wall,
+            "sim_s": sim_s,
+            "sim_s_per_host_s": sim_s / wall,
+            **per_flight(counts, len(tests)),
+            "digest": hashlib.sha256(doc).hexdigest(),
+        }
+        print(f"{name}: {len(tests)} flights, median {wall:.3f} s of "
+              f"{' '.join(f'{w:.3f}' for w in walls)}, {len(tests) / wall:.1f} flights/s, "
+              f"{counts['point_in_polygon'] / len(tests):.1f} _point_in_polygon and "
+              f"{counts['random'] / len(tests):.1f} rng.random calls per flight", flush=True)
+    return out
 
 
 def cmd_simulator_ab(args) -> dict:
-    # each side flies the flight set it stored, in the layout it reads
+    # each side flies the flight sets it stored, in the layout it reads
     sides = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
-    with tempfile.TemporaryDirectory() as work:
-        stored = store_with(sides, Path(work), F2_QUICKSTART)
+    out = {}
+    for name, (run, sweeps) in FLIGHT_SETS.items():
+        with tempfile.TemporaryDirectory() as work:
+            stored = store_with(sides, Path(work), run)
 
-        def one_pass(side: str, count: bool) -> dict:
-            argv = [sys.executable, str(Path(__file__).resolve()), "simulator-pass",
-                    "--src", str(sides[side] / "src"), "--campaign", str(stored[side])]
-            result = subprocess.run(argv + ["--count"] * count, capture_output=True,
-                                    text=True, check=False)
-            if result.returncode != 0:
-                raise SystemExit(f"{' '.join(argv)} exited {result.returncode}:\n"
-                                 f"{result.stderr[-2000:]}")
-            return json.loads(result.stdout.strip().splitlines()[-1])
+            def one_pass(side: str, count: bool) -> dict:
+                argv = [sys.executable, str(Path(__file__).resolve()), "simulator-pass",
+                        "--src", str(sides[side] / "src"), "--campaign", str(stored[side])]
+                argv += ["--count"] * count + ["--main-only"] * (not sweeps)
+                result = subprocess.run(argv, capture_output=True, text=True, check=False)
+                if result.returncode != 0:
+                    raise SystemExit(f"{' '.join(argv)} exited {result.returncode}:\n"
+                                     f"{result.stderr[-2000:]}")
+                return json.loads(result.stdout.strip().splitlines()[-1])
 
-        pairs = []
-        for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            runs = {side: one_pass(side, False) for side in order}
-            pairs.append({"first": order[0], **runs})
-            print(f"pair {i}: " + ", ".join(
-                f"{side} {runs[side]['wall_s']:.3f} s" for side in order), flush=True)
-        counts = {side: one_pass(side, True) for side in sides}
-    walls = {side: [p[side]["wall_s"] for p in pairs] for side in sides}
-    flights = {side: pairs[0][side]["flights"] for side in sides}
-    out = {
-        "flights": flights,
-        "pairs": pairs,
-        "wall_s": {side: quartiles(values) for side, values in walls.items()},
-        "flights_per_s": {side: flights[side] / statistics.median(v)
-                          for side, v in walls.items()},
-        "speedup": statistics.median(walls["parent"]) / statistics.median(walls["change"]),
-        "change_wins": sum(c < p for p, c in zip(walls["parent"], walls["change"])),
-        "digests": {side: sorted({p[side]["digest"] for p in pairs}) for side in sides},
-        "counts": {side: {k: counts[side][k] for k in
-                          ("coast_calls", "coast_calls_per_flight", "memo_entries")}
-                   for side in sides},
-    }
-    print(f"flights/s parent {out['flights_per_s']['parent']:.1f}, change "
-          f"{out['flights_per_s']['change']:.1f} ({out['speedup']:.2f}x), change won "
-          f"{out['change_wins']}/{args.pairs}; _coast calls per flight "
-          + ", ".join(f"{s} {out['counts'][s]['coast_calls_per_flight']:.2f}" for s in sides),
-          flush=True)
+            pairs = []
+            for i in range(args.pairs):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                runs = {side: one_pass(side, False) for side in order}
+                pairs.append({"first": order[0], **runs})
+                print(f"{name} pair {i}: " + ", ".join(
+                    f"{side} {runs[side]['wall_s']:.3f} s" for side in order), flush=True)
+            counts = {side: one_pass(side, True) for side in sides}
+        walls = {side: [p[side]["wall_s"] for p in pairs] for side in sides}
+        flights = {side: pairs[0][side]["flights"] for side in sides}
+        section = out[name] = {
+            "flights": flights,
+            "pairs": pairs,
+            "wall_s": {side: quartiles(values) for side, values in walls.items()},
+            "flights_per_s": {side: flights[side] / statistics.median(v)
+                              for side, v in walls.items()},
+            "speedup": statistics.median(walls["parent"]) / statistics.median(walls["change"]),
+            "change_wins": sum(c < p for p, c in zip(walls["parent"], walls["change"])),
+            "digests": {side: sorted({p[side]["digest"] for p in pairs} | {counts[side]["digest"]})
+                        for side in sides},
+            "counts": {side: {k: counts[side][k] for k in
+                              ("coast_calls", "coast_calls_per_flight", "memo_entries",
+                               "point_in_polygon_per_flight", "random_per_flight")}
+                       for side in sides},
+        }
+        print(f"{name}: flights/s parent {section['flights_per_s']['parent']:.1f}, change "
+              f"{section['flights_per_s']['change']:.1f} ({section['speedup']:.2f}x), change won "
+              f"{section['change_wins']}/{args.pairs}; per flight "
+              + ", ".join(f"{s} {section['counts'][s]['coast_calls_per_flight']:.2f} _coast, "
+                          f"{section['counts'][s]['point_in_polygon_per_flight']:.1f} "
+                          f"_point_in_polygon, {section['counts'][s]['random_per_flight']:.1f} "
+                          "rng.random" for s in sides), flush=True)
     return out
 
 
 def cmd_simulator_pass(args) -> int:
     """One cold pass over a stored campaign's flights; prints one JSON line."""
     sutmodel = import_from(args.src, "statefuzz.sutmodel")
+    from statefuzz import executor as executor_module
     from statefuzz.executor import Executor
     from statefuzz.storage import canonical_dumps, load_campaign
 
     campaign = load_campaign(Path(args.campaign))
-    tests = flight_set(campaign)
+    tests = flight_set(campaign, not args.main_only)
     coast_calls = 0
-    if args.count:
-        coast = sutmodel.Vehicle._coast
+    with contextlib.ExitStack() as stack:
+        if args.count:
+            coast = sutmodel.Vehicle._coast
 
-        def counted(*a, **k):
-            nonlocal coast_calls
-            coast_calls += 1
-            return coast(*a, **k)
+            def counted(*a, **k):
+                nonlocal coast_calls
+                coast_calls += 1
+                return coast(*a, **k)
 
-        sutmodel.Vehicle._coast = counted
-    executor = Executor(campaign.mission, campaign.config)
-    t0 = time.perf_counter()
-    profiles = [executor.execute(t) for t in tests]
-    wall = time.perf_counter() - t0
+            stack.callback(setattr, sutmodel.Vehicle, "_coast", coast)
+            sutmodel.Vehicle._coast = counted
+            counts = stack.enter_context(counting(sutmodel, executor_module))
+        executor = Executor(campaign.mission, campaign.config)
+        t0 = time.perf_counter()
+        profiles = [executor.execute(t) for t in tests]
+        wall = time.perf_counter() - t0
     doc = "".join(canonical_dumps(p.to_dict()) for p in profiles).encode()
     print(json.dumps({
         "flights": len(tests),
@@ -384,6 +453,7 @@ def cmd_simulator_pass(args) -> int:
         "digest": hashlib.sha256(doc).hexdigest(),
         "coast_calls": coast_calls if args.count else None,
         "coast_calls_per_flight": coast_calls / len(tests) if args.count else None,
+        **(per_flight(counts, len(tests)) if args.count else {}),
         "memo_entries": len(executor.cruise_runs),
     }))
     return 0
@@ -450,7 +520,7 @@ def cmd_storage(args) -> dict:
     cli = import_from(args.src, "statefuzz.cli")
     with tempfile.TemporaryDirectory() as work:
         stored = Path(work) / "stored"
-        store_quickstart(cli, stored)
+        store_run(cli, stored)
         repeats = [storage_repeat(stored, Path(work) / f"copy{i}") for i in range(args.repeats)]
     last = repeats[-1]
     runs = {step: [r[step] for r in repeats] for step in STORAGE_STEPS}
@@ -539,7 +609,7 @@ def cmd_oracle(args) -> dict:
     from statefuzz.storage import canonical_dumps, load_campaign
 
     with tempfile.TemporaryDirectory() as work:
-        store_quickstart(cli, Path(work))
+        store_run(cli, Path(work))
         campaign = load_campaign(Path(work))
     stored = [(t, campaign.profiles[t.test_id])
               for t in campaign.every_test() if t.test_id in campaign.profiles]
@@ -771,7 +841,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (("clustering", "time analyze_failures in process"),
-                           ("simulator", "time the quick start's flights"),
+                           ("simulator", "time the quick start's and env_fence_c's flights"),
                            ("storage", "time save_result, save_tests and load_campaign in process"),
                            ("oracle", "time classify over the quick start's profiles"),
                            ("minimize", "time cutset.minimize per stored truth table")):
@@ -801,6 +871,7 @@ def main(argv: list[str] | None = None) -> int:
     one_pass.add_argument("--src", required=True)
     one_pass.add_argument("--campaign", required=True)
     one_pass.add_argument("--count", action="store_true")
+    one_pass.add_argument("--main-only", action="store_true", help="fly no stored sweep")
     storage_pass = sub.add_parser("storage-pass", help="one storage pass (internal)")
     storage_pass.add_argument("--src", required=True)
     storage_pass.add_argument("--campaign", required=True)

@@ -358,13 +358,19 @@ def cut_sets_for_table(table: TruthTable, source: str = "") -> list[CutSet]:
 
 
 def merge_cut_sets(groups: Sequence[Sequence[CutSet]]) -> list[CutSet]:
-    """Dedup identical literal sets across tables, merging provenance."""
+    """Dedup identical literal sets across tables, merging provenance, and
+    keep only the minimal ones: a set holding every literal of another, and
+    more, is absorbed by it (A or (A and B) is A). A kept set keeps its own
+    sources."""
     merged: dict[tuple, list[str]] = {}
     for group in groups:
         for cs in group:
             sources = merged.setdefault(cs.literals, [])
             sources.extend(s for s in cs.sources if s not in sources)
-    return [CutSet(literals=lits, sources=tuple(sources)) for lits, sources in merged.items()]
+    sets = [frozenset(lits) for lits in merged]
+    return [CutSet(literals=lits, sources=tuple(sources))
+            for (lits, sources), own in zip(merged.items(), sets)
+            if not any(other < own for other in sets)]
 
 
 # ---------------------------------------------------------------------------

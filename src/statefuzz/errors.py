@@ -19,7 +19,8 @@ class VocabularyError(StateFuzzError):
 
 
 class ConstraintError(StateFuzzError):
-    """The mode/state constraint block references undeclared names."""
+    """The mode/state constraint block references undeclared names, or
+    lists one state under two modes."""
 
 
 class BandError(StateFuzzError):

@@ -349,6 +349,8 @@ def parse_fuzz_spec(raw: dict, spec_id: str = "spec") -> FuzzSpecification:
     if not isinstance(req_raw, dict):
         raise ConstraintError("REQUIRES_PX4_MODE must be an object")
     constraint_states: dict[AutopilotMode, list[AppState]] = {}
+    # each state names one context level, so it may sit under one mode only
+    owner: dict[AppState, str] = {}
     for mode_name, entries in req_raw.items():
         if mode_name not in {m.value for m in modes}:
             raise ConstraintError(
@@ -368,6 +370,12 @@ def parse_fuzz_spec(raw: dict, spec_id: str = "spec") -> FuzzSpecification:
                 raise ConstraintError(
                     f"REQUIRES_PX4_MODE.{mode_name} lists {bare!r} twice"
                 )
+            if state in owner:
+                raise ConstraintError(
+                    f"REQUIRES_PX4_MODE lists {bare!r} under both {owner[state]} and "
+                    f"{mode_name}; a state may require one mode"
+                )
+            owner[state] = mode_name
             if starred:
                 declared[state] = True
             resolved.append(state)

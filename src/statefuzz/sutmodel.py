@@ -31,8 +31,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, repeat
-from operator import add, neg, sub
+from itertools import accumulate, repeat, starmap
+from operator import add, mul, neg, sub
 from random import Random
 from typing import Iterable, Optional
 
@@ -300,6 +300,10 @@ WIND_DRIFT_CAP_M = {"none": 0.0, "low": 0.5, "medium": 1.5, "high": 3.0}
 WIND_DRIFT_RATE_MPS = {"none": 0.0, "low": 0.15, "medium": 0.45, "high": 0.9}
 GPS_JITTER_M = {"none": 0.0, "low": 0.1, "medium": 0.3, "high": 0.8}
 
+#: how far inside the fence a replayed cruise hop stays: far beyond the
+#: rounding of the ray cast and of _fence_hops at desk scale
+FENCE_MARGIN_M = 1e-6
+
 
 def _dist3(a: tuple[float, float, float], b: tuple[float, float, float]) -> float:
     return math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2)
@@ -359,6 +363,26 @@ def _point_in_polygon(x: float, y: float, poly: tuple[tuple[float, float], ...])
             elif x == xi:
                 return True
     return inside
+
+
+def _fence_hops(x: float, y: float, poly: tuple[tuple[float, float], ...], stride: float) -> int:
+    """How many hops of at most stride in the plane surely keep (x, y)
+    inside poly: floor((c - FENCE_MARGIN_M) / stride) - 1, where c is the
+    distance from (x, y) to the nearest edge, and 0 from outside."""
+    if not _point_in_polygon(x, y, poly):
+        return 0
+    c = math.inf
+    n = len(poly)
+    for i in range(n):
+        x1, y1 = poly[i]
+        x2, y2 = poly[(i + 1) % n]
+        ex, ey = x2 - x1, y2 - y1
+        length2 = ex * ex + ey * ey
+        # the point of the edge nearest (x, y), as a fraction of the edge
+        u = ((x - x1) * ex + (y - y1) * ey) / length2 if length2 else 0.0
+        u = min(1.0, max(0.0, u))
+        c = min(c, math.hypot(x - x1 - u * ex, y - y1 - u * ey))
+    return max(0, math.floor((c - FENCE_MARGIN_M) / stride) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -847,19 +871,35 @@ class Vehicle:
         hop, and returns the stop that hop is bounded by.
 
         A run is the stretch of full 10 ms hops from a grid tick to the last
-        grid tick before the next time condition and t_target. With no live
-        fence, a run is replayed in one piece. Its hops share one dt, so the
-        altitudes of a climb, descent or ascent come from
-        itertools.accumulate over one step: the loop's own additions, one by
-        one in the loop's order, with no closed form, so the sums are
-        bit-identical. bisect finds the hop that reaches the altitude or the
+        grid tick before the next time condition and t_target, replayed in
+        one piece. Its hops share one dt, so the altitudes of a climb,
+        descent or ascent come from itertools.accumulate over one step: the
+        loop's own additions, one by one in the loop's order, with no closed
+        form, so the sums are bit-identical. bisect finds the hop that reaches the altitude or the
         ground on that monotone list. A cruise run is _cruise_run, looked up
         first in cruise_runs by its exact inputs; a hold run moves only the
-        clock. The wind ramp is accumulated and then capped sum by sum, and
-        GPS jitter draws one number per hop taken, in order, once the run's
-        length is fixed. Hops from an off-grid time, the partial hop to
-        t_target, hops under a live fence, and the hop that meets the phase's
-        position condition stay in the per-hop loop.
+        clock.
+
+        Under a live fence only a cruise run starts, and it takes at most
+        floor((c - FENCE_MARGIN_M) / s) - 1 hops (_fence_hops), where s is
+        the stride and c is the distance from (x, y) to the nearest fence
+        edge, or 0 when _point_in_polygon fails there. A hop moves at most
+        s in the plane, so every replayed position stays more than
+        FENCE_MARGIN_M inside, where the ray cast cannot answer otherwise,
+        and the per-hop loop's fence check would have passed on each of
+        those hops. A run the cap cut short is followed at once by another
+        from where it ended, so only the last hops before the boundary stay
+        in the per-hop loop, which detects the breach.
+
+        The wind ramp is accumulated and then capped sum by sum, and GPS
+        jitter draws one number per hop taken, in order, once the run's
+        length is fixed. With the wind at its cap, the run's largest
+        deviation is wind_dev + jit * (its largest draw): r -> w + j * r is
+        nondecreasing in IEEE arithmetic for j > 0, and the same k draws in
+        the same order leave the RNG where the loop leaves it. Hops from an
+        off-grid time, the partial hop to t_target, hops of other motions
+        under a live fence, and the hop that meets the phase's position
+        condition stay in the per-hop loop.
         """
         if self._gps_degraded_due() or self._compass_degraded_due():
             return t_target
@@ -912,7 +952,8 @@ class Vehicle:
         floor = math.floor
         wind_dev, dev_max = self.wind_dev, self.path_deviation_max
         memo = self.cruise_runs
-        run = fence is None
+        runs = fence is None or kind == "cruise"
+        run = runs
 
         while True:
             if not t + 1e-9 < t_target:
@@ -920,7 +961,7 @@ class Vehicle:
                     break
                 # a chunk end: nothing fired, so the derived state holds
                 t_target = t + chunk_ms
-                run = fence is None
+                run = runs
             if run and t == floor(t / TICK_MS) * TICK_MS:
                 # a run: n full hops, of which the motion allows k
                 run = False
@@ -930,7 +971,13 @@ class Vehicle:
                 # ended by the touchdown on the hop that grounded it
                 k = n
                 if kind == "cruise":
-                    key = (x, y, z, tx, ty, tz, self.cruise * dt_s, n)
+                    stride = self.cruise * dt_s
+                    capped = False
+                    if fence is not None:
+                        most = _fence_hops(x, y, fence, stride)
+                        if most < n:
+                            n, capped = most, True
+                    key = (x, y, z, tx, ty, tz, stride, n)
                     ran = memo.get(key)
                     if ran is None:
                         ran = memo[key] = _cruise_run(*key)
@@ -939,6 +986,8 @@ class Vehicle:
                     k = ran[0]
                     if k > 0:
                         _, x, y, z = ran
+                    # a run the clearance cut short is followed by another
+                    run = capped and 0 < k == n
                 elif kind != "hold" and n > 0:
                     # zs[i] is z after i hops, by the loop's own additions
                     up = kind != "descend"
@@ -958,16 +1007,20 @@ class Vehicle:
                         z = limit
                 if k > 0:
                     t += k * TICK_MS
-                    ws = repeat(wind_dev, k) if jit else (wind_dev,)
                     if wind_dev < cap:
                         # the ramp only grows, so capping each sum equals
                         # capping each step
                         ws = list(map(min, repeat(cap), accumulate(
                             repeat(rate * dt_s, k), initial=wind_dev)))[1:]
                         wind_dev = ws[-1]
-                    if jit:
-                        ws = map(add, ws, [jit * rand() for _ in range(k)])
-                    dev_max = max(dev_max, *ws)
+                        if jit:
+                            ws = map(add, ws, map(mul, repeat(jit), starmap(rand, repeat((), k))))
+                        dev_max = max(dev_max, *ws)
+                    elif jit:
+                        # the largest draw makes the largest sum
+                        dev_max = max(dev_max, wind_dev + jit * max(starmap(rand, repeat((), k))))
+                    else:
+                        dev_max = max(dev_max, wind_dev)
                 continue
             # one hop; min() and max() are spelled out: same values, a third
             # of the cost

@@ -237,6 +237,10 @@ def test_a_context_sweep_states_a_fault_by_its_mode(tmp_path):
         for cs in combined["cut_sets"]
     }
     assert frozenset({("action", "OFFBOARD"), ("mode_at_injection", "LAND")}) in found
+    # the context sweep's {POSCTL, STABILIZED} absorbs the TAKEOFF table's
+    # {TAKEOFF, POSCTL, STABILIZED}: the tree keeps minimal cut sets only
+    assert frozenset({("action", "POSCTL"), ("mode_at_injection", "STABILIZED")}) in found
+    assert not any(a < b for a in found for b in found)
 
 
 def test_criterion_5_oracle_v1_clears_v0_false_positives(tmp_path, capsys):

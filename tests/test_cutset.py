@@ -352,6 +352,19 @@ def test_merge_cut_sets_dedups_and_merges_sources():
     ]
 
 
+def test_merge_cut_sets_keeps_only_minimal_sets():
+    takeoff, posctl = ("app_state", "TAKEOFF"), ("action", "POSCTL")
+    stabilized = (MODE_COLUMN, "STABILIZED")
+    wide = CutSet(literals=(takeoff, posctl, stabilized), sources=("truthtable:s1",))
+    narrow = CutSet(literals=(posctl, stabilized), sources=("truthtable:s2",))
+    other = CutSet(literals=(takeoff, ("action", "AUTO.RTL")), sources=("truthtable:s1",))
+    # {POSCTL, STABILIZED} absorbs its superset whichever table comes first
+    for groups in ([[wide, other], [narrow]], [[narrow], [wide, other]]):
+        merged = merge_cut_sets(groups)
+        assert sorted(merged, key=lambda cs: cs.literals) == sorted(
+            [narrow, other], key=lambda cs: cs.literals)
+
+
 def test_cut_set_dict_form():
     cs = CutSet(literals=(("action", "POSCTL"),), sources=("t1",))
     assert cs.to_dict() == {

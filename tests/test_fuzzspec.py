@@ -154,6 +154,15 @@ def test_malformed_spec_documents(mutate, exc):
         parse_fuzz_spec(raw, spec_id="bad")
 
 
+def test_a_state_may_require_one_mode_only():
+    """Two modes listing one state would make two context levels with one
+    name; the spec is refused, naming the state and both modes."""
+    raw = small_spec_raw()
+    raw["CONSTRAINTS"]["REQUIRES_PX4_MODE"] = {"OFFBOARD": ["TAKEOFF"], "LAND": ["TAKEOFF*"]}
+    with pytest.raises(ConstraintError, match="'TAKEOFF' under both OFFBOARD and LAND"):
+        parse_fuzz_spec(raw, spec_id="bad")
+
+
 def test_spec_round_trips_through_dict(spec):
     again = parse_fuzz_spec(spec.to_dict(), spec_id="renamed")
     assert again == spec  # spec_id does not participate in equality

@@ -1,10 +1,12 @@
 """Flight simulation: phase machine, failsafes, fault registry."""
 
+import math
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from statefuzz import sutmodel
 from statefuzz.errors import ConfigError, IllegalEvent, UnknownFault
 from statefuzz.sutmodel import (
     GEOFENCE_SETTINGS,
@@ -21,6 +23,7 @@ from statefuzz.sutmodel import (
     RcAction,
     SutConfig,
     Vehicle,
+    _fence_hops,
     inject_fault_behavior,
     summarize_events,
 )
@@ -674,6 +677,10 @@ FLYING = ("until", AppState.FLYING_TO_WAYPOINT)
 #: distance left exceeds the stride
 EXACT_LEG = {"id": "exact leg", "waypoints": [[19, 0, 10]], "cruise_speed": 10.0}
 
+#: mission C's fence, crossed on the diagonal through its corner (18, 18)
+DIAGONAL_LEG = {"id": "diagonal leg", "waypoints": [[30, 30, 10]], "cruise_speed": 5.0,
+                "geofence_polygon": MISSION_C_RAW["geofence_polygon"]}
+
 #: flights that take each kind of run _coast replays in one piece:
 #: (mission, latency window, environment, steps)
 RUN_CASES = {
@@ -699,6 +706,16 @@ RUN_CASES = {
     "cruise at the wind cap with jitter": (
         MISSION_A_RAW, (200.0, 600.0), {"wind": "low", "gps_noise": "low"}, [FLYING]),
     "cruise onto the waypoint": (EXACT_LEG, (200.0, 600.0), {}, []),
+    # capped runs up to the breach at x = 18, then the per-hop loop
+    "cruise under a live WARN fence, jitter at the wind cap": (
+        MISSION_C_RAW, (200.0, 600.0), {"geofence": "WARN", "wind": "high", "gps_noise": "medium"},
+        [FLYING]),
+    # the ramp runs out in 3.4 s, within the 12.5 s climb, so it ramps under
+    # the live fence in climb runs, and no cruise starts before it is capped
+    "cruise under a live RETURN fence, wind ramping in the climb": (
+        MISSION_C_RAW, (200.0, 600.0), {"geofence": "RETURN", "wind": "medium"}, []),
+    # the diagonal leaves through the corner (18, 18)
+    "cruise out through a fence vertex": (DIAGONAL_LEG, (200.0, 600.0), {"geofence": "WARN"}, []),
 }
 
 
@@ -713,3 +730,55 @@ def test_runs_match_the_grid_loop(case, chunk):
     # the sibling flight replays every cruise run from the shared memo
     fly_pair(config, env, mission, 7, chunk, steps, memo)
     assert memo == filled
+
+
+@pytest.mark.parametrize("mission, chunk, geofence", [
+    (MISSION_C_RAW, 500.0, "WARN"),
+    (MISSION_C_RAW, 500.0, "RETURN"),
+    # runs that the clearance cut short follow each other within a chunk:
+    # with only the chunk ends starting runs, this takes about 100 calls
+    (DIAGONAL_LEG, 5000.0, "WARN"),
+])
+def test_fence_crossing_replays_runs(monkeypatch, mission, chunk, geofence):
+    """The cruise toward the fence is replayed in runs: a per-hop fence
+    check on each of its 10 ms hops would take 360 calls or more."""
+    calls = 0
+    ray_cast = sutmodel._point_in_polygon
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return ray_cast(*args)
+
+    monkeypatch.setattr(sutmodel, "_point_in_polygon", counted)
+    v = make_vehicle(config=SutConfig(latency_window_ms=(200.0, 600.0)),
+                     env={"geofence": geofence}, mission=mission, seed=7)
+    v.drive(chunk)
+    assert failsafes(v) == [("GEOFENCE", geofence)]
+    assert 0 < calls < 50
+
+
+FENCE = tuple(tuple(map(float, p)) for p in MISSION_C_RAW["geofence_polygon"])
+#: an L-shaped fence whose corner (10, 10) points inward
+L_FENCE = ((0.0, 0.0), (20.0, 0.0), (20.0, 10.0), (10.0, 10.0), (10.0, 20.0), (0.0, 20.0))
+
+
+@pytest.mark.parametrize("fence, x, y, hops", [
+    (FENCE, 17.0, 0.0, 18),         # 1 m from the edge x = 18: 19 strides, less one
+    (FENCE, 17.95, 0.0, 0),         # one stride from the edge
+    (FENCE, 18.0, 0.0, 0),          # on the edge
+    (FENCE, 17.0, 17.0, 18),        # 1 m from both edges at a corner
+    (L_FENCE, 9.0, 9.0, 27),        # sqrt(2) m from the inward corner, 1 m from its edges' lines
+    (FENCE, 19.0, 0.0, 0),          # outside
+    (L_FENCE, 11.0, 11.0, 0),       # outside, in the notch
+])
+def test_fence_hops_keep_clear_of_the_nearest_edge(fence, x, y, hops):
+    stride = 0.05
+    assert _fence_hops(x, y, fence, stride) == hops
+    # toward any point, that many hops of one stride stay inside
+    for tx, ty in ((x + 30.0, y), (x, y + 30.0), (x + 30.0, y + 30.0), (x - 30.0, y - 30.0)):
+        px, py = x, y
+        for _ in range(hops):
+            d = math.hypot(tx - px, ty - py)
+            px, py = px + (tx - px) * stride / d, py + (ty - py) * stride / d
+            assert sutmodel._point_in_polygon(px, py, fence)
