@@ -33,16 +33,19 @@ seed-0 ``env_fence_c`` campaign (mission C, F2+F5+F7, the spec read from
 wind and draw GPS jitter. For each set it reports flights per second and
 simulated seconds per host second over the median of ``--repeats``
 passes, at least 3, a digest of the execution profiles, and from one more
-pass the ``_point_in_polygon`` calls and the flights' ``rng.random``
-draws per flight; that pass must fly the same profiles. With ``--parent``
+pass the runs (``Vehicle._coast`` asks ``_last_tick_before`` once per
+run), the ``_point_in_polygon`` calls and the flights' ``rng.random``
+draws per flight, and the entries that pass leaves in the executor's
+``cruise_runs`` memo; that pass must fly the same profiles. With ``--parent``
 and ``--change`` each checkout's CLI stores each set's campaign in a fresh
 interpreter, so the two may store different layouts, and each checkout's
 ``src`` flies the flight set it stored, in cold single passes: each pass is
 a fresh subprocess with a new ``Executor``, so any per-executor memo starts
 empty. The sides alternate which runs first; each set's section records
 each side's passes, median and quartiles, the pairs the change won, the
-profile digests, and from one more pass per side, with ``Vehicle._coast``
-and ``_point_in_polygon`` wrapped and each flight's ``rng.random`` counted
+profile digests, and from one more pass per side, with ``Vehicle._coast``,
+``_last_tick_before`` and ``_point_in_polygon`` wrapped and each flight's
+``rng.random`` counted
 in the subprocess, the calls of each per flight and the entries of the
 executor's ``cruise_runs`` memo.
 
@@ -291,15 +294,21 @@ def cmd_clustering(args) -> dict:
 
 @contextlib.contextmanager
 def counting(sutmodel, executor):
-    """Count _point_in_polygon calls and the flights' rng.random draws while
-    the block runs; yields the Counter. Draws go to the flight's own
-    generator, in order, so the flights fly as without it."""
+    """Count _point_in_polygon calls, runs (Vehicle._coast asks
+    _last_tick_before for each run's last tick once) and the flights'
+    rng.random draws while the block runs; yields the Counter. Draws go to
+    the flight's own generator, in order, so the flights fly as without it."""
     counts = Counter()
-    ray_cast, make_rng = sutmodel._point_in_polygon, executor.Random
+    ray_cast, last_tick, make_rng = (sutmodel._point_in_polygon, sutmodel._last_tick_before,
+                                     executor.Random)
 
     def point_in_polygon(*args):
         counts["point_in_polygon"] += 1
         return ray_cast(*args)
+
+    def last_tick_before(bound):
+        counts["runs"] += 1
+        return last_tick(bound)
 
     def counted_rng(seed):
         rng = make_rng(seed)
@@ -313,15 +322,17 @@ def counting(sutmodel, executor):
         return rng
 
     sutmodel._point_in_polygon, executor.Random = point_in_polygon, counted_rng
+    sutmodel._last_tick_before = last_tick_before
     try:
         yield counts
     finally:
         sutmodel._point_in_polygon, executor.Random = ray_cast, make_rng
+        sutmodel._last_tick_before = last_tick
 
 
 def per_flight(counts: Counter, flights: int) -> dict:
     return {f"{name}_per_flight": counts[name] / flights
-            for name in ("point_in_polygon", "random")}
+            for name in ("runs", "point_in_polygon", "random")}
 
 
 def cmd_simulator(args) -> dict:
@@ -358,12 +369,15 @@ def cmd_simulator(args) -> dict:
             "sim_s": sim_s,
             "sim_s_per_host_s": sim_s / wall,
             **per_flight(counts, len(tests)),
+            "memo_entries": len(executor.cruise_runs),
             "digest": hashlib.sha256(doc).hexdigest(),
         }
         print(f"{name}: {len(tests)} flights, median {wall:.3f} s of "
               f"{' '.join(f'{w:.3f}' for w in walls)}, {len(tests) / wall:.1f} flights/s, "
+              f"{counts['runs'] / len(tests):.1f} runs, "
               f"{counts['point_in_polygon'] / len(tests):.1f} _point_in_polygon and "
-              f"{counts['random'] / len(tests):.1f} rng.random calls per flight", flush=True)
+              f"{counts['random'] / len(tests):.1f} rng.random calls per flight, "
+              f"{len(executor.cruise_runs)} cruise_runs entries", flush=True)
     return out
 
 
@@ -406,14 +420,17 @@ def cmd_simulator_ab(args) -> dict:
             "digests": {side: sorted({p[side]["digest"] for p in pairs} | {counts[side]["digest"]})
                         for side in sides},
             "counts": {side: {k: counts[side][k] for k in
-                              ("coast_calls", "coast_calls_per_flight", "memo_entries",
-                               "point_in_polygon_per_flight", "random_per_flight")}
+                              ("coast_calls", "coast_calls_per_flight", "runs_per_flight",
+                               "memo_entries", "point_in_polygon_per_flight",
+                               "random_per_flight")}
                        for side in sides},
         }
         print(f"{name}: flights/s parent {section['flights_per_s']['parent']:.1f}, change "
               f"{section['flights_per_s']['change']:.1f} ({section['speedup']:.2f}x), change won "
               f"{section['change_wins']}/{args.pairs}; per flight "
               + ", ".join(f"{s} {section['counts'][s]['coast_calls_per_flight']:.2f} _coast, "
+                          f"{section['counts'][s]['runs_per_flight']:.2f} runs, "
+                          f"{section['counts'][s]['memo_entries']} cruise_runs entries, "
                           f"{section['counts'][s]['point_in_polygon_per_flight']:.1f} "
                           f"_point_in_polygon, {section['counts'][s]['random_per_flight']:.1f} "
                           "rng.random" for s in sides), flush=True)

@@ -1,11 +1,14 @@
 """Deterministic test execution against the simulated vehicle.
 
 Each test case runs in a fresh vehicle instance seeded from the case's own
-seed. The executor drives it to the first occurrence of the targeted app
-state in one Vehicle.drive call, schedules the injection at exactly (state
-entry time + sampled delay), lets the flight settle, drives it to its end in
-one more call, and assembles an execution profile: the closed set of
-observables every later stage (oracle, clustering, truth tables) works from.
+seed. The executor flies it to the first occurrence of the targeted app
+state in one Vehicle.advance_until call with no time bound, schedules the
+injection at exactly (state entry time + sampled delay), lets the flight
+settle, flies it to its end in one more call, and assembles an execution
+profile: the closed set of observables every later stage (oracle,
+clustering, truth tables) works from. A leg's only hop stops are the
+simulator's own: grid ticks, timer instants and the injection and settle
+instants.
 
 An Executor owns one cruise-run memo and shares it with every vehicle it
 builds, so the memo lives as long as the executor: one serial run_campaign
@@ -23,6 +26,7 @@ closes it before returning.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from random import Random
 from typing import Optional
@@ -39,12 +43,6 @@ from .testgen import TestCase, derive_seed
 
 #: observation window after an injection before the flight is resumed
 SETTLE_MS = 1000.0
-
-#: Vehicle.drive's chunk. A flight leg is one drive call, but each chunk end
-#: (the clock plus this, again and again) is a simulator hop stop, usually at a
-#: time off the 10 ms grid, and position and clock sums accumulate over those
-#: hops: another chunk length gives other floats and other output bytes.
-DRIVE_CHUNK_MS = 500.0
 
 
 @dataclass(frozen=True)
@@ -127,7 +125,7 @@ class Executor:
 
         # wait for the targeted state (a baseline just flies)
         if test.action != NO_ACTION:
-            vehicle.drive(DRIVE_CHUNK_MS, stop_state=test.app_state)
+            vehicle.advance_until(math.inf, stop_state=test.app_state)
             if vehicle.app is test.app_state:
                 context_time = vehicle.t
                 injection_time = context_time + test.delay_ms
@@ -145,7 +143,7 @@ class Executor:
                     vehicle.advance_until(injection_time + SETTLE_MS)
                     mode_after_settle = vehicle.mode.value
 
-        vehicle.drive(DRIVE_CHUNK_MS)
+        vehicle.advance_until(math.inf)
 
         return ExecutionProfile(
             test_id=test.test_id,

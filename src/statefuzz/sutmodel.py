@@ -5,13 +5,13 @@ Two layers evolve together. The application layer walks a mission script
 (STABILIZED, OFFBOARD, ...). The composed pair is what tests target and
 what traces record.
 
-A flight is driven through Vehicle.drive, Vehicle.advance_until and
-Vehicle.apply_rc and writes one event log, Vehicle.events; summarize_events
-derives a profile's trace, failsafe events, exceptions and oscillation count
-from it. drive flies a whole leg in one call: its chunk ends are hop stops
-carried from run to run, not call boundaries. Cruise runs are memoized in a
-dict the caller may share between flights (each executor shares one among
-the flights it flies); a run's result depends only on its exact float
+A flight is driven through Vehicle.advance_until and Vehicle.apply_rc and
+writes one event log, Vehicle.events; summarize_events derives a profile's
+trace, failsafe events, exceptions and oscillation count from it.
+advance_until(math.inf, stop_state) flies a whole leg in one call, and its
+only hop stops are grid ticks and timer instants. Cruise runs are memoized
+in a dict the caller may share between flights (each executor shares one
+among the flights it flies); a run's result depends only on its exact float
 inputs, so a shared memo changes no output.
 
 The module also hosts the fault registry. A fault is a behavioral override
@@ -350,7 +350,12 @@ def _cruise_run(
 
 
 def _point_in_polygon(x: float, y: float, poly: tuple[tuple[float, float], ...]) -> bool:
-    """Ray-cast point-in-polygon; boundary points count as inside."""
+    """Ray-cast point-in-polygon; boundary points count as inside.
+
+    An edge the ray crosses holds the point when the crossing is the point;
+    the crossing test leaves out the upper vertex of an edge and every
+    horizontal edge, so those are matched apart.
+    """
     inside = False
     n = len(poly)
     for i in range(n):
@@ -362,6 +367,8 @@ def _point_in_polygon(x: float, y: float, poly: tuple[tuple[float, float], ...])
                 inside = not inside
             elif x == xi:
                 return True
+        elif y == y1 and (x == x1 or y == y2 and min(x1, x2) <= x <= max(x1, x2)):
+            return True
     return inside
 
 
@@ -439,11 +446,11 @@ def summarize_events(events: Iterable[tuple[float, str, str]]) -> dict:
 class Vehicle:
     """Mutable flight simulation behind the executor.
 
-    One instance is one flight. The executor drives it with drive() to the
-    targeted state and to the end of the flight, with advance_until() to the
-    injection and settle instants, and with apply_rc(). The environment
-    (throttle, geofence, wind, GPS noise, compass interference) is fixed
-    when the flight is built.
+    One instance is one flight. The executor drives it with apply_rc() and
+    advance_until(): to math.inf for the leg to the targeted state and the
+    leg to the end of the flight, and to the injection and settle instants.
+    The environment (throttle, geofence, wind, GPS noise, compass
+    interference) is fixed when the flight is built.
 
     events is the flight's one log, in order: (t_ms, kind, detail) for each
     app state entered ("state"), autopilot mode entered ("mode"), control
@@ -784,7 +791,8 @@ class Vehicle:
 
     def advance_until(self, t_target: float, stop_state: Optional[AppState] = None) -> None:
         """Integrate forward to t_target, stopping early when stop_state is
-        entered.
+        entered; t_target may be math.inf, which flies until the flight
+        ends or stop_state is entered.
 
         The clock takes the hops of a plain 10 ms grid loop and no others:
         every grid tick, every timer instant and t_target. Every hop moves
@@ -797,35 +805,13 @@ class Vehicle:
         transition instant and the caller can schedule injection delays from
         it.
         """
-        self._fly(t_target, stop_state, None)
-
-    def drive(self, chunk_ms: float, stop_state: Optional[AppState] = None) -> None:
-        """Fly until the flight is finished or stop_state is entered.
-
-        The same hops as calling advance_until(self.t + chunk_ms, stop_state)
-        while the flight is unfinished and not in stop_state, in one call:
-        each chunk end is a hop stop, and on reaching it the next stop is
-        set to the clock plus chunk_ms. Chunk ends mostly fall off the 10 ms
-        grid and split a hop, so chunk_ms shapes the floats.
-        """
-        if self.app is not stop_state:
-            self._fly(self.t + chunk_ms, stop_state, chunk_ms)
-
-    def _fly(self, stop: float, stop_state: Optional[AppState], chunk_ms: Optional[float]) -> None:
-        """advance_until(stop, stop_state); with chunk_ms, each stop reached
-        sets the next at the clock plus chunk_ms, until the flight ends or
-        stop_state is entered."""
-        while not self.finished:
-            if self.t + 1e-9 >= stop:
-                if chunk_ms is None:
-                    return
-                stop = self.t + chunk_ms
+        while not self.finished and self.t + 1e-9 < t_target:
             if self.app is not stop_state:
-                stop = self._coast(stop, chunk_ms)
-                if self.t + 1e-9 >= stop:
-                    continue
+                self._coast(t_target)
+                if not self.t + 1e-9 < t_target:
+                    return
             next_grid = (math.floor(self.t / TICK_MS) + 1) * TICK_MS
-            hop = min(stop, next_grid, self._next_timer())
+            hop = min(t_target, next_grid, self._next_timer())
             dt = hop - self.t
             self._integrate(dt)
             self.t = hop
@@ -853,32 +839,37 @@ class Vehicle:
             return math.inf
         return min((d for d in deadlines if d is not None), default=math.inf)
 
-    def _coast(self, t_target: float, chunk_ms: Optional[float]) -> float:
-        """Take the hops ahead on which no handler can fire; return the
-        current stop.
+    def _coast(self, t_target: float) -> None:
+        """Take the hops ahead, up to t_target, on which no handler can fire.
 
         Stops before a hop that reaches a timer, a phase deadline or the
         ceiling, meets the phase's position condition or leaves the fence
         while airborne; takes no hop while a degradation note is pending.
         Each hop moves the clock, the position and the deviation with the
-        expressions of _integrate and _sample_deviation.
-
-        t_target is the current stop. Without chunk_ms the call ends there.
-        With it, reaching the stop sets the next one at the clock plus
-        chunk_ms and the call goes on: no handler ran, so the phase, due
-        time, motion, fence and wind worked out on entry still hold, and
-        only a new run may start. The call then ends only before a handler
-        hop, and returns the stop that hop is bounded by.
+        expressions of _integrate and _sample_deviation. t_target may be
+        math.inf: the ceiling is a time condition, so every call ends.
 
         A run is the stretch of full 10 ms hops from a grid tick to the last
         grid tick before the next time condition and t_target, replayed in
-        one piece. Its hops share one dt, so the altitudes of a climb,
-        descent or ascent come from itertools.accumulate over one step: the
-        loop's own additions, one by one in the loop's order, with no closed
-        form, so the sums are bit-identical. bisect finds the hop that reaches the altitude or the
-        ground on that monotone list. A cruise run is _cruise_run, looked up
-        first in cruise_runs by its exact inputs; a hold run moves only the
-        clock.
+        one piece. The first grid tick the call reaches starts one: the
+        clock itself, or the next tick when the clock stands off the grid
+        (at a timer or at an earlier call's t_target, such as an injection
+        instant). A run takes at most the hops its motion can still use,
+        plus 2 for the rounding of the quotient: the climb up to
+        TAKEOFF_ALT_M, the descent to the ground, the cruise to its target
+        or the wind ramp to its cap, whichever lasts longest. A run this
+        bound cut short is followed at once by another from where it ended,
+        and a climb or descent clamped at its limit goes on as a hold, so
+        the lists below stay that short however far off the next time
+        condition is.
+
+        A run's hops share one dt, so the altitudes of a climb, descent or
+        ascent come from itertools.accumulate over one step: the loop's own
+        additions, one by one in the loop's order, with no closed form, so
+        the sums are bit-identical. bisect finds the hop that reaches the
+        altitude or the ground on that monotone list. A cruise run is
+        _cruise_run, looked up first in cruise_runs by its exact inputs; a
+        hold run moves only the clock.
 
         Under a live fence only a cruise run starts, and it takes at most
         floor((c - FENCE_MARGIN_M) / s) - 1 hops (_fence_hops), where s is
@@ -902,7 +893,7 @@ class Vehicle:
         condition stay in the per-hop loop.
         """
         if self._gps_degraded_due() or self._compass_degraded_due():
-            return t_target
+            return
         app = self.app
         t = self.t
         x, y, z = self.pos
@@ -914,8 +905,10 @@ class Vehicle:
         kind = "hold"
         lands = False               # the phase ends on touching the ground
         if app is AppState.TAKEOFF:
-            kind = "climb"
             offboard = self.mode is AutopilotMode.OFFBOARD
+            # a climb clamped at the altitude holds there until the switch
+            if offboard or z < TAKEOFF_ALT_M:
+                kind = "climb"
         elif app is AppState.FLYING_TO_WAYPOINT:
             kind = "cruise"
             tx, ty, tz = self.resume_target or self.waypoints[self.legs_done]
@@ -952,31 +945,36 @@ class Vehicle:
         floor = math.floor
         wind_dev, dev_max = self.wind_dev, self.path_deviation_max
         memo = self.cruise_runs
-        runs = fence is None or kind == "cruise"
-        run = runs
+        run = fence is None or kind == "cruise"
 
-        while True:
-            if not t + 1e-9 < t_target:
-                if chunk_ms is None:
-                    break
-                # a chunk end: nothing fired, so the derived state holds
-                t_target = t + chunk_ms
-                run = runs
+        while t + 1e-9 < t_target:
             if run and t == floor(t / TICK_MS) * TICK_MS:
                 # a run: n full hops, of which the motion allows k
-                run = False
                 n = int((_last_tick_before(min(due, t_target)) - t) / TICK_MS)
                 dt_s = TICK_MS / 1000.0
+                # the hops each ongoing motion can still use
+                ends = []
+                if kind == "climb":
+                    ends.append((TAKEOFF_ALT_M - z) / (CLIMB_RATE_MPS * dt_s))
+                elif kind == "descend":
+                    ends.append(z / (sink * dt_s))
+                elif kind == "cruise":
+                    stride = self.cruise * dt_s
+                    ends.append(math.sqrt((x - tx) ** 2 + (y - ty) ** 2 + (z - tz) ** 2) / stride)
+                if wind_dev < cap:
+                    ends.append((cap - wind_dev) / (rate * dt_s))
+                bound = max(ends, default=math.inf) + 2
+                cut = bound < n
+                if cut:
+                    n = math.ceil(bound)
                 # a hold takes all n: a hold that lands on the ground was
                 # ended by the touchdown on the hop that grounded it
                 k = n
                 if kind == "cruise":
-                    stride = self.cruise * dt_s
-                    capped = False
                     if fence is not None:
                         most = _fence_hops(x, y, fence, stride)
                         if most < n:
-                            n, capped = most, True
+                            n, cut = most, True
                     key = (x, y, z, tx, ty, tz, stride, n)
                     ran = memo.get(key)
                     if ran is None:
@@ -986,8 +984,6 @@ class Vehicle:
                     k = ran[0]
                     if k > 0:
                         _, x, y, z = ran
-                    # a run the clearance cut short is followed by another
-                    run = capped and 0 < k == n
                 elif kind != "hold" and n > 0:
                     # zs[i] is z after i hops, by the loop's own additions
                     up = kind != "descend"
@@ -1003,8 +999,10 @@ class Vehicle:
                         z = zs[n]
                     elif stops:     # the handler hop takes the crossing
                         k, z = c - 1, zs[c - 1]
-                    else:           # clamped from hop c on
-                        z = limit
+                    else:           # clamped from hop c on, and held after
+                        z, kind = limit, "hold"
+                # a run the bound cut short is followed by another
+                run = cut and 0 < k == n
                 if k > 0:
                     t += k * TICK_MS
                     if wind_dev < cap:
@@ -1069,7 +1067,6 @@ class Vehicle:
             self.t = t
             self.pos = (x, y, z)
             self.wind_dev, self.path_deviation_max = wind_dev, dev_max
-        return t_target
 
     def apply_rc(self, action: RcAction) -> bool:
         """Inject one control action now; returns acknowledgment."""

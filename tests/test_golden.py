@@ -29,7 +29,7 @@ from conftest import MISSION_A_RAW, MISSION_C_RAW, small_spec_raw
 from helpers import fired_path, make_case
 
 MATRIX_DIGEST = "a5c8750fd8bf4c1125fe5323fa132b061380a712f3c35d578496a2982b518f98"
-RUN_DIGEST = "879306fc9bb18379c737fdaaf1e9fcffb01da0179896961c760e80ca0d9a382f"
+RUN_DIGEST = "0dcbeda8352eda0858abbb04ca4350cfde60f679b82bdf5add96d514e52c0062"
 CLUSTERING_DIGEST = "0bae8a368900f64a4303b5f53f9f56bac2e8aaf39e040acba542fd5049d0b5cf"
 
 ACTIONS = tuple(a.value for a in RcAction) + (NO_ACTION,)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from statefuzz import sutmodel
 from statefuzz.errors import ConfigError, IllegalEvent, UnknownFault
+from statefuzz.executor import Executor
 from statefuzz.sutmodel import (
     GEOFENCE_SETTINGS,
     INTENSITY_LEVELS,
@@ -29,6 +30,7 @@ from statefuzz.sutmodel import (
 )
 
 from conftest import MISSION_A_RAW, MISSION_C_RAW
+from helpers import make_case
 from reference import grid_advance_until
 
 
@@ -606,34 +608,34 @@ flight_steps = st.lists(
 )
 
 
-def fly_pair(config, env, mission, seed, chunk, steps, cruise_runs=None):
-    """Fly a vehicle with drive and advance_until and its twin with the grid
-    loop, comparing the two whenever the fast vehicle returns.
+def fly_pair(config, env, mission, seed, steps, cruise_runs=None):
+    """Fly a vehicle with advance_until and its twin with the grid loop,
+    comparing the two whenever the fast vehicle returns.
 
-    An "until" step and the final leg are one drive(chunk, stop_state) call;
-    the twin takes them chunk by chunk, each next stop at its clock plus
-    chunk.
+    An "until" step and the final leg fly each vehicle to math.inf, unless
+    it is already in the stop state.
     """
     fast = make_vehicle(config=config, env=env, mission=mission, seed=seed,
                         cruise_runs=cruise_runs)
     grid = make_vehicle(config=config, env=env, mission=mission, seed=seed)
 
-    def drive(stop_state=None):
-        fast.drive(chunk, stop_state)
-        while not grid.finished and grid.app is not stop_state:
-            grid_advance_until(grid, grid.t + chunk, stop_state)
+    def until(stop_state=None):
+        if fast.app is not stop_state:
+            fast.advance_until(math.inf, stop_state)
+        if grid.app is not stop_state:
+            grid_advance_until(grid, math.inf, stop_state)
         assert observables(fast) == observables(grid)
 
     for kind, arg in steps:
         if kind == "until":
-            drive(arg)
+            until(arg)
         elif kind == "wait":
             fast.advance_until(fast.t + arg)
             grid_advance_until(grid, grid.t + arg, None)
             assert observables(fast) == observables(grid)
         elif kind == "rc" and fast.app not in (AppState.PRE_ARM, AppState.DONE):
             assert fast.apply_rc(arg) == grid.apply_rc(arg)
-    drive()
+    until()
     assert fast.finished
 
 
@@ -652,15 +654,14 @@ def fly_pair(config, env, mission, seed, chunk, steps, cruise_runs=None):
     window=st.sampled_from([(0.0, 300.0), (200.0, 600.0), (1500.0, 4500.0),
                             (13000.0, 16000.0)]),
     degrade_level=st.sampled_from(["low", "high"]),
-    chunk=st.sampled_from([10.0, 333.3, 500.0, 1234.5]),
     steps=flight_steps,
     seed=st.integers(0, 2**32 - 1),
 )
 def test_advance_until_matches_the_grid_loop(
-    mission, env, faults, window, degrade_level, chunk, steps, seed
+    mission, env, faults, window, degrade_level, steps, seed
 ):
     """Same hops, floats, events and RNG draws as a loop that runs every
-    handler on every 10 ms tick, through drives, waits, stops and
+    handler on every 10 ms tick, through legs, waits, stops and
     injections."""
     config = SutConfig(
         latency_window_ms=window,
@@ -668,7 +669,7 @@ def test_advance_until_matches_the_grid_loop(
         compass_degrade_level=degrade_level,
         seeded_faults=tuple(sorted(faults)),
     )
-    fly_pair(config, env, mission, seed, chunk, steps)
+    fly_pair(config, env, mission, seed, steps)
 
 
 FLYING = ("until", AppState.FLYING_TO_WAYPOINT)
@@ -681,65 +682,78 @@ EXACT_LEG = {"id": "exact leg", "waypoints": [[19, 0, 10]], "cruise_speed": 10.0
 DIAGONAL_LEG = {"id": "diagonal leg", "waypoints": [[30, 30, 10]], "cruise_speed": 5.0,
                 "geofence_polygon": MISSION_C_RAW["geofence_polygon"]}
 
+
+def cfg(lo, hi, *faults):
+    """A config with the latency window (lo, hi) and faults seeded."""
+    return SutConfig(latency_window_ms=(lo, hi), seeded_faults=faults)
+
+
 #: flights that take each kind of run _coast replays in one piece:
-#: (mission, latency window, environment, steps)
+#: (mission, config, environment, steps)
 RUN_CASES = {
     # TAKEOFF stays STABILIZED past the 12.5 s climb, so z clamps at 10 m
-    "climb clamped at altitude": (MISSION_A_RAW, (13000.0, 16000.0), {}, []),
+    "climb clamped at altitude": (MISSION_A_RAW, cfg(13000.0, 16000.0), {}, []),
     "climb clamped, wind ramp and jitter": (
-        MISSION_A_RAW, (13000.0, 16000.0), {"wind": "high", "gps_noise": "low"}, []),
+        MISSION_A_RAW, cfg(13000.0, 16000.0), {"wind": "high", "gps_noise": "low"}, []),
+    # F2 drops the POSCTL; the vehicle then holds at 10 m until the switch
+    "F2 flight held in TAKEOFF at 10 m": (
+        MISSION_A_RAW, cfg(13000.0, 16000.0, "F2"), {"gps_noise": "low"},
+        [("until", AppState.TAKEOFF), ("wait", 333.3), ("rc", RcAction.POSCTL)]),
     # every flight ends with one; jitter draws on every hop of it
-    "landing descent with jitter": (MISSION_A_RAW, (200.0, 600.0), {"gps_noise": "medium"}, []),
+    "landing descent with jitter": (MISSION_A_RAW, cfg(200.0, 600.0), {"gps_noise": "medium"}, []),
     "manual sink to the ground": (
-        MISSION_A_RAW, (200.0, 600.0), {"throttle": "low"},
+        MISSION_A_RAW, cfg(200.0, 600.0), {"throttle": "low"},
         [("until", AppState.TAKEOFF), ("wait", 3000.0), ("rc", RcAction.POSCTL)]),
     "manual landing descent": (
-        MISSION_A_RAW, (200.0, 600.0), {"throttle": "high"},
+        MISSION_A_RAW, cfg(200.0, 600.0), {"throttle": "high"},
         [("until", AppState.LANDING), ("wait", 500.0), ("rc", RcAction.ALTCTL)]),
     "manual ascent": (
-        MISSION_A_RAW, (200.0, 600.0), {"throttle": "high", "gps_noise": "low"},
+        MISSION_A_RAW, cfg(200.0, 600.0), {"throttle": "high", "gps_noise": "low"},
         [FLYING, ("rc", RcAction.STABILIZED)]),
+    # the takeover 333.3 ms into the leg sets hold_until off the grid
+    "takeover whose hold ends off the grid": (
+        MISSION_A_RAW, cfg(200.0, 600.0), {"wind": "low"},
+        [FLYING, ("wait", 333.3), ("rc", RcAction.POSCTL)]),
     # the ramp reaches its cap inside a hold run and a climb run
-    "wind ramp from the start": (MISSION_A_RAW, (1500.0, 4500.0), {"wind": "medium"}, []),
+    "wind ramp from the start": (MISSION_A_RAW, cfg(1500.0, 4500.0), {"wind": "medium"}, []),
     # the ramp reaches its cap within 3.4 s, before any cruise starts
-    "cruise with the wind at its cap": (MISSION_A_RAW, (200.0, 600.0), {"wind": "high"}, [FLYING]),
+    "cruise with the wind at its cap": (MISSION_A_RAW, cfg(200.0, 600.0), {"wind": "high"}, [FLYING]),
     "cruise at the wind cap with jitter": (
-        MISSION_A_RAW, (200.0, 600.0), {"wind": "low", "gps_noise": "low"}, [FLYING]),
-    "cruise onto the waypoint": (EXACT_LEG, (200.0, 600.0), {}, []),
+        MISSION_A_RAW, cfg(200.0, 600.0), {"wind": "low", "gps_noise": "low"}, [FLYING]),
+    "cruise onto the waypoint": (EXACT_LEG, cfg(200.0, 600.0), {}, []),
     # capped runs up to the breach at x = 18, then the per-hop loop
     "cruise under a live WARN fence, jitter at the wind cap": (
-        MISSION_C_RAW, (200.0, 600.0), {"geofence": "WARN", "wind": "high", "gps_noise": "medium"},
-        [FLYING]),
+        MISSION_C_RAW, cfg(200.0, 600.0),
+        {"geofence": "WARN", "wind": "high", "gps_noise": "medium"}, [FLYING]),
     # the ramp runs out in 3.4 s, within the 12.5 s climb, so it ramps under
     # the live fence in climb runs, and no cruise starts before it is capped
     "cruise under a live RETURN fence, wind ramping in the climb": (
-        MISSION_C_RAW, (200.0, 600.0), {"geofence": "RETURN", "wind": "medium"}, []),
+        MISSION_C_RAW, cfg(200.0, 600.0), {"geofence": "RETURN", "wind": "medium"}, []),
     # the diagonal leaves through the corner (18, 18)
-    "cruise out through a fence vertex": (DIAGONAL_LEG, (200.0, 600.0), {"geofence": "WARN"}, []),
+    "cruise out through a fence vertex": (
+        DIAGONAL_LEG, cfg(200.0, 600.0), {"geofence": "WARN"}, []),
 }
 
 
-@pytest.mark.parametrize("chunk", [500.0, 1234.5])
 @pytest.mark.parametrize("case", list(RUN_CASES))
-def test_runs_match_the_grid_loop(case, chunk):
-    mission, window, env, steps = RUN_CASES[case]
-    config = SutConfig(latency_window_ms=window)
+def test_runs_match_the_grid_loop(case):
+    mission, config, env, steps = RUN_CASES[case]
     memo = {}
-    fly_pair(config, env, mission, 7, chunk, steps, memo)
+    fly_pair(config, env, mission, 7, steps, memo)
     filled = dict(memo)
     # the sibling flight replays every cruise run from the shared memo
-    fly_pair(config, env, mission, 7, chunk, steps, memo)
+    fly_pair(config, env, mission, 7, steps, memo)
     assert memo == filled
 
 
-@pytest.mark.parametrize("mission, chunk, geofence", [
-    (MISSION_C_RAW, 500.0, "WARN"),
-    (MISSION_C_RAW, 500.0, "RETURN"),
-    # runs that the clearance cut short follow each other within a chunk:
-    # with only the chunk ends starting runs, this takes about 100 calls
-    (DIAGONAL_LEG, 5000.0, "WARN"),
+@pytest.mark.parametrize("mission, geofence", [
+    (MISSION_C_RAW, "WARN"),
+    (MISSION_C_RAW, "RETURN"),
+    # runs that the clearance cut short follow each other: with one run
+    # per call of _coast, this takes about 100 calls
+    (DIAGONAL_LEG, "WARN"),
 ])
-def test_fence_crossing_replays_runs(monkeypatch, mission, chunk, geofence):
+def test_fence_crossing_replays_runs(monkeypatch, mission, geofence):
     """The cruise toward the fence is replayed in runs: a per-hop fence
     check on each of its 10 ms hops would take 360 calls or more."""
     calls = 0
@@ -751,11 +765,38 @@ def test_fence_crossing_replays_runs(monkeypatch, mission, chunk, geofence):
         return ray_cast(*args)
 
     monkeypatch.setattr(sutmodel, "_point_in_polygon", counted)
-    v = make_vehicle(config=SutConfig(latency_window_ms=(200.0, 600.0)),
-                     env={"geofence": geofence}, mission=mission, seed=7)
-    v.drive(chunk)
+    v = make_vehicle(config=cfg(200.0, 600.0), env={"geofence": geofence},
+                     mission=mission, seed=7)
+    v.advance_until(math.inf)
     assert failsafes(v) == [("GEOFENCE", geofence)]
     assert 0 < calls < 50
+
+
+def test_a_calm_flight_takes_few_runs_of_bounded_length(monkeypatch, mission_a):
+    """A calm mission A baseline flies in a few runs, each of which builds
+    no list longer than the 10 m climb needs: its 1,250 hops, the bound's
+    slack of 2 and the altitude the list starts from. Runs restarted at
+    fixed intervals, or lists reaching toward the ceiling, fail this."""
+    runs, lengths = 0, []
+    last_tick, accumulate = sutmodel._last_tick_before, sutmodel.accumulate
+
+    def counted(bound):
+        nonlocal runs
+        runs += 1           # each run asks for its last tick once
+        return last_tick(bound)
+
+    def measured(*args, **kwargs):
+        items = list(accumulate(*args, **kwargs))
+        lengths.append(len(items))
+        return iter(items)
+
+    monkeypatch.setattr(sutmodel, "_last_tick_before", counted)
+    monkeypatch.setattr(sutmodel, "accumulate", measured)
+    test = make_case(action=NO_ACTION, delay_ms=0.0)
+    profile = Executor(mission_a, cfg(200.0, 600.0)).execute(test)
+    assert profile.mission_completed
+    assert 0 < runs <= 12
+    assert 0 < max(lengths) <= 1250 + 2 + 1
 
 
 FENCE = tuple(tuple(map(float, p)) for p in MISSION_C_RAW["geofence_polygon"])
@@ -782,3 +823,24 @@ def test_fence_hops_keep_clear_of_the_nearest_edge(fence, x, y, hops):
             d = math.hypot(tx - px, ty - py)
             px, py = px + (tx - px) * stride / d, py + (ty - py) * stride / d
             assert sutmodel._point_in_polygon(px, py, fence)
+
+
+def edges(name, fence):
+    """Each edge of fence as (fence, start, end), its vertices in order."""
+    for i, start in enumerate(fence):
+        end = fence[(i + 1) % len(fence)]
+        yield pytest.param(fence, start, end, id=f"{name} {start}-{end}")
+
+
+@pytest.mark.parametrize("fence, start, end", [*edges("C", FENCE), *edges("L", L_FENCE)])
+def test_every_edge_and_vertex_is_inside(fence, start, end):
+    """Both vertices of each edge and the points along it, the top and
+    right edges too, count as inside; a point half a metre out from the
+    edge does not."""
+    (x1, y1), (x2, y2) = start, end
+    for u in (0.0, 0.25, 0.5, 0.75, 1.0):
+        assert sutmodel._point_in_polygon(x1 + (x2 - x1) * u, y1 + (y2 - y1) * u, fence)
+    # both fences run counterclockwise, so the outward normal is (dy, -dx)
+    out = 0.5 / math.hypot(x2 - x1, y2 - y1)
+    mx, my = (x1 + x2) / 2, (y1 + y2) / 2
+    assert not sutmodel._point_in_polygon(mx + (y2 - y1) * out, my - (x2 - x1) * out, fence)
