@@ -15,6 +15,7 @@ Usage, from the root of a checkout:
     python3 bench/bench.py pairs --out FILE --parent DIR --change DIR \\
         --workload reanalyze [--pairs 10] [--seed 0]
     python3 bench/bench.py traced --out FILE --parent DIR --change DIR --workload NAME
+    python3 bench/bench.py samefacts --parent DIR --change DIR
 
 ``clustering`` times ``analysis.analyze_failures`` in this process on
 synthetic failure sets of 100, 1,000 and 3,600 failures (the median of
@@ -103,7 +104,25 @@ median and quartiles and the number of pairs the change won. ``traced``
 runs ``perfbench/run.py --trace 1`` once per side and records the per-layer
 metrics.
 
-Each command merges its result into one section of ``--out`` (under
+``samefacts`` checks that two checkouts store the same facts. A checkout
+of a revision of this repository is made without a download, for example
+``git archive REV | tar -x -C DIR``. For each workload of
+``perfbench/run.py``'s ``WORKLOADS`` at each of ``SAMEFACTS_SEEDS`` (0 and
+11), each side's CLI stores the workload's campaign in a fresh interpreter
+(for ``reanalyze`` it also runs the commands that perfbench times on it,
+``analyze --oracle v0`` and ``report``), so a layout change is no obstacle,
+and each side's ``load_campaign`` reads its own campaign back. It prints which files are
+byte-equal (``campaign.json`` without its clock fields, naming the fields
+that differ), how many ``results.jsonl`` lines differ and how many of them
+only in the DONE time (``flight_duration_ms`` and a stored trace's last
+time), how many rows differ in each profile field both sides have, and the
+fields only one side has. Then it compares the facts: each stored test's
+verdict and reason, the recorded verdict counts, K, the representatives,
+every truth table's rows, the combined cut sets and each soundness
+verdict. It exits 1 at the first fact that differs, naming it, and 0 when
+all are equal. It writes no ``--out``.
+
+Each other command merges its result into one section of ``--out`` (under
 ``--key`` for ``clustering``, ``simulator``, ``storage``, ``oracle`` and
 ``minimize``, under ``parent vs change`` for ``startup``, under the
 workload and seed otherwise) and records the machine: nproc and the Python and numpy versions.
@@ -115,7 +134,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import importlib
+import importlib.util
 import io
 import json
 import math
@@ -151,6 +170,12 @@ ENV_FENCE_C = ("run", "--spec", str(ROOT / "perfbench" / "specs" / "env_fence_c.
                "--mission", "mission_c", "--fault", "F2", "--fault", "F5", "--fault", "F7",
                "--latency-window", "200", "600", "--repetitions", "4",
                "--runs-per-cell", "4", "--seed", "0")
+
+#: the seeds at which samefacts stores each of perfbench's workloads
+SAMEFACTS_SEEDS = (0, 11)
+
+#: campaign.json's fields that record when and how long a run took
+CLOCK_FIELDS = ("created_at", "wall_time_s")
 
 #: perfbench's seed-0 campaigns whose truth tables the minimization layer times
 MINIMIZE_RUNS = {"f2_quickstart": F2_QUICKSTART, "env_fence_c": ENV_FENCE_C}
@@ -791,6 +816,188 @@ def cmd_startup(args) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# same facts, two checkouts
+# ---------------------------------------------------------------------------
+
+
+def stored_json(path: Path):
+    """The JSON document at path, or None when the campaign holds no such file."""
+    return json.loads(path.read_text(encoding="utf-8")) if path.exists() else None
+
+
+def campaign_facts(root: Path, read: dict) -> dict:
+    """Fact name -> value for the campaign stored in root, in the order
+    samefacts compares them; read is what the storing side's own
+    load_campaign gave back (samefacts-read)."""
+    facts = {f"verdict of {test_id}": v for test_id, v in read["verdicts"].items()}
+    facts["verdict counts"] = stored_json(root / "campaign.json")["verdict_counts"]
+    analysis = stored_json(root / "analysis.json") or {}
+    facts["K"] = analysis.get("k")
+    facts["representatives"] = analysis.get("representatives")
+    for path in sorted(root.glob("truthtables/*.json")):
+        facts[f"rows of truth table {path.stem}"] = stored_json(path)["rows"]
+    combined = stored_json(root / "faulttrees" / "combined.json") or {"cut_sets": []}
+    facts["combined cut sets"] = [cs["literals"] for cs in combined["cut_sets"]]
+    for check in stored_json(root / "soundness.json") or []:
+        literals = " AND ".join(f"{l['column']}={l['value']}" for l in check["cut_set"]["literals"])
+        facts[f"soundness of {{ {literals} }}"] = [check["sound"], check["verdicts"]]
+    return facts
+
+
+def compare_files(stored: dict) -> tuple[list[str], list[str]]:
+    """(byte-equal, differing) relative paths of the files of two stored
+    campaigns; campaign.json is compared without CLOCK_FIELDS, and named
+    with the fields that differ."""
+    files = {side: {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+             for side, root in stored.items()}
+    equal, differ = [], []
+    for name in sorted(files["parent"] | files["change"]):
+        paths = [root / name for root in stored.values()]
+        if not all(p.exists() for p in paths):
+            differ.append(f"{name} (one side only)")
+        elif name == "campaign.json":
+            meta = [{k: v for k, v in stored_json(p).items() if k not in CLOCK_FIELDS}
+                    for p in paths]
+            keys = sorted(k for k in meta[0].keys() | meta[1].keys()
+                          if meta[0].get(k) != meta[1].get(k))
+            if keys:
+                differ.append(f"{name} ({', '.join(keys)})")
+            else:
+                equal.append(name)
+        elif paths[0].read_bytes() == paths[1].read_bytes():
+            equal.append(name)
+        else:
+            differ.append(name)
+    return equal, differ
+
+
+def logged_lines(root: Path) -> dict:
+    """Test id -> line of a campaign's results log; the last line of an id wins."""
+    lines = {}
+    for line in (root / "results.jsonl").read_text(encoding="utf-8").splitlines():
+        row = json.loads(line)
+        lines[row[0] if isinstance(row, list) else row["test_id"]] = line
+    return lines
+
+
+def without_done_time(profile: dict) -> dict:
+    """profile with its DONE time, flight_duration_ms and the time of the
+    trace's last point when it stores the trace, taken out."""
+    masked = {**profile, "flight_duration_ms": None}
+    if masked.get("trace"):
+        masked["trace"] = [*masked["trace"][:-1], [None, *masked["trace"][-1][1:]]]
+    return masked
+
+
+def compare_rows(stored: dict, reads: dict) -> list[str]:
+    """Report lines on the results logs and the profiles of two campaigns."""
+    lines = {side: logged_lines(root) for side, root in stored.items()}
+    ids = [i for i in lines["parent"] if i in lines["change"]]
+    moved = [i for i in ids if lines["parent"][i] != lines["change"][i]]
+    profiles = [reads[side]["profiles"] for side in stored]
+    done_only = sum(without_done_time(profiles[0][i]) == without_done_time(profiles[1][i])
+                    for i in moved)
+    fields = [reads[side]["fields"] for side in stored]
+    shared = [f for f in fields[0] if f in fields[1]]
+    differ = {f: sum(profiles[0][i][f] != profiles[1][i][f] for i in ids) for f in shared}
+    report = [f"results.jsonl: {len(ids):,} rows on both sides, "
+              f"{len(lines['parent']) - len(ids)} on the parent's only and "
+              f"{len(lines['change']) - len(ids)} on the change's only; {len(moved):,} lines "
+              f"differ, {done_only:,} of them only in the DONE time",
+              f"profile fields: {len(shared)} on both sides; "
+              + (", ".join(f"{f} differs in {n:,} rows" for f, n in differ.items() if n)
+                 or "each equal in every row")]
+    for side, mine, theirs in (("parent", *fields), ("change", *reversed(fields))):
+        only = [f for f in mine if f not in theirs]
+        if only:
+            report.append(f"  on the {side}'s side only: {', '.join(only)}")
+    return report
+
+
+def perfbench_runner():
+    """perfbench/run.py's WORKLOADS and Runner, loaded from this checkout."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return module.WORKLOADS, module.Runner
+
+
+def read_back(checkout: Path, root: Path) -> dict:
+    """samefacts-read of the campaign in root, by the checkout's own code in
+    a fresh interpreter."""
+    argv = [sys.executable, str(Path(__file__).resolve()), "samefacts-read",
+            "--src", str(checkout / "src"), "--campaign", str(root)]
+    result = subprocess.run(argv, capture_output=True, text=True, check=False)
+    if result.returncode != 0:
+        raise SystemExit(f"{' '.join(argv)} exited {result.returncode}:\n"
+                         f"{result.stderr[-2000:]}")
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+def cmd_samefacts(args) -> int:
+    sides = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
+    workloads, runner = perfbench_runner()
+    for name, workload in workloads.items():
+        for seed in SAMEFACTS_SEEDS:
+            with tempfile.TemporaryDirectory() as work:
+                stored = store_with(sides, Path(work),
+                                    ("run", *workload.run_args, "--seed", str(seed)))
+                if workload.reanalyze:
+                    for side, checkout in sides.items():
+                        for command in runner(workload, seed, Path(work)).commands(stored[side]):
+                            fresh_start(checkout / "src", CLI_MAIN, json.dumps(command))
+                reads = {side: read_back(checkout, stored[side]) for side, checkout in sides.items()}
+                equal, differ = compare_files(stored)
+                size = {side: sum(p.stat().st_size for p in root.rglob("*") if p.is_file())
+                        for side, root in stored.items()}
+                print(f"{name} seed {seed}")
+                print(f"  files: {len(equal)} byte-equal; differ: {', '.join(differ) or 'none'}; "
+                      f"bytes parent {size['parent']:,}, change {size['change']:,}")
+                for line in compare_rows(stored, reads):
+                    print(f"  {line}")
+                facts = {side: campaign_facts(stored[side], reads[side]) for side in sides}
+                for fact in dict.fromkeys([*facts["parent"], *facts["change"]]):
+                    found = {side: facts[side].get(fact) for side in sides}
+                    if found["parent"] != found["change"]:
+                        print(f"  facts: DIFFER at {fact}: parent {found['parent']}, "
+                              f"change {found['change']}", flush=True)
+                        return 1
+                kept = facts["parent"]
+                print(f"  facts: equal: {len(reads['parent']['verdicts']):,} verdicts, "
+                      f"verdict counts, K={kept['K']}, {len(kept['representatives'] or [])} "
+                      f"representatives, {sum(f.startswith('rows of') for f in kept)} truth "
+                      f"tables, {len(kept['combined cut sets'])} combined cut sets, "
+                      f"{sum(f.startswith('soundness of') for f in kept)} soundness checks",
+                      flush=True)
+    print(f"same facts on {', '.join(workloads)} at seeds "
+          f"{', '.join(map(str, SAMEFACTS_SEEDS))}")
+    return 0
+
+
+def cmd_samefacts_read(args) -> int:
+    """What a checkout's own load_campaign reads back from a campaign it
+    stored: its profile fields, and each stored profile and verdict in test
+    order; prints one JSON line."""
+    storage = import_from(args.src, "statefuzz.storage")
+    from statefuzz.executor import PROFILE_FIELDS
+
+    campaign = storage.load_campaign(Path(args.campaign))
+    order = [i for i in dict.fromkeys(t.test_id for t in campaign.every_test())
+             if i in campaign.profiles]
+    print(json.dumps({
+        "fields": list(PROFILE_FIELDS),
+        "profiles": {i: campaign.profiles[i].to_dict() for i in order},
+        "verdicts": {i: [campaign.verdicts[i].verdict, campaign.verdicts[i].reason]
+                     for i in order},
+    }))
+    return 0
+
+
+# ---------------------------------------------------------------------------
 # end to end, through perfbench
 # ---------------------------------------------------------------------------
 
@@ -893,11 +1100,21 @@ def main(argv: list[str] | None = None) -> int:
     storage_pass.add_argument("--src", required=True)
     storage_pass.add_argument("--campaign", required=True)
     storage_pass.add_argument("--root", required=True, help="new directory to store into")
+    same = sub.add_parser("samefacts", help="do two checkouts store the same facts?")
+    same.add_argument("--parent", required=True, help="checkout")
+    same.add_argument("--change", required=True, help="checkout")
+    same_read = sub.add_parser("samefacts-read", help="a stored campaign read back (internal)")
+    same_read.add_argument("--src", required=True)
+    same_read.add_argument("--campaign", required=True)
     args = parser.parse_args(argv)
     if args.command == "simulator-pass":
         return cmd_simulator_pass(args)
     if args.command == "storage-pass":
         return cmd_storage_pass(args)
+    if args.command == "samefacts":
+        return cmd_samefacts(args)
+    if args.command == "samefacts-read":
+        return cmd_samefacts_read(args)
     in_process = args.command in ("clustering", "simulator", "storage", "oracle", "minimize")
     if in_process and args.repeats < 3:
         parser.error("--repeats must be at least 3")

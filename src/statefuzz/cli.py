@@ -7,7 +7,8 @@ Subcommands mirror the pipeline stages:
     analyze  (re)cluster a stored campaign's failures
     focus    re-fuzz representative contexts into truth tables and trees
     report   render report.txt from the stored artifacts
-    replay   re-execute one stored test and compare against its profile
+    replay   re-execute one stored test and compare against its profile;
+             --events also prints the flight's event log and trace
 
 `run` builds the storage.Campaign that load_campaign gives the others,
 and each stage is one function on it, whatever the command: _Runner
@@ -54,6 +55,7 @@ from .errors import (
     StateFuzzError,
     UnknownTestId,
     VerdictDrift,
+    naming,
 )
 from .executor import Executor, open_pool, run_campaign
 from .fuzzspec import (
@@ -85,7 +87,7 @@ from .storage import (
     sweep_recipe,
     trim_results,
 )
-from .sutmodel import SutConfig
+from .sutmodel import SutConfig, summarize_events
 from .testgen import (
     DEFAULT_FOCUS_REPETITIONS,
     DEFAULT_REPETITIONS,
@@ -126,10 +128,12 @@ def _seed_from(args) -> int:
 
 def _load_config(args) -> SutConfig:
     if args.config:
-        raw = read_json(_resolve(args.config))
+        path = _resolve(args.config)
+        raw = read_json(path)
+        with naming(path):
+            config = SutConfig.from_dict(raw)
     else:
-        raw = {}
-    config = SutConfig.from_dict(raw)
+        config = SutConfig()
     if args.fault:
         seeded = tuple(sorted(set(config.seeded_faults) | set(args.fault)))
         config = replace(config, seeded_faults=seeded)
@@ -538,24 +542,39 @@ def cmd_report(args) -> int:
 def cmd_replay(args) -> int:
     campaign = load_campaign(Path(args.campaign))
     (test,) = _find_tests(campaign, [args.test_id])
-    ex = Executor(campaign.mission, campaign.config)
-    fresh = ex.execute(test)
-    tree = parse_tree(campaign.oracle_tree_raw)
-    verdict = classify(test, fresh, tree)
+    fresh, events = Executor(campaign.mission, campaign.config).fly(test)
+    verdict = classify(test, fresh, parse_tree(campaign.oracle_tree_raw))
     stored = campaign.profiles.get(test.test_id)
+    status = 0
     if stored is None:
         print(f"no stored profile for {test.test_id}; fresh execution -> "
               f"{verdict.verdict} ({verdict.reason})")
-        return 0
-    if fresh == stored:
+    elif fresh == stored:
         print(f"replay OK: {test.test_id} -> {verdict.verdict} ({verdict.reason})")
-        return 0
-    print(f"replay MISMATCH for {test.test_id}")
-    fresh_d, stored_d = fresh.to_dict(), stored.to_dict()
-    for key in sorted(fresh_d):
-        if fresh_d[key] != stored_d[key]:
+    else:
+        status = 1
+        print(f"replay MISMATCH for {test.test_id}")
+        fresh_d, stored_d = fresh.to_dict(), stored.to_dict()
+        differ = [key for key in sorted(fresh_d) if fresh_d[key] != stored_d[key]]
+        for key in differ:
             print(f"  {key}: stored={stored_d[key]!r} fresh={fresh_d[key]!r}")
-    return 1
+        if differ == ["trace_digest"]:
+            print("  only the trace differs: a state or mode changed at another instant, "
+                  "and every other field held; replay --events prints the fresh trace")
+    if args.events:
+        _print_flight(test.test_id, fresh, events)
+    return status
+
+
+def _print_flight(test_id: str, profile, events) -> None:
+    """A flight's event log, then its trace, one entry per line."""
+    print(f"events of {test_id} (fresh flight): time_ms kind detail")
+    for t, kind, detail in events:
+        print(f"  {t!r:>18}  {kind:<10} {detail}")
+    print(f"trace of {test_id} (fresh flight, trace_digest {profile.trace_digest}): "
+          "time_ms app_state mode")
+    for t, app, mode in summarize_events(events)["trace"]:
+        print(f"  {t!r:>18}  {app:<18} {mode}")
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +646,8 @@ def build_parser() -> argparse.ArgumentParser:
     replay = sub.add_parser("replay", help="re-execute one stored test")
     replay.add_argument("--campaign", required=True)
     replay.add_argument("--test-id", required=True)
+    replay.add_argument("--events", action="store_true",
+                        help="also print the fresh flight's event log and trace")
     replay.set_defaults(fn=cmd_replay)
     return parser
 

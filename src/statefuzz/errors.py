@@ -7,9 +7,21 @@ string-matching messages.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class StateFuzzError(Exception):
     """Base class for every error raised by this package."""
+
+
+@contextmanager
+def naming(path):
+    """Prefix the message of a StateFuzzError raised in the block with path,
+    the file whose document the block reads; the error keeps its type."""
+    try:
+        yield
+    except StateFuzzError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 # --- fuzz specification / mission parsing -------------------------------

@@ -10,6 +10,17 @@ clustering, truth tables) works from. A leg's only hop stops are the
 simulator's own: grid ticks, timer instants and the injection and settle
 instants.
 
+A profile holds what the oracle judges and clustering encodes: the
+injection context, the final state and mode, the flight's duration and
+path deviation, its failsafes, exceptions and oscillations. The
+state-and-mode trace that summarize_events builds it holds only as its
+trace_digest, 16 hex digits: no stage derives anything from the trace,
+which was most of a stored flight's bytes, and a flight is deterministic
+from its seed, so Executor.fly rebuilds the event log, and the trace with
+it, on demand (replay --events). The digest keeps a replay that compares
+whole profiles as strict: a switch latency shifted by a fraction of a
+millisecond moves only the trace.
+
 An Executor owns one cruise-run memo and shares it with every vehicle it
 builds, so the memo lives as long as the executor: one serial run_campaign
 call, one pool worker or one replay. A memoized run depends only on its
@@ -26,6 +37,7 @@ closes it before returning.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, fields
 from random import Random
@@ -55,6 +67,8 @@ class ExecutionProfile:
     context was never reached, so nothing was injected. A result line is
     the JSON array of the fields in declaration order (PROFILE_FIELDS), so
     a change to the fields or their order raises storage.LAYOUT.
+    trace_digest is the flight's trace_digest(trace), the trace summarized
+    from its event log.
     """
 
     test_id: str
@@ -73,7 +87,7 @@ class ExecutionProfile:
     oscillation_count: int
     failsafe_events: tuple[tuple[float, str, str], ...] = ()
     exceptions: tuple[str, ...] = ()
-    trace: tuple[tuple[float, str, str], ...] = ()
+    trace_digest: str = ""
 
     @property
     def context_reached(self) -> bool:
@@ -85,14 +99,21 @@ class ExecutionProfile:
     @classmethod
     def from_row(cls, row: list) -> "ExecutionProfile":
         """The profile whose fields in PROFILE_FIELDS order are row's items,
-        as JSON gives them back: its last three, lists, become tuples."""
-        *head, failsafe_events, exceptions, trace = row
-        return cls(*head, tuple(map(tuple, failsafe_events)), tuple(exceptions),
-                   tuple(map(tuple, trace)))
+        as JSON gives them back: failsafe_events and exceptions, lists,
+        become tuples."""
+        *head, failsafe_events, exceptions, digest = row
+        return cls(*head, tuple(map(tuple, failsafe_events)), tuple(exceptions), digest)
 
 
 #: ExecutionProfile's field names in declaration order, a result line's order
 PROFILE_FIELDS = tuple(f.name for f in fields(ExecutionProfile))
+
+
+def trace_digest(trace) -> str:
+    """16 hex digits of blake2b over the repr of a trace as summarize_events
+    builds it: a float's repr round-trips, so equal digests mean equal
+    traces but for a 2**-64 chance."""
+    return hashlib.blake2b(repr(trace).encode(), digest_size=8).hexdigest()
 
 
 class Executor:
@@ -105,6 +126,11 @@ class Executor:
         self.cruise_runs: dict = {}
 
     def execute(self, test: TestCase) -> ExecutionProfile:
+        return self.fly(test)[0]
+
+    def fly(self, test: TestCase) -> tuple[ExecutionProfile, list]:
+        """test's flight: its profile and the vehicle's event log, the
+        (time, kind, detail) entries summarize_events reads."""
         rng = Random(derive_seed(test.seed, "flight"))
         vehicle = Vehicle(
             waypoints=self.mission.waypoints,
@@ -144,6 +170,8 @@ class Executor:
                     mode_after_settle = vehicle.mode.value
 
         vehicle.advance_until(math.inf)
+        summary = summarize_events(vehicle.events)
+        summary["trace_digest"] = trace_digest(summary.pop("trace"))
 
         return ExecutionProfile(
             test_id=test.test_id,
@@ -159,8 +187,8 @@ class Executor:
             flight_duration_ms=vehicle.t,
             path_deviation_max_m=round(vehicle.path_deviation_max, 6),
             jerk_flag=vehicle.jerk_flag,
-            **summarize_events(vehicle.events),
-        )
+            **summary,
+        ), vehicle.events
 
 
 # -- campaign fan-out ---------------------------------------------------------

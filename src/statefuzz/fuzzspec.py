@@ -48,6 +48,7 @@ from .errors import (
     GeometryError,
     SequenceError,
     VocabularyError,
+    naming,
 )
 from .sutmodel import (
     CONSTRAINT_MODES,
@@ -59,6 +60,7 @@ from .sutmodel import (
     AutopilotMode,
     RcAction,
     SutConfig,
+    is_number,
 )
 
 _TOP_KEYS = (
@@ -400,9 +402,13 @@ def parse_fuzz_spec(raw: dict, spec_id: str = "spec") -> FuzzSpecification:
 
 
 def load_fuzz_spec(path: str | Path) -> FuzzSpecification:
+    """The spec of the document at path, named by its stem; an error names
+    the file."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
-        return parse_fuzz_spec(json.load(fh), spec_id=path.stem)
+        raw = json.load(fh)
+    with naming(path):
+        return parse_fuzz_spec(raw, spec_id=path.stem)
 
 
 def validate_coverage(spec: FuzzSpecification, mission: MissionPlan) -> CoverageReport:
@@ -505,8 +511,19 @@ def _check_sequence(names: list, n_waypoints: int) -> tuple[AppState, ...]:
     return tuple(sequence)
 
 
+def _point(raw: object, n: int, where: str) -> tuple[float, ...]:
+    """raw, a list of n numbers, as floats; GeometryError naming where
+    otherwise."""
+    if not isinstance(raw, list) or len(raw) != n or not all(map(is_number, raw)):
+        shape = "[x, y, z]" if n == 3 else "[x, y]"
+        raise GeometryError(f"{where} must be {shape}, {n} numbers, got {raw!r}")
+    return tuple(map(float, raw))
+
+
 def parse_mission(raw: dict) -> MissionPlan:
-    """Validate a mission document; derive the state sequence when absent."""
+    """Validate a mission document; derive the state sequence when absent.
+    Every number must be a finite int or float (is_number); an error names
+    the key."""
     if not isinstance(raw, dict):
         raise GeometryError("mission must be a JSON object")
     _require_keys(
@@ -526,9 +543,7 @@ def parse_mission(raw: dict) -> MissionPlan:
         raise SequenceError("a mission needs at least one waypoint to derive its state sequence")
     waypoints: list[tuple[float, float, float]] = []
     for i, wp in enumerate(wps_raw):
-        if not isinstance(wp, list) or len(wp) != 3:
-            raise GeometryError(f"waypoint {i} must be [x, y, z]")
-        x, y, z = (float(c) for c in wp)
+        x, y, z = _point(wp, 3, f"waypoints[{i}]")
         if z <= 0:
             raise GeometryError(f"waypoint {i} altitude must be positive, got {z}")
         waypoints.append((x, y, z))
@@ -537,10 +552,9 @@ def parse_mission(raw: dict) -> MissionPlan:
             raise GeometryError(f"waypoints {i} and {i + 1} coincide (zero-length leg)")
 
     cruise = raw["cruise_speed"]
-    try:
-        cruise = float(cruise)
-    except (TypeError, ValueError):
-        raise GeometryError("cruise_speed must be a number") from None
+    if not is_number(cruise):
+        raise GeometryError(f"cruise_speed must be a number, got {cruise!r}")
+    cruise = float(cruise)
     if cruise <= 0:
         raise GeometryError(f"cruise speed must be positive, got {cruise}")
 
@@ -549,11 +563,7 @@ def parse_mission(raw: dict) -> MissionPlan:
     if fence_raw is not None:
         if not isinstance(fence_raw, list) or len(fence_raw) < 3:
             raise GeometryError("geofence_polygon must have at least 3 vertices")
-        pts = []
-        for i, p in enumerate(fence_raw):
-            if not isinstance(p, list) or len(p) != 2:
-                raise GeometryError(f"geofence vertex {i} must be [x, y]")
-            pts.append((float(p[0]), float(p[1])))
+        pts = [_point(p, 2, f"geofence_polygon[{i}]") for i, p in enumerate(fence_raw)]
         if len(set(pts)) != len(pts):
             raise GeometryError("geofence polygon repeats a vertex")
         fence = tuple(pts)
@@ -574,5 +584,8 @@ def parse_mission(raw: dict) -> MissionPlan:
 
 
 def load_mission(path: str | Path) -> MissionPlan:
+    """The mission of the document at path; an error names the file."""
     with open(path, encoding="utf-8") as fh:
-        return parse_mission(json.load(fh))
+        raw = json.load(fh)
+    with naming(path):
+        return parse_mission(raw)

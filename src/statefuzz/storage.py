@@ -18,8 +18,9 @@ Layout of a campaign directory:
                              compact JSON array of its profile's fields in
                              declaration order (executor.PROFILE_FIELDS),
                              its test id first (t*, f-<tag>-NNNN and
-                             s-<tag>-<i>); LAYOUT stands for that order, so
-                             no line or file names a field
+                             s-<tag>-<i>) and its trace_digest last, 16 hex
+                             digits in place of the trace; LAYOUT stands for
+                             that order, so no line or file names a field
     analysis.json            clustering output
     truthtables/<tag>.json   one table per focus sweep, plus .csv
     faulttrees/<tag>.json    one tree per focus sweep, plus .dot, plus combined
@@ -115,8 +116,9 @@ if TYPE_CHECKING:
 
 #: the layout of the campaign directories this code writes and reads,
 #: recorded in campaign.json; a change to the shape of a stored file raises
-#: it. Layout 3 stores a result line as its profile's PROFILE_FIELDS values.
-LAYOUT = 3
+#: it. Layout 4 stores a result line as its profile's PROFILE_FIELDS values,
+#: the trace as its trace_digest (layout 3 stored the whole trace).
+LAYOUT = 4
 #: the results log of a campaign directory
 RESULTS = "results.jsonl"
 #: where a log line's test id starts: test_id is a row's first value

@@ -6,8 +6,9 @@ Two layers evolve together. The application layer walks a mission script
 what traces record.
 
 A flight is driven through Vehicle.advance_until and Vehicle.apply_rc and
-writes one event log, Vehicle.events; summarize_events derives a profile's
-trace, failsafe events, exceptions and oscillation count from it.
+writes one event log, Vehicle.events; summarize_events derives a flight's
+trace (a profile keeps its digest), failsafe events, exceptions and
+oscillation count from it.
 advance_until(math.inf, stop_state) flies a whole leg in one call, and its
 only hop stops are grid ticks and timer instants. Cruise runs are memoized
 in a dict the caller may share between flights (each executor shares one
@@ -216,6 +217,18 @@ def inject_fault_behavior(fault: FaultId | str, request: InjectionRequest) -> De
 # ---------------------------------------------------------------------------
 
 
+def is_number(value) -> bool:
+    """value is a finite int or float, and not a bool: what a number in a
+    mission or config document must be. An int too large for a float is
+    not one."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class SutConfig:
     """Tunable system parameters plus the seeded fault set.
@@ -232,15 +245,24 @@ class SutConfig:
     seeded_faults: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        lo, hi = self.latency_window_ms
+        window = self.latency_window_ms
+        if not (isinstance(window, tuple) and len(window) == 2 and all(map(is_number, window))):
+            raise ConfigError(f"latency_window_ms must be [lo, hi], two numbers of ms, "
+                              f"got {window!r}")
+        lo, hi = window
         if not (0.0 <= lo < hi):
             raise ConfigError(
                 f"latency window must satisfy 0 <= lo < hi, got {self.latency_window_ms}"
             )
-        for lvl in (self.gps_degrade_level, self.compass_degrade_level):
-            if lvl not in INTENSITY_LEVELS:
-                raise ConfigError(f"unknown sensitivity level {lvl!r}")
-        for fid in self.seeded_faults:
+        for key in ("gps_degrade_level", "compass_degrade_level"):
+            lvl = getattr(self, key)
+            if not isinstance(lvl, str) or lvl not in INTENSITY_LEVELS:
+                raise ConfigError(f"{key}: unknown sensitivity level {lvl!r}")
+        faults = self.seeded_faults
+        if not (isinstance(faults, tuple) and all(isinstance(fid, str) for fid in faults)):
+            raise ConfigError(f"seeded_faults must be a list of fault ids such as \"F2\", "
+                              f"got {faults!r}")
+        for fid in faults:
             if fid not in FaultId._value2member_map_:
                 raise UnknownFault(f"cannot seed unknown fault {fid!r}")
 
@@ -261,17 +283,23 @@ class SutConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "SutConfig":
         """Build a config from its dict form; a key that to_dict does not
-        write raises ConfigError, which names it."""
+        write, or a value of the wrong type, raises ConfigError, which
+        names the key."""
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a config must be a JSON object, got {raw!r}")
         known = {"latency_window_ms", "gps_degrade_level", "compass_degrade_level", "seeded_faults"}
         extra = set(raw) - known
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
         kwargs = dict(raw)
-        if "latency_window_ms" in kwargs:
-            lo, hi = kwargs["latency_window_ms"]
-            kwargs["latency_window_ms"] = (float(lo), float(hi))
-        if "seeded_faults" in kwargs:
-            kwargs["seeded_faults"] = tuple(kwargs["seeded_faults"])
+        # JSON gives lists; a list of the right items becomes the tuple
+        # __post_init__ checks, and any other value reaches it as it is
+        window = kwargs.get("latency_window_ms")
+        if isinstance(window, (list, tuple)) and all(map(is_number, window)):
+            kwargs["latency_window_ms"] = tuple(map(float, window))
+        faults = kwargs.get("seeded_faults")
+        if isinstance(faults, list) and all(isinstance(fid, str) for fid in faults):
+            kwargs["seeded_faults"] = tuple(faults)
         return cls(**kwargs)
 
 

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from statefuzz.executor import PROFILE_FIELDS, ExecutionProfile, Executor
+from statefuzz.executor import PROFILE_FIELDS, ExecutionProfile, Executor, trace_digest
 from statefuzz.oracle import PREDICATES, Node, Verdict, classify, default_tree
-from statefuzz.sutmodel import AppState, AutopilotMode
+from statefuzz.sutmodel import AppState, AutopilotMode, summarize_events
 from statefuzz.testgen import TestCase
 
 
@@ -58,6 +58,13 @@ def column(name: str) -> int:
     return PROFILE_FIELDS.index(name)
 
 
+def fly_traced(executor, test):
+    """test's profile and its flight's trace, as summarize_events builds it
+    from the vehicle's event log."""
+    profile, events = executor.fly(test)
+    return profile, summarize_events(events)["trace"]
+
+
 def run_case(test, mission, config, version="v1"):
     """Execute one case on a fresh vehicle and judge it."""
     profile = Executor(mission, config).execute(test)
@@ -85,7 +92,8 @@ def make_profile(
     flight_duration_ms=34000.0,
     trace=(),
 ):
-    """Synthetic profile for oracle/analysis tests.
+    """Synthetic profile for oracle/analysis tests; it holds trace as its
+    trace_digest.
 
     A test with action NONE (the executor waits for no context), or one
     whose context was never reached, has no context time and no injection:
@@ -113,7 +121,7 @@ def make_profile(
         oscillation_count=oscillation_count,
         failsafe_events=tuple(failsafe_events),
         exceptions=tuple(exceptions),
-        trace=tuple(trace),
+        trace_digest=trace_digest(tuple(trace)),
     )
 
 

@@ -4,16 +4,22 @@ import json
 
 import pytest
 
-from statefuzz.executor import PROFILE_FIELDS, ExecutionProfile, Executor, run_campaign
+from statefuzz.executor import (
+    PROFILE_FIELDS,
+    ExecutionProfile,
+    Executor,
+    run_campaign,
+    trace_digest,
+)
 from statefuzz.sutmodel import NO_ACTION, AppState, AutopilotMode, SutConfig
 from statefuzz.testgen import GeneratorConfig, generate
 
-from helpers import make_case, make_profile
+from helpers import fly_traced, make_case, make_profile
 
 
 def test_baseline_flies_the_mission_without_injections(mission_a, narrow_config):
     test = make_case(action=NO_ACTION, delay_ms=0.0)
-    profile = Executor(mission_a, narrow_config).execute(test)
+    profile, trace = fly_traced(Executor(mission_a, narrow_config), test)
     assert not profile.context_reached
     assert profile.context_reached_time_ms is None
     assert profile.app_state_at_injection is None
@@ -26,7 +32,7 @@ def test_baseline_flies_the_mission_without_injections(mission_a, narrow_config)
     assert profile.exceptions == ()
     assert profile.path_deviation_max_m == 0.0
     states = []
-    for _, app, _ in profile.trace:
+    for _, app, _ in trace:
         if app not in states:
             states.append(app)
     assert states == [
@@ -42,13 +48,13 @@ def test_baseline_flies_the_mission_without_injections(mission_a, narrow_config)
 
 def test_context_wait_anchors_injection_timing(mission_a, narrow_config):
     test = make_case(app_state=AppState.TAKEOFF, action="ALTCTL", delay_ms=250.0)
-    profile = Executor(mission_a, narrow_config).execute(test)
+    profile, trace = fly_traced(Executor(mission_a, narrow_config), test)
     assert profile.context_reached
     assert profile.context_reached_time_ms == 500.0
     # the action lands at context time + delay: ALTCTL is honored at once
     injection_time = profile.context_reached_time_ms + test.delay_ms
     assert injection_time == 750.0
-    assert [t for t, _app, mode in profile.trace if mode == "ALTCTL"][0] == injection_time
+    assert [t for t, _app, mode in trace if mode == "ALTCTL"][0] == injection_time
     assert profile.app_state_at_injection == "TAKEOFF"
 
 
@@ -83,7 +89,7 @@ def test_injection_after_flight_end_is_dead_lettered(mission_a, narrow_config):
         delay_ms=8000.0,
         band=("long", 600.0, 10000.0),
     )
-    profile = Executor(mission_a, narrow_config).execute(test)
+    profile, trace = fly_traced(Executor(mission_a, narrow_config), test)
     assert profile.context_reached
     assert not profile.injection_acknowledged and not profile.injection_deferred
     assert profile.app_state_at_injection == "DONE"
@@ -91,7 +97,7 @@ def test_injection_after_flight_end_is_dead_lettered(mission_a, narrow_config):
     # the flight, and its last trace point, end before the injection instant
     injection_time = profile.context_reached_time_ms + test.delay_ms
     assert profile.flight_duration_ms < injection_time
-    assert profile.trace[-1][0] < injection_time
+    assert trace[-1][0] < injection_time
 
 
 def test_settle_sample_reflects_the_honored_mode(mission_a, narrow_config):
@@ -126,10 +132,10 @@ def test_execute_is_deterministic(mission_a, narrow_config):
 
 def test_profile_round_trips_through_a_json_row(mission_a, narrow_config):
     test = make_case(app_state=AppState.HOVERING, action="STABILIZED", delay_ms=200.0)
-    flown = Executor(mission_a, narrow_config).execute(test)
+    flown, trace = fly_traced(Executor(mission_a, narrow_config), test)
     events = make_profile(test, failsafe_events=[(1.5, "GEOFENCE", "RTL")],
                           exceptions=["boom"], trace=[(0.0, "TAKEOFF", "OFFBOARD")])
-    assert flown.trace
+    assert trace and flown.trace_digest == trace_digest(trace)
     for profile in (flown, events):
         # a row is the field values in declaration order, test_id first
         row = json.loads(json.dumps([getattr(profile, name) for name in PROFILE_FIELDS]))

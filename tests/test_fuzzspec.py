@@ -241,6 +241,16 @@ def test_parse_mission_accepts_explicit_sequence():
         (lambda r: _add(r, "waypoints", [[1, 2, 0]]), GeometryError),
         (lambda r: _add(r, "waypoints", [[1, 2, 10], [1, 2, 10]]), GeometryError),
         (lambda r: _add(r, "cruise_speed", 0), GeometryError),
+        (lambda r: _add(r, "cruise_speed", "fast"), GeometryError),
+        (lambda r: _add(r, "cruise_speed", True), GeometryError),
+        # a coordinate that is not a finite number (JSON allows NaN)
+        (lambda r: _add(r, "waypoints", [["a", 1, 2]]), GeometryError),
+        (lambda r: _add(r, "waypoints", [[1, 2, float("nan")]]), GeometryError),
+        (lambda r: _add(r, "waypoints", [[10**400, 2, 10]]), GeometryError),
+        (lambda r: _add(r, "cruise_speed", 10**400), GeometryError),
+        (lambda r: _add(r, "geofence_polygon", [[0, 0], [10**400, 0], [0, 1]]), GeometryError),
+        (lambda r: _add(r, "geofence_polygon", [[0, 0], [1, "x"], [0, 1]]), GeometryError),
+        (lambda r: _add(r, "geofence_polygon", [[0, 0], [1, {}], [0, 1]]), GeometryError),
         (lambda r: _drop(r, "cruise_speed"), VocabularyError),
         (lambda r: _add(r, "surprise", True), VocabularyError),
         (lambda r: _add(r, "geofence_polygon", [[0, 0], [1, 0]]), GeometryError),

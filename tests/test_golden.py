@@ -19,17 +19,17 @@ from unittest import mock
 
 from statefuzz import analysis, cli
 from statefuzz.analysis import FAILURE_REASONS, analyze_failures
-from statefuzz.executor import Executor
+from statefuzz.executor import Executor, trace_digest
 from statefuzz.fuzzspec import parse_fuzz_spec, parse_mission
 from statefuzz.oracle import Verdict, classify, default_tree
 from statefuzz.storage import canonical_dumps
 from statefuzz.sutmodel import NO_ACTION, TARGETABLE_STATES, RcAction, SutConfig
 
 from conftest import MISSION_A_RAW, MISSION_C_RAW, small_spec_raw
-from helpers import fired_path, make_case
+from helpers import fired_path, fly_traced, make_case
 
-MATRIX_DIGEST = "a5c8750fd8bf4c1125fe5323fa132b061380a712f3c35d578496a2982b518f98"
-RUN_DIGEST = "0dcbeda8352eda0858abbb04ca4350cfde60f679b82bdf5add96d514e52c0062"
+MATRIX_DIGEST = "c983194f887daf19ff5a103adbfe45f31f34012e504167ac0c1be65cfbaa978e"
+RUN_DIGEST = "21064e2080fd5555b0d323a82a9da2688ad4c2f81c551a875fae1bc7d0d220e1"
 CLUSTERING_DIGEST = "0bae8a368900f64a4303b5f53f9f56bac2e8aaf39e040acba542fd5049d0b5cf"
 
 ACTIONS = tuple(a.value for a in RcAction) + (NO_ACTION,)
@@ -87,9 +87,15 @@ def flight_matrix():
 def test_flight_matrix_digest():
     trees = (default_tree("v0"), default_tree("v1"))
     h = hashlib.sha256()
+    digests, traces = set(), set()
     for mission_raw, faults, case in flight_matrix():
         config = SutConfig(latency_window_ms=(200.0, 600.0), seeded_faults=faults)
-        profile = Executor(parse_mission(dict(mission_raw)), config).execute(case)
+        executor = Executor(parse_mission(dict(mission_raw)), config)
+        profile, trace = fly_traced(executor, case)
+        # the profile holds the digest of the trace its flight built
+        assert profile.trace_digest == trace_digest(trace), case.test_id
+        digests.add(profile.trace_digest)
+        traces.add(trace)
         h.update(canonical_dumps(profile.to_dict()).encode())
         for tree in trees:
             # each verdict in the shape the digest was taken over, with
@@ -98,6 +104,8 @@ def test_flight_matrix_digest():
             doc = {"verdict": v.verdict, "reason": v.reason,
                    "fired_path": list(fired_path(case, profile, tree))}
             h.update(canonical_dumps(doc).encode())
+    # one digest per distinct trace: no two of the matrix's traces collide
+    assert len(digests) == len(traces) > 1
     assert h.hexdigest() == MATRIX_DIGEST
 
 

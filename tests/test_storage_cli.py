@@ -11,10 +11,10 @@ from collections import Counter
 
 import pytest
 
-from statefuzz import analysis, cli, fuzzspec, testgen
+from statefuzz import analysis, cli, fuzzspec, sutmodel, testgen
 from statefuzz.cutset import table_from_results
 from statefuzz.errors import InvalidOnly, LayoutMismatch, RecipeMismatch
-from statefuzz.executor import PROFILE_FIELDS, ExecutionProfile, Executor
+from statefuzz.executor import PROFILE_FIELDS, ExecutionProfile, Executor, trace_digest
 from statefuzz.storage import (
     LAYOUT,
     RESULTS,
@@ -173,8 +173,8 @@ def test_campaign_manifest_contents(campaign_dir):
         "created_at",
         "wall_time_s",
     }
-    assert meta["layout"] == LAYOUT == 3
-    # layout 3 stores a result line as these fields' values in this order,
+    assert meta["layout"] == LAYOUT == 4
+    # layout 4 stores a result line as these fields' values in this order,
     # so reordering ExecutionProfile's fields must raise LAYOUT
     assert PROFILE_FIELDS == tuple(f.name for f in dataclasses.fields(ExecutionProfile)) == (
         "test_id",
@@ -193,7 +193,7 @@ def test_campaign_manifest_contents(campaign_dir):
         "oscillation_count",
         "failsafe_events",
         "exceptions",
-        "trace",
+        "trace_digest",
     )
     assert meta["status"] == "complete"
     assert meta["spec_id"] == "fspec1"
@@ -557,9 +557,9 @@ def extra_generator_key(root) -> str:
 @pytest.mark.parametrize("command", ["analyze", "focus", "report", "replay"])
 @pytest.mark.parametrize(
     "edit",
-    [set_layout(None), set_layout(0), set_layout(1), set_layout(2), set_layout(4),
+    [set_layout(None), set_layout(0), set_layout(1), set_layout(2), set_layout(3),
      delete_tests_json, extra_generator_key],
-    ids=["no_layout", "layout_0", "layout_1", "layout_2", "layout_4", "no_tests_json",
+    ids=["no_layout", "layout_0", "layout_1", "layout_2", "layout_3", "no_tests_json",
          "generator_key"],
 )
 def test_a_campaign_of_another_layout_exits_two_and_changes_nothing(
@@ -763,6 +763,48 @@ def test_replay_detects_a_corrupted_profile(campaign_copy, capsys):
     out = capsys.readouterr().out
     assert "replay MISMATCH for t00001" in out
     assert "oscillation_count: stored=99" in out
+
+
+def test_replay_sees_a_trace_that_moved_when_every_other_field_held(
+    campaign_dir, capsys, monkeypatch
+):
+    # a switch latency a quarter millisecond longer moves the OFFBOARD
+    # switch in the trace of t00018 and nothing else its profile holds
+    campaign = load_campaign(campaign_dir)
+    stored = campaign.profiles["t00018"]
+    build = sutmodel.Vehicle.__init__
+
+    def later_switch(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        self.switch_latency += 0.25
+
+    monkeypatch.setattr(sutmodel.Vehicle, "__init__", later_switch)
+    fresh = Executor(campaign.mission, campaign.config).execute(campaign.find_test("t00018"))
+    assert fresh.trace_digest != stored.trace_digest
+    assert dataclasses.replace(fresh, trace_digest=stored.trace_digest) == stored
+    assert cli.main(["replay", "--campaign", str(campaign_dir), "--test-id", "t00018"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("replay MISMATCH for t00018\n")
+    assert f"  trace_digest: stored={stored.trace_digest!r} fresh={fresh.trace_digest!r}" in out
+    assert "only the trace differs" in out and "replay --events" in out
+
+
+def test_replay_events_prints_the_flights_log_and_trace(campaign_dir, capsys):
+    campaign = load_campaign(campaign_dir)
+    _profile, events = Executor(campaign.mission, campaign.config).fly(
+        campaign.find_test("t00018"))
+    args = ["replay", "--campaign", str(campaign_dir), "--test-id", "t00018", "--events"]
+    assert cli.main(args) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("replay OK: t00018 ->")
+    assert out[1] == "events of t00018 (fresh flight): time_ms kind detail"
+    at = next(i for i, line in enumerate(out) if line.startswith("trace of t00018 "))
+    assert at == 2 + len(events)
+    # the printed times round-trip, so the trace they give has the stored digest
+    digest = campaign.profiles["t00018"].trace_digest
+    assert f"trace_digest {digest}" in out[at]
+    trace = tuple((float(t), app, mode) for t, app, mode in map(str.split, out[at + 1:]))
+    assert trace[0] == (0.0, "PRE_ARM", "STABILIZED") and trace_digest(trace) == digest
 
 
 def test_replay_without_a_stored_profile_reexecutes(campaign_copy, capsys):
@@ -1578,6 +1620,51 @@ def test_missing_spec_file_exits_two(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: no such file or bundled document: nonexistent")
+
+
+def _bundled_doc(name: str) -> dict:
+    return json.loads(cli._bundled(name).read_text())
+
+
+def _edited(doc: dict, key: str, index, value) -> dict:
+    """doc with doc[key] set to value, or doc[key][index] when index is not None."""
+    doc = json.loads(json.dumps(doc))
+    if index is None:
+        doc[key] = value
+    else:
+        doc[key][index] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "option, doc, named",
+    [
+        # each of these stopped `run` with a traceback (exit 1)
+        ("--mission", _edited(_bundled_doc("mission_a"), "waypoints", 0, ["a", 1, 2]),
+         "waypoints[0] must be [x, y, z], 3 numbers, got ['a', 1, 2]"),
+        ("--mission", _edited(_bundled_doc("mission_c"), "geofence_polygon", 1, [None, 0]),
+         "geofence_polygon[1] must be [x, y], 2 numbers, got [None, 0]"),
+        ("--config", _edited(_bundled_doc("sut_default"), "latency_window_ms", None, 5),
+         "latency_window_ms must be [lo, hi], two numbers of ms, got 5"),
+        ("--config", _edited(_bundled_doc("sut_default"), "seeded_faults", None, [[1]]),
+         "seeded_faults must be a list of fault ids such as \"F2\", got [[1]]"),
+        ("--config", _edited(_bundled_doc("sut_default"), "gps_degrade_level", None, ["high"]),
+         "gps_degrade_level: unknown sensitivity level ['high']"),
+    ],
+    ids=["waypoint", "fence_vertex", "latency_window", "seeded_faults", "degrade_level"],
+)
+def test_a_malformed_mission_or_config_exits_two_naming_the_file_and_key(
+    tmp_path, capsys, option, doc, named
+):
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    inputs = {"--mission": "mission_a", "--config": "sut_default", option: str(path)}
+    out = tmp_path / "c"
+    args = ["run", "--spec", "fspec1", "--latency-window", "200", "600", "--repetitions", "1",
+            "--runs-per-cell", "1", "--no-soundness", "--out", str(out)]
+    assert cli.main(args + [a for pair in inputs.items() for a in pair]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {named}\n"
+    assert not out.exists()
 
 
 def test_latency_window_wider_than_bands_exits_two(tmp_path, capsys):

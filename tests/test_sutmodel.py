@@ -200,6 +200,16 @@ def test_summarize_events_replays_the_log(back_at, oscillations):
         ({"gps_degrade_level": "extreme"}, ConfigError),
         ({"compass_degrade_level": ""}, ConfigError),
         ({"seeded_faults": ("F2", "F99")}, UnknownFault),
+        # values of the wrong type, which raised TypeError or ValueError
+        ({"latency_window_ms": 5}, ConfigError),
+        ({"latency_window_ms": [200.0]}, ConfigError),
+        ({"latency_window_ms": ["a", 600.0]}, ConfigError),
+        ({"latency_window_ms": None}, ConfigError),
+        ({"latency_window_ms": [200, 10**400]}, ConfigError),
+        ({"seeded_faults": [[1]]}, ConfigError),
+        ({"seeded_faults": 5}, ConfigError),
+        ({"seeded_faults": "F2"}, ConfigError),
+        ({"gps_degrade_level": ["high"]}, ConfigError),
     ],
 )
 def test_config_validation(kwargs, exc):
@@ -208,6 +218,11 @@ def test_config_validation(kwargs, exc):
     # an unknown key is named in the error
     for key in set(kwargs) - set(SutConfig().to_dict()):
         assert repr(key) in str(refused.value)
+
+
+def test_a_config_that_is_not_an_object_is_refused():
+    with pytest.raises(ConfigError, match="must be a JSON object"):
+        SutConfig.from_dict([["latency_window_ms", [200, 600]]])
 
 
 def test_config_round_trip_sorts_faults():
