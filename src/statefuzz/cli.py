@@ -243,11 +243,14 @@ class _Runner:
             self._pool = None
 
 
-def _cluster(campaign: Campaign, pairs: list, seed: int, k_max=None, restarts=None) -> bool:
+def _cluster(
+    campaign: Campaign, pairs: list, seed: int, k_max=None, restarts=None
+) -> Optional[list[str]]:
     """The clustering stage of `run` and `analyze`: clusters the failures
-    among pairs, (test, verdict), into analysis.json and returns True; with
-    no failure, removes analysis.json, since a clustering of other verdicts
-    must not outlive them, and returns False. restarts None stands for
+    among pairs, (test, verdict), into analysis.json and returns the ids
+    _representative_ids would read from it; with no failure, removes
+    analysis.json, since a clustering of other verdicts must not outlive
+    them, and returns None. restarts None stands for
     analysis.DEFAULT_RESTARTS."""
     from . import analysis as analysis_mod
 
@@ -259,12 +262,12 @@ def _cluster(campaign: Campaign, pairs: list, seed: int, k_max=None, restarts=No
         )
     except EmptyFailureSet:
         (campaign.root / "analysis.json").unlink(missing_ok=True)
-        return False
+        return None
     save_analysis(campaign.root, result)
     print(f"clustered {len(result.encoded.test_ids)} failures into K={result.k}")
     for rep in result.representatives:
         print(f"  cluster {rep.cluster}: closest={rep.closest} farthest={rep.farthest}")
-    return True
+    return list(dict.fromkeys(rep.closest for rep in result.representatives))
 
 
 def _focus(
@@ -462,8 +465,9 @@ def cmd_run(args) -> int:
         pairs = [(t, v) for t, _p, v in runner(tests)]
         campaign.verdict_counts = Counter(v.verdict for _t, v in pairs)
         print(f"executed {len(tests)} tests: {_summary(campaign.verdict_counts)}")
-        if _cluster(campaign, pairs, seed):
-            bases = _find_tests(campaign, _representative_ids(root))
+        rep_ids = _cluster(campaign, pairs, seed)
+        if rep_ids:
+            bases = _find_tests(campaign, rep_ids)
             _focus(runner, bases, _default_axes(spec), args.runs_per_cell, seed, args.soundness)
         else:
             print("no failures: skipping clustering, truth tables and fault trees")

@@ -21,25 +21,21 @@ from typing import Callable, Mapping, Optional, Union
 from .errors import MalformedTree, MissingDatum, UnknownPredicate
 from .executor import ExecutionProfile
 from .sutmodel import (
-    INTENSITY_LEVELS,
     NO_ACTION,
     REALIZED_MODE,
+    TAKEOVER_MODES,
     AppState,
     AutopilotMode,
     RcAction,
+    reaches,
 )
 from .testgen import TestCase
-
-_LEVEL_RANK = {lvl: i for i, lvl in enumerate(INTENSITY_LEVELS)}
 
 SUCCESS = "SUCCESS"
 FAILURE = "FAILURE"
 INVALID = "INVALID"
 
 _VERDICTS = (SUCCESS, FAILURE, INVALID)
-
-#: requests that hand control to the operator once realized
-_MANUAL_MODES = {AutopilotMode.ALTCTL, AutopilotMode.POSCTL, AutopilotMode.STABILIZED}
 
 #: literal request-to-mode reading: what a fixed-wing style interpretation
 #: would expect; the airframe actually follows REALIZED_MODE
@@ -141,7 +137,7 @@ def _expected_completion(test: TestCase, profile: ExecutionProfile) -> bool:
         return True
     act = RcAction(test.action)
     realized = REALIZED_MODE[act]
-    if realized in _MANUAL_MODES:
+    if realized in TAKEOVER_MODES:
         return False  # operator takeover parks the plan
     if act is RcAction.OFFBOARD:
         return True  # reactivation resumes the plan
@@ -174,14 +170,10 @@ def _p_failsafe_fired_when_expected(
         if kind == "GEOFENCE":
             if test.geofence == "none" or detail != test.geofence:
                 return False
-    want_gps = test.gps_noise != "none" and (
-        _LEVEL_RANK[test.gps_noise] >= _LEVEL_RANK[gps_alert]
-    )
+    want_gps = reaches(test.gps_noise, gps_alert)
     if want_gps != ("DEGRADED_GPS" in kinds):
         return False
-    want_compass = test.compass_interference != "none" and (
-        _LEVEL_RANK[test.compass_interference] >= _LEVEL_RANK[compass_alert]
-    )
+    want_compass = reaches(test.compass_interference, compass_alert)
     if want_compass != ("DEGRADED_COMPASS" in kinds):
         return False
     return True

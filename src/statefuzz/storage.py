@@ -103,7 +103,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from .cutset import soundness_trials
-from .errors import CampaignRunning, LayoutMismatch, RecipeMismatch
+from .errors import CampaignRunning, LayoutMismatch, RecipeMismatch, naming
 from .executor import PROFILE_FIELDS, ExecutionProfile
 from .fuzzspec import FuzzSpecification, MissionPlan, parse_fuzz_spec, parse_mission
 from .oracle import Verdict, classify, parse_tree
@@ -461,12 +461,15 @@ def load_campaign(root: Path) -> Campaign:
     except TypeError as exc:
         raise LayoutMismatch(f"campaign {root} has a generator block this code does not read "
                              f"({exc}); {regenerate}") from None
-    spec = parse_fuzz_spec(meta["spec"], spec_id=meta["spec_id"])
+    with naming(root / "campaign.json"):
+        spec = parse_fuzz_spec(meta["spec"], spec_id=meta["spec_id"])
+        mission = parse_mission(meta["mission"])
+        config = SutConfig.from_dict(meta["config"])
     campaign = Campaign(
         root=root,
         spec=spec,
-        mission=parse_mission(meta["mission"]),
-        config=SutConfig.from_dict(meta["config"]),
+        mission=mission,
+        config=config,
         generator=generator,
         oracle_version=meta["oracle_version"],
         oracle_tree_raw=meta["oracle_tree"],

@@ -107,7 +107,7 @@ THROTTLE_LEVELS = ("low", "mid", "high")
 GEOFENCE_SETTINGS = ("none", "WARN", "RETURN", "LAND")
 INTENSITY_LEVELS = ("none", "low", "medium", "high")
 
-_INTENSITY_RANK = {lvl: i for i, lvl in enumerate(INTENSITY_LEVELS)}
+INTENSITY_RANK = {lvl: i for i, lvl in enumerate(INTENSITY_LEVELS)}
 
 #: what mode the autopilot actually enters for each honored action.
 #: AUTO.LOITER and THROTTLE_TOGGLED realize as POSCTL on this airframe;
@@ -124,7 +124,7 @@ REALIZED_MODE = {
 }
 
 #: honored manual-family requests hand the vehicle to the operator
-_TAKEOVER_MODES = {
+TAKEOVER_MODES = {
     AutopilotMode.ALTCTL,
     AutopilotMode.POSCTL,
     AutopilotMode.STABILIZED,
@@ -337,9 +337,9 @@ def _dist3(a: tuple[float, float, float], b: tuple[float, float, float]) -> floa
     return math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2)
 
 
-def _reaches(level: str, threshold: str) -> bool:
+def reaches(level: str, threshold: str) -> bool:
     """True when a sensor disturbance level is at or above a sensitivity level."""
-    return level != "none" and _INTENSITY_RANK[level] >= _INTENSITY_RANK[threshold]
+    return level != "none" and INTENSITY_RANK[level] >= INTENSITY_RANK[threshold]
 
 
 def _last_tick_before(bound: float) -> float:
@@ -626,10 +626,10 @@ class Vehicle:
             self._set_app(AppState.LANDING)
 
     def _gps_degraded_due(self) -> bool:
-        return not self.gps_degraded_noted and _reaches(self.gps_noise, self.cfg.gps_degrade_level)
+        return not self.gps_degraded_noted and reaches(self.gps_noise, self.cfg.gps_degrade_level)
 
     def _compass_degraded_due(self) -> bool:
-        return not self.compass_degraded_noted and _reaches(
+        return not self.compass_degraded_noted and reaches(
             self.compass, self.cfg.compass_degrade_level
         )
 
@@ -1135,7 +1135,7 @@ class Vehicle:
 
     def _apply_honored(self, action: RcAction) -> None:
         realized = REALIZED_MODE[action]
-        if realized in _TAKEOVER_MODES:
+        if realized in TAKEOVER_MODES:
             self.mode_switch_at = None
             self.hold_until = self.t + HOLD_WINDOW_MS
             self.manual_airborne = self.pos[2] > 0.0

@@ -690,8 +690,22 @@ def test_campaign_stored_with_the_retired_config_keys_is_refused(campaign_copy, 
     for args in (["report"], ["replay", "--test-id", "t00000"]):
         assert cli.main([*args, "--campaign", str(campaign_copy)]) == 2
         assert capsys.readouterr().err == (
-            "error: unknown config keys: "
+            f"error: {path}: unknown config keys: "
             "['app_signal_loss_s', 'autopilot_signal_loss_s', 'geofence_action']\n"
+        )
+    assert campaign_files(campaign_copy) == before
+
+
+def test_campaign_stored_with_a_malformed_mission_names_campaign_json(campaign_copy, capsys):
+    path = campaign_copy / "campaign.json"
+    meta = read_json(path)
+    meta["mission"]["waypoints"][0] = ["a", 1, 2]
+    write_json(path, meta)
+    before = campaign_files(campaign_copy)
+    for args in (["report"], ["analyze"], ["replay", "--test-id", "t00000"]):
+        assert cli.main([*args, "--campaign", str(campaign_copy)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: waypoints[0] must be [x, y, z], 3 numbers, got ['a', 1, 2]\n"
         )
     assert campaign_files(campaign_copy) == before
 
