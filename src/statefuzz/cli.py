@@ -16,9 +16,7 @@ flies, judges and stores, _cluster clusters, _focus re-fuzzes and
 _write_report renders report.txt.
 
 Specs and missions are JSON paths; the names bundled with the package
-(fspec1, mission_a, mission_c, sut_default) also resolve directly. The
-master seed comes from --seed, falling back to the STATEFUZZ_SEED
-environment variable, then 0.
+(fspec1, mission_a, mission_c, sut_default) also resolve directly.
 
 Exit codes: 0 success (failing tests are still a success: the campaign
 ran), 1 replay mismatch or unexpected error, 2 invalid input.
@@ -28,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import shutil
 import sys
 import time
@@ -48,7 +45,6 @@ from .cutset import (
     soundness_check,
 )
 from .errors import (
-    BadSeed,
     EmptyFailureSet,
     InvalidOnly,
     NotACampaign,
@@ -66,7 +62,7 @@ from .fuzzspec import (
     validate_coverage,
     validate_sut_config,
 )
-from .oracle import FAILURE, classify, default_tree, parse_tree, serialize_tree
+from .oracle import FAILURE, classify, default_tree
 from .storage import (
     RESULTS,
     Campaign,
@@ -112,18 +108,6 @@ def _resolve(path_or_name: str) -> Path:
     if candidate.exists():
         return candidate
     raise FileNotFoundError(f"no such file or bundled document: {path_or_name}")
-
-
-def _seed_from(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("STATEFUZZ_SEED")
-    if not env:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise BadSeed(f"STATEFUZZ_SEED={env!r} is not an integer") from None
 
 
 def _load_config(args) -> SutConfig:
@@ -212,7 +196,6 @@ class _Runner:
     def __init__(self, campaign: Campaign, parallelism: int) -> None:
         self.campaign = campaign
         self.parallelism = parallelism
-        self.tree = parse_tree(campaign.oracle_tree_raw)
         self.last: list[TestCase] = []
         self._pool = None
 
@@ -227,7 +210,7 @@ class _Runner:
             flown = run_campaign(missing, mission, config, self.parallelism, pool=self._pool)
             for test, profile in zip(missing, flown):
                 save_result(campaign.root, test, profile)
-                campaign.verdicts[test.test_id] = classify(test, profile, self.tree)
+                campaign.verdicts[test.test_id] = classify(test, profile, campaign.tree)
                 profiles[test.test_id] = profile
         self.last = tests
         return [(t, profiles[t.test_id], campaign.verdicts[t.test_id]) for t in tests]
@@ -446,16 +429,16 @@ def cmd_run(args) -> int:
     for gap in coverage.warnings():
         print(f"coverage warning: {gap}", file=sys.stderr)
 
-    seed = _seed_from(args)
-    generator = GeneratorConfig(repetitions_per_combination=args.repetitions, master_seed=seed)
+    generator = GeneratorConfig(repetitions_per_combination=args.repetitions,
+                                master_seed=args.seed)
     t0 = time.monotonic()
     # generated before --out is claimed, so a spec that admits no test for
     # this mission leaves a stored campaign as it was
     tests = generate(spec, generator, mission.id)
     root = Path(args.out)
     _claim_out(root)
-    tree = serialize_tree(default_tree(args.oracle))
-    campaign = Campaign(root, spec, mission, config, generator, args.oracle, tree)
+    campaign = Campaign(root, spec, mission, config, generator, args.oracle,
+                        default_tree(args.oracle))
     campaign.main = Entry(tests, {})
     save_campaign_meta(campaign, args.parallelism, 0.0, "running")
     print(f"generated {len(tests)} tests "
@@ -465,10 +448,11 @@ def cmd_run(args) -> int:
         pairs = [(t, v) for t, _p, v in runner(tests)]
         campaign.verdict_counts = Counter(v.verdict for _t, v in pairs)
         print(f"executed {len(tests)} tests: {_summary(campaign.verdict_counts)}")
-        rep_ids = _cluster(campaign, pairs, seed)
+        rep_ids = _cluster(campaign, pairs, args.seed)
         if rep_ids:
             bases = _find_tests(campaign, rep_ids)
-            _focus(runner, bases, _default_axes(spec), args.runs_per_cell, seed, args.soundness)
+            _focus(runner, bases, _default_axes(spec), args.runs_per_cell, args.seed,
+                   args.soundness)
         else:
             print("no failures: skipping clustering, truth tables and fault trees")
 
@@ -547,7 +531,7 @@ def cmd_replay(args) -> int:
     campaign = load_campaign(Path(args.campaign))
     (test,) = _find_tests(campaign, [args.test_id])
     fresh, events = Executor(campaign.mission, campaign.config).fly(test)
-    verdict = classify(test, fresh, parse_tree(campaign.oracle_tree_raw))
+    verdict = classify(test, fresh, campaign.tree)
     stored = campaign.profiles.get(test.test_id)
     status = 0
     if stored is None:
@@ -641,7 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="repetitions per cell in focused re-fuzzing")
         command.add_argument("--parallelism", type=positive_int, default=1)
         command.add_argument("--soundness", action=argparse.BooleanOptionalAction, default=True)
-        command.add_argument("--seed", type=int, default=None)
+        # focus and analyze default to the campaign's master seed
+        command.add_argument("--seed", type=int, default=0 if command is run else None)
 
     report = sub.add_parser("report", help="render report.txt for a campaign")
     report.add_argument("--campaign", required=True)

@@ -51,10 +51,6 @@ class ConfigError(StateFuzzError):
     """A system-under-test configuration violates its invariants."""
 
 
-class BadSeed(StateFuzzError):
-    """The STATEFUZZ_SEED environment variable is not an integer."""
-
-
 # --- simulated system under test ----------------------------------------
 
 class IllegalEvent(StateFuzzError):

@@ -106,7 +106,7 @@ from .cutset import soundness_trials
 from .errors import CampaignRunning, LayoutMismatch, RecipeMismatch, naming
 from .executor import PROFILE_FIELDS, ExecutionProfile
 from .fuzzspec import FuzzSpecification, MissionPlan, parse_fuzz_spec, parse_mission
-from .oracle import Verdict, classify, parse_tree
+from .oracle import TreePart, Verdict, classify, parse_tree, serialize_tree
 from .sutmodel import SutConfig
 from .testgen import GeneratorConfig, TestCase, focused_generate, generate, sweep_tag
 
@@ -196,7 +196,8 @@ class Campaign:
     config: SutConfig
     generator: GeneratorConfig
     oracle_version: str
-    oracle_tree_raw: dict
+    #: the oracle tree every stored profile is judged under
+    tree: TreePart
     #: the main tests, in order, and their recipe
     main: Entry = field(default_factory=lambda: Entry([], {}))
     #: representative id -> the tag of its focus sweep
@@ -208,7 +209,7 @@ class Campaign:
     #: the main verdict counts campaign.json recorded when they flew
     verdict_counts: dict[str, int] = field(default_factory=dict)
     profiles: dict[str, ExecutionProfile] = field(default_factory=dict)
-    #: each stored profile's verdict under oracle_tree_raw, judged in
+    #: each stored profile's verdict under tree, judged in
     #: flight or on load
     verdicts: dict[str, Verdict] = field(default_factory=dict)
 
@@ -254,7 +255,7 @@ def save_campaign_meta(
             "config": campaign.config.to_dict(),
             "generator": asdict(campaign.generator),
             "oracle_version": campaign.oracle_version,
-            "oracle_tree": campaign.oracle_tree_raw,
+            "oracle_tree": serialize_tree(campaign.tree),
             "parallelism": parallelism,
             "verdict_counts": campaign.verdict_counts,
             "status": status,
@@ -427,7 +428,9 @@ def load_campaign(root: Path) -> Campaign:
 
     Refuses a campaign of another layout, one whose generator block holds
     an unknown key, or a complete one without tests.json (LayoutMismatch),
-    and one still running (CampaignRunning).
+    one still running (CampaignRunning), and one whose tests.json holds a
+    recipe that does not give back its cases, or a representative whose
+    sweep it does not store (RecipeMismatch).
     """
     meta = read_json(root / "campaign.json")
     gen_raw = meta.get("generator", {})
@@ -472,24 +475,36 @@ def load_campaign(root: Path) -> Campaign:
         config=config,
         generator=generator,
         oracle_version=meta["oracle_version"],
-        oracle_tree_raw=meta["oracle_tree"],
+        tree=parse_tree(meta["oracle_tree"]),
         verdict_counts=meta["verdict_counts"],
     )
     doc = read_json(tests_path)
     campaign.main = _regenerated(campaign, "main", None, doc["main"])
-    campaign.focused = doc["focused"]
     campaign.sweeps, campaign.soundness = (
         {tag: _regenerated(campaign, kind, tag, raw) for tag, raw in doc[kind].items()}
         for kind in ("sweeps", "soundness")
     )
+    campaign.focused = doc["focused"]
+    for rep, tag in campaign.focused.items():
+        if tag not in campaign.sweeps:
+            raise _mismatch(f"tests.json focused {rep}", f"it names sweep {tag}, which "
+                            "tests.json does not store")
     tests = {t.test_id: t for t in campaign.every_test()}
-    tree = parse_tree(campaign.oracle_tree_raw)
     for test_id, row in iter_results(root):
         if test_id in tests:
             profile = ExecutionProfile.from_row(row)
             campaign.profiles[test_id] = profile
-            campaign.verdicts[test_id] = classify(tests[test_id], profile, tree)
+            campaign.verdicts[test_id] = classify(tests[test_id], profile, campaign.tree)
     return campaign
+
+
+def _mismatch(where: str, problem: str) -> RecipeMismatch:
+    """The RecipeMismatch for the entry of tests.json named where."""
+    return RecipeMismatch(
+        f"{where}: {problem}; the code that generates tests has changed since the "
+        "campaign was stored, or the campaign was edited, so its stored results "
+        "cannot be matched to their tests"
+    )
 
 
 def _regenerated(campaign: Campaign, kind: str, tag: Optional[str], raw: dict) -> Entry:
@@ -498,12 +513,7 @@ def _regenerated(campaign: Campaign, kind: str, tag: Optional[str], raw: dict) -
     config; raises RecipeMismatch when the recipe is malformed, or gives
     another tag than the one it is stored under, or cases of another sha256."""
     def refuse(problem: str) -> RecipeMismatch:
-        where = f"tests.json {kind}" + (f" {tag}" if tag else "")
-        return RecipeMismatch(
-            f"{where}: {problem}; the code that generates tests has changed since the "
-            "campaign was stored, or the campaign was edited, so its stored results "
-            "cannot be matched to their tests"
-        )
+        return _mismatch(f"tests.json {kind}" + (f" {tag}" if tag else ""), problem)
 
     recipe = {k: v for k, v in raw.items() if k != "sha256"}
     try:

@@ -1,4 +1,5 @@
-"""Only the commands that cluster load numpy; only a pool loads multiprocessing.
+"""Only the commands that cluster load numpy; only a pool loads multiprocessing;
+importing the package loads none of its modules.
 
 The test session has imported numpy already, so every check runs in a fresh
 interpreter with PYTHONPATH=src, which reports the heavy modules it loaded.
@@ -6,7 +7,6 @@ interpreter with PYTHONPATH=src, which reports the heavy modules it loaded.
 
 import json
 import os
-import pickle
 import shutil
 import subprocess
 import sys
@@ -14,8 +14,7 @@ from pathlib import Path
 
 import pytest
 
-import statefuzz
-from statefuzz import analysis, cli
+from statefuzz import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -29,16 +28,6 @@ from statefuzz import cli
 rc = cli.main(json.loads(sys.argv[1])) if len(sys.argv) > 1 else 0
 print(json.dumps({"rc": rc, "loaded": [m for m in %r if m in sys.modules]}))
 """ % (HEAVY,)
-
-ANALYSIS_NAMES = (
-    "AnalysisResult",
-    "analyze_failures",
-    "encode_failures",
-    "kmeans",
-    "select_k",
-    "select_representatives",
-    "sweep_k",
-)
 
 RUN_ARGS = [
     "run",
@@ -72,6 +61,14 @@ def stored(tmp_path_factory):
     return root
 
 
+def test_importing_the_package_loads_no_module_of_it():
+    doc = fresh(
+        "import json, sys, statefuzz\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('statefuzz.'))))\n"
+    )
+    assert doc == []
+
+
 def test_importing_the_cli_loads_no_heavy_module():
     assert probe() == {"rc": 0, "loaded": []}
 
@@ -103,43 +100,3 @@ def test_run_and_analyze_still_cluster(tmp_path):
     doc = probe(["analyze", "--campaign", str(root)])
     assert doc["rc"] == 0 and "numpy" in doc["loaded"]
     assert (root / "analysis.json").exists()
-
-
-# ---------------------------------------------------------------------------
-# the package's lazy names
-# ---------------------------------------------------------------------------
-
-
-def test_every_exported_name_resolves():
-    for name in statefuzz.__all__:
-        assert getattr(statefuzz, name) is not None, name
-
-
-def test_an_analysis_name_loads_numpy_on_first_access():
-    doc = fresh(
-        "import json, sys, statefuzz\n"
-        "before = 'numpy' in sys.modules\n"
-        "statefuzz.kmeans\n"
-        "print(json.dumps([before, 'numpy' in sys.modules]))\n"
-    )
-    assert doc == [False, True]
-
-
-def test_analysis_names_are_the_analysis_objects():
-    for name in ANALYSIS_NAMES:
-        assert name in statefuzz.__all__
-        assert getattr(statefuzz, name) is getattr(analysis, name), name
-
-
-def test_star_import_binds_every_exported_name():
-    namespace: dict = {}
-    exec("from statefuzz import *", namespace)
-    assert set(statefuzz.__all__) <= set(namespace)
-    assert namespace["kmeans"] is analysis.kmeans
-
-
-def test_an_unknown_name_raises_attribute_error():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        statefuzz.no_such_name
-    assert not hasattr(statefuzz, "no_such_name")
-    assert pickle.loads(pickle.dumps(statefuzz.AnalysisResult)) is analysis.AnalysisResult

@@ -476,6 +476,16 @@ def bogus_literal(column: str):
     )
 
 
+def focus_on_a_missing_sweep(root) -> str:
+    """An edit that points the first representative at a tag that tests.json
+    stores no sweep under."""
+    doc = read_json(root / "tests.json")
+    rep = next(iter(doc["focused"]))
+    doc["focused"][rep] = "deadbeef"
+    write_json(root / "tests.json", doc)
+    return f"tests.json focused {rep}"
+
+
 def drop_main_sha256(root) -> str:
     doc = read_json(root / "tests.json")
     del doc["main"]["sha256"]
@@ -509,9 +519,11 @@ def reorder_bands(root) -> str:
         edit_recipe("sweeps", "base", lambda base: {k: v for k, v in base.items()
                                                     if k != "rng_seed"}),
         drop_main_sha256,
+        focus_on_a_missing_sweep,
     ],
     ids=["runs_per_cell", "check_seed", "sweep_sha256", "sweep_tag", "check_tag", "band_order",
-         "literal_state", "literal_action", "base_state", "base_seed", "main_sha256"],
+         "literal_state", "literal_action", "base_state", "base_seed", "main_sha256",
+         "focused_tag"],
 )
 def test_an_edited_recipe_exits_two_and_changes_nothing(campaign_copy, capsys, edit, command):
     entry = edit(campaign_copy)
@@ -1311,13 +1323,11 @@ def test_focus_with_an_unknown_test_id_changes_nothing(
         ("analyze", "--kmax", "-1"),
         ("analyze", "--kmax", "0"),
         ("analyze", "--restarts", "0"),
-        ("run", "STATEFUZZ_SEED", "abc"),
     ],
 )
 def test_a_count_below_one_exits_two_before_anything_flies(
     campaign_copy, capsys, monkeypatch, command, option, value
 ):
-    """So does a STATEFUZZ_SEED that is not an integer."""
     flown = count_flights(monkeypatch)
     before = campaign_files(campaign_copy)
     if command == "run":
@@ -1326,20 +1336,13 @@ def test_a_count_below_one_exits_two_before_anything_flies(
         args = ["analyze", "--campaign", str(campaign_copy)]
     else:
         args = ["focus", "--campaign", str(campaign_copy)]
-    if option.startswith("--"):
-        args += [option, value]
-        error = "positive integer"
-    else:
-        monkeypatch.setenv(option, value)
-        at = args.index("--seed")
-        del args[at:at + 2]
-        error = f"{option}='{value}' is not an integer"
+    args += [option, value]
     try:
         code = cli.main(args)
     except SystemExit as exc:
         code = exc.code
     assert code == 2
-    assert error in capsys.readouterr().err
+    assert "positive integer" in capsys.readouterr().err
     assert flown == []
     assert campaign_files(campaign_copy) == before
 
@@ -1704,7 +1707,7 @@ def test_unknown_fault_exits_two(tmp_path, capsys):
     assert "F99" in capsys.readouterr().err
 
 
-def test_seed_falls_back_to_the_environment(tmp_path, monkeypatch, capsys):
+def test_the_master_seed_comes_from_the_seed_option_alone(tmp_path, monkeypatch, capsys):
     spec_doc = {
         "FROM_PX4_modes": ["OFFBOARD"],
         "FROM_APP_states": ["TAKEOFF"],
@@ -1723,17 +1726,14 @@ def test_seed_falls_back_to_the_environment(tmp_path, monkeypatch, capsys):
     spec_path = tmp_path / "tiny.json"
     spec_path.write_text(json.dumps(spec_doc))
     out = tmp_path / "c"
-    monkeypatch.setenv("STATEFUZZ_SEED", "5")
-    rc = cli.main(
-        [
-            "run",
-            "--spec", str(spec_path),
-            "--mission", "mission_a",
-            "--latency-window", "50", "150",
-            "--repetitions", "1",
-            "--out", str(out),
-        ]
-    )
+    args = [
+        "run",
+        "--spec", str(spec_path),
+        "--mission", "mission_a",
+        "--latency-window", "50", "150",
+        "--repetitions", "1",
+    ]
+    rc = cli.main(args + ["--seed", "5", "--out", str(out)])
     assert rc == 0
     printed = capsys.readouterr().out
     assert "no failures: skipping clustering" in printed
@@ -1743,3 +1743,7 @@ def test_seed_falls_back_to_the_environment(tmp_path, monkeypatch, capsys):
     assert not (out / "analysis.json").exists()
     # the report still renders without clusters or tables
     assert (out / "report.txt").read_text().startswith("campaign report\n")
+    # no environment variable sets it: without --seed it is 0
+    monkeypatch.setenv("STATEFUZZ_SEED", "5")
+    assert cli.main(args + ["--out", str(tmp_path / "d")]) == 0
+    assert read_json(tmp_path / "d" / "campaign.json")["generator"]["master_seed"] == 0
