@@ -68,6 +68,7 @@ from .storage import (
     Campaign,
     Entry,
     check_recipe,
+    load_analysis,
     load_campaign,
     read_json,
     render_report,
@@ -152,14 +153,11 @@ def _conjunction(cut_set: CutSet) -> str:
     return " AND ".join(f"{a}={v}" for a, v in cut_set.literals)
 
 
-def _representative_ids(root: Path) -> Optional[list[str]]:
-    """The tests analysis.json nominates for focus: each cluster's exemplar
-    (closest to its centroid), deduplicated in order; None without an
-    analysis.json."""
-    path = root / "analysis.json"
-    if not path.exists():
-        return None
-    return list(dict.fromkeys(rep["closest"] for rep in read_json(path)["representatives"]))
+def _representative_ids(analysis: dict) -> list[str]:
+    """The tests a clustering (analysis.json's document) nominates for
+    focus: each cluster's exemplar (closest to its centroid), deduplicated
+    in order."""
+    return list(dict.fromkeys(rep["closest"] for rep in analysis["representatives"]))
 
 
 def _find_tests(campaign: Campaign, test_ids: Sequence[str]) -> list[TestCase]:
@@ -228,13 +226,12 @@ class _Runner:
 
 def _cluster(
     campaign: Campaign, pairs: list, seed: int, k_max=None, restarts=None
-) -> Optional[list[str]]:
+) -> Optional[dict]:
     """The clustering stage of `run` and `analyze`: clusters the failures
-    among pairs, (test, verdict), into analysis.json and returns the ids
-    _representative_ids would read from it; with no failure, removes
-    analysis.json, since a clustering of other verdicts must not outlive
-    them, and returns None. restarts None stands for
-    analysis.DEFAULT_RESTARTS."""
+    among pairs, (test, verdict), into analysis.json and returns its
+    document; with no failure, removes analysis.json, since a clustering of
+    other verdicts must not outlive them, and returns None. restarts None
+    stands for analysis.DEFAULT_RESTARTS."""
     from . import analysis as analysis_mod
 
     if restarts is None:
@@ -246,11 +243,12 @@ def _cluster(
     except EmptyFailureSet:
         (campaign.root / "analysis.json").unlink(missing_ok=True)
         return None
-    save_analysis(campaign.root, result)
+    doc = result.to_dict()
+    save_analysis(campaign.root, doc)
     print(f"clustered {len(result.encoded.test_ids)} failures into K={result.k}")
     for rep in result.representatives:
         print(f"  cluster {rep.cluster}: closest={rep.closest} farthest={rep.farthest}")
-    return list(dict.fromkeys(rep.closest for rep in result.representatives))
+    return doc
 
 
 def _focus(
@@ -367,8 +365,9 @@ def _claim_out(root: Path) -> None:
     root.mkdir(parents=True, exist_ok=True)
 
 
-def _write_report(campaign: Campaign) -> str:
-    """Render report.txt from campaign's stored artifacts and verdicts.
+def _write_report(campaign: Campaign, analysis: Optional[dict]) -> str:
+    """Render report.txt from campaign's stored artifacts and verdicts, and
+    from analysis, its clustering (analysis.json's document, or None).
 
     The verdict counts are those of every test tests.json lists, main,
     focused and soundness trials, that has a verdict. The tables and trees
@@ -383,9 +382,7 @@ def _write_report(campaign: Campaign) -> str:
         for t in campaign.every_test()
         if t.test_id in campaign.verdicts
     )
-    meta = read_json(root / "campaign.json")
-    analysis_path, soundness_path = root / "analysis.json", root / "soundness.json"
-    analysis_doc = read_json(analysis_path) if analysis_path.exists() else None
+    soundness_path = root / "soundness.json"
     tags = sorted(campaign.sweeps)
     tables = []
     for tag in tags:
@@ -396,7 +393,7 @@ def _write_report(campaign: Campaign) -> str:
     paths = [root / "faulttrees" / f"{tag}.json" for tag in [*tags, "combined"]]
     trees = [read_json(p) for p in paths if p.exists()]
     soundness = read_json(soundness_path) if soundness_path.exists() else []
-    text = render_report(meta, counts, analysis_doc, tables, trees, soundness)
+    text = render_report(campaign, counts, analysis, tables, trees, soundness)
     save_report(root, text)
     return text
 
@@ -448,9 +445,9 @@ def cmd_run(args) -> int:
         pairs = [(t, v) for t, _p, v in runner(tests)]
         campaign.verdict_counts = Counter(v.verdict for _t, v in pairs)
         print(f"executed {len(tests)} tests: {_summary(campaign.verdict_counts)}")
-        rep_ids = _cluster(campaign, pairs, args.seed)
-        if rep_ids:
-            bases = _find_tests(campaign, rep_ids)
+        analysis = _cluster(campaign, pairs, args.seed)
+        if analysis:
+            bases = _find_tests(campaign, _representative_ids(analysis))
             _focus(runner, bases, _default_axes(spec), args.runs_per_cell, args.seed,
                    args.soundness)
         else:
@@ -459,7 +456,7 @@ def cmd_run(args) -> int:
     wall = time.monotonic() - t0
     save_tests(campaign)
     save_coverage(root, coverage.to_dict())
-    _write_report(campaign)
+    _write_report(campaign, analysis)
     save_campaign_meta(campaign, args.parallelism, wall, "complete")
     print(f"campaign stored in {root} ({wall:.1f}s)")
     return 0
@@ -479,11 +476,12 @@ def cmd_analyze(args) -> int:
         print(f"re-judged {len(pairs)} stored profiles under oracle {args.oracle}: "
               f"{_summary(counts)}")
     seed = args.seed if args.seed is not None else campaign.master_seed
-    if not _cluster(campaign, pairs, seed, args.kmax, args.restarts):
+    analysis = _cluster(campaign, pairs, seed, args.kmax, args.restarts)
+    if not analysis:
         print("no failures in this campaign; nothing to cluster, no analysis.json")
     # the report shows this clustering, beside the verdicts under the
     # campaign's own tree
-    _write_report(campaign)
+    _write_report(campaign, analysis)
     return 0
 
 
@@ -501,8 +499,10 @@ def cmd_focus(args) -> int:
     """
     campaign = load_campaign(Path(args.campaign))
     _refuse_drift(campaign)
+    analysis = load_analysis(campaign.root)
     # a repeated id is focused once
-    rep_ids = list(dict.fromkeys(args.test_id)) or _representative_ids(campaign.root)
+    rep_ids = list(dict.fromkeys(args.test_id)) or (
+        _representative_ids(analysis) if analysis else None)
     if rep_ids is None:
         print("analysis.json is missing: run `statefuzz analyze` first. A campaign "
               "without failures has no representatives; --test-id names tests directly.",
@@ -514,7 +514,7 @@ def cmd_focus(args) -> int:
     with _Runner(campaign, args.parallelism) as runner:
         tabled = _focus(runner, bases, axes, args.runs_per_cell, seed, args.soundness)
     save_tests(campaign)
-    _write_report(campaign)
+    _write_report(campaign, analysis)
     written = [i for i in rep_ids if campaign.focused[i] in tabled]
     print(f"fault trees written for: {', '.join(written) or 'none'} (+combined)")
     return 0
@@ -523,7 +523,7 @@ def cmd_focus(args) -> int:
 def cmd_report(args) -> int:
     campaign = load_campaign(Path(args.campaign))
     _refuse_drift(campaign)
-    print(_write_report(campaign), end="")
+    print(_write_report(campaign, load_analysis(campaign.root)), end="")
     return 0
 
 

@@ -74,12 +74,8 @@ class UnknownAxis(StateFuzzError):
 
 # --- oracle ---------------------------------------------------------------
 
-class UnknownPredicate(StateFuzzError):
-    """A decision-tree node references a predicate that is not registered."""
-
-
 class MalformedTree(StateFuzzError):
-    """A decision-tree document is structurally invalid."""
+    """No built-in oracle revision or mode mapping has the name asked for."""
 
 
 class MissingDatum(StateFuzzError):
@@ -123,6 +119,10 @@ class LayoutMismatch(StateFuzzError):
 
 class RecipeMismatch(StateFuzzError):
     """A tests.json recipe no longer regenerates the cases it was stored with."""
+
+
+class AnalysisMismatch(StateFuzzError):
+    """A field of analysis.json that focus or report reads is not as analyze writes it."""
 
 
 class VerdictDrift(StateFuzzError):

@@ -2,9 +2,10 @@
 
 The oracle is data, not code: a tree of nodes, each naming a registered
 predicate (with optional parameters) and routing to a true/false branch,
-ending in leaves that carry a verdict and a reason code. Trees serialize
-to JSON, so a campaign records exactly which oracle judged it and a stored
-campaign can be re-judged by a different tree revision without re-flying.
+ending in leaves that carry a verdict and a reason code. A campaign
+records the revision that judged it by name (default_tree builds each
+one), and a stored campaign can be re-judged under the other revision
+without re-flying.
 
 Two built-in revisions exist. They differ in a single parameter: how an
 honored action is expected to realize as a flight mode. The naive mapping
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Union
 
-from .errors import MalformedTree, MissingDatum, UnknownPredicate
+from .errors import MalformedTree, MissingDatum
 from .executor import ExecutionProfile
 from .sutmodel import (
     NO_ACTION,
@@ -34,8 +35,6 @@ from .testgen import TestCase
 SUCCESS = "SUCCESS"
 FAILURE = "FAILURE"
 INVALID = "INVALID"
-
-_VERDICTS = (SUCCESS, FAILURE, INVALID)
 
 #: literal request-to-mode reading: what a fixed-wing style interpretation
 #: would expect; the airframe actually follows REALIZED_MODE
@@ -183,23 +182,20 @@ def _p_shutdown_clean(test: TestCase, profile: ExecutionProfile, params: Mapping
     return not any(e in ("disarm-timeout", "sim-timeout") for e in profile.exceptions)
 
 
-#: name -> (callable, allowed parameter names)
-PREDICATES: dict[str, tuple[Callable[[TestCase, ExecutionProfile, Mapping], bool], frozenset]] = {
-    "injection_planned": (_p_injection_planned, frozenset()),
-    "context_reached": (_p_context_reached, frozenset()),
-    "injection_in_target_context": (_p_injection_in_target_context, frozenset()),
-    "injection_acknowledged": (_p_injection_acknowledged, frozenset()),
-    "mode_change_deferred": (_p_mode_change_deferred, frozenset()),
-    "expected_mode_after_action": (_p_expected_mode_after_action, frozenset({"mapping"})),
-    "oscillation_count": (_p_oscillation_count, frozenset({"threshold"})),
-    "jerk_flag": (_p_jerk_flag, frozenset()),
-    "path_deviation_max": (_p_path_deviation_max, frozenset({"threshold"})),
-    "mission_completed_when_expected": (_p_mission_completed_when_expected, frozenset()),
-    "failsafe_fired_when_expected": (
-        _p_failsafe_fired_when_expected,
-        frozenset({"gps_alert_level", "compass_alert_level"}),
-    ),
-    "shutdown_clean": (_p_shutdown_clean, frozenset()),
+#: name -> the predicate a tree node names
+PREDICATES: dict[str, Callable[[TestCase, ExecutionProfile, Mapping], bool]] = {
+    "injection_planned": _p_injection_planned,
+    "context_reached": _p_context_reached,
+    "injection_in_target_context": _p_injection_in_target_context,
+    "injection_acknowledged": _p_injection_acknowledged,
+    "mode_change_deferred": _p_mode_change_deferred,
+    "expected_mode_after_action": _p_expected_mode_after_action,
+    "oscillation_count": _p_oscillation_count,
+    "jerk_flag": _p_jerk_flag,
+    "path_deviation_max": _p_path_deviation_max,
+    "mission_completed_when_expected": _p_mission_completed_when_expected,
+    "failsafe_fired_when_expected": _p_failsafe_fired_when_expected,
+    "shutdown_clean": _p_shutdown_clean,
 }
 
 
@@ -224,66 +220,12 @@ class Node:
 
 TreePart = Union[Node, Leaf]
 
-_MAX_DEPTH = 64
-
-
-def parse_tree(raw: dict, _depth: int = 0) -> TreePart:
-    """Build a tree from its JSON form, validating structure and vocabulary."""
-    if _depth > _MAX_DEPTH:
-        raise MalformedTree(f"tree deeper than {_MAX_DEPTH}; refusing")
-    if not isinstance(raw, dict):
-        raise MalformedTree(f"tree node must be an object, got {type(raw).__name__}")
-    if "verdict" in raw:
-        extra = set(raw) - {"verdict", "reason"}
-        if extra:
-            raise MalformedTree(f"leaf has unknown keys {sorted(extra)}")
-        verdict = raw["verdict"]
-        if verdict not in _VERDICTS:
-            raise MalformedTree(f"leaf verdict must be one of {_VERDICTS}, got {verdict!r}")
-        reason = raw.get("reason")
-        if not isinstance(reason, str) or not reason:
-            raise MalformedTree("leaf needs a non-empty reason string")
-        return Leaf(verdict, reason)
-    extra = set(raw) - {"predicate", "params", "true", "false"}
-    if extra:
-        raise MalformedTree(f"node has unknown keys {sorted(extra)}")
-    for key in ("predicate", "true", "false"):
-        if key not in raw:
-            raise MalformedTree(f"node is missing {key!r}")
-    name = raw["predicate"]
-    if name not in PREDICATES:
-        raise UnknownPredicate(f"predicate {name!r} is not registered")
-    params = raw.get("params", {})
-    if not isinstance(params, dict):
-        raise MalformedTree(f"params of {name!r} must be an object")
-    allowed = PREDICATES[name][1]
-    bad = set(params) - allowed
-    if bad:
-        raise MalformedTree(f"predicate {name!r} does not take params {sorted(bad)}")
-    return Node(
-        predicate=name,
-        params=dict(params),
-        on_true=parse_tree(raw["true"], _depth + 1),
-        on_false=parse_tree(raw["false"], _depth + 1),
-    )
-
-
-def serialize_tree(part: TreePart) -> dict:
-    if isinstance(part, Leaf):
-        return {"verdict": part.verdict, "reason": part.reason}
-    out: dict = {"predicate": part.predicate}
-    if part.params:
-        out["params"] = dict(part.params)
-    out["true"] = serialize_tree(part.on_true)
-    out["false"] = serialize_tree(part.on_false)
-    return out
-
 
 def classify(test: TestCase, profile: ExecutionProfile, tree: TreePart) -> Verdict:
     """Walk the tree for one run to the leaf that judges it."""
     node = tree
     while isinstance(node, Node):
-        fn, _allowed = PREDICATES[node.predicate]
+        fn = PREDICATES[node.predicate]
         node = node.on_true if fn(test, profile, node.params) else node.on_false
     return Verdict(node.verdict, node.reason)
 
@@ -293,10 +235,6 @@ def classify(test: TestCase, profile: ExecutionProfile, tree: TreePart) -> Verdi
 # ---------------------------------------------------------------------------
 
 
-def _leaf(verdict: str, reason: str) -> dict:
-    return {"verdict": verdict, "reason": reason}
-
-
 def default_tree(version: str = "v1") -> TreePart:
     """The built-in oracle; 'v0' reads mode requests literally, 'v1' uses
     the rotorcraft realization mapping. All other checks are identical."""
@@ -304,80 +242,51 @@ def default_tree(version: str = "v1") -> TreePart:
         raise MalformedTree(f"no built-in oracle revision {version!r}")
     mapping = "naive" if version == "v0" else "rotorcraft"
 
-    nominal_tail = {
-        "predicate": "oscillation_count",
-        "true": _leaf(FAILURE, "mode-oscillation"),
-        "false": {
-            "predicate": "path_deviation_max",
-            "params": {"threshold": 5.0},
-            "true": {
-                "predicate": "failsafe_fired_when_expected",
-                "true": _leaf(SUCCESS, "nominal"),
-                "false": _leaf(FAILURE, "failsafe-mismatch"),
-            },
-            "false": _leaf(FAILURE, "path-deviation"),
-        },
-    }
-    baseline_branch = {
-        "predicate": "mission_completed_when_expected",
-        "true": {
-            "predicate": "shutdown_clean",
-            "true": nominal_tail,
-            "false": _leaf(FAILURE, "disarm-failure"),
-        },
-        "false": _leaf(FAILURE, "mission-incomplete"),
-    }
-    honored_tail = {
-        "predicate": "expected_mode_after_action",
-        "params": {"mapping": mapping},
-        "true": {
-            "predicate": "shutdown_clean",
-            "true": {
-                "predicate": "mission_completed_when_expected",
-                "true": {
-                    "predicate": "path_deviation_max",
-                    "params": {"threshold": 5.0},
-                    "true": {
-                        "predicate": "failsafe_fired_when_expected",
-                        "true": _leaf(SUCCESS, "action-honored"),
-                        "false": _leaf(FAILURE, "failsafe-mismatch"),
-                    },
-                    "false": _leaf(FAILURE, "path-deviation"),
-                },
-                "false": _leaf(FAILURE, "mission-incomplete"),
-            },
-            "false": _leaf(FAILURE, "disarm-failure"),
-        },
-        "false": _leaf(FAILURE, "unexpected-mode"),
-    }
-    injected_branch = {
-        "predicate": "context_reached",
-        "true": {
-            "predicate": "injection_in_target_context",
-            "true": {
-                "predicate": "injection_acknowledged",
-                "true": {
-                    "predicate": "jerk_flag",
-                    "true": _leaf(FAILURE, "thrashing"),
-                    "false": {
-                        "predicate": "oscillation_count",
-                        "true": _leaf(FAILURE, "mode-oscillation"),
-                        "false": honored_tail,
-                    },
-                },
-                "false": {
-                    "predicate": "mode_change_deferred",
-                    "true": _leaf(FAILURE, "mode-change-delayed"),
-                    "false": _leaf(FAILURE, "mode-change-ignored"),
-                },
-            },
-            "false": _leaf(INVALID, "wrong-context"),
-        },
-        "false": _leaf(INVALID, "context-not-met"),
-    }
-    raw = {
-        "predicate": "injection_planned",
-        "true": injected_branch,
-        "false": baseline_branch,
-    }
-    return parse_tree(raw)
+    def fail(reason: str) -> Leaf:
+        return Leaf(FAILURE, reason)
+
+    def within_bounds(reason: str) -> Node:
+        """SUCCESS (reason) for a path within 5 m whose failsafes fired as expected."""
+        return Node(
+            "path_deviation_max",
+            Node("failsafe_fired_when_expected", Leaf(SUCCESS, reason), fail("failsafe-mismatch")),
+            fail("path-deviation"),
+            {"threshold": 5.0},
+        )
+
+    baseline = Node(
+        "mission_completed_when_expected",
+        Node(
+            "shutdown_clean",
+            Node("oscillation_count", fail("mode-oscillation"), within_bounds("nominal")),
+            fail("disarm-failure"),
+        ),
+        fail("mission-incomplete"),
+    )
+    honored = Node(
+        "expected_mode_after_action",
+        Node(
+            "shutdown_clean",
+            Node("mission_completed_when_expected", within_bounds("action-honored"),
+                 fail("mission-incomplete")),
+            fail("disarm-failure"),
+        ),
+        fail("unexpected-mode"),
+        {"mapping": mapping},
+    )
+    acknowledged = Node(
+        "jerk_flag",
+        fail("thrashing"),
+        Node("oscillation_count", fail("mode-oscillation"), honored),
+    )
+    missed = Node("mode_change_deferred", fail("mode-change-delayed"), fail("mode-change-ignored"))
+    injected = Node(
+        "context_reached",
+        Node(
+            "injection_in_target_context",
+            Node("injection_acknowledged", acknowledged, missed),
+            Leaf(INVALID, "wrong-context"),
+        ),
+        Leaf(INVALID, "context-not-met"),
+    )
+    return Node("injection_planned", injected, baseline)

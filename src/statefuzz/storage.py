@@ -47,9 +47,10 @@ that tests.json does not name, or names twice. The last whole line of an
 id wins, so a test flown again (one whose line was torn or deleted, say)
 keeps its new flight. A test's case is not in the
 log: load_campaign regenerates it from its recipe in tests.json. Nor is
-its verdict: load_campaign judges each stored profile under the oracle tree
-of campaign.json, so a verdict is what today's oracle code says; the main
-ones as judged in flight are counted in campaign.json's "verdict_counts".
+its verdict: load_campaign judges each stored profile under the tree that
+oracle.default_tree builds for campaign.json's "oracle_version", so a
+verdict is what today's oracle code says; the main ones as judged in
+flight are counted in campaign.json's "verdict_counts".
 
 tests.json stores no case, only what regenerates the cases:
     main                     {"sha256"}: generate(spec, generator, mission
@@ -72,10 +73,10 @@ a manifest without LAYOUT as its layout, and a complete campaign without
 tests.json; the error names the `run` over the inputs and seed in
 campaign.json that stores the campaign again, byte for byte.
 
-Everything needed to regenerate a test deterministically (spec, mission,
-config, oracle tree, and the generator settings, the master seed among
-them) is embedded in campaign.json once, so a replay works even after its
-result was deleted.
+Everything needed to regenerate and judge a test deterministically (spec,
+mission, config, oracle version, and the generator settings, the master
+seed among them) is embedded in campaign.json once, so a replay works even
+after its result was deleted.
 
 A focus sweep is named by the tag of its key (see testgen.sweep_tag), and
 its tests are f-<tag>-NNNN. Representatives with one key share one sweep,
@@ -100,25 +101,21 @@ from dataclasses import asdict, dataclass, field
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .cutset import soundness_trials
-from .errors import CampaignRunning, LayoutMismatch, RecipeMismatch, naming
+from .errors import AnalysisMismatch, CampaignRunning, LayoutMismatch, RecipeMismatch, naming
 from .executor import PROFILE_FIELDS, ExecutionProfile
 from .fuzzspec import FuzzSpecification, MissionPlan, parse_fuzz_spec, parse_mission
-from .oracle import TreePart, Verdict, classify, parse_tree, serialize_tree
+from .oracle import TreePart, Verdict, classify, default_tree
 from .sutmodel import SutConfig
 from .testgen import GeneratorConfig, TestCase, focused_generate, generate, sweep_tag
 
-if TYPE_CHECKING:
-    from .analysis import AnalysisResult
-
-
 #: the layout of the campaign directories this code writes and reads,
 #: recorded in campaign.json; a change to the shape of a stored file raises
-#: it. Layout 4 stores a result line as its profile's PROFILE_FIELDS values,
-#: the trace as its trace_digest (layout 3 stored the whole trace).
-LAYOUT = 4
+#: it. Layout 5 stores a result line as its profile's PROFILE_FIELDS values,
+#: the trace as its trace_digest, and the oracle as its oracle_version alone.
+LAYOUT = 5
 #: the results log of a campaign directory
 RESULTS = "results.jsonl"
 #: where a log line's test id starts: test_id is a row's first value
@@ -196,7 +193,7 @@ class Campaign:
     config: SutConfig
     generator: GeneratorConfig
     oracle_version: str
-    #: the oracle tree every stored profile is judged under
+    #: default_tree(oracle_version): every stored profile is judged under it
     tree: TreePart
     #: the main tests, in order, and their recipe
     main: Entry = field(default_factory=lambda: Entry([], {}))
@@ -255,7 +252,6 @@ def save_campaign_meta(
             "config": campaign.config.to_dict(),
             "generator": asdict(campaign.generator),
             "oracle_version": campaign.oracle_version,
-            "oracle_tree": serialize_tree(campaign.tree),
             "parallelism": parallelism,
             "verdict_counts": campaign.verdict_counts,
             "status": status,
@@ -377,8 +373,43 @@ def iter_results(root: Path):
             yield test_id, json.loads(line)
 
 
-def save_analysis(root: Path, result: AnalysisResult) -> None:
-    write_json(root / "analysis.json", result.to_dict())
+def save_analysis(root: Path, doc: dict) -> None:
+    """Write analysis.json: doc is an analysis.AnalysisResult's to_dict()."""
+    write_json(root / "analysis.json", doc)
+
+
+#: the check of each field of analysis.json that focus or report reads
+_ANALYSIS_FIELDS = {
+    "n_failures": lambda n: isinstance(n, int),
+    "k": lambda k: isinstance(k, int),
+    "wcss_curve": lambda curve: all(isinstance(k, int) and isinstance(w, (int, float))
+                                    for k, w in curve),
+    "representatives": lambda reps: all(isinstance(rep["cluster"], int)
+                                        and isinstance(rep["closest"], str)
+                                        and isinstance(rep["farthest"], str) for rep in reps),
+}
+
+
+def load_analysis(root: Path) -> Optional[dict]:
+    """The analysis.json of the campaign in root, or None without one;
+    refuses (AnalysisMismatch) one whose field that focus or report reads
+    is not as analyze writes it, so a command that reads it first changes
+    no file."""
+    path = root / "analysis.json"
+    if not path.exists():
+        return None
+    doc = read_json(path)
+    for key, fits in _ANALYSIS_FIELDS.items():
+        try:
+            ok = fits(doc[key])
+        except (KeyError, TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise AnalysisMismatch(
+                f"{path}: {key} is missing or not as analyze writes it; run `statefuzz "
+                f"analyze --campaign {root}` to cluster the failures again"
+            )
+    return doc
 
 
 def table_csv(table_dict: dict) -> str:
@@ -424,13 +455,14 @@ def save_report(root: Path, text: str) -> None:
 
 def load_campaign(root: Path) -> Campaign:
     """The campaign stored in root, each stored profile judged under its
-    oracle tree; the last whole result line of an id is the one that stands.
+    oracle; the last whole result line of an id is the one that stands.
 
     Refuses a campaign of another layout, one whose generator block holds
     an unknown key, or a complete one without tests.json (LayoutMismatch),
-    one still running (CampaignRunning), and one whose tests.json holds a
-    recipe that does not give back its cases, or a representative whose
-    sweep it does not store (RecipeMismatch).
+    one still running (CampaignRunning), one of an unknown oracle_version
+    (MalformedTree), and one whose tests.json is not shaped as save_tests
+    writes it, holds a recipe that does not give back its cases, or a
+    representative whose sweep it does not store (RecipeMismatch).
     """
     meta = read_json(root / "campaign.json")
     gen_raw = meta.get("generator", {})
@@ -468,17 +500,15 @@ def load_campaign(root: Path) -> Campaign:
         spec = parse_fuzz_spec(meta["spec"], spec_id=meta["spec_id"])
         mission = parse_mission(meta["mission"])
         config = SutConfig.from_dict(meta["config"])
-    campaign = Campaign(
-        root=root,
-        spec=spec,
-        mission=mission,
-        config=config,
-        generator=generator,
-        oracle_version=meta["oracle_version"],
-        tree=parse_tree(meta["oracle_tree"]),
-        verdict_counts=meta["verdict_counts"],
-    )
+        tree = default_tree(meta.get("oracle_version"))
+    campaign = Campaign(root, spec, mission, config, generator, meta["oracle_version"], tree,
+                        verdict_counts=meta["verdict_counts"])
     doc = read_json(tests_path)
+    if not isinstance(doc, dict):
+        raise _mismatch("tests.json", "it is not an object")
+    for key in ("main", "focused", "sweeps", "soundness"):
+        if not isinstance(doc.get(key), dict):
+            raise _mismatch(f"tests.json {key}", "it is missing or not an object")
     campaign.main = _regenerated(campaign, "main", None, doc["main"])
     campaign.sweeps, campaign.soundness = (
         {tag: _regenerated(campaign, kind, tag, raw) for tag, raw in doc[kind].items()}
@@ -486,7 +516,7 @@ def load_campaign(root: Path) -> Campaign:
     )
     campaign.focused = doc["focused"]
     for rep, tag in campaign.focused.items():
-        if tag not in campaign.sweeps:
+        if not isinstance(tag, str) or tag not in campaign.sweeps:
             raise _mismatch(f"tests.json focused {rep}", f"it names sweep {tag}, which "
                             "tests.json does not store")
     tests = {t.test_id: t for t in campaign.every_test()}
@@ -515,8 +545,8 @@ def _regenerated(campaign: Campaign, kind: str, tag: Optional[str], raw: dict) -
     def refuse(problem: str) -> RecipeMismatch:
         return _mismatch(f"tests.json {kind}" + (f" {tag}" if tag else ""), problem)
 
-    recipe = {k: v for k, v in raw.items() if k != "sha256"}
     try:
+        recipe = {k: v for k, v in raw.items() if k != "sha256"}
         if kind == "main":
             tests = generate(campaign.spec, campaign.generator, campaign.mission.id)
         elif kind == "sweeps":
@@ -535,7 +565,7 @@ def _regenerated(campaign: Campaign, kind: str, tag: Optional[str], raw: dict) -
             tests = tests or []
         if cases_digest(tests) != raw["sha256"]:
             raise refuse("the cases regenerated from its recipe have another sha256")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise refuse(f"its recipe is malformed ({type(exc).__name__}: {exc})") from None
     return Entry(tests, recipe)
 
@@ -580,22 +610,22 @@ def _format_table(table: dict) -> str:
 
 
 def render_report(
-    meta: dict,
+    campaign: Campaign,
     verdict_counts: dict[str, int],
     analysis: Optional[dict],
     tables: list[tuple[str, list[str], dict]],
     fault_trees: list[dict],
     soundness: list[dict],
 ) -> str:
-    """Plain-text digest of a finished campaign. Pure function over dicts;
-    tables holds (file stem, the representatives whose tag it is, table)."""
+    """Plain-text digest of a finished campaign. Pure function; tables holds
+    (file stem, the representatives whose tag it is, table)."""
     out: list[str] = []
     out.append("campaign report")
     out.append("=" * 60)
-    out.append(f"mission:        {meta['mission']['id']}")
-    out.append(f"oracle:         {meta['oracle_version']}")
-    out.append(f"master seed:    {meta['generator']['master_seed']}")
-    out.append(f"seeded faults:  {', '.join(meta['config']['seeded_faults']) or '(none)'}")
+    out.append(f"mission:        {campaign.mission.id}")
+    out.append(f"oracle:         {campaign.oracle_version}")
+    out.append(f"master seed:    {campaign.master_seed}")
+    out.append(f"seeded faults:  {', '.join(sorted(campaign.config.seeded_faults)) or '(none)'}")
     out.append("")
     out.append("verdicts")
     out.append("-" * 60)

@@ -131,7 +131,7 @@ def fired_path(test, profile, tree) -> tuple[str, ...]:
     that leaf."""
     path, node = [], tree
     while isinstance(node, Node):
-        outcome = bool(PREDICATES[node.predicate][0](test, profile, node.params))
+        outcome = bool(PREDICATES[node.predicate](test, profile, node.params))
         path.append(f"{node.predicate}={str(outcome).lower()}")
         node = node.on_true if outcome else node.on_false
     assert classify(test, profile, tree) == Verdict(node.verdict, node.reason)

@@ -1,88 +1,19 @@
-"""Decision-tree oracle: parsing, predicates, revisions v0/v1."""
+"""Decision-tree oracle: predicates, revisions v0/v1."""
 
-import json
 from dataclasses import replace
 
 import pytest
 
-from statefuzz.errors import MalformedTree, MissingDatum, UnknownPredicate
-from statefuzz.oracle import (
-    classify,
-    default_tree,
-    expected_mode,
-    parse_tree,
-    serialize_tree,
-)
+from statefuzz.errors import MalformedTree, MissingDatum
+from statefuzz.oracle import Leaf, Node, classify, default_tree, expected_mode
 from statefuzz.sutmodel import NO_ACTION, AppState, AutopilotMode, SutConfig
 
 from helpers import fired_path, make_case, make_profile, run_case
 
 
 # ---------------------------------------------------------------------------
-# tree parsing
+# revisions
 # ---------------------------------------------------------------------------
-
-
-TINY = {
-    "predicate": "jerk_flag",
-    "true": {"verdict": "FAILURE", "reason": "thrashing"},
-    "false": {"verdict": "SUCCESS", "reason": "nominal"},
-}
-
-
-@pytest.mark.parametrize(
-    "raw, exc",
-    [
-        ("not a node", MalformedTree),
-        ({"verdict": "MAYBE", "reason": "x"}, MalformedTree),
-        ({"verdict": "SUCCESS", "reason": ""}, MalformedTree),
-        ({"verdict": "SUCCESS", "reason": "ok", "color": "red"}, MalformedTree),
-        ({"predicate": "jerk_flag", "true": TINY["true"]}, MalformedTree),
-        ({"predicate": "jerk_flag", "true": TINY["true"], "false": TINY["false"], "weight": 2}, MalformedTree),
-        ({"predicate": "gremlin_count", "true": TINY["true"], "false": TINY["false"]}, UnknownPredicate),
-        (
-            {"predicate": "jerk_flag", "params": "loud", "true": TINY["true"], "false": TINY["false"]},
-            MalformedTree,
-        ),
-        (
-            {
-                "predicate": "jerk_flag",
-                "params": {"threshold": 1},
-                "true": TINY["true"],
-                "false": TINY["false"],
-            },
-            MalformedTree,  # jerk_flag takes no parameters
-        ),
-        (
-            {
-                "predicate": "oscillation_count",
-                "params": {"threshold": 3, "units": "hz"},
-                "true": TINY["true"],
-                "false": TINY["false"],
-            },
-            MalformedTree,
-        ),
-    ],
-)
-def test_parse_tree_rejects_malformed_documents(raw, exc):
-    with pytest.raises(exc):
-        parse_tree(raw)
-
-
-def test_parse_tree_depth_cap():
-    raw = {"verdict": "SUCCESS", "reason": "ok"}
-    for _ in range(70):
-        raw = {"predicate": "jerk_flag", "true": raw, "false": {"verdict": "INVALID", "reason": "n"}}
-    with pytest.raises(MalformedTree, match="deeper"):
-        parse_tree(raw)
-
-
-def test_serialize_round_trip():
-    tree = parse_tree(TINY)
-    assert serialize_tree(tree) == TINY
-    for version in ("v0", "v1"):
-        built = default_tree(version)
-        assert parse_tree(serialize_tree(built)) == built
 
 
 def test_default_tree_rejects_unknown_revision():
@@ -90,11 +21,20 @@ def test_default_tree_rejects_unknown_revision():
         default_tree("v2")
 
 
+def with_mapping(part, mapping):
+    """part with every node's "mapping" parameter set to mapping."""
+    if isinstance(part, Leaf):
+        return part
+    params = {**part.params, "mapping": mapping} if "mapping" in part.params else part.params
+    return replace(part, params=params, on_true=with_mapping(part.on_true, mapping),
+                   on_false=with_mapping(part.on_false, mapping))
+
+
 def test_revisions_differ_only_in_the_mode_mapping():
-    v0 = json.dumps(serialize_tree(default_tree("v0")), sort_keys=True)
-    v1 = json.dumps(serialize_tree(default_tree("v1")), sort_keys=True)
+    v0, v1 = default_tree("v0"), default_tree("v1")
     assert v0 != v1
-    assert v0.replace('"mapping": "naive"', '"mapping": "rotorcraft"') == v1
+    assert with_mapping(v0, "rotorcraft") == v1
+    assert with_mapping(v1, "naive") == v0
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +120,11 @@ def test_oscillation_threshold_defaults_to_three():
 
 
 def test_oscillation_threshold_is_a_parameter():
-    tree = parse_tree(
-        {
-            "predicate": "oscillation_count",
-            "params": {"threshold": 5},
-            "true": {"verdict": "FAILURE", "reason": "mode-oscillation"},
-            "false": {"verdict": "SUCCESS", "reason": "nominal"},
-        }
+    tree = Node(
+        "oscillation_count",
+        Leaf("FAILURE", "mode-oscillation"),
+        Leaf("SUCCESS", "nominal"),
+        {"threshold": 5},
     )
     test = make_case(action="OFFBOARD")
     assert judge(test, make_profile(test, oscillation_count=4), tree).verdict == "SUCCESS"
@@ -241,13 +179,11 @@ def test_missing_degradation_alert_is_a_failsafe_mismatch():
 
 
 def test_failsafe_alert_levels_are_parameters():
-    tree = parse_tree(
-        {
-            "predicate": "failsafe_fired_when_expected",
-            "params": {"gps_alert_level": "low"},
-            "true": {"verdict": "SUCCESS", "reason": "nominal"},
-            "false": {"verdict": "FAILURE", "reason": "failsafe-mismatch"},
-        }
+    tree = Node(
+        "failsafe_fired_when_expected",
+        Leaf("SUCCESS", "nominal"),
+        Leaf("FAILURE", "failsafe-mismatch"),
+        {"gps_alert_level": "low"},
     )
     test = make_case(action=NO_ACTION, gps_noise="medium")
     quiet = make_profile(test)

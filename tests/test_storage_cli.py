@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from statefuzz import analysis, cli, fuzzspec, sutmodel, testgen
+from statefuzz import analysis, cli, fuzzspec, oracle, storage, sutmodel, testgen
 from statefuzz.cutset import table_from_results
 from statefuzz.errors import InvalidOnly, LayoutMismatch, RecipeMismatch
 from statefuzz.executor import PROFILE_FIELDS, ExecutionProfile, Executor, trace_digest
@@ -122,13 +122,8 @@ def test_table_csv_layout():
     )
 
 
-def test_render_report_sections():
-    meta = {
-        "mission": {"id": "Flight plan A"},
-        "oracle_version": "v1",
-        "generator": {"master_seed": 0},
-        "config": {"seeded_faults": ["F2"]},
-    }
+def test_render_report_sections(campaign_dir):
+    campaign = load_campaign(campaign_dir)
     tree = {
         "hazard": "mode-change-ignored in TAKEOFF",
         "cut_sets": [
@@ -142,8 +137,10 @@ def test_render_report_sections():
             }
         ],
     }
-    text = render_report(meta, {"SUCCESS": 3, "FAILURE": 1}, None, [], [tree], [])
+    text = render_report(campaign, {"SUCCESS": 3, "FAILURE": 1}, None, [], [tree], [])
     assert text.startswith("campaign report\n")
+    assert "mission:        Flight plan A\noracle:         v1\nmaster seed:    0\n" in text
+    assert "seeded faults:  F2\n" in text
     assert "verdicts" in text
     assert "  FAILURE    1" in text
     assert "fault tree: mode-change-ignored in TAKEOFF" in text
@@ -166,15 +163,14 @@ def test_campaign_manifest_contents(campaign_dir):
         "config",
         "generator",
         "oracle_version",
-        "oracle_tree",
         "parallelism",
         "verdict_counts",
         "status",
         "created_at",
         "wall_time_s",
     }
-    assert meta["layout"] == LAYOUT == 4
-    # layout 4 stores a result line as these fields' values in this order,
+    assert meta["layout"] == LAYOUT == 5
+    # layout 5 stores a result line as these fields' values in this order,
     # so reordering ExecutionProfile's fields must raise LAYOUT
     assert PROFILE_FIELDS == tuple(f.name for f in dataclasses.fields(ExecutionProfile)) == (
         "test_id",
@@ -493,6 +489,21 @@ def drop_main_sha256(root) -> str:
     return "tests.json main"
 
 
+def set_section(section, value):
+    """An edit that stores value as a section of tests.json, or as the whole
+    document when section is None; it returns what the error names."""
+    def edit(root) -> str:
+        doc = read_json(root / "tests.json")
+        if section is None:
+            doc = value
+        else:
+            doc[section] = value
+        write_json(root / "tests.json", doc)
+        return "tests.json" if section is None else f"tests.json {section}"
+
+    return edit
+
+
 def reorder_bands(root) -> str:
     """Swap the bounds of the short and long bands in campaign.json, so the
     spec's bands come back in another order."""
@@ -520,10 +531,13 @@ def reorder_bands(root) -> str:
                                                     if k != "rng_seed"}),
         drop_main_sha256,
         focus_on_a_missing_sweep,
+        *(set_section(section, []) for section in ("focused", "sweeps", "soundness", "main")),
+        set_section(None, []),
     ],
     ids=["runs_per_cell", "check_seed", "sweep_sha256", "sweep_tag", "check_tag", "band_order",
          "literal_state", "literal_action", "base_state", "base_seed", "main_sha256",
-         "focused_tag"],
+         "focused_tag", "focused_list", "sweeps_list", "soundness_list", "main_list",
+         "document_list"],
 )
 def test_an_edited_recipe_exits_two_and_changes_nothing(campaign_copy, capsys, edit, command):
     entry = edit(campaign_copy)
@@ -570,9 +584,9 @@ def extra_generator_key(root) -> str:
 @pytest.mark.parametrize(
     "edit",
     [set_layout(None), set_layout(0), set_layout(1), set_layout(2), set_layout(3),
-     delete_tests_json, extra_generator_key],
-    ids=["no_layout", "layout_0", "layout_1", "layout_2", "layout_3", "no_tests_json",
-         "generator_key"],
+     set_layout(4), delete_tests_json, extra_generator_key],
+    ids=["no_layout", "layout_0", "layout_1", "layout_2", "layout_3", "layout_4",
+         "no_tests_json", "generator_key"],
 )
 def test_a_campaign_of_another_layout_exits_two_and_changes_nothing(
     campaign_copy, capsys, edit, command
@@ -722,6 +736,26 @@ def test_campaign_stored_with_a_malformed_mission_names_campaign_json(campaign_c
     assert campaign_files(campaign_copy) == before
 
 
+@pytest.mark.parametrize("version", [None, "v9", 5], ids=["missing", "v9", "number"])
+def test_a_campaign_of_an_unknown_oracle_version_exits_two_naming_campaign_json(
+    campaign_copy, capsys, version
+):
+    path = campaign_copy / "campaign.json"
+    meta = read_json(path)
+    if version is None:
+        del meta["oracle_version"]
+    else:
+        meta["oracle_version"] = version
+    write_json(path, meta)
+    before = campaign_files(campaign_copy)
+    for args in (["report"], ["analyze"], ["focus"], ["replay", "--test-id", "t00000"]):
+        assert cli.main([*args, "--campaign", str(campaign_copy)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: no built-in oracle revision {version!r}\n"
+        )
+    assert campaign_files(campaign_copy) == before
+
+
 def torn_log(root) -> str:
     """Cut the results log's last line in half, as a killed writer leaves
     it; returns the id of the torn line."""
@@ -841,17 +875,23 @@ def test_replay_without_a_stored_profile_reexecutes(campaign_copy, capsys):
     assert "no stored profile for t00002" in capsys.readouterr().out
 
 
-def store_another_oracle(root):
-    """Turn every SUCCESS leaf of the oracle tree in campaign.json into a
-    FAILURE, so the stored profiles judge otherwise on load, as after a
-    change to the oracle code; returns the recorded and the judged main
-    verdict counts."""
-    meta = read_json(root / "campaign.json")
-    meta["oracle_tree"] = json.loads(json.dumps(meta["oracle_tree"]).replace(
-        '"SUCCESS"', '"FAILURE"'))
-    write_json(root / "campaign.json", meta)
+def failing(part):
+    """part with every SUCCESS leaf turned into a FAILURE."""
+    if isinstance(part, oracle.Leaf):
+        return oracle.Leaf("FAILURE", part.reason)
+    return dataclasses.replace(part, on_true=failing(part.on_true),
+                               on_false=failing(part.on_false))
+
+
+def store_another_oracle(root, monkeypatch):
+    """Make the tree default_tree gives load_campaign turn every SUCCESS
+    leaf into a FAILURE, so the stored profiles judge otherwise on load, as
+    after a change to the oracle code; returns the recorded and the judged
+    main verdict counts."""
+    built = oracle.default_tree
+    monkeypatch.setattr(storage, "default_tree", lambda version: failing(built(version)))
     judged = Counter(v.verdict for _t, _p, v in load_campaign(root).results())
-    return meta["verdict_counts"], judged
+    return read_json(root / "campaign.json")["verdict_counts"], judged
 
 
 @pytest.mark.parametrize(
@@ -859,9 +899,9 @@ def store_another_oracle(root):
     ids=["analyze", "analyze-v1", "focus", "report"],
 )
 def test_a_campaign_judged_otherwise_on_load_exits_two_and_changes_nothing(
-    campaign_copy, capsys, command
+    campaign_copy, capsys, monkeypatch, command
 ):
-    recorded, judged = store_another_oracle(campaign_copy)
+    recorded, judged = store_another_oracle(campaign_copy, monkeypatch)
     assert judged != recorded
     before = campaign_files(campaign_copy)
     assert cli.main([*command, "--campaign", str(campaign_copy)]) == 2
@@ -875,8 +915,8 @@ def test_a_campaign_judged_otherwise_on_load_exits_two_and_changes_nothing(
     assert capsys.readouterr().out.startswith("replay OK: t00000 ->")
 
 
-def test_a_campaign_missing_a_main_result_is_not_compared(campaign_copy, capsys):
-    store_another_oracle(campaign_copy)
+def test_a_campaign_missing_a_main_result_is_not_compared(campaign_copy, capsys, monkeypatch):
+    store_another_oracle(campaign_copy, monkeypatch)
     results = dict(iter_results(campaign_copy))
     del results["t00002"]
     write_log(campaign_copy, results)
@@ -976,6 +1016,37 @@ def test_analyze_defaults_to_the_analysis_restarts(campaign_copy, capsys, monkey
     with pytest.raises(SystemExit):
         cli.main(["analyze", "--help"])
     assert f"(default: {analysis.DEFAULT_RESTARTS})" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("command", ["focus", "report"])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("wcss_curve", [[1, "x"]]),
+        ("wcss_curve", 1),
+        ("k", None),
+        ("representatives", [{"cluster": 0, "closest": ["t00003"], "farthest": "t00003"}]),
+    ],
+    ids=["wcss_text", "wcss_number", "k_null", "closest_list"],
+)
+def test_an_edited_analysis_exits_two_and_changes_nothing(
+    campaign_copy, capsys, command, key, value
+):
+    path = campaign_copy / "analysis.json"
+    doc = read_json(path)
+    # the first representative becomes its cluster's farthest test, so a
+    # focus that went ahead would fly and store a sweep of it
+    rep = doc["representatives"][0]
+    rep["closest"] = rep["farthest"]
+    doc[key] = value
+    write_json(path, doc)
+    before = campaign_files(campaign_copy)
+    assert cli.main([command, "--campaign", str(campaign_copy)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: {key} is missing or not as analyze writes it; run `statefuzz "
+        f"analyze --campaign {campaign_copy}` to cluster the failures again\n"
+    )
+    assert campaign_files(campaign_copy) == before
 
 
 def test_focus_targets_an_explicit_test(campaign_copy, capsys):
@@ -1747,3 +1818,17 @@ def test_the_master_seed_comes_from_the_seed_option_alone(tmp_path, monkeypatch,
     monkeypatch.setenv("STATEFUZZ_SEED", "5")
     assert cli.main(args + ["--out", str(tmp_path / "d")]) == 0
     assert read_json(tmp_path / "d" / "campaign.json")["generator"]["master_seed"] == 0
+
+
+def test_the_report_heads_the_seeded_faults_sorted(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**_bundled_doc("sut_default"), "seeded_faults": ["F5", "F2"]}))
+    out = tmp_path / "c"
+    assert cli.main(["run", "--spec", "fspec1", "--mission", "mission_a", "--config", str(config),
+                     "--latency-window", "200", "600", "--repetitions", "1",
+                     "--runs-per-cell", "1", "--no-soundness", "--out", str(out)]) == 0
+    written = (out / "report.txt").read_text()
+    assert "\nseeded faults:  F2, F5\n" in written
+    capsys.readouterr()
+    assert cli.main(["report", "--campaign", str(out)]) == 0
+    assert capsys.readouterr().out == written
