@@ -477,15 +477,18 @@ def pass_minimize(campaign: str) -> dict:
 def pass_read(campaign: str) -> dict:
     """What the checkout's own load_campaign reads back from a campaign it
     stored: its profile fields, and each stored profile and verdict in test
-    order."""
-    from statefuzz.executor import PROFILE_FIELDS
+    order. The fields are read off the ExecutionProfile dataclass, which
+    every layout has."""
+    from dataclasses import fields
+
+    from statefuzz.executor import ExecutionProfile
     from statefuzz.storage import load_campaign
 
     loaded = load_campaign(Path(campaign))
     order = [i for i in dict.fromkeys(t.test_id for t in loaded.every_test())
              if i in loaded.profiles]
     return {
-        "fields": list(PROFILE_FIELDS),
+        "fields": [f.name for f in fields(ExecutionProfile)],
         "profiles": {i: loaded.profiles[i].to_dict() for i in order},
         "verdicts": {i: [loaded.verdicts[i].verdict, loaded.verdicts[i].reason] for i in order},
     }
@@ -676,11 +679,13 @@ def compare_files(stored: dict) -> tuple[list[str], list[str]]:
 
 
 def logged_lines(root: Path) -> dict:
-    """Test id -> line of a campaign's results log; the last line of an id wins."""
+    """Test id -> line of a campaign's results log; the last line of an id
+    wins. A line is an array with the id first, or an object with the id
+    under "id" (layout 2) or "test_id"."""
     lines = {}
     for line in (root / "results.jsonl").read_text(encoding="utf-8").splitlines():
         row = json.loads(line)
-        lines[row[0] if isinstance(row, list) else row["test_id"]] = line
+        lines[row[0] if isinstance(row, list) else row.get("id", row.get("test_id"))] = line
     return lines
 
 

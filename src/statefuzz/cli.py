@@ -6,14 +6,14 @@ Subcommands mirror the pipeline stages:
              re-fuzz representatives, emit truth tables and fault trees
     analyze  (re)cluster a stored campaign's failures
     focus    re-fuzz representative contexts into truth tables and trees
-    report   render report.txt from the stored artifacts
+    report   render report.txt from the stored results
     replay   re-execute one stored test and compare against its profile;
              --events also prints the flight's event log and trace
 
 `run` builds the storage.Campaign that load_campaign gives the others,
 and each stage is one function on it, whatever the command: _Runner
-flies, judges and stores, _cluster clusters, _focus re-fuzzes and
-_write_report renders report.txt.
+flies, judges and stores, _cluster clusters, _focus re-fuzzes, _derive
+builds the tables, trees and checks and _write_report renders report.txt.
 
 Specs and missions are JSON paths; the names bundled with the package
 (fspec1, mission_a, mission_c, sut_default) also resolve directly.
@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 from .cutset import (
     SOUNDNESS_TRIALS,
-    CutSet,
+    Derived,
     build_fault_tree,
     build_truth_table,
     cut_sets_for_table,
@@ -149,10 +149,6 @@ def _summary(counts) -> str:
     return ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
 
 
-def _conjunction(cut_set: CutSet) -> str:
-    return " AND ".join(f"{a}={v}" for a, v in cut_set.literals)
-
-
 def _representative_ids(analysis: dict) -> list[str]:
     """The tests a clustering (analysis.json's document) nominates for
     focus: each cluster's exemplar (closest to its centroid), deduplicated
@@ -172,6 +168,10 @@ def _find_tests(campaign: Campaign, test_ids: Sequence[str]) -> list[TestCase]:
     return tests
 
 
+class _Missing(Exception):
+    """args[0] tests have no result, and the runner flies nothing."""
+
+
 class _Runner:
     """Flies, judges and stores tests into one command's campaign.
 
@@ -189,9 +189,12 @@ class _Runner:
     `with` block closes it, on error too, so no worker outlives the command.
     Entering the block cuts a torn last line off the results log, so the
     lines this command appends stay whole.
+
+    A runner of parallelism None flies nothing: a call with a test without
+    a result raises _Missing. `report` and `analyze` use one, unentered.
     """
 
-    def __init__(self, campaign: Campaign, parallelism: int) -> None:
+    def __init__(self, campaign: Campaign, parallelism: Optional[int] = None) -> None:
         self.campaign = campaign
         self.parallelism = parallelism
         self.last: list[TestCase] = []
@@ -201,6 +204,9 @@ class _Runner:
         campaign = self.campaign
         profiles = ChainMap({}, campaign.profiles)
         missing = [t for t in tests if t.test_id not in profiles]
+        self.last = tests
+        if missing and self.parallelism is None:
+            raise _Missing(len(missing))
         if missing:
             mission, config = campaign.mission, campaign.config
             if self._pool is None and self.parallelism > 1 and len(missing) >= 2:
@@ -210,7 +216,6 @@ class _Runner:
                 save_result(campaign.root, test, profile)
                 campaign.verdicts[test.test_id] = classify(test, profile, campaign.tree)
                 profiles[test.test_id] = profile
-        self.last = tests
         return [(t, profiles[t.test_id], campaign.verdicts[t.test_id]) for t in tests]
 
     def __enter__(self) -> "_Runner":
@@ -251,90 +256,106 @@ def _cluster(
     return doc
 
 
-def _focus(
-    runner: _Runner,
-    bases: Sequence[TestCase],
-    axes: Sequence[str],
-    runs_per_cell: int,
-    seed: int,
-    check_soundness: bool,
-) -> set[str]:
-    """The focus stage of `run` and `focus`, on the runner's campaign;
-    returns the sweep tags that got a table.
+def _derive(runner: _Runner, check_seed: Optional[int]) -> Optional[Derived]:
+    """The tables, trees and checks of the runner's campaign, derived from
+    its results through the runner (None when nothing is focused); writes
+    no file and prints nothing to stdout.
 
-    Records each base's sweep tag in campaign.focused; a tag that
-    campaign.sweeps does not hold takes the recipe of the first base with
-    it. Every tag campaign.focused names is then tabled, in its order, by
-    build_truth_table over its recipe through the runner, so only the
-    tests without a result fly, and its table and tree are written; a
-    sweep with no valid run gets neither. campaign.sweeps ends holding
-    those tags.
-
-    Then rebuilds the combined tree from those tables, and soundness.json
-    with one check per combined cut set, in the tree's order and with its
-    sources. A cut set with the literals of a check in campaign.soundness
-    is checked again under that check's seed and trials, so it keeps its
-    tag and trials and flies only the trials without a result; any other
-    cut set is checked at seed only when check_soundness is on.
-    campaign.soundness ends holding the checks in soundness.json.
+    Each tag campaign.focused names is tabled, in its order, from its
+    recipe in campaign.sweeps; a sweep with no valid run gets no table.
+    The combined tree merges the tables' cut sets in sorted tag order.
+    Each combined cut set with the literals of a check in
+    campaign.soundness is checked again under that check's recipe, so it
+    keeps its tag and trials; any other is checked at check_seed, unless
+    that is None. A sweep or check that the runner lacks results for is left
+    out, and named in Derived.incomplete. campaign.sweeps and
+    campaign.soundness end holding the sweeps and checks.
     """
     campaign = runner.campaign
-    root, spec = campaign.root, campaign.spec
+    if not campaign.focused:
+        return None
     recipes = {tag: entry.recipe for tag, entry in campaign.sweeps.items()}
-    for base in bases:
-        tag = sweep_tag(base, axes, runs_per_cell, seed)
-        campaign.focused[base.test_id] = tag
-        recipes.setdefault(tag, sweep_recipe(base, axes, runs_per_cell, seed))
-        print(f"focused re-fuzz around {base.test_id} "
-              f"(state {base.app_state.value}, axes {', '.join(axes)}, sweep {tag})")
-
     campaign.sweeps = {}
-    groups: dict[str, list[CutSet]] = {}
+    tables, incomplete = {}, []
     for tag in dict.fromkeys(campaign.focused.values()):
         recipe = recipes[tag]
         base = TestCase.from_dict(recipe["base"])
         table = None
         try:
             table = build_truth_table(base, recipe["axes"], recipe["runs_per_cell"], runner,
-                                      spec, master_seed=recipe["seed"])
+                                      campaign.spec, master_seed=recipe["seed"])
         except InvalidOnly as exc:
             print(f"  {base.test_id}: {exc}", file=sys.stderr)
+        except _Missing as exc:
+            incomplete.append((f"sweep {tag}", exc.args[0]))
         campaign.sweeps[tag] = Entry(runner.last, recipe)
-        if table is None:
-            continue
-        save_truth_table(root, tag, table.to_dict())
-        cut_sets = cut_sets_for_table(table, source=f"truthtable:{tag}")
-        groups[tag] = cut_sets
-        reason = _dominant_reason(campaign.verdicts[t.test_id] for t in runner.last)
-        fault_tree = build_fault_tree(f"{reason} in {table.scope}", cut_sets)
-        save_fault_tree(root, tag, fault_tree.to_dict(), fault_tree.to_dot())
-        for cs in cut_sets:
-            print(f"  cut set: {{ {_conjunction(cs)} }}")
+        if table is not None:
+            cut_sets = cut_sets_for_table(table, source=f"truthtable:{tag}")
+            reason = _dominant_reason(campaign.verdicts[t.test_id] for t in runner.last)
+            tables[tag] = table, build_fault_tree(f"{reason} in {table.scope}", cut_sets)
+    tables = dict(sorted(tables.items()))
     combined = build_fault_tree(
-        "state-dependent failures (combined)", merge_cut_sets(groups.values())
+        "state-dependent failures (combined)",
+        merge_cut_sets([tree.cut_sets for _table, tree in tables.values()]),
     )
-    save_fault_tree(root, "combined", combined.to_dict(), combined.to_dot())
 
-    checks = {tuple(map(tuple, e.recipe["literals"])): e.recipe
-              for e in campaign.soundness.values()}
+    stored = {tuple(map(tuple, e.recipe["literals"])): (tag, e)
+              for tag, e in campaign.soundness.items()}
     campaign.soundness = {}
-    docs = []
+    checks = []
     for cs in combined.cut_sets:
-        if cs.literals not in checks and not check_soundness:
+        tag, entry = stored.get(cs.literals, (None, None))
+        if entry is None and check_seed is None:
             continue
-        recipe = checks.get(cs.literals) or check_recipe(cs.literals, seed, SOUNDNESS_TRIALS)
-        result = soundness_check(
-            cs, spec, campaign.mission, campaign.config, runner, recipe["seed"], recipe["trials"]
-        )
+        recipe = entry.recipe if entry else check_recipe(cs.literals, check_seed, SOUNDNESS_TRIALS)
+        try:
+            result = soundness_check(cs, campaign.spec, campaign.mission, campaign.config,
+                                     runner, recipe["seed"], recipe["trials"])
+        except _Missing as exc:
+            campaign.soundness[tag] = entry
+            incomplete.append((f"soundness check {tag}", exc.args[0]))
+            continue
         campaign.soundness[result.tag] = Entry(list(result.tests), recipe)
-        docs.append(result.to_dict())
+        checks.append(result)
+    return Derived(tables, combined, tuple(checks), tuple(incomplete))
+
+
+def _focus(runner: _Runner, keys: Sequence[tuple], seed: int,
+           soundness: Optional[bool]) -> Derived:
+    """The focus stage of `run` and `focus`: records the sweep tag of each
+    key, (base, axes, runs per cell, seed), in campaign.focused (a new tag
+    takes the first such key as its recipe), derives through the runner,
+    so only the tests without a result fly, and writes what it derived.
+    Cut sets without a stored check are checked at seed when soundness is
+    on or, when it is None, when a key adds a sweep."""
+    campaign = runner.campaign
+    root = campaign.root
+    added = False
+    for base, axes, runs_per_cell, sweep_seed in keys:
+        tag = sweep_tag(base, axes, runs_per_cell, sweep_seed)
+        campaign.focused[base.test_id] = tag
+        if tag not in campaign.sweeps:
+            added = True
+            campaign.sweeps[tag] = Entry([], sweep_recipe(base, axes, runs_per_cell, sweep_seed))
+        print(f"focused re-fuzz around {base.test_id} "
+              f"(state {base.app_state.value}, axes {', '.join(axes)}, sweep {tag})")
+
+    check = added if soundness is None else soundness
+    derived = _derive(runner, seed if check else None)
+    for tag, (table, tree) in derived.tables.items():
+        save_truth_table(root, tag, table.to_dict())
+        save_fault_tree(root, tag, tree.to_dict(), tree.to_dot())
+        for cs in tree.cut_sets:
+            print(f"  cut set: {{ {cs} }}")
+    save_fault_tree(root, "combined", derived.combined.to_dict(), derived.combined.to_dot())
+    for result in derived.checks:
         status = "sound" if result.sound else "NOT SOUND"
-        print(f"soundness: {status} {list(result.verdicts)} for {{ {_conjunction(cs)} }}")
-    if docs:
-        save_soundness(root, docs)
+        print(f"soundness: {status} {list(result.verdicts)} for {{ {result.cut_set} }}")
+    if derived.checks:
+        save_soundness(root, [result.to_dict() for result in derived.checks])
     else:
         (root / "soundness.json").unlink(missing_ok=True)
-    return set(groups)
+    return derived
 
 
 def _claim_out(root: Path) -> None:
@@ -365,36 +386,12 @@ def _claim_out(root: Path) -> None:
     root.mkdir(parents=True, exist_ok=True)
 
 
-def _write_report(campaign: Campaign, analysis: Optional[dict]) -> str:
-    """Render report.txt from campaign's stored artifacts and verdicts, and
-    from analysis, its clustering (analysis.json's document, or None).
-
-    The verdict counts are those of every test tests.json lists, main,
-    focused and soundness trials, that has a verdict. The tables and trees
-    are those of the sweeps tests.json names, by tag, then the combined
-    tree: a file a killed focus left behind is not rendered. A table is
-    headed by the representatives of its sweep in sorted order, so the
-    report does not depend on the order campaign.focused was built in.
-    """
-    root = campaign.root
-    counts = Counter(
-        campaign.verdicts[t.test_id].verdict
-        for t in campaign.every_test()
-        if t.test_id in campaign.verdicts
-    )
-    soundness_path = root / "soundness.json"
-    tags = sorted(campaign.sweeps)
-    tables = []
-    for tag in tags:
-        path = root / "truthtables" / f"{tag}.json"
-        if path.exists():
-            reps = sorted(rep for rep, t in campaign.focused.items() if t == tag)
-            tables.append((tag, reps, read_json(path)))
-    paths = [root / "faulttrees" / f"{tag}.json" for tag in [*tags, "combined"]]
-    trees = [read_json(p) for p in paths if p.exists()]
-    soundness = read_json(soundness_path) if soundness_path.exists() else []
-    text = render_report(campaign, counts, analysis, tables, trees, soundness)
-    save_report(root, text)
+def _write_report(campaign: Campaign, analysis: Optional[dict],
+                  derived: Optional[Derived]) -> str:
+    """Render report.txt from campaign, analysis.json's document (or None)
+    and what _derive gave for it."""
+    text = render_report(campaign, analysis, derived)
+    save_report(campaign.root, text)
     return text
 
 
@@ -446,17 +443,19 @@ def cmd_run(args) -> int:
         campaign.verdict_counts = Counter(v.verdict for _t, v in pairs)
         print(f"executed {len(tests)} tests: {_summary(campaign.verdict_counts)}")
         analysis = _cluster(campaign, pairs, args.seed)
+        derived = None
         if analysis:
-            bases = _find_tests(campaign, _representative_ids(analysis))
-            _focus(runner, bases, _default_axes(spec), args.runs_per_cell, args.seed,
-                   args.soundness)
+            axes = _default_axes(spec)
+            keys = [(base, axes, args.runs_per_cell, args.seed)
+                    for base in _find_tests(campaign, _representative_ids(analysis))]
+            derived = _focus(runner, keys, args.seed, args.soundness)
         else:
             print("no failures: skipping clustering, truth tables and fault trees")
 
     wall = time.monotonic() - t0
     save_tests(campaign)
     save_coverage(root, coverage.to_dict())
-    _write_report(campaign, analysis)
+    _write_report(campaign, analysis, derived)
     save_campaign_meta(campaign, args.parallelism, wall, "complete")
     print(f"campaign stored in {root} ({wall:.1f}s)")
     return 0
@@ -481,7 +480,7 @@ def cmd_analyze(args) -> int:
         print("no failures in this campaign; nothing to cluster, no analysis.json")
     # the report shows this clustering, beside the verdicts under the
     # campaign's own tree
-    _write_report(campaign, analysis)
+    _write_report(campaign, analysis, _derive(_Runner(campaign), None))
     return 0
 
 
@@ -489,13 +488,19 @@ def cmd_focus(args) -> int:
     """Re-fuzz the given tests (by default the stored representatives).
 
     Every id is resolved before anything flies, so an unknown id leaves the
-    campaign as it was. The focus stage tables every sweep tests.json and
-    the given tests name, flying only the tests without a stored result,
-    rebuilds the combined tree from those tables and keeps one check per
-    combined cut set in soundness.json: a stored check of an unchanged cut
-    set is kept across focus, with its seed, even under another --seed.
-    tests.json and report.txt are then rewritten. A campaign whose stored
-    profiles judge otherwise than campaign.json records is refused.
+    campaign as it was. A test tests.json already focuses keeps its sweep's
+    axes, runs per cell and seed, and any other takes the defaults; an
+    option given on the command line wins over both. Without --soundness or
+    --no-soundness, new cut sets are checked only when a sweep is added. So
+    a plain focus keeps every stored sweep, its tag and its checks.
+
+    The focus stage tables every sweep tests.json and the given tests name,
+    flying only the tests without a stored result, rebuilds the combined
+    tree from those tables and keeps one check per combined cut set in
+    soundness.json: a stored check of an unchanged cut set is kept across
+    focus, with its seed, even under another --seed. tests.json and
+    report.txt are then rewritten. A campaign whose stored profiles judge
+    otherwise than campaign.json records is refused.
     """
     campaign = load_campaign(Path(args.campaign))
     _refuse_drift(campaign)
@@ -509,13 +514,22 @@ def cmd_focus(args) -> int:
               file=sys.stderr)
         return 2
     bases = _find_tests(campaign, rep_ids)
-    axes = args.axes.split(",") if args.axes else _default_axes(campaign.spec)
     seed = args.seed if args.seed is not None else campaign.master_seed
+    default = {"axes": _default_axes(campaign.spec), "runs_per_cell": DEFAULT_FOCUS_REPETITIONS,
+               "seed": campaign.master_seed}
+    given = {"axes": args.axes.split(",") if args.axes else None,
+             "runs_per_cell": args.runs_per_cell, "seed": args.seed}
+    given = {key: value for key, value in given.items() if value is not None}
+    keys = []
+    for base in bases:
+        tag = campaign.focused.get(base.test_id)
+        key = {**default, **(campaign.sweeps[tag].recipe if tag else {}), **given}
+        keys.append((base, key["axes"], key["runs_per_cell"], key["seed"]))
     with _Runner(campaign, args.parallelism) as runner:
-        tabled = _focus(runner, bases, axes, args.runs_per_cell, seed, args.soundness)
+        derived = _focus(runner, keys, seed, args.soundness)
     save_tests(campaign)
-    _write_report(campaign, analysis)
-    written = [i for i in rep_ids if campaign.focused[i] in tabled]
+    _write_report(campaign, analysis, derived)
+    written = [i for i in rep_ids if campaign.focused[i] in derived.tables]
     print(f"fault trees written for: {', '.join(written) or 'none'} (+combined)")
     return 0
 
@@ -523,7 +537,8 @@ def cmd_focus(args) -> int:
 def cmd_report(args) -> int:
     campaign = load_campaign(Path(args.campaign))
     _refuse_drift(campaign)
-    print(_write_report(campaign, load_analysis(campaign.root)), end="")
+    analysis = load_analysis(campaign.root)
+    print(_write_report(campaign, analysis, _derive(_Runner(campaign), None)), end="")
     return 0
 
 
@@ -615,17 +630,23 @@ def build_parser() -> argparse.ArgumentParser:
     focus.add_argument("--test-id", action="append", default=[],
                        help="focus on this test instead of the stored representatives")
     focus.add_argument("--axes", help=f"comma-separated axes to sweep, of {', '.join(AXES)} "
-                       "(default: action, delay_band and each environment axis the spec "
-                       "gives more than one level)")
+                       "(default: a focused test's stored axes, else action, delay_band and "
+                       "each environment axis the spec gives more than one level)")
     focus.set_defaults(fn=cmd_focus)
 
     for command in (run, focus):
+        # None: a focused test keeps its stored sweep's, any other the default
         command.add_argument("--runs-per-cell", type=positive_int,
-                             default=DEFAULT_FOCUS_REPETITIONS,
-                             help="repetitions per cell in focused re-fuzzing")
+                             default=DEFAULT_FOCUS_REPETITIONS if command is run else None,
+                             help="repetitions per cell in focused re-fuzzing (default: "
+                             f"{DEFAULT_FOCUS_REPETITIONS}; focus keeps a focused test's)")
         command.add_argument("--parallelism", type=positive_int, default=1)
-        command.add_argument("--soundness", action=argparse.BooleanOptionalAction, default=True)
-        # focus and analyze default to the campaign's master seed
+        command.add_argument("--soundness", action=argparse.BooleanOptionalAction,
+                             default=True if command is run else None,
+                             help="check each new combined cut set (focus: by default, "
+                             "only when it adds a sweep)")
+        # focus and analyze default to the campaign's master seed (focus to
+        # a focused test's stored sweep's)
         command.add_argument("--seed", type=int, default=0 if command is run else None)
 
     report = sub.add_parser("report", help="render report.txt for a campaign")

@@ -348,6 +348,9 @@ class CutSet:
             "sources": list(self.sources),
         }
 
+    def __str__(self) -> str:
+        return " AND ".join(f"{a}={v}" for a, v in self.literals)
+
 
 def cut_sets_for_table(table: TruthTable, source: str = "") -> list[CutSet]:
     """The table's cut sets; when the context is not one of its columns, the
@@ -575,3 +578,15 @@ def _dot_escape(text: str) -> str:
 
 def build_fault_tree(hazard: str, cut_sets: Sequence[CutSet]) -> FaultTree:
     return FaultTree(hazard=hazard, cut_sets=tuple(cut_sets))
+
+
+@dataclass(frozen=True)
+class Derived:
+    """A campaign's tables and trees by sweep tag in sorted order, their
+    combined tree, its checks, and (sweep or check, results missing) for
+    each left out for lack of stored results."""
+
+    tables: dict[str, tuple[TruthTable, FaultTree]]
+    combined: FaultTree
+    checks: tuple[SoundnessResult, ...]
+    incomplete: tuple[tuple[str, int], ...]

@@ -63,6 +63,11 @@ from .sutmodel import (
     is_number,
 )
 
+#: the largest magnitude of a mission coordinate (m) and of its cruise speed
+#: (m/s): far beyond a small drone's range, and small enough that the
+#: simulator's squared distances stay finite
+MISSION_LIMIT = 1e5
+
 _TOP_KEYS = (
     "FROM_PX4_modes",
     "FROM_APP_states",
@@ -512,18 +517,20 @@ def _check_sequence(names: list, n_waypoints: int) -> tuple[AppState, ...]:
 
 
 def _point(raw: object, n: int, where: str) -> tuple[float, ...]:
-    """raw, a list of n numbers, as floats; GeometryError naming where
-    otherwise."""
+    """raw, a list of n numbers within MISSION_LIMIT, as floats;
+    GeometryError naming where otherwise."""
     if not isinstance(raw, list) or len(raw) != n or not all(map(is_number, raw)):
         shape = "[x, y, z]" if n == 3 else "[x, y]"
         raise GeometryError(f"{where} must be {shape}, {n} numbers, got {raw!r}")
+    if any(abs(v) > MISSION_LIMIT for v in raw):
+        raise GeometryError(f"{where} must lie within {MISSION_LIMIT:g} m of 0, got {raw!r}")
     return tuple(map(float, raw))
 
 
 def parse_mission(raw: dict) -> MissionPlan:
     """Validate a mission document; derive the state sequence when absent.
-    Every number must be a finite int or float (is_number); an error names
-    the key."""
+    Every number must be a finite int or float (is_number) within
+    MISSION_LIMIT; an error names the key."""
     if not isinstance(raw, dict):
         raise GeometryError("mission must be a JSON object")
     _require_keys(
@@ -555,8 +562,9 @@ def parse_mission(raw: dict) -> MissionPlan:
     if not is_number(cruise):
         raise GeometryError(f"cruise_speed must be a number, got {cruise!r}")
     cruise = float(cruise)
-    if cruise <= 0:
-        raise GeometryError(f"cruise speed must be positive, got {cruise}")
+    if not 0 < cruise <= MISSION_LIMIT:
+        raise GeometryError(f"cruise_speed must be positive and at most {MISSION_LIMIT:g} "
+                            f"m/s, got {cruise}")
 
     fence_raw = raw.get("geofence_polygon")
     fence: Optional[tuple[tuple[float, float], ...]] = None

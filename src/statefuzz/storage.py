@@ -24,14 +24,16 @@ Layout of a campaign directory:
     analysis.json            clustering output
     truthtables/<tag>.json   one table per focus sweep, plus .csv
     faulttrees/<tag>.json    one tree per focus sweep, plus .dot, plus combined
+                             (its cut sets merged in sorted tag order)
     soundness.json           cut-set re-execution results: one check per
                              combined cut set, kept across focus, each with
                              the tag that names its trials
     report.txt               human-readable digest
 
-The truth tables, fault trees and soundness.json are outputs only: each
-focus derives them again from tests.json and the results log, and they
-are read only to render report.txt.
+A command reads four files, its inputs: campaign.json, tests.json, the
+results log and analysis.json. The truth tables, fault trees,
+soundness.json and report.txt are written and never read: a command that
+writes one derives it again from tests.json and the results log.
 
 All JSON files are written canonically (sorted keys, two-space indent,
 trailing newline) and the log's lines in test order, so re-running a
@@ -97,13 +99,14 @@ import io
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
-from .cutset import soundness_trials
+from .cutset import Derived, TruthTable, soundness_trials
 from .errors import AnalysisMismatch, CampaignRunning, LayoutMismatch, RecipeMismatch, naming
 from .executor import PROFILE_FIELDS, ExecutionProfile
 from .fuzzspec import FuzzSpecification, MissionPlan, parse_fuzz_spec, parse_mission
@@ -453,19 +456,30 @@ def save_report(root: Path, text: str) -> None:
     write_text(root / "report.txt", text)
 
 
+#: the Python type of each field of campaign.json that load_campaign reads
+#: before parsing the spec, mission and config
+_MANIFEST_FIELDS = {"status": str, "verdict_counts": dict, "generator": dict, "spec_id": str}
+
+
 def load_campaign(root: Path) -> Campaign:
     """The campaign stored in root, each stored profile judged under its
     oracle; the last whole result line of an id is the one that stands.
 
-    Refuses a campaign of another layout, one whose generator block holds
-    an unknown key, or a complete one without tests.json (LayoutMismatch),
+    Refuses a campaign.json that is not an object or lacks a field it
+    reads, one of another layout, one whose generator block holds an
+    unknown key, or a complete one without tests.json (LayoutMismatch),
     one still running (CampaignRunning), one of an unknown oracle_version
     (MalformedTree), and one whose tests.json is not shaped as save_tests
     writes it, holds a recipe that does not give back its cases, or a
     representative whose sweep it does not store (RecipeMismatch).
     """
-    meta = read_json(root / "campaign.json")
-    gen_raw = meta.get("generator", {})
+    path = root / "campaign.json"
+    meta = read_json(path)
+    if not isinstance(meta, dict):
+        raise LayoutMismatch(f"{path}: it is not an object, so the campaign's inputs are "
+                             "lost; run the campaign again")
+    gen_raw = meta.get("generator")
+    gen_raw = gen_raw if isinstance(gen_raw, dict) else {}
     spec_file = f"{meta.get('spec_id')}.json"
     regenerate = (
         f'regenerate it: save the "spec", "mission" and "config" of its campaign.json as '
@@ -480,6 +494,10 @@ def load_campaign(root: Path) -> Campaign:
             f"campaign {root} has layout {meta.get('layout', 'none')}, but this code reads "
             f"layout {LAYOUT}; {regenerate}"
         )
+    for key, kind in _MANIFEST_FIELDS.items():
+        if not isinstance(meta.get(key), kind):
+            kind = "string" if kind is str else "object"
+            raise LayoutMismatch(f"{path}: {key} is missing or not a JSON {kind}; {regenerate}")
     if meta["status"] != "complete":
         raise CampaignRunning(
             f"campaign {root} is {meta['status']}: the run writing it has not finished, "
@@ -496,7 +514,7 @@ def load_campaign(root: Path) -> Campaign:
     except TypeError as exc:
         raise LayoutMismatch(f"campaign {root} has a generator block this code does not read "
                              f"({exc}); {regenerate}") from None
-    with naming(root / "campaign.json"):
+    with naming(path):
         spec = parse_fuzz_spec(meta["spec"], spec_id=meta["spec_id"])
         mission = parse_mission(meta["mission"])
         config = SutConfig.from_dict(meta["config"])
@@ -575,50 +593,34 @@ def _regenerated(campaign: Campaign, kind: str, tag: Optional[str], raw: dict) -
 # ---------------------------------------------------------------------------
 
 
-def _format_table(table: dict) -> str:
-    axes = list(table["axes"])
+def _format_table(table: TruthTable) -> str:
+    axes = list(table.axes)
     headers = axes + ["mode@injection", "runs", "valid", "fail%", "status"]
     rows_out = []
-    for row in table["rows"]:
-        rate = row["failure_rate"]
-        status = "FAIL" if rate > 0 else "ok"
-        if row["residual"]:
-            status = "MIXED"
+    for row in table.rows:
+        rate = row.failure_rate
+        status = "MIXED" if row.residual else "FAIL" if rate > 0 else "ok"
         rows_out.append(
-            [str(row["values"][a]) for a in axes]
-            + [
-                row["observed_mode"],
-                str(row["runs"]),
-                str(row["valid"]),
-                f"{rate:.1f}",
-                status,
-            ]
+            [row.value_of(a) for a in axes]
+            + [row.observed_mode, str(row.runs), str(row.valid), f"{rate:.1f}", status]
         )
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in rows_out)) if rows_out else len(headers[i])
-        for i in range(len(headers))
-    ]
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for r in rows_out:
-        lines.append("  ".join(r[i].ljust(widths[i]) for i in range(len(headers))))
-    if table["unreachable"]:
-        lines.append(f"unreachable cells: {len(table['unreachable'])}")
+    widths = [max(map(len, column)) for column in zip(headers, *rows_out)]
+    rule = ["-" * w for w in widths]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in [headers, rule, *rows_out]]
+    if table.unreachable:
+        lines.append(f"unreachable cells: {len(table.unreachable)}")
     return "\n".join(lines)
 
 
-def render_report(
-    campaign: Campaign,
-    verdict_counts: dict[str, int],
-    analysis: Optional[dict],
-    tables: list[tuple[str, list[str], dict]],
-    fault_trees: list[dict],
-    soundness: list[dict],
-) -> str:
-    """Plain-text digest of a finished campaign. Pure function; tables holds
-    (file stem, the representatives whose tag it is, table)."""
+def render_report(campaign: Campaign, analysis: Optional[dict], derived: Optional[Derived]) -> str:
+    """Plain-text digest of a finished campaign. Pure function; derived is
+    what its sweeps and checks give (None when nothing is focused). The
+    verdict counts are those of every test of its main tests, sweeps and
+    checks that has a verdict. A table is headed by the representatives of
+    its sweep in sorted order, so the report does not depend on the order
+    campaign.focused was built in."""
+    verdict_counts = Counter(campaign.verdicts[t.test_id].verdict for t in campaign.every_test()
+                             if t.test_id in campaign.verdicts)
     out: list[str] = []
     out.append("campaign report")
     out.append("=" * 60)
@@ -645,32 +647,32 @@ def render_report(
         for rep in analysis["representatives"]:
             out.append(f"    cluster {rep['cluster']}: {rep['closest']} / {rep['farthest']}")
         out.append("")
+    if derived is None:
+        return "\n".join(out) + "\n"
 
-    for stem, reps, table in tables:
-        out.append(f"truth table {', '.join(reps)} (sweep {stem}, scope {table['scope']})")
-        out.append("-" * 60)
-        out.append(_format_table(table))
-        residual = [r for r in table["rows"] if r["residual"]]
+    for tag, (table, _tree) in derived.tables.items():
+        reps = sorted(rep for rep, t in campaign.focused.items() if t == tag)
+        out += [f"truth table {', '.join(reps)} (sweep {tag}, scope {table.scope})", "-" * 60,
+                _format_table(table)]
+        residual = [r for r in table.rows if r.residual]
         if residual:
             out.append(f"  warning: {len(residual)} cell(s) stayed mixed after splitting")
         out.append("")
 
-    for tree in fault_trees:
-        out.append(f"fault tree: {tree['hazard']}")
-        out.append("-" * 60)
-        if not tree["cut_sets"]:
-            out.append("  (no cut sets)")
-        for cs in tree["cut_sets"]:
-            lits = " AND ".join(f"{l['column']}={l['value']}" for l in cs["literals"])
-            out.append(f"  {{ {lits} }}")
+    for tree in [*(tree for _table, tree in derived.tables.values()), derived.combined]:
+        out += [f"fault tree: {tree.hazard}", "-" * 60]
+        out += [f"  {{ {cs} }}" for cs in tree.cut_sets] or ["  (no cut sets)"]
         out.append("")
 
-    if soundness:
-        out.append("soundness re-execution")
-        out.append("-" * 60)
-        for s in soundness:
-            lits = " AND ".join(f"{l['column']}={l['value']}" for l in s["cut_set"]["literals"])
-            status = "sound" if s["sound"] else "NOT SOUND"
-            out.append(f"  {{ {lits} }}: {status} {list(s['verdicts'])}")
+    if derived.checks:
+        out += ["soundness re-execution", "-" * 60]
+        for check in derived.checks:
+            status = "sound" if check.sound else "NOT SOUND"
+            out.append(f"  {{ {check.cut_set} }}: {status} {list(check.verdicts)}")
+        out.append("")
+    if derived.incomplete:
+        out += ["incomplete: left out for lack of results, which a plain `statefuzz focus` "
+                "flies", "-" * 60]
+        out += [f"  {what}: {n} result(s) missing" for what, n in derived.incomplete]
         out.append("")
     return "\n".join(out) + "\n"

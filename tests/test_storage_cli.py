@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 from statefuzz import analysis, cli, fuzzspec, oracle, storage, sutmodel, testgen
-from statefuzz.cutset import table_from_results
+from statefuzz.cutset import CutSet, Derived, build_fault_tree, table_from_results
 from statefuzz.errors import InvalidOnly, LayoutMismatch, RecipeMismatch
 from statefuzz.executor import PROFILE_FIELDS, ExecutionProfile, Executor, trace_digest
 from statefuzz.storage import (
@@ -124,25 +124,18 @@ def test_table_csv_layout():
 
 def test_render_report_sections(campaign_dir):
     campaign = load_campaign(campaign_dir)
-    tree = {
-        "hazard": "mode-change-ignored in TAKEOFF",
-        "cut_sets": [
-            {
-                "gate": "AND",
-                "literals": [
-                    {"column": "app_state", "value": "TAKEOFF"},
-                    {"column": "action", "value": "POSCTL"},
-                ],
-                "sources": [],
-            }
-        ],
-    }
-    text = render_report(campaign, {"SUCCESS": 3, "FAILURE": 1}, None, [], [tree], [])
+    cut_set = CutSet((("app_state", "TAKEOFF"), ("action", "POSCTL")))
+    tree = build_fault_tree("mode-change-ignored in TAKEOFF", [cut_set])
+    derived = Derived({}, tree, (), ())
+    text = render_report(campaign, None, derived)
     assert text.startswith("campaign report\n")
     assert "mission:        Flight plan A\noracle:         v1\nmaster seed:    0\n" in text
     assert "seeded faults:  F2\n" in text
-    assert "verdicts" in text
-    assert "  FAILURE    1" in text
+    # the verdicts of every stored test, main, focused and soundness trials
+    counts = Counter(campaign.verdicts[t.test_id].verdict for t in campaign.every_test())
+    assert counts["FAILURE"] > 2
+    assert "verdicts\n" + "-" * 60 + "\n" + "".join(
+        f"  {verdict:10s} {n}\n" for verdict, n in sorted(counts.items())) in text
     assert "fault tree: mode-change-ignored in TAKEOFF" in text
     assert "  { app_state=TAKEOFF AND action=POSCTL }" in text
     assert text.endswith("\n")
@@ -603,6 +596,42 @@ def test_a_campaign_of_another_layout_exits_two_and_changes_nothing(
     assert campaign_files(campaign_copy) == before
 
 
+def edit_manifest(edit):
+    """An edit of campaign.json's document by edit(document), which returns
+    the document to store."""
+    def edited(root) -> None:
+        write_json(root / "campaign.json", edit(read_json(root / "campaign.json")))
+
+    return edited
+
+
+@pytest.mark.parametrize("command", ["analyze", "focus", "report", "replay"])
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (edit_manifest(lambda m: {k: v for k, v in m.items() if k != "status"}),
+         "status is missing or not a JSON string; regenerate it"),
+        (edit_manifest(lambda m: {k: v for k, v in m.items() if k != "verdict_counts"}),
+         "verdict_counts is missing or not a JSON object; regenerate it"),
+        (edit_manifest(lambda m: {**m, "generator": [m["generator"]]}),
+         "generator is missing or not a JSON object; regenerate it"),
+        (edit_manifest(lambda m: []), "it is not an object"),
+    ],
+    ids=["no_status", "no_verdict_counts", "generator_list", "document_list"],
+)
+def test_an_edited_manifest_exits_two_naming_campaign_json(campaign_copy, capsys, edit, named,
+                                                           command):
+    # each of these stopped every command with a traceback (exit 1)
+    edit(campaign_copy)
+    before = campaign_files(campaign_copy)
+    args = [command, "--campaign", str(campaign_copy)]
+    if command == "replay":
+        args += ["--test-id", "t00000"]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: {campaign_copy / 'campaign.json'}: {named}")
+    assert campaign_files(campaign_copy) == before
+
+
 def test_bands_taken_in_document_order_are_refused(campaign_copy, capsys, monkeypatch):
     # the defect the bands' order of bounds mends: canonical JSON stores
     # fspec1's bands as long, medium, short, so generation in document order
@@ -771,7 +800,15 @@ def test_a_torn_last_line_is_ignored_and_then_dropped(campaign_dir, campaign_cop
     campaign = load_campaign(campaign_copy)
     assert torn not in campaign.profiles
     assert len(campaign.profiles) == len(logged_ids(campaign_dir)) - 1
+    log = (campaign_copy / RESULTS).read_bytes()
+    capsys.readouterr()
     assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
+    # report flies nothing and leaves the log as it is: the torn trial's
+    # check is named as incomplete, and left out
+    report = capsys.readouterr().out
+    assert report.endswith(f"\n  soundness check {torn.split('-')[1]}: 1 result(s) missing\n\n")
+    assert "soundness re-execution" not in report
+    assert (campaign_copy / RESULTS).read_bytes() == log
     assert cli.main(["replay", "--campaign", str(campaign_copy), "--test-id", "t00000"]) == 0
     # the next rewrite of the log drops the torn line
     save_tests(campaign)
@@ -1529,6 +1566,64 @@ def test_report_heads_a_shared_table_as_run_did(tmp_path, capsys):
     assert (root / "report.txt").read_bytes() == report
 
 
+@pytest.mark.parametrize("soundness", [[], ["--no-soundness"]], ids=["checked", "unchecked"])
+def test_a_plain_focus_keeps_each_stored_sweeps_recipe(tmp_path, monkeypatch, capsys, soundness):
+    # the golden small run, at 2 runs per cell where focus defaults to 20,
+    # and with or without its checks
+    root = tmp_path / "campaign"
+    args = ["run", "--spec", "fspec1", "--mission", "mission_a", "--fault", "F2",
+            "--latency-window", "200", "600", "--repetitions", "1", "--runs-per-cell", "2",
+            "--seed", "3", "--out", str(root), *soundness]
+    assert cli.main(args) == 0
+    assert (root / "soundness.json").exists() is not bool(soundness)
+    flown = count_flights(monkeypatch)
+    focus = ["focus", "--campaign", str(root)]
+    before = without_manifest(root)
+    assert cli.main(focus) == 0
+    assert flown == [] and without_manifest(root) == before
+    # an option given wins, and the stored runs per cell and seed stay; the
+    # sweep it adds has its cut set checked
+    assert cli.main(focus + ["--axes", "action"]) == 0
+    campaign = load_campaign(root)
+    (tag,) = set(campaign.focused.values())
+    recipe = campaign.sweeps[tag].recipe
+    assert (recipe["axes"], recipe["runs_per_cell"], recipe["seed"]) == (["action"], 2, 3)
+    assert len(campaign.soundness) == 1
+    # and a plain focus keeps that recipe too
+    flown.clear()
+    before = without_manifest(root)
+    assert cli.main(focus) == 0
+    assert flown == [] and without_manifest(root) == before
+
+
+#: two sweeps, whose representatives t00034 and t00003 come in another
+#: order than their tags
+TWO_SWEEP_ARGS = ["run", "--spec", "fspec1", "--mission", "mission_a", "--fault", "F2",
+                  "--fault", "F8", "--latency-window", "200", "600", "--repetitions", "1",
+                  "--seed", "0"]
+
+
+def test_the_combined_tree_merges_the_sweeps_in_tag_order(tmp_path, monkeypatch, capsys):
+    root = tmp_path / "campaign"
+    assert cli.main(TWO_SWEEP_ARGS + ["--out", str(root)]) == 0
+    focused = read_json(root / "tests.json")["focused"]
+    tags = [focused[rep] for rep in cli._representative_ids(read_json(root / "analysis.json"))]
+    assert len(set(tags)) == 2 and tags != sorted(tags)
+    sources = [cs["sources"] for cs in read_json(root / "faulttrees" / "combined.json")["cut_sets"]]
+    assert sources == [[f"truthtable:{tag}"] for tag in sorted(tags)]
+    # so the combined tree is the one every command derives from the stored
+    # results: a plain focus flies nothing and changes no file, and report
+    # prints what run wrote
+    report = (root / "report.txt").read_text()
+    before = without_manifest(root)
+    flown = count_flights(monkeypatch)
+    assert cli.main(["focus", "--campaign", str(root)]) == 0
+    assert flown == [] and without_manifest(root) == before
+    capsys.readouterr()
+    assert cli.main(["report", "--campaign", str(root)]) == 0
+    assert capsys.readouterr().out == report
+
+
 def test_soundness_checks_each_combined_cut_set_once(tmp_path, monkeypatch, capsys):
     flown = count_flights(monkeypatch)
     root = tmp_path / "campaign"
@@ -1696,6 +1791,46 @@ def test_report_regenerates_from_stored_artifacts(campaign_copy, capsys):
     assert regenerated == before
 
 
+def edit_derived(path: str, edit):
+    """An edit of a derived file of a campaign: path, relative to the
+    campaign, with {tag} for its first sweep's tag, gets edit(its document)."""
+    def edited(root) -> None:
+        tag = next(iter(read_json(root / "tests.json")["sweeps"]))
+        target = root / path.format(tag=tag)
+        write_json(target, edit(read_json(target)))
+
+    return edited
+
+
+LANDING = {"gate": "AND", "sources": [], "literals": [
+    {"column": "app_state", "value": "LANDING", "category": "state"}]}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        edit_derived("truthtables/{tag}.json",
+                     lambda t: {**t, "rows": [{**r, "failure_rate": 0.0} for r in t["rows"]]}),
+        edit_derived("truthtables/{tag}.json", lambda t: {**t, "rows": 5}),
+        edit_derived("faulttrees/{tag}.json", lambda tree: {**tree, "cut_sets": []}),
+        edit_derived("faulttrees/combined.json", lambda tree: {**tree, "cut_sets": [LANDING]}),
+        edit_derived("soundness.json", lambda checks: [{"x": 1}]),
+    ],
+    ids=["table", "table_rows", "sweep_tree", "combined_tree", "soundness"],
+)
+def test_report_and_analyze_derive_what_they_print(campaign_dir, campaign_copy, capsys, edit):
+    # the tables, trees and checks are written, never read: an edit of one
+    # changes no report
+    edit(campaign_copy)
+    report = (campaign_dir / "report.txt").read_text()
+    capsys.readouterr()
+    assert cli.main(["report", "--campaign", str(campaign_copy)]) == 0
+    assert capsys.readouterr().out == report
+    (campaign_copy / "report.txt").unlink()
+    assert cli.main(["analyze", "--campaign", str(campaign_copy)]) == 0
+    assert (campaign_copy / "report.txt").read_text() == report
+
+
 # ---------------------------------------------------------------------------
 # argument handling and error exits
 # ---------------------------------------------------------------------------
@@ -1732,6 +1867,11 @@ def _edited(doc: dict, key: str, index, value) -> dict:
          "waypoints[0] must be [x, y, z], 3 numbers, got ['a', 1, 2]"),
         ("--mission", _edited(_bundled_doc("mission_c"), "geofence_polygon", 1, [None, 0]),
          "geofence_polygon[1] must be [x, y], 2 numbers, got [None, 0]"),
+        # an OverflowError in the simulator
+        ("--mission", _edited(_bundled_doc("mission_a"), "waypoints", 0, [1e300, 0, 10]),
+         "waypoints[0] must lie within 100000 m of 0, got [1e+300, 0, 10]"),
+        ("--mission", _edited(_bundled_doc("mission_a"), "cruise_speed", None, 1e300),
+         "cruise_speed must be positive and at most 100000 m/s, got 1e+300"),
         ("--config", _edited(_bundled_doc("sut_default"), "latency_window_ms", None, 5),
          "latency_window_ms must be [lo, hi], two numbers of ms, got 5"),
         ("--config", _edited(_bundled_doc("sut_default"), "seeded_faults", None, [[1]]),
@@ -1739,7 +1879,8 @@ def _edited(doc: dict, key: str, index, value) -> dict:
         ("--config", _edited(_bundled_doc("sut_default"), "gps_degrade_level", None, ["high"]),
          "gps_degrade_level: unknown sensitivity level ['high']"),
     ],
-    ids=["waypoint", "fence_vertex", "latency_window", "seeded_faults", "degrade_level"],
+    ids=["waypoint", "fence_vertex", "far_waypoint", "fast_cruise", "latency_window",
+         "seeded_faults", "degrade_level"],
 )
 def test_a_malformed_mission_or_config_exits_two_naming_the_file_and_key(
     tmp_path, capsys, option, doc, named
