@@ -10,9 +10,9 @@ Usage, from the root of a checkout:
         --workload NAME [--seed 0]
     python3 bench/bench.py samefacts --parent DIR --change DIR
 
-LAYER is ``clustering``, ``simulator``, ``storage``, ``oracle``, ``minimize``
-or ``startup``. A checkout of a revision of this repository is made without
-a download, for example ``git archive REV | tar -x -C DIR``.
+LAYER is ``clustering``, ``simulator``, ``fanout``, ``storage``, ``oracle``,
+``minimize`` or ``startup``. A checkout of a revision of this repository is
+made without a download, for example ``git archive REV | tar -x -C DIR``.
 
 Host drift over minutes exceeds what one change moves, so no command times
 one checkout alone. Each runs ``--pairs`` pairs of passes, one per
@@ -42,6 +42,12 @@ The layers, each one pass function below:
     once per run) and ``_point_in_polygon`` wrapped and each flight's
     ``rng.random`` counted, gives the calls per flight and the entries of
     the executor's ``cruise_runs`` memo; it must fly the same profiles.
+``fanout``
+    Flies ``env_fence_c``'s stored main tests twice through
+    ``executor.run_campaign``: serially, then on a pool of
+    ``FANOUT_WORKERS`` workers from ``executor.open_pool``, whose start is
+    timed apart. It records each mode's seconds and flights/s and the
+    speedup; both modes must fly the same profiles, and both sides too.
 ``storage``
     Copies the stored quick start's ``campaign.json`` and ``tests.json``
     into a new directory and times four steps there, each per 1,000 results
@@ -126,6 +132,9 @@ CLUSTER_SIZES = (100, 1000, 3600)
 #: perfbench workloads the simulator and minimize layers store at seed 0 ->
 #: whether the simulator flies their stored sweeps after their main tests
 FLOWN = {"f2_quickstart": True, "env_fence_c": False}
+
+#: the workers of the fanout layer's pool
+FANOUT_WORKERS = 2
 
 #: a small campaign for the subcommand starts: 45 main tests, one run per cell
 SMALL_RUN = ("run", "--spec", "fspec1", "--mission", "mission_a", "--fault", "F2",
@@ -402,6 +411,29 @@ def pass_simulator(campaign: str, sweeps: bool, count: bool = False) -> dict:
     return out
 
 
+def pass_fanout(campaign: str) -> dict:
+    from statefuzz.executor import open_pool, run_campaign
+    from statefuzz.storage import load_campaign
+
+    loaded = load_campaign(Path(campaign))
+    tests, mission, config = loaded.tests, loaded.mission, loaded.config
+    serial, serial_s = clocked(lambda: run_campaign(tests, mission, config))
+    pool, start_s = clocked(lambda: open_pool(mission, config, FANOUT_WORKERS))
+    try:
+        pooled, pool_s = clocked(lambda: run_campaign(tests, mission, config, FANOUT_WORKERS,
+                                                      pool=pool))
+    finally:
+        pool.terminate()
+        pool.join()
+    digest = sha256(p.to_dict() for p in serial)
+    if sha256(p.to_dict() for p in pooled) != digest:
+        raise SystemExit("the pool flew other profiles than the serial flights")
+    return {"flights": len(tests), "serial_s": serial_s, "pool_s": pool_s,
+            "pool_start_s": start_s, "serial_flights_per_s": len(tests) / serial_s,
+            "pool_flights_per_s": len(tests) / pool_s, "speedup": serial_s / pool_s,
+            "digest": digest}
+
+
 def pass_storage(campaign: str) -> dict:
     from statefuzz.storage import load_campaign, save_result, save_tests
 
@@ -533,6 +565,20 @@ def ab_simulator(args, sides: dict, work: Path) -> dict:
                   f"{doc['point_in_polygon_per_flight']:.1f} _point_in_polygon, "
                   f"{doc['random_per_flight']:.1f} rng.random; {doc['memo_entries']} cruise_runs "
                   f"entries; digest {doc['digest']}", flush=True)
+    return out
+
+
+def ab_fanout(args, sides: dict, work: Path) -> dict:
+    out = on_stored(args, sides, work, "env_fence_c", pass_fanout,
+                    ["serial_s", "pool_s", "pool_start_s"])
+    for side in SIDES:
+        runs = [p[side] for p in out["pairs"]]
+        print(f"{side}: {runs[0]['flights']} flights; median serial "
+              f"{statistics.median(r['serial_flights_per_s'] for r in runs):.0f}/s, pool "
+              f"{statistics.median(r['pool_flights_per_s'] for r in runs):.0f}/s, speedup "
+              f"{statistics.median(r['speedup'] for r in runs):.2f}x", flush=True)
+    if out["digests"]["parent"] != out["digests"]["change"]:
+        raise SystemExit("the two sides flew other profiles")
     return out
 
 
@@ -766,6 +812,7 @@ def ab_samefacts(args, sides: dict, work: Path) -> int:
 COMMANDS = {
     "clustering": (ab_clustering, "time analyze_failures on synthetic failure sets"),
     "simulator": (ab_simulator, "time the flights of f2_quickstart and env_fence_c"),
+    "fanout": (ab_fanout, "time env_fence_c's flights serially and on a worker pool"),
     "storage": (ab_storage, "time save_result, load_campaign and save_tests"),
     "oracle": (ab_oracle, "time classify over the quick start's profiles"),
     "minimize": (ab_minimize, "time cutset.minimize on each stored truth table"),

@@ -13,7 +13,8 @@ Subcommands mirror the pipeline stages:
 `run` builds the storage.Campaign that load_campaign gives the others,
 and each stage is one function on it, whatever the command: _Runner
 flies, judges and stores, _cluster clusters, _focus re-fuzzes, _derive
-builds the tables, trees and checks and _write_report renders report.txt.
+builds the tables, trees and checks from the cases storage.expand gave each
+entry once, and _write_report renders report.txt.
 
 Specs and missions are JSON paths; the names bundled with the package
 (fspec1, mission_a, mission_c, sut_default) also resolve directly.
@@ -66,8 +67,8 @@ from .oracle import FAILURE, classify, default_tree
 from .storage import (
     RESULTS,
     Campaign,
-    Entry,
     check_recipe,
+    expand,
     load_analysis,
     load_campaign,
     read_json,
@@ -92,7 +93,6 @@ from .testgen import (
     GeneratorConfig,
     TestCase,
     axis_levels,
-    generate,
     sweep_tag,
 )
 
@@ -181,8 +181,7 @@ class _Runner:
     result in campaign.profiles is taken from there, and the others are
     flown with run_campaign, judged under the campaign's oracle tree,
     appended to the results log and their verdicts recorded in
-    campaign.verdicts. last keeps the call's tests until the next call. No
-    profile is kept past the call that flew it.
+    campaign.verdicts. No profile is kept past the call that flew it.
 
     The first call with parallelism above 1 and at least two tests to fly
     opens one worker pool, which every later call shares; leaving the
@@ -197,14 +196,12 @@ class _Runner:
     def __init__(self, campaign: Campaign, parallelism: Optional[int] = None) -> None:
         self.campaign = campaign
         self.parallelism = parallelism
-        self.last: list[TestCase] = []
         self._pool = None
 
     def __call__(self, tests: list[TestCase]) -> list:
         campaign = self.campaign
         profiles = ChainMap({}, campaign.profiles)
         missing = [t for t in tests if t.test_id not in profiles]
-        self.last = tests
         if missing and self.parallelism is None:
             raise _Missing(len(missing))
         if missing:
@@ -258,41 +255,37 @@ def _cluster(
 
 def _derive(runner: _Runner, check_seed: Optional[int]) -> Optional[Derived]:
     """The tables, trees and checks of the runner's campaign, derived from
-    its results through the runner (None when nothing is focused); writes
-    no file and prints nothing to stdout.
+    the cases its entries hold and their results through the runner (None
+    when nothing is focused); writes no file and prints nothing to stdout.
 
-    Each tag campaign.focused names is tabled, in its order, from its
-    recipe in campaign.sweeps; a sweep with no valid run gets no table.
-    The combined tree merges the tables' cut sets in sorted tag order.
-    Each combined cut set with the literals of a check in
-    campaign.soundness is checked again under that check's recipe, so it
-    keeps its tag and trials; any other is checked at check_seed, unless
-    that is None. A sweep or check that the runner lacks results for is left
-    out, and named in Derived.incomplete. campaign.sweeps and
-    campaign.soundness end holding the sweeps and checks.
+    Each sweep campaign.focused names is tabled, in its order, from its
+    entry's tests; a sweep with no valid run gets no table. The combined
+    tree merges the tables' cut sets in sorted tag order. Each combined cut
+    set with the literals of a check in campaign.soundness is checked again
+    with that check's trials, so it keeps its tag; for any other, a check
+    at check_seed is expanded and flown, unless check_seed is None. A sweep
+    or check that the runner lacks results for is left out, and named in
+    Derived.incomplete. campaign.sweeps and campaign.soundness end holding
+    the focused sweeps and the combined tree's checks.
     """
     campaign = runner.campaign
     if not campaign.focused:
         return None
-    recipes = {tag: entry.recipe for tag, entry in campaign.sweeps.items()}
-    campaign.sweeps = {}
+    campaign.sweeps = {tag: campaign.sweeps[tag] for tag in campaign.focused.values()}
     tables, incomplete = {}, []
-    for tag in dict.fromkeys(campaign.focused.values()):
-        recipe = recipes[tag]
-        base = TestCase.from_dict(recipe["base"])
-        table = None
+    for tag, entry in campaign.sweeps.items():
+        base = TestCase.from_dict(entry.recipe["base"])
         try:
-            table = build_truth_table(base, recipe["axes"], recipe["runs_per_cell"], runner,
-                                      campaign.spec, master_seed=recipe["seed"])
+            table = build_truth_table(base, entry.recipe["axes"], entry.tests, runner)
         except InvalidOnly as exc:
             print(f"  {base.test_id}: {exc}", file=sys.stderr)
+            continue
         except _Missing as exc:
             incomplete.append((f"sweep {tag}", exc.args[0]))
-        campaign.sweeps[tag] = Entry(runner.last, recipe)
-        if table is not None:
-            cut_sets = cut_sets_for_table(table, source=f"truthtable:{tag}")
-            reason = _dominant_reason(campaign.verdicts[t.test_id] for t in runner.last)
-            tables[tag] = table, build_fault_tree(f"{reason} in {table.scope}", cut_sets)
+            continue
+        cut_sets = cut_sets_for_table(table, source=f"truthtable:{tag}")
+        reason = _dominant_reason(campaign.verdicts[t.test_id] for t in entry.tests)
+        tables[tag] = table, build_fault_tree(f"{reason} in {table.scope}", cut_sets)
     tables = dict(sorted(tables.items()))
     combined = build_fault_tree(
         "state-dependent failures (combined)",
@@ -307,16 +300,14 @@ def _derive(runner: _Runner, check_seed: Optional[int]) -> Optional[Derived]:
         tag, entry = stored.get(cs.literals, (None, None))
         if entry is None and check_seed is None:
             continue
-        recipe = entry.recipe if entry else check_recipe(cs.literals, check_seed, SOUNDNESS_TRIALS)
+        if entry is None:
+            tag, entry = expand(campaign, "soundness",
+                                check_recipe(cs.literals, check_seed, SOUNDNESS_TRIALS))
+        campaign.soundness[tag] = entry
         try:
-            result = soundness_check(cs, campaign.spec, campaign.mission, campaign.config,
-                                     runner, recipe["seed"], recipe["trials"])
+            checks.append(soundness_check(cs, tag, entry.tests, runner))
         except _Missing as exc:
-            campaign.soundness[tag] = entry
             incomplete.append((f"soundness check {tag}", exc.args[0]))
-            continue
-        campaign.soundness[result.tag] = Entry(list(result.tests), recipe)
-        checks.append(result)
     return Derived(tables, combined, tuple(checks), tuple(incomplete))
 
 
@@ -336,7 +327,8 @@ def _focus(runner: _Runner, keys: Sequence[tuple], seed: int,
         campaign.focused[base.test_id] = tag
         if tag not in campaign.sweeps:
             added = True
-            campaign.sweeps[tag] = Entry([], sweep_recipe(base, axes, runs_per_cell, sweep_seed))
+            _, campaign.sweeps[tag] = expand(campaign, "sweeps",
+                                             sweep_recipe(base, axes, runs_per_cell, sweep_seed))
         print(f"focused re-fuzz around {base.test_id} "
               f"(state {base.app_state.value}, axes {', '.join(axes)}, sweep {tag})")
 
@@ -426,14 +418,14 @@ def cmd_run(args) -> int:
     generator = GeneratorConfig(repetitions_per_combination=args.repetitions,
                                 master_seed=args.seed)
     t0 = time.monotonic()
-    # generated before --out is claimed, so a spec that admits no test for
-    # this mission leaves a stored campaign as it was
-    tests = generate(spec, generator, mission.id)
     root = Path(args.out)
-    _claim_out(root)
     campaign = Campaign(root, spec, mission, config, generator, args.oracle,
                         default_tree(args.oracle))
-    campaign.main = Entry(tests, {})
+    # generated before --out is claimed, so a spec that admits no test for
+    # this mission, or too many, leaves a stored campaign as it was
+    _, campaign.main = expand(campaign, "main", {})
+    tests = campaign.tests
+    _claim_out(root)
     save_campaign_meta(campaign, args.parallelism, 0.0, "running")
     print(f"generated {len(tests)} tests "
           f"({len(tests) // args.repetitions} combinations x {args.repetitions} repetitions)")

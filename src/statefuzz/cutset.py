@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import InvalidOnly
 from .executor import ExecutionProfile
-from .fuzzspec import DelayBand, FuzzSpecification, MissionPlan
+from .fuzzspec import DelayBand, FuzzSpecification
 from .oracle import FAILURE, INVALID, Verdict
 from .sutmodel import NO_ACTION, AutopilotMode, SutConfig
 from .testgen import (
@@ -40,7 +40,6 @@ from .testgen import (
     axis_levels,
     axis_value,
     derive_seed,
-    focused_generate,
     level_name,
     new_case,
 )
@@ -159,21 +158,15 @@ def table_from_results(
 def build_truth_table(
     representative: TestCase,
     axes: Sequence[str],
-    runs_per_cell: int,
+    tests: Sequence[TestCase],
     runner: Runner,
-    spec: FuzzSpecification,
-    master_seed: int = 0,
 ) -> TruthTable:
-    """Focused re-fuzz around a representative, aggregated into a table.
-
-    The runner executes and classifies the generated tests (and may store
-    them); build_truth_table only shapes its output. The tests, and so the
-    table, are a function of the representative's sweep key alone (see
-    testgen.sweep_tag). The axes go to focused_generate as given, so an
-    unknown or repeated axis raises UnknownAxis; the table lists them in
-    AXES order.
+    """The table of the focus sweep around a representative: its tests
+    (focused_generate's for the sweep's key, which names the representative
+    and the axes), flown and judged by the runner, which may store them, and
+    aggregated over the axes in AXES order. build_truth_table only shapes
+    the runner's output.
     """
-    tests = focused_generate(representative, axes, runs_per_cell, spec, master_seed)
     ordered = [a for a in AXES if a in axes]
     return table_from_results(ordered, runner(tests))
 
@@ -389,8 +382,6 @@ class SoundnessResult:
     note: str = ""
     #: names the check and its trials, s-<tag>-<i>
     tag: str = ""
-    #: the flown trials, in order (not serialized: tests.json stores their recipe)
-    tests: tuple[TestCase, ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -474,30 +465,20 @@ def soundness_trials(
 
 def soundness_check(
     cut_set: CutSet,
-    spec: FuzzSpecification,
-    mission: MissionPlan,
-    config: SutConfig,
+    tag: str,
+    trials: Sequence[TestCase],
     runner: Runner,
-    master_seed: int = 0,
-    trials: int = SOUNDNESS_TRIALS,
 ) -> SoundnessResult:
-    """Fly fresh runs satisfying the cut set; sound means all fail.
-
-    The trials are soundness_trials' for the cut set's literals. The
-    runner flies and judges them (and may store them), as in
-    build_truth_table; mission and config must be the runner's. A cut set
-    whose mode literal cannot be realized under the config is reported as
-    such, and flies nothing.
+    """Fly the trials of the cut set's check, the one soundness_trials tags
+    tag; sound means all fail. The runner flies and judges them (and may
+    store them), as in build_truth_table. A check without trials, whose
+    mode/band literals cannot be realized, is reported as such and flies
+    nothing.
     """
-    tag, tests = soundness_trials(
-        cut_set.literals, spec, mission.id, config, master_seed, trials
-    )
-    if tests is None:
+    if not trials:
         return SoundnessResult(cut_set, (), False, "mode/band literals are unrealizable", tag)
-    verdicts = tuple(v.verdict for _t, _p, v in runner(tests))
-    return SoundnessResult(
-        cut_set, verdicts, all(v == FAILURE for v in verdicts), tag=tag, tests=tuple(tests)
-    )
+    verdicts = tuple(v.verdict for _t, _p, v in runner(trials))
+    return SoundnessResult(cut_set, verdicts, all(v == FAILURE for v in verdicts), tag=tag)
 
 
 # ---------------------------------------------------------------------------

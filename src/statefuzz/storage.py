@@ -64,9 +64,13 @@ tests.json stores no case, only what regenerates the cases:
     soundness/<tag>          {"literals", "seed", "trials", "sha256"}:
                              cutset.soundness_trials over the cut set's
                              [column, value] pairs
-load_campaign regenerates every recipe and compares the sha256 of the cases
-(see cases_digest), and a sweep's or check's tag with the one its recipe
-gives. On a mismatch it raises RecipeMismatch naming the entry, before any
+expand turns a recipe into its cases, once per entry and command: when
+load_campaign reads it, or when `run` or `focus` adds it. Every Entry holds
+its cases from then on, and the tables and checks are made of them. A
+recipe that asks for more than MAX_CASES cases is refused before anything
+is generated. load_campaign compares the sha256 of the cases (see
+cases_digest), and a sweep's or check's tag with the one its recipe gives.
+On a mismatch it raises RecipeMismatch naming the entry, before any
 command writes a file: the stored results would be paired with other tests.
 
 load_campaign refuses a campaign whose status is "running", since its
@@ -97,6 +101,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import time
 from collections import Counter
@@ -107,18 +112,37 @@ from pathlib import Path
 from typing import Optional
 
 from .cutset import Derived, TruthTable, soundness_trials
-from .errors import AnalysisMismatch, CampaignRunning, LayoutMismatch, RecipeMismatch, naming
+from .errors import (
+    AnalysisMismatch,
+    CampaignRunning,
+    ConfigError,
+    LayoutMismatch,
+    RecipeMismatch,
+    UnknownAxis,
+    naming,
+)
 from .executor import PROFILE_FIELDS, ExecutionProfile
 from .fuzzspec import FuzzSpecification, MissionPlan, parse_fuzz_spec, parse_mission
 from .oracle import TreePart, Verdict, classify, default_tree
 from .sutmodel import SutConfig
-from .testgen import GeneratorConfig, TestCase, focused_generate, generate, sweep_tag
+from .testgen import (
+    AXES,
+    GeneratorConfig,
+    TestCase,
+    axis_levels,
+    focused_generate,
+    generate,
+    sweep_tag,
+)
 
 #: the layout of the campaign directories this code writes and reads,
 #: recorded in campaign.json; a change to the shape of a stored file raises
 #: it. Layout 5 stores a result line as its profile's PROFILE_FIELDS values,
 #: the trace as its trace_digest, and the oracle as its oracle_version alone.
 LAYOUT = 5
+#: the most cases one entry of tests.json may hold: expand refuses a recipe
+#: that asks for more before it generates anything
+MAX_CASES = 100_000
 #: the results log of a campaign directory
 RESULTS = "results.jsonl"
 #: where a log line's test id starts: test_id is a row's first value
@@ -468,10 +492,13 @@ def load_campaign(root: Path) -> Campaign:
     Refuses a campaign.json that is not an object or lacks a field it
     reads, one of another layout, one whose generator block holds an
     unknown key, or a complete one without tests.json (LayoutMismatch),
-    one still running (CampaignRunning), one of an unknown oracle_version
-    (MalformedTree), and one whose tests.json is not shaped as save_tests
-    writes it, holds a recipe that does not give back its cases, or a
-    representative whose sweep it does not store (RecipeMismatch).
+    one still running (CampaignRunning), one whose spec, mission or config
+    is missing or malformed (the parser's error, naming campaign.json), one
+    of an unknown oracle_version (MalformedTree), and one whose tests.json
+    is not shaped as save_tests writes it, holds a recipe that asks for
+    more than MAX_CASES cases or does not give back its cases, or a
+    representative whose sweep it does not store (RecipeMismatch). Each
+    recipe is expanded once, by expand, and its entry holds its cases.
     """
     path = root / "campaign.json"
     meta = read_json(path)
@@ -515,9 +542,9 @@ def load_campaign(root: Path) -> Campaign:
         raise LayoutMismatch(f"campaign {root} has a generator block this code does not read "
                              f"({exc}); {regenerate}") from None
     with naming(path):
-        spec = parse_fuzz_spec(meta["spec"], spec_id=meta["spec_id"])
-        mission = parse_mission(meta["mission"])
-        config = SutConfig.from_dict(meta["config"])
+        spec = parse_fuzz_spec(meta.get("spec"), spec_id=meta["spec_id"])
+        mission = parse_mission(meta.get("mission"))
+        config = SutConfig.from_dict(meta.get("config"))
         tree = default_tree(meta.get("oracle_version"))
     campaign = Campaign(root, spec, mission, config, generator, meta["oracle_version"], tree,
                         verdict_counts=meta["verdict_counts"])
@@ -556,36 +583,59 @@ def _mismatch(where: str, problem: str) -> RecipeMismatch:
 
 
 def _regenerated(campaign: Campaign, kind: str, tag: Optional[str], raw: dict) -> Entry:
-    """The entry tests.json stores as raw, a recipe of the given kind ("main",
-    "sweeps" or "soundness"), regenerated under campaign's spec, mission and
-    config; raises RecipeMismatch when the recipe is malformed, or gives
-    another tag than the one it is stored under, or cases of another sha256."""
+    """The entry tests.json stores as raw, a recipe of the given kind,
+    expanded under campaign's spec, mission and config; raises
+    RecipeMismatch when the recipe is malformed or too large, or gives
+    another tag than the one it is stored under, or cases of another
+    sha256."""
     def refuse(problem: str) -> RecipeMismatch:
         return _mismatch(f"tests.json {kind}" + (f" {tag}" if tag else ""), problem)
 
     try:
-        recipe = {k: v for k, v in raw.items() if k != "sha256"}
-        if kind == "main":
-            tests = generate(campaign.spec, campaign.generator, campaign.mission.id)
-        elif kind == "sweeps":
-            key = (TestCase.from_dict(recipe["base"]), recipe["axes"], recipe["runs_per_cell"])
-            if sweep_tag(*key, recipe["seed"]) != tag:
-                raise refuse("its recipe gives another tag")
-            tests = focused_generate(*key, campaign.spec, recipe["seed"])
-        else:
-            literals = tuple(tuple(lit) for lit in recipe["literals"])
-            named, tests = soundness_trials(
-                literals, campaign.spec, campaign.mission.id, campaign.config,
-                recipe["seed"], recipe["trials"],
-            )
-            if named != tag:
-                raise refuse("its recipe gives another tag")
-            tests = tests or []
-        if cases_digest(tests) != raw["sha256"]:
+        named, entry = expand(campaign, kind, {k: v for k, v in raw.items() if k != "sha256"})
+        if named != tag:
+            raise refuse("its recipe gives another tag")
+        if cases_digest(entry.tests) != raw["sha256"]:
             raise refuse("the cases regenerated from its recipe have another sha256")
+    except (ConfigError, UnknownAxis) as exc:
+        raise refuse(str(exc)) from None
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise refuse(f"its recipe is malformed ({type(exc).__name__}: {exc})") from None
-    return Entry(tests, recipe)
+    return entry
+
+
+def expand(campaign: Campaign, kind: str, recipe: dict) -> tuple[Optional[str], Entry]:
+    """The tag and the entry of a recipe of the given kind ("main", "sweeps"
+    or "soundness") under campaign's spec, mission and config: the one step
+    that turns a recipe into cases, taken once per entry and command, when
+    load_campaign reads it or when run or focus adds it.
+
+    The main tests have no tag; a check whose literals cannot be realized
+    has no trials. A recipe whose cells times its count (repetitions, runs
+    per cell or trials) exceed MAX_CASES raises ConfigError before anything
+    is generated.
+    """
+    spec = campaign.spec
+    if kind == "main":
+        tag, axes, count = None, AXES, campaign.generator.repetitions_per_combination
+    elif kind == "sweeps":
+        key = (TestCase.from_dict(recipe["base"]), recipe["axes"], recipe["runs_per_cell"])
+        tag, axes, count = sweep_tag(*key, recipe["seed"]), recipe["axes"], recipe["runs_per_cell"]
+    else:
+        tag, axes, count = None, (), recipe["trials"]
+    cells = math.prod(len(axis_levels(spec, axis)) for axis in axes)
+    if cells * count > MAX_CASES:
+        raise ConfigError(f"{cells} cell(s) x {count} give {cells * count} cases, more than "
+                          f"the {MAX_CASES} one entry may hold")
+    if kind == "main":
+        tests = generate(spec, campaign.generator, campaign.mission.id)
+    elif kind == "sweeps":
+        tests = focused_generate(*key, spec, recipe["seed"])
+    else:
+        literals = tuple(tuple(lit) for lit in recipe["literals"])
+        tag, tests = soundness_trials(literals, spec, campaign.mission.id, campaign.config,
+                                      recipe["seed"], count)
+    return tag, Entry(tests or [], recipe)
 
 
 # ---------------------------------------------------------------------------

@@ -51,8 +51,9 @@ def test_ties_count_for_neither_side(bench):
     assert "digests" not in out
 
 
-@pytest.mark.parametrize("command", [None, "clustering", "simulator", "storage", "oracle",
-                                     "minimize", "startup", "pairs", "traced", "samefacts"])
+@pytest.mark.parametrize("command", [None, "clustering", "simulator", "fanout", "storage",
+                                     "oracle", "minimize", "startup", "pairs", "traced",
+                                     "samefacts"])
 def test_every_subcommand_has_help(bench, command, capsys):
     with pytest.raises(SystemExit) as exit_:
         bench.main([command, "--help"] if command else ["--help"])
@@ -61,8 +62,8 @@ def test_every_subcommand_has_help(bench, command, capsys):
 
 
 def test_the_help_covers_every_subcommand(bench):
-    assert set(bench.COMMANDS) == {"clustering", "simulator", "storage", "oracle", "minimize",
-                                   "startup", "pairs", "traced", "samefacts"}
+    assert set(bench.COMMANDS) == {"clustering", "simulator", "fanout", "storage", "oracle",
+                                   "minimize", "startup", "pairs", "traced", "samefacts"}
 
 
 def test_fewer_than_two_pairs_is_refused(bench, tmp_path, capsys):

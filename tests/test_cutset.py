@@ -30,6 +30,7 @@ from statefuzz.executor import Executor
 from statefuzz.fuzzspec import DelayBand, parse_fuzz_spec
 from statefuzz.oracle import Verdict, classify, default_tree
 from statefuzz.sutmodel import AppState, SutConfig
+from statefuzz.testgen import focused_generate
 
 from conftest import small_spec_raw
 from helpers import make_case, make_profile
@@ -222,7 +223,8 @@ def test_build_truth_table_orders_axes_canonically(spec):
     def runner(tests):
         return [(t, make_profile(t), Verdict("SUCCESS", "ok")) for t in tests]
 
-    table = build_truth_table(rep, ["delay_band", "action"], 1, runner, spec)
+    axes = ["delay_band", "action"]
+    table = build_truth_table(rep, axes, focused_generate(rep, axes, 1, spec), runner)
     assert table.axes == ("action", "delay_band")
     assert len(table.rows) == 9  # 3 actions x 3 bands
     assert all(r.failures == 0 for r in table.rows)
@@ -456,54 +458,57 @@ def flying_runner(mission, config):
     return runner
 
 
-def check(cut_set, spec, mission, config, **kwargs):
-    return soundness_check(
-        cut_set, spec, mission, config, flying_runner(mission, config), **kwargs
-    )
+def check(cut_set, spec, mission, config, master_seed=0):
+    """The check of cut_set at master_seed, and the trials it flew."""
+    tag, trials = soundness_trials(cut_set.literals, spec, mission.id, config, master_seed)
+    trials = trials or []
+    return soundness_check(cut_set, tag, trials, flying_runner(mission, config)), trials
 
 
 def test_soundness_confirms_a_real_cut_set(spec, mission_a):
     config = SutConfig(latency_window_ms=(200.0, 600.0), seeded_faults=("F2",))
-    res = check(F2_CUT_SET, spec, mission_a, config)
+    res, _trials = check(F2_CUT_SET, spec, mission_a, config)
     assert res.sound
     assert res.verdicts == ("FAILURE", "FAILURE", "FAILURE")
     assert res.note == ""
 
 
 def test_soundness_rejects_on_a_healthy_vehicle(spec, mission_a, narrow_config):
-    res = check(F2_CUT_SET, spec, mission_a, narrow_config)
+    res, _trials = check(F2_CUT_SET, spec, mission_a, narrow_config)
     assert not res.sound
     assert set(res.verdicts) == {"SUCCESS"}
 
 
 def test_soundness_flags_unrealizable_literals(spec, mission_a):
     config = SutConfig(latency_window_ms=(0.0, 600.0), seeded_faults=("F2",))
-    res = check(F2_CUT_SET, spec, mission_a, config)
+    res, trials = check(F2_CUT_SET, spec, mission_a, config)
     assert not res.sound
     assert res.verdicts == ()
     assert res.note == "mode/band literals are unrealizable"
-    assert res.tests == ()
+    assert trials == []
 
 
 def test_soundness_result_dict_shape(spec, mission_a):
     config = SutConfig(latency_window_ms=(200.0, 600.0), seeded_faults=("F2",))
-    res = check(F2_CUT_SET, spec, mission_a, config)
+    res, trials = check(F2_CUT_SET, spec, mission_a, config)
     raw = res.to_dict()
     assert raw["sound"] is True
     assert raw["cut_set"]["literals"][0] == {"column": "app_state", "value": "TAKEOFF"}
     assert raw["verdicts"] == ["FAILURE"] * 3
     assert raw["note"] == ""
-    assert [t.test_id for t in res.tests] == [f"s-{raw['tag']}-{i}" for i in range(3)]
+    assert [t.test_id for t in trials] == [f"s-{raw['tag']}-{i}" for i in range(3)]
 
 
 def test_soundness_tags_differ_across_cut_sets_of_one_scope(spec, mission_a, narrow_config):
     other = CutSet(literals=(("app_state", "TAKEOFF"), ("action", "ALTCTL")))
-    first = check(F2_CUT_SET, spec, mission_a, narrow_config)
-    second = check(other, spec, mission_a, narrow_config)
-    again = check(F2_CUT_SET, spec, mission_a, narrow_config, master_seed=1)
+    (first, first_trials), (second, second_trials), (again, _trials) = (
+        check(F2_CUT_SET, spec, mission_a, narrow_config),
+        check(other, spec, mission_a, narrow_config),
+        check(F2_CUT_SET, spec, mission_a, narrow_config, master_seed=1),
+    )
     assert len({first.tag, second.tag, again.tag}) == 3
     assert all(len(r.tag) == 8 for r in (first, second, again))
-    ids = [t.test_id for r in (first, second) for t in r.tests]
+    ids = [t.test_id for t in first_trials + second_trials]
     assert len(set(ids)) == 6
 
 

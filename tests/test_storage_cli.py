@@ -1,5 +1,6 @@
 """Campaign persistence and the command-line front end."""
 
+import contextlib
 import dataclasses
 import json
 import multiprocessing
@@ -7,11 +8,12 @@ import os
 import re
 import shlex
 import shutil
+import signal
 from collections import Counter
 
 import pytest
 
-from statefuzz import analysis, cli, fuzzspec, oracle, storage, sutmodel, testgen
+from statefuzz import analysis, cli, cutset, fuzzspec, oracle, storage, sutmodel, testgen
 from statefuzz.cutset import CutSet, Derived, build_fault_tree, table_from_results
 from statefuzz.errors import InvalidOnly, LayoutMismatch, RecipeMismatch
 from statefuzz.executor import PROFILE_FIELDS, ExecutionProfile, Executor, trace_digest
@@ -507,6 +509,31 @@ def reorder_bands(root) -> str:
     return "tests.json main"
 
 
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError in the block once seconds have passed, so a
+    command that does unbounded work fails the test instead of stalling
+    it."""
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def huge_repetitions(root) -> str:
+    """Set campaign.json's repetitions_per_combination to 10^9."""
+    meta = read_json(root / "campaign.json")
+    meta["generator"]["repetitions_per_combination"] = 10**9
+    write_json(root / "campaign.json", meta)
+    return "tests.json main"
+
+
 @pytest.mark.parametrize("command", ["analyze", "focus", "report", "replay"])
 @pytest.mark.parametrize(
     "edit",
@@ -522,25 +549,30 @@ def reorder_bands(root) -> str:
         edit_recipe("sweeps", "base", lambda base: {**base, "target_app_state": "BOGUS"}),
         edit_recipe("sweeps", "base", lambda base: {k: v for k, v in base.items()
                                                     if k != "rng_seed"}),
+        edit_recipe("sweeps", "axes", lambda axes: ["bogus"]),
         drop_main_sha256,
         focus_on_a_missing_sweep,
         *(set_section(section, []) for section in ("focused", "sweeps", "soundness", "main")),
         set_section(None, []),
+        # these two ran until they were killed: the count was expanded as given
+        huge_repetitions,
+        edit_recipe("soundness", "trials", lambda n: 10**9),
     ],
     ids=["runs_per_cell", "check_seed", "sweep_sha256", "sweep_tag", "check_tag", "band_order",
-         "literal_state", "literal_action", "base_state", "base_seed", "main_sha256",
-         "focused_tag", "focused_list", "sweeps_list", "soundness_list", "main_list",
-         "document_list"],
+         "literal_state", "literal_action", "base_state", "base_seed", "sweep_axes",
+         "main_sha256", "focused_tag", "focused_list", "sweeps_list", "soundness_list",
+         "main_list", "document_list", "huge_repetitions", "huge_trials"],
 )
 def test_an_edited_recipe_exits_two_and_changes_nothing(campaign_copy, capsys, edit, command):
     entry = edit(campaign_copy)
     before = campaign_files(campaign_copy)
-    with pytest.raises(RecipeMismatch, match=entry):
-        load_campaign(campaign_copy)
     args = [command, "--campaign", str(campaign_copy)]
     if command == "replay":
         args += ["--test-id", "t00000"]
-    assert cli.main(args) == 2
+    with deadline(2.0):
+        with pytest.raises(RecipeMismatch, match=entry):
+            load_campaign(campaign_copy)
+        assert cli.main(args) == 2
     assert capsys.readouterr().err.startswith(f"error: {entry}: ")
     assert campaign_files(campaign_copy) == before
 
@@ -616,8 +648,15 @@ def edit_manifest(edit):
         (edit_manifest(lambda m: {**m, "generator": [m["generator"]]}),
          "generator is missing or not a JSON object; regenerate it"),
         (edit_manifest(lambda m: []), "it is not an object"),
+        (edit_manifest(lambda m: {k: v for k, v in m.items() if k != "spec"}),
+         "fuzz spec must be a JSON object"),
+        (edit_manifest(lambda m: {k: v for k, v in m.items() if k != "mission"}),
+         "mission must be a JSON object"),
+        (edit_manifest(lambda m: {k: v for k, v in m.items() if k != "config"}),
+         "a config must be a JSON object, got None"),
     ],
-    ids=["no_status", "no_verdict_counts", "generator_list", "document_list"],
+    ids=["no_status", "no_verdict_counts", "generator_list", "document_list", "no_spec",
+         "no_mission", "no_config"],
 )
 def test_an_edited_manifest_exits_two_naming_campaign_json(campaign_copy, capsys, edit, named,
                                                            command):
@@ -630,6 +669,25 @@ def test_an_edited_manifest_exits_two_naming_campaign_json(campaign_copy, capsys
     assert cli.main(args) == 2
     assert capsys.readouterr().err.startswith(f"error: {campaign_copy / 'campaign.json'}: {named}")
     assert campaign_files(campaign_copy) == before
+
+
+def test_a_count_too_large_on_the_command_line_exits_two_at_once(campaign_copy, tmp_path,
+                                                                  capsys):
+    before = campaign_files(campaign_copy)
+    huge = str(storage.MAX_CASES)
+    with deadline(5.0):
+        assert cli.main(["focus", "--campaign", str(campaign_copy), "--runs-per-cell", huge]) == 2
+        run = [*CAMPAIGN_ARGS, "--repetitions", huge, "--out", str(tmp_path / "new")]
+        assert cli.main(run) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"error: 9 cell(s) x {huge} give {9 * storage.MAX_CASES} cases, more than the "
+        f"{storage.MAX_CASES} one entry may hold",
+        f"error: 45 cell(s) x {huge} give {45 * storage.MAX_CASES} cases, more than the "
+        f"{storage.MAX_CASES} one entry may hold",
+    ]
+    assert campaign_files(campaign_copy) == before
+    assert not (tmp_path / "new").exists()
 
 
 def test_bands_taken_in_document_order_are_refused(campaign_copy, capsys, monkeypatch):
@@ -1622,6 +1680,44 @@ def test_the_combined_tree_merges_the_sweeps_in_tag_order(tmp_path, monkeypatch,
     capsys.readouterr()
     assert cli.main(["report", "--campaign", str(root)]) == 0
     assert capsys.readouterr().out == report
+
+
+def count_expansions(monkeypatch) -> Counter:
+    """Wrap testgen.focused_generate and cutset.soundness_trials in every
+    module that binds them, counting each sweep's and check's expansion by
+    its tag."""
+    expanded = Counter()
+
+    def counted(function, tag_of):
+        def call(*args, **kwargs):
+            result = function(*args, **kwargs)
+            expanded[tag_of(result)] += 1
+            return result
+        return call
+
+    wrappers = {
+        testgen.focused_generate: counted(testgen.focused_generate,
+                                          lambda tests: tests[0].test_id.split("-")[1]),
+        cutset.soundness_trials: counted(cutset.soundness_trials, lambda result: result[0]),
+    }
+    for module in (testgen, cutset, storage, cli):
+        for name, value in list(vars(module).items()):
+            if callable(value) and value in wrappers:
+                monkeypatch.setattr(module, name, wrappers[value])
+    return expanded
+
+
+def test_each_sweep_and_check_is_expanded_once_per_command(tmp_path, monkeypatch, capsys):
+    root = tmp_path / "campaign"
+    assert cli.main(TWO_SWEEP_ARGS + ["--out", str(root)]) == 0
+    doc = read_json(root / "tests.json")
+    entries = Counter([*doc["sweeps"], *doc["soundness"]])
+    assert len(doc["sweeps"]) == 2 and len(doc["soundness"]) >= 1
+    expanded = count_expansions(monkeypatch)
+    for command in (["report"], ["analyze"], ["focus"]):
+        expanded.clear()
+        assert cli.main([*command, "--campaign", str(root)]) == 0
+        assert expanded == entries, command
 
 
 def test_soundness_checks_each_combined_cut_set_once(tmp_path, monkeypatch, capsys):
