@@ -585,6 +585,13 @@ def positive_int(text: str) -> int:
     return int(text)
 
 
+def non_negative_int(text: str) -> int:
+    """The type of --seed: an integer of at least 0."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"{text} is not a non-negative integer")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="statefuzz",
@@ -614,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="k-means++ restarts per K (default: 10)")
     analyze.add_argument("--oracle", choices=("v0", "v1"), default=None,
                          help="judge the stored profiles again under this oracle version")
-    analyze.add_argument("--seed", type=int, default=None)
+    analyze.add_argument("--seed", type=non_negative_int, default=None)
     analyze.set_defaults(fn=cmd_analyze)
 
     focus = sub.add_parser("focus", help="re-fuzz representatives into truth tables")
@@ -639,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "only when it adds a sweep)")
         # focus and analyze default to the campaign's master seed (focus to
         # a focused test's stored sweep's)
-        command.add_argument("--seed", type=int, default=0 if command is run else None)
+        command.add_argument("--seed", type=non_negative_int, default=0 if command is run else None)
 
     report = sub.add_parser("report", help="render report.txt for a campaign")
     report.add_argument("--campaign", required=True)

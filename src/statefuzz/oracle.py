@@ -1,13 +1,16 @@
-"""Verdict assignment: a decision tree over a closed predicate registry.
+"""Verdict assignment: a decision tree of predicates.
 
-The oracle is data, not code: a tree of nodes, each naming a registered
-predicate (with optional parameters) and routing to a true/false branch,
-ending in leaves that carry a verdict and a reason code. A campaign
-records the revision that judged it by name (default_tree builds each
-one), and a stored campaign can be re-judged under the other revision
-without re-flying.
+The oracle is a tree of nodes, each holding a predicate over one test
+case and its execution profile and routing to a true/false branch, ending
+in leaves that are the verdicts (a verdict and a reason code) they give.
+A predicate is named by its __name__. The limits are module constants:
+OSCILLATION_LIMIT returns to a mode, PATH_DEVIATION_LIMIT_M metres off
+the planned path, and a degradation alert expected once GPS noise or
+compass interference reaches ALERT_LEVEL. A campaign records the revision that judged it by name
+(default_tree builds each one), and a stored campaign can be re-judged
+under the other revision without re-flying.
 
-Two built-in revisions exist. They differ in a single parameter: how an
+Two built-in revisions exist. They differ in a single predicate: how an
 honored action is expected to realize as a flight mode. The naive mapping
 ("v0") takes requests literally (a loiter request should yield AUTO.LOITER,
 a throttle toggle should change nothing); the rotorcraft mapping ("v1")
@@ -16,8 +19,8 @@ knows this airframe realizes both as POSCTL. Everything else is shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
 from .errors import MalformedTree, MissingDatum
 from .executor import ExecutionProfile
@@ -35,6 +38,13 @@ from .testgen import TestCase
 SUCCESS = "SUCCESS"
 FAILURE = "FAILURE"
 INVALID = "INVALID"
+
+#: this many returns to a mode within the oscillation window is a failure
+OSCILLATION_LIMIT = 3
+#: the farthest a flight may stray from its planned path, in metres
+PATH_DEVIATION_LIMIT_M = 5.0
+#: the GPS noise and compass interference level that must raise an alert
+ALERT_LEVEL = "high"
 
 #: literal request-to-mode reading: what a fixed-wing style interpretation
 #: would expect; the airframe actually follows REALIZED_MODE
@@ -68,26 +78,24 @@ def _need(value, name: str):
     return value
 
 
-def _p_injection_planned(test: TestCase, profile: ExecutionProfile, params: Mapping) -> bool:
+def injection_planned(test: TestCase, profile: ExecutionProfile) -> bool:
     return test.action != NO_ACTION
 
 
-def _p_context_reached(test: TestCase, profile: ExecutionProfile, params: Mapping) -> bool:
+def context_reached(test: TestCase, profile: ExecutionProfile) -> bool:
     return profile.context_reached
 
 
-def _p_injection_in_target_context(
-    test: TestCase, profile: ExecutionProfile, params: Mapping
-) -> bool:
+def injection_in_target_context(test: TestCase, profile: ExecutionProfile) -> bool:
     at = _need(profile.app_state_at_injection, "app_state_at_injection")
     return at == test.app_state.value
 
 
-def _p_injection_acknowledged(test: TestCase, profile: ExecutionProfile, params: Mapping) -> bool:
+def injection_acknowledged(test: TestCase, profile: ExecutionProfile) -> bool:
     return _need(profile.injection_acknowledged, "injection_acknowledged")
 
 
-def _p_mode_change_deferred(test: TestCase, profile: ExecutionProfile, params: Mapping) -> bool:
+def mode_change_deferred(test: TestCase, profile: ExecutionProfile) -> bool:
     return profile.injection_deferred
 
 
@@ -104,27 +112,31 @@ def expected_mode(action: str, mapping: str, mode_at_injection: Optional[str]) -
     raise MalformedTree(f"unknown mode mapping {mapping!r}")
 
 
-def _p_expected_mode_after_action(
-    test: TestCase, profile: ExecutionProfile, params: Mapping
-) -> bool:
-    mapping = params.get("mapping", "rotorcraft")
-    settled = _need(profile.mode_after_settle, "mode_after_settle")
-    want = expected_mode(test.action, mapping, profile.mode_at_injection)
-    return settled == want
+def _expecting(mapping: str) -> Callable[[TestCase, ExecutionProfile], bool]:
+    """The expected-mode predicate under one mapping."""
+
+    def expected_mode_after_action(test: TestCase, profile: ExecutionProfile) -> bool:
+        settled = _need(profile.mode_after_settle, "mode_after_settle")
+        return settled == expected_mode(test.action, mapping, profile.mode_at_injection)
+
+    return expected_mode_after_action
 
 
-def _p_oscillation_count(test: TestCase, profile: ExecutionProfile, params: Mapping) -> bool:
-    threshold = params.get("threshold", 3)
-    return profile.oscillation_count >= threshold
+#: revision -> its expected-mode predicate, built once so that two trees of
+#: one revision are equal
+_MODE_PREDICATE = {"v0": _expecting("naive"), "v1": _expecting("rotorcraft")}
 
 
-def _p_jerk_flag(test: TestCase, profile: ExecutionProfile, params: Mapping) -> bool:
+def oscillation_count(test: TestCase, profile: ExecutionProfile) -> bool:
+    return profile.oscillation_count >= OSCILLATION_LIMIT
+
+
+def jerk_flag(test: TestCase, profile: ExecutionProfile) -> bool:
     return profile.jerk_flag
 
 
-def _p_path_deviation_max(test: TestCase, profile: ExecutionProfile, params: Mapping) -> bool:
-    threshold = params.get("threshold", 5.0)
-    return profile.path_deviation_max_m <= threshold
+def path_deviation_max(test: TestCase, profile: ExecutionProfile) -> bool:
+    return profile.path_deviation_max_m <= PATH_DEVIATION_LIMIT_M
 
 
 def _expected_completion(test: TestCase, profile: ExecutionProfile) -> bool:
@@ -153,50 +165,27 @@ def _expected_completion(test: TestCase, profile: ExecutionProfile) -> bool:
     return True
 
 
-def _p_mission_completed_when_expected(
-    test: TestCase, profile: ExecutionProfile, params: Mapping
-) -> bool:
+def mission_completed_when_expected(test: TestCase, profile: ExecutionProfile) -> bool:
     return profile.mission_completed == _expected_completion(test, profile)
 
 
-def _p_failsafe_fired_when_expected(
-    test: TestCase, profile: ExecutionProfile, params: Mapping
-) -> bool:
-    gps_alert = params.get("gps_alert_level", "high")
-    compass_alert = params.get("compass_alert_level", "high")
+def failsafe_fired_when_expected(test: TestCase, profile: ExecutionProfile) -> bool:
     kinds = [kind for _t, kind, _d in profile.failsafe_events]
     for _t, kind, detail in profile.failsafe_events:
         if kind == "GEOFENCE":
             if test.geofence == "none" or detail != test.geofence:
                 return False
-    want_gps = reaches(test.gps_noise, gps_alert)
+    want_gps = reaches(test.gps_noise, ALERT_LEVEL)
     if want_gps != ("DEGRADED_GPS" in kinds):
         return False
-    want_compass = reaches(test.compass_interference, compass_alert)
+    want_compass = reaches(test.compass_interference, ALERT_LEVEL)
     if want_compass != ("DEGRADED_COMPASS" in kinds):
         return False
     return True
 
 
-def _p_shutdown_clean(test: TestCase, profile: ExecutionProfile, params: Mapping) -> bool:
+def shutdown_clean(test: TestCase, profile: ExecutionProfile) -> bool:
     return not any(e in ("disarm-timeout", "sim-timeout") for e in profile.exceptions)
-
-
-#: name -> the predicate a tree node names
-PREDICATES: dict[str, Callable[[TestCase, ExecutionProfile, Mapping], bool]] = {
-    "injection_planned": _p_injection_planned,
-    "context_reached": _p_context_reached,
-    "injection_in_target_context": _p_injection_in_target_context,
-    "injection_acknowledged": _p_injection_acknowledged,
-    "mode_change_deferred": _p_mode_change_deferred,
-    "expected_mode_after_action": _p_expected_mode_after_action,
-    "oscillation_count": _p_oscillation_count,
-    "jerk_flag": _p_jerk_flag,
-    "path_deviation_max": _p_path_deviation_max,
-    "mission_completed_when_expected": _p_mission_completed_when_expected,
-    "failsafe_fired_when_expected": _p_failsafe_fired_when_expected,
-    "shutdown_clean": _p_shutdown_clean,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -205,29 +194,20 @@ PREDICATES: dict[str, Callable[[TestCase, ExecutionProfile, Mapping], bool]] = {
 
 
 @dataclass(frozen=True)
-class Leaf:
-    verdict: str
-    reason: str
-
-
-@dataclass(frozen=True)
 class Node:
-    predicate: str
-    on_true: Union["Node", Leaf]
-    on_false: Union["Node", Leaf]
-    params: Mapping = field(default_factory=dict)
+    """A branch on predicate, named by its __name__; a leaf is a Verdict."""
+
+    predicate: Callable[[TestCase, ExecutionProfile], bool]
+    on_true: Union["Node", Verdict]
+    on_false: Union["Node", Verdict]
 
 
-TreePart = Union[Node, Leaf]
-
-
-def classify(test: TestCase, profile: ExecutionProfile, tree: TreePart) -> Verdict:
+def classify(test: TestCase, profile: ExecutionProfile, tree: Node) -> Verdict:
     """Walk the tree for one run to the leaf that judges it."""
     node = tree
     while isinstance(node, Node):
-        fn = PREDICATES[node.predicate]
-        node = node.on_true if fn(test, profile, node.params) else node.on_false
-    return Verdict(node.verdict, node.reason)
+        node = node.on_true if node.predicate(test, profile) else node.on_false
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -235,58 +215,55 @@ def classify(test: TestCase, profile: ExecutionProfile, tree: TreePart) -> Verdi
 # ---------------------------------------------------------------------------
 
 
-def default_tree(version: str = "v1") -> TreePart:
+def default_tree(version: str = "v1") -> Node:
     """The built-in oracle; 'v0' reads mode requests literally, 'v1' uses
     the rotorcraft realization mapping. All other checks are identical."""
-    if version not in ("v0", "v1"):
+    if version not in _MODE_PREDICATE:
         raise MalformedTree(f"no built-in oracle revision {version!r}")
-    mapping = "naive" if version == "v0" else "rotorcraft"
 
-    def fail(reason: str) -> Leaf:
-        return Leaf(FAILURE, reason)
+    def fail(reason: str) -> Verdict:
+        return Verdict(FAILURE, reason)
 
     def within_bounds(reason: str) -> Node:
-        """SUCCESS (reason) for a path within 5 m whose failsafes fired as expected."""
+        """SUCCESS (reason) for a path within bounds whose failsafes fired as expected."""
         return Node(
-            "path_deviation_max",
-            Node("failsafe_fired_when_expected", Leaf(SUCCESS, reason), fail("failsafe-mismatch")),
+            path_deviation_max,
+            Node(failsafe_fired_when_expected, Verdict(SUCCESS, reason), fail("failsafe-mismatch")),
             fail("path-deviation"),
-            {"threshold": 5.0},
         )
 
     baseline = Node(
-        "mission_completed_when_expected",
+        mission_completed_when_expected,
         Node(
-            "shutdown_clean",
-            Node("oscillation_count", fail("mode-oscillation"), within_bounds("nominal")),
+            shutdown_clean,
+            Node(oscillation_count, fail("mode-oscillation"), within_bounds("nominal")),
             fail("disarm-failure"),
         ),
         fail("mission-incomplete"),
     )
     honored = Node(
-        "expected_mode_after_action",
+        _MODE_PREDICATE[version],
         Node(
-            "shutdown_clean",
-            Node("mission_completed_when_expected", within_bounds("action-honored"),
+            shutdown_clean,
+            Node(mission_completed_when_expected, within_bounds("action-honored"),
                  fail("mission-incomplete")),
             fail("disarm-failure"),
         ),
         fail("unexpected-mode"),
-        {"mapping": mapping},
     )
     acknowledged = Node(
-        "jerk_flag",
+        jerk_flag,
         fail("thrashing"),
-        Node("oscillation_count", fail("mode-oscillation"), honored),
+        Node(oscillation_count, fail("mode-oscillation"), honored),
     )
-    missed = Node("mode_change_deferred", fail("mode-change-delayed"), fail("mode-change-ignored"))
+    missed = Node(mode_change_deferred, fail("mode-change-delayed"), fail("mode-change-ignored"))
     injected = Node(
-        "context_reached",
+        context_reached,
         Node(
-            "injection_in_target_context",
-            Node("injection_acknowledged", acknowledged, missed),
-            Leaf(INVALID, "wrong-context"),
+            injection_in_target_context,
+            Node(injection_acknowledged, acknowledged, missed),
+            Verdict(INVALID, "wrong-context"),
         ),
-        Leaf(INVALID, "context-not-met"),
+        Verdict(INVALID, "context-not-met"),
     )
-    return Node("injection_planned", injected, baseline)
+    return Node(injection_planned, injected, baseline)

@@ -123,7 +123,7 @@ from .errors import (
 )
 from .executor import PROFILE_FIELDS, ExecutionProfile
 from .fuzzspec import FuzzSpecification, MissionPlan, parse_fuzz_spec, parse_mission
-from .oracle import TreePart, Verdict, classify, default_tree
+from .oracle import Node, Verdict, classify, default_tree
 from .sutmodel import SutConfig
 from .testgen import (
     AXES,
@@ -221,7 +221,7 @@ class Campaign:
     generator: GeneratorConfig
     oracle_version: str
     #: default_tree(oracle_version): every stored profile is judged under it
-    tree: TreePart
+    tree: Node
     #: the main tests, in order, and their recipe
     main: Entry = field(default_factory=lambda: Entry([], {}))
     #: representative id -> the tag of its focus sweep
@@ -537,7 +537,8 @@ def load_campaign(root: Path) -> Campaign:
             f"matched to their tests; {regenerate}"
         )
     try:
-        generator = GeneratorConfig(**gen_raw)
+        with naming(path):
+            generator = GeneratorConfig(**gen_raw)
     except TypeError as exc:
         raise LayoutMismatch(f"campaign {root} has a generator block this code does not read "
                              f"({exc}); {regenerate}") from None

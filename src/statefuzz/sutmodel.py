@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import accumulate, repeat, starmap
 from operator import add, mul, neg, sub
@@ -287,8 +287,7 @@ class SutConfig:
         names the key."""
         if not isinstance(raw, dict):
             raise ConfigError(f"a config must be a JSON object, got {raw!r}")
-        known = {"latency_window_ms", "gps_degrade_level", "compass_degrade_level", "seeded_faults"}
-        extra = set(raw) - known
+        extra = set(raw) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
         kwargs = dict(raw)

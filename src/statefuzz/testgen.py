@@ -55,6 +55,8 @@ class GeneratorConfig:
             raise ConfigError(
                 f"repetitions_per_combination must be >= 1, got {self.repetitions_per_combination}"
             )
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
 
 
 @dataclass(frozen=True)

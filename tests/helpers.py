@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from statefuzz.executor import PROFILE_FIELDS, ExecutionProfile, Executor, trace_digest
-from statefuzz.oracle import PREDICATES, Node, Verdict, classify, default_tree
+from statefuzz.oracle import Node, classify, default_tree
 from statefuzz.sutmodel import AppState, AutopilotMode, summarize_events
 from statefuzz.testgen import TestCase
 
@@ -131,8 +131,8 @@ def fired_path(test, profile, tree) -> tuple[str, ...]:
     that leaf."""
     path, node = [], tree
     while isinstance(node, Node):
-        outcome = bool(PREDICATES[node.predicate](test, profile, node.params))
-        path.append(f"{node.predicate}={str(outcome).lower()}")
+        outcome = bool(node.predicate(test, profile))
+        path.append(f"{node.predicate.__name__}={str(outcome).lower()}")
         node = node.on_true if outcome else node.on_false
-    assert classify(test, profile, tree) == Verdict(node.verdict, node.reason)
+    assert classify(test, profile, tree) is node
     return tuple(path)

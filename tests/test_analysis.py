@@ -19,7 +19,7 @@ from statefuzz.analysis import (
     sweep_k,
 )
 from statefuzz.errors import DegenerateK, EmptyFailureSet
-from statefuzz.oracle import FAILURE, Leaf, Verdict, default_tree
+from statefuzz.oracle import FAILURE, Verdict, default_tree
 from statefuzz.sutmodel import AppState
 
 from helpers import make_case
@@ -44,7 +44,7 @@ def failing(test_id, state=AppState.TAKEOFF, action="POSCTL", delay=100.0, reaso
 
 
 def failure_leaf_reasons(part) -> set[str]:
-    if isinstance(part, Leaf):
+    if isinstance(part, Verdict):
         return {part.reason} if part.verdict == FAILURE else set()
     return failure_leaf_reasons(part.on_true) | failure_leaf_reasons(part.on_false)
 

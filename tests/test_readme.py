@@ -1,19 +1,49 @@
-"""The README's library example runs as written, from the repository root."""
+"""The README's quick start and library example run as written."""
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+from statefuzz import cli
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_section(heading: str) -> str:
+    """The README's text under heading, up to the next section."""
+    text = (ROOT / "README.md").read_text()
+    return text.split(f"\n{heading}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def readme_block(heading: str) -> str:
     """The first python block of the README section under heading."""
-    text = (ROOT / "README.md").read_text()
-    section = text.split(f"\n{heading}\n", 1)[1]
-    return section.split("```python\n", 1)[1].split("```", 1)[0]
+    return readme_section(heading).split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def quick_start_commands() -> list[list[str]]:
+    """The arguments of each statefuzz line of the quick start's sh blocks,
+    continued lines joined and comments dropped."""
+    blocks = [part.split("```", 1)[0]
+              for part in readme_section("## Quick start").split("```sh\n")[1:]]
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.startswith("statefuzz ")]
+
+
+def test_the_quick_start_runs(tmp_path, monkeypatch, capsys):
+    commands = quick_start_commands()
+    assert [argv[0] for argv in commands] == [
+        "run", "analyze", "focus", "report", "replay", "replay"
+    ]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+        out = capsys.readouterr().out
+        if argv[0] == "replay":
+            assert "replay OK" in out
 
 
 def test_the_library_example_runs():

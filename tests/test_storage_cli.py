@@ -654,9 +654,11 @@ def edit_manifest(edit):
          "mission must be a JSON object"),
         (edit_manifest(lambda m: {k: v for k, v in m.items() if k != "config"}),
          "a config must be a JSON object, got None"),
+        (edit_manifest(lambda m: {**m, "generator": {**m["generator"], "master_seed": -1}}),
+         "master_seed must be >= 0, got -1"),
     ],
     ids=["no_status", "no_verdict_counts", "generator_list", "document_list", "no_spec",
-         "no_mission", "no_config"],
+         "no_mission", "no_config", "negative_seed"],
 )
 def test_an_edited_manifest_exits_two_naming_campaign_json(campaign_copy, capsys, edit, named,
                                                            command):
@@ -972,8 +974,8 @@ def test_replay_without_a_stored_profile_reexecutes(campaign_copy, capsys):
 
 def failing(part):
     """part with every SUCCESS leaf turned into a FAILURE."""
-    if isinstance(part, oracle.Leaf):
-        return oracle.Leaf("FAILURE", part.reason)
+    if isinstance(part, oracle.Verdict):
+        return oracle.Verdict("FAILURE", part.reason)
     return dataclasses.replace(part, on_true=failing(part.on_true),
                                on_false=failing(part.on_false))
 
@@ -1476,6 +1478,27 @@ def test_focus_with_an_unknown_test_id_changes_nothing(
     assert cli.main(args) == 2
     assert error in capsys.readouterr().err
     assert batches == [] and campaign_files(campaign_copy) == before
+
+
+@pytest.mark.parametrize("command, seed", [("run", "-3"), ("analyze", "-1"), ("focus", "-1")])
+def test_a_negative_seed_exits_two_before_anything_flies(
+    campaign_copy, tmp_path, capsys, monkeypatch, command, seed
+):
+    # run flew every test, then stopped in clustering with a traceback and
+    # left campaign.json "running"; analyze stopped there too
+    flown = count_flights(monkeypatch)
+    before = campaign_files(campaign_copy)
+    if command == "run":
+        args = [*CAMPAIGN_ARGS, "--out", str(tmp_path / "new")]
+    else:
+        args = [command, "--campaign", str(campaign_copy)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*args, "--seed", seed])
+    assert exc.value.code == 2
+    assert f"{seed} is not a non-negative integer" in capsys.readouterr().err
+    assert flown == []
+    assert not (tmp_path / "new").exists()
+    assert campaign_files(campaign_copy) == before
 
 
 @pytest.mark.parametrize(
